@@ -43,12 +43,7 @@ from repro.cluster.draws import (
 )
 from repro.cluster.lru_kernel import equal_item_capacity, lru_hit_flags
 from repro.core.cancellation import simulate_cancelling_arrivals
-from repro.core.policy import (
-    PolicyLike,
-    resolve_run_policy,
-    run_policy_spec,
-    simulate_hedged_arrivals,
-)
+from repro.core.policy import PolicyLike, resolve_run_policy, run_policy_spec
 from repro.metrics import MetricsRegistry
 from repro.cluster.disk import DiskModel
 from repro.cluster.storage_server import StorageServerModel
@@ -226,7 +221,7 @@ class DatabaseRunResult:
             suppressed backups never launch.
         copies_cancelled: Reads cancelled while still queued after another
             copy won (warmup included); ``None`` unless the policy cancels
-            on win (the event-driven cancellation engine ran).
+            on win.
         spike: Before/during/after p99 quantification of the membership-event
             latency spike (see :func:`repro.cluster.churn.spike_metrics`);
             ``None`` unless the run had a churn timeline.
@@ -478,43 +473,10 @@ class DatabaseClusterExperiment:
         else:
             servers = self._build_servers(run_seed=run_seed)
             self._warm_caches(servers, k)
-
-            if hedged.cancel_on_win:
-                # Cancellation retroactively shifts queued starts, so the
-                # known-completion FIFO engine cannot express it; run the
-                # event-driven cancellable engine instead.  The no-cancel
-                # branch below stays byte-identical to earlier releases.
-                def server_index(request: int, copy: int) -> int:
-                    return (int(primaries[request]) + copy) % num_servers
-
-                def begin(request: int, copy: int, at: float):
-                    return servers[server_index(request, copy)].probe(
-                        at, int(file_ids[request]), float(sizes[request])
-                    )
-
-                finish_at, launched, cancelled = simulate_cancelling_arrivals(
-                    hedged, arrival_times, k, server_index, begin
-                )
-                # Cancelled copies never produce a response for the client
-                # to combine, so they carry no per-copy client overhead.
-                billable = launched - cancelled
-                total_cancelled = int(cancelled.sum())
-            else:
-
-                def launch(request: int, copy: int, at: float) -> float:
-                    server = servers[(int(primaries[request]) + copy) % num_servers]
-                    completion, _hit = server.serve(
-                        at, int(file_ids[request]), float(sizes[request])
-                    )
-                    return completion
-
-                finish_at, launched = simulate_hedged_arrivals(
-                    hedged, arrival_times, k, launch
-                )
-                billable = launched
-                total_cancelled = None
-            response = (finish_at - arrival_times) + overhead_unit * (billable - 1)
-            total_launched = int(launched.sum())
+            replicas = (primaries[:, None] + np.arange(k)) % num_servers
+            response, total_launched, total_cancelled = self._run_hedged(
+                hedged, k, arrival_times, file_ids, sizes, replicas, servers
+            )
             hits = sum(s.cache.hits for s in servers)
             misses = sum(s.cache.misses for s in servers)
 
@@ -617,11 +579,10 @@ class DatabaseClusterExperiment:
         )
         mig_sizes = self._fileset.sizes_bytes[mig_files]
         num_migrations = len(mig_times)
-        overhead_unit = config.client_overhead_per_extra_copy()
-        total_cancelled: Optional[int] = None
 
         if hedged is None:
-            overhead = overhead_unit * (k - 1)
+            overhead = config.client_overhead_per_extra_copy() * (k - 1)
+            total_cancelled = None
             response = np.empty(num_requests)
             m = 0
             for i in range(num_requests):
@@ -640,59 +601,17 @@ class DatabaseClusterExperiment:
                         best = elapsed
                 response[i] = best + overhead
             total_launched = num_requests * k
-        elif hedged.cancel_on_win:
-
-            def server_index(request: int, copy: int) -> int:
-                return int(replica_lists[request, copy])
-
-            def begin(request: int, copy: int, at: float):
-                return servers_by_id[int(replica_lists[request, copy])].probe(
-                    at, int(file_ids[request]), float(sizes[request])
-                )
-
-            def begin_background(job: int, at: float):
-                return servers_by_id[int(mig_servers[job])].probe(
-                    at, int(mig_files[job]), float(mig_sizes[job])
-                )
-
-            background = [
-                (float(mig_times[j]), int(mig_servers[j]), j)
-                for j in range(num_migrations)
-            ]
-            finish_at, launched, cancelled = simulate_cancelling_arrivals(
-                hedged,
-                arrival_times,
-                k,
-                server_index,
-                begin,
-                background_jobs=background,
-                begin_background=begin_background,
-            )
-            billable = launched - cancelled
-            total_cancelled = int(cancelled.sum())
-            response = (finish_at - arrival_times) + overhead_unit * (billable - 1)
-            total_launched = int(launched.sum())
         else:
-            # simulate_hedged_arrivals calls launch in global time order, so
-            # flushing due migration reads right before each dispatch keeps
-            # every disk FIFO in per-server time order.
-            state = {"next": 0}
-
-            def launch(request: int, copy: int, at: float) -> float:
-                m = state["next"]
-                while m < num_migrations and mig_times[m] <= at:
-                    servers_by_id[int(mig_servers[m])].serve(
-                        float(mig_times[m]), int(mig_files[m]), float(mig_sizes[m])
-                    )
-                    m += 1
-                state["next"] = m
-                server = servers_by_id[int(replica_lists[request, copy])]
-                completion, _hit = server.serve(at, int(file_ids[request]), float(sizes[request]))
-                return completion
-
-            finish_at, launched = simulate_hedged_arrivals(hedged, arrival_times, k, launch)
-            response = (finish_at - arrival_times) + overhead_unit * (launched - 1)
-            total_launched = int(launched.sum())
+            response, total_launched, total_cancelled = self._run_hedged(
+                hedged,
+                k,
+                arrival_times,
+                file_ids,
+                sizes,
+                replica_lists,
+                servers_by_id,
+                (mig_times, mig_servers, mig_files, mig_sizes),
+            )
 
         hits = sum(s.cache.hits for s in servers_by_id.values())
         misses = sum(s.cache.misses for s in servers_by_id.values())
@@ -719,6 +638,70 @@ class DatabaseClusterExperiment:
             copies_launched=total_launched,
             copies_cancelled=total_cancelled,
             spike=spike,
+        )
+
+    def _run_hedged(
+        self,
+        hedged,
+        k: int,
+        arrival_times: np.ndarray,
+        file_ids: np.ndarray,
+        sizes: np.ndarray,
+        replicas: np.ndarray,
+        servers,
+        migrations: Optional[Tuple[np.ndarray, ...]] = None,
+    ) -> Tuple[np.ndarray, int, Optional[int]]:
+        """One hedged run through the FIFO hedging engine.
+
+        Copy ``c`` of request ``r`` reads from server ``replicas[r, c]``;
+        ``servers`` maps server ids to their models, which do the
+        dispatch-time cache and draw work (:meth:`StorageServerModel.probe`)
+        while the engine owns the disk FIFOs.  ``migrations`` are the churn
+        migration reads as ``(times, servers, files, sizes)`` arrays.
+
+        Returns:
+            ``(response_times, copies_launched, copies_cancelled)``, with
+            ``copies_cancelled`` ``None`` when the policy never cancels.
+        """
+
+        def server_of(request: int, copy: int) -> int:
+            return int(replicas[request, copy])
+
+        def begin(request: int, copy: int, at: float):
+            return servers[int(replicas[request, copy])].probe(
+                at, int(file_ids[request]), float(sizes[request])
+            )
+
+        background = begin_background = None
+        if migrations is not None:
+            mig_times, mig_servers, mig_files, mig_sizes = migrations
+
+            def begin_background(job: int, at: float):
+                return servers[int(mig_servers[job])].probe(
+                    at, int(mig_files[job]), float(mig_sizes[job])
+                )
+
+            background = [
+                (float(mig_times[j]), int(mig_servers[j]), j) for j in range(len(mig_times))
+            ]
+        finish_at, launched, cancelled = simulate_cancelling_arrivals(
+            hedged,
+            arrival_times,
+            k,
+            server_of,
+            begin,
+            background_jobs=background,
+            begin_background=begin_background,
+        )
+        # A cancelled copy returns no response for the client to combine,
+        # so it carries no per-copy client overhead.
+        received = launched if cancelled is None else launched - cancelled
+        overhead_unit = self.config.client_overhead_per_extra_copy()
+        response = (finish_at - arrival_times) + overhead_unit * (received - 1)
+        return (
+            response,
+            int(launched.sum()),
+            None if cancelled is None else int(cancelled.sum()),
         )
 
     def _eager_batched(

@@ -18,7 +18,7 @@ here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,13 +32,7 @@ from repro.cluster.churn import (
 )
 from repro.cluster.draws import resolve_draws_mode, sequential_finish_times
 from repro.core.cancellation import simulate_cancelling_arrivals
-from repro.core.policy import (
-    PolicyDriver,
-    PolicyLike,
-    resolve_run_policy,
-    run_policy_spec,
-    simulate_hedged_arrivals,
-)
+from repro.core.policy import PolicyDriver, PolicyLike, resolve_run_policy, run_policy_spec
 from repro.exceptions import CapacityError, ConfigurationError
 from repro.metrics import MetricsRegistry
 from repro.sim.rng import substream
@@ -134,7 +128,7 @@ class MemcachedRunResult:
             launch.
         copies_cancelled: Copies cancelled while still queued after another
             copy won (warmup included); ``None`` unless the policy cancels
-            on win (the event-driven cancellation engine ran).
+            on win.
         spike: Before/during/after p99 quantification of the membership-event
             latency spike (see :func:`repro.cluster.churn.spike_metrics`);
             ``None`` unless the run had a churn timeline.
@@ -334,47 +328,9 @@ class MemcachedExperiment:
                 num_requests, k
             )
             placements = self._choose_servers(placement_rng, num_requests, k)
-
-            if hedged.cancel_on_win:
-                # Cancellation retroactively shifts queued starts, so the
-                # known-completion FIFO engine cannot express it; run the
-                # event-driven cancellable engine.  Service times stay
-                # pre-drawn per (request, copy), so the two engines agree
-                # on what each copy would have cost.  The no-cancel branch
-                # below stays byte-identical to earlier releases.
-                def server_index(request: int, copy: int) -> int:
-                    return int(placements[request, copy])
-
-                def begin(request: int, copy: int, at: float):
-                    return ("service", float(service_times[request, copy]), 0.0)
-
-                finish_at, launched_arr, cancelled_arr = simulate_cancelling_arrivals(
-                    hedged, arrival_times, k, server_index, begin
-                )
-                # Cancelled copies never return a response, so they carry no
-                # per-copy client combining overhead.
-                billable = launched_arr - cancelled_arr
-                total_cancelled = int(cancelled_arr.sum())
-            else:
-                free_at = np.zeros(config.num_servers)
-
-                def launch(request: int, copy: int, at: float) -> float:
-                    server = placements[request, copy]
-                    start = free_at[server] if free_at[server] > at else at
-                    finish = start + service_times[request, copy]
-                    free_at[server] = finish
-                    return finish
-
-                finish_at, launched_arr = simulate_hedged_arrivals(
-                    hedged, arrival_times, k, launch
-                )
-                billable = launched_arr
-            response = (
-                (finish_at - arrival_times)
-                + config.client_base_s
-                + real_extra_s * (billable - 1)
+            response, total_launched, total_cancelled = self._run_hedged(
+                hedged, k, arrival_times, service_times, placements
             )
-            total_launched = int(launched_arr.sum())
 
         start = int(num_requests * warmup_fraction)
         retained = response[start:]
@@ -484,13 +440,11 @@ class MemcachedExperiment:
                 return cold_penalty_s
             return 0.0
 
-        real_extra_s = config.client_extra_copy_s + config.unmeasured_extra_copy_s
-        total_cancelled: Optional[int] = None
-        all_servers = timeline.all_servers(config.num_servers)
-
         if hedged is None:
-            free_at: Dict[int, float] = {sid: 0.0 for sid in all_servers}
+            free_at = {sid: 0.0 for sid in timeline.all_servers(config.num_servers)}
+            real_extra_s = config.client_extra_copy_s + config.unmeasured_extra_copy_s
             client_time = config.client_base_s + real_extra_s * (k - 1)
+            total_cancelled = None
             response = np.empty(num_requests)
             m = 0
             for i in range(num_requests):
@@ -511,69 +465,16 @@ class MemcachedExperiment:
                         best = elapsed
                 response[i] = best + client_time
             total_launched = num_requests * k
-        elif hedged.cancel_on_win:
-
-            def server_index(request: int, copy: int) -> int:
-                return int(replica_lists[request, copy])
-
-            def begin(request: int, copy: int, at: float):
-                return (
-                    "service",
-                    float(service_times[request, copy]),
-                    cold_tail(request, copy, at),
-                )
-
-            def begin_background(job: int, at: float):
-                return ("service", float(mig_services[job]), 0.0)
-
-            background = [
-                (float(mig_times[j]), int(mig_servers[j]), j)
-                for j in range(num_migrations)
-            ]
-            finish_at, launched_arr, cancelled_arr = simulate_cancelling_arrivals(
-                hedged,
-                arrival_times,
-                k,
-                server_index,
-                begin,
-                background_jobs=background,
-                begin_background=begin_background,
-            )
-            billable = launched_arr - cancelled_arr
-            total_cancelled = int(cancelled_arr.sum())
-            response = (
-                (finish_at - arrival_times)
-                + config.client_base_s
-                + real_extra_s * (billable - 1)
-            )
-            total_launched = int(launched_arr.sum())
         else:
-            free_at = {sid: 0.0 for sid in all_servers}
-            state = {"next": 0}
-
-            def launch(request: int, copy: int, at: float) -> float:
-                m = state["next"]
-                while m < num_migrations and mig_times[m] <= at:
-                    g = int(mig_servers[m])
-                    start = free_at[g] if free_at[g] > mig_times[m] else float(mig_times[m])
-                    free_at[g] = start + float(mig_services[m])
-                    m += 1
-                state["next"] = m
-                server = int(replica_lists[request, copy])
-                start = free_at[server] if free_at[server] > at else at
-                finish = start + float(service_times[request, copy])
-                free_at[server] = finish
-                return finish + cold_tail(request, copy, at)
-
-            finish_at, launched_arr = simulate_hedged_arrivals(
-                hedged, arrival_times, k, launch
+            response, total_launched, total_cancelled = self._run_hedged(
+                hedged,
+                k,
+                arrival_times,
+                service_times,
+                replica_lists,
+                cold_tail,
+                (mig_times, mig_servers, mig_services),
             )
-            response = (
-                (finish_at - arrival_times)
-                + config.client_base_s
-                + real_extra_s * (launched_arr - 1)
-            )
-            total_launched = int(launched_arr.sum())
 
         start_index = int(num_requests * warmup_fraction)
         retained = response[start_index:]
@@ -595,6 +496,68 @@ class MemcachedExperiment:
             copies_launched=total_launched,
             copies_cancelled=total_cancelled,
             spike=spike,
+        )
+
+    def _run_hedged(
+        self,
+        hedged,
+        k: int,
+        arrival_times: np.ndarray,
+        service_times: np.ndarray,
+        replicas: np.ndarray,
+        cold_tail: Optional[Callable[[int, int, float], float]] = None,
+        migrations: Optional[Tuple[np.ndarray, ...]] = None,
+    ) -> Tuple[np.ndarray, int, Optional[int]]:
+        """One hedged run through the FIFO hedging engine.
+
+        Copy ``c`` of request ``r`` queues at server ``replicas[r, c]`` for
+        its pre-drawn ``service_times[r, c]``, plus the queue-free
+        ``cold_tail(r, c, at)`` seconds of a churn run.  ``migrations`` are
+        the churn migration SETs as ``(times, servers, services)`` arrays.
+
+        Returns:
+            ``(response_times, copies_launched, copies_cancelled)``, with
+            ``copies_cancelled`` ``None`` when the policy never cancels.
+        """
+
+        def server_of(request: int, copy: int) -> int:
+            return int(replicas[request, copy])
+
+        def begin(request: int, copy: int, at: float):
+            tail = 0.0 if cold_tail is None else cold_tail(request, copy, at)
+            return ("service", float(service_times[request, copy]), tail)
+
+        background = begin_background = None
+        if migrations is not None:
+            mig_times, mig_servers, mig_services = migrations
+
+            def begin_background(job: int, at: float):
+                return ("service", float(mig_services[job]), 0.0)
+
+            background = [
+                (float(mig_times[j]), int(mig_servers[j]), j) for j in range(len(mig_times))
+            ]
+        finish_at, launched, cancelled = simulate_cancelling_arrivals(
+            hedged,
+            arrival_times,
+            k,
+            server_of,
+            begin,
+            background_jobs=background,
+            begin_background=begin_background,
+        )
+        # A cancelled copy returns no response, so it carries no per-copy
+        # client combining overhead.
+        received = launched if cancelled is None else launched - cancelled
+        config = self.config
+        real_extra_s = config.client_extra_copy_s + config.unmeasured_extra_copy_s
+        response = (
+            (finish_at - arrival_times) + config.client_base_s + real_extra_s * (received - 1)
+        )
+        return (
+            response,
+            int(launched.sum()),
+            None if cancelled is None else int(cancelled.sum()),
         )
 
     def _choose_servers(

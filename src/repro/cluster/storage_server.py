@@ -111,12 +111,12 @@ class StorageServerModel:
         return finish + self.memory_service_s, False
 
     def probe(self, arrival_time: float, file_id: object, size_bytes: float):
-        """Dispatch-time work for the cancellable hedged engine.
+        """Dispatch-time work for the FIFO hedging engine (hedged runs).
 
         Performs exactly the per-copy work :meth:`serve` does at dispatch —
         the cache access and (on a miss) the service-time draw, in the same
         order and from the same generator — but leaves the disk queue to the
-        caller, which owns a cancellable version of it.
+        caller: the engine (:mod:`repro.core.cancellation`) owns the FIFO.
 
         Returns:
             ``("done", completion_time)`` for a cache hit (memory service,

@@ -11,14 +11,19 @@ that trades a little mean improvement for much less added load).
 Policies are consumed by every executor in the repository:
 
 * the asyncio executor (:mod:`repro.core.hedging` — ``hedged_call`` and
-  :class:`~repro.core.hedging.RedundantClient`);
-* all five simulator substrates — the Section 2.1 queueing model
+  :class:`~repro.core.hedging.RedundantClient`) and the live proxy
+  (:mod:`repro.serve`);
+* all six simulator substrates — the Section 2.1 queueing model
   (:class:`repro.queueing.ReplicatedQueueingModel`), the Section 2.2/2.3
   cluster experiments (:class:`repro.cluster.DatabaseClusterExperiment`,
   :class:`repro.cluster.MemcachedExperiment`), the Section 2.4 fat-tree
-  network (via :meth:`repro.network.replication.ReplicationConfig.from_policy`)
-  and the Section 3 wide-area models (:class:`repro.wan.DnsExperiment`,
-  :class:`repro.wan.HandshakeModel`);
+  network (via :meth:`repro.network.replication.ReplicationConfig.from_policy`),
+  the Section 3 wide-area models (:class:`repro.wan.DnsExperiment`,
+  :class:`repro.wan.HandshakeModel`) and the job pipelines
+  (:mod:`repro.pipeline`).  The queueing, cluster and pipeline substrates
+  run hedged plans through one FIFO hedging engine,
+  :func:`repro.core.cancellation.simulate_cancelling_arrivals`; its fast
+  case for plans that never cancel is :func:`simulate_hedged_arrivals`;
 * the threshold search and advisor (:mod:`repro.core.thresholds`,
   :mod:`repro.core.advisor`);
 * the scenario-sweep subsystem (:mod:`repro.experiments`), where policies
@@ -56,9 +61,10 @@ from __future__ import annotations
 
 import abc
 import heapq
+import math
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -579,45 +585,89 @@ def simulate_hedged_arrivals(
     policy: ReplicationPolicy,
     arrival_times,
     max_copies: int,
-    launch,
+    server_of: Callable[[int, int], Hashable],
+    begin: Callable[[int, int, float], tuple],
+    on_copy_resolved: Optional[Callable[[int, int, str, float, float], None]] = None,
+    background_jobs: Optional[Sequence[Tuple[float, Hashable, int]]] = None,
+    begin_background: Optional[Callable[[int, float], tuple]] = None,
 ):
-    """Drive a FIFO substrate through ``policy``, one plan per arriving request.
+    """Known-completion pass of the FIFO hedging engine, for plans that never cancel.
 
-    The shared core of every simulator's non-eager ("hedged") path: requests
-    arrive in order; each backup copy's dispatch is deferred by the policy's
-    launch delay and **suppressed** when the request already completed before
-    the delay expired.  It exploits the FIFO property every substrate here
-    shares — a copy's completion time is known the moment it is dispatched —
-    so suppression is decided exactly, with arrivals and pending backup
-    launches merged in global time order.  Launched copies are never
-    cancelled (that is the event-driven engines' job); latency feedback for
-    adaptive policies is released via :class:`PolicyDriver` once a request's
-    plan is fully resolved.
+    :func:`repro.core.cancellation.simulate_cancelling_arrivals` delegates
+    here when ``policy.cancel_on_win`` is false; queueing ``run_fast`` calls
+    it directly (its hedged pass never cancels).  The callback contract is
+    the engine's — ``server_of``, ``begin`` (``("done", finish)`` bypasses
+    the queue; ``("service", service_s, tail_s)`` queues), the
+    ``on_copy_resolved`` hook, ``background_jobs`` / ``begin_background`` —
+    and this pass owns one FIFO "free at" time per station.
+
+    Requests arrive in order; each backup copy's dispatch is deferred by the
+    policy's launch delay and **suppressed** when the request already
+    completed before the delay expired.  Without cancellation nothing can
+    retract queued work, so a copy's completion time is known the moment it
+    is dispatched: suppression is decided exactly, with arrivals and pending
+    backup launches merged in global time order, and no event heap is
+    needed for service.  Background jobs due at or before a dispatch are
+    queued just before it; jobs due after the last dispatch are never run.
+    Latency feedback for adaptive policies is released via
+    :class:`PolicyDriver` once a request's plan is fully resolved, with the
+    request's true earliest finish.
 
     Args:
         policy: The replication policy (shared state across requests).
         arrival_times: 1-D array of request arrival times, non-decreasing.
         max_copies: Cap on copies per request (e.g. how many distinct servers
             were drawn); plans are truncated to this many entries.
-        launch: ``launch(request_index, copy_index, at) -> finish_time`` —
-            dispatch one copy to the substrate at time ``at`` and return its
-            absolute completion time.
+        server_of: ``server_of(request, copy) -> station id``.
+        begin: ``begin(request, copy, at)`` dispatch-time callback.
+        on_copy_resolved: Optional hook, called at each dispatch as
+            ``on_copy_resolved(request, copy, outcome, work_s, finish_s)``
+            with ``outcome`` ``"finished"`` or ``"done"``.
+        background_jobs: Optional ``(time, station, job)`` triples, ascending
+            in time, of non-request work queued at stations.
+        begin_background: ``begin_background(job, at)``; required when
+            ``background_jobs`` is non-empty.
 
     Returns:
         ``(finish_at, copies_launched)`` — per-request earliest absolute
         completion times and dispatched-copy counts.
     """
-    num_requests = len(arrival_times)
+    arrivals = np.asarray(arrival_times, dtype=float).tolist()
+    num_requests = len(arrivals)
     driver = PolicyDriver(policy)
-    finish_at = np.full(num_requests, np.inf)
-    launched = np.zeros(num_requests, dtype=np.int64)
-    outstanding = np.zeros(num_requests, dtype=np.int64)
+    finish_at = [math.inf] * num_requests
+    launched = [0] * num_requests
+    outstanding = [0] * num_requests
     backups: List[Tuple[float, int, int, int]] = []  # (time, seq, request, copy)
     seq = 0
+    free_at: Dict[Hashable, float] = {}
+    jobs = background_jobs or ()
+    if jobs and begin_background is None:
+        raise ValueError("background_jobs requires begin_background")
+    next_job = 0
 
-    def launch_copy(request: int, copy: int, at: float) -> None:
-        finish = launch(request, copy, at)
+    def launch(request: int, copy: int, at: float) -> None:
+        nonlocal next_job
+        while next_job < len(jobs) and jobs[next_job][0] <= at:
+            when, station, job = jobs[next_job]
+            next_job += 1
+            result = begin_background(job, when)
+            if result[0] != "done":
+                free = free_at.get(station, 0.0)
+                free_at[station] = (free if free > when else when) + result[1]
+        result = begin(request, copy, at)
         launched[request] += 1
+        if result[0] == "done":
+            outcome, work, finish = "done", 0.0, result[1]
+        else:
+            _kind, work, tail = result
+            station = server_of(request, copy)
+            free = free_at.get(station, 0.0)
+            end = (free if free > at else at) + work
+            free_at[station] = end
+            outcome, finish = "finished", end + tail
+        if on_copy_resolved is not None:
+            on_copy_resolved(request, copy, outcome, work, finish)
         if finish < finish_at[request]:
             finish_at[request] = finish
 
@@ -625,20 +675,19 @@ def simulate_hedged_arrivals(
     while next_request < num_requests or backups:
         if backups and (
             next_request >= num_requests
-            or backups[0][0] <= arrival_times[next_request]
+            or backups[0][0] <= arrivals[next_request]
         ):
             at, _, request, copy = heapq.heappop(backups)
             outstanding[request] -= 1
             if finish_at[request] > at:  # still pending: the hedge fires
-                launch_copy(request, copy, at)
+                launch(request, copy, at)
             if outstanding[request] == 0:
-                arrival = arrival_times[request]
-                driver.complete(finish_at[request], finish_at[request] - arrival)
+                driver.complete(finish_at[request], finish_at[request] - arrivals[request])
             continue
-        arrival = arrival_times[next_request]
+        arrival = arrivals[next_request]
         plan = driver.plan_for(arrival)
         delays = plan.launch_delays[:max_copies]
-        launch_copy(next_request, 0, arrival)
+        launch(next_request, 0, arrival)
         for copy, delay in enumerate(delays[1:], start=1):
             heapq.heappush(backups, (arrival + delay, seq, next_request, copy))
             seq += 1
@@ -647,4 +696,4 @@ def simulate_hedged_arrivals(
             driver.complete(finish_at[next_request], finish_at[next_request] - arrival)
         next_request += 1
 
-    return finish_at, launched
+    return np.array(finish_at, dtype=float), np.array(launched, dtype=np.int64)

@@ -1,6 +1,6 @@
 """The event-driven stage executor: any policy, failures, cancel-on-win.
 
-One stage execution is one call into the PR 8 cancellable event engine
+One stage execution is one call into the FIFO hedging engine
 (:func:`repro.core.cancellation.simulate_cancelling_arrivals`): every chunk
 "arrives" at the stage's barrier time, its copies queue at their placed
 workers (FIFO stations), hedged backups fire only for chunks still pending,
@@ -77,5 +77,5 @@ def run_stage_event(
         copy_finish=copy_finish,
         work=work,
         launched=int(np.sum(launched)),
-        cancelled=int(np.sum(cancelled)),
+        cancelled=0 if cancelled is None else int(np.sum(cancelled)),
     )

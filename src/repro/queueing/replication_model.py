@@ -6,16 +6,17 @@ uniformly at random, request response time = minimum completion time across
 its copies (plus any client-side overhead charged for processing the extra
 copies).
 
-Two implementations are provided and cross-validated in the tests:
+Two run methods share one set of draws and are cross-validated in the tests:
 
-* :meth:`ReplicatedQueueingModel.run_fast` — a vectorised Lindley-recursion
-  simulation.  Because each server is FIFO and copies arrive in global
-  arrival order, a single pass over copies in arrival order with a
-  "server free at" vector reproduces the exact sample path; this is the
-  implementation the threshold search and the benchmarks use.
-* :meth:`ReplicatedQueueingModel.run_event_driven` — the same model expressed
-  on the discrete-event engine (:mod:`repro.sim`), used to validate the fast
-  path and as a template for the richer cluster/network simulators.
+* :meth:`ReplicatedQueueingModel.run_fast` — a Lindley-recursion pass.
+  Because each server is FIFO and copies arrive in global arrival order, a
+  single pass over copies in arrival order with a "server free at" vector
+  reproduces the exact sample path; this is the implementation the
+  threshold search and the benchmarks use.
+* :meth:`ReplicatedQueueingModel.run_event_driven` — the same model run
+  through the FIFO hedging engine every offline substrate shares
+  (:func:`repro.core.cancellation.simulate_cancelling_arrivals`), which
+  also honours cancel-on-win.
 
 The ``load`` parameter follows the paper's convention: it is the *base*
 utilisation of each server before replication (arrival rate per server times
@@ -31,7 +32,9 @@ Non-eager (hedging) policies take a generalised pass: each backup copy's
 arrival at its server is offset by the policy's launch delay and is
 *suppressed* when the request already completed before the delay expired —
 the defining property of the hedged request.  The fast path never cancels a
-launched copy (its Lindley bookkeeping cannot retract queued work);
+launched copy (its Lindley bookkeeping cannot retract queued work), so it
+runs the engine's known-completion pass
+(:func:`repro.core.policy.simulate_hedged_arrivals`) directly;
 :meth:`ReplicatedQueueingModel.run_event_driven` additionally honours
 ``cancel_on_win`` by withdrawing still-queued losing copies when the first
 copy completes.
@@ -40,11 +43,12 @@ copy completes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from repro.analysis.stats import LatencySummary
+from repro.core.cancellation import simulate_cancelling_arrivals
 from repro.core.policy import (
     PolicyLike,
     ReplicationPolicy,
@@ -56,8 +60,6 @@ from repro.core.policy import (
 from repro.distributions.base import Distribution
 from repro.exceptions import CapacityError, ConfigurationError
 from repro.metrics import LatencyRecorder
-from repro.sim.engine import Simulator
-from repro.sim.resources import Server
 from repro.sim.rng import substream
 
 
@@ -190,46 +192,73 @@ class ReplicatedQueueingModel:
             A :class:`QueueingResults` with the retained response times.
         """
         self._validate_run(load, num_requests, warmup_fraction)
+        arrival_times, servers, service_times = self._draw(load, num_requests, arrival_stream)
+        if self._eager_k is not None:
+            response = self._lindley_pass(arrival_times, servers, service_times)
+            launched = np.full(num_requests, self.copies)
+            return self._results(response, launched, load, warmup_fraction)
+        # The hedged pass never cancels: backups are suppressed, not withdrawn.
+        finish_at, launched = simulate_hedged_arrivals(
+            self.policy, arrival_times, self.copies, *self._engine_work(servers, service_times)
+        )
+        return self._results(finish_at - arrival_times, launched, load, warmup_fraction)
 
-        mean_service = self.service.mean()
+    def _draw(
+        self, load: float, num_requests: int, arrival_stream: str
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(arrival_times, servers, service_times)`` of one run.
+
+        ``servers[r, c]`` and ``service_times[r, c]`` are the server and the
+        service draw of copy ``c`` of request ``r``.
+        """
         arrivals_rng = substream(self.seed, arrival_stream)
         service_rng = substream(self.seed, "service")
         placement_rng = substream(self.seed, "placement")
 
         # Aggregate arrival rate so each server sees `load` before replication.
-        total_rate = self.num_servers * load / mean_service
+        total_rate = self.num_servers * load / self.service.mean()
         if total_rate <= 0:
             raise ConfigurationError("load must be positive for a simulation run")
-        gaps = arrivals_rng.exponential(1.0 / total_rate, num_requests)
-        arrival_times = np.cumsum(gaps)
-
-        # Choose `copies` distinct servers per request.
+        arrival_times = np.cumsum(arrivals_rng.exponential(1.0 / total_rate, num_requests))
         servers = self._choose_servers(placement_rng, num_requests)
-
-        # Independent service draw per copy.
         service_times = np.asarray(
             self.service.sample(service_rng, num_requests * self.copies), dtype=float
         ).reshape(num_requests, self.copies)
+        return arrival_times, servers, service_times
 
-        if self._eager_k is not None:
-            response = self._lindley_pass(arrival_times, servers, service_times)
-            if self.copies > 1 and self.client_overhead > 0:
-                response = response + self.client_overhead * (self.copies - 1)
-            total_launched = num_requests * self.copies
-        else:
-            response, launched = self._policy_pass(arrival_times, servers, service_times)
-            if self.client_overhead > 0:
-                response = response + self.client_overhead * (launched - 1)
-            total_launched = int(launched.sum())
+    @staticmethod
+    def _engine_work(
+        servers: np.ndarray, service_times: np.ndarray
+    ) -> Tuple[Callable[[int, int], int], Callable[[int, int, float], tuple]]:
+        """The FIFO hedging engine's ``(server_of, begin)`` callbacks for one run."""
+        rows = servers.tolist()
+        services = service_times.tolist()
 
-        start = int(num_requests * warmup_fraction)
-        retained = response[start:]
+        def server_of(request: int, copy: int) -> int:
+            return rows[request][copy]
+
+        def begin(request: int, copy: int, at: float) -> tuple:
+            return ("service", services[request][copy], 0.0)
+
+        return server_of, begin
+
+    def _results(
+        self,
+        response: np.ndarray,
+        launched: np.ndarray,
+        load: float,
+        warmup_fraction: float,
+    ) -> QueueingResults:
+        """Results with client overhead charged per extra copy that was served."""
+        if self.client_overhead > 0:
+            response = response + self.client_overhead * (launched - 1)
+        start = int(len(response) * warmup_fraction)
         return QueueingResults(
-            response_times=retained,
+            response_times=response[start:],
             load=load,
             copies=self.copies,
             policy_spec=self.policy_spec,
-            copies_launched=total_launched,
+            copies_launched=int(launched.sum()),
         )
 
     def _choose_servers(self, rng: np.random.Generator, num_requests: int) -> np.ndarray:
@@ -269,45 +298,8 @@ class ReplicatedQueueingModel:
             response[i] = best
         return response
 
-    def _policy_pass(
-        self,
-        arrival_times: np.ndarray,
-        servers: np.ndarray,
-        service_times: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Generalised single pass for policies with non-zero launch delays.
-
-        Copies arrive at their servers offset by the policy's launch delays;
-        a backup whose request already completed before its delay expired is
-        suppressed (never launched).  Because every server is FIFO, a copy's
-        completion time is known the moment it is enqueued, so suppression is
-        decided exactly.  Launched copies are never cancelled here — the
-        event-driven path is the one that models ``cancel_on_win``.
-
-        Latency feedback for adaptive policies is released in completion-time
-        order once a request's plan is fully resolved (all its backup launch
-        decisions made), so a policy never observes the future.
-
-        Returns:
-            ``(response_times, copies_launched)`` arrays, one entry per
-            request.
-        """
-        free_at = np.zeros(self.num_servers)
-
-        def launch(request: int, copy: int, at: float) -> float:
-            server = servers[request, copy]
-            start = free_at[server] if free_at[server] > at else at
-            finish = start + service_times[request, copy]
-            free_at[server] = finish
-            return finish
-
-        finish_at, launched = simulate_hedged_arrivals(
-            self.policy, arrival_times, servers.shape[1], launch
-        )
-        return finish_at - arrival_times, launched
-
     # ------------------------------------------------------------------ #
-    # Event-driven implementation (validation / extension template)
+    # Event-driven implementation (the shared FIFO hedging engine)
     # ------------------------------------------------------------------ #
 
     def run_event_driven(
@@ -316,146 +308,30 @@ class ReplicatedQueueingModel:
         num_requests: int = 10_000,
         warmup_fraction: float = 0.1,
     ) -> QueueingResults:
-        """Simulate the same model on the discrete-event engine.
+        """Simulate the same model through the shared FIFO hedging engine.
 
-        Slower than :meth:`run_fast` but expressed in terms of
-        :class:`repro.sim.resources.Server`, which is how the cluster and
-        network substrates are built; the tests check both paths agree.
+        Runs :func:`~repro.core.cancellation.simulate_cancelling_arrivals`,
+        the engine of the cluster and pipeline substrates, on the draws
+        :meth:`run_fast` uses.  Unlike :meth:`run_fast` it honours
+        ``cancel_on_win``: when the first copy completes, losing copies still
+        waiting in a server queue are withdrawn (a copy already in service
+        runs to completion), and a withdrawn copy consumes no service and
+        costs no client overhead.  Policies that never cancel take the
+        engine's known-completion pass, so for them both paths agree; the
+        tests check it.
 
         Raises:
             ConfigurationError: Same parameter validation as :meth:`run_fast`
                 (load, ``num_requests >= 10``, ``0 <= warmup_fraction < 1``).
         """
         self._validate_run(load, num_requests, warmup_fraction)
-        mean_service = self.service.mean()
-        arrivals_rng = substream(self.seed, "arrivals")
-        service_rng = substream(self.seed, "service")
-        placement_rng = substream(self.seed, "placement")
-
-        total_rate = self.num_servers * load / mean_service
-        gaps = arrivals_rng.exponential(1.0 / total_rate, num_requests)
-        arrival_times = np.cumsum(gaps)
-        servers_choice = self._choose_servers(placement_rng, num_requests)
-        service_times = np.asarray(
-            self.service.sample(service_rng, num_requests * self.copies), dtype=float
-        ).reshape(num_requests, self.copies)
-
-        sim = Simulator()
-        servers = [Server(sim, name=f"server-{i}") for i in range(self.num_servers)]
-        first_completion = np.full(num_requests, np.inf)
-
-        if self._eager_k is not None:
-
-            def on_complete(job, _start, finish):
-                request_index, arrival = job
-                elapsed = finish - arrival
-                if elapsed < first_completion[request_index]:
-                    first_completion[request_index] = elapsed
-
-            def submit(request_index: int):
-                arrival = arrival_times[request_index]
-                for j in range(self.copies):
-                    servers[servers_choice[request_index, j]].submit(
-                        (request_index, arrival),
-                        float(service_times[request_index, j]),
-                        on_complete,
-                    )
-
-            for i in range(num_requests):
-                sim.schedule_at(float(arrival_times[i]), submit, i)
-            sim.run()
-
-            response = first_completion
-            if self.copies > 1 and self.client_overhead > 0:
-                response = response + self.client_overhead * (self.copies - 1)
-            total_launched = num_requests * self.copies
-        else:
-            launched = self._run_policy_events(
-                sim, servers, arrival_times, servers_choice, service_times, first_completion
-            )
-            response = first_completion
-            if self.client_overhead > 0:
-                response = response + self.client_overhead * (launched - 1)
-            total_launched = int(launched.sum())
-        start = int(num_requests * warmup_fraction)
-        return QueueingResults(
-            response_times=response[start:],
-            load=load,
-            copies=self.copies,
-            policy_spec=self.policy_spec,
-            copies_launched=total_launched,
+        arrival_times, servers, service_times = self._draw(load, num_requests, "arrivals")
+        finish_at, launched, cancelled = simulate_cancelling_arrivals(
+            self.policy, arrival_times, self.copies, *self._engine_work(servers, service_times)
         )
-
-    def _run_policy_events(
-        self,
-        sim: Simulator,
-        servers: List[Server],
-        arrival_times: np.ndarray,
-        servers_choice: np.ndarray,
-        service_times: np.ndarray,
-        first_completion: np.ndarray,
-    ) -> np.ndarray:
-        """Event-driven execution of a non-eager policy, with cancel-on-win.
-
-        Each request's first copy is submitted at its arrival; backup copies
-        are scheduled after the policy's launch delays and *suppressed* if the
-        request completed in the meantime.  When the first copy completes and
-        the plan says ``cancel_on_win``, losing copies still waiting in a
-        server queue are withdrawn (a copy already in service runs to
-        completion — cancellation saves queueing, not work under way).
-        Completed latencies are fed back to the policy in simulated-time
-        order, so adaptive policies adapt exactly as they would live.
-
-        Returns:
-            Per-request counts of copies actually dispatched to a server.
-        """
-        num_requests = arrival_times.shape[0]
-        launched = np.zeros(num_requests, dtype=np.int64)
-        completed = np.zeros(num_requests, dtype=bool)
-        cancel_on_win = np.zeros(num_requests, dtype=bool)
-        queue_entries: dict[int, List[Tuple[Server, object]]] = {}
-
-        def on_complete(job, _start, finish):
-            request_index, arrival = job
-            elapsed = finish - arrival
-            if elapsed < first_completion[request_index]:
-                first_completion[request_index] = elapsed
-            if not completed[request_index]:
-                completed[request_index] = True
-                self.policy.record_latency(float(elapsed))
-                if cancel_on_win[request_index]:
-                    for server, entry in queue_entries.pop(request_index, ()):
-                        if server.cancel(entry):
-                            # A withdrawn copy consumes no service and yields
-                            # no response, so it costs no client overhead.
-                            launched[request_index] -= 1
-                else:
-                    queue_entries.pop(request_index, None)
-
-        def submit_copy(request_index: int, copy: int) -> None:
-            if copy > 0 and completed[request_index]:
-                return  # the hedge is suppressed: the request already finished
-            server = servers[servers_choice[request_index, copy]]
-            entry = server.submit(
-                (request_index, arrival_times[request_index]),
-                float(service_times[request_index, copy]),
-                on_complete,
-            )
-            launched[request_index] += 1
-            queue_entries.setdefault(request_index, []).append((server, entry))
-
-        def submit(request_index: int) -> None:
-            plan = self.policy.plan()
-            cancel_on_win[request_index] = plan.cancel_on_win
-            delays = plan.launch_delays[: self.copies]
-            submit_copy(request_index, 0)
-            for copy, delay in enumerate(delays[1:], start=1):
-                sim.schedule(float(delay), submit_copy, request_index, copy)
-
-        for i in range(num_requests):
-            sim.schedule_at(float(arrival_times[i]), submit, i)
-        sim.run()
-        return launched
+        if cancelled is not None:
+            launched = launched - cancelled
+        return self._results(finish_at - arrival_times, launched, load, warmup_fraction)
 
     # ------------------------------------------------------------------ #
 

@@ -10,13 +10,13 @@ seeded substream, with a single-server FIFO discipline expressed as a
     finish = start + service
     busy_until = finish
 
-— the same math as ``StorageServerModel``/the memcached ``free_at`` array,
-so the online layer and the offline substrates agree on what a queue is.
+— the same math as the stations of the offline FIFO hedging engine
+(:mod:`repro.core.cancellation`), so the online layer and the offline
+substrates agree on what a queue is.
 
-Cancellation is conservative, matching ``sim.resources.Server.cancel``: a
-cancelled copy gives back only the *tail* of its reservation, and only when
-nothing was queued behind it — cancellation saves queueing, not work
-already under way.
+Cancellation is conservative: a cancelled copy gives back only the *tail*
+of its reservation, and only when nothing was queued behind it —
+cancellation saves queueing, not work already under way.
 
 Two call surfaces share that one ``busy_until`` state:
 

@@ -401,7 +401,8 @@ class RedundancyProxy:
                 self.failed_requests += 1
                 raise BackendError(f"all copies of request {key} failed")
             # A backup still parked on its delay is always suppressed (it
-            # never reached a backend — matching simulate_hedged_arrivals);
+            # never reached a backend — matching the offline FIFO hedging
+            # engine, repro.core.cancellation);
             # copies already under way are cancelled only when the plan
             # says cancel-on-win, else they run to completion as strays.
             to_cancel = {

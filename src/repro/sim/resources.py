@@ -55,7 +55,7 @@ class Server:
         job: Any,
         service_time: float,
         on_complete: Callable[[Any, float, float], None],
-    ) -> Tuple[Any, float, Callable[[Any, float, float], None]]:
+    ) -> None:
         """Enqueue ``job`` requiring ``service_time`` seconds of service.
 
         Args:
@@ -64,39 +64,14 @@ class Server:
             on_complete: Called as ``on_complete(job, start, finish)`` when the
                 job finishes service.
 
-        Returns:
-            An opaque entry token; pass it to :meth:`cancel` to withdraw the
-            job while it is still waiting (hedged requests cancel their losing
-            copies this way).
-
         Raises:
             ConfigurationError: If ``service_time`` is negative.
         """
         if service_time < 0:
             raise ConfigurationError(f"service_time must be >= 0, got {service_time!r}")
-        entry = (job, float(service_time), on_complete)
-        self._queue.append(entry)
+        self._queue.append((job, float(service_time), on_complete))
         if not self.busy:
             self._start_next()
-        return entry
-
-    def cancel(self, entry: Tuple[Any, float, Callable[[Any, float, float], None]]) -> bool:
-        """Withdraw a queued job before it starts service.
-
-        Args:
-            entry: The token :meth:`submit` returned.
-
-        Returns:
-            ``True`` if the job was still waiting and has been removed;
-            ``False`` if it already started (or finished) service — a job in
-            service runs to completion, matching the paper's observation that
-            cancellation saves queueing, not work already under way.
-        """
-        try:
-            self._queue.remove(entry)
-        except ValueError:
-            return False
-        return True
 
     def _start_next(self) -> None:
         if not self._queue:
