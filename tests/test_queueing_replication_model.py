@@ -119,11 +119,18 @@ class TestMechanics:
         for row in servers:
             assert len(set(row.tolist())) == 3
 
-    def test_event_driven_matches_fast_path(self):
-        model = ReplicatedQueueingModel(Exponential(1.0), copies=2, seed=4)
-        fast = model.run_fast(0.2, num_requests=4_000)
-        event = model.run_event_driven(0.2, num_requests=4_000)
-        assert np.allclose(fast.response_times, event.response_times, rtol=1e-9)
+    @pytest.mark.parametrize("policy", ["k2", "hedge:500ms:nocancel", "hedge:p95:nocancel"])
+    def test_event_driven_matches_fast_path(self, policy):
+        # Without cancellation both paths run the same known-completion
+        # arithmetic (adaptive feedback included), so they agree bit for bit.
+        fast = ReplicatedQueueingModel(
+            Exponential(1.0), policy=policy, client_overhead=0.1, seed=4
+        ).run_fast(0.2, num_requests=4_000)
+        event = ReplicatedQueueingModel(
+            Exponential(1.0), policy=policy, client_overhead=0.1, seed=4
+        ).run_event_driven(0.2, num_requests=4_000)
+        assert np.array_equal(fast.response_times, event.response_times)
+        assert fast.copies_launched == event.copies_launched
 
     def test_results_summary_consistency(self):
         result = simulate_replicated_mm1_system(0.2, 2, num_requests=5_000, seed=0)
