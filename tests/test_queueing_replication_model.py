@@ -119,8 +119,15 @@ class TestMechanics:
         for row in servers:
             assert len(set(row.tolist())) == 3
 
+    def test_event_driven_matches_fast_path(self):
+        model = ReplicatedQueueingModel(Exponential(1.0), copies=2, seed=4)
+        fast = model.run_fast(0.2, num_requests=4_000)
+        event = model.run_event_driven(0.2, num_requests=4_000)
+        assert np.array_equal(fast.response_times, event.response_times)
+        assert fast.copies_launched == event.copies_launched
+
     @pytest.mark.parametrize("policy", ["k2", "hedge:500ms:nocancel", "hedge:p95:nocancel"])
-    def test_event_driven_matches_fast_path(self, policy):
+    def test_event_driven_matches_fast_path_per_policy(self, policy):
         # Without cancellation both paths run the same known-completion
         # arithmetic (adaptive feedback included), so they agree bit for bit.
         fast = ReplicatedQueueingModel(
