@@ -11,6 +11,9 @@ the ledger digests see those runs; this module pins them directly:
   the exact ``copies_launched`` / ``copies_cancelled`` / ``cache_hit_ratio``
   values, under fixed-delay and adaptive nocancel hedges, static and with
   churn (a join and a removal);
+* hedged database runs on the Figure 6, 7, 10 and 11 variants (40-byte
+  files, Pareto sizes, 400 KB files, a cache that holds every candidate),
+  whose cache sizes and warm-up shapes the ``base`` pins do not reach;
 * the queueing model's ``run_event_driven`` under eager, cancelling and
   nocancel policies;
 * the checked-in golden artifacts of the engine's scenario consumers
@@ -50,8 +53,8 @@ def fingerprint(result):
     )
 
 
-def database_run(policy, churn):
-    config = DatabaseClusterConfig.base(num_files=4_000, seed=3)
+def database_run(policy, churn, variant="base"):
+    config = getattr(DatabaseClusterConfig, variant)(num_files=4_000, seed=3)
     return DatabaseClusterExperiment(config).run(
         0.3, policy=policy, num_requests=1_500, churn=churn
     )
@@ -79,6 +82,25 @@ DATABASE_PINS = {
     ("hedge:p95:nocancel", "remove:2@0.4"): ("8405d7e05549c1ab", 1805, None, 0.04158718046547119),
     ("hedge:20ms", None): ("3341b9c762017f9b", 1583, 34, 0.08591282375236892),
     ("hedge:20ms", "add:4@0.4"): ("fa96e2478f5c8942", 1629, 56, 0.06764841233317993),
+}
+
+DATABASE_VARIANT_PINS = {
+    ("small_files", "hedge:20ms", None): ("7afc6b3cf3a87949", 1582, 34, 0.08596713021491782),
+    ("small_files", "hedge:20ms", "add:4@0.4"): ("f1285ba0aa9cbfaa", 1614, 45, 0.06870937790157845),
+    ("small_files", "hedge:p95:nocancel", None): ("b4a410b846252ae7", 1598, None, 0.08197747183979975),
+    ("small_files", "hedge:p95:nocancel", "add:4@0.4"): ("464420fa4e46ade0", 1636, None, 0.0661764705882353),
+    ("all_cached", "hedge:20ms", None): ("0b5a2f3e87fd51fa", 1510, 2, 0.9662251655629139),
+    ("all_cached", "hedge:20ms", "add:4@0.4"): ("1dbc052ad3cb490d", 1670, 98, 0.8066429418742586),
+    ("all_cached", "hedge:p95:nocancel", None): ("079cdfbdaca4808c", 1543, None, 0.966299416720674),
+    ("all_cached", "hedge:p95:nocancel", "add:4@0.4"): ("92ed23741c78b35e", 1705, None, 0.8094131319000581),
+    ("large_files", "hedge:20ms", None): ("f1faecbe0e59e390", 1813, 96, 0.06563706563706563),
+    ("large_files", "hedge:20ms", "add:4@0.4"): ("96673ea6bd7fe9eb", 1967, 170, 0.04832585433206766),
+    ("large_files", "hedge:p95:nocancel", None): ("1c91945dfb1f39bd", 1581, None, 0.08475648323845668),
+    ("large_files", "hedge:p95:nocancel", "add:4@0.4"): ("5e986b2758a9bd99", 1701, None, 0.05549220828582288),
+    ("pareto_files", "hedge:20ms", None): ("792a064242ac6e36", 1569, 27, 0.09050350541746335),
+    ("pareto_files", "hedge:20ms", "add:4@0.4"): ("c4b3e49f82628ed0", 1610, 47, 0.06870937790157845),
+    ("pareto_files", "hedge:p95:nocancel", None): ("77f0336313bd09cc", 1586, None, 0.08764186633039092),
+    ("pareto_files", "hedge:p95:nocancel", "add:4@0.4"): ("8a32c02acc879ccf", 1647, None, 0.0670926517571885),
 }
 
 MEMCACHED_PINS = {
@@ -110,6 +132,14 @@ GOLDENS = {
 @pytest.mark.parametrize("policy,churn", sorted(DATABASE_PINS, key=repr))
 def test_database_runs_keep_their_bytes(policy, churn):
     assert fingerprint(database_run(policy, churn)) == DATABASE_PINS[(policy, churn)]
+
+
+@pytest.mark.parametrize("variant,policy,churn", sorted(DATABASE_VARIANT_PINS, key=repr))
+def test_database_variants_keep_their_bytes(variant, policy, churn):
+    assert (
+        fingerprint(database_run(policy, churn, variant))
+        == DATABASE_VARIANT_PINS[(variant, policy, churn)]
+    )
 
 
 @pytest.mark.parametrize("policy,churn", sorted(MEMCACHED_PINS, key=repr))
