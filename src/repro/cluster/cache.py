@@ -130,16 +130,62 @@ class LRUByteCache:
         self._entries[key] = size_bytes
         self.used_bytes += size_bytes
 
-    def warm_with(self, keys_and_sizes) -> None:
+    def warm_with(self, keys, sizes) -> None:
         """Pre-populate the cache (used to skip the cold-start transient).
 
+        The result is always that of inserting ``(keys[i], sizes[i])`` in
+        order, skipping keys already cached, without counting hits or misses.
+        When the cache is empty, the keys are distinct, every size is a
+        positive whole number of bytes and ``capacity + max(size) < 2**53``,
+        that insert loop does exact integer byte accounting and its outcome
+        has a closed form, built directly in time proportional to the items
+        kept: the entries are the longest suffix of the cacheable keys (size
+        at most the capacity) whose sizes fit, in order; ``used_bytes`` is
+        their sum; and every cacheable key before that suffix counts as one
+        eviction.  Any other input (fractional sizes, repeated keys, a cache
+        already holding entries) runs the insert loop.
+
         Args:
-            keys_and_sizes: Iterable of ``(key, size_bytes)`` pairs, inserted
-                in order (so later pairs are the most recently used).
+            keys: Sequence of object ids, inserted in order (so later keys
+                are the most recently used).  Arrays are read with
+                ``tolist()``, so integer ids are stored as Python ``int``.
+            sizes: Matching sequence of sizes in bytes.
+
+        Raises:
+            ConfigurationError: If ``keys`` and ``sizes`` differ in length.
         """
-        for key, size in keys_and_sizes:
+        import numpy as np
+
+        keys = keys.tolist() if isinstance(keys, np.ndarray) else list(keys)
+        sizes = np.asarray(sizes, dtype=float)
+        if len(keys) != len(sizes):
+            raise ConfigurationError(
+                f"warm_with got {len(keys)} keys but {len(sizes)} sizes"
+            )
+        if not keys:
+            return
+        capacity = self.capacity_bytes
+        if (
+            not self._entries
+            and self.used_bytes == 0.0
+            and sizes.min() > 0.0
+            and capacity + sizes.max() < 2.0**53
+            and np.array_equal(sizes, np.floor(sizes))
+            and len(set(keys)) == len(keys)
+        ):
+            cacheable = np.flatnonzero(sizes <= capacity)
+            # Suffix sums stay exact integers up to the first one past the
+            # capacity, which is all the search below reads.
+            suffix_bytes = np.cumsum(sizes[cacheable[::-1]])
+            kept = int(np.searchsorted(suffix_bytes, capacity, side="right"))
+            tail = cacheable[len(cacheable) - kept :]
+            self._entries.update(zip([keys[i] for i in tail.tolist()], sizes[tail].tolist()))
+            self.used_bytes = float(suffix_bytes[kept - 1]) if kept else 0.0
+            self.evictions += len(cacheable) - kept
+            return
+        for key, size in zip(keys, sizes.tolist()):
             if key not in self._entries:
-                self._insert(key, float(size))
+                self._insert(key, size)
 
     @property
     def hit_ratio(self) -> float:

@@ -36,6 +36,44 @@ def _hash64(data: str) -> int:
     return int.from_bytes(hashlib.blake2b(data.encode("utf-8"), digest_size=8).digest(), "big")
 
 
+# ``_hash64(repr(i))`` for ids ``0 .. len - 1``.  A key's hash never depends
+# on ring membership, so every ring in the process shares this one table.  It
+# only grows, and only from ``range(0, n)`` lookups, so its size is bounded
+# by the largest keyspace a caller enumerates.
+_INT_KEY_HASHES = np.empty(0, dtype=np.uint64)
+
+
+def _key_hashes(keys: Sequence[object]) -> np.ndarray:
+    """``_hash64(repr(key))`` for every key, as a ``uint64`` array.
+
+    ``range(0, n)`` reads the shared id table, growing it to ``n`` first if
+    needed; a list of plain Python ``int`` ids that all fall inside the table
+    reads it without growing it.  Every other key (numpy integers, whose
+    ``repr`` differs under numpy 2, bools, strings, and negative or
+    out-of-table ids) is hashed one by one.
+    """
+    global _INT_KEY_HASHES
+    table = _INT_KEY_HASHES
+    if isinstance(keys, range) and keys.start == 0 and keys.step == 1:
+        if len(keys) > len(table):
+            grown = np.fromiter(
+                (_hash64(repr(i)) for i in range(len(table), len(keys))),
+                dtype=np.uint64,
+                count=len(keys) - len(table),
+            )
+            table = _INT_KEY_HASHES = np.concatenate([table, grown])
+        return table[: len(keys)]
+    if (
+        isinstance(keys, list)
+        and keys
+        and all(type(key) is int for key in keys)
+        and 0 <= min(keys)
+        and max(keys) < len(table)
+    ):
+        return table[keys]
+    return np.fromiter((_hash64(repr(key)) for key in keys), dtype=np.uint64, count=len(keys))
+
+
 class ConsistentHashRing:
     """A consistent-hash ring mapping keys to server ids.
 
@@ -162,10 +200,15 @@ class ConsistentHashRing:
         ``numpy.searchsorted`` with ``side="left"`` is exactly
         ``bisect.bisect_left`` against the sorted ring, including the
         wrap-around of hashes beyond the last ring point.
+
+        Key hashes come from a table shared by every ring in the process
+        that holds the hashes of ids ``0 .. n - 1``.  A ``range(0, n)`` of
+        keys grows it to ``n`` once, so re-planning migrations or replica
+        tables after a membership change re-hashes nothing; a list of plain
+        Python ``int`` ids inside the table reads it too.  Any other keys
+        are hashed one by one.
         """
-        hashes = np.fromiter(
-            (_hash64(repr(key)) for key in keys), dtype=np.uint64, count=len(keys)
-        )
+        hashes = _key_hashes(keys)
         index = np.searchsorted(self._ring_hashes_np, hashes, side="left")
         index[index == len(self._ring_hashes)] = 0
         return self._ring_servers_np[index]

@@ -253,13 +253,6 @@ class DatabaseRunResult:
 # (num_servers, virtual_nodes, num_files).  Entries are read-only.
 _PRIMARIES_CACHE: Dict[Tuple[int, int, int], np.ndarray] = {}
 
-# Cache-warm candidate memo for the batched path, keyed by (seed,
-# virtual_nodes, num_files, num_servers, copies).  The shuffled per-server
-# warm orders depend only on the placement and the warm substream, both fixed
-# across the loads of a sweep, so re-shuffling them per point is pure
-# overhead.  Entries are tuples of read-only arrays.
-_WARM_CACHE: Dict[Tuple[int, int, int, int, int], Tuple[np.ndarray, ...]] = {}
-
 
 class DatabaseClusterExperiment:
     """Drives the disk-backed database model across loads and copy counts."""
@@ -270,6 +263,10 @@ class DatabaseClusterExperiment:
         self._ring = ConsistentHashRing(config.num_servers)
         self._fileset = self._build_fileset()
         self._primaries = self._assign_primaries()
+        # Shuffled per-server cache-warm orders, keyed by ``copies >= 2``.
+        # They depend only on the placement and the warm substream, so the
+        # loads of one sweep share them; they live as long as the instance.
+        self._warm_order_memo: Dict[bool, Tuple[np.ndarray, ...]] = {}
 
     # ------------------------------------------------------------------ #
 
@@ -321,27 +318,46 @@ class DatabaseClusterExperiment:
             )
         return servers
 
+    def _warm_orders(self, copies: int) -> Tuple[np.ndarray, ...]:
+        """Per-server file ids to warm each cache with, in insertion order.
+
+        Server ``s``'s entry is every file it stores (its primaries, plus its
+        predecessor's when ``copies >= 2``) in a random order drawn from the
+        ``cache-warm`` substream, servers in id order.
+        """
+        replicated = copies >= 2
+        orders = self._warm_order_memo.get(replicated)
+        if orders is None:
+            num_servers = self.config.num_servers
+            rng = substream(self.config.seed, "cache-warm")
+            built = []
+            for server_id in range(num_servers):
+                mask = self._primaries == server_id
+                if replicated:
+                    mask |= (self._primaries + 1) % num_servers == server_id
+                candidates = np.flatnonzero(mask)
+                if candidates.size:
+                    rng.shuffle(candidates)
+                built.append(candidates)
+            orders = self._warm_order_memo[replicated] = tuple(built)
+        return orders
+
     def _warm_caches(self, servers: List[StorageServerModel], copies: int) -> None:
         """Pre-fill each cache with a random sample of the files it serves.
 
         Skipping the cold-start transient keeps short runs representative of
         steady state (the paper measures a long-running warmed system).
+        ``servers`` are the initial pool, ids ``0 .. num_servers - 1``.  Each
+        cache gets its whole warm order in one
+        :meth:`~repro.cluster.cache.LRUByteCache.warm_with` call, which keeps
+        only the most recent files that fit; with whole-byte file sizes that
+        costs time proportional to the files kept, not to the order's length.
         """
-        config = self.config
-        rng = substream(config.seed, "cache-warm")
+        orders = self._warm_orders(copies)
         sizes = self._fileset.sizes_bytes
         for server in servers:
-            if copies >= 2:
-                mask = (self._primaries == server.server_id) | (
-                    (self._primaries + 1) % config.num_servers == server.server_id
-                )
-            else:
-                mask = self._primaries == server.server_id
-            candidates = np.flatnonzero(mask)
-            if candidates.size == 0:
-                continue
-            rng.shuffle(candidates)
-            server.cache.warm_with((int(f), float(sizes[f])) for f in candidates)
+            candidates = orders[server.server_id]
+            server.cache.warm_with(candidates, sizes[candidates])
 
     # ------------------------------------------------------------------ #
 
@@ -748,30 +764,7 @@ class DatabaseClusterExperiment:
         arr_flat = np.repeat(arrival_times, k)
         completion_flat = np.empty(n * k)
 
-        warm_key = (
-            config.seed,
-            self._ring.virtual_nodes,
-            config.num_files,
-            num_servers,
-            k,
-        )
-        warm_orders = _WARM_CACHE.get(warm_key)
-        if warm_orders is None:
-            warm_rng = substream(config.seed, "cache-warm")
-            built = []
-            for server_id in range(num_servers):
-                if k >= 2:
-                    mask = (self._primaries == server_id) | (
-                        (self._primaries + 1) % num_servers == server_id
-                    )
-                else:
-                    mask = self._primaries == server_id
-                candidates = np.flatnonzero(mask)
-                if candidates.size:
-                    warm_rng.shuffle(candidates)
-                built.append(candidates)
-            warm_orders = tuple(built)
-            _WARM_CACHE[warm_key] = warm_orders
+        warm_orders = self._warm_orders(k)
         all_sizes = self._fileset.sizes_bytes
         capacity = config.cache_bytes_per_server
         item_capacity = (
@@ -789,7 +782,7 @@ class DatabaseClusterExperiment:
                 flags = lru_hit_flags(stream, item_capacity)[candidates.size :]
             else:
                 cache = LRUByteCache(capacity)
-                cache.warm_with((int(f), float(all_sizes[f])) for f in candidates)
+                cache.warm_with(candidates, all_sizes[candidates])
                 flags = cache.access_many(keys, size_flat[pos])
             hits_total += int(np.count_nonzero(flags))
             arr = arr_flat[pos]

@@ -71,8 +71,9 @@ class TestLRUByteCache:
 
     def test_warm_with(self):
         cache = LRUByteCache(300)
-        cache.warm_with([("a", 100), ("b", 100), ("c", 100), ("d", 100)])
+        cache.warm_with(["a", "b", "c", "d"], np.array([100, 100, 100, 100]))
         assert len(cache) == 3  # capacity bounded
+        assert not cache.peek("a")  # the earliest insert is the one evicted
         assert cache.hits == 0 and cache.misses == 0
 
     def test_hit_ratio(self):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import consistent_hash
 from repro.cluster.consistent_hash import (
     ConsistentHashRing,
     analyze_membership_change,
@@ -109,11 +110,43 @@ def test_replicas_distinct_and_successor_shaped(num_servers, key, data):
 
 
 @DEFAULT_SETTINGS
-@given(keys=st.lists(st.integers(min_value=0, max_value=2**63), min_size=1, max_size=50))
-def test_primary_for_many_matches_scalar(keys):
+@given(
+    keys=st.lists(st.integers(min_value=0, max_value=2**63), min_size=1, max_size=50),
+    grow=st.integers(min_value=-300, max_value=300),
+    picks=st.lists(st.integers(min_value=0, max_value=2**32), max_size=50),
+)
+def test_primary_for_many_matches_scalar(keys, grow, picks):
+    """The vectorised lookup equals the scalar one for every key form: the
+    shared id-hash table (``range(0, n)``, which may grow it, and plain-int
+    lists inside it) and per-key hashing for everything else — lists
+    reaching past the table, numpy ``int64`` elements (whose ``repr``
+    differs), bools, negative ids and ranges not starting at 0.  Only
+    ``range(0, n)`` grows the table."""
     ring = ConsistentHashRing(8, virtual_nodes=32)
-    vectorised = ring.primary_for_many(keys)
-    assert list(vectorised) == [ring.primary_for(key) for key in keys]
+    # The table is process-wide, so its size (and ids inside it) are read
+    # here rather than drawn.
+    n = max(0, len(consistent_hash._INT_KEY_HASHES) + grow)
+    by_range = ring.primary_for_many(range(n))
+    size = len(consistent_hash._INT_KEY_HASHES)
+    assert len(by_range) == n and size >= n
+    # Every id the lookup may just have hashed, and a sample of older ones.
+    checked = sorted({*range(max(0, n - 300), n), *(pick % n for pick in picks if n)})
+    assert [by_range[i] for i in checked] == [ring.primary_for(i) for i in checked]
+    inside = [pick % size for pick in picks] if size else []
+    int64 = [key for key in keys if key < 2**63]
+    for batch in (
+        keys,
+        inside,
+        inside + [size],
+        [np.int64(key) for key in int64],
+        np.array(int64, dtype=np.int64),
+        [True, False] + inside,
+        [-1] + inside,
+        range(1, 40),
+    ):
+        vectorised = ring.primary_for_many(batch)
+        assert len(consistent_hash._INT_KEY_HASHES) == size
+        assert list(vectorised) == [ring.primary_for(key) for key in batch]
 
 
 # ---------------------------------------------------------------------------

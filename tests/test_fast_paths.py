@@ -11,6 +11,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import _ckernels
 from repro.cluster.cache import LRUByteCache
@@ -23,6 +25,7 @@ from repro.cluster.lru_kernel import (
     previous_and_next_occurrence,
 )
 from repro.cluster.memcached import MemcachedConfig, MemcachedExperiment
+from repro.exceptions import ConfigurationError
 from repro.network.fattree_sim import FatTreeExperiment, FatTreeExperimentConfig
 from repro.network.flow_fidelity import uncontended_fct
 from repro.network.tcp import TcpConfig
@@ -88,6 +91,187 @@ class TestLruKernel:
         assert equal_item_capacity(1000.0, 10.5) is None  # non-integer items
         assert equal_item_capacity(2.0**53, 1.0) is None  # float-exactness lost
         assert equal_item_capacity(1000.0, 0.0) is None
+
+
+def reference_warm_with(cache, keys_and_sizes):
+    """``LRUByteCache.warm_with`` before its closed form: one insert per new key."""
+    for key, size in keys_and_sizes:
+        if key not in cache._entries:
+            cache._insert(key, float(size))
+
+
+def assert_same_cache(got, expected):
+    """Entries (keys, key types, order, sizes), byte total and counters agree."""
+    assert list(got._entries.items()) == list(expected._entries.items())
+    assert [type(key) for key in got._entries] == [type(key) for key in expected._entries]
+    assert got.used_bytes.hex() == expected.used_bytes.hex()
+    assert (got.evictions, got.hits, got.misses) == (
+        expected.evictions,
+        expected.hits,
+        expected.misses,
+    )
+
+
+@st.composite
+def whole_byte_warm_ups(draw):
+    """``(capacity, keys, sizes)`` with distinct keys and whole-byte sizes.
+
+    Distinct int or str keys; sizes mixing items that fit and oversize
+    items; capacities that are an exact suffix total, below every size,
+    fractional, just under the ``2**53`` exactness limit, or past it (where
+    float byte accounting rounds, so only the loop is exact).
+    """
+    n = draw(st.integers(min_value=1, max_value=40))
+    if draw(st.booleans()):
+        key = st.integers(min_value=-(2**70), max_value=2**70)
+    else:
+        key = st.text(max_size=3)
+    keys = draw(st.lists(key, min_size=n, max_size=n, unique=True))
+    shape = draw(
+        st.sampled_from(["mixed", "exact_fit", "below_all", "fractional", "huge", "inexact"])
+    )
+    if shape == "huge":
+        size = st.integers(min_value=2**40, max_value=2**51)
+    elif shape == "inexact":
+        size = st.one_of(st.integers(1, 3), st.integers(2**52 - 3, 2**52 + 3))
+    else:
+        size = st.one_of(
+            st.integers(min_value=1, max_value=300),
+            st.integers(min_value=10**5, max_value=10**6),
+        )
+    sizes = draw(st.lists(size, min_size=n, max_size=n))
+    if shape == "exact_fit":
+        start = draw(st.integers(min_value=0, max_value=n - 1))
+        capacity = float(sum(sizes[start:]))
+    elif shape == "below_all":
+        capacity = min(sizes) - 0.5
+    elif shape == "fractional":
+        capacity = draw(st.integers(min_value=1, max_value=3_000)) + 0.25
+    elif shape == "huge":
+        capacity = float(draw(st.integers(min_value=2**50, max_value=2**52)))
+    elif shape == "inexact":
+        capacity = float(draw(st.integers(min_value=2**52, max_value=2**53 + 8)))
+    else:
+        capacity = float(draw(st.integers(min_value=1, max_value=3_000)))
+    return capacity, keys, [float(size) for size in sizes]
+
+
+class TestWarmWithClosedForm:
+    """``LRUByteCache.warm_with`` against the insert loop it replaced.
+
+    Entries, byte total and eviction count must match bitwise, and so must
+    the hit flags of accesses that follow the warm-up.
+    """
+
+    @staticmethod
+    def warm_both(capacity, keys, sizes, prefill=()):
+        got, expected = LRUByteCache(capacity), LRUByteCache(capacity)
+        for cache in (got, expected):
+            for key, size in prefill:
+                cache.access(key, size)
+        got.warm_with(keys, sizes)
+        reference_warm_with(expected, zip(keys, sizes))
+        assert_same_cache(got, expected)
+        return got, expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(inputs=whole_byte_warm_ups(), data=st.data())
+    def test_matches_insert_loop(self, inputs, data):
+        capacity, keys, sizes = inputs
+        got, expected = self.warm_both(capacity, keys, sizes)
+        if all(type(key) is int for key in keys):
+            stream = data.draw(
+                st.lists(st.sampled_from(keys) | st.integers(-50, 50), max_size=30)
+            )
+            stream_sizes = data.draw(
+                st.lists(st.integers(1, 400), min_size=len(stream), max_size=len(stream))
+            )
+            assert np.array_equal(
+                got.access_many(stream, stream_sizes),
+                expected.access_many(stream, stream_sizes),
+            )
+        else:
+            for key in data.draw(st.lists(st.sampled_from(keys), max_size=30)):
+                assert got.access(key, 7.0) == expected.access(key, 7.0)
+        assert_same_cache(got, expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        keys=st.lists(st.integers(0, 2**62), min_size=1, max_size=40, unique=True),
+        data=st.data(),
+    )
+    def test_numpy_arrays_store_python_ints(self, keys, data):
+        sizes = data.draw(
+            st.lists(st.integers(1, 500), min_size=len(keys), max_size=len(keys))
+        )
+        capacity = float(data.draw(st.integers(1, 4_000)))
+        got, expected = LRUByteCache(capacity), LRUByteCache(capacity)
+        got.warm_with(np.array(keys, dtype=np.int64), np.array(sizes, dtype=float))
+        reference_warm_with(expected, zip(keys, sizes))
+        assert_same_cache(got, expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        keys=st.lists(st.integers(0, 30), min_size=1, max_size=40),
+        data=st.data(),
+    )
+    def test_loop_only_inputs(self, keys, data):
+        """Fractional sizes, repeated keys and pre-filled caches take the loop."""
+        n = len(keys)
+        fractional = data.draw(st.booleans())
+        size = (
+            st.floats(min_value=0.01, max_value=300.0)
+            if fractional
+            else st.integers(min_value=1, max_value=300).map(float)
+        )
+        sizes = data.draw(st.lists(size, min_size=n, max_size=n))
+        prefill = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, 40), st.floats(min_value=0.5, max_value=300.0)),
+                max_size=6,
+            )
+        )
+        capacity = data.draw(st.floats(min_value=1.0, max_value=3_000.0))
+        self.warm_both(capacity, keys, sizes, prefill)
+
+    @pytest.mark.parametrize(
+        "capacity,keys,sizes,prefill,entries,used",
+        [
+            # Fractional sizes: the loop's rounded byte total evicts key 1.
+            (0.6, [1, 2, 3], [0.1, 0.2, 0.3], (), [2, 3], 0.5),
+            # Past 2**53 the loop's byte total rounds.
+            (2.0**53 + 2, [1, 2, 3], [2.0**52, 2.0**52 + 1, 2.0**53 - 1], (), [3], 2.0**53 - 2),
+            # A negative size shrinks the total instead of evicting.
+            (6.0, [1, 2, 3], [5.0, 3.0, -4.0], (), [2, 3], -1.0),
+            # A repeated key is skipped while cached, re-inserted once evicted.
+            (200.0, [1, 2, 1, 3, 1], [100.0] * 5, (), [3, 1], 200.0),
+            # A pre-filled cache keeps its entries ahead of the warm keys.
+            (300.0, [1, 2], [100.0, 100.0], [(9, 100.0)], [9, 1, 2], 300.0),
+        ],
+    )
+    def test_inputs_outside_the_closed_form(
+        self, capacity, keys, sizes, prefill, entries, used
+    ):
+        got, _ = self.warm_both(capacity, keys, sizes, prefill)
+        assert list(got._entries) == entries
+        assert got.used_bytes == used
+
+    def test_closed_form_skips_the_insert_loop(self, monkeypatch):
+        def no_insert(self, key, size_bytes):
+            raise AssertionError("whole-byte warm-up of an empty cache ran the loop")
+
+        keys = np.arange(10_000)
+        expected = LRUByteCache(4_000.0)
+        reference_warm_with(expected, ((int(k), 40.0) for k in keys))
+        monkeypatch.setattr(LRUByteCache, "_insert", no_insert)
+        got = LRUByteCache(4_000.0)
+        got.warm_with(keys, np.full(keys.size, 40.0))
+        assert_same_cache(got, expected)
+        assert len(got) == 100 and got.evictions == 9_900
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ConfigurationError):
+            LRUByteCache(100.0).warm_with([1, 2], [10.0])
 
 
 def scalar_disk_services(disk, sizes, rng, noise_probability, noise_multiplier_mean):
