@@ -138,12 +138,13 @@ class LRUByteCache:
         When the cache is empty, the keys are distinct, every size is a
         positive whole number of bytes and ``capacity + max(size) < 2**53``,
         that insert loop does exact integer byte accounting and its outcome
-        has a closed form, built directly in time proportional to the items
-        kept: the entries are the longest suffix of the cacheable keys (size
-        at most the capacity) whose sizes fit, in order; ``used_bytes`` is
-        their sum; and every cacheable key before that suffix counts as one
-        eviction.  Any other input (fractional sizes, repeated keys, a cache
-        already holding entries) runs the insert loop.
+        has a closed form, built with array operations and per-item Python
+        work only for the items kept: the entries are the longest suffix of
+        the cacheable keys (size at most the capacity) whose sizes fit, in
+        order; ``used_bytes`` is their sum; and every cacheable key before
+        that suffix counts as one eviction.  Any other input (fractional
+        sizes, repeated keys, a cache already holding entries) runs the
+        insert loop.
 
         Args:
             keys: Sequence of object ids, inserted in order (so later keys
@@ -167,7 +168,6 @@ class LRUByteCache:
         capacity = self.capacity_bytes
         if (
             not self._entries
-            and self.used_bytes == 0.0
             and sizes.min() > 0.0
             and capacity + sizes.max() < 2.0**53
             and np.array_equal(sizes, np.floor(sizes))

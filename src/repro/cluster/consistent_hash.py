@@ -37,9 +37,10 @@ def _hash64(data: str) -> int:
 
 
 # ``_hash64(repr(i))`` for ids ``0 .. len - 1``.  A key's hash never depends
-# on ring membership, so every ring in the process shares this one table.  It
-# only grows, and only from ``range(0, n)`` lookups, so its size is bounded
-# by the largest keyspace a caller enumerates.
+# on ring membership, so every ring in the process shares this one table; it
+# holds a pure function of the id, so sharing it changes no result, only how
+# long a lookup takes.  It only grows, and only from ``range(0, n)`` lookups,
+# so its size is bounded by the largest keyspace a caller enumerates.
 _INT_KEY_HASHES = np.empty(0, dtype=np.uint64)
 
 

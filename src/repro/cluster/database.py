@@ -350,8 +350,8 @@ class DatabaseClusterExperiment:
         ``servers`` are the initial pool, ids ``0 .. num_servers - 1``.  Each
         cache gets its whole warm order in one
         :meth:`~repro.cluster.cache.LRUByteCache.warm_with` call, which keeps
-        only the most recent files that fit; with whole-byte file sizes that
-        costs time proportional to the files kept, not to the order's length.
+        only the most recent files that fit; with whole-byte file sizes it
+        inserts only those files rather than replaying the whole order.
         """
         orders = self._warm_orders(copies)
         sizes = self._fileset.sizes_bytes
