@@ -48,10 +48,7 @@ def _key_hashes(keys: Sequence[object]) -> np.ndarray:
     """``_hash64(repr(key))`` for every key, as a ``uint64`` array.
 
     ``range(0, n)`` reads the shared id table, growing it to ``n`` first if
-    needed; a list of plain Python ``int`` ids that all fall inside the table
-    reads it without growing it.  Every other key (numpy integers, whose
-    ``repr`` differs under numpy 2, bools, strings, and negative or
-    out-of-table ids) is hashed one by one.
+    needed.  Every other sequence of keys is hashed one by one.
     """
     global _INT_KEY_HASHES
     table = _INT_KEY_HASHES
@@ -64,14 +61,6 @@ def _key_hashes(keys: Sequence[object]) -> np.ndarray:
             )
             table = _INT_KEY_HASHES = np.concatenate([table, grown])
         return table[: len(keys)]
-    if (
-        isinstance(keys, list)
-        and keys
-        and all(type(key) is int for key in keys)
-        and 0 <= min(keys)
-        and max(keys) < len(table)
-    ):
-        return table[keys]
     return np.fromiter((_hash64(repr(key)) for key in keys), dtype=np.uint64, count=len(keys))
 
 
@@ -205,9 +194,8 @@ class ConsistentHashRing:
         Key hashes come from a table shared by every ring in the process
         that holds the hashes of ids ``0 .. n - 1``.  A ``range(0, n)`` of
         keys grows it to ``n`` once, so re-planning migrations or replica
-        tables after a membership change re-hashes nothing; a list of plain
-        Python ``int`` ids inside the table reads it too.  Any other keys
-        are hashed one by one.
+        tables after a membership change re-hashes nothing.  Any other
+        keys are hashed one by one.
         """
         hashes = _key_hashes(keys)
         index = np.searchsorted(self._ring_hashes_np, hashes, side="left")

@@ -117,11 +117,11 @@ def test_replicas_distinct_and_successor_shaped(num_servers, key, data):
 )
 def test_primary_for_many_matches_scalar(keys, grow, picks):
     """The vectorised lookup equals the scalar one for every key form: the
-    shared id-hash table (``range(0, n)``, which may grow it, and plain-int
-    lists inside it) and per-key hashing for everything else — lists
-    reaching past the table, numpy ``int64`` elements (whose ``repr``
-    differs), bools, negative ids and ranges not starting at 0.  Only
-    ``range(0, n)`` grows the table."""
+    shared id-hash table (``range(0, n)``, which may grow it) and per-key
+    hashing for everything else — plain-int lists inside and past the
+    table, numpy ``int64`` elements (whose ``repr`` differs), bools,
+    negative ids and ranges not starting at 0.  Only ``range(0, n)`` grows
+    the table."""
     ring = ConsistentHashRing(8, virtual_nodes=32)
     # The table is process-wide, so its size (and ids inside it) are read
     # here rather than drawn.
