@@ -6,6 +6,7 @@ executes on a :class:`VirtualClock`, so runs are seeded and byte-reproducible
 """
 
 import dataclasses
+import gc
 import json
 
 import numpy as np
@@ -126,6 +127,50 @@ class TestHedging:
         # The losing primary ran to completion and consumed its full service.
         assert slow.consumed_s == pytest.approx(0.100)
 
+    def test_exact_tie_under_a_cancelling_eager_plan(self):
+        """Both copies finish at the same instant: the earlier-launched copy
+        wins and the other counts as completed, not cancelled."""
+        clock, proxy = make_stack(
+            "hedge:0ms", backends=2, service=Deterministic(0.001)
+        )
+        latency = clock.run(proxy.request(0))
+        assert latency == pytest.approx(0.001)
+        assert proxy.copies_cancelled == 0
+        assert [b.completed for b in proxy.backends] == [1, 1]
+
+    def test_hedge_due_at_the_winners_instant_launches_then_cancels(self):
+        """A hedge falling due exactly when the primary finishes still
+        launches; cancel-on-win then reclaims its whole reservation."""
+        clock, proxy = make_stack(
+            "hedge:1ms", backends=2, service=Deterministic(0.001)
+        )
+        key = next(k for k in range(100) if proxy.ring.primary_for(k) == 0)
+        latency = clock.run(proxy.request(key))
+        assert latency == pytest.approx(0.001)
+        assert proxy.hedges_fired == 1
+        assert proxy.hedges_suppressed == 0
+        assert proxy.copies_cancelled == 1
+        assert [b.completed for b in proxy.backends] == [1, 0]
+        assert [b.consumed_s for b in proxy.backends] == [0.001, 0.0]
+
+    @pytest.mark.parametrize("policy", ["hedge:p95", "hedge:2ms:nocancel", "hedge:0ms"])
+    def test_no_reference_cycles_per_request(self, policy):
+        """Finished races leave nothing for the cyclic collector: the
+        garbage it finds after a run does not grow with the request count."""
+
+        def unreachable_after(requests):
+            clock, proxy = make_stack(policy, backends=8, seed=0)
+            config = LoadGenConfig(rate=2000.0, num_requests=requests, seed=0)
+            gc.collect()
+            gc.disable()
+            try:
+                clock.run(run_load(proxy, clock, config))
+                return gc.collect()
+            finally:
+                gc.enable()
+
+        assert unreachable_after(400) == unreachable_after(4000)
+
     def test_hedge_p95_adapts_as_recorder_warms_up(self):
         policy = parse_policy("hedge:p95")
         assert isinstance(policy, HedgeOnPercentile)
@@ -224,6 +269,21 @@ class TestBackendFailure:
         assert proxy.failed_requests == 1
 
 
+    def test_dead_unevicted_primary_waits_for_the_parked_hedge(self):
+        """A copy refused at dispatch does not launch the hedge early: the
+        request is served by the hedge at its scheduled delay."""
+        clock, proxy = make_stack(
+            "hedge:5ms", backends=2, service=Deterministic(0.001)
+        )
+        proxy.backends[0].set_failed()
+        key = next(k for k in range(100) if proxy.ring.primary_for(k) == 0)
+        latency = clock.run(proxy.request(key))
+        assert latency == pytest.approx(0.006)
+        assert proxy.failed_copies == 1
+        assert proxy.hedges_fired == 1
+        assert proxy.failed_requests == 0
+
+
 # ---------------------------------------------------------------------------
 # Dispatch-path equivalence
 # ---------------------------------------------------------------------------
@@ -294,3 +354,14 @@ class TestFastPathEquivalence:
     def test_exponential_default_service(self):
         clock, proxy = make_stack("none", backends=1)
         assert isinstance(proxy.backends[0]._service, Exponential)
+
+
+# ---------------------------------------------------------------------------
+# Command line
+# ---------------------------------------------------------------------------
+
+class TestBenchCommand:
+    def test_race_policy_bench_exits_zero(self):
+        from repro.serve.cli import main
+
+        assert main(["bench", "--policies", "hedge:1ms", "--requests", "500", "--quiet"]) == 0
