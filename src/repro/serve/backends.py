@@ -18,16 +18,26 @@ Cancellation is conservative: a cancelled copy gives back only the *tail*
 of its reservation, and only when nothing was queued behind it —
 cancellation saves queueing, not work already under way.
 
-Two call surfaces share that one ``busy_until`` state:
+Three call surfaces share that one ``busy_until`` state through one
+reservation routine:
 
-* ``async handle(key)`` — coroutine path used by the racing proxy: reserves,
-  sleeps on the injected clock until the reserved finish, reclaims on
-  cancellation.
+* ``start(key, done)`` — used by the proxy's race path: reserves, schedules
+  the finish as a timer on the injected clock and returns a handle whose
+  ``cancel()`` reclaims by the rule above.  ``done(service)`` runs at the
+  finish.  No task, no coroutine.
 * ``submit(key, now)`` — synchronous fast path used by the proxy's
   no-cancel eager dispatch: reserves and returns the absolute finish time
-  without creating a task.  Because both paths drive the same reservation,
-  a policy hot-swap mid-run never leaves the pool with two disagreeing
-  pictures of its queues.
+  without scheduling anything.
+* ``async handle(key)`` — the coroutine contract of every
+  :class:`Backend`: on :class:`SimBackend` a thin wrapper that awaits
+  ``start``.
+
+Because every path drives the same reservation, a policy hot-swap mid-run
+never leaves the pool with two disagreeing pictures of its queues.
+
+Backends that only learn their finish by awaiting real I/O (the echo
+backend) implement ``handle`` alone; the base class's ``start`` runs it in a
+task and reports its outcome through the same ``done`` callback.
 
 ``queueing=False`` turns the backend into an infinite-server station (no
 reservation coupling between requests) — the configuration the ``bench``
@@ -38,7 +48,9 @@ saturation.
 from __future__ import annotations
 
 import abc
-from typing import Optional, Tuple
+import asyncio
+import functools
+from typing import Callable, Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -50,6 +62,18 @@ __all__ = ["Backend", "BackendError", "SimBackend"]
 
 #: Service draws are replenished in blocks of this many samples.
 _DRAW_BLOCK = 4096
+
+
+#: Called once when a started copy finishes: with the service time spent,
+#: or with ``None`` when the copy failed.
+CopyDone = Callable[[Optional[float]], None]
+
+
+class CopyHandle(Protocol):
+    """What :meth:`Backend.start` returns: a copy that can be withdrawn."""
+
+    def cancel(self) -> None:
+        """Withdraw the copy; its ``done`` callback will not run."""
 
 
 class BackendError(RuntimeError):
@@ -74,6 +98,41 @@ class Backend(abc.ABC):
     @abc.abstractmethod
     async def handle(self, key: int) -> float:
         """Serve ``key``; return the service time spent (seconds)."""
+
+    def start(self, key: int, done: CopyDone) -> CopyHandle:
+        """Start serving ``key`` without waiting; return a cancellable handle.
+
+        ``done`` runs once, when the copy finishes: with the service time,
+        or with ``None`` if :meth:`handle` raised — any exception counts as
+        a failed copy.  After ``cancel()`` it never runs.  This default
+        runs :meth:`handle` in a task; backends that can reserve
+        synchronously override it and may raise :class:`BackendError` at
+        once when they refuse the copy.
+        """
+        return _TaskCopy(asyncio.ensure_future(self.handle(key)), done)
+
+
+class _TaskCopy:
+    """A copy served by a :meth:`Backend.handle` task."""
+
+    __slots__ = ("_task", "_done")
+
+    def __init__(self, task: "asyncio.Task[float]", done: CopyDone) -> None:
+        self._task: Optional["asyncio.Task[float]"] = task
+        self._done: Optional[CopyDone] = done
+        task.add_done_callback(self._report)
+
+    def _report(self, task: "asyncio.Task[float]") -> None:
+        # Reading the exception also marks it retrieved, cancelled or not.
+        failed = task.cancelled() or task.exception() is not None
+        done, self._done, self._task = self._done, None, None
+        if done is not None:
+            done(None if failed else task.result())
+
+    def cancel(self) -> None:
+        self._done = None
+        if self._task is not None:
+            self._task.cancel()
 
 
 class SimBackend(Backend):
@@ -151,21 +210,32 @@ class SimBackend(Backend):
             remaining -= take
         return parts[0].copy() if len(parts) == 1 else np.concatenate(parts)
 
+    def _reserve(self, now: float) -> Tuple[float, float, float, float]:
+        """Reserve one copy's service at ``now``.
+
+        Returns ``(prev_busy, start, finish, service)``: the FIFO
+        reservation every call surface shares.
+        """
+        if self._failed:
+            raise BackendError(f"backend {self.index} is marked failed")
+        service = self.draw_service()
+        if self._queueing:
+            prev_busy = self._busy_until
+            start = max(now, prev_busy)
+            finish = start + service
+            self._busy_until = finish
+        else:
+            prev_busy = start = now
+            finish = now + service
+        return prev_busy, start, finish, service
+
     def submit(self, key: int, now: float) -> Tuple[float, float]:
         """Reserve service for ``key`` at ``now``; return ``(finish, service)``.
 
         The synchronous fast path: no task, no sleep — the caller is
         responsible for delivering the completion at ``finish``.
         """
-        if self._failed:
-            raise BackendError(f"backend {self.index} is marked failed")
-        service = self.draw_service()
-        if self._queueing:
-            start = max(now, self._busy_until)
-            finish = start + service
-            self._busy_until = finish
-        else:
-            finish = now + service
+        _prev_busy, _start, finish, service = self._reserve(now)
         self.completed += 1
         self.consumed_s += service
         return finish, service
@@ -193,40 +263,93 @@ class SimBackend(Backend):
         self.consumed_s += float(services.sum())
         return finishes, services
 
+    def start(self, key: int, done: CopyDone) -> "_SimCopy":
+        """Reserve ``key`` now and finish it on a clock timer.
+
+        The timer falls due after ``finish - now``, where a sleep until the
+        reserved finish would wake.  Raises :class:`BackendError` at once
+        if the backend is marked failed.
+        """
+        now = self._clock.now()
+        copy = _SimCopy(self, *self._reserve(now), done)
+        copy.timer = self._clock.call_later(copy.finish - now, copy.complete)
+        return copy
+
+    def _reclaim(
+        self, prev_busy: float, start: float, finish: float, service: float
+    ) -> None:
+        """Account for a copy cancelled before its finish.
+
+        The reservation tail is given back only if the copy is still the
+        last reservation (nothing queued behind it), and never below the
+        work already performed; otherwise it is served in full.
+        """
+        if self._queueing and self._busy_until == finish:
+            cancel_at = self._clock.now()
+            self._busy_until = max(prev_busy, min(cancel_at, finish))
+            self.consumed_s += max(0.0, min(cancel_at, finish) - start)
+        else:
+            self.completed += 1
+            self.consumed_s += service
+
     async def handle(self, key: int) -> float:
         """Serve ``key`` on the coroutine path; cancellable while queued.
 
-        Reserves exactly like :meth:`submit`, then sleeps the injected clock
-        until the reserved finish.  On cancellation the reservation tail is
-        reclaimed only if this copy is still the last reservation (nothing
-        queued behind it) — and never below the work already performed.
+        Awaits :meth:`start`; cancelling the awaiting task cancels the copy.
         """
-        if self._failed:
-            raise BackendError(f"backend {self.index} is marked failed")
-        now = self._clock.now()
-        service = self.draw_service()
-        if self._queueing:
-            prev_busy = self._busy_until
-            start = max(now, prev_busy)
-            finish = start + service
-            self._busy_until = finish
-        else:
-            prev_busy = now
-            start = now
-            finish = now + service
+        finished: "asyncio.Future[float]" = asyncio.get_running_loop().create_future()
+        copy = self.start(key, functools.partial(_resolve, finished))
         try:
-            delay = finish - now
-            if delay > 0:
-                await self._clock.sleep(delay)
-        except BaseException:
-            if self._queueing and self._busy_until == finish:
-                cancel_at = self._clock.now()
-                self._busy_until = max(prev_busy, min(cancel_at, finish))
-                self.consumed_s += max(0.0, min(cancel_at, finish) - start)
-            else:
-                self.completed += 1
-                self.consumed_s += service
+            return await finished
+        except asyncio.CancelledError:
+            copy.cancel()
             raise
-        self.completed += 1
-        self.consumed_s += service
-        return service
+
+
+def _resolve(future: "asyncio.Future[float]", service: Optional[float]) -> None:
+    if not future.done():
+        future.set_result(service)
+
+
+class _SimCopy:
+    """One copy reserved on a :class:`SimBackend`, due on a clock timer."""
+
+    __slots__ = (
+        "backend", "prev_busy", "service_start", "finish", "service", "done", "timer"
+    )
+
+    def __init__(
+        self,
+        backend: SimBackend,
+        prev_busy: float,
+        service_start: float,
+        finish: float,
+        service: float,
+        done: CopyDone,
+    ) -> None:
+        self.backend = backend
+        self.prev_busy = prev_busy
+        self.service_start = service_start
+        self.finish = finish
+        self.service = service
+        self.done: Optional[CopyDone] = done
+        self.timer: Optional[asyncio.TimerHandle] = None
+
+    def complete(self) -> None:
+        """The timer callback: the copy's service ran to its finish."""
+        done, self.done, self.timer = self.done, None, None
+        backend = self.backend
+        backend.completed += 1
+        backend.consumed_s += self.service
+        done(self.service)
+
+    def cancel(self) -> None:
+        """Withdraw the copy before its finish, reclaiming what it can."""
+        if self.done is None:
+            return
+        self.done = None
+        self.timer.cancel()
+        self.timer = None
+        self.backend._reclaim(
+            self.prev_busy, self.service_start, self.finish, self.service
+        )

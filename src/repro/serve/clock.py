@@ -1,6 +1,6 @@
 """The injectable clock seam for ``repro.serve``.
 
-Every sleep, timeout and timestamp in the serving layer goes through a
+Every sleep, timer, timeout and timestamp in the serving layer goes through a
 :class:`Clock` so the same proxy + load-generator code runs in two modes:
 
 * :class:`RealClock` — ``time.monotonic()`` and ``asyncio.sleep`` on a real
@@ -15,6 +15,11 @@ Every sleep, timeout and timestamp in the serving layer goes through a
   are therefore seeded, wall-clock-free and byte-reproducible — the
   property the deterministic test harness and the CI ``cmp`` smoke pin.
 
+Two ways to wait: coroutines await :meth:`Clock.sleep`, while the proxy's
+race path and the simulated backends schedule plain callbacks with
+:meth:`Clock.call_later`.  A timer's due time is bit-equal to the wake-up of
+a ``sleep`` of the same delay started at the same instant.
+
 The virtual loop trades generality for determinism: it refuses to wait
 forever (``select(None)`` raises, surfacing virtual-time deadlocks such as
 awaiting a future nobody will set) and it must not be mixed with real I/O
@@ -28,7 +33,7 @@ from __future__ import annotations
 import abc
 import asyncio
 import time
-from typing import Any, Awaitable, TypeVar
+from typing import Any, Awaitable, Callable, TypeVar
 
 T = TypeVar("T")
 
@@ -48,6 +53,17 @@ class Clock(abc.ABC):
     @abc.abstractmethod
     async def sleep(self, delay: float) -> None:
         """Suspend the calling task for ``delay`` seconds."""
+
+    def call_later(
+        self, delay: float, callback: Callable[..., Any], *args: Any
+    ) -> asyncio.TimerHandle:
+        """Run ``callback(*args)`` ``delay`` seconds from now; return its timer.
+
+        The timer falls due at ``loop.time() + delay`` on the running loop,
+        exactly where ``sleep(delay)`` would wake; ``cancel()`` on the
+        returned handle withdraws it.
+        """
+        return asyncio.get_running_loop().call_later(delay, callback, *args)
 
 
 class RealClock(Clock):

@@ -10,7 +10,8 @@ model of the paper's analysis (Section 2) and of the offline substrates'
   which is what makes virtual-clock runs byte-reproducible;
 * walks the timeline on the injected clock, dispatching each request the
   moment its arrival time is due — through the proxy's synchronous fast
-  path when the current plan allows it, else as a racing task;
+  path when the current plan allows it, else as a race of copies on clock
+  timers (:meth:`RedundancyProxy.race`);
 * optionally hot-swaps the proxy policy and applies membership events
   (backend add / graceful remove / crash) at scheduled times mid-run;
 * drains the proxy and assembles the :class:`~repro.serve.report.RunReport`.
@@ -121,7 +122,7 @@ async def run_load(
             else:
                 proxy.remove_backend(backend, dead=(action == "crash"))
 
-    issued_tasks: List[asyncio.Task] = []
+    races: List[asyncio.Future] = []
     index = 0
     total = len(offsets)
     while index < total:
@@ -152,16 +153,18 @@ async def run_load(
         while index < end:
             key = int(keys[index])
             if not proxy.submit_nowait(key):
-                issued_tasks.append(asyncio.ensure_future(proxy.request(key)))
+                races.append(proxy.race(key))
             index += 1
     for control_at, kind, payload in controls:
         delay = (start + control_at) - clock.now()
         if delay > 0:
             await clock.sleep(delay)
         apply_control(kind, payload)
-    if issued_tasks:
-        await asyncio.gather(*issued_tasks, return_exceptions=True)
     await proxy.drain()
+    # The proxy counts failed requests; reading each race's outcome keeps
+    # their errors from being logged as never retrieved.
+    for race in races:
+        race.exception()
     proxy.finalize()
     duration = max(clock.now(), proxy.last_finish_at) - start
     return RunReport(

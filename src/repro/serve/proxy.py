@@ -7,14 +7,14 @@ consistent-hash ring and applies a ``PolicySpec`` per request:
 * ``k2``/``k3`` send eager copies to the k *distinct* ring successors
   (``ConsistentHashRing.replicas_for``) and keep the first answer;
 * ``hedge:<delay>[...]`` launches the primary immediately and duplicate
-  copies after the configured delays, via tasks parked on the injected
-  clock;
+  copies after the configured delays, via timers on the injected clock;
 * ``hedge:p95`` asks the live policy object for its current delay before
   every request — the proxy feeds each completed latency back through
   ``policy.record_latency``, so the streaming recorder inside
   ``HedgeOnPercentile`` warms up and the hedge delay adapts online;
-* cancel-on-win (the paper's "cancel the rest") is plain
-  ``asyncio`` task cancellation of the losing copies.
+* cancel-on-win (the paper's "cancel the rest") withdraws the losing
+  copies from their backends, which reclaim what is left of their
+  reservations.
 
 :meth:`RedundancyProxy.set_policy` hot-swaps the policy mid-run: requests
 already in flight finish under the plan they were launched with; new
@@ -33,20 +33,23 @@ dispatch paths re-home keys immediately and deterministically.
 
 Two dispatch paths, one accounting surface:
 
-* the **race path** (:meth:`request`) creates one task per copy and races
-  them — required whenever a plan hedges, cancels on win, or must survive
-  backend failure;
-* the **fast path** (:meth:`submit_nowait`) covers eager plans without
-  cancel-on-win: every copy's finish time is known at dispatch from the
-  reservation math, so the proxy computes the winner synchronously and
-  schedules a single ``call_at`` timer for the completion callback.  This
-  is what makes ``bench`` sustain >100k req/s — no per-copy tasks, no
-  races, one heap entry per request.
+* the **race path** (:meth:`race`, awaited by :meth:`request`) is required
+  whenever a plan hedges, cancels on win, or must survive backend failure.
+  Each copy is a backend reservation whose finish is a clock timer, and
+  each hedge a timer that starts its copy; no task is created per copy or
+  per request.  The first finish schedules one settle step for the next
+  loop pass, which resolves the request's future;
+* the **fast path** (:meth:`submit_nowait`, vectorised as
+  :meth:`submit_batch`) covers eager plans without cancel-on-win: every
+  copy's finish time is known at dispatch from the reservation math, so
+  the proxy computes the winner and its latency synchronously — no timer
+  at all.  This is what makes ``bench`` sustain >100k req/s.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -60,7 +63,7 @@ from repro.core.policy import (
     policy_to_spec,
 )
 from repro.metrics.recorder import LatencyRecorder
-from repro.serve.backends import Backend, BackendError
+from repro.serve.backends import Backend, BackendError, CopyHandle
 from repro.serve.clock import Clock
 
 __all__ = ["RedundancyProxy"]
@@ -110,7 +113,7 @@ class RedundancyProxy:
         self._in_flight = 0
         self._idle = asyncio.Event()
         self._idle.set()
-        self._strays: set = set()
+        self._strays = 0
         self._fast_plan: Optional[RequestPlan] = None
         self._pending_latencies: List[float] = []
         self._pending_chunks: List[np.ndarray] = []
@@ -356,110 +359,123 @@ class RedundancyProxy:
     # Race path: hedged / cancel-on-win / failure-tolerant dispatch
     # ------------------------------------------------------------------
 
+    def race(self, key: int, record: bool = True) -> "asyncio.Future[float]":
+        """Start one request under the current plan; return its latency future.
+
+        Zero-delay copies start at once (:meth:`Backend.start`); each hedge
+        is parked as a clock timer that starts it, in launch order.  The
+        first copy to finish schedules :meth:`_settle` for the next loop
+        pass, which picks the winner, suppresses unlaunched hedges, cancels
+        or strands the launched losers and resolves the future.  The future
+        fails with :class:`BackendError` once every copy has failed.
+        """
+        plan = self.policy.plan()
+        max_copies = min(plan.copies, self.ring.num_servers)
+        race = _Race(
+            key,
+            self.clock.now(),
+            [self.backends[index] for index in self.replicas(key, max_copies)],
+            plan.cancel_on_win,
+            record,
+            asyncio.get_running_loop().create_future(),
+        )
+        self.requests += 1
+        self._begin()
+        for copy, delay in enumerate(plan.launch_delays[:max_copies]):
+            if delay > 0:
+                race.timers[copy] = self.clock.call_later(
+                    delay, self._fire_hedge, race, copy
+                )
+            else:
+                self._launch(race, copy)
+        return race.future
+
     async def request(self, key: int, record: bool = True) -> float:
         """Serve one request under the current plan; return its latency.
 
-        Launches one task per copy (delayed copies park on ``clock.sleep``),
-        races them, feeds the winner's latency to the recorder and the
-        policy, and — when the plan says so — cancels the losers.
+        Awaits the future of :meth:`race`.  The winner's latency is fed to
+        the recorder and the policy; a failed request raises
+        :class:`BackendError`.
         """
-        plan = self.policy.plan()
-        started = self.clock.now()
-        max_copies = min(plan.copies, self.ring.num_servers)
-        replicas = self.replicas(key, max_copies)
-        self.requests += 1
-        self._begin()
-        tasks = []
-        launched_flags = {}
-        for copy, delay in enumerate(plan.launch_delays[:max_copies]):
-            flag = [False]
-            task = asyncio.ensure_future(
-                self._copy(self.backends[replicas[copy]], key, delay, delay > 0, flag)
-            )
-            tasks.append(task)
-            launched_flags[task] = flag
-        try:
-            winner_latency: Optional[float] = None
-            winner_service = 0.0
-            pending = set(tasks)
-            launch_index = {task: position for position, task in enumerate(tasks)}
-            while pending and winner_latency is None:
-                done, pending = await asyncio.wait(
-                    pending, return_when=asyncio.FIRST_COMPLETED
-                )
-                # ``done`` is an unordered set; on a (virtual-time) tie the
-                # winner must not depend on set iteration order, so visit
-                # copies in launch order — the byte-reproducibility contract.
-                for task in sorted(done, key=launch_index.__getitem__):
-                    if task.cancelled() or task.exception() is not None:
-                        continue
-                    if task.result() is not None:
-                        winner_latency = self.clock.now() - started
-                        winner_service = task.result()
-                        break
-            if winner_latency is None:
-                self.failed_requests += 1
-                raise BackendError(f"all copies of request {key} failed")
-            # A backup still parked on its delay is always suppressed (it
-            # never reached a backend — matching the offline FIFO hedging
-            # engine, repro.core.cancellation);
-            # copies already under way are cancelled only when the plan
-            # says cancel-on-win, else they run to completion as strays.
-            to_cancel = {
-                task
-                for task in pending
-                if plan.cancel_on_win or not launched_flags[task][0]
-            }
-            for task in pending - to_cancel:
-                self._strays.add(task)
-                task.add_done_callback(self._strays.discard)
-            if to_cancel:
-                for task in to_cancel:
-                    task.cancel()
-                # Await the cancellations so the backends reclaim their
-                # reservation tails before the next request reserves.
-                await asyncio.wait(to_cancel)
-            self.useful_service_s += winner_service
-            if record:
-                self.recorder.record(winner_latency)
-                self.policy.record_latency(winner_latency)
-            return winner_latency
-        finally:
-            self._end()
+        return await self.race(key, record)
 
-    async def _copy(
-        self,
-        backend: Backend,
-        key: int,
-        delay: float,
-        is_hedge: bool,
-        launched_flag: List[bool],
-    ) -> Optional[float]:
-        """One (possibly delayed) copy; ``None`` means the copy failed.
+    def _fire_hedge(self, race: "_Race", copy: int) -> None:
+        race.timers[copy] = None
+        self.hedges_fired += 1
+        self._launch(race, copy)
 
-        Counter semantics match ``core.hedging.hedged_call``: a hedge
-        cancelled while still parked on its delay never reached a backend
-        and counts as *suppressed*; one cancelled mid-service counts as a
-        launched-then-*cancelled* copy.
-        """
-        if delay > 0:
-            try:
-                await self.clock.sleep(delay)
-            except asyncio.CancelledError:
-                self.hedges_suppressed += 1
-                raise
-        launched_flag[0] = True
-        if is_hedge:
-            self.hedges_fired += 1
+    def _launch(self, race: "_Race", copy: int) -> None:
         self.copies_launched += 1
         try:
-            return await backend.handle(key)
-        except asyncio.CancelledError:
-            self.copies_cancelled += 1
-            raise
-        except BackendError:
+            race.copies[copy] = race.backends[copy].start(
+                race.key, functools.partial(self._copy_done, race, copy)
+            )
+        except Exception:
+            self._copy_done(race, copy, None)
+
+    def _copy_done(self, race: "_Race", copy: int, service: Optional[float]) -> None:
+        """A copy finished (``service``) or failed (``None``)."""
+        if service is None:
             self.failed_copies += 1
-            return None
+        copies = race.copies
+        if copies is None:
+            # A loser the settled race left running (no cancel-on-win).
+            self._strays -= 1
+            self._check_idle()
+            return
+        copies[copy] = None
+        race.unresolved -= 1
+        if service is not None:
+            if not race.finished:
+                asyncio.get_running_loop().call_soon(self._settle, race)
+            race.finished.append((copy, service))
+        elif race.unresolved == 0 and not race.finished:
+            asyncio.get_running_loop().call_soon(self._settle, race)
+
+    def _settle(self, race: "_Race") -> None:
+        """Resolve a race one loop pass after its first finish (or last failure).
+
+        The winner is the earliest-launched copy among those that finished
+        by now, so an exact tie does not depend on timer order; the other
+        finishers count as completed.  A hedge still parked never reached a
+        backend and is *suppressed* (as in the offline FIFO hedging engine,
+        :mod:`repro.core.cancellation`); launched losers are *cancelled*
+        under cancel-on-win, else they run on as strays that :meth:`drain`
+        waits for.
+        """
+        copies, timers, finished = race.copies, race.timers, race.finished
+        # Dropping the race's links to its copies and timers breaks every
+        # reference cycle through their callbacks.
+        race.copies = race.timers = race.finished = None
+        for timer in timers:
+            if timer is not None:
+                timer.cancel()
+                self.hedges_suppressed += 1
+        for handle in copies:
+            if handle is not None:
+                if race.cancel_on_win:
+                    handle.cancel()
+                    self.copies_cancelled += 1
+                else:
+                    self._strays += 1
+        future = race.future
+        if finished:
+            _copy, service = min(finished)
+            latency = self.clock.now() - race.started
+            self.useful_service_s += service
+            if race.record:
+                self.recorder.record(latency)
+                self.policy.record_latency(latency)
+            if not future.done():
+                future.set_result(latency)
+        else:
+            self.failed_requests += 1
+            if not future.done():
+                future.set_exception(
+                    BackendError(f"all copies of request {race.key} failed")
+                )
+        self._in_flight -= 1
+        self._check_idle()
 
     # ------------------------------------------------------------------
     # Drain / bookkeeping
@@ -469,9 +485,8 @@ class RedundancyProxy:
         self._in_flight += 1
         self._idle.clear()
 
-    def _end(self) -> None:
-        self._in_flight -= 1
-        if self._in_flight == 0:
+    def _check_idle(self) -> None:
+        if self._in_flight == 0 and self._strays == 0:
             self._idle.set()
 
     @property
@@ -479,10 +494,8 @@ class RedundancyProxy:
         return self._in_flight
 
     async def drain(self) -> None:
-        """Wait until every accepted request has completed."""
+        """Wait until every accepted request and every stray copy has finished."""
         await self._idle.wait()
-        while self._strays:
-            await asyncio.wait(set(self._strays))
 
     def counters(self) -> Dict[str, Union[int, float]]:
         """The cost-side counters as a plain dict (stable key order)."""
@@ -503,3 +516,37 @@ class RedundancyProxy:
             "useful_service_s": self.useful_service_s,
             "wasted_service_s": max(0.0, consumed - self.useful_service_s),
         }
+
+
+class _Race:
+    """One request's copies in flight on the race path."""
+
+    __slots__ = (
+        "key", "started", "backends", "cancel_on_win", "record", "future",
+        "copies", "timers", "finished", "unresolved",
+    )
+
+    def __init__(
+        self,
+        key: int,
+        started: float,
+        backends: List[Backend],
+        cancel_on_win: bool,
+        record: bool,
+        future: "asyncio.Future[float]",
+    ) -> None:
+        self.key = key
+        self.started = started
+        self.backends = backends
+        self.cancel_on_win = cancel_on_win
+        self.record = record
+        self.future = future
+        count = len(backends)
+        #: Per copy: the running copy's handle, else ``None``.
+        self.copies: Optional[List[Optional[CopyHandle]]] = [None] * count
+        #: Per copy: the parked hedge's timer, else ``None``.
+        self.timers: Optional[List[Optional[asyncio.TimerHandle]]] = [None] * count
+        #: ``(copy, service)`` of each copy finished before the settle step.
+        self.finished: Optional[List[Tuple[int, float]]] = []
+        #: Copies neither finished nor failed (parked hedges included).
+        self.unresolved = count

@@ -15,6 +15,7 @@ import pytest
 from repro.core.policy import HedgeOnPercentile, parse_policy
 from repro.distributions import Deterministic, Exponential
 from repro.serve import (
+    Backend,
     BackendError,
     LoadGenConfig,
     RedundancyProxy,
@@ -245,7 +246,36 @@ class TestHotSwap:
 # Failure handling
 # ---------------------------------------------------------------------------
 
+class RefusingBackend(Backend):
+    """A backend whose connection is always refused."""
+
+    @property
+    def failed(self):
+        return False
+
+    async def handle(self, key):
+        raise ConnectionRefusedError(f"backend {self.index} refused {key}")
+
+
 class TestBackendFailure:
+    def test_any_exception_a_copy_raises_is_a_failed_copy(self):
+        clock = VirtualClock()
+        pool = [RefusingBackend(0), SimBackend(1, clock, seed=0)]
+        proxy = RedundancyProxy(pool, clock, policy="k2")
+        latency = clock.run(proxy.request(0))
+        assert latency > 0
+        assert proxy.failed_copies == 1
+        assert proxy.failed_requests == 0
+
+    def test_request_fails_when_every_copy_refuses(self):
+        clock = VirtualClock()
+        pool = [RefusingBackend(0), RefusingBackend(1)]
+        proxy = RedundancyProxy(pool, clock, policy="k2")
+        with pytest.raises(BackendError):
+            clock.run(proxy.request(0))
+        assert proxy.failed_copies == 2
+        assert proxy.failed_requests == 1
+
     def test_k2_survives_a_dead_primary(self):
         clock, proxy = make_stack("k2", backends=4, seed=0)
         proxy.backends[0].set_failed()
