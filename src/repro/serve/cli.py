@@ -199,22 +199,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
         # simulated queueing, so saturation cannot confound throughput.
         pool = _sim_pool(args.backends, clock, args.seed, 0.001, queueing=False)
         proxy = RedundancyProxy(pool, clock, policy=spec)
-        if fast:
-            # An offered rate far beyond any achievable throughput turns the
-            # open-loop generator into a saturation test: every arrival is
-            # already due, so the issue loop never sleeps.
-            requests = args.requests
-            config = LoadGenConfig(
-                rate=1e9, num_requests=requests, seed=args.seed, resolution=0.05
-            )
-        else:
-            # Racing policies spend one task per copy; an unbounded offered
-            # rate would just pile up in-flight tasks and measure event-loop
-            # collapse, not capacity.  Offer a rate near capacity instead.
-            requests = min(args.requests, 8_000)
-            config = LoadGenConfig(
-                rate=8_000.0, num_requests=requests, seed=args.seed, resolution=0.001
-            )
+        # An offered rate far beyond any achievable throughput turns the
+        # open-loop generator into a saturation test: every arrival is
+        # already due, so the issue loop never sleeps.  Race rows keep every
+        # request in flight at once, so they are capped at 8,000 requests.
+        requests = args.requests if fast else min(args.requests, 8_000)
+        config = LoadGenConfig(
+            rate=1e9, num_requests=requests, seed=args.seed, resolution=0.05
+        )
         started = wall.now()
         asyncio.run(run_load(proxy, clock, config))
         elapsed = wall.now() - started
