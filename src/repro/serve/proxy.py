@@ -411,6 +411,8 @@ class RedundancyProxy:
                 race.key, functools.partial(self._copy_done, race, copy)
             )
         except Exception:
+            # Whatever a backend raises when refusing a copy, the copy
+            # failed; the race goes on with the others.
             self._copy_done(race, copy, None)
 
     def _copy_done(self, race: "_Race", copy: int, service: Optional[float]) -> None:

@@ -5,6 +5,7 @@ executes on a :class:`VirtualClock`, so runs are seeded and byte-reproducible
 — the property the determinism tests pin with exact JSON equality.
 """
 
+import asyncio
 import dataclasses
 import gc
 import json
@@ -41,6 +42,30 @@ def run_report(policy, *, rate=2000.0, requests=800, seed=0, backends=4, swaps=(
         rate=rate, num_requests=requests, seed=seed, swaps=swaps
     )
     return clock.run(run_load(proxy, clock, config))
+
+
+class SleepingBackend(Backend):
+    """A backend that serves each copy by sleeping on the clock in ``handle``."""
+
+    def __init__(self, index, clock, service_s):
+        super().__init__(index)
+        self._clock = clock
+        self._service_s = service_s
+        self.cancelled = 0
+
+    @property
+    def failed(self):
+        return False
+
+    async def handle(self, key):
+        try:
+            await self._clock.sleep(self._service_s)
+        except asyncio.CancelledError:
+            self.cancelled += 1
+            raise
+        self.completed += 1
+        self.consumed_s += self._service_s
+        return self._service_s
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +196,32 @@ class TestHedging:
                 gc.enable()
 
         assert unreachable_after(400) == unreachable_after(4000)
+
+    @pytest.mark.parametrize("policy", ["hedge:5ms", "hedge:5ms:nocancel"])
+    def test_task_backed_losers_are_cancelled_or_drained(self, policy):
+        """Backends without synchronous reservations race through a task
+        per copy; the loser's task is cancelled, or drained as a stray."""
+        clock = VirtualClock()
+        slow = SleepingBackend(0, clock, 0.100)
+        fast = SleepingBackend(1, clock, 0.001)
+        proxy = RedundancyProxy([slow, fast], clock, policy=policy)
+        key = next(k for k in range(100) if proxy.ring.primary_for(k) == 0)
+
+        async def main():
+            latency = await proxy.request(key)
+            await proxy.drain()
+            await asyncio.sleep(0)
+            return latency
+
+        assert clock.run(main()) == pytest.approx(0.006)
+        assert proxy.hedges_fired == 1
+        if policy == "hedge:5ms":
+            assert proxy.copies_cancelled == 1
+            assert (slow.cancelled, slow.completed) == (1, 0)
+        else:
+            assert proxy.copies_cancelled == 0
+            assert (slow.cancelled, slow.completed) == (0, 1)
+            assert clock.now() == pytest.approx(0.100)
 
     def test_hedge_p95_adapts_as_recorder_warms_up(self):
         policy = parse_policy("hedge:p95")
