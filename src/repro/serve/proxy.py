@@ -446,8 +446,8 @@ class RedundancyProxy:
         waits for.
         """
         copies, timers, finished = race.copies, race.timers, race.finished
-        # Dropping the race's links to its copies and timers breaks every
-        # reference cycle through their callbacks.
+        # ``None`` marks the race settled, and dropping its links to copies
+        # and timers leaves no cycle through a stray's ``done`` callback.
         race.copies = race.timers = race.finished = None
         for timer in timers:
             if timer is not None:
