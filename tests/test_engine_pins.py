@@ -1,4 +1,4 @@
-"""Byte pins on every offline run that goes through the hedged FIFO engine.
+"""Byte pins on the hedged FIFO engine's runs and every substrate's golden.
 
 The database, memcached, queueing and pipeline substrates run their hedged
 work through the FIFO hedging engines of :mod:`repro.core`
@@ -16,11 +16,15 @@ the ledger digests see those runs; this module pins them directly:
   whose cache sizes and warm-up shapes the ``base`` pins do not reach;
 * the queueing model's ``run_event_driven`` under eager, cancelling and
   nocancel policies;
-* the checked-in golden artifacts of the engine's scenario consumers
-  (``tests/data/golden-*.json``), which CI also re-derives through the CLI.
+* the checked-in golden artifacts (``tests/data/golden-*.json``), which CI
+  also re-derives through the CLI.  They cover the engine's scenario
+  consumers, and also the substrates that never reach the engine: the eager
+  database sweep on batched draws (``database-ec2``), the fat-tree packet
+  simulator (``standard-fattree-policy``) and the WAN DNS and handshake
+  models (``paper-dns-hedged``, ``standard-handshake-hedging``).
 
 The values are literals, not re-derived from a reference, so any change to
-those engines that moves a single byte fails here.
+these runs that moves a single byte fails here.
 """
 
 import hashlib
@@ -126,6 +130,14 @@ GOLDENS = {
     "standard-memcached-hedging": {"num_requests": 2_000},
     "standard-db-rebalance": {"num_requests": 600, "num_files": 4_000},
     "standard-pipeline-dag": {"num_jobs": 12},
+    "database-ec2": {"num_requests": 2_000, "num_files": 4_000},
+    "standard-fattree-policy": {"num_flows": 60},
+    "paper-dns-hedged": {
+        "num_vantage_points": 4,
+        "stage1_queries": 100,
+        "stage2_queries": 400,
+    },
+    "standard-handshake-hedging": {"num_samples": 5_000},
 }
 
 
