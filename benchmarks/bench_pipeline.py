@@ -19,6 +19,7 @@ from repro.pipeline import (
     PipelineConfig,
     PipelineExperiment,
     StageSpec,
+    StragglerMitigator,
     WorkerPool,
 )
 
@@ -28,11 +29,11 @@ POOL = WorkerPool(num_workers=16, seconds_per_unit=0.02, straggler_alpha=1.2)
 JOB = JobSpec(total_work=100.0, stages=(StageSpec(num_chunks=64, size_alpha=1.6),))
 
 
-def _run(policy, path=None):
+def _run(policy):
     config = PipelineConfig(
         job=JOB, pool=POOL, policy=policy, num_jobs=NUM_JOBS, seed=11
     )
-    return PipelineExperiment(config).run(path=path)
+    return PipelineExperiment(config).run()
 
 
 def test_pipeline_straggler_frontier(benchmark):
@@ -76,16 +77,21 @@ def test_pipeline_straggler_frontier(benchmark):
     )
 
 
-def test_pipeline_event_vs_fast_paths(benchmark):
+def test_pipeline_event_vs_fast_paths(benchmark, monkeypatch):
     def compute():
-        return {
-            path: _run("k2", path=path) for path in ("event", "fast")
-        }
+        fast = _run("k2")
+        # An eligible plan reaches the event engine only when eligibility is
+        # patched away; the experiment itself always prefers the fast path.
+        monkeypatch.setattr(
+            StragglerMitigator, "fastpath_eligible", lambda self, pool: False
+        )
+        return {"event": _run("k2"), "fast": fast}
 
     results = run_once(benchmark, compute)
     event, fast = results["event"], results["fast"]
+    assert (event.path, fast.path) == ("event", "fast")
     # The closed-form path must be bit-for-bit identical to the event engine
-    # (the CI pipeline smoke pins the same property at the artifact level).
+    # (tests/test_pipeline.py::TestPathEquivalence pins the same property).
     np.testing.assert_array_equal(event.job_completion_s, fast.job_completion_s)
     assert event.wasted_work_s == fast.wasted_work_s
     assert event.metrics == fast.metrics

@@ -1,19 +1,18 @@
-"""Points/sec of the vectorised fast paths vs the legacy event-loop paths.
+"""Points/sec of the flow-level fat-tree fidelity vs the packet simulator.
 
-The fast paths (pre-drawn numpy batches in the database/memcached substrates,
-the flow-level fat-tree fidelity, the calendar event queue) exist purely for
-sweep throughput — the batched draw paths are byte-identical to the legacy
-loops and the flow fidelity is a documented approximation with its own
-scenario.  This benchmark measures the claim directly: points/sec on
-scaled-down twins of the two slowest paper scenarios (``paper-database-ec2``
-and ``paper-fattree-k6``), before vs after, and writes the measured
-trajectory to ``BENCH_sim_speed.json`` next to this file.
+The flow-level fidelity is a documented approximation with its own scenario
+(``paper-fattree-k6-flow``) that exists for sweep throughput.  This benchmark
+measures the claim directly: points/sec on a scaled-down twin of
+``paper-fattree-k6`` under both fidelities, and writes the measurement to
+``BENCH_sim_speed.json`` next to this file.  Both fidelities are real
+scenarios, so the ratio compares two things a user can run.
 
 The committed ``BENCH_sim_speed.json`` additionally records the one-off
 paper-scale measurements behind the EXPERIMENTS.md "Making sweeps fast"
-table; re-running this module refreshes the ``bench_scale`` block only
-(paper-scale numbers are reproduced with the commands shown in
-EXPERIMENTS.md).
+table, the database row included; re-running this module refreshes the
+``bench_scale`` block only (paper-scale numbers are reproduced with the
+commands shown in EXPERIMENTS.md).  The batched database draws are measured
+live by the ledger's ``sweep-eager`` workload (``benchmarks/ledger/``).
 
 Run with pytest (timings also land in the pytest-benchmark report) or
 directly: ``PYTHONPATH=src python benchmarks/bench_sim_speed.py``.
@@ -30,47 +29,28 @@ from repro.experiments.runner import SweepRunner
 
 ARTIFACT_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_sim_speed.json")
 
-#: Scaled-down sweep sizes: same grids as the paper scenarios, smaller
-#: workloads, so the before/after ratio is measurable in suite time.
-DATABASE_OVERRIDES = {"num_requests": 4_000, "num_files": 8_000}
+#: Scaled-down sweep size: the paper scenario's grid with a smaller
+#: workload, so the ratio is measurable in suite time.
 FATTREE_OVERRIDES = {"num_flows": 400}
 
-#: Conservative floors for the measured speedups at bench scale (the full
-#: paper-scale ratios are larger; see EXPERIMENTS.md).  Loose enough for CI
-#: jitter, tight enough that losing a fast path fails the bench.
-MIN_DATABASE_SPEEDUP = 3.0
+#: Conservative floor for the measured speedup at bench scale (the full
+#: paper-scale ratio is larger; see EXPERIMENTS.md).  Loose enough for CI
+#: jitter, tight enough that losing the flow fidelity's speed fails the bench.
 MIN_FATTREE_SPEEDUP = 4.0
 
 
-def _points_per_sec(scenario_name, overrides, env=None):
+def _points_per_sec(scenario_name, overrides):
     """Run a sweep once and return (points, elapsed_s, points_per_sec)."""
     scenario = get_scenario(scenario_name)
-    saved = {}
-    for key, value in (env or {}).items():
-        saved[key] = os.environ.get(key)
-        os.environ[key] = value
-    try:
-        started = time.perf_counter()
-        result = SweepRunner(workers=1).run(scenario, overrides=overrides)
-        elapsed = time.perf_counter() - started
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+    started = time.perf_counter()
+    result = SweepRunner(workers=1).run(scenario, overrides=overrides)
+    elapsed = time.perf_counter() - started
     points = len(result.points)
     return points, elapsed, points / elapsed
 
 
 def measure():
-    """Measure all before/after pairs; returns the bench_scale record."""
-    db_pts, db_legacy_s, db_legacy_rate = _points_per_sec(
-        "paper-database-ec2", DATABASE_OVERRIDES, env={"REPRO_DRAWS": "legacy"}
-    )
-    _, db_fast_s, db_fast_rate = _points_per_sec(
-        "paper-database-ec2", DATABASE_OVERRIDES, env={"REPRO_DRAWS": "batched"}
-    )
+    """Measure the packet/flow pair; returns the bench_scale record."""
     ft_pts, ft_packet_s, ft_packet_rate = _points_per_sec(
         "paper-fattree-k6", FATTREE_OVERRIDES
     )
@@ -78,15 +58,6 @@ def measure():
         "paper-fattree-k6-flow", FATTREE_OVERRIDES
     )
     return {
-        "database_ec2": {
-            "overrides": DATABASE_OVERRIDES,
-            "points": db_pts,
-            "legacy_s": round(db_legacy_s, 3),
-            "batched_s": round(db_fast_s, 3),
-            "legacy_points_per_sec": round(db_legacy_rate, 3),
-            "batched_points_per_sec": round(db_fast_rate, 3),
-            "speedup": round(db_legacy_rate and db_fast_rate / db_legacy_rate, 2),
-        },
         "fattree_k6": {
             "overrides": FATTREE_OVERRIDES,
             "points": ft_pts,
@@ -117,11 +88,6 @@ def speed_record():
     bench_scale = measure()
     write_artifact(bench_scale)
     return bench_scale
-
-
-def test_database_batched_draws_speedup(speed_record):
-    entry = speed_record["database_ec2"]
-    assert entry["speedup"] >= MIN_DATABASE_SPEEDUP, entry
 
 
 def test_fattree_flow_fidelity_speedup(speed_record):

@@ -36,7 +36,6 @@ import numpy as np
 
 from repro.cluster.consistent_hash import ConsistentHashRing
 from repro.exceptions import ConfigurationError
-from repro.flags import CHURN_PLACEMENT
 
 __all__ = [
     "MembershipEvent",
@@ -45,15 +44,9 @@ __all__ = [
     "canonical_churn_spec",
     "plan_migrations",
     "spike_metrics",
-    "resolve_churn_placement",
 ]
 
 _ACTIONS = ("add", "remove", "crash")
-
-
-def resolve_churn_placement(explicit: Optional[str] = None) -> str:
-    """The effective ``REPRO_CHURN_PLACEMENT`` value (``epoch`` or ``scalar``)."""
-    return CHURN_PLACEMENT.read(explicit)
 
 
 @dataclass(frozen=True)

@@ -32,15 +32,10 @@ from repro.cluster.churn import (
     ChurnTimeline,
     migration_schedule,
     parse_churn,
-    resolve_churn_placement,
     spike_metrics,
 )
 from repro.cluster.consistent_hash import ConsistentHashRing
-from repro.cluster.draws import (
-    exact_disk_services,
-    resolve_draws_mode,
-    sequential_finish_times,
-)
+from repro.cluster.draws import exact_disk_services, sequential_finish_times
 from repro.cluster.lru_kernel import equal_item_capacity, lru_hit_flags
 from repro.core.cancellation import simulate_cancelling_arrivals
 from repro.core.policy import PolicyLike, resolve_run_policy, run_policy_spec
@@ -284,19 +279,13 @@ class DatabaseClusterExperiment:
         """Primary server of every file, via the consistent-hash ring.
 
         The placement depends only on the ring geometry and the file count, so
-        the batched mode memoises it at module level.  A sweep re-creates the
-        experiment per point; the ring's shared id-hash table already spares
-        re-hashing the file ids, but the ring search over them still costs
-        about 2.4 ms per point at 30k files on a 2-vCPU VM, and dropping the
-        memo cut ``paper-database-ec2`` sweep throughput by about 6%.
-        Legacy mode recomputes it with the original per-file loop.
+        it is memoised at module level.  A sweep re-creates the experiment per
+        point; the ring's shared id-hash table already spares re-hashing the
+        file ids, but the ring search over them still costs about 2.4 ms per
+        point at 30k files on a 2-vCPU VM, and dropping the memo cut
+        ``paper-database-ec2`` sweep throughput by about 6%.
         """
         config = self.config
-        if resolve_draws_mode() == "legacy":
-            primaries = np.empty(config.num_files, dtype=np.int64)
-            for file_id in range(config.num_files):
-                primaries[file_id] = self._ring.primary_for(file_id)
-            return primaries
         key = (config.num_servers, self._ring.virtual_nodes, config.num_files)
         cached = _PRIMARIES_CACHE.get(key)
         if cached is None:
@@ -371,7 +360,6 @@ class DatabaseClusterExperiment:
         num_requests: int = 40_000,
         warmup_fraction: float = 0.2,
         policy: Optional[PolicyLike] = None,
-        draws: Optional[str] = None,
         churn: Optional[Union[str, ChurnTimeline]] = None,
         migration_rate: float = 50.0,
     ) -> DatabaseRunResult:
@@ -389,17 +377,12 @@ class DatabaseClusterExperiment:
             policy: A :class:`~repro.core.policy.ReplicationPolicy` or spec
                 string (``"none"``, ``"k2"``, ``"hedge:10ms"``,
                 ``"hedge:p95"``).  Eager policies route through the original
-                ``copies`` code path byte-for-byte; hedging policies defer
-                the secondary read and suppress it when the primary answered
+                ``copies`` code path byte-for-byte, with their randomness
+                pre-drawn in batches per server; hedging policies defer the
+                secondary read and suppress it when the primary answered
                 first, charging client overhead only for responses actually
-                processed.
-            draws: ``"batched"`` (vectorised pre-drawn randomness, the
-                default) or ``"legacy"`` (the original per-request scalar
-                draws); ``None`` consults the ``REPRO_DRAWS`` environment
-                variable.  Both modes produce byte-identical results — the
-                batched mode consumes the same substreams in the same order.
-                Hedged policies always use the scalar path (backup launches
-                depend on earlier completions).
+                processed, and draw per request (backup launches depend on
+                earlier completions).
             churn: A membership-event timeline — a
                 :class:`~repro.cluster.churn.ChurnTimeline` or spec string
                 like ``"remove:2@0.4"`` (times are fractions of the arrival
@@ -457,42 +440,17 @@ class DatabaseClusterExperiment:
         primaries = self._primaries[file_ids]
 
         run_seed = (k, hash(round(load, 6)) & 0xFFFF)
-        overhead_unit = config.client_overhead_per_extra_copy()
-        num_servers = config.num_servers
-        mode = resolve_draws_mode(draws)
         total_cancelled: Optional[int] = None
-        if hedged is None and mode == "batched":
-            overhead = overhead_unit * (k - 1)
+        if hedged is None:
             best, hits, misses = self._eager_batched(
                 k, arrival_times, file_ids, sizes, primaries, run_seed
             )
-            response = best + overhead
+            response = best + config.client_overhead_per_extra_copy() * (k - 1)
             total_launched = num_requests * k
-        elif hedged is None:
-            servers = self._build_servers(run_seed=run_seed)
-            self._warm_caches(servers, k)
-            overhead = overhead_unit * (k - 1)
-            response = np.empty(num_requests)
-            for i in range(num_requests):
-                arrival = arrival_times[i]
-                file_id = int(file_ids[i])
-                size = float(sizes[i])
-                best = np.inf
-                primary = int(primaries[i])
-                for offset in range(k):
-                    server = servers[(primary + offset) % num_servers]
-                    completion, _hit = server.serve(arrival, file_id, size)
-                    elapsed = completion - arrival
-                    if elapsed < best:
-                        best = elapsed
-                response[i] = best + overhead
-            total_launched = num_requests * k
-            hits = sum(s.cache.hits for s in servers)
-            misses = sum(s.cache.misses for s in servers)
         else:
             servers = self._build_servers(run_seed=run_seed)
             self._warm_caches(servers, k)
-            replicas = (primaries[:, None] + np.arange(k)) % num_servers
+            replicas = (primaries[:, None] + np.arange(k)) % config.num_servers
             response, total_launched, total_cancelled = self._run_hedged(
                 hedged, k, arrival_times, file_ids, sizes, replicas, servers
             )
@@ -545,7 +503,6 @@ class DatabaseClusterExperiment:
         worker count.
         """
         config = self.config
-        placement = resolve_churn_placement()
         rings = timeline.epoch_rings(config.num_servers, self._ring.virtual_nodes)
         min_live = min(ring.num_servers for ring in rings)
         if k > min_live:
@@ -566,14 +523,10 @@ class DatabaseClusterExperiment:
         event_times = timeline.event_times(horizon)
         epoch_of = np.searchsorted(event_times, arrival_times, side="right")
         replica_lists = np.empty((num_requests, k), dtype=np.int64)
-        if placement == "epoch":
-            for epoch, ring in enumerate(rings):
-                pos = np.flatnonzero(epoch_of == epoch)
-                if pos.size:
-                    replica_lists[pos] = ring.replica_table(file_ids[pos].tolist(), k)
-        else:
-            for i in range(num_requests):
-                replica_lists[i] = rings[epoch_of[i]].replicas_for(int(file_ids[i]), k)
+        for epoch, ring in enumerate(rings):
+            pos = np.flatnonzero(epoch_of == epoch)
+            if pos.size:
+                replica_lists[pos] = ring.replica_table(file_ids[pos].tolist(), k)
 
         run_seed = (k, hash(round(load, 6)) & 0xFFFF)
         servers_by_id: Dict[int, StorageServerModel] = {}
@@ -734,12 +687,13 @@ class DatabaseClusterExperiment:
     ) -> Tuple[np.ndarray, int, int]:
         """Vectorised eager-replication run, byte-identical to the scalar loop.
 
-        The scalar loop serves copies in global ``(request, copy)`` order, but
-        each access touches exactly one server, and servers share no state —
-        the cache, the FIFO disk queue, and the service-time rng are all per
-        server.  Grouping accesses by server therefore preserves every
-        per-server stream exactly, which lets each server be processed with
-        three batched kernels:
+        The scalar loop (``reference_database_eager`` in
+        ``tests/test_fast_paths.py``) serves copies in global ``(request,
+        copy)`` order, but each access touches exactly one server, and servers
+        share no state — the cache, the FIFO disk queue, and the service-time
+        rng are all per server.  Grouping accesses by server therefore
+        preserves every per-server stream exactly, which lets each server be
+        processed with three batched kernels:
 
         * cache warming plus hit/miss classification via
           :func:`~repro.cluster.lru_kernel.lru_hit_flags` (warm inserts are

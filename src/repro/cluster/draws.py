@@ -25,47 +25,20 @@ pre-drawn block plus probe-based accounting:
 4. Continue scanning the same block at the shifted offset.
 
 A final ``advance`` leaves the generator exactly where the scalar path would
-have left it, which is what makes the batched and legacy modes interchangeable
-mid-sweep.
+have left it, so a batched stream can be continued with scalar draws.
 
-Mode selection: the ``REPRO_DRAWS`` environment variable (or an explicit
-``draws=`` argument to the experiment ``run`` methods) picks ``"batched"``
-(default) or ``"legacy"``.  Legacy mode reproduces the pre-batching code path
-end-to-end — per-request scalar draws and per-point placement computation — so
-CI can ``cmp`` artifacts across both modes and benchmarks measure an honest
-before/after.
+Eager database and memcached runs always take these batched paths.  The
+per-request scalar loops they replaced live on in ``tests/test_fast_paths.py``
+as references that those runs are checked against bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from repro import flags
 from repro.cluster import _ckernels
-from repro.exceptions import ConfigurationError
-
-DRAWS_ENV_VAR = flags.DRAWS.name
-"""Environment variable selecting the draw path (``batched`` or ``legacy``).
-
-Declared (with its choices and default) in :mod:`repro.flags`.
-"""
 
 _TWO128 = 1 << 128
-
-
-def resolve_draws_mode(explicit: Optional[str] = None) -> str:
-    """Resolve the draw mode from an explicit argument or ``REPRO_DRAWS``.
-
-    Args:
-        explicit: ``"batched"``, ``"legacy"``, or ``None`` to consult the
-            environment (defaulting to ``"batched"``).
-
-    Raises:
-        ConfigurationError: On an unrecognised mode name.
-    """
-    return flags.DRAWS.read(explicit)
 
 
 class StreamAccountingError(RuntimeError):

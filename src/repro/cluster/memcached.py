@@ -27,10 +27,9 @@ from repro.cluster.churn import (
     ChurnTimeline,
     migration_schedule,
     parse_churn,
-    resolve_churn_placement,
     spike_metrics,
 )
-from repro.cluster.draws import resolve_draws_mode, sequential_finish_times
+from repro.cluster.draws import sequential_finish_times
 from repro.core.cancellation import simulate_cancelling_arrivals
 from repro.core.policy import PolicyDriver, PolicyLike, resolve_run_policy, run_policy_spec
 from repro.exceptions import CapacityError, ConfigurationError
@@ -175,7 +174,6 @@ class MemcachedExperiment:
         num_requests: int = 50_000,
         warmup_fraction: float = 0.1,
         policy: Optional[PolicyLike] = None,
-        draws: Optional[str] = None,
         churn: Optional[Union[str, ChurnTimeline]] = None,
         migration_rate: float = 2000.0,
         num_keys: int = 20_000,
@@ -199,11 +197,6 @@ class MemcachedExperiment:
                 so hedged backups are almost always suppressed and the run
                 isolates how little of the stub overhead a hedging client
                 would actually pay.
-            draws: ``"batched"`` (per-server vectorised queueing, default) or
-                ``"legacy"`` (the original per-request loop); ``None``
-                consults ``REPRO_DRAWS``.  Both are byte-identical.  Stub and
-                hedged runs are unaffected (the stub path is already
-                vectorised; hedged launches depend on earlier completions).
             churn: A membership-event timeline — a
                 :class:`~repro.cluster.churn.ChurnTimeline` or spec string
                 like ``"crash:1@0.4"`` (times are fractions of the arrival
@@ -290,38 +283,21 @@ class MemcachedExperiment:
                 num_requests, k
             )
             placements = self._choose_servers(placement_rng, num_requests, k)
-            if resolve_draws_mode(draws) == "batched":
-                # Copies are served in flat (request, copy) order and each
-                # touches exactly one server's FIFO queue, so the per-server
-                # busy-period recursion over the grouped accesses reproduces
-                # the scalar loop bit-for-bit.
-                srv_flat = placements.ravel()
-                svc_flat = service_times.ravel()
-                arr_flat = np.repeat(arrival_times, k)
-                finish_flat = np.empty(num_requests * k)
-                for server in range(config.num_servers):
-                    pos = np.flatnonzero(srv_flat == server)
-                    if pos.size:
-                        finish_flat[pos] = sequential_finish_times(
-                            arr_flat[pos], svc_flat[pos]
-                        )
-                elapsed = finish_flat.reshape(num_requests, k) - arrival_times[:, None]
-                response = elapsed.min(axis=1) + client_time
-            else:
-                free_at = np.zeros(config.num_servers)
-                response = np.empty(num_requests)
-                for i in range(num_requests):
-                    arrival = arrival_times[i]
-                    best = np.inf
-                    for j in range(k):
-                        server = placements[i, j]
-                        start = free_at[server] if free_at[server] > arrival else arrival
-                        finish = start + service_times[i, j]
-                        free_at[server] = finish
-                        elapsed = finish - arrival
-                        if elapsed < best:
-                            best = elapsed
-                    response[i] = best + client_time
+            # Copies are served in flat (request, copy) order and each
+            # touches exactly one server's FIFO queue, so the per-server
+            # busy-period recursion over the grouped accesses reproduces the
+            # per-request loop (``reference_memcached_eager`` in
+            # ``tests/test_fast_paths.py``) bit for bit.
+            srv_flat = placements.ravel()
+            svc_flat = service_times.ravel()
+            arr_flat = np.repeat(arrival_times, k)
+            finish_flat = np.empty(num_requests * k)
+            for server in range(config.num_servers):
+                pos = np.flatnonzero(srv_flat == server)
+                if pos.size:
+                    finish_flat[pos] = sequential_finish_times(arr_flat[pos], svc_flat[pos])
+            elapsed = finish_flat.reshape(num_requests, k) - arrival_times[:, None]
+            response = elapsed.min(axis=1) + client_time
             total_launched = num_requests * k
         else:
             service_times = self._sample_service(service_rng, num_requests * k).reshape(
@@ -375,7 +351,6 @@ class MemcachedExperiment:
         drain), so crash-at-t is byte-identical to remove-at-t.
         """
         config = self.config
-        placement = resolve_churn_placement()
         rings = timeline.epoch_rings(config.num_servers)
         min_live = min(ring.num_servers for ring in rings)
         if k > min_live:
@@ -407,14 +382,10 @@ class MemcachedExperiment:
         event_times = timeline.event_times(horizon)
         epoch_of = np.searchsorted(event_times, arrival_times, side="right")
         replica_lists = np.empty((num_requests, k), dtype=np.int64)
-        if placement == "epoch":
-            for epoch, ring in enumerate(rings):
-                pos = np.flatnonzero(epoch_of == epoch)
-                if pos.size:
-                    replica_lists[pos] = ring.replica_table(key_ids[pos].tolist(), k)
-        else:
-            for i in range(num_requests):
-                replica_lists[i] = rings[epoch_of[i]].replicas_for(int(key_ids[i]), k)
+        for epoch, ring in enumerate(rings):
+            pos = np.flatnonzero(epoch_of == epoch)
+            if pos.size:
+                replica_lists[pos] = ring.replica_table(key_ids[pos].tolist(), k)
 
         mig_times, mig_servers, mig_keys = migration_schedule(
             rings, event_times, num_keys, migration_rate, horizon

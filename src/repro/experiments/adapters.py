@@ -626,8 +626,8 @@ def run_pipeline(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         scalars[f"stage{stage_index}_makespan_mean_s"] = float(
             np.mean(result.stage_makespan_s[:, stage_index])
         )
-    # result.path (event vs fast) is deliberately NOT reported: artifacts
-    # must be byte-identical across REPRO_PIPELINE_PATH (CI cmps them).
+    # result.path (event vs fast) is deliberately NOT reported: the two
+    # paths give bit-identical results, so artifacts must not tell them apart.
     return {
         "summary": result.summary().as_row(),
         "metrics": result.metrics,

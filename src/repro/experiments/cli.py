@@ -675,7 +675,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # A typo'd REPRO_* variable (say REPRO_DRAW=legacy) would silently
+        # A typo'd REPRO_* variable (say REPRO_CKERNEL=0) would silently
         # run the default code path of a long sweep; fail before any work.
         reject_unknown_flags()
         return args.func(args)

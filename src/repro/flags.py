@@ -5,7 +5,7 @@ default, a closed set of accepted values and a docstring — and every read
 goes through the declaring :class:`Flag`'s :meth:`Flag.read`.  Two failure
 modes this kills:
 
-* **Typo'd flag names.**  ``REPRO_DRAW=legacy`` used to be silently ignored
+* **Typo'd flag names.**  ``REPRO_CKERNEL=0`` used to be silently ignored
   (the read site only knew its own spelling); :func:`reject_unknown_flags`
   — called by the CLIs on startup — now fails fast on any ``REPRO_*``
   variable that no flag declares.
@@ -53,23 +53,17 @@ class Flag:
     choices: Tuple[str, ...]
     help: str = field(repr=False)
 
-    def read(self, explicit: Optional[str] = None) -> str:
-        """The flag's effective value, validated against ``choices``.
-
-        Args:
-            explicit: A caller-supplied override (e.g. a ``draws=`` function
-                argument); ``None`` consults the environment, falling back to
-                ``default`` when the variable is unset.
+    def read(self) -> str:
+        """The flag's environment value, or ``default`` when it is unset.
 
         Raises:
-            ConfigurationError: If the resolved value is not one of the
-                declared ``choices``.
+            ConfigurationError: If the value is not one of the declared
+                ``choices``.
         """
-        value = explicit if explicit is not None else os.environ.get(self.name, self.default)
+        value = os.environ.get(self.name, self.default)
         if value not in self.choices:
-            source = "explicit value" if explicit is not None else self.name
             raise ConfigurationError(
-                f"{source} must be one of {self.choices}, got {value!r}"
+                f"{self.name} must be one of {self.choices}, got {value!r}"
             )
         return value
 
@@ -104,7 +98,7 @@ def declare(name: str, *, default: str, choices: Tuple[str, ...], help: str) -> 
     return flag
 
 
-def read_flag(name: str, explicit: Optional[str] = None) -> str:
+def read_flag(name: str) -> str:
     """Read a declared flag by name (the typed accessor for dynamic callers).
 
     Raises:
@@ -116,7 +110,7 @@ def read_flag(name: str, explicit: Optional[str] = None) -> str:
         raise ConfigurationError(
             f"unknown flag {name!r}; declared flags: {sorted(REGISTRY)}"
         )
-    return flag.read(explicit)
+    return flag.read()
 
 
 def unknown_flags(environ: Optional[Mapping[str, str]] = None) -> List[str]:
@@ -135,7 +129,7 @@ def reject_unknown_flags(environ: Optional[Mapping[str, str]] = None) -> None:
     """Fail fast on typo'd ``REPRO_*`` variables.
 
     The experiments and lint CLIs call this on startup so a misspelled flag
-    (``REPRO_DRAW=legacy``) aborts the run instead of silently running the
+    (``REPRO_CKERNEL=0``) aborts the run instead of silently running the
     default code path.
 
     Raises:
@@ -153,19 +147,6 @@ def reject_unknown_flags(environ: Optional[Mapping[str, str]] = None) -> None:
 # Declarations — the single source of truth for every REPRO_* flag.
 # --------------------------------------------------------------------------- #
 
-DRAWS = declare(
-    "REPRO_DRAWS",
-    default="batched",
-    choices=("batched", "legacy"),
-    help=(
-        "Random-draw path of the cluster substrates (database, memcached): "
-        "'batched' pre-draws the per-request streams as numpy blocks consumed "
-        "in the identical substream order; 'legacy' reproduces the original "
-        "per-request scalar draws end-to-end.  Artifacts are byte-identical "
-        "across both (CI cmps them); consumed by repro.cluster.draws."
-    ),
-)
-
 CKERNELS = declare(
     "REPRO_CKERNELS",
     default="1",
@@ -175,35 +156,6 @@ CKERNELS = declare(
         "LRU ambiguous-access count) may be used: '0' forces the pinned "
         "pure-Python reference loops.  The two paths are bitwise identical; "
         "consumed by repro.cluster._ckernels.load()."
-    ),
-)
-
-PIPELINE_PATH = declare(
-    "REPRO_PIPELINE_PATH",
-    default="auto",
-    choices=("auto", "event", "fast"),
-    help=(
-        "Execution path of the pipeline substrate (repro.pipeline): 'event' "
-        "always runs the cancellable event-driven executor; 'fast' demands "
-        "the closed-form vectorised path (an error for configurations it "
-        "cannot express — hedged policies, cancel-on-win or worker "
-        "failures); 'auto' picks 'fast' when eligible.  The two paths are "
-        "byte-identical (CI cmps them); consumed by "
-        "repro.pipeline.experiment.resolve_pipeline_path."
-    ),
-)
-
-CHURN_PLACEMENT = declare(
-    "REPRO_CHURN_PLACEMENT",
-    default="epoch",
-    choices=("epoch", "scalar"),
-    help=(
-        "Replica-placement path of churn (membership-timeline) runs in the "
-        "cluster substrates: 'epoch' computes each inter-event epoch's "
-        "placements with one vectorised ring.replica_table call; 'scalar' "
-        "reproduces the per-request ring.replicas_for loop.  The two paths "
-        "are byte-identical (CI cmps them); consumed by "
-        "repro.cluster.churn.resolve_churn_placement."
     ),
 )
 

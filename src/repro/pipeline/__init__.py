@@ -18,18 +18,14 @@ The pieces, bottom up:
   policy spec per chunk, with completion-ordered latency feedback.
 * :mod:`repro.pipeline.executor` / :mod:`repro.pipeline.fastpath` — the
   event-driven engine (any policy, failures, cancel-on-win) and the
-  closed-form vectorised path (eager, failure-free), byte-identical and
-  selected by the ``REPRO_PIPELINE_PATH`` flag.
+  closed-form vectorised path (eager, failure-free), byte-identical; a run
+  takes the fast path whenever its plan is eligible.
 * :mod:`repro.pipeline.result` / :mod:`repro.pipeline.experiment` — shared
   accounting (job completion percentiles, per-stage makespans, wasted-work
   fraction) and the run loop tying it together.
 """
 
-from repro.pipeline.experiment import (
-    PipelineConfig,
-    PipelineExperiment,
-    resolve_pipeline_path,
-)
+from repro.pipeline.experiment import PipelineConfig, PipelineExperiment
 from repro.pipeline.job import JobSpec, StageSpec, partition_chunks, stage_workloads
 from repro.pipeline.mitigator import StragglerMitigator
 from repro.pipeline.result import PipelineRunResult, StageOutcome, stage_accounting
@@ -48,5 +44,4 @@ __all__ = [
     "PipelineRunResult",
     "StageOutcome",
     "stage_accounting",
-    "resolve_pipeline_path",
 ]

@@ -6,14 +6,14 @@
 chunk via the :class:`~repro.pipeline.mitigator.StragglerMitigator`, and
 aggregates a :class:`~repro.pipeline.result.PipelineRunResult`.
 
-Execution-path selection lives here: :func:`resolve_pipeline_path` applies
-the ``REPRO_PIPELINE_PATH`` flag (``auto`` / ``event`` / ``fast``) to the
-mitigator's eligibility verdict.  Whatever path runs, every random draw
-comes from ``substream(seed, "pipeline", purpose, job, stage)`` — sizes,
-placement and service streams per (job, stage) — and all reductions go
-through the shared accounting in :mod:`repro.pipeline.result`, so the two
-paths produce bit-identical results and artifacts are pure functions of the
-configuration.
+Execution-path selection lives here: a run takes the closed-form fast path
+when the mitigator judges it eligible (eager, non-cancelling policies on a
+pool whose workers cannot fail) and the event engine otherwise.  Whatever
+path runs, every random draw comes from ``substream(seed, "pipeline",
+purpose, job, stage)`` — sizes, placement and service streams per (job,
+stage) — and all reductions go through the shared accounting in
+:mod:`repro.pipeline.result`, so the two paths produce bit-identical results
+and artifacts are pure functions of the configuration.
 
 Modelling notes (deliberate simplifications, shared by both paths):
 
@@ -28,13 +28,11 @@ Modelling notes (deliberate simplifications, shared by both paths):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from repro.core.policy import PolicyLike
 from repro.exceptions import ConfigurationError
-from repro.flags import PIPELINE_PATH
 from repro.metrics import MetricsRegistry
 from repro.pipeline.executor import run_stage_event
 from repro.pipeline.fastpath import run_stage_fast
@@ -44,32 +42,7 @@ from repro.pipeline.result import PipelineRunResult, stage_accounting
 from repro.pipeline.workers import WorkerPool, draw_placements
 from repro.sim.rng import substream
 
-__all__ = ["PipelineConfig", "PipelineExperiment", "resolve_pipeline_path"]
-
-
-def resolve_pipeline_path(eligible: bool, explicit: Optional[str] = None) -> str:
-    """The execution path to run, from the flag and the config's eligibility.
-
-    Args:
-        eligible: Whether the closed-form fast path can express the run
-            (:meth:`StragglerMitigator.fastpath_eligible`).
-        explicit: An explicit mode overriding the ``REPRO_PIPELINE_PATH``
-            environment flag (same choices).
-
-    Raises:
-        ConfigurationError: If ``fast`` is demanded for an ineligible
-            configuration, or the mode is not a declared choice.
-    """
-    mode = PIPELINE_PATH.read(explicit)
-    if mode == "fast" and not eligible:
-        raise ConfigurationError(
-            "REPRO_PIPELINE_PATH=fast demands the closed-form path, but this "
-            "configuration needs the event engine (hedged or cancelling "
-            "policies, or a failing worker pool); use 'auto' or 'event'"
-        )
-    if mode == "auto":
-        return "fast" if eligible else "event"
-    return mode
+__all__ = ["PipelineConfig", "PipelineExperiment"]
 
 
 @dataclass(frozen=True)
@@ -111,16 +84,16 @@ class PipelineExperiment:
                     f"but the pool has only {config.pool.num_workers} worker(s)"
                 )
 
-    def run(self, path: Optional[str] = None) -> PipelineRunResult:
+    def run(self) -> PipelineRunResult:
         """Run every job and aggregate the result.
 
-        Args:
-            path: Explicit execution path (``auto`` / ``event`` / ``fast``)
-                overriding the ``REPRO_PIPELINE_PATH`` environment flag.
+        The closed-form fast path runs the stages when
+        :meth:`StragglerMitigator.fastpath_eligible` allows it; the event
+        engine runs them otherwise.  The result's ``path`` names which ran.
         """
         config = self.config
         job, pool = config.job, config.pool
-        chosen = resolve_pipeline_path(self.mitigator.fastpath_eligible(pool), path)
+        chosen = "fast" if self.mitigator.fastpath_eligible(pool) else "event"
         registry = MetricsRegistry("pipeline")
         num_jobs, num_stages = config.num_jobs, job.num_stages
         job_completion = np.empty(num_jobs)

@@ -9,8 +9,8 @@ whole stage's straggler uniforms in one draw (bit-identical to the event
 path's per-dispatch scalar draws from the same substream) and runs the
 pinned :func:`repro.cluster.draws.sequential_finish_times` recursion per
 worker, so its :class:`~repro.pipeline.result.StageOutcome` matches the
-event executor's bit for bit.  CI holds the two paths to byte-identical
-artifacts under the ``REPRO_PIPELINE_PATH`` flag.
+event executor's bit for bit.  ``tests/test_pipeline.py`` holds the two
+paths to identical results by forcing eligible plans onto the event engine.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ def run_stage_fast(
         sizes: ``(num_chunks,)`` chunk sizes in work units.
         placements: ``(num_chunks, copies)`` worker index per copy.
         pool: The worker pool; ``fail_probability`` must be 0 (the caller
-            guarantees eligibility — see ``resolve_pipeline_path``).
+            guarantees eligibility — see
+            :meth:`~repro.pipeline.mitigator.StragglerMitigator.fastpath_eligible`).
         rng: The stage's service substream; one batched draw replaces the
             event path's per-dispatch scalars.
         start_at: The stage's barrier time; every copy dispatches then.

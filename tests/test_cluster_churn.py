@@ -247,15 +247,20 @@ class TestFaultInjectionDeterminism:
         assert first.spike == second.spike
 
     @pytest.mark.parametrize("churn", ["add:5@0.4", "crash:2@0.4"])
-    def test_placement_flag_never_changes_bytes(self, churn, monkeypatch):
-        """REPRO_CHURN_PLACEMENT=epoch (vectorised per-epoch replica tables)
-        and =scalar (per-request ring lookups) are byte-identical."""
-        monkeypatch.setenv("REPRO_CHURN_PLACEMENT", "epoch")
-        epoch = small_db().run(churn=churn, **DB_RUN)
-        monkeypatch.setenv("REPRO_CHURN_PLACEMENT", "scalar")
-        scalar = small_db().run(churn=churn, **DB_RUN)
-        assert np.array_equal(epoch.response_times, scalar.response_times)
-        assert epoch.spike == scalar.spike
+    def test_replica_table_matches_replicas_for(self, churn):
+        """Churn runs place each epoch's requests with one vectorised
+        ``replica_table`` call; it must name the same replicas, in the same
+        order, as a ``replicas_for`` lookup per key on that epoch's ring."""
+        experiment = small_db()
+        keys = list(range(experiment.config.num_files))
+        rings = parse_churn(churn).epoch_rings(
+            experiment.config.num_servers, experiment._ring.virtual_nodes
+        )
+        assert len(rings) == 2
+        for ring in rings:
+            for copies in (1, 2, 3):
+                stacked = np.array([ring.replicas_for(key, copies) for key in keys])
+                assert np.array_equal(ring.replica_table(keys, copies), stacked)
 
     def test_spike_scalars_present_on_churn_runs(self):
         result = small_db().run(churn="crash:2@0.4", **DB_RUN)

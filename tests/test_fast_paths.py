@@ -29,6 +29,7 @@ from repro.exceptions import ConfigurationError
 from repro.network.fattree_sim import FatTreeExperiment, FatTreeExperimentConfig
 from repro.network.flow_fidelity import uncontended_fct
 from repro.network.tcp import TcpConfig
+from repro.sim.rng import substream
 
 
 def reference_lru_flags(keys, capacity_items):
@@ -365,20 +366,89 @@ class TestCompiledLruKernel:
             assert np.array_equal(with_c, reference_lru_flags(keys, capacity))
 
 
+def reference_database_eager(config, load, copies, num_requests, warmup_fraction=0.2):
+    """The per-request scalar loop the batched eager database path replaced.
+
+    Rebuilds the run's arrivals and file ids from the substreams
+    ``DatabaseClusterExperiment.run`` draws them from, looks up each file's
+    primary on the ring, and serves every copy in ``(request, copy)`` order
+    through the experiment's warmed servers, each drawing its disk service
+    one miss at a time.
+
+    Returns:
+        ``(response_times, cache_hit_ratio)`` with the warm-up removed.
+    """
+    experiment = DatabaseClusterExperiment(config)
+    total_rate = config.num_servers * load / config.expected_service_time(1)
+    arrivals_rng = substream(config.seed, "arrivals", load)
+    arrival_times = np.cumsum(arrivals_rng.exponential(1.0 / total_rate, num_requests))
+    keys_rng = substream(config.seed, "keys", load)
+    file_ids = keys_rng.integers(0, config.num_files, size=num_requests)
+    sizes = experiment._fileset.sizes_bytes[file_ids]
+    servers = experiment._build_servers(run_seed=(copies, hash(round(load, 6)) & 0xFFFF))
+    experiment._warm_caches(servers, copies)
+    overhead = config.client_overhead_per_extra_copy() * (copies - 1)
+    response = np.empty(num_requests)
+    for i in range(num_requests):
+        arrival = arrival_times[i]
+        file_id = int(file_ids[i])
+        primary = experiment._ring.primary_for(file_id)
+        best = np.inf
+        for offset in range(copies):
+            server = servers[(primary + offset) % config.num_servers]
+            completion, _hit = server.serve(arrival, file_id, float(sizes[i]))
+            best = min(best, completion - arrival)
+        response[i] = best + overhead
+    hits = sum(server.cache.hits for server in servers)
+    misses = sum(server.cache.misses for server in servers)
+    return response[int(num_requests * warmup_fraction) :], hits / (hits + misses)
+
+
+def reference_memcached_eager(config, load, copies, num_requests, warmup_fraction=0.1):
+    """The per-request FIFO loop the per-server memcached recursion replaced.
+
+    Rebuilds arrivals, service times and placements from the substreams
+    ``MemcachedExperiment.run`` draws them from, then queues every copy in
+    ``(request, copy)`` order behind its server's previous copy.
+
+    Returns:
+        The response times with the warm-up removed.
+    """
+    experiment = MemcachedExperiment(config)
+    total_rate = config.num_servers * load / config.expected_service_s()
+    arrivals_rng = substream(config.seed, "arrivals", load, copies, False)
+    arrival_times = np.cumsum(arrivals_rng.exponential(1.0 / total_rate, num_requests))
+    service_rng = substream(config.seed, "service", load, copies, False)
+    service_times = experiment._sample_service(service_rng, num_requests * copies)
+    service_times = service_times.reshape(num_requests, copies)
+    placement_rng = substream(config.seed, "placement", load, copies, False)
+    placements = experiment._choose_servers(placement_rng, num_requests, copies)
+    extra_copy_s = config.client_extra_copy_s + config.unmeasured_extra_copy_s
+    client_time = config.client_base_s + extra_copy_s * (copies - 1)
+    free_at = np.zeros(config.num_servers)
+    response = np.empty(num_requests)
+    for i in range(num_requests):
+        arrival = arrival_times[i]
+        best = np.inf
+        for j in range(copies):
+            server = placements[i, j]
+            start = free_at[server] if free_at[server] > arrival else arrival
+            free_at[server] = start + service_times[i, j]
+            best = min(best, free_at[server] - arrival)
+        response[i] = best + client_time
+    return response[int(num_requests * warmup_fraction) :]
+
+
 class TestBatchedDrawsByteIdentity:
-    """End-to-end: batched vs legacy modes produce identical artifacts."""
+    """End-to-end: the batched eager runs equal the scalar loops above."""
 
     @pytest.mark.parametrize("copies", [1, 2])
     def test_database_response_times_identical(self, copies):
         cfg = DatabaseClusterConfig(num_files=4000, seed=321)
-        batched = DatabaseClusterExperiment(cfg).run(
-            0.3, copies=copies, num_requests=2000, draws="batched"
-        )
-        legacy = DatabaseClusterExperiment(cfg).run(
-            0.3, copies=copies, num_requests=2000, draws="legacy"
-        )
-        assert np.array_equal(batched.response_times, legacy.response_times)
-        assert batched.cache_hit_ratio == legacy.cache_hit_ratio
+        batched = DatabaseClusterExperiment(cfg).run(0.3, copies=copies, num_requests=2000)
+        response, hit_ratio = reference_database_eager(cfg, 0.3, copies, 2000)
+        assert np.array_equal(batched.response_times, response)
+        assert batched.cache_hit_ratio == hit_ratio
 
     def test_database_noisy_variant_identical(self):
         cfg = DatabaseClusterConfig(num_files=4000, seed=55)
@@ -387,23 +457,16 @@ class TestBatchedDrawsByteIdentity:
             noise_probability=0.25,
             disk=dataclasses.replace(cfg.disk, slow_access_probability=0.10),
         )
-        batched = DatabaseClusterExperiment(cfg).run(
-            0.3, copies=2, num_requests=2000, draws="batched"
-        )
-        legacy = DatabaseClusterExperiment(cfg).run(
-            0.3, copies=2, num_requests=2000, draws="legacy"
-        )
-        assert np.array_equal(batched.response_times, legacy.response_times)
+        batched = DatabaseClusterExperiment(cfg).run(0.3, copies=2, num_requests=2000)
+        response, hit_ratio = reference_database_eager(cfg, 0.3, 2, 2000)
+        assert np.array_equal(batched.response_times, response)
+        assert batched.cache_hit_ratio == hit_ratio
 
     def test_memcached_response_times_identical(self):
         cfg = MemcachedConfig(seed=77)
-        batched = MemcachedExperiment(cfg).run(
-            0.3, copies=2, num_requests=2000, draws="batched"
-        )
-        legacy = MemcachedExperiment(cfg).run(
-            0.3, copies=2, num_requests=2000, draws="legacy"
-        )
-        assert np.array_equal(batched.response_times, legacy.response_times)
+        batched = MemcachedExperiment(cfg).run(0.3, copies=2, num_requests=2000)
+        reference = reference_memcached_eager(cfg, 0.3, 2, 2000)
+        assert np.array_equal(batched.response_times, reference)
 
 
 class TestQueueBackendSubstrateEquivalence:

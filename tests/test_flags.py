@@ -8,25 +8,17 @@ from repro.exceptions import ConfigurationError
 
 class TestFlagRead:
     def test_default_when_unset(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DRAWS", raising=False)
-        assert flags.DRAWS.read() == "batched"
+        monkeypatch.delenv("REPRO_SIM_QUEUE", raising=False)
+        assert flags.SIM_QUEUE.read() == "auto"
 
     def test_environment_value(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DRAWS", "legacy")
-        assert flags.DRAWS.read() == "legacy"
-
-    def test_explicit_overrides_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DRAWS", "legacy")
-        assert flags.DRAWS.read("batched") == "batched"
+        monkeypatch.setenv("REPRO_SIM_QUEUE", "calendar")
+        assert flags.SIM_QUEUE.read() == "calendar"
 
     def test_invalid_environment_value_names_the_flag(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_QUEUE", "bogus")
         with pytest.raises(ConfigurationError, match="REPRO_SIM_QUEUE"):
             flags.SIM_QUEUE.read()
-
-    def test_invalid_explicit_value_says_explicit(self):
-        with pytest.raises(ConfigurationError, match="explicit value"):
-            flags.CKERNELS.read("yes")
 
     def test_is_set(self, monkeypatch):
         monkeypatch.delenv("REPRO_CKERNELS", raising=False)
@@ -52,9 +44,7 @@ class TestDeclare:
 
     def test_rejects_duplicate_name(self):
         with pytest.raises(ConfigurationError, match="already declared"):
-            flags.declare(
-                "REPRO_DRAWS", default="batched", choices=("batched",), help="dup"
-            )
+            flags.declare("REPRO_CKERNELS", default="1", choices=("1",), help="dup")
 
     def test_rejects_default_outside_choices(self):
         with pytest.raises(ConfigurationError, match="not among"):
@@ -67,9 +57,7 @@ class TestDeclare:
 
 class TestRegistry:
     def test_known_flags_are_declared(self):
-        assert {"REPRO_DRAWS", "REPRO_CKERNELS", "REPRO_SIM_QUEUE"} <= set(
-            flags.REGISTRY
-        )
+        assert set(flags.REGISTRY) == {"REPRO_CKERNELS", "REPRO_SIM_QUEUE"}
 
     def test_every_flag_has_help_and_valid_default(self):
         for flag in flags.REGISTRY.values():
@@ -83,12 +71,12 @@ class TestRegistry:
 
 class TestUnknownFlags:
     def test_unknown_flags_reports_undeclared_repro_vars(self):
-        environ = {"REPRO_DRAWS": "legacy", "REPRO_TYPO": "1", "PATH": "/bin"}
+        environ = {"REPRO_CKERNELS": "0", "REPRO_TYPO": "1", "PATH": "/bin"}
         assert flags.unknown_flags(environ) == ["REPRO_TYPO"]
 
     def test_reject_unknown_flags_raises_with_names(self):
-        environ = {"REPRO_DRAW": "legacy"}
-        with pytest.raises(ConfigurationError, match="REPRO_DRAW"):
+        environ = {"REPRO_CKERNEL": "0"}
+        with pytest.raises(ConfigurationError, match=r"\['REPRO_CKERNEL'\]"):
             flags.reject_unknown_flags(environ)
 
     def test_reject_unknown_flags_passes_clean_environ(self):
@@ -102,15 +90,6 @@ class TestUnknownFlags:
 
 class TestConsumersHonourRegistry:
     """The migrated call sites resolve through the declared flags."""
-
-    def test_draws_resolver_uses_registry(self, monkeypatch):
-        from repro.cluster.draws import DRAWS_ENV_VAR, resolve_draws_mode
-
-        assert DRAWS_ENV_VAR == flags.DRAWS.name
-        monkeypatch.setenv(DRAWS_ENV_VAR, "legacy")
-        assert resolve_draws_mode(None) == "legacy"
-        with pytest.raises(ConfigurationError):
-            resolve_draws_mode("turbo")
 
     def test_ckernels_env_var_is_declared(self):
         from repro.cluster._ckernels import CKERNELS_ENV_VAR

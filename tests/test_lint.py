@@ -299,7 +299,7 @@ class TestDet006JsonSortKeys:
 
 class TestDet007FlagRegistry:
     def test_environ_get_of_repro_var_fires(self):
-        src = "import os\nmode = os.environ.get('REPRO_DRAWS', 'batched')\n"
+        src = "import os\nmode = os.environ.get('REPRO_SIM_QUEUE', 'auto')\n"
         assert fired(src) == ["DET007"]
 
     def test_getenv_fires(self):
@@ -313,7 +313,7 @@ class TestDet007FlagRegistry:
     def test_name_via_module_constant_fires(self):
         src = (
             "import os\n"
-            "FLAG = 'REPRO_DRAWS'\n"
+            "FLAG = 'REPRO_CKERNELS'\n"
             "mode = os.environ.get(FLAG)\n"
         )
         assert fired(src) == ["DET007"]
@@ -323,7 +323,7 @@ class TestDet007FlagRegistry:
         assert fired(src) == []
 
     def test_flags_module_itself_may_read_environ(self):
-        src = "import os\nvalue = os.environ.get('REPRO_DRAWS', 'batched')\n"
+        src = "import os\nvalue = os.environ.get('REPRO_SIM_QUEUE', 'auto')\n"
         assert fired(src, module="repro/flags.py") == []
 
     def test_declare_with_literal_name_and_help_is_clean(self):

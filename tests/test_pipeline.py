@@ -3,9 +3,10 @@
 The load-bearing contract is byte-identity: the event engine and the
 closed-form fast path must produce bit-identical results for every eligible
 configuration, and artifacts must be pure functions of the scenario — the
-same across worker counts and ``REPRO_PIPELINE_PATH`` settings.  The CI
-pipeline smoke pins the artifact-level half with ``cmp``; these tests pin it
-at the result-object level where failures are debuggable.
+same across worker counts and execution paths.  The tests force an eligible
+plan onto the event engine by patching
+:meth:`StragglerMitigator.fastpath_eligible`; the CI pipeline smoke and the
+``standard-pipeline-dag`` golden pin the artifacts with ``cmp``.
 """
 
 import pickle
@@ -24,7 +25,6 @@ from repro.pipeline import (
     StageSpec,
     StragglerMitigator,
     WorkerPool,
-    resolve_pipeline_path,
 )
 
 TWO_STAGE = JobSpec(
@@ -37,9 +37,14 @@ TWO_STAGE = JobSpec(
 POOL = WorkerPool(num_workers=6, seconds_per_unit=0.05, straggler_alpha=1.6)
 
 
-def run(policy, path=None, *, job=TWO_STAGE, pool=POOL, num_jobs=20, seed=7):
+def run(policy, *, job=TWO_STAGE, pool=POOL, num_jobs=20, seed=7):
     config = PipelineConfig(job=job, pool=pool, policy=policy, num_jobs=num_jobs, seed=seed)
-    return PipelineExperiment(config).run(path=path)
+    return PipelineExperiment(config).run()
+
+
+def force_event_engine(monkeypatch):
+    """Send every later run to the event engine, eligible plans included."""
+    monkeypatch.setattr(StragglerMitigator, "fastpath_eligible", lambda self, pool: False)
 
 
 def assert_results_identical(a, b):
@@ -54,40 +59,30 @@ def assert_results_identical(a, b):
 
 class TestPathEquivalence:
     @pytest.mark.parametrize("policy", ["none", "k2", "k3"])
-    def test_event_and_fast_bitwise_identical(self, policy):
+    def test_event_and_fast_bitwise_identical(self, policy, monkeypatch):
         pool = POOL if policy != "k3" else WorkerPool(
             num_workers=6, seconds_per_unit=0.05, straggler_alpha=1.6
         )
-        assert_results_identical(run(policy, "event", pool=pool), run(policy, "fast", pool=pool))
+        fast = run(policy, pool=pool)
+        force_event_engine(monkeypatch)
+        event = run(policy, pool=pool)
+        assert (fast.path, event.path) == ("fast", "event")
+        assert_results_identical(event, fast)
 
-    def test_paths_reported_for_introspection(self):
-        assert run("none", "event").path == "event"
-        assert run("none", "fast").path == "fast"
-        assert run("none", "auto").path == "fast"
+    def test_paths_reported_for_introspection(self, monkeypatch):
+        assert run("none").path == "fast"
+        force_event_engine(monkeypatch)
+        assert run("none").path == "event"
 
     def test_auto_selects_event_for_hedging(self):
-        assert run("hedge:100ms", "auto").path == "event"
+        assert run("hedge:100ms").path == "event"
 
     def test_auto_selects_event_for_failing_pool(self):
         pool = WorkerPool(
             num_workers=6, seconds_per_unit=0.05, straggler_alpha=1.6,
             fail_probability=0.05, restart_s=0.2,
         )
-        assert run("none", "auto", pool=pool).path == "event"
-
-    def test_fast_on_ineligible_config_raises(self):
-        with pytest.raises(ConfigurationError, match="REPRO_PIPELINE_PATH=fast"):
-            run("hedge:100ms", "fast")
-
-    def test_env_flag_selects_path(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PIPELINE_PATH", "event")
-        assert run("k2").path == "event"
-        monkeypatch.setenv("REPRO_PIPELINE_PATH", "fast")
-        assert run("k2").path == "fast"
-
-    def test_resolve_rejects_unknown_mode(self):
-        with pytest.raises(ConfigurationError):
-            resolve_pipeline_path(True, "bogus")
+        assert run("none", pool=pool).path == "event"
 
 
 class TestDeterminism:
@@ -191,13 +186,11 @@ class TestExperimentIntegration:
 
     def test_cli_artifacts_identical_across_workers_and_path(self, tmp_path, monkeypatch):
         outputs = []
-        for name, workers, path_mode in (
-            ("w1", "1", None), ("w3", "3", None), ("ev", "1", "event")
-        ):
-            if path_mode:
-                monkeypatch.setenv("REPRO_PIPELINE_PATH", path_mode)
-            else:
-                monkeypatch.delenv("REPRO_PIPELINE_PATH", raising=False)
+        # The event leg runs last, in this process (one worker), so the
+        # patch reaches every point it runs.
+        for name, workers in (("w1", "1"), ("w3", "3"), ("ev", "1")):
+            if name == "ev":
+                force_event_engine(monkeypatch)
             out = str(tmp_path / f"{name}.json")
             assert cli_main(["run", "smoke-pipeline", "--workers", workers,
                              "--out", out, "--quiet"]) == 0
