@@ -7,9 +7,9 @@ the ``PolicySpec`` mini-language and the streaming latency recorder — into
 an *online* asyncio serving loop:
 
 * :mod:`repro.serve.clock` — the injectable :class:`~repro.serve.clock.Clock`
-  seam.  Every sleep/timeout in this package goes through it, so the entire
-  proxy + load-generator stack runs under a seeded virtual-time event loop
-  in tests (byte-reproducible summaries, zero wall-clock reads).
+  seam.  Every sleep, timer and timeout in this package goes through it, so
+  the entire proxy + load-generator stack runs under a seeded virtual-time
+  event loop in tests (byte-reproducible summaries, zero wall-clock reads).
 * :mod:`repro.serve.backends` — the backend abstraction:
   :class:`~repro.serve.backends.SimBackend` draws service times from the
   existing substrate distributions on seeded substreams; an optional
@@ -17,8 +17,9 @@ an *online* asyncio serving loop:
 * :mod:`repro.serve.proxy` — :class:`~repro.serve.proxy.RedundancyProxy`,
   which places backends on the ring and applies any ``PolicySpec`` per
   request: eager k-copies to the k distinct ring successors, ``hedge:<d>``
-  via delayed duplicate tasks, ``hedge:p95`` driven live by the streaming
-  recorder, cancel-on-win via task cancellation — with live policy hot-swap.
+  via clock timers that launch the duplicate copies, ``hedge:p95`` driven
+  live by the streaming recorder, cancel-on-win by withdrawing the losing
+  copies — with live policy hot-swap.
 * :mod:`repro.serve.loadgen` / :mod:`repro.serve.report` — the open-loop
   Poisson load generator and its latency/cost report.
 * :mod:`repro.serve.cli` — ``python -m repro.serve run|bench``.

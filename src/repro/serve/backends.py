@@ -22,9 +22,11 @@ Three call surfaces share that one ``busy_until`` state through one
 reservation routine:
 
 * ``start(key, done)`` — used by the proxy's race path: reserves, schedules
-  the finish as a timer on the injected clock and returns a handle whose
-  ``cancel()`` reclaims by the rule above.  ``done(service)`` runs at the
-  finish.  No task, no coroutine.
+  the finish as a clock timer due at the reserved finish time
+  (``clock.call_at``) and returns a handle whose ``cancel()`` reclaims by
+  the rule above.  ``done(service)`` runs at the finish, which on a virtual
+  clock is the reservation's ``finish`` bit for bit.  No task, no
+  coroutine.
 * ``submit(key, now)`` — synchronous fast path used by the proxy's
   no-cancel eager dispatch: reserves and returns the absolute finish time
   without scheduling anything.
@@ -55,7 +57,7 @@ from typing import Callable, Optional, Protocol, Tuple
 import numpy as np
 
 from repro.distributions import Distribution, Exponential
-from repro.serve.clock import Clock
+from repro.serve.clock import Clock, Timer
 from repro.sim.rng import substream
 
 __all__ = ["Backend", "BackendError", "SimBackend"]
@@ -266,13 +268,14 @@ class SimBackend(Backend):
     def start(self, key: int, done: CopyDone) -> "_SimCopy":
         """Reserve ``key`` now and finish it on a clock timer.
 
-        The timer falls due after ``finish - now``, where a sleep until the
-        reserved finish would wake.  Raises :class:`BackendError` at once
-        if the backend is marked failed.
+        The timer falls due at the reserved finish itself: a delay of
+        ``finish - now`` would land on ``now + (finish - now)``, which need
+        not equal ``finish`` once the finish exceeds twice the current time.
+        Raises :class:`BackendError` at once if the backend is marked
+        failed.
         """
-        now = self._clock.now()
-        copy = _SimCopy(self, *self._reserve(now), done)
-        copy.timer = self._clock.call_later(copy.finish - now, copy.complete)
+        copy = _SimCopy(self, *self._reserve(self._clock.now()), done)
+        copy.timer = self._clock.call_at(copy.finish, copy.complete)
         return copy
 
     def _reclaim(
@@ -297,7 +300,7 @@ class SimBackend(Backend):
 
         Awaits :meth:`start`; cancelling the awaiting task cancels the copy.
         """
-        finished: "asyncio.Future[float]" = asyncio.get_running_loop().create_future()
+        finished: "asyncio.Future[float]" = self._clock.create_future()
         copy = self.start(key, functools.partial(_resolve, finished))
         try:
             return await finished
@@ -333,7 +336,7 @@ class _SimCopy:
         self.finish = finish
         self.service = service
         self.done: Optional[CopyDone] = done
-        self.timer: Optional[asyncio.TimerHandle] = None
+        self.timer: Optional[Timer] = None
 
     def complete(self) -> None:
         """The timer callback: the copy's service ran to its finish."""

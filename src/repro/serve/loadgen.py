@@ -8,10 +8,13 @@ model of the paper's analysis (Section 2) and of the offline substrates'
   substreams (``substream(seed, "serve-arrivals")`` /
   ``("serve-keys")``) — identical seeds therefore mean identical traffic,
   which is what makes virtual-clock runs byte-reproducible;
-* walks the timeline on the injected clock, dispatching each request the
-  moment its arrival time is due — through the proxy's synchronous fast
-  path when the current plan allows it, else as a race of copies on clock
-  timers (:meth:`RedundancyProxy.race`);
+* walks the timeline on a chain of clock timers: the issuing loop is a
+  generator that yields each wait, and each timer's callback runs it to
+  its next wait and schedules the following timer, so no task sleeps once
+  per arrival.  Each request is dispatched the moment its arrival time is
+  due — through the proxy's synchronous fast path when the current plan
+  allows it, else as a race of copies on clock timers
+  (:meth:`RedundancyProxy.race`);
 * optionally hot-swaps the proxy policy and applies membership events
   (backend add / graceful remove / crash) at scheduled times mid-run;
 * drains the proxy and assembles the :class:`~repro.serve.report.RunReport`.
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -123,43 +126,67 @@ async def run_load(
                 proxy.remove_backend(backend, dead=(action == "crash"))
 
     races: List[asyncio.Future] = []
-    index = 0
     total = len(offsets)
-    while index < total:
-        due = float(offsets[index])
-        while controls and controls[0][0] <= due:
-            control_at, kind, payload = controls.pop(0)
+
+    def issue() -> Iterator[float]:
+        """The issuing loop; it yields each wait instead of sleeping."""
+        index = 0
+        while index < total:
+            due = float(offsets[index])
+            while controls and controls[0][0] <= due:
+                control_at, kind, payload = controls.pop(0)
+                delay = (start + control_at) - clock.now()
+                if delay > 0:
+                    yield delay
+                apply_control(kind, payload)
+            delay = (start + due) - clock.now()
+            if delay > config.resolution:
+                yield delay
+            # Issue every arrival due within the current granule in one wakeup,
+            # never crossing a scheduled control point (arrivals at exactly the
+            # control time run under the new policy/membership, matching the
+            # scalar path).
+            horizon = (clock.now() - start) + config.resolution
+            end = int(np.searchsorted(offsets, horizon, side="right"))
+            if controls:
+                end = min(end, int(np.searchsorted(offsets, controls[0][0], side="left")))
+            end = max(end, index + 1)
+            if end - index > 1 and proxy.submit_batch(
+                keys[index:end], start + offsets[index:end]
+            ):
+                index = end
+                continue
+            while index < end:
+                key = int(keys[index])
+                if not proxy.submit_nowait(key):
+                    races.append(proxy.race(key))
+                index += 1
+        for control_at, kind, payload in controls:
             delay = (start + control_at) - clock.now()
             if delay > 0:
-                await clock.sleep(delay)
+                yield delay
             apply_control(kind, payload)
-        delay = (start + due) - clock.now()
-        if delay > config.resolution:
-            await clock.sleep(delay)
-        # Issue every arrival due within the current granule in one wakeup,
-        # never crossing a scheduled control point (arrivals at exactly the
-        # control time run under the new policy/membership, matching the
-        # scalar path).
-        horizon = (clock.now() - start) + config.resolution
-        end = int(np.searchsorted(offsets, horizon, side="right"))
-        if controls:
-            end = min(end, int(np.searchsorted(offsets, controls[0][0], side="left")))
-        end = max(end, index + 1)
-        if end - index > 1 and proxy.submit_batch(
-            keys[index:end], start + offsets[index:end]
-        ):
-            index = end
-            continue
-        while index < end:
-            key = int(keys[index])
-            if not proxy.submit_nowait(key):
-                races.append(proxy.race(key))
-            index += 1
-    for control_at, kind, payload in controls:
-        delay = (start + control_at) - clock.now()
-        if delay > 0:
-            await clock.sleep(delay)
-        apply_control(kind, payload)
+
+    # A chain of clock timers walks the timeline: each step runs the issuing
+    # loop up to its next wait and schedules the following step after it.
+    issuing = issue()
+    issued = clock.create_future()
+
+    def step() -> None:
+        if issued.done():  # run_load was cancelled
+            issuing.close()
+            return
+        try:
+            delay = next(issuing)
+        except StopIteration:
+            issued.set_result(None)
+        except Exception as exc:  # a failing control fails run_load
+            issued.set_exception(exc)
+        else:
+            clock.call_later(delay, step)
+
+    step()
+    await issued
     await proxy.drain()
     # The proxy counts failed requests; reading each race's outcome keeps
     # their errors from being logged as never retrieved.

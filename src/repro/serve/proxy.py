@@ -35,10 +35,14 @@ Two dispatch paths, one accounting surface:
 
 * the **race path** (:meth:`race`, awaited by :meth:`request`) is required
   whenever a plan hedges, cancels on win, or must survive backend failure.
-  Each copy is a backend reservation whose finish is a clock timer, and
-  each hedge a timer that starts its copy; no task is created per copy or
-  per request.  The first finish schedules one settle step for the next
-  loop pass, which resolves the request's future;
+  Each copy is a backend reservation whose finish is a clock timer due at
+  the reserved finish time, and each hedge a timer that starts its copy;
+  no task is created per copy or per request.  The first finish schedules
+  one settle step for the next loop pass (``clock.call_soon``), which
+  resolves the request's future (``clock.create_future``).  All of it goes
+  through the injected clock, so on a
+  :class:`~repro.serve.clock.VirtualClock` a race is a few entries on the
+  clock's timer heap, each run at its exact due time;
 * the **fast path** (:meth:`submit_nowait`, vectorised as
   :meth:`submit_batch`) covers eager plans without cancel-on-win: every
   copy's finish time is known at dispatch from the reservation math, so
@@ -64,7 +68,7 @@ from repro.core.policy import (
 )
 from repro.metrics.recorder import LatencyRecorder
 from repro.serve.backends import Backend, BackendError, CopyHandle
-from repro.serve.clock import Clock
+from repro.serve.clock import Clock, Timer
 
 __all__ = ["RedundancyProxy"]
 
@@ -377,7 +381,7 @@ class RedundancyProxy:
             [self.backends[index] for index in self.replicas(key, max_copies)],
             plan.cancel_on_win,
             record,
-            asyncio.get_running_loop().create_future(),
+            self.clock.create_future(),
         )
         self.requests += 1
         self._begin()
@@ -429,10 +433,10 @@ class RedundancyProxy:
         race.unresolved -= 1
         if service is not None:
             if not race.finished:
-                asyncio.get_running_loop().call_soon(self._settle, race)
+                self.clock.call_soon(self._settle, race)
             race.finished.append((copy, service))
         elif race.unresolved == 0 and not race.finished:
-            asyncio.get_running_loop().call_soon(self._settle, race)
+            self.clock.call_soon(self._settle, race)
 
     def _settle(self, race: "_Race") -> None:
         """Resolve a race one loop pass after its first finish (or last failure).
@@ -547,7 +551,7 @@ class _Race:
         #: Per copy: the running copy's handle, else ``None``.
         self.copies: Optional[List[Optional[CopyHandle]]] = [None] * count
         #: Per copy: the parked hedge's timer, else ``None``.
-        self.timers: Optional[List[Optional[asyncio.TimerHandle]]] = [None] * count
+        self.timers: Optional[List[Optional[Timer]]] = [None] * count
         #: ``(copy, service)`` of each copy finished before the settle step.
         self.finished: Optional[List[Tuple[int, float]]] = []
         #: Copies neither finished nor failed (parked hedges included).

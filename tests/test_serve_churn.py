@@ -24,6 +24,7 @@ from repro.exceptions import ConfigurationError
 from repro.serve import (
     BackendError,
     LoadGenConfig,
+    RealClock,
     RedundancyProxy,
     SimBackend,
     VirtualClock,
@@ -232,6 +233,25 @@ class TestEventSchedule:
         with_events = run_report("k2", seed=7, events=self.EVENTS).to_json()
         without = run_report("k2", seed=7).to_json()
         assert with_events != without
+
+    @pytest.mark.parametrize("clock_name", ["virtual", "real"])
+    def test_crashing_the_last_live_backend_fails_run_load(self, clock_name):
+        """A control that raises mid-run fails run_load on either clock,
+        instead of being logged by the loop while run_load waits forever."""
+        clock = VirtualClock() if clock_name == "virtual" else RealClock()
+        pool = [SimBackend(index, clock, seed=0) for index in range(2)]
+        proxy = RedundancyProxy(pool, clock, policy="hedge:1ms")
+        config = LoadGenConfig(
+            rate=2000.0,
+            num_requests=100,
+            events=((0.002, "crash", 0), (0.004, "crash", 1)),
+            resolution=0.0 if clock_name == "virtual" else 0.001,
+        )
+        with pytest.raises(ConfigurationError):
+            if clock_name == "virtual":
+                clock.run(run_load(proxy, clock, config))
+            else:
+                asyncio.run(asyncio.wait_for(run_load(proxy, clock, config), 10.0))
 
     def test_bad_event_action_rejected(self):
         with pytest.raises(ValueError, match="add/remove/crash"):
