@@ -50,6 +50,8 @@ class EchoServer:
                 await writer.drain()
         except asyncio.CancelledError:
             pass  # server shutdown while a round-trip was parked on read
+        except ConnectionError:
+            pass  # the peer reset the connection or went away: a normal close
         finally:
             writer.close()
 
@@ -94,19 +96,24 @@ class EchoBackend(Backend):
         if self._failed:
             raise BackendError(f"backend {self.index} is marked failed")
         started = self._clock.now()
+        holding = False
         try:
             # One in-flight round-trip per connection; concurrent copies
             # queue here — the socket analogue of the SimBackend FIFO.
             async with self._lock:
+                holding = True
                 await self._connect()
                 assert self._writer is not None and self._reader is not None
                 self._writer.write(f"{self.index}:{key}\n".encode("ascii"))
                 await self._writer.drain()
                 reply = await self._reader.readline()
         except asyncio.CancelledError:
-            # A cancelled round-trip may leave an unread reply in the
-            # stream; drop the connection so the next copy starts clean.
-            self._reset()
+            # A round-trip cancelled mid-flight may leave an unread reply in
+            # the stream; drop the connection so the next copy starts clean.
+            # A copy cancelled while still queued on the lock owns nothing:
+            # the connection belongs to the copy holding the lock.
+            if holding:
+                self._reset()
             raise
         if not reply:
             self.set_failed(True)
