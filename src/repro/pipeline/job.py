@@ -112,7 +112,9 @@ def partition_chunks(
     same substream see identical draws), scales them to sum to
     ``total_work``, and then pins the final chunk to the exact remainder so
     coverage is exact: ``float(np.sum(sizes[:-1])) + sizes[-1] ==
-    total_work`` holds bitwise.
+    total_work`` holds bitwise. Where the rounded remainder would miss, the
+    other chunks are first snapped to multiples of ulp(``total_work``),
+    which moves each by at most half an ulp of the total.
 
     Args:
         total_work: Work units to split (> 0).
@@ -131,6 +133,15 @@ def partition_chunks(
         raise ConfigurationError(f"alpha must be positive, got {alpha!r}")
     uniforms = rng.random(num_chunks)
     raw = np.minimum(np.power(1.0 - uniforms, -1.0 / alpha), SIZE_TAIL_CAP)
-    sizes = raw * (float(total_work) / float(np.sum(raw)))
-    sizes[-1] = float(total_work) - float(np.sum(sizes[:-1]))
+    total = float(total_work)
+    sizes = raw * (total / float(np.sum(raw)))
+    sizes[-1] = total - float(np.sum(sizes[:-1]))
+    if float(np.sum(sizes[:-1])) + float(sizes[-1]) != total:
+        # The remainder is rounded when the head sums to less than half the
+        # total, and no float may then close the gap. Snap the head chunks to
+        # multiples of ulp(total): every partial sum and the remainder are
+        # then exact.
+        quantum = float(np.spacing(total))
+        sizes[:-1] = np.round(sizes[:-1] / quantum) * quantum
+        sizes[-1] = total - float(np.sum(sizes[:-1]))
     return sizes
