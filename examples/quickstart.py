@@ -2,10 +2,11 @@
 """Quickstart: hedged requests against flaky backends with ``repro.core``.
 
 The paper's recipe in one script: issue every operation redundantly against
-diverse backends, take the first response, cancel the rest.  Here the
-"backends" are coroutines whose latency is usually ~5 ms but occasionally
-~100 ms (the kind of tail the paper's DNS and storage experiments observe);
-hedging flattens that tail.
+diverse backends and take the first response.  The deferred hedge cancels
+the rest, as its plan cancels on win; the eager copies run to completion, as
+in the paper's model.  Here the "backends" are coroutines whose latency is
+usually ~5 ms but occasionally ~100 ms (the kind of tail the paper's DNS and
+storage experiments observe); hedging flattens that tail.
 
 Run:
     python examples/quickstart.py

@@ -5,9 +5,10 @@ use directly:
 
 * :mod:`repro.core.policy` — replication/hedging policies (how many copies,
   launched when).
-* :mod:`repro.core.hedging` — asyncio execution of those policies against real
-  awaitables ("initiate an operation multiple times ... use the first result
-  which completes"), with loser cancellation.
+* :mod:`repro.core.hedging` — the race every live executor runs
+  ("initiate an operation multiple times ... use the first result which
+  completes"), shared by the serving proxy in :mod:`repro.serve`, and the
+  asyncio client that runs it against real awaitables.
 * :mod:`repro.core.selection` — which backends the copies go to.
 * :mod:`repro.core.thresholds` — when system-wide replication helps (the
   threshold-load results of Section 2.1).
@@ -31,7 +32,6 @@ from repro.core.policy import (
 )
 from repro.core.hedging import (
     HedgedResult,
-    LatencyTracker,
     RedundantClient,
     first_completed,
     hedged_call,
@@ -71,7 +71,6 @@ __all__ = [
     "first_completed",
     "hedged_call",
     "HedgedResult",
-    "LatencyTracker",
     "RedundantClient",
     "SelectionStrategy",
     "UniformRandom",

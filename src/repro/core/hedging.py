@@ -1,39 +1,76 @@
-"""Asyncio execution of redundant requests.
+"""Asyncio execution of redundant requests, and the race every live executor runs.
 
 "Initiate an operation multiple times, using as diverse resources as possible,
 and use the first result which completes" — this module is that sentence as
-code.  Copies are launched according to a :class:`~repro.core.policy.ReplicationPolicy`
-(eagerly, or hedged after a delay), the first successful completion wins, and
-the losing copies are cancelled.
+code.  :class:`Racer` runs one request's copies under a
+:class:`~repro.core.policy.RequestPlan` on clock timers: zero-delay copies
+start at once, each hedge is parked as a timer that starts it, and the first
+copy to finish schedules a *settle step* for the next loop pass.  The settle
+step picks the winner (the earliest-launched copy among those finished by
+then), suppresses the hedges still parked, and either cancels the launched
+losers (when the plan cancels on win) or leaves them running as strays.  No
+task is created per request, and none per copy unless the copy is a
+coroutine.
 
-This is the *live* (asyncio) executor of the shared policy currency; the same
-policies drive every simulator substrate and the scenario-sweep ``policy``
-axis — see the :mod:`repro.core.policy` module docstring for the full list of
-consumers.  One executor-specific caveat: here loser cancellation is
-controlled by the ``cancel_losers`` argument (default on, Google-style)
-rather than by the policy's ``cancel_on_win`` flag, which the event-driven
-simulators honour.
+Two executors build on it:
 
-The functions are transport-agnostic: a "backend" is any zero-argument
-callable returning an awaitable, so the same client wraps DNS lookups, HTTP
-fetches, database reads or anything else.
+* the asyncio client here — :func:`hedged_call`, :func:`first_completed` and
+  :class:`RedundantClient` — runs each copy as a task on the real clock and
+  returns a :class:`HedgedResult`;
+* the serving proxy (:class:`repro.serve.proxy.RedundancyProxy`) races
+  ring-placed backends on an injected clock and records each latency.
+
+Both honour the plan's ``cancel_on_win``, like every other consumer of the
+shared policy currency — see the :mod:`repro.core.policy` module docstring
+for the full list.
+
+The client functions are transport-agnostic: a "backend" is any callable
+returning an awaitable, so the same client wraps DNS lookups, HTTP fetches,
+database reads or anything else.
 """
 
 from __future__ import annotations
 
+import abc
 import asyncio
-import time
+import functools
 from dataclasses import dataclass
-from typing import Awaitable, Callable, Generic, List, Optional, Sequence, TypeVar
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Awaitable,
+    Callable,
+    Generic,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
-from repro.core.policy import KCopies, ReplicationPolicy
+from repro.core.policy import KCopies, ReplicationPolicy, RequestPlan
 from repro.core.selection import SelectionStrategy, UniformRandom
 from repro.exceptions import ConfigurationError
-from repro.metrics import MetricsRegistry, SlidingWindow
+from repro.metrics import MetricsRegistry
+
+if TYPE_CHECKING:
+    from repro.serve.clock import Clock, Timer
 
 T = TypeVar("T")
 
 RequestFactory = Callable[[], Awaitable[T]]
+
+#: Called once when a started copy finishes: ``done(value)`` with its result,
+#: or ``done(None, error)`` with the exception that failed it.
+CopyDone = Callable[..., None]
+
+
+class CopyHandle(Protocol):
+    """What starting a copy returns: a copy that can be withdrawn."""
+
+    def cancel(self) -> None:
+        """Withdraw the copy; its ``done`` callback will not run."""
 
 
 @dataclass
@@ -43,20 +80,17 @@ class HedgedResult(Generic[T]):
     Attributes:
         value: The value returned by the winning copy.
         winner: Index (into the launched copies) of the copy that won.
-        copies_launched: How many backend calls were actually started.  A
-            hedge whose task was cancelled while still waiting out its delay —
-            even if, by the time the winner was timed, that delay had
-            numerically expired — is not counted: only copies that reached
-            their backend call are.  With ``cancel_losers=False`` the count is
-            taken when the winner completes, so a straggler hedge that fires
-            its backend call later is not included.
-        elapsed: Wall-clock seconds from the first launch to the winning
-            completion.
-        errors: Exceptions raised by copies that failed before the winner
-            completed (empty when everything succeeded).
+        copies_launched: How many backend calls were actually started by the
+            settle step.  A hedge withdrawn while still waiting out its delay
+            is not counted: only copies that reached their backend call are.
+        elapsed: Seconds on the real clock from the first launch to the
+            settle step that picked the winner.
+        errors: Exceptions raised by copies that failed before the settle
+            step (empty when everything succeeded).
         copies_cancelled: How many started copies were cancelled after their
             backend call began (the cost Google's "cancel outstanding
-            requests" machinery pays).
+            requests" machinery pays).  Always 0 under a plan that does not
+            cancel on win: its losers run to completion.
     """
 
     value: T
@@ -67,20 +101,273 @@ class HedgedResult(Generic[T]):
     copies_cancelled: int = 0
 
 
-async def first_completed(
-    awaitables: Sequence[Awaitable[T]],
-    cancel_losers: bool = True,
-) -> T:
+class _TaskCopy:
+    """A copy served by a task; reports its outcome through ``done``."""
+
+    __slots__ = ("_task", "_done")
+
+    def __init__(self, task: "asyncio.Future[Any]", done: CopyDone) -> None:
+        self._task: Optional["asyncio.Future[Any]"] = task
+        self._done: Optional[CopyDone] = done
+        task.add_done_callback(self._report)
+
+    def _report(self, task: "asyncio.Future[Any]") -> None:
+        # Reading the exception also marks it retrieved, cancelled or not.
+        error = asyncio.CancelledError() if task.cancelled() else task.exception()
+        done, self._done, self._task = self._done, None, None
+        if done is not None:
+            if error is None:
+                done(task.result())
+            else:
+                done(None, error)
+
+    def cancel(self) -> None:
+        self._done = None
+        if self._task is not None:
+            self._task.cancel()
+
+
+class _Race:
+    """One request's copies in flight."""
+
+    __slots__ = (
+        "key", "started", "backends", "cancel_on_win", "future",
+        "copies", "timers", "finished", "unresolved",
+        "launched", "cancelled", "errors",
+    )
+
+    def __init__(
+        self,
+        key: Any,
+        started: float,
+        backends: Sequence[Any],
+        cancel_on_win: bool,
+        future: "asyncio.Future[Any]",
+    ) -> None:
+        self.key = key
+        self.started = started
+        self.backends = backends
+        self.cancel_on_win = cancel_on_win
+        self.future = future
+        count = len(backends)
+        #: Per copy: the running copy's handle, else ``None``.
+        self.copies: Optional[List[Optional[CopyHandle]]] = [None] * count
+        #: Per copy: the parked hedge's timer, else ``None``.
+        self.timers: Optional[List[Optional["Timer"]]] = [None] * count
+        #: ``(copy, value)`` of each copy finished before the settle step.
+        self.finished: Optional[List[Tuple[int, Any]]] = []
+        #: Copies neither finished nor failed (parked hedges included).
+        self.unresolved = count
+        #: Copies started, and launched losers cancelled by the settle step.
+        self.launched = 0
+        self.cancelled = 0
+        #: Exceptions of the copies that failed before the settle step.
+        self.errors: Tuple[BaseException, ...] = ()
+
+
+class Racer(abc.ABC):
+    """The race a live executor runs its requests through.
+
+    :meth:`_start` races one request's ``backends`` — objects with a
+    ``start(key, done)`` method returning a :class:`CopyHandle` — under a
+    plan.  Subclasses say what a won race resolves to (:meth:`_won`) and
+    what a race whose every copy failed raises (:meth:`_lost`).  All timing
+    and scheduling goes through ``clock``.  The cost counters
+    (``copies_launched``, ``hedges_fired``, ``hedges_suppressed``,
+    ``copies_cancelled``, ``failed_copies`` and ``failed_requests``) are
+    totals over every race.
+    """
+
+    def __init__(self, clock: "Clock") -> None:
+        self.clock = clock
+        self.copies_launched = 0
+        self.hedges_fired = 0
+        self.hedges_suppressed = 0
+        self.copies_cancelled = 0
+        self.failed_copies = 0
+        self.failed_requests = 0
+        self._in_flight = 0
+        self._strays = 0
+        self._idle = asyncio.Event()
+        self._idle.set()
+
+    @property
+    def in_flight(self) -> int:
+        """Races not yet settled."""
+        return self._in_flight
+
+    @abc.abstractmethod
+    def _won(self, race: _Race, copy: int, value: Any, latency: float) -> Any:
+        """What a race won by ``copy`` with ``value`` after ``latency`` resolves to."""
+
+    @abc.abstractmethod
+    def _lost(self, race: _Race) -> BaseException:
+        """The exception a race raises once every copy has failed."""
+
+    def _start(self, key: Any, backends: Sequence[Any], plan: RequestPlan) -> _Race:
+        """Start one race; its future resolves at the settle step."""
+        race = _Race(
+            key, self.clock.now(), backends, plan.cancel_on_win, self.clock.create_future()
+        )
+        self._in_flight += 1
+        self._idle.clear()
+        for copy, delay in enumerate(plan.launch_delays[: len(backends)]):
+            if delay > 0:
+                race.timers[copy] = self.clock.call_later(
+                    delay, self._fire_hedge, race, copy
+                )
+            else:
+                self._launch(race, copy)
+        return race
+
+    def _fire_hedge(self, race: _Race, copy: int) -> None:
+        race.timers[copy] = None
+        self.hedges_fired += 1
+        self._launch(race, copy)
+
+    def _launch(self, race: _Race, copy: int) -> None:
+        self.copies_launched += 1
+        race.launched += 1
+        try:
+            race.copies[copy] = race.backends[copy].start(
+                race.key, functools.partial(self._copy_done, race, copy)
+            )
+        except Exception as error:
+            # Whatever a backend raises when refusing a copy, the copy
+            # failed; the race goes on with the others.
+            self._copy_done(race, copy, None, error)
+
+    def _copy_done(
+        self, race: _Race, copy: int, value: Any, error: Optional[BaseException] = None
+    ) -> None:
+        """A copy finished with ``value``, or failed with ``error``."""
+        if error is not None:
+            self.failed_copies += 1
+        copies = race.copies
+        if copies is None:
+            # A loser the settled race left running (no cancel-on-win).
+            self._strays -= 1
+            self._check_idle()
+            return
+        copies[copy] = None
+        race.unresolved -= 1
+        if error is None:
+            if not race.finished:
+                self.clock.call_soon(self._settle, race)
+            race.finished.append((copy, value))
+        else:
+            race.errors += (error,)
+            if race.unresolved == 0 and not race.finished:
+                self.clock.call_soon(self._settle, race)
+
+    def _settle(self, race: _Race) -> None:
+        """Resolve a race one loop pass after its first finish (or last failure).
+
+        The winner is the earliest-launched copy among those that finished
+        by now, so an exact tie does not depend on timer order; the other
+        finishers count as completed.  A hedge still parked never reached a
+        backend and is *suppressed* (as in the offline FIFO hedging engine,
+        :mod:`repro.core.cancellation`); launched losers are *cancelled*
+        under cancel-on-win, else they run on as strays.
+        """
+        copies, timers, finished = race.copies, race.timers, race.finished
+        # ``None`` marks the race settled, and dropping its links to copies
+        # and timers leaves no cycle through a stray's ``done`` callback.
+        race.copies = race.timers = race.finished = None
+        for timer in timers:
+            if timer is not None:
+                timer.cancel()
+                self.hedges_suppressed += 1
+        for handle in copies:
+            if handle is not None:
+                if race.cancel_on_win:
+                    handle.cancel()
+                    race.cancelled += 1
+                else:
+                    self._strays += 1
+        self.copies_cancelled += race.cancelled
+        future = race.future
+        if finished:
+            copy, value = min(finished)
+            result = self._won(race, copy, value, self.clock.now() - race.started)
+            if not future.done():
+                future.set_result(result)
+        else:
+            self.failed_requests += 1
+            if not future.done():
+                future.set_exception(self._lost(race))
+        self._in_flight -= 1
+        self._check_idle()
+
+    def _check_idle(self) -> None:
+        if self._in_flight == 0 and self._strays == 0:
+            self._idle.set()
+
+
+class _Call:
+    """A coroutine function as a race backend: each copy is a task running it."""
+
+    __slots__ = ("function",)
+
+    def __init__(self, function: Callable[..., Awaitable[Any]]) -> None:
+        self.function = function
+
+    def start(self, call: Tuple[tuple, dict], done: CopyDone) -> _TaskCopy:
+        args, kwargs = call
+        return _TaskCopy(asyncio.ensure_future(self.function(*args, **kwargs)), done)
+
+
+class _CallRacer(Racer):
+    """The client's executor: coroutine calls on the real clock."""
+
+    def __init__(self) -> None:
+        # Imported here so that ``import repro`` does not load repro.serve.
+        from repro.serve.clock import RealClock
+
+        super().__init__(RealClock())
+
+    def _won(self, race: _Race, copy: int, value: Any, latency: float) -> HedgedResult:
+        return HedgedResult(
+            value=value,
+            winner=copy,
+            copies_launched=race.launched,
+            elapsed=latency,
+            errors=list(race.errors),
+            copies_cancelled=race.cancelled,
+        )
+
+    def _lost(self, race: _Race) -> BaseException:
+        return race.errors[-1]
+
+    async def run(
+        self, backends: Sequence[_Call], call: Tuple[tuple, dict], plan: RequestPlan
+    ) -> HedgedResult:
+        """Race ``backend.function(*args, **kwargs)`` across ``backends``."""
+        race = self._start(call, backends, plan)
+        try:
+            return await race.future
+        finally:
+            if race.copies is not None:
+                # The caller stopped waiting before the race settled:
+                # withdraw every launched copy and parked hedge.
+                race.cancel_on_win = True
+                if not race.finished and race.unresolved:
+                    # No settle step is scheduled yet, so settle now.
+                    self._settle(race)
+
+
+async def first_completed(awaitables: Sequence[Awaitable[T]]) -> T:
     """Return the result of the first awaitable to complete successfully.
 
-    Failed copies are tolerated as long as at least one succeeds; if every
-    copy fails, the exception of the last failure is raised.
+    The awaitables race as an eager plan that cancels on win: once the
+    first success settles the race, the still-pending copies are cancelled
+    (the redundant-operation analogue of the paper's note that Google
+    cancels outstanding partially-completed requests).  Failed copies are
+    tolerated as long as at least one succeeds; if every copy fails, the
+    exception of the last failure is raised.
 
     Args:
         awaitables: Non-empty sequence of awaitables to race.
-        cancel_losers: Cancel the still-pending copies once a winner is found
-            (the redundant-operation analogue of the paper's note that Google
-            cancels outstanding partially-completed requests).
 
     Raises:
         ConfigurationError: If ``awaitables`` is empty.
@@ -88,35 +375,19 @@ async def first_completed(
     """
     if not awaitables:
         raise ConfigurationError("first_completed needs at least one awaitable")
-    tasks = [asyncio.ensure_future(a) for a in awaitables]
-    pending = set(tasks)
-    last_error: Optional[BaseException] = None
-    try:
-        while pending:
-            done, pending = await asyncio.wait(pending, return_when=asyncio.FIRST_COMPLETED)
-            for task in done:
-                if task.cancelled():
-                    continue
-                error = task.exception()
-                if error is None:
-                    return task.result()
-                last_error = error
-        assert last_error is not None
-        raise last_error
-    finally:
-        if cancel_losers:
-            for task in tasks:
-                if not task.done():
-                    task.cancel()
-            # Give cancelled tasks a chance to unwind so no "Task exception was
-            # never retrieved" warnings leak out of the library.
-            await asyncio.gather(*tasks, return_exceptions=True)
+    backends = [_Call(functools.partial(_identity, awaitable)) for awaitable in awaitables]
+    plan = RequestPlan((0.0,) * len(backends), cancel_on_win=True)
+    result = await _CallRacer().run(backends, ((), {}), plan)
+    return result.value
+
+
+def _identity(awaitable: Awaitable[T]) -> Awaitable[T]:
+    return awaitable
 
 
 async def hedged_call(
     factories: Sequence[RequestFactory[T]],
     policy: Optional[ReplicationPolicy] = None,
-    cancel_losers: bool = True,
 ) -> HedgedResult[T]:
     """Run redundant copies of an operation according to ``policy``.
 
@@ -127,8 +398,8 @@ async def hedged_call(
             are ignored; too few is an error).
         policy: The replication policy; defaults to eager 2-copy replication
             (:class:`~repro.core.policy.KCopies` with ``copies=2``), the
-            paper's canonical scheme.
-        cancel_losers: Cancel outstanding copies once a winner completes.
+            paper's canonical scheme.  Its plan's ``cancel_on_win`` decides
+            whether the losers are cancelled or run to completion.
 
     Returns:
         A :class:`HedgedResult` describing the winner.
@@ -139,118 +410,16 @@ async def hedged_call(
     """
     if policy is None:
         policy = KCopies(2)
-    delays = policy.launch_delays()
-    if len(factories) < len(delays):
+    plan = policy.plan()
+    if len(factories) < plan.copies:
         raise ConfigurationError(
-            f"policy wants up to {len(delays)} copies but only "
+            f"policy wants up to {plan.copies} copies but only "
             f"{len(factories)} request factories were provided"
         )
-
-    start = time.perf_counter()
-    errors: List[BaseException] = []
-    launched: List[asyncio.Task] = []
-    started: List[int] = []
-    winner_index: Optional[int] = None
-    winner_value: Optional[T] = None
-
-    async def launch(index: int, delay: float) -> tuple[int, T]:
-        if delay > 0:
-            await asyncio.sleep(delay)
-        # Only copies that get past their hedge delay reach the backend; the
-        # append is what copies_launched counts, so a task cancelled during
-        # its sleep is never mistaken for a launched copy.
-        started.append(index)
-        value = await factories[index]()
-        return index, value
-
-    tasks = [asyncio.ensure_future(launch(i, d)) for i, d in enumerate(delays)]
-    launched.extend(tasks)
-    pending = set(tasks)
-    try:
-        while pending and winner_index is None:
-            done, pending = await asyncio.wait(pending, return_when=asyncio.FIRST_COMPLETED)
-            for task in done:
-                if task.cancelled():
-                    continue
-                error = task.exception()
-                if error is not None:
-                    errors.append(error)
-                    continue
-                winner_index, winner_value = task.result()
-                break
-        if winner_index is None:
-            raise errors[-1]
-    finally:
-        if cancel_losers:
-            for task in launched:
-                if not task.done():
-                    task.cancel()
-            await asyncio.gather(*launched, return_exceptions=True)
-
-    elapsed = time.perf_counter() - start
-    started_set = set(started)
-    copies_cancelled = sum(
-        1 for i, task in enumerate(launched) if task.cancelled() and i in started_set
-    )
-    policy.record_latency(elapsed)
-    return HedgedResult(
-        value=winner_value,  # type: ignore[arg-type]
-        winner=winner_index,
-        copies_launched=len(started_set),
-        elapsed=elapsed,
-        errors=errors,
-        copies_cancelled=copies_cancelled,
-    )
-
-
-class LatencyTracker:
-    """A bounded window of observed latencies with percentile queries.
-
-    Used by adaptive hedging and by the advisor to summarise what a backend's
-    latency distribution currently looks like.  A thin wrapper over
-    :class:`repro.metrics.SlidingWindow`: the sorted view is maintained
-    incrementally, so percentile queries are O(1) instead of re-sorting the
-    window per call.
-    """
-
-    def __init__(self, window: int = 10_000) -> None:
-        """Track at most ``window`` recent latencies."""
-        if window < 1:
-            raise ConfigurationError(f"window must be >= 1, got {window!r}")
-        self.window = int(window)
-        self._window = SlidingWindow(self.window)
-
-    def record(self, latency: float) -> None:
-        """Add one latency observation (seconds, >= 0)."""
-        if latency < 0:
-            raise ConfigurationError(f"latency must be >= 0, got {latency!r}")
-        self._window.record(float(latency))
-
-    def __len__(self) -> int:
-        return len(self._window)
-
-    def percentile(self, q: float) -> float:
-        """The ``q``-th percentile (0-100) of the recorded latencies.
-
-        Uses :func:`numpy.percentile`'s linear interpolation between order
-        statistics (the same convention as every ``LatencySummary`` in this
-        repository), not the nearest-rank selection of the pre-metrics
-        implementation — at small window sizes the two can differ by up to
-        one inter-sample gap.
-
-        Raises:
-            ConfigurationError: If no latencies have been recorded or ``q`` is
-                out of range.
-        """
-        if not len(self._window):
-            raise ConfigurationError("no latencies recorded yet")
-        return self._window.percentile(q)
-
-    def mean(self) -> float:
-        """Mean of the recorded latencies."""
-        if not len(self._window):
-            raise ConfigurationError("no latencies recorded yet")
-        return self._window.mean()
+    backends = [_Call(factory) for factory in factories[: plan.copies]]
+    result = await _CallRacer().run(backends, ((), {}), plan)
+    policy.record_latency(result.elapsed)
+    return result
 
 
 class RedundantClient(Generic[T]):
@@ -309,10 +478,13 @@ class RedundantClient(Generic[T]):
         self._copies_cancelled = self.metrics.counter("copies_cancelled")
         self._errors = self.metrics.counter("errors")
         self._latency = self.metrics.histogram("latency")
-        self.tracker = LatencyTracker()
+        self._racer = _CallRacer()
 
     async def request(self, *args, key: Optional[object] = None, **kwargs) -> HedgedResult[T]:
         """Issue one redundant request.
+
+        A policy wanting more copies than there are backends keeps its launch
+        schedule, cut to the backend count.
 
         Args:
             *args: Positional arguments forwarded to each backend call.
@@ -325,44 +497,23 @@ class RedundantClient(Generic[T]):
         Returns:
             The :class:`HedgedResult` of the winning copy.
         """
-        delays = self.policy.launch_delays()
-        copies = min(len(delays), len(self.backends))
+        plan = self.policy.plan()
+        copies = min(plan.copies, len(self.backends))
         chosen = self.selection.choose(len(self.backends), copies, key=key)
-        call_args = args if key is None else (key, *args)
-        factories: List[RequestFactory[T]] = [
-            (lambda b=self.backends[index]: b(*call_args, **kwargs)) for index in chosen
-        ]
-        # Cap the policy's plan at the number of available backends, keeping
-        # the launch schedule (a 3-copy policy over 2 backends degrades to a
-        # 2-copy one rather than erroring).
-        effective_policy: ReplicationPolicy = (
-            self.policy if copies == len(delays) else _FixedDelays(delays[:copies], self.policy)
-        )
+        call = (args if key is None else (key, *args), kwargs)
         self._requests.increment()
         try:
-            result = await hedged_call(factories, policy=effective_policy)
+            result = await self._racer.run(
+                [_Call(self.backends[index]) for index in chosen], call, plan
+            )
         except BaseException:
             # Fully-failed requests still show up in the registry; without
             # this an operator would read a failing client as idle.
             self._failed_requests.increment()
             raise
-        self.tracker.record(result.elapsed)
+        self.policy.record_latency(result.elapsed)
         self._copies_launched.increment(result.copies_launched)
         self._copies_cancelled.increment(result.copies_cancelled)
         self._errors.increment(len(result.errors))
         self._latency.record(result.elapsed)
         return result
-
-
-class _FixedDelays(ReplicationPolicy):
-    """Internal adapter: a fixed launch schedule that forwards latency feedback."""
-
-    def __init__(self, delays: Sequence[float], parent: ReplicationPolicy) -> None:
-        self._delays = list(delays)
-        self._parent = parent
-
-    def launch_delays(self) -> List[float]:
-        return list(self._delays)
-
-    def record_latency(self, latency: float) -> None:
-        self._parent.record_latency(latency)

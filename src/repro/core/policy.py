@@ -10,8 +10,10 @@ that trades a little mean improvement for much less added load).
 
 Policies are consumed by every executor in the repository:
 
-* the asyncio executor (:mod:`repro.core.hedging` — ``hedged_call`` and
-  :class:`~repro.core.hedging.RedundantClient`) and the live proxy
+* the two live executors, which run one race
+  (:class:`~repro.core.hedging.Racer`): the asyncio client
+  (:mod:`repro.core.hedging` — ``hedged_call``, ``first_completed`` and
+  :class:`~repro.core.hedging.RedundantClient`) and the serving proxy
   (:mod:`repro.serve`);
 * all six simulator substrates — the Section 2.1 queueing model
   (:class:`repro.queueing.ReplicatedQueueingModel`), the Section 2.2/2.3
@@ -182,8 +184,9 @@ class HedgeAfterDelay(ReplicationPolicy):
             delay: Seconds to wait before launching each backup copy (>= 0).
             extra_copies: Number of backup copies (>= 1).
             cancel_on_win: Cancel outstanding copies once a winner completes
-                (honoured by executors that support cancellation — the asyncio
-                client and the event-driven simulators).
+                (honoured by every executor that can cancel: the asyncio
+                client, the serving proxy and the event-driven simulators);
+                ``False`` lets the losers run to completion.
         """
         if delay < 0:
             raise ConfigurationError(f"delay must be >= 0, got {delay!r}")
@@ -228,7 +231,9 @@ class HedgeOnPercentile(ReplicationPolicy):
             initial_delay: Hedge delay used before any latencies are recorded.
             window: Number of most recent latencies to keep.
             extra_copies: Number of backup copies.
-            cancel_on_win: Cancel outstanding copies once a winner completes.
+            cancel_on_win: Cancel outstanding copies once a winner completes
+                (honoured by every executor that can cancel, as for
+                :class:`HedgeAfterDelay`).
         """
         if not 0.0 < percentile < 100.0:
             raise ConfigurationError(f"percentile must be in (0, 100), got {percentile!r}")

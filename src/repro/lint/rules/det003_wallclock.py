@@ -1,14 +1,15 @@
 """DET003 — wall-clock reads must not reach canonical code paths.
 
 Canonical artifacts are clock-free by contract: per-point wall-clock goes to
-the ``.timing.jsonl`` sidecar, progress/ETA display to the terminal, and the
-asyncio hedging client's measured latencies to its own (non-artifact)
-result object.  Those three families of sites are the *entire* sanctioned
-surface, enumerated in :data:`ALLOWLIST` with a justification each.  Any
-other ``time.time()`` / ``perf_counter()`` / ``datetime.now()`` call in
-``src/`` is one refactor away from leaking a timestamp into canonical bytes
-— a nondeterminism bug the equivalence tests would only catch after the
-fact — so it fails the lint at the call site, before it ships.
+the ``.timing.jsonl`` sidecar, progress/ETA and profiling reports to the
+terminal, and the live executors (the serving proxy and the asyncio client)
+read real time only through :class:`repro.serve.clock.RealClock`.  Those
+sites are the *entire* sanctioned surface, enumerated in :data:`ALLOWLIST`
+with a justification each.  Any other ``time.time()`` / ``perf_counter()``
+/ ``datetime.now()`` call in ``src/`` is one refactor away from leaking a
+timestamp into canonical bytes — a nondeterminism bug the equivalence tests
+would only catch after the fact — so it fails the lint at the call site,
+before it ships.
 
 New legitimate sites either justify themselves with a per-line pragma
 (``# repro: allow[DET003] <reason>``) or, for whole subsystems (a future
@@ -66,28 +67,23 @@ ALLOWLIST: Tuple[Tuple[str, str, str], ...] = (
         "cProfile wall-clock report printed to stdout; never serialized",
     ),
     (
-        "repro/core/hedging.py",
-        "hedged_call",
-        "the asyncio client measures real request latency by design; "
-        "HedgedResult.elapsed never enters a canonical artifact",
-    ),
-    (
         "repro/serve/clock.py",
         "RealClock",
         "the Clock seam's real implementation: the ONLY wall-clock surface "
-        "of the live serving loop.  Everything in repro.serve reads time "
+        "of the live executors.  Everything in repro.serve reads time "
         "through an injected Clock, so canonical (virtual-clock) runs never "
         "reach this site; RealClock reports are marked clock=real and are "
-        "not canonical artifacts",
+        "not canonical artifacts, and the asyncio client's "
+        "HedgedResult.elapsed never enters one",
     ),
 )
 
 
 class WallClockRule(Rule):
-    """Flag wall-clock reads outside the sanctioned timing/progress/hedging sites."""
+    """Flag wall-clock reads outside the sanctioned timing/progress/clock sites."""
 
     rule_id = "DET003"
-    title = "wall-clock reads are confined to sidecar/progress/hedging sites"
+    title = "wall-clock reads are confined to sidecar/progress/clock sites"
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         for call, name in ctx.calls():
@@ -104,7 +100,7 @@ class WallClockRule(Rule):
                 ctx,
                 call,
                 f"{name}() reads the wall clock outside the sanctioned "
-                f"timing-sidecar/progress/hedging sites — route timing to the "
+                f"timing-sidecar/progress/clock sites — route timing to the "
                 f".timing.jsonl sidecar, or add a justified "
                 f"'# repro: allow[DET003] ...' pragma / ALLOWLIST entry",
             )

@@ -19,7 +19,8 @@ an *online* asyncio serving loop:
   request: eager k-copies to the k distinct ring successors, ``hedge:<d>``
   via clock timers that launch the duplicate copies, ``hedge:p95`` driven
   live by the streaming recorder, cancel-on-win by withdrawing the losing
-  copies — with live policy hot-swap.
+  copies — with live policy hot-swap.  Its race is
+  :class:`repro.core.hedging.Racer`, the one the asyncio client runs.
 * :mod:`repro.serve.loadgen` / :mod:`repro.serve.report` — the open-loop
   Poisson load generator and its latency/cost report.
 * :mod:`repro.serve.cli` — ``python -m repro.serve run|bench``.

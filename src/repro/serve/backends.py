@@ -21,12 +21,12 @@ cancellation saves queueing, not work already under way.
 Three call surfaces share that one ``busy_until`` state through one
 reservation routine:
 
-* ``start(key, done)`` — used by the proxy's race path: reserves, schedules
-  the finish as a clock timer due at the reserved finish time
-  (``clock.call_at``) and returns a handle whose ``cancel()`` reclaims by
-  the rule above.  ``done(service)`` runs at the finish, which on a virtual
-  clock is the reservation's ``finish`` bit for bit.  No task, no
-  coroutine.
+* ``start(key, done)`` — used by the proxy's race path (the race of
+  :class:`repro.core.hedging.Racer`): reserves, schedules the finish as a
+  clock timer due at the reserved finish time (``clock.call_at``) and
+  returns a handle whose ``cancel()`` reclaims by the rule above.
+  ``done(service)`` runs at the finish, which on a virtual clock is the
+  reservation's ``finish`` bit for bit.  No task, no coroutine.
 * ``submit(key, now)`` — synchronous fast path used by the proxy's
   no-cancel eager dispatch: reserves and returns the absolute finish time
   without scheduling anything.
@@ -39,7 +39,8 @@ never leaves the pool with two disagreeing pictures of its queues.
 
 Backends that only learn their finish by awaiting real I/O (the echo
 backend) implement ``handle`` alone; the base class's ``start`` runs it in a
-task and reports its outcome through the same ``done`` callback.
+task and reports its outcome through the same ``done`` callback, as the
+asyncio client in :mod:`repro.core.hedging` runs each of its copies.
 
 ``queueing=False`` turns the backend into an infinite-server station (no
 reservation coupling between requests) — the configuration the ``bench``
@@ -52,10 +53,11 @@ from __future__ import annotations
 import abc
 import asyncio
 import functools
-from typing import Callable, Optional, Protocol, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.core.hedging import CopyDone, CopyHandle, _TaskCopy
 from repro.distributions import Distribution, Exponential
 from repro.serve.clock import Clock, Timer
 from repro.sim.rng import substream
@@ -64,18 +66,6 @@ __all__ = ["Backend", "BackendError", "SimBackend"]
 
 #: Service draws are replenished in blocks of this many samples.
 _DRAW_BLOCK = 4096
-
-
-#: Called once when a started copy finishes: with the service time spent,
-#: or with ``None`` when the copy failed.
-CopyDone = Callable[[Optional[float]], None]
-
-
-class CopyHandle(Protocol):
-    """What :meth:`Backend.start` returns: a copy that can be withdrawn."""
-
-    def cancel(self) -> None:
-        """Withdraw the copy; its ``done`` callback will not run."""
 
 
 class BackendError(RuntimeError):
@@ -104,37 +94,14 @@ class Backend(abc.ABC):
     def start(self, key: int, done: CopyDone) -> CopyHandle:
         """Start serving ``key`` without waiting; return a cancellable handle.
 
-        ``done`` runs once, when the copy finishes: with the service time,
-        or with ``None`` if :meth:`handle` raised — any exception counts as
-        a failed copy.  After ``cancel()`` it never runs.  This default
-        runs :meth:`handle` in a task; backends that can reserve
-        synchronously override it and may raise :class:`BackendError` at
-        once when they refuse the copy.
+        ``done`` runs once, when the copy finishes: ``done(service)`` with
+        the service time, or ``done(None, error)`` with the exception
+        :meth:`handle` raised — any exception counts as a failed copy.
+        After ``cancel()`` it never runs.  This default runs :meth:`handle`
+        in a task; backends that can reserve synchronously override it and
+        may raise :class:`BackendError` at once when they refuse the copy.
         """
         return _TaskCopy(asyncio.ensure_future(self.handle(key)), done)
-
-
-class _TaskCopy:
-    """A copy served by a :meth:`Backend.handle` task."""
-
-    __slots__ = ("_task", "_done")
-
-    def __init__(self, task: "asyncio.Task[float]", done: CopyDone) -> None:
-        self._task: Optional["asyncio.Task[float]"] = task
-        self._done: Optional[CopyDone] = done
-        task.add_done_callback(self._report)
-
-    def _report(self, task: "asyncio.Task[float]") -> None:
-        # Reading the exception also marks it retrieved, cancelled or not.
-        failed = task.cancelled() or task.exception() is not None
-        done, self._done, self._task = self._done, None, None
-        if done is not None:
-            done(None if failed else task.result())
-
-    def cancel(self) -> None:
-        self._done = None
-        if self._task is not None:
-            self._task.cancel()
 
 
 class SimBackend(Backend):

@@ -63,7 +63,12 @@ class EchoServer:
 
 
 class EchoBackend(Backend):
-    """A backend that round-trips each request over a real TCP connection."""
+    """A backend that round-trips each request over a real TCP connection.
+
+    A connection the peer closes or resets fails only the copy whose round
+    trip was on it; the next copy reconnects.  The backend is marked failed
+    only through :meth:`set_failed`, as the proxy does on a crash.
+    """
 
     def __init__(self, index: int, clock: Clock, port: int) -> None:
         if isinstance(clock, VirtualClock):
@@ -107,17 +112,17 @@ class EchoBackend(Backend):
                 self._writer.write(f"{self.index}:{key}\n".encode("ascii"))
                 await self._writer.drain()
                 reply = await self._reader.readline()
-        except asyncio.CancelledError:
-            # A round-trip cancelled mid-flight may leave an unread reply in
-            # the stream; drop the connection so the next copy starts clean.
-            # A copy cancelled while still queued on the lock owns nothing:
-            # the connection belongs to the copy holding the lock.
+                if not reply:
+                    raise BackendError(f"backend {self.index} connection closed")
+        except (asyncio.CancelledError, OSError, BackendError):
+            # A round-trip cut short (cancelled mid-flight, reset or closed by
+            # the peer) leaves the connection unusable or holding an unread
+            # reply: drop it, so the next copy reconnects and starts clean.
+            # A copy that fails or is cancelled while still queued on the
+            # lock owns nothing: the connection belongs to the lock holder.
             if holding:
                 self._reset()
             raise
-        if not reply:
-            self.set_failed(True)
-            raise BackendError(f"backend {self.index} connection closed")
         elapsed = self._clock.now() - started
         self.completed += 1
         self.consumed_s += elapsed

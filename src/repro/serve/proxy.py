@@ -35,14 +35,15 @@ Two dispatch paths, one accounting surface:
 
 * the **race path** (:meth:`race`, awaited by :meth:`request`) is required
   whenever a plan hedges, cancels on win, or must survive backend failure.
-  Each copy is a backend reservation whose finish is a clock timer due at
-  the reserved finish time, and each hedge a timer that starts its copy;
-  no task is created per copy or per request.  The first finish schedules
-  one settle step for the next loop pass (``clock.call_soon``), which
-  resolves the request's future (``clock.create_future``).  All of it goes
-  through the injected clock, so on a
-  :class:`~repro.serve.clock.VirtualClock` a race is a few entries on the
-  clock's timer heap, each run at its exact due time;
+  It is the race of :class:`repro.core.hedging.Racer`, which the asyncio
+  client runs too: each copy is a backend reservation whose finish is a
+  clock timer due at the reserved finish time, and each hedge a timer that
+  starts its copy; no task is created per copy or per request.  The first
+  finish schedules one settle step for the next loop pass
+  (``clock.call_soon``), which resolves the request's future
+  (``clock.create_future``).  All of it goes through the injected clock, so
+  on a :class:`~repro.serve.clock.VirtualClock` a race is a few entries on
+  the clock's timer heap, each run at its exact due time;
 * the **fast path** (:meth:`submit_nowait`, vectorised as
   :meth:`submit_batch`) covers eager plans without cancel-on-win: every
   copy's finish time is known at dispatch from the reservation math, so
@@ -53,12 +54,12 @@ Two dispatch paths, one accounting surface:
 from __future__ import annotations
 
 import asyncio
-import functools
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.cluster.consistent_hash import ConsistentHashRing
+from repro.core.hedging import Racer
 from repro.core.policy import (
     PolicyLike,
     ReplicationPolicy,
@@ -67,21 +68,19 @@ from repro.core.policy import (
     policy_to_spec,
 )
 from repro.metrics.recorder import LatencyRecorder
-from repro.serve.backends import Backend, BackendError, CopyHandle
-from repro.serve.clock import Clock, Timer
+from repro.serve.backends import Backend, BackendError
+from repro.serve.clock import Clock
 
 __all__ = ["RedundancyProxy"]
 
 
-class RedundancyProxy:
+class RedundancyProxy(Racer):
     """Race redundant copies of each request across ring-placed backends.
 
     Args:
         backends: The pool; ``backends[i]`` sits at ring position ``i``.
         clock: Injected time source — the proxy never reads a wall clock.
         policy: Initial replication policy (any ``PolicySpec`` or object).
-        virtual_nodes: Virtual nodes per backend on the hash ring.
-        recorder_name: Name for the internal streaming latency recorder.
     """
 
     def __init__(
@@ -89,24 +88,18 @@ class RedundancyProxy:
         backends: Sequence[Backend],
         clock: Clock,
         policy: PolicyLike = "none",
-        virtual_nodes: int = 64,
-        recorder_name: str = "serve",
     ) -> None:
         if not backends:
             raise ValueError("RedundancyProxy needs at least one backend")
+        # The race keeps the cost counters (copies launched, hedges fired and
+        # suppressed, copies cancelled, failures) — the cost side of the
+        # latency/cost trade-off; the fast path adds to them too.
+        super().__init__(clock)
         self.backends = list(backends)
-        self.clock = clock
-        self.ring = ConsistentHashRing(len(self.backends), virtual_nodes=virtual_nodes)
+        self.ring = ConsistentHashRing(len(self.backends))
         self.policy: ReplicationPolicy = parse_policy(policy)
-        self.recorder = LatencyRecorder(recorder_name, mode="streaming")
-        # Counters — the cost side of the latency/cost trade-off.
+        self.recorder = LatencyRecorder("serve", mode="streaming")
         self.requests = 0
-        self.copies_launched = 0
-        self.hedges_fired = 0
-        self.hedges_suppressed = 0
-        self.copies_cancelled = 0
-        self.failed_copies = 0
-        self.failed_requests = 0
         self.useful_service_s = 0.0
         self.policy_swaps: List[Dict[str, Union[float, str]]] = []
         self.membership_events: List[Dict[str, Union[float, int, str]]] = []
@@ -114,10 +107,6 @@ class RedundancyProxy:
         self._table_copies = 0
         self._keyspace: Optional[int] = None
         self._keyspace_copies = 0
-        self._in_flight = 0
-        self._idle = asyncio.Event()
-        self._idle.set()
-        self._strays = 0
         self._fast_plan: Optional[RequestPlan] = None
         self._pending_latencies: List[float] = []
         self._pending_chunks: List[np.ndarray] = []
@@ -128,14 +117,13 @@ class RedundancyProxy:
     # Policy management
     # ------------------------------------------------------------------
 
-    def set_policy(self, policy: PolicyLike, record_swap: bool = True) -> None:
+    def set_policy(self, policy: PolicyLike) -> None:
         """Hot-swap the replication policy; in-flight requests are unaffected."""
         self.policy = parse_policy(policy)
         self._refresh_fast_plan()
-        if record_swap:
-            self.policy_swaps.append(
-                {"at": self.clock.now(), "policy": policy_to_spec(self.policy)}
-            )
+        self.policy_swaps.append(
+            {"at": self.clock.now(), "policy": policy_to_spec(self.policy)}
+        )
 
     def _refresh_fast_plan(self) -> None:
         """Cache the plan iff the fast path may serve it: static + eager +
@@ -250,7 +238,7 @@ class RedundancyProxy:
     # Fast path: eager plans without cancel-on-win
     # ------------------------------------------------------------------
 
-    def submit_nowait(self, key: int, record: bool = True) -> bool:
+    def submit_nowait(self, key: int) -> bool:
         """Dispatch ``key`` without creating tasks, if the plan allows it.
 
         Returns ``False`` when the current plan hedges, adapts or cancels
@@ -286,14 +274,11 @@ class RedundancyProxy:
         self.useful_service_s += win_service
         if win_finish > self._last_finish:
             self._last_finish = win_finish
-        if record:
-            self._pending_latencies.append(win_finish - now)
-            self.policy.record_latency(win_finish - now)
+        self._pending_latencies.append(win_finish - now)
+        self.policy.record_latency(win_finish - now)
         return True
 
-    def submit_batch(
-        self, keys: np.ndarray, arrivals: np.ndarray, record: bool = True
-    ) -> bool:
+    def submit_batch(self, keys: np.ndarray, arrivals: np.ndarray) -> bool:
         """Vectorised :meth:`submit_nowait` for a block of due arrivals.
 
         ``arrivals`` are absolute, ascending timestamps.  Copies are grouped
@@ -341,8 +326,7 @@ class RedundancyProxy:
         last = float(win_finish.max())
         if last > self._last_finish:
             self._last_finish = last
-        if record:
-            self._pending_chunks.append(latencies)
+        self._pending_chunks.append(latencies)
         return True
 
     def finalize(self) -> None:
@@ -363,141 +347,44 @@ class RedundancyProxy:
     # Race path: hedged / cancel-on-win / failure-tolerant dispatch
     # ------------------------------------------------------------------
 
-    def race(self, key: int, record: bool = True) -> "asyncio.Future[float]":
+    def race(self, key: int) -> "asyncio.Future[float]":
         """Start one request under the current plan; return its latency future.
 
         Zero-delay copies start at once (:meth:`Backend.start`); each hedge
         is parked as a clock timer that starts it, in launch order.  The
-        first copy to finish schedules :meth:`_settle` for the next loop
+        first copy to finish schedules the settle step for the next loop
         pass, which picks the winner, suppresses unlaunched hedges, cancels
-        or strands the launched losers and resolves the future.  The future
-        fails with :class:`BackendError` once every copy has failed.
+        or strands the launched losers (strays, which :meth:`drain` waits
+        for) and resolves the future.  The future fails with
+        :class:`BackendError` once every copy has failed.
         """
         plan = self.policy.plan()
         max_copies = min(plan.copies, self.ring.num_servers)
-        race = _Race(
-            key,
-            self.clock.now(),
-            [self.backends[index] for index in self.replicas(key, max_copies)],
-            plan.cancel_on_win,
-            record,
-            self.clock.create_future(),
-        )
+        backends = [self.backends[index] for index in self.replicas(key, max_copies)]
         self.requests += 1
-        self._begin()
-        for copy, delay in enumerate(plan.launch_delays[:max_copies]):
-            if delay > 0:
-                race.timers[copy] = self.clock.call_later(
-                    delay, self._fire_hedge, race, copy
-                )
-            else:
-                self._launch(race, copy)
-        return race.future
+        return self._start(key, backends, plan).future
 
-    async def request(self, key: int, record: bool = True) -> float:
+    async def request(self, key: int) -> float:
         """Serve one request under the current plan; return its latency.
 
         Awaits the future of :meth:`race`.  The winner's latency is fed to
         the recorder and the policy; a failed request raises
         :class:`BackendError`.
         """
-        return await self.race(key, record)
+        return await self.race(key)
 
-    def _fire_hedge(self, race: "_Race", copy: int) -> None:
-        race.timers[copy] = None
-        self.hedges_fired += 1
-        self._launch(race, copy)
+    def _won(self, race, copy: int, service: float, latency: float) -> float:
+        self.useful_service_s += service
+        self.recorder.record(latency)
+        self.policy.record_latency(latency)
+        return latency
 
-    def _launch(self, race: "_Race", copy: int) -> None:
-        self.copies_launched += 1
-        try:
-            race.copies[copy] = race.backends[copy].start(
-                race.key, functools.partial(self._copy_done, race, copy)
-            )
-        except Exception:
-            # Whatever a backend raises when refusing a copy, the copy
-            # failed; the race goes on with the others.
-            self._copy_done(race, copy, None)
-
-    def _copy_done(self, race: "_Race", copy: int, service: Optional[float]) -> None:
-        """A copy finished (``service``) or failed (``None``)."""
-        if service is None:
-            self.failed_copies += 1
-        copies = race.copies
-        if copies is None:
-            # A loser the settled race left running (no cancel-on-win).
-            self._strays -= 1
-            self._check_idle()
-            return
-        copies[copy] = None
-        race.unresolved -= 1
-        if service is not None:
-            if not race.finished:
-                self.clock.call_soon(self._settle, race)
-            race.finished.append((copy, service))
-        elif race.unresolved == 0 and not race.finished:
-            self.clock.call_soon(self._settle, race)
-
-    def _settle(self, race: "_Race") -> None:
-        """Resolve a race one loop pass after its first finish (or last failure).
-
-        The winner is the earliest-launched copy among those that finished
-        by now, so an exact tie does not depend on timer order; the other
-        finishers count as completed.  A hedge still parked never reached a
-        backend and is *suppressed* (as in the offline FIFO hedging engine,
-        :mod:`repro.core.cancellation`); launched losers are *cancelled*
-        under cancel-on-win, else they run on as strays that :meth:`drain`
-        waits for.
-        """
-        copies, timers, finished = race.copies, race.timers, race.finished
-        # ``None`` marks the race settled, and dropping its links to copies
-        # and timers leaves no cycle through a stray's ``done`` callback.
-        race.copies = race.timers = race.finished = None
-        for timer in timers:
-            if timer is not None:
-                timer.cancel()
-                self.hedges_suppressed += 1
-        for handle in copies:
-            if handle is not None:
-                if race.cancel_on_win:
-                    handle.cancel()
-                    self.copies_cancelled += 1
-                else:
-                    self._strays += 1
-        future = race.future
-        if finished:
-            _copy, service = min(finished)
-            latency = self.clock.now() - race.started
-            self.useful_service_s += service
-            if race.record:
-                self.recorder.record(latency)
-                self.policy.record_latency(latency)
-            if not future.done():
-                future.set_result(latency)
-        else:
-            self.failed_requests += 1
-            if not future.done():
-                future.set_exception(
-                    BackendError(f"all copies of request {race.key} failed")
-                )
-        self._in_flight -= 1
-        self._check_idle()
+    def _lost(self, race) -> BackendError:
+        return BackendError(f"all copies of request {race.key} failed")
 
     # ------------------------------------------------------------------
     # Drain / bookkeeping
     # ------------------------------------------------------------------
-
-    def _begin(self) -> None:
-        self._in_flight += 1
-        self._idle.clear()
-
-    def _check_idle(self) -> None:
-        if self._in_flight == 0 and self._strays == 0:
-            self._idle.set()
-
-    @property
-    def in_flight(self) -> int:
-        return self._in_flight
 
     async def drain(self) -> None:
         """Wait until every accepted request and every stray copy has finished."""
@@ -523,36 +410,3 @@ class RedundancyProxy:
             "wasted_service_s": max(0.0, consumed - self.useful_service_s),
         }
 
-
-class _Race:
-    """One request's copies in flight on the race path."""
-
-    __slots__ = (
-        "key", "started", "backends", "cancel_on_win", "record", "future",
-        "copies", "timers", "finished", "unresolved",
-    )
-
-    def __init__(
-        self,
-        key: int,
-        started: float,
-        backends: List[Backend],
-        cancel_on_win: bool,
-        record: bool,
-        future: "asyncio.Future[float]",
-    ) -> None:
-        self.key = key
-        self.started = started
-        self.backends = backends
-        self.cancel_on_win = cancel_on_win
-        self.record = record
-        self.future = future
-        count = len(backends)
-        #: Per copy: the running copy's handle, else ``None``.
-        self.copies: Optional[List[Optional[CopyHandle]]] = [None] * count
-        #: Per copy: the parked hedge's timer, else ``None``.
-        self.timers: Optional[List[Optional[Timer]]] = [None] * count
-        #: ``(copy, service)`` of each copy finished before the settle step.
-        self.finished: Optional[List[Tuple[int, float]]] = []
-        #: Copies neither finished nor failed (parked hedges included).
-        self.unresolved = count

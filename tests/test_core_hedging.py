@@ -7,7 +7,6 @@ import pytest
 from repro.core import (
     HedgeAfterDelay,
     KCopies,
-    LatencyTracker,
     NoReplication,
     RedundantClient,
     first_completed,
@@ -15,6 +14,7 @@ from repro.core import (
 )
 from repro.core.selection import RankedBest
 from repro.exceptions import ConfigurationError
+from repro.serve.clock import RealClock
 
 
 def run(coro):
@@ -138,19 +138,17 @@ class TestHedgedCall:
         call never started.
         """
 
-        class JumpyClock:
-            """perf_counter that leaps far beyond the hedge delay."""
+        class JumpyClock(RealClock):
+            """A real clock whose reading leaps far beyond the hedge delay."""
 
             def __init__(self):
                 self.calls = 0
 
-            def perf_counter(self):
+            def now(self):
                 self.calls += 1
                 return 0.0 if self.calls == 1 else 100.0
 
-        import repro.core.hedging as hedging_module
-
-        monkeypatch.setattr(hedging_module, "time", JumpyClock())
+        monkeypatch.setattr("repro.serve.clock.RealClock", JumpyClock)
         invoked = []
 
         def factory(name):
@@ -179,49 +177,44 @@ class TestHedgedCall:
             await asyncio.sleep(5.0)
             return "slow"
 
-        result = run(hedged_call([lambda: slow(), lambda: fast()], policy=KCopies(2)))
+        result = run(
+            hedged_call([lambda: slow(), lambda: fast()], policy=HedgeAfterDelay(0.0))
+        )
         assert result.value == "fast"
         assert result.copies_launched == 2
         assert result.copies_cancelled == 1
 
+    def test_a_backend_returning_none_wins(self):
+        result = run(
+            hedged_call(
+                [lambda: backend(None, 0.0), lambda: backend("late", 0.05)],
+                policy=HedgeAfterDelay(0.0),
+            )
+        )
+        assert result.value is None
+        assert result.winner == 0
+        assert result.errors == []
 
-class TestLatencyTracker:
-    def test_percentile_and_mean(self):
-        tracker = LatencyTracker()
-        for value in (0.1, 0.2, 0.3, 0.4, 1.0):
-            tracker.record(value)
-        assert tracker.mean() == pytest.approx(0.4)
-        assert tracker.percentile(50) == pytest.approx(0.3)
-        assert tracker.percentile(100) == pytest.approx(1.0)
+    def test_lower_copy_index_wins_when_copies_finish_in_one_loop_pass(self):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            gates = [loop.create_future(), loop.create_future()]
 
-    def test_window_eviction(self):
-        tracker = LatencyTracker(window=3)
-        for value in (1.0, 2.0, 3.0, 4.0):
-            tracker.record(value)
-        assert len(tracker) == 3
-        assert tracker.percentile(0) == pytest.approx(2.0)
+            async def copy(index):
+                return await gates[index]
 
-    def test_percentile_matches_numpy_interpolation(self):
-        import numpy as np
+            def open_gates():
+                # Copy 1 resumes, and finishes, first within the pass.
+                gates[1].set_result("second")
+                gates[0].set_result("first")
 
-        tracker = LatencyTracker()
-        values = [float(i + 1) for i in range(20)]
-        for value in values:
-            tracker.record(value)
-        for q in (25, 50, 95):
-            assert tracker.percentile(q) == pytest.approx(float(np.percentile(values, q)))
+            loop.call_later(0.01, open_gates)
+            return await hedged_call(
+                [lambda: copy(0), lambda: copy(1)], policy=KCopies(2)
+            )
 
-    def test_empty_tracker_errors(self):
-        with pytest.raises(ConfigurationError):
-            LatencyTracker().percentile(50)
-        with pytest.raises(ConfigurationError):
-            LatencyTracker().mean()
-
-    def test_invalid_values(self):
-        with pytest.raises(ConfigurationError):
-            LatencyTracker().record(-1.0)
-        with pytest.raises(ConfigurationError):
-            LatencyTracker(window=0)
+        result = run(scenario())
+        assert (result.winner, result.value) == (0, "first")
 
 
 class TestRedundantClient:
@@ -244,7 +237,7 @@ class TestRedundantClient:
         client = RedundantClient([quick, quick])
         run(client.request(key="x"))
         run(client.request(key="y"))
-        assert len(client.tracker) == 2
+        assert len(client.metrics.histogram("latency")) == 2
 
     def test_policy_capped_by_backend_count(self):
         async def only(key):
@@ -271,3 +264,60 @@ class TestRedundantClient:
         snapshot = client.metrics.snapshot()
         assert snapshot["requests"] == 2
         assert snapshot["latency"]["count"] == 2
+
+    @pytest.mark.parametrize(
+        "policy", [HedgeAfterDelay(0.01, cancel_on_win=False), KCopies(2)]
+    )
+    def test_loser_runs_to_completion_when_the_plan_does_not_cancel(self, policy):
+        async def scenario():
+            finished = asyncio.Event()
+
+            async def slow(key):
+                await asyncio.sleep(0.1)
+                finished.set()
+                return ("slow", key)
+
+            async def fast(key):
+                await asyncio.sleep(0.02)
+                return ("fast", key)
+
+            client = RedundantClient([slow, fast], policy=policy, selection=RankedBest([0, 1]))
+            result = await client.request(key="k")
+            await asyncio.wait_for(finished.wait(), timeout=5.0)
+            return result, client
+
+        result, client = run(scenario())
+        assert result.value == ("fast", "k")
+        assert result.copies_cancelled == 0
+        assert client.metrics.counter("copies_cancelled").value == 0
+
+    @pytest.mark.parametrize("cancel_on_win", [True, False])
+    def test_timeout_withdraws_launched_copies_and_parked_hedges(self, cancel_on_win):
+        async def scenario():
+            cancelled, hedged = [], []
+
+            async def primary(key):
+                try:
+                    await asyncio.sleep(5.0)
+                except asyncio.CancelledError:
+                    cancelled.append(key)
+                    raise
+
+            async def backup(key):
+                hedged.append(key)
+
+            client = RedundantClient(
+                [primary, backup],
+                policy=HedgeAfterDelay(0.05, cancel_on_win=cancel_on_win),
+                selection=RankedBest([0, 1]),
+            )
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(client.request(key="k"), timeout=0.01)
+            # Past the hedge's due time: a parked hedge would have fired.
+            await asyncio.sleep(0.1)
+            return cancelled, hedged, client
+
+        cancelled, hedged, client = run(scenario())
+        assert cancelled == ["k"]
+        assert hedged == []
+        assert client.metrics.counter("failed_requests").value == 1

@@ -23,7 +23,8 @@ from repro.lint import (
 )
 from repro.lint.api import collect_files
 from repro.lint.cli import main
-from repro.lint.context import normalize_module_path
+from repro.lint.context import ModuleContext, normalize_module_path
+from repro.lint.rules.det003_wallclock import ALLOWLIST, WALLCLOCK_CALLS
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -150,6 +151,15 @@ class TestDet003WallClock:
     def test_allowlist_is_scope_specific(self):
         src = "import time\ndef other():\n    return time.perf_counter()\n"
         assert fired(src, module="repro/experiments/runner.py") == ["DET003"]
+
+    @pytest.mark.parametrize("module,prefix", [entry[:2] for entry in ALLOWLIST])
+    def test_every_allowlist_entry_covers_a_wall_clock_call(self, module, prefix):
+        """A stale entry would silently sanction a later read in its scope."""
+        ctx = ModuleContext((REPO_ROOT / "src" / module).read_text(), module)
+        assert any(
+            name in WALLCLOCK_CALLS and ctx.qualname(call).startswith(prefix)
+            for call, name in ctx.calls()
+        )
 
     def test_pragma_suppresses(self):
         src = (

@@ -7,13 +7,18 @@ over :class:`SimBackend` pools, and :func:`simulate_hedged_arrivals` with
 from a fresh pool of the same seed.  Every request's latency must agree bit
 for bit, and so must the number of copies launched.
 
-The grid covers the policies that never cancel on win and never adapt:
-eager ``none``/``k2``/``k3`` and fixed-delay ``:nocancel`` hedges, on
-exponential and heavy-tailed Pareto service.
+The fixed grid and the hypothesis property cover the policies that never
+cancel on win and never adapt: eager ``none``/``k2``-``k4`` and fixed-delay
+``:nocancel`` hedges, on exponential and heavy-tailed Pareto service.  The
+property draws the pool size, the load and the seed too.  Exact ties (a
+hedge of ``0ms``, deterministic service) resolve differently by design and
+stay out.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.policy import parse_policy, simulate_hedged_arrivals
 from repro.distributions import Exponential, Pareto
@@ -40,14 +45,14 @@ GRID = [
 ]
 
 
-def live_race(spec, service, pool_size, rate, seed):
+def live_race(spec, service, pool_size, rate, seed, requests=REQUESTS):
     """Race every request through the proxy; return keys, arrivals, latencies, proxy."""
     clock = VirtualClock()
     pool = [SimBackend(i, clock, seed=seed, service=service) for i in range(pool_size)]
     proxy = RedundancyProxy(pool, clock, policy=spec)
     proxy.prepare_keyspace(KEYSPACE, pool_size)
-    times = PoissonArrivals(rate, substream(seed, "diff-arrivals")).times_count(REQUESTS)
-    keys = substream(seed, "diff-keys").integers(0, KEYSPACE, size=REQUESTS)
+    times = PoissonArrivals(rate, substream(seed, "diff-arrivals")).times_count(requests)
+    keys = substream(seed, "diff-keys").integers(0, KEYSPACE, size=requests)
 
     async def main():
         arrivals, races = [], []
@@ -97,3 +102,41 @@ def test_live_race_equals_offline_engine(spec, setup, seed):
     assert mismatched == []
     assert proxy.copies_launched == launched
     assert proxy.failed_requests == 0
+
+
+#: Mean service time of both property distributions (seconds).
+MEAN_SERVICE_S = 0.001
+PROPERTY_SERVICES = {
+    "exp": Exponential(mean=MEAN_SERVICE_S),
+    "pareto": Pareto(1.5, mean=MEAN_SERVICE_S),
+}
+DELAYS = st.sampled_from(["250us", "500us", "1ms", "2ms", "5ms"])
+NOCANCEL_SPECS = st.one_of(
+    st.just("none"),
+    st.integers(2, 4).map("k{}".format),
+    st.builds("hedge:{}:nocancel".format, DELAYS),
+    st.builds("hedge:{}:x{}:nocancel".format, DELAYS, st.integers(2, 3)),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    spec=NOCANCEL_SPECS,
+    service=st.sampled_from(sorted(PROPERTY_SERVICES)),
+    pool_size=st.integers(2, 8),
+    load=st.floats(0.05, 0.95),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_live_race_equals_offline_engine_property(spec, service, pool_size, load, seed):
+    """``load`` is the arrival rate as a share of the pool's capacity."""
+    distribution = PROPERTY_SERVICES[service]
+    rate = load * pool_size / MEAN_SERVICE_S
+    keys, arrivals, live, proxy = live_race(
+        spec, distribution, pool_size, rate, seed, requests=1000
+    )
+    offline, launched = offline_engine(
+        spec, distribution, pool_size, seed, keys, arrivals, proxy
+    )
+    mismatched = [r for r in range(len(keys)) if live[r] != offline[r]]
+    assert mismatched == []
+    assert proxy.copies_launched == launched

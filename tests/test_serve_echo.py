@@ -1,9 +1,10 @@
-"""The real-socket echo backend under cancel-on-win.
+"""The real-socket echo backend under cancel-on-win and lost connections.
 
 Copies sharing one :class:`EchoBackend` queue on its connection lock.  A
 losing copy cancelled while still queued there owns nothing, so it must not
 drop the connection under the copy mid-round-trip; and the server must treat
-a peer that resets its connection as an ordinary close.
+a peer that resets its connection as an ordinary close.  A connection the
+server closes or resets fails only the copy on it: the next copy reconnects.
 """
 
 import asyncio
@@ -12,7 +13,7 @@ import struct
 
 import pytest
 
-from repro.serve import RealClock
+from repro.serve import BackendError, RealClock
 from repro.serve.echo import EchoBackend, EchoServer
 
 
@@ -86,3 +87,46 @@ def test_server_treats_a_peer_reset_as_a_normal_close():
         return errors
 
     assert asyncio.run(main()) == []
+
+
+@pytest.mark.parametrize("reset", [False, True])
+def test_backend_reconnects_after_the_server_drops_the_connection(reset):
+    """The server answers once per connection, then closes or resets it."""
+
+    async def serve_once(reader, writer):
+        line = await reader.readline()
+        writer.write(line)
+        await writer.drain()
+        if reset:
+            # A zero linger time makes closing send a reset instead of a FIN.
+            writer.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            writer.transport.abort()
+        else:
+            writer.close()
+
+    async def main():
+        server = await asyncio.start_server(serve_once, "127.0.0.1", 0)
+        backend = EchoBackend(0, RealClock(), server.sockets[0].getsockname()[1])
+        outcomes = []
+        try:
+            for key in range(4):
+                try:
+                    await asyncio.wait_for(backend.handle(key), timeout=5.0)
+                except (BackendError, OSError):
+                    outcomes.append("failed")
+                else:
+                    outcomes.append("ok")
+                    # Let the server's close or reset reach the client.
+                    await asyncio.sleep(0.05)
+        finally:
+            await backend.close()
+            server.close()
+            await server.wait_closed()
+        return outcomes, backend
+
+    outcomes, backend = asyncio.run(main())
+    assert outcomes == ["ok", "failed", "ok", "failed"]
+    assert not backend.failed
+    assert backend.completed == 2
