@@ -1,23 +1,34 @@
-"""Optional C fast paths for two Python-level inner loops, via ``ctypes``.
+"""Optional C fast paths for three Python-level inner loops, via ``ctypes``.
 
-Two hot loops in the batched substrate kernels resist numpy vectorisation
-because each step depends on the previous one (the FIFO busy-period
-recursion) or because the work is many tiny irregular windows (the LRU
-ambiguous-access resolution).  Both are plain loops over contiguous C arrays,
-so when a system C compiler is present they are compiled once per machine
-into a small shared library and called through ``ctypes`` — no third-party
-packages, no Python headers, no build step in the repo.
+Three hot loops in the batched substrate kernels resist numpy vectorisation
+because each step depends on the previous one: the FIFO busy-period
+recursion, the per-miss disk draws (the ziggurat exponential consumes a
+variable number of generator words) and the LRU cache state.  All three are
+plain loops over contiguous C arrays, so when a system C compiler is present
+they are compiled once per source digest into a small shared library and
+called through ``ctypes`` — no third-party packages, no Python headers, no
+build step in the repo.
 
-Byte-identity: the C routines perform exactly the same IEEE-754 double
-operations, in the same order, as the Python loops they replace (compiled
-without ``-ffast-math``, so the compiler cannot reassociate them), and the
-LRU routine only counts integers.  The Python implementations remain the
-reference: ``REPRO_CKERNELS=0`` forces them, and tests pin the two paths
-against each other.
+Byte-identity: each C routine is a literal port of the scalar Python loop it
+replaces and performs exactly the same IEEE-754 double operations in the same
+order.  The build omits ``-ffast-math``, so the compiler cannot reassociate,
+and passes ``-ffp-contract=off``, so it cannot fuse a multiply and an add
+into one FMA (aarch64 has FMA in its baseline).  ``disk_services`` draws
+from the generator's own numpy ``bitgen_t`` state through numpy's own
+``random_standard_exponential``, the routine ``Generator.exponential`` runs,
+looked up in numpy's ``_generator`` extension at load time rather than linked
+from a static copy, so a numpy upgrade cannot leave a stale sampler in a
+cached library.  The numpy and Python implementations remain the no-compiler
+path: ``REPRO_CKERNELS=0`` forces them, and tests pin both paths against the
+scalar references.
 
-Any failure — no compiler, read-only temp dir, unsupported platform —
-results in :func:`load` returning ``None`` and callers silently using the
-Python loops.
+The library is cached in a per-user directory under the temp dir, created
+``0o700``.  A cache directory or library that another user owns, or that
+group or others may write, is refused rather than loaded.
+
+Any failure — no compiler, no numpy sampler symbol, an unsafe cache
+directory, read-only temp dir, unsupported platform — results in :func:`load`
+returning ``None`` and every caller using its fallback.
 """
 
 from __future__ import annotations
@@ -25,6 +36,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import stat
 import subprocess
 import tempfile
 from typing import Optional
@@ -56,26 +68,78 @@ void seq_finish(const double *arrivals, const double *services,
     }
 }
 
-/* For each ambiguous access t: count distinct keys touched strictly between
- * its previous occurrence and t (positions q with next occurrence at or
- * after t); the access is an LRU hit iff that count is below capacity. */
-void lru_ambiguous(const int64_t *ambiguous, int64_t n_ambiguous,
-                   const int64_t *prev, const int64_t *nxt,
-                   int64_t capacity, uint8_t *hit) {
+/* numpy's bit generator interface (numpy/random/bitgen.h). */
+typedef struct bitgen {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+/* Per-miss disk service draws of StorageServerModel.serve, in its order:
+ * rng.uniform(lo, hi) is lo + span * next_double; rng.random() is
+ * next_double; rng.exponential(scale) is scale * std_exp(bg). */
+void disk_services(bitgen_t *bg, double (*std_exp)(bitgen_t *),
+                   const double *xfer, int64_t n, double lo, double span,
+                   double slow_p, double slow_mean, double noise_p,
+                   double noise_mean, double *out) {
     int64_t i;
-    for (i = 0; i < n_ambiguous; i++) {
-        int64_t t = ambiguous[i];
-        int64_t count = 0;
-        int64_t q;
-        for (q = prev[t] + 1; q < t; q++) {
-            if (nxt[q] >= t) {
-                count++;
-                if (count >= capacity) {
-                    break;
-                }
-            }
+    for (i = 0; i < n; i++) {
+        double s = lo + span * bg->next_double(bg->state);
+        s = s + xfer[i];
+        if (slow_p > 0 && bg->next_double(bg->state) < slow_p) {
+            s = s + slow_mean * std_exp(bg);
         }
-        hit[i] = count < capacity;
+        if (noise_p > 0 && bg->next_double(bg->state) < noise_p) {
+            s = s * (1.0 + noise_mean * std_exp(bg));
+        }
+        out[i] = s;
+    }
+}
+
+/* LRU cache of `capacity` (>= 1) items over keys 0 .. max key: a doubly
+ * linked list, most recent at the head, with newer/older links and the
+ * cached mark indexed by key.  A hit moves its key to the head; a miss
+ * inserts it there and evicts the tail once the size exceeds capacity. */
+void lru_flags(const int64_t *keys, int64_t n, int64_t capacity,
+               int64_t *newer, int64_t *older, uint8_t *cached,
+               uint8_t *hit) {
+    int64_t head = -1, tail = -1, size = 0, t;
+    for (t = 0; t < n; t++) {
+        int64_t key = keys[t];
+        if (cached[key]) {
+            hit[t] = 1;
+            if (key == head) {
+                continue;
+            }
+            older[newer[key]] = older[key];
+            if (key == tail) {
+                tail = newer[key];
+            } else {
+                newer[older[key]] = newer[key];
+            }
+        } else {
+            hit[t] = 0;
+            cached[key] = 1;
+            if (head < 0) {
+                tail = key;
+            }
+            size++;
+        }
+        newer[key] = -1;
+        older[key] = head;
+        if (head >= 0) {
+            newer[head] = key;
+        }
+        head = key;
+        if (size > capacity) {
+            int64_t victim = tail;
+            tail = newer[victim];
+            older[tail] = -1;
+            cached[victim] = 0;
+            size--;
+        }
     }
 }
 """
@@ -84,23 +148,51 @@ _lib: Optional[ctypes.CDLL] = None
 _tried = False
 
 
-def _build() -> ctypes.CDLL:
+def _cache_dir() -> str:
+    """Per-user kernel cache under the temp dir (persistent across processes)."""
+    return os.path.join(tempfile.gettempdir(), f"repro-ckernels-{os.getuid()}")
+
+
+def _check_private(path: str) -> None:
+    """Refuse ``path`` unless the current user owns it and only they may write it."""
+    info = os.lstat(path)
+    if stat.S_ISLNK(info.st_mode):
+        raise PermissionError(f"kernel cache path {path} is a symlink")
+    if info.st_uid != os.getuid():
+        raise PermissionError(f"kernel cache path {path} is owned by uid {info.st_uid}")
+    if info.st_mode & (stat.S_IWGRP | stat.S_IWOTH):
+        raise PermissionError(f"kernel cache path {path} is writable by group or others")
+
+
+def _build(cache_dir: str) -> ctypes.CDLL:
+    import numpy.random._generator as numpy_generator
+
+    # Resolved first: a numpy without the sampler fails the whole build.
+    std_exponential = ctypes.CDLL(numpy_generator.__file__).random_standard_exponential
+    std_exponential.argtypes = [ctypes.c_void_p]
+    std_exponential.restype = ctypes.c_double
+
     digest = hashlib.sha256(_C_SOURCE.encode("utf-8")).hexdigest()[:16]
-    cache_dir = os.path.join(tempfile.gettempdir(), "repro-ckernels")
+    os.makedirs(cache_dir, mode=0o700, exist_ok=True)
+    _check_private(cache_dir)
     lib_path = os.path.join(cache_dir, f"ckernels-{digest}.so")
     if not os.path.exists(lib_path):
-        os.makedirs(cache_dir, exist_ok=True)
-        src_path = os.path.join(cache_dir, f"ckernels-{digest}.c")
+        scratch = f"{lib_path}.tmp{os.getpid()}"
+        src_path = f"{scratch}.c"
         with open(src_path, "w") as handle:
             handle.write(_C_SOURCE)
-        scratch = f"{lib_path}.tmp{os.getpid()}"
-        subprocess.run(
-            ["cc", "-O2", "-shared", "-fPIC", "-o", scratch, src_path],
-            check=True,
-            capture_output=True,
-            timeout=120,
-        )
+        try:
+            subprocess.run(
+                ["cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC", "-o", scratch, src_path],
+                check=True,
+                capture_output=True,
+                timeout=120,
+            )
+        finally:
+            os.remove(src_path)
+        os.chmod(scratch, 0o700)
         os.replace(scratch, lib_path)  # atomic against concurrent builders
+    _check_private(lib_path)
     lib = ctypes.CDLL(lib_path)
     lib.seq_finish.argtypes = [
         ctypes.c_void_p,
@@ -109,15 +201,25 @@ def _build() -> ctypes.CDLL:
         ctypes.c_int64,
     ]
     lib.seq_finish.restype = None
-    lib.lru_ambiguous.argtypes = [
+    lib.disk_services.argtypes = [
         ctypes.c_void_p,
+        ctypes.c_void_p,
+        ctypes.c_void_p,
+        ctypes.c_int64,
+    ] + [ctypes.c_double] * 6 + [ctypes.c_void_p]
+    lib.disk_services.restype = None
+    lib.lru_flags.argtypes = [
+        ctypes.c_void_p,
+        ctypes.c_int64,
         ctypes.c_int64,
         ctypes.c_void_p,
         ctypes.c_void_p,
-        ctypes.c_int64,
+        ctypes.c_void_p,
         ctypes.c_void_p,
     ]
-    lib.lru_ambiguous.restype = None
+    lib.lru_flags.restype = None
+    # Passed as disk_services' std_exp; kept here so it lives with the library.
+    lib.std_exponential = std_exponential
     return lib
 
 
@@ -134,7 +236,7 @@ def load() -> Optional[ctypes.CDLL]:
         return _lib
     _tried = True
     try:
-        _lib = _build()
+        _lib = _build(_cache_dir())
     except Exception:
         _lib = None
     return _lib

@@ -698,7 +698,9 @@ class DatabaseClusterExperiment:
         * cache warming plus hit/miss classification via
           :func:`~repro.cluster.lru_kernel.lru_hit_flags` (warm inserts are
           prepended to the access stream as virtual accesses — ``warm_with``
-          has precisely LRU-insert semantics for distinct keys), falling back
+          has precisely LRU-insert semantics for distinct keys, so an empty
+          cache of ``C`` items ends warm-up holding exactly the last ``C``
+          candidates, in order, and only those are prepended), falling back
           to :meth:`~repro.cluster.cache.LRUByteCache.access_many` when file
           sizes are not all equal;
         * disk service times for the misses via
@@ -706,6 +708,10 @@ class DatabaseClusterExperiment:
           server substream in the scalar order;
         * the FIFO disk queue via
           :func:`~repro.cluster.draws.sequential_finish_times`.
+
+        When the compiled kernels load (:mod:`repro.cluster._ckernels`) all
+        three run as C ports of the scalar loops; otherwise their numpy and
+        Python paths run, with identical results.
 
         Returns:
             ``(best_elapsed, cache_hits, cache_misses)`` where ``best_elapsed``
@@ -735,8 +741,9 @@ class DatabaseClusterExperiment:
             pos = np.flatnonzero(srv_flat == server_id)
             keys = file_flat[pos]
             if item_capacity is not None:
-                stream = np.concatenate([candidates, keys])
-                flags = lru_hit_flags(stream, item_capacity)[candidates.size :]
+                survivors = candidates[max(0, candidates.size - item_capacity) :]
+                stream = np.concatenate([survivors, keys])
+                flags = lru_hit_flags(stream, item_capacity)[survivors.size :]
             else:
                 cache = LRUByteCache(capacity)
                 cache.warm_with(candidates, all_sizes[candidates])

@@ -4,15 +4,20 @@ The database and memcached models historically drew their randomness one
 request at a time inside the serve loop (``rng.uniform`` for disk positioning,
 ``rng.random`` for the slow-access and noisy-neighbour coin flips,
 ``rng.exponential`` for the penalty magnitudes).  Those scalar draws dominate
-the per-point cost of a sweep.  This module pre-draws the same streams as
-numpy batches **consumed in the identical substream order**, so artifacts stay
-byte-identical while the per-request Python work collapses to array indexing.
+the per-point cost of a sweep.  This module reproduces the same streams
+**consumed in the identical substream order**, so artifacts stay
+byte-identical while the per-request Python work disappears.
 
-The hard part is the exponential: numpy's ziggurat sampler consumes a
-*variable* number of 64-bit draws per sample, so a stream that interleaves
-fixed-width draws (one ``uint64`` per double) with exponentials cannot be
-sliced up front.  :func:`exact_disk_services` solves this with a single
-pre-drawn block plus probe-based accounting:
+When the compiled kernels load (:mod:`repro.cluster._ckernels`),
+:func:`exact_disk_services` runs the scalar per-miss loop itself in C,
+directly on the generator's ``bitgen_t`` state and through numpy's own
+exponential sampler, so it is bit-identical by construction.
+
+Without them it takes a numpy path.  The hard part there is the exponential:
+numpy's ziggurat sampler consumes a *variable* number of 64-bit draws per
+sample, so a stream that interleaves fixed-width draws (one ``uint64`` per
+double) with exponentials cannot be sliced up front.  The numpy path solves
+this with a single pre-drawn block plus probe-based accounting:
 
 1. Draw one ``rng.random`` block covering the whole miss stream (every double
    consumes exactly one ``uint64``, so block values *are* the stream values).
@@ -25,11 +30,14 @@ pre-drawn block plus probe-based accounting:
 4. Continue scanning the same block at the shifted offset.
 
 A final ``advance`` leaves the generator exactly where the scalar path would
-have left it, so a batched stream can be continued with scalar draws.
+have left it, so a batched stream can be continued with scalar draws.  The
+numpy path therefore needs a bit generator with ``advance`` (``PCG64``, the
+default, or ``Philox``); ``MT19937`` and ``SFC64`` lack it and raise
+``AttributeError`` there, while the compiled path runs on any of them.
 
 Eager database and memcached runs always take these batched paths.  The
 per-request scalar loops they replaced live on in ``tests/test_fast_paths.py``
-as references that those runs are checked against bit for bit.
+as references that both paths are checked against bit for bit.
 """
 
 from __future__ import annotations
@@ -78,6 +86,12 @@ def exact_disk_services(
     noisy-neighbour coin flip and exponential multiplier.  The generator is
     left in exactly the state the scalar path would leave it.
 
+    With the compiled kernels this is the scalar loop itself, run in C on
+    the generator's state (any numpy bit generator).  Without them it is the
+    block-and-probe numpy path of the module docstring, which needs
+    ``rng.bit_generator.advance``: ``MT19937`` and ``SFC64`` lack it and
+    raise ``AttributeError``.
+
     Args:
         disk: A :class:`~repro.cluster.disk.DiskModel`.
         sizes: File size in bytes per miss, in serve order.
@@ -92,13 +106,34 @@ def exact_disk_services(
     lo = disk.min_positioning_s
     span = disk.max_positioning_s - disk.min_positioning_s
     slow_p = disk.slow_access_probability
-    has_slow = slow_p > 0.0
-    has_noise = noise_probability > 0.0
-    columns = 1 + (1 if has_slow else 0) + (1 if has_noise else 0)
     xfer = np.asarray(sizes, dtype=float) / disk.transfer_bytes_per_sec
     if n == 0:
         return np.empty(0)
 
+    lib = _ckernels.load()
+    if lib is not None:
+        out = np.empty(n)
+        bit_generator = rng.bit_generator
+        # ctypes releases the GIL: hold the generator's lock, as numpy does.
+        with bit_generator.lock:
+            lib.disk_services(
+                bit_generator.ctypes.bit_generator,
+                lib.std_exponential,
+                xfer.ctypes.data,
+                n,
+                lo,
+                span,
+                slow_p,
+                disk.slow_access_mean_s,
+                noise_probability,
+                noise_multiplier_mean,
+                out.ctypes.data,
+            )
+        return out
+
+    has_slow = slow_p > 0.0
+    has_noise = noise_probability > 0.0
+    columns = 1 + (1 if has_slow else 0) + (1 if has_noise else 0)
     if columns == 1:
         # No coin flips at all: one positioning uniform per miss.
         return lo + span * rng.random(n) + xfer

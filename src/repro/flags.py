@@ -153,8 +153,8 @@ CKERNELS = declare(
     choices=("0", "1"),
     help=(
         "Whether the optional compiled C kernels (FIFO busy-period recursion, "
-        "LRU ambiguous-access count) may be used: '0' forces the pinned "
-        "pure-Python reference loops.  The two paths are bitwise identical; "
+        "per-miss disk draws, LRU cache) may be used: '0' forces the numpy "
+        "and Python paths.  The two paths are bitwise identical; "
         "consumed by repro.cluster._ckernels.load()."
     ),
 )

@@ -8,6 +8,8 @@ approximation, so it is pinned with delta bounds rather than equality.
 """
 
 import dataclasses
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -43,8 +45,23 @@ def reference_lru_flags(keys, capacity_items):
     return flags
 
 
+def use_kernel_path(monkeypatch, path):
+    """Pin the compiled kernels (skipping without a C compiler) or the numpy path."""
+    if path == "numpy":
+        monkeypatch.setenv(_ckernels.CKERNELS_ENV_VAR, "0")
+    elif _ckernels.load() is None:
+        pytest.skip("no C compiler available")
+
+
+@pytest.fixture(params=["compiled", "numpy"])
+def kernel_path(request, monkeypatch):
+    """Run a test on the compiled kernels, then with ``REPRO_CKERNELS=0``."""
+    use_kernel_path(monkeypatch, request.param)
+    return request.param
+
+
 class TestLruKernel:
-    def test_matches_reference_cache_across_regimes(self):
+    def test_matches_reference_cache_across_regimes(self, kernel_path):
         rng = np.random.default_rng(7)
         for case in range(12):
             n = int(rng.integers(1, 4000))
@@ -58,15 +75,18 @@ class TestLruKernel:
             got = lru_hit_flags(keys, capacity)
             assert np.array_equal(got, expected), (case, n, num_keys, capacity)
 
-    def test_chunk_size_does_not_change_results(self):
+    def test_chunk_size_does_not_change_results(self, monkeypatch):
+        use_kernel_path(monkeypatch, "numpy")  # the compiled path ignores chunk
         rng = np.random.default_rng(11)
         keys = rng.integers(0, 200, size=3000)
         expected = reference_lru_flags(keys, 64)
         for chunk in (1, 16, 37, 256, 4096):
             assert np.array_equal(lru_hit_flags(keys, 64, chunk=chunk), expected)
 
-    def test_large_stream_triggers_chunk_cap(self):
-        # > 1024 default chunks: exercises the boundary-matrix footprint cap.
+    def test_large_stream_triggers_chunk_cap(self, monkeypatch):
+        # > 1024 default chunks: exercises the numpy path's boundary-matrix
+        # footprint cap.
+        use_kernel_path(monkeypatch, "numpy")
         rng = np.random.default_rng(13)
         keys = rng.integers(0, 900, size=300_000)
         got = lru_hit_flags(keys, 500)
@@ -78,6 +98,12 @@ class TestLruKernel:
         assert np.array_equal(
             lru_hit_flags(np.array([5, 5, 5]), 1), np.array([False, True, True])
         )
+
+    def test_negative_key_rejected(self, kernel_path):
+        # The compiled path indexes per-key arrays by key, so a negative key
+        # must be refused before it reaches C.
+        with pytest.raises(ValueError, match="non-negative"):
+            lru_hit_flags(np.array([3, -1, 2]), 2)
 
     def test_previous_and_next_occurrence(self):
         keys = np.array([3, 1, 3, 3, 1, 2])
@@ -287,19 +313,37 @@ def scalar_disk_services(disk, sizes, rng, noise_probability, noise_multiplier_m
 
 
 class TestExactDiskServices:
+    """``exact_disk_services`` against the scalar draws on the compiled path."""
+
+    path = "compiled"
+
+    @pytest.fixture(autouse=True)
+    def _pin_path(self, monkeypatch):
+        use_kernel_path(monkeypatch, self.path)
+
     @pytest.mark.parametrize(
         "slow_p,noise_p",
-        [(0.015, 0.0), (0.0, 0.25), (0.015, 0.25), (0.0, 0.0), (0.10, 0.05)],
+        [
+            (0.015, 0.0),
+            (0.0, 0.25),
+            (0.015, 0.25),
+            (0.0, 0.0),
+            (0.10, 0.05),
+            (1.0, 0.0),
+            (0.0, 1.0),
+            (1.0, 1.0),
+        ],
     )
     def test_bitwise_equal_to_scalar_path(self, slow_p, noise_p):
         disk = DiskModel(slow_access_probability=slow_p)
         rng = np.random.default_rng(42)
         sizes = rng.uniform(1e3, 1e6, size=5000)
-        batched = exact_disk_services(
-            disk, sizes, np.random.default_rng(99), noise_p, 8.0
-        )
-        scalar = scalar_disk_services(disk, sizes, np.random.default_rng(99), noise_p, 8.0)
+        rng_batched = np.random.default_rng(99)
+        rng_scalar = np.random.default_rng(99)
+        batched = exact_disk_services(disk, sizes, rng_batched, noise_p, 8.0)
+        scalar = scalar_disk_services(disk, sizes, rng_scalar, noise_p, 8.0)
         assert np.array_equal(batched, scalar)
+        assert rng_batched.bit_generator.state == rng_scalar.bit_generator.state
 
     def test_generator_parked_at_scalar_position(self):
         # Mid-sweep interchangeability: after the batch the generator must be
@@ -316,6 +360,30 @@ class TestExactDiskServices:
         disk = DiskModel()
         out = exact_disk_services(disk, np.empty(0), np.random.default_rng(0), 0.1, 8.0)
         assert out.shape == (0,)
+
+
+class TestExactDiskServicesNumpyPath(TestExactDiskServices):
+    """The same checks on the numpy path, as with no C compiler."""
+
+    path = "numpy"
+
+
+class TestCompiledDiskServices:
+    @pytest.mark.parametrize(
+        "bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64]
+    )
+    def test_matches_scalar_on_other_bit_generators(self, monkeypatch, bit_generator):
+        # The numpy path rewinds with bit_generator.advance, which MT19937
+        # and SFC64 lack; the compiled path draws on any bit generator.
+        use_kernel_path(monkeypatch, "compiled")
+        disk = DiskModel(slow_access_probability=0.3)
+        sizes = np.random.default_rng(4).uniform(1e3, 1e6, size=3000)
+        rng_batched = np.random.Generator(bit_generator(17))
+        rng_scalar = np.random.Generator(bit_generator(17))
+        batched = exact_disk_services(disk, sizes, rng_batched, 0.5, 8.0)
+        scalar = scalar_disk_services(disk, sizes, rng_scalar, 0.5, 8.0)
+        assert np.array_equal(batched, scalar)
+        assert rng_batched.random() == rng_scalar.random()
 
 
 def scalar_finish_times(arrivals, services):
@@ -364,6 +432,51 @@ class TestCompiledLruKernel:
             monkeypatch.delenv(_ckernels.CKERNELS_ENV_VAR)
             assert np.array_equal(with_c, without_c)
             assert np.array_equal(with_c, reference_lru_flags(keys, capacity))
+
+
+class TestKernelCache:
+    """The compiled library is built and loaded only from a private cache."""
+
+    def test_fresh_directory_is_private_and_reused(self, tmp_path):
+        if _ckernels.load() is None:
+            pytest.skip("no C compiler available")
+        cache = tmp_path / "kernels"
+        _ckernels._build(str(cache))
+        assert stat.S_IMODE(cache.stat().st_mode) & 0o077 == 0
+        (library,) = cache.iterdir()  # no scratch or source file left behind
+        built = library.stat().st_mtime_ns
+        _ckernels._build(str(cache))  # a later process loads, not rebuilds
+        assert library.stat().st_mtime_ns == built
+
+    def test_group_writable_directory_refused(self, tmp_path, monkeypatch):
+        cache = tmp_path / "kernels"
+        cache.mkdir()
+        cache.chmod(0o770)
+        with pytest.raises(PermissionError, match="writable"):
+            _ckernels._build(str(cache))
+        # load() treats the refusal as a failed build: every kernel falls back.
+        monkeypatch.setattr(_ckernels, "_cache_dir", lambda: str(cache))
+        monkeypatch.setattr(_ckernels, "_tried", False)
+        monkeypatch.setattr(_ckernels, "_lib", None)
+        assert _ckernels.load() is None
+
+    def test_directory_of_another_user_refused(self, tmp_path, monkeypatch):
+        cache = tmp_path / "kernels"
+        cache.mkdir(mode=0o700)
+        uid = os.getuid()
+        monkeypatch.setattr(os, "getuid", lambda: uid + 1)
+        with pytest.raises(PermissionError, match="owned by"):
+            _ckernels._build(str(cache))
+
+    def test_writable_library_refused(self, tmp_path):
+        if _ckernels.load() is None:
+            pytest.skip("no C compiler available")
+        cache = tmp_path / "kernels"
+        _ckernels._build(str(cache))
+        (library,) = cache.iterdir()
+        library.chmod(0o777)
+        with pytest.raises(PermissionError, match="writable"):
+            _ckernels._build(str(cache))
 
 
 def reference_database_eager(config, load, copies, num_requests, warmup_fraction=0.2):
