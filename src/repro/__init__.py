@@ -9,7 +9,9 @@ evaluation depends on:
     computation and cost-benefit analysis.
 
 ``repro.sim``
-    A discrete-event simulation engine (event heap, processes, resources).
+    The discrete-event engine of the fat-tree packet simulator (event heap,
+    switch output queue) and the seeded random-number substreams every
+    substrate draws from.
 
 ``repro.distributions``
     Service-time and size distributions used throughout the evaluation.

@@ -67,10 +67,6 @@ class Flag:
             )
         return value
 
-    def is_set(self) -> bool:
-        """Whether the environment currently sets this flag at all."""
-        return self.name in os.environ
-
 
 def declare(name: str, *, default: str, choices: Tuple[str, ...], help: str) -> Flag:
     """Declare one ``REPRO_*`` flag and register it.
@@ -96,21 +92,6 @@ def declare(name: str, *, default: str, choices: Tuple[str, ...], help: str) -> 
     flag = Flag(name=name, default=default, choices=tuple(choices), help=help)
     REGISTRY[name] = flag
     return flag
-
-
-def read_flag(name: str) -> str:
-    """Read a declared flag by name (the typed accessor for dynamic callers).
-
-    Raises:
-        ConfigurationError: If ``name`` was never declared, or the value is
-            not among the flag's choices.
-    """
-    flag = REGISTRY.get(name)
-    if flag is None:
-        raise ConfigurationError(
-            f"unknown flag {name!r}; declared flags: {sorted(REGISTRY)}"
-        )
-    return flag.read()
 
 
 def unknown_flags(environ: Optional[Mapping[str, str]] = None) -> List[str]:
@@ -156,17 +137,5 @@ CKERNELS = declare(
         "per-miss disk draws, LRU cache) may be used: '0' forces the numpy "
         "and Python paths.  The two paths are bitwise identical; "
         "consumed by repro.cluster._ckernels.load()."
-    ),
-)
-
-SIM_QUEUE = declare(
-    "REPRO_SIM_QUEUE",
-    default="auto",
-    choices=("auto", "heap", "calendar"),
-    help=(
-        "Event-queue backend of simulators created without an explicit "
-        "queue= argument: binary heap, calendar queue, or 'auto' (heap that "
-        "migrates to calendar past a backlog threshold).  Backends are "
-        "observably equivalent; consumed by repro.sim.engine.Simulator."
     ),
 )

@@ -10,6 +10,7 @@ the sanity check that elephant flows are unaffected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
@@ -70,8 +71,19 @@ class FatTreeExperimentConfig:
     fidelity: str = "packet"
 
     def __post_init__(self) -> None:
-        if self.link_rate_gbps <= 0 or self.per_hop_delay_us < 0:
-            raise ConfigurationError("link rate must be positive and delay non-negative")
+        if not (math.isfinite(self.link_rate_gbps) and self.link_rate_gbps > 0):
+            raise ConfigurationError(
+                f"link_rate_gbps must be finite and positive, got {self.link_rate_gbps!r}"
+            )
+        if not (math.isfinite(self.per_hop_delay_us) and self.per_hop_delay_us >= 0):
+            raise ConfigurationError(
+                "per_hop_delay_us must be finite and non-negative, "
+                f"got {self.per_hop_delay_us!r}"
+            )
+        if not (math.isfinite(self.max_sim_seconds) and self.max_sim_seconds > 0):
+            raise ConfigurationError(
+                f"max_sim_seconds must be finite and positive, got {self.max_sim_seconds!r}"
+            )
         if not 0.0 < self.load < 1.0:
             raise ConfigurationError(f"load must be in (0, 1), got {self.load!r}")
         if self.num_flows < 1:

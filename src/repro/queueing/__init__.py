@@ -5,8 +5,9 @@ to ``k`` distinct servers chosen uniformly at random, response time = the
 minimum across copies.  The package provides:
 
 * :mod:`repro.queueing.replication_model` — simulation of the model, both an
-  event-driven version (built on :mod:`repro.sim`) and a fast vectorised
-  Lindley-recursion version, cross-validated in the tests.
+  event-driven version (on the shared FIFO hedging engine,
+  :func:`repro.core.cancellation.simulate_cancelling_arrivals`) and a fast
+  vectorised Lindley-recursion version, cross-validated in the tests.
 * :mod:`repro.queueing.mm1` — exact M/M/1 results, including Theorem 1 (the
   threshold load is 1/3 with exponential service).
 * :mod:`repro.queueing.mg1` — M/G/1 results (Pollaczek–Khinchine) and the

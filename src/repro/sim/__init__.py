@@ -1,35 +1,26 @@
 """Discrete-event simulation engine.
 
-This subpackage provides the substrate every simulator in the repository is
-built on: a binary-heap event scheduler (:class:`~repro.sim.engine.Simulator`),
-cancellable scheduled events (:class:`~repro.sim.events.Event`), generator
-based processes (:mod:`repro.sim.process`), queueing resources
-(:mod:`repro.sim.resources`) and reproducible random-number streams
-(:mod:`repro.sim.rng`).
+This subpackage holds what the Section 2.4 packet-level fat-tree simulator
+(:mod:`repro.network`) runs on: a binary-heap event scheduler
+(:class:`~repro.sim.engine.Simulator`), cancellable scheduled events
+(:class:`~repro.sim.events.Event`) and the strict-priority switch output
+queue (:class:`~repro.sim.resources.PriorityQueueResource`).  It also holds
+the reproducible random-number streams (:mod:`repro.sim.rng`) that every
+substrate and the sweep runner derive their seeds from.
 
-The engine is deliberately small and callback-first: the hot paths of the
-queueing, cluster and network simulators schedule plain callables, while the
-generator-based :class:`~repro.sim.process.Process` wrapper offers SimPy-like
-ergonomics for the less performance-critical experiment drivers.
+The engine is deliberately small and callback-first: links, TCP flows and
+the experiment driver schedule plain callables.
 """
 
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, EventState
-from repro.sim.process import Completion, Process, Timeout, WaitFor, run_processes
-from repro.sim.resources import FifoQueue, PriorityQueueResource, Server
+from repro.sim.resources import PriorityQueueResource
 from repro.sim.rng import RandomStreams, substream
 
 __all__ = [
     "Simulator",
     "Event",
     "EventState",
-    "Process",
-    "Completion",
-    "Timeout",
-    "WaitFor",
-    "run_processes",
-    "Server",
-    "FifoQueue",
     "PriorityQueueResource",
     "RandomStreams",
     "substream",

@@ -1,31 +1,13 @@
 """The discrete-event simulation core.
 
 :class:`Simulator` maintains a simulated clock and a priority queue of
-:class:`~repro.sim.events.Event` objects.  Every simulator in this repository
-(the Section 2.1 queueing model, the Section 2.2/2.3 storage cluster, the
-Section 2.4 fat-tree network and the Section 3 wide-area models) advances time
-through this single engine, which keeps the semantics of "simulated seconds"
-consistent across substrates and makes experiments reproducible.
+:class:`~repro.sim.events.Event` objects.  The Section 2.4 packet-level
+fat-tree simulator (:mod:`repro.network`: links, TCP flows and the experiment
+driver) advances time through it by scheduling plain callables.
 
-Two queue backends are available, both producing the exact same event order
-(the ordering key ``(time, priority, sequence)`` is a total order because
-``sequence`` is unique, so *any* correct priority queue pops the same event
-next):
-
-* ``"heap"`` — a binary heap of ``(time, priority, sequence, event)`` tuples.
-  Keeping the ordering key in the tuple means every comparison happens in C
-  during ``heappush``/``heappop`` instead of calling ``Event.__lt__``.
-* ``"calendar"`` — a calendar queue: events are hashed into fixed-width time
-  buckets (each bucket a small heap) so push/pop cost stays O(1)-ish in the
-  number of pending events instead of O(log n).  Because bucket index is a
-  function of ``time`` alone, all same-time events (the only possible ties)
-  land in the same bucket and the cross-bucket order is by construction the
-  order of the heap backend.
-
-``"auto"`` (the default) starts on the heap and migrates to the calendar
-queue once the pending-event count crosses a threshold where the O(log n)
-factor starts to matter.  The backend choice is a pure performance knob:
-artifacts are byte-identical across backends, pinned by equivalence tests.
+The queue is a binary heap of ``(time, priority, sequence, event)`` tuples.
+``sequence`` is unique, so the key is a total order: every comparison happens
+in C during ``heappush``/``heappop`` and never reaches the ``Event`` itself.
 """
 
 from __future__ import annotations
@@ -34,17 +16,8 @@ import heapq
 import math
 from typing import Any, Callable, Optional
 
-from repro import flags
-from repro.exceptions import ConfigurationError, SimulationError
+from repro.exceptions import SimulationError
 from repro.sim.events import Event, EventState
-
-#: Environment variable overriding the default queue backend for every
-#: ``Simulator()`` created without an explicit ``queue=`` argument.  Used by
-#: CI to re-run whole sweeps under ``calendar`` and ``cmp`` the artifacts.
-#: Declared (with its choices) in :mod:`repro.flags`.
-QUEUE_ENV_VAR = flags.SIM_QUEUE.name
-
-_QUEUE_CHOICES = ("auto", "heap", "calendar")
 
 
 class Simulator:
@@ -57,18 +30,13 @@ class Simulator:
 
     Args:
         start_time: Initial value of the simulated clock, in seconds.
-        queue: Queue backend: ``"heap"``, ``"calendar"``, or ``"auto"``
-            (heap now, calendar once the backlog grows past
-            :attr:`_AUTO_CALENDAR_THRESHOLD`).  ``None`` reads the
-            ``REPRO_SIM_QUEUE`` environment variable, defaulting to
-            ``"auto"``.  Backends are observably equivalent; see the module
-            docstring.
 
     Example:
         >>> sim = Simulator()
         >>> fired = []
         >>> _ = sim.schedule(1.5, fired.append, "hello")
         >>> sim.run()
+        1
         >>> sim.now, fired
         (1.5, ['hello'])
     """
@@ -77,28 +45,8 @@ class Simulator:
     #: outnumber the live events (amortised O(1) per cancellation).
     _PURGE_MIN_CANCELLED = 64
 
-    #: ``queue="auto"`` migrates from the heap to the calendar queue when the
-    #: backlog first exceeds this many entries.  The binary heap's per-op cost
-    #: grows with log2(n) C tuple comparisons, the calendar queue's stays flat
-    #: but pays fixed Python-level bucketing overhead per op, so the crossover
-    #: sits at a large backlog.
-    _AUTO_CALENDAR_THRESHOLD = 32768
-
-    #: A calendar bucket growing beyond this many entries triggers a width
-    #: resize (the buckets have degenerated towards one big heap).
-    _MAX_BUCKET = 1024
-
-    def __init__(self, start_time: float = 0.0, queue: Optional[str] = None) -> None:
+    def __init__(self, start_time: float = 0.0) -> None:
         """Create a simulator whose clock starts at ``start_time`` seconds."""
-        if queue is None:
-            try:
-                queue = flags.SIM_QUEUE.read()
-            except ConfigurationError as exc:
-                raise SimulationError(str(exc)) from exc
-        if queue not in _QUEUE_CHOICES:
-            raise SimulationError(
-                f"queue must be one of {_QUEUE_CHOICES}, got {queue!r}"
-            )
         self._now = float(start_time)
         self._heap: list[tuple] = []
         self._sequence = 0
@@ -106,15 +54,6 @@ class Simulator:
         self._stopped = False
         self._events_processed = 0
         self._cancelled_in_heap = 0
-        self._queue_mode = queue
-        self._backend = "calendar" if queue == "calendar" else "heap"
-        # Calendar-queue state.  The width starts at 1.0 and is re-derived
-        # from the observed event-time span on the first resize, so callers
-        # never have to guess a timescale up front.
-        self._buckets: dict[int, list[tuple]] = {}
-        self._bucket_heap: list[int] = []
-        self._bucket_width = 1.0
-        self._calendar_len = 0
 
     @property
     def now(self) -> float:
@@ -127,11 +66,6 @@ class Simulator:
         return self._events_processed
 
     @property
-    def queue_backend(self) -> str:
-        """The queue backend currently in use (``"heap"`` or ``"calendar"``)."""
-        return self._backend
-
-    @property
     def pending_events(self) -> int:
         """Number of live (non-cancelled) events waiting to fire.
 
@@ -140,7 +74,7 @@ class Simulator:
         it is popped or lazily purged, so long-running simulations can
         introspect their backlog accurately.
         """
-        return max(0, len(self._heap) + self._calendar_len - self._cancelled_in_heap)
+        return max(0, len(self._heap) - self._cancelled_in_heap)
 
     # ------------------------------------------------------------------
     # Cancellation bookkeeping
@@ -156,14 +90,14 @@ class Simulator:
         self._cancelled_in_heap += 1
         if (
             self._cancelled_in_heap >= self._PURGE_MIN_CANCELLED
-            and self._cancelled_in_heap * 2 > len(self._heap) + self._calendar_len
+            and self._cancelled_in_heap * 2 > len(self._heap)
         ):
             self._purge_cancelled()
 
     def _purge_cancelled(self) -> None:
         """Drop cancelled entries from the queue and restore its invariants.
 
-        The heap list is compacted in place so that a ``run`` loop holding a
+        The heap list is compacted in place so that a drain loop holding a
         local reference keeps seeing the live queue.
         """
         cancelled = EventState.CANCELLED
@@ -176,26 +110,6 @@ class Simulator:
                 kept.append(entry)
         self._heap[:] = kept
         heapq.heapify(self._heap)
-        if self._calendar_len:
-            total = 0
-            for index in list(self._buckets):
-                bucket = self._buckets[index]
-                alive = []
-                for entry in bucket:
-                    event = entry[3]
-                    if event.state is cancelled:
-                        event.on_cancel = None
-                    else:
-                        alive.append(entry)
-                if alive:
-                    heapq.heapify(alive)
-                    self._buckets[index] = alive
-                    total += len(alive)
-                else:
-                    del self._buckets[index]
-            self._bucket_heap = list(self._buckets)
-            heapq.heapify(self._bucket_heap)
-            self._calendar_len = total
         self._cancelled_in_heap = 0
 
     # ------------------------------------------------------------------
@@ -260,99 +174,8 @@ class Simulator:
             args=args,
             on_cancel=self._note_cancellation,
         )
-        entry = (event.time, priority, self._sequence, event)
-        if self._backend == "heap":
-            heapq.heappush(self._heap, entry)
-            if (
-                self._queue_mode == "auto"
-                and len(self._heap) > self._AUTO_CALENDAR_THRESHOLD
-            ):
-                self._migrate_to_calendar()
-        else:
-            self._calendar_push(entry)
+        heapq.heappush(self._heap, (event.time, priority, self._sequence, event))
         return event
-
-    # ------------------------------------------------------------------
-    # Calendar-queue internals
-    # ------------------------------------------------------------------
-
-    def _calendar_push(self, entry: tuple) -> None:
-        index = int(entry[0] // self._bucket_width)
-        bucket = self._buckets.get(index)
-        if bucket:
-            heapq.heappush(bucket, entry)
-            if len(bucket) > self._MAX_BUCKET:
-                self._resize_calendar()
-        else:
-            self._buckets[index] = [entry]
-            heapq.heappush(self._bucket_heap, index)
-        self._calendar_len += 1
-
-    def _calendar_peek(self) -> Optional[tuple]:
-        buckets = self._buckets
-        bucket_heap = self._bucket_heap
-        while bucket_heap:
-            index = bucket_heap[0]
-            bucket = buckets.get(index)
-            if bucket:
-                return bucket[0]
-            # Stale index: its bucket drained (or was never refilled).
-            heapq.heappop(bucket_heap)
-            buckets.pop(index, None)
-        return None
-
-    def _calendar_pop(self) -> Optional[tuple]:
-        entry = self._calendar_peek()
-        if entry is None:
-            return None
-        bucket = self._buckets[self._bucket_heap[0]]
-        heapq.heappop(bucket)
-        self._calendar_len -= 1
-        return entry
-
-    def _calendar_entries(self) -> list[tuple]:
-        entries: list[tuple] = []
-        for bucket in self._buckets.values():
-            entries.extend(bucket)
-        return entries
-
-    def _rebuild_calendar(self, entries: list[tuple]) -> None:
-        """Re-bucket ``entries`` under the current width (order-preserving)."""
-        width = self._bucket_width
-        buckets: dict[int, list[tuple]] = {}
-        for entry in entries:
-            buckets.setdefault(int(entry[0] // width), []).append(entry)
-        for bucket in buckets.values():
-            heapq.heapify(bucket)
-        self._buckets = buckets
-        self._bucket_heap = list(buckets)
-        heapq.heapify(self._bucket_heap)
-        self._calendar_len = len(entries)
-
-    def _resize_calendar(self) -> None:
-        """Re-derive the bucket width from the observed event-time span."""
-        entries = self._calendar_entries()
-        if len(entries) < 2:
-            return
-        times = [entry[0] for entry in entries]
-        span = max(times) - min(times)
-        if span > 0.0:
-            # Aim for a small constant number of events per bucket; ties all
-            # share a timestamp so they necessarily share a bucket.
-            self._bucket_width = max(span * 8.0 / len(entries), 1e-12)
-        self._rebuild_calendar(entries)
-
-    def _migrate_to_calendar(self) -> None:
-        """Move the heap backlog into calendar buckets (``queue="auto"``)."""
-        entries = self._heap
-        self._heap = []
-        self._backend = "calendar"
-        if entries:
-            times = [entry[0] for entry in entries]
-            span = max(times) - min(times)
-            if span > 0.0:
-                self._bucket_width = max(span * 8.0 / len(entries), 1e-12)
-        self._rebuild_calendar(entries)
 
     # ------------------------------------------------------------------
     # Execution
@@ -365,31 +188,10 @@ class Simulator:
             ``True`` if an event was executed, ``False`` if the queue is
             empty (the clock is left unchanged in that case).
         """
-        cancelled = EventState.CANCELLED
-        while True:
-            if self._backend == "heap":
-                if not self._heap:
-                    return False
-                entry = heapq.heappop(self._heap)
-            else:
-                entry = self._calendar_pop()
-                if entry is None:
-                    return False
-            event = entry[3]
-            if event.state is cancelled:
-                self._cancelled_in_heap -= 1
-                continue
-            self._now = entry[0]
-            event._fire()
-            self._events_processed += 1
-            return True
+        return self._drain(1, math.inf) == 1
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Run until the event queue is exhausted (or ``max_events`` fired).
-
-        Events are drained in batches: all entries sharing the head timestamp
-        are popped in one pass of the inner loop, without re-entering
-        :meth:`step` or re-reading engine state per event.
 
         Args:
             max_events: Optional safety cap on the number of events to
@@ -406,23 +208,10 @@ class Simulator:
             raise SimulationError("Simulator.run() called re-entrantly from a callback")
         self._running = True
         self._stopped = False
-        processed = 0
         try:
-            while not self._stopped:
-                if self._backend == "heap":
-                    processed = self._run_heap(max_events, processed, math.inf)
-                else:
-                    processed = self._run_calendar(max_events, processed, math.inf)
-                if max_events is not None and processed >= max_events:
-                    break
-                if self._backend == "heap":
-                    if not self._heap:
-                        break
-                elif self._calendar_peek() is None:
-                    break
+            return self._drain(max_events, math.inf)
         finally:
             self._running = False
-        return processed
 
     def run_until(self, until: float) -> int:
         """Run events with timestamps ``<= until`` and set the clock to ``until``.
@@ -437,9 +226,14 @@ class Simulator:
             The number of events processed by this call.
 
         Raises:
-            SimulationError: If ``until`` is before the current clock or the
-                simulator is already running.
+            SimulationError: If ``until`` is not a finite number, is before
+                the current clock, or the simulator is already running.  NaN
+                would compare false against every event time and fire them
+                all; infinity would leave a clock no event can be scheduled
+                after.
         """
+        if not math.isfinite(until):
+            raise SimulationError(f"run_until horizon must be finite, got {until!r}")
         if until < self._now:
             raise SimulationError(
                 f"run_until({until!r}) is before the current time {self._now!r}"
@@ -448,93 +242,40 @@ class Simulator:
             raise SimulationError("Simulator.run_until() called re-entrantly from a callback")
         self._running = True
         self._stopped = False
-        processed = 0
         try:
-            while not self._stopped:
-                if self._backend == "heap":
-                    processed = self._run_heap(None, processed, until)
-                else:
-                    processed = self._run_calendar(None, processed, until)
-                head = self._heap[0] if self._heap else self._calendar_peek()
-                if head is None or head[0] > until:
-                    break
+            processed = self._drain(None, until)
         finally:
             self._running = False
         if not self._stopped:
             self._now = max(self._now, until)
         return processed
 
-    def _run_heap(self, max_events: Optional[int], processed: int, until: float) -> int:
-        """Tight heap drain loop; returns the updated processed count.
+    def _drain(self, max_events: Optional[int], until: float) -> int:
+        """Fire events in queue order up to time ``until``; return how many fired.
 
-        Returns early (without error) when the backend migrates to the
-        calendar queue mid-run, when ``until`` or ``max_events`` is reached,
-        or when :meth:`stop` is called from a callback.
+        Returns early when ``max_events`` have fired or a callback calls
+        :meth:`stop`.  ``heap`` stays the live queue: callbacks push onto it,
+        and :meth:`_purge_cancelled` and :meth:`clear` change it in place.
         """
-        heap = self._heap  # compacted in place by _purge_cancelled
+        heap = self._heap
         pop = heapq.heappop
         cancelled = EventState.CANCELLED
         fired = EventState.FIRED
-        while heap:
-            head_time = heap[0][0]
-            if head_time > until:
+        processed = 0
+        while heap and heap[0][0] <= until:
+            time, _, _, event = pop(heap)
+            if event.state is cancelled:
+                self._cancelled_in_heap -= 1
+                continue
+            self._now = time
+            event.state = fired
+            event.callback(*event.args)
+            self._events_processed += 1
+            processed += 1
+            if self._stopped:
                 break
-            # Batch-drain every entry at this timestamp in one pass.
-            while heap and heap[0][0] == head_time:
-                entry = pop(heap)
-                event = entry[3]
-                if event.state is cancelled:
-                    self._cancelled_in_heap -= 1
-                    continue
-                self._now = head_time
-                event.state = fired
-                event.callback(*event.args)
-                self._events_processed += 1
-                processed += 1
-                if self._stopped:
-                    return processed
-                if max_events is not None and processed >= max_events:
-                    return processed
-            if self._backend != "heap":
+            if max_events is not None and processed >= max_events:
                 break
-        return processed
-
-    def _run_calendar(
-        self, max_events: Optional[int], processed: int, until: float
-    ) -> int:
-        """Calendar-queue drain loop mirroring :meth:`_run_heap`."""
-        cancelled = EventState.CANCELLED
-        fired = EventState.FIRED
-        while True:
-            head = self._calendar_peek()
-            if head is None:
-                break
-            head_time = head[0]
-            if head_time > until:
-                break
-            bucket = self._buckets[self._bucket_heap[0]]
-            while bucket and bucket[0][0] == head_time:
-                entry = heapq.heappop(bucket)
-                self._calendar_len -= 1
-                event = entry[3]
-                if event.state is cancelled:
-                    self._cancelled_in_heap -= 1
-                    continue
-                self._now = head_time
-                event.state = fired
-                event.callback(*event.args)
-                self._events_processed += 1
-                processed += 1
-                if self._stopped:
-                    return processed
-                if max_events is not None and processed >= max_events:
-                    return processed
-                # Callbacks may schedule into (or purge) this same bucket;
-                # re-resolve it so the local reference never goes stale.
-                head = self._calendar_peek()
-                if head is None or head[0] != head_time:
-                    break
-                bucket = self._buckets[self._bucket_heap[0]]
         return processed
 
     def stop(self) -> None:
@@ -559,10 +300,4 @@ class Simulator:
         for entry in self._heap:
             entry[3].on_cancel = None
         self._heap.clear()
-        for bucket in self._buckets.values():
-            for entry in bucket:
-                entry[3].on_cancel = None
-        self._buckets.clear()
-        self._bucket_heap.clear()
-        self._calendar_len = 0
         self._cancelled_in_heap = 0

@@ -2,9 +2,10 @@
 
 An :class:`Event` is created by :meth:`repro.sim.engine.Simulator.schedule`
 and represents a callback that will fire at a given simulated time unless it
-is cancelled first.  Events are ordered by ``(time, priority, sequence)`` so
-that ties at the same timestamp are resolved deterministically: first by the
-caller-supplied priority, then by scheduling order.
+is cancelled first.  The simulator fires events in ``(time, priority,
+sequence)`` order, so ties at the same timestamp are resolved
+deterministically: first by the caller-supplied priority, then by scheduling
+order.
 
 ``Event`` is a ``__slots__`` class rather than a dataclass: packet-mode
 network simulations allocate one event per packet per hop, so the per-event
@@ -80,31 +81,6 @@ class Event:
             f"sequence={self.sequence!r}, state={self.state.value!r})"
         )
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return (self.time, self.priority, self.sequence) == (
-            other.time,
-            other.priority,
-            other.sequence,
-        )
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.sequence < other.sequence
-
-    def __le__(self, other: "Event") -> bool:
-        return self == other or self < other
-
-    def __gt__(self, other: "Event") -> bool:
-        return not (self == other or self < other)
-
-    def __ge__(self, other: "Event") -> bool:
-        return not self < other
-
     def cancel(self) -> bool:
         """Cancel the event if it has not fired yet.
 
@@ -130,8 +106,3 @@ class Event:
     def cancelled(self) -> bool:
         """Whether the event was cancelled before firing."""
         return self.state is EventState.CANCELLED
-
-    def _fire(self) -> None:
-        """Run the callback and mark the event as fired (engine internal)."""
-        self.state = EventState.FIRED
-        self.callback(*self.args)

@@ -1,151 +1,17 @@
-"""Queueing resources built on the event engine.
+"""The switch output queue of the Section 2.4 fat-tree simulator.
 
-The substrates share three building blocks:
-
-* :class:`Server` — a single FIFO queue + server with caller-supplied service
-  times.  This is the work-horse of the Section 2.1 queueing model and of the
-  disk/memcached models, where "the disk" or "the memcached process" is a
-  server whose service time depends on the request.
-* :class:`FifoQueue` — a plain FIFO buffer with optional capacity, used for
-  switch output queues when priorities are not needed.
-* :class:`PriorityQueueResource` — a strict-priority, drop-tail byte-bounded
-  queue used by the fat-tree switches in Section 2.4 (original packets at high
-  priority, replicated packets at low priority).
+:class:`PriorityQueueResource` is a strict-priority, drop-tail byte-bounded
+queue.  Each directed :class:`repro.network.link.Link` (the output port of
+its upstream device) holds one, with original packets at high priority and
+replicated packets at low priority.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional, Tuple
+from typing import Any, Deque, List, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
-from repro.sim.engine import Simulator
-
-
-class Server:
-    """A single-server FIFO queue.
-
-    Jobs are submitted with :meth:`submit`; each job carries a service time
-    and a completion callback.  The server works on one job at a time in
-    arrival order.  The completion callback receives
-    ``(job, start_time, finish_time)`` so callers can compute waiting and
-    response times without the server knowing anything about the experiment.
-
-    Attributes:
-        busy: Whether a job is currently in service.
-        queue_length: Number of jobs waiting (not counting the one in service).
-    """
-
-    def __init__(self, sim: Simulator, name: str = "server") -> None:
-        """Create an idle server attached to ``sim``."""
-        self._sim = sim
-        self.name = name
-        self.busy = False
-        self._queue: Deque[Tuple[Any, float, Callable[[Any, float, float], None]]] = deque()
-        self.jobs_completed = 0
-        self.busy_time = 0.0
-
-    @property
-    def queue_length(self) -> int:
-        """Number of jobs waiting for service (excludes the job in service)."""
-        return len(self._queue)
-
-    def submit(
-        self,
-        job: Any,
-        service_time: float,
-        on_complete: Callable[[Any, float, float], None],
-    ) -> None:
-        """Enqueue ``job`` requiring ``service_time`` seconds of service.
-
-        Args:
-            job: Opaque job object handed back to ``on_complete``.
-            service_time: Non-negative service requirement in seconds.
-            on_complete: Called as ``on_complete(job, start, finish)`` when the
-                job finishes service.
-
-        Raises:
-            ConfigurationError: If ``service_time`` is negative.
-        """
-        if service_time < 0:
-            raise ConfigurationError(f"service_time must be >= 0, got {service_time!r}")
-        self._queue.append((job, float(service_time), on_complete))
-        if not self.busy:
-            self._start_next()
-
-    def _start_next(self) -> None:
-        if not self._queue:
-            self.busy = False
-            return
-        self.busy = True
-        job, service_time, on_complete = self._queue.popleft()
-        start = self._sim.now
-        finish = start + service_time
-        self.busy_time += service_time
-        self._sim.schedule(service_time, self._finish, job, start, finish, on_complete)
-
-    def _finish(
-        self,
-        job: Any,
-        start: float,
-        finish: float,
-        on_complete: Callable[[Any, float, float], None],
-    ) -> None:
-        self.jobs_completed += 1
-        on_complete(job, start, finish)
-        self._start_next()
-
-    def utilization(self, elapsed: Optional[float] = None) -> float:
-        """Fraction of time the server has been busy.
-
-        Args:
-            elapsed: Observation window in seconds; defaults to the current
-                simulated time.
-        """
-        window = self._sim.now if elapsed is None else elapsed
-        if window <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / window)
-
-
-class FifoQueue:
-    """A capacity-bounded FIFO buffer (in items), with drop counting."""
-
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        """Create a queue holding at most ``capacity`` items (``None`` = unbounded)."""
-        if capacity is not None and capacity <= 0:
-            raise ConfigurationError(f"capacity must be positive or None, got {capacity!r}")
-        self.capacity = capacity
-        self._items: Deque[Any] = deque()
-        self.drops = 0
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def push(self, item: Any) -> bool:
-        """Append ``item``; returns ``False`` (and counts a drop) if full."""
-        if self.capacity is not None and len(self._items) >= self.capacity:
-            self.drops += 1
-            return False
-        self._items.append(item)
-        return True
-
-    def pop(self) -> Any:
-        """Remove and return the oldest item.
-
-        Raises:
-            IndexError: If the queue is empty.
-        """
-        return self._items.popleft()
-
-    def peek(self) -> Any:
-        """Return the oldest item without removing it."""
-        return self._items[0]
-
-    @property
-    def empty(self) -> bool:
-        """Whether the queue holds no items."""
-        return not self._items
 
 
 class PriorityQueueResource:

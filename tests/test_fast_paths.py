@@ -582,23 +582,6 @@ class TestBatchedDrawsByteIdentity:
         assert np.array_equal(batched.response_times, reference)
 
 
-class TestQueueBackendSubstrateEquivalence:
-    """The calendar event queue must not change any simulation output."""
-
-    def test_fattree_records_identical_across_backends(self, monkeypatch):
-        results = {}
-        for backend in ("heap", "calendar"):
-            monkeypatch.setenv("REPRO_SIM_QUEUE", backend)
-            cfg = FatTreeExperimentConfig(k=4, num_flows=120, load=0.3, seed=5)
-            results[backend] = FatTreeExperiment(cfg).run()
-        heap, calendar = results["heap"], results["calendar"]
-        assert len(heap.records) == len(calendar.records)
-        for a, b in zip(heap.records, calendar.records):
-            assert a.fct == b.fct
-            assert a.size_bytes == b.size_bytes
-        assert heap.dropped_packets == calendar.dropped_packets
-
-
 class TestFlowFidelity:
     def test_uncontended_fct_matches_packet_sim_shape(self):
         # The closed form must reproduce the dominant terms: serialisation of

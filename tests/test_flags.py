@@ -8,23 +8,17 @@ from repro.exceptions import ConfigurationError
 
 class TestFlagRead:
     def test_default_when_unset(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_QUEUE", raising=False)
-        assert flags.SIM_QUEUE.read() == "auto"
+        monkeypatch.delenv("REPRO_CKERNELS", raising=False)
+        assert flags.CKERNELS.read() == "1"
 
     def test_environment_value(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_QUEUE", "calendar")
-        assert flags.SIM_QUEUE.read() == "calendar"
+        monkeypatch.setenv("REPRO_CKERNELS", "0")
+        assert flags.CKERNELS.read() == "0"
 
     def test_invalid_environment_value_names_the_flag(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_QUEUE", "bogus")
-        with pytest.raises(ConfigurationError, match="REPRO_SIM_QUEUE"):
-            flags.SIM_QUEUE.read()
-
-    def test_is_set(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CKERNELS", raising=False)
-        assert not flags.CKERNELS.is_set()
-        monkeypatch.setenv("REPRO_CKERNELS", "0")
-        assert flags.CKERNELS.is_set()
+        monkeypatch.setenv("REPRO_CKERNELS", "bogus")
+        with pytest.raises(ConfigurationError, match="REPRO_CKERNELS"):
+            flags.CKERNELS.read()
 
 
 class TestDeclare:
@@ -34,7 +28,7 @@ class TestDeclare:
         )
         try:
             assert flags.REGISTRY["REPRO_TEST_ONLY"] is flag
-            assert flags.read_flag("REPRO_TEST_ONLY") == "x"
+            assert flag.read() == "x"
         finally:
             del flags.REGISTRY["REPRO_TEST_ONLY"]
 
@@ -57,16 +51,12 @@ class TestDeclare:
 
 class TestRegistry:
     def test_known_flags_are_declared(self):
-        assert set(flags.REGISTRY) == {"REPRO_CKERNELS", "REPRO_SIM_QUEUE"}
+        assert set(flags.REGISTRY) == {"REPRO_CKERNELS"}
 
     def test_every_flag_has_help_and_valid_default(self):
         for flag in flags.REGISTRY.values():
             assert flag.help.strip()
             assert flag.default in flag.choices
-
-    def test_read_flag_unknown_name_raises(self):
-        with pytest.raises(ConfigurationError, match="unknown flag"):
-            flags.read_flag("REPRO_NO_SUCH_FLAG")
 
 
 class TestUnknownFlags:
@@ -95,8 +85,3 @@ class TestConsumersHonourRegistry:
         from repro.cluster._ckernels import CKERNELS_ENV_VAR
 
         assert CKERNELS_ENV_VAR == flags.CKERNELS.name
-
-    def test_sim_queue_env_var_is_declared(self):
-        from repro.sim.engine import QUEUE_ENV_VAR
-
-        assert QUEUE_ENV_VAR == flags.SIM_QUEUE.name

@@ -309,7 +309,7 @@ class TestDet006JsonSortKeys:
 
 class TestDet007FlagRegistry:
     def test_environ_get_of_repro_var_fires(self):
-        src = "import os\nmode = os.environ.get('REPRO_SIM_QUEUE', 'auto')\n"
+        src = "import os\nmode = os.environ.get('REPRO_CKERNELS', '1')\n"
         assert fired(src) == ["DET007"]
 
     def test_getenv_fires(self):
@@ -317,7 +317,7 @@ class TestDet007FlagRegistry:
         assert fired(src) == ["DET007"]
 
     def test_environ_subscript_fires(self):
-        src = "import os\nmode = os.environ['REPRO_SIM_QUEUE']\n"
+        src = "import os\nmode = os.environ['REPRO_CKERNELS']\n"
         assert fired(src) == ["DET007"]
 
     def test_name_via_module_constant_fires(self):
@@ -333,7 +333,7 @@ class TestDet007FlagRegistry:
         assert fired(src) == []
 
     def test_flags_module_itself_may_read_environ(self):
-        src = "import os\nvalue = os.environ.get('REPRO_SIM_QUEUE', 'auto')\n"
+        src = "import os\nvalue = os.environ.get('REPRO_CKERNELS', '1')\n"
         assert fired(src, module="repro/flags.py") == []
 
     def test_declare_with_literal_name_and_help_is_clean(self):

@@ -114,3 +114,18 @@ class TestFatTreeExperiment:
             FatTreeExperimentConfig(link_rate_gbps=0.0)
         with pytest.raises(ConfigurationError):
             FatTreeExperimentConfig(num_flows=0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_link_rate_must_be_finite_and_positive(self, value):
+        with pytest.raises(ConfigurationError, match="link_rate_gbps"):
+            FatTreeExperimentConfig(link_rate_gbps=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_per_hop_delay_must_be_finite_and_non_negative(self, value):
+        with pytest.raises(ConfigurationError, match="per_hop_delay_us"):
+            FatTreeExperimentConfig(per_hop_delay_us=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_max_sim_seconds_must_be_finite_and_positive(self, value):
+        with pytest.raises(ConfigurationError, match="max_sim_seconds"):
+            FatTreeExperimentConfig(max_sim_seconds=value)

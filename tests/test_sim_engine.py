@@ -1,9 +1,11 @@
 """Tests for the discrete-event simulation engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import SimulationError
-from repro.sim import Event, EventState, Simulator
+from repro.sim import EventState, Simulator
 
 
 class TestScheduling:
@@ -144,6 +146,28 @@ class TestRunControl:
         with pytest.raises(SimulationError):
             sim.run_until(1.0)
 
+    def test_run_until_nan_rejected(self):
+        # NaN compares false against every event time, so no event would be
+        # "after" the horizon and all of them would fire.
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, 1)
+        with pytest.raises(SimulationError):
+            sim.run_until(float("nan"))
+        assert fired == [] and sim.now == 0.0 and sim.pending_events == 1
+
+    def test_run_until_infinite_rejected(self):
+        # A clock left at infinity would make every later schedule() fail.
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, 1)
+        with pytest.raises(SimulationError):
+            sim.run_until(float("inf"))
+        assert fired == [] and sim.now == 0.0
+        sim.schedule(2.0, fired.append, 2)
+        sim.run()
+        assert fired == [1, 2] and sim.now == 2.0
+
     def test_stop_from_callback(self):
         sim = Simulator()
         fired = []
@@ -227,6 +251,25 @@ class TestPendingEventsExcludeCancelled:
         assert len(sim._heap) < 500
         assert sim.run() == 100
 
+    def test_purge_during_run_keeps_draining_the_live_queue(self):
+        # The purge compacts the heap in place, under the drain loop that
+        # holds a reference to it: survivors and events scheduled after the
+        # purge must still fire in this run.
+        sim = Simulator()
+        fired = []
+        later = [sim.schedule(10.0 + i, fired.append, i) for i in range(150)]
+
+        def cancel_most():
+            for event in later[:100]:
+                event.cancel()
+            assert len(sim._heap) < 150  # the purge ran
+            sim.schedule(4.0, fired.append, "after-purge")
+
+        sim.schedule(1.0, cancel_most)
+        assert sim.run() == 52
+        assert fired == ["after-purge"] + list(range(100, 150))
+        assert sim.pending_events == 0
+
     def test_cancellation_during_run_keeps_count_accurate(self):
         sim = Simulator()
         later = [sim.schedule(10.0 + i, lambda: None) for i in range(3)]
@@ -299,118 +342,89 @@ class TestSequenceSurvivesClear:
         assert order == ["first-life", "second-life-late", "second-life-later"]
 
 
-def _scripted_trace(queue):
-    """A workload exercising ties, priorities, cancellation and rescheduling."""
-    sim = Simulator(queue=queue)
-    order = []
-
-    def note(tag):
-        order.append((tag, sim.now))
-
-    def cancel_and_reschedule():
-        note("cancel-point")
-        doomed[0].cancel()
-        doomed[1].cancel()
-        sim.schedule(0.0, note, "same-time-child")
-        sim.schedule(0.5, note, "later-child", priority=-1)
-
-    # Ties at t=1.0 resolved by priority then sequence.
-    sim.schedule(1.0, note, "tie-low-pri", priority=5)
-    sim.schedule(1.0, note, "tie-a")
-    sim.schedule(1.0, note, "tie-b")
-    doomed = [sim.schedule(3.0, note, "doomed-a"), sim.schedule(4.0, note, "doomed-b")]
-    sim.schedule(2.0, cancel_and_reschedule)
-    for i in range(200):
-        sim.schedule(5.0 + (i % 7) * 0.25, note, f"bulk-{i}", priority=i % 3)
-    processed = sim.run()
-    return order, processed, sim.now, sim.events_processed
+# Initial events sit on a 0.5 s grid so that ties are common.  Each carries up
+# to two actions run by its callback: schedule a child 0, 0.5 or 1 s later, or
+# cancel the handle at an index (taken modulo the handles scheduled so far).
+_PRIORITIES = st.integers(min_value=-2, max_value=2)
+_ACTIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("child"), st.sampled_from([0.0, 0.5, 1.0]), _PRIORITIES),
+        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=1000)),
+    ),
+    max_size=2,
+)
+_INITIAL_EVENTS = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=8), _PRIORITIES, _ACTIONS),
+    max_size=40,
+)
 
 
-class TestCalendarQueueEquivalence:
-    def test_scripted_workload_identical_across_backends(self):
-        assert _scripted_trace("heap") == _scripted_trace("calendar")
+def _reference_order(initial, split):
+    """Fire order of a plain-list model of the event queue.
 
-    def test_randomized_workloads_identical_across_backends(self):
-        from repro.sim.rng import substream
+    At each step the model fires the live entry with the least ``(time,
+    priority, sequence)``.  Returns the ``(tag, time)`` sequence fired up to
+    ``split``, the number of live entries left then, and the whole sequence.
+    """
+    # One [time, priority, sequence, tag, actions, state] list per handle,
+    # in scheduling order, so an entry's index is its sequence.
+    entries = [
+        [0.5 * slot, priority, index, str(index), actions, "pending"]
+        for index, (slot, priority, actions) in enumerate(initial)
+    ]
+    fired = []
+    prefix = pending_at_split = None
+    while True:
+        live = [entry for entry in entries if entry[5] == "pending"]
+        head = min(live, key=lambda entry: entry[:3]) if live else None
+        if prefix is None and (head is None or head[0] > split):
+            prefix, pending_at_split = list(fired), len(live)
+        if head is None:
+            return prefix, pending_at_split, fired
+        head[5] = "fired"
+        fired.append((head[3], head[0]))
+        for action in head[4]:
+            if action[0] == "child":
+                _, delay, priority = action
+                tag = f"{head[3]}/{len(entries)}"
+                entries.append([head[0] + delay, priority, len(entries), tag, (), "pending"])
+            else:
+                target = entries[action[1] % len(entries)]
+                if target[5] == "pending":
+                    target[5] = "cancelled"
 
-        def run(queue, seed):
-            rng = substream(seed, "engine-equivalence")
-            sim = Simulator(queue=queue)
-            order = []
-            handles = []
 
-            def fire(tag):
-                order.append((tag, sim.now))
-                draw = rng.random()
-                if draw < 0.3:
-                    handles.append(
-                        sim.schedule(
-                            float(rng.integers(0, 4)) * 0.5,
-                            fire,
-                            f"{tag}/c",
-                            priority=int(rng.integers(-2, 3)),
-                        )
-                    )
-                elif draw < 0.4 and handles:
-                    handles[int(rng.integers(0, len(handles)))].cancel()
+class TestReferenceModelOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(initial=_INITIAL_EVENTS, split_slot=st.integers(min_value=0, max_value=10))
+    def test_fire_order_matches_plain_list_model(self, initial, split_slot):
+        split = 0.5 * split_slot
+        sim = Simulator()
+        fired = []
+        handles = []
 
-            for i in range(300):
-                handles.append(
-                    sim.schedule(
-                        float(rng.integers(0, 20)) * 0.25,
-                        fire,
-                        str(i),
-                        priority=int(rng.integers(-2, 3)),
-                    )
-                )
-            processed = sim.run()
-            return order, processed, sim.now
+        def fire(tag, actions):
+            fired.append((tag, sim.now))
+            for action in actions:
+                if action[0] == "child":
+                    _, delay, priority = action
+                    child = f"{tag}/{len(handles)}"
+                    handles.append(sim.schedule(delay, fire, child, (), priority=priority))
+                else:
+                    handles[action[1] % len(handles)].cancel()
 
-        for seed in (0, 7, 123):
-            assert run("heap", seed) == run("calendar", seed)
+        for index, (slot, priority, actions) in enumerate(initial):
+            handles.append(
+                sim.schedule_at(0.5 * slot, fire, str(index), actions, priority=priority)
+            )
+        prefix, pending_at_split, order = _reference_order(initial, split)
 
-    def test_run_until_identical_across_backends(self):
-        def run(queue):
-            sim = Simulator(queue=queue)
-            order = []
-            for i in range(50):
-                sim.schedule(float(i % 10), order.append, i, priority=-i)
-            first = sim.run_until(4.5)
-            mid = (list(order), sim.now, sim.pending_events)
-            second = sim.run()
-            return first, mid, second, order, sim.now
-
-        assert run("heap") == run("calendar")
-
-    def test_calendar_backend_survives_bucket_resize(self):
-        sim = Simulator(queue="calendar")
-        order = []
-        # Far more entries than _MAX_BUCKET at wildly different timescales.
-        for i in range(3000):
-            sim.schedule(float(i) * 1e-6, order.append, i)
-        sim.schedule(100.0, order.append, "late")
-        sim.run()
-        assert order == list(range(3000)) + ["late"]
-
-    def test_auto_mode_migrates_to_calendar(self):
-        sim = Simulator(queue="auto")
-        sim._AUTO_CALENDAR_THRESHOLD = 16  # shrink the heuristic for the test
-        order = []
-        for i in range(40):
-            sim.schedule(float(i), order.append, i)
-        assert sim.queue_backend == "calendar"
-        sim.run()
-        assert order == list(range(40))
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_QUEUE", "calendar")
-        assert Simulator().queue_backend == "calendar"
-        monkeypatch.setenv("REPRO_SIM_QUEUE", "heap")
-        assert Simulator().queue_backend == "heap"
-        monkeypatch.setenv("REPRO_SIM_QUEUE", "bogus")
-        with pytest.raises(SimulationError):
-            Simulator()
-
-    def test_explicit_queue_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_QUEUE", "calendar")
-        assert Simulator(queue="heap").queue_backend == "heap"
+        assert sim.run_until(split) == len(prefix)
+        assert fired == prefix
+        assert sim.now == split
+        assert sim.pending_events == pending_at_split
+        assert sim.run() == len(order) - len(prefix)
+        assert fired == order
+        assert sim.now == max([split] + [time for _, time in order])
+        assert sim.pending_events == 0
+        assert sim.events_processed == len(order)

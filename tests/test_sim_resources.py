@@ -1,89 +1,9 @@
-"""Tests for queueing resources (Server, FifoQueue, PriorityQueueResource)."""
+"""Tests for the strict-priority switch output queue (PriorityQueueResource)."""
 
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.sim import FifoQueue, PriorityQueueResource, Server, Simulator
-
-
-class TestServer:
-    def test_single_job_completes_after_service_time(self):
-        sim = Simulator()
-        server = Server(sim)
-        completions = []
-        server.submit("job", 2.0, lambda job, start, finish: completions.append((job, start, finish)))
-        sim.run()
-        assert completions == [("job", 0.0, 2.0)]
-
-    def test_fifo_order_and_queueing_delay(self):
-        sim = Simulator()
-        server = Server(sim)
-        finishes = {}
-        for name, service in (("a", 2.0), ("b", 3.0), ("c", 1.0)):
-            server.submit(name, service, lambda job, start, finish: finishes.__setitem__(job, (start, finish)))
-        sim.run()
-        assert finishes["a"] == (0.0, 2.0)
-        assert finishes["b"] == (2.0, 5.0)
-        assert finishes["c"] == (5.0, 6.0)
-
-    def test_jobs_submitted_later_wait_behind_in_service_job(self):
-        sim = Simulator()
-        server = Server(sim)
-        finishes = {}
-        server.submit("first", 5.0, lambda j, s, f: finishes.__setitem__(j, f))
-        sim.schedule(1.0, server.submit, "second", 1.0, lambda j, s, f: finishes.__setitem__(j, f))
-        sim.run()
-        assert finishes["first"] == 5.0
-        assert finishes["second"] == 6.0
-
-    def test_negative_service_time_rejected(self):
-        sim = Simulator()
-        server = Server(sim)
-        with pytest.raises(ConfigurationError):
-            server.submit("x", -1.0, lambda *a: None)
-
-    def test_utilization_tracks_busy_time(self):
-        sim = Simulator()
-        server = Server(sim)
-        server.submit("x", 2.0, lambda *a: None)
-        sim.run()
-        sim.schedule(2.0, lambda: None)
-        sim.run()
-        assert server.utilization() == pytest.approx(0.5)
-
-    def test_queue_length_counts_waiting_jobs(self):
-        sim = Simulator()
-        server = Server(sim)
-        for i in range(3):
-            server.submit(i, 1.0, lambda *a: None)
-        assert server.queue_length == 2  # one in service, two waiting
-
-
-class TestFifoQueue:
-    def test_push_pop_order(self):
-        queue = FifoQueue()
-        queue.push(1)
-        queue.push(2)
-        assert queue.pop() == 1
-        assert queue.pop() == 2
-
-    def test_capacity_and_drops(self):
-        queue = FifoQueue(capacity=2)
-        assert queue.push(1)
-        assert queue.push(2)
-        assert not queue.push(3)
-        assert queue.drops == 1
-        assert len(queue) == 2
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FifoQueue(capacity=0)
-
-    def test_peek_does_not_remove(self):
-        queue = FifoQueue()
-        queue.push("x")
-        assert queue.peek() == "x"
-        assert len(queue) == 1
+from repro.sim import PriorityQueueResource
 
 
 class TestPriorityQueueResource:
