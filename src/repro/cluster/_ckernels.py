@@ -1,26 +1,31 @@
-"""Optional C fast paths for three Python-level inner loops, via ``ctypes``.
+"""Optional C fast paths for four Python-level inner loops, via ``ctypes``.
 
-Three hot loops in the batched substrate kernels resist numpy vectorisation
+Four hot loops in the batched substrate kernels resist numpy vectorisation
 because each step depends on the previous one: the FIFO busy-period
 recursion, the per-miss disk draws (the ziggurat exponential consumes a
-variable number of generator words) and the LRU cache state.  All three are
-plain loops over contiguous C arrays, so when a system C compiler is present
-they are compiled once per source digest into a small shared library and
-called through ``ctypes`` — no third-party packages, no Python headers, no
-build step in the repo.
+variable number of generator words), the LRU cache state and the pipeline's
+per-chunk placement draws (``Generator.choice`` without replacement, one
+Python call per chunk).  All four are plain loops over contiguous C arrays,
+so when a system C compiler is present they are compiled once per source
+digest into a small shared library and called through ``ctypes`` — no
+third-party packages, no Python headers, no build step in the repo.
 
-Byte-identity: each C routine is a literal port of the scalar Python loop it
-replaces and performs exactly the same IEEE-754 double operations in the same
-order.  The build omits ``-ffast-math``, so the compiler cannot reassociate,
-and passes ``-ffp-contract=off``, so it cannot fuse a multiply and an add
-into one FMA (aarch64 has FMA in its baseline).  ``disk_services`` draws
-from the generator's own numpy ``bitgen_t`` state through numpy's own
-``random_standard_exponential``, the routine ``Generator.exponential`` runs,
-looked up in numpy's ``_generator`` extension at load time rather than linked
-from a static copy, so a numpy upgrade cannot leave a stale sampler in a
-cached library.  The numpy and Python implementations remain the no-compiler
-path: ``REPRO_CKERNELS=0`` forces them, and tests pin both paths against the
-scalar references.
+Byte-identity: each C routine is a literal port of the loop it replaces and
+performs exactly the same IEEE-754 double operations and generator draws in
+the same order.  The build omits ``-ffast-math``, so the compiler cannot
+reassociate, and passes ``-ffp-contract=off``, so it cannot fuse a multiply
+and an add into one FMA (aarch64 has FMA in its baseline).  The draws run on
+the generator's own numpy ``bitgen_t`` state through numpy's own samplers:
+``disk_services`` calls ``random_standard_exponential``, the routine
+``Generator.exponential`` runs, and ``distinct_choices`` ports
+``Generator.choice(n, size=k, replace=False)`` for pools of up to 10,000
+(Floyd's algorithm, then a shuffle of the picks) and calls
+``random_bounded_uint64`` as it does.  Both symbols are looked up in numpy's
+``_generator`` extension at load time rather than linked from a static copy,
+so a numpy upgrade cannot leave a stale sampler in a cached library.  The
+numpy and Python implementations remain the no-compiler path:
+``REPRO_CKERNELS=0`` forces them, and tests pin both paths against the
+references.
 
 The library is cached in a per-user directory under the temp dir, created
 ``0o700``.  A cache directory or library that another user owns, or that
@@ -50,6 +55,7 @@ Declared (with its choices) in :mod:`repro.flags`.
 """
 
 _C_SOURCE = r"""
+#include <stdbool.h>
 #include <stdint.h>
 
 /* FIFO busy-period recursion: finish[i] = max(finish[i-1], a[i]) + s[i].
@@ -142,6 +148,51 @@ void lru_flags(const int64_t *keys, int64_t n, int64_t capacity,
         }
     }
 }
+
+/* numpy's random_bounded_uint64: a uniform integer in [off, off + rng]. */
+typedef uint64_t (*bounded_fn)(bitgen_t *, uint64_t, uint64_t, uint64_t, bool);
+
+/* `rows` successive Generator.choice(n, size=k, replace=False) draws for
+ * n <= 10000, in numpy's order: Floyd's algorithm, with numpy's
+ * open-addressing hash set of mask + 1 slots as the membership test, then
+ * the tail shuffle of the k picks. */
+void distinct_choices(bitgen_t *bg, bounded_fn bounded, int64_t n, int64_t k,
+                      int64_t rows, uint64_t *hash_set, uint64_t mask,
+                      int64_t *out) {
+    const uint64_t empty = (uint64_t)-1;
+    int64_t r, i, j;
+    uint64_t slot;
+    for (r = 0; r < rows; r++) {
+        int64_t *idx = out + r * k;
+        for (slot = 0; slot <= mask; slot++) {
+            hash_set[slot] = empty;
+        }
+        for (j = n - k; j < n; j++) {
+            uint64_t val = bounded(bg, 0, (uint64_t)j, 0, 0);
+            uint64_t loc = val & mask;
+            while (hash_set[loc] != empty && hash_set[loc] != val) {
+                loc = (loc + 1) & mask;
+            }
+            if (hash_set[loc] == empty) {
+                hash_set[loc] = val;
+                idx[j - n + k] = (int64_t)val;
+            } else {
+                loc = (uint64_t)j & mask;
+                while (hash_set[loc] != empty) {
+                    loc = (loc + 1) & mask;
+                }
+                hash_set[loc] = (uint64_t)j;
+                idx[j - n + k] = j;
+            }
+        }
+        for (i = k - 1; i >= 1; i--) {
+            int64_t pick = (int64_t)bounded(bg, 0, (uint64_t)i, 0, 0);
+            int64_t held = idx[pick];
+            idx[pick] = idx[i];
+            idx[i] = held;
+        }
+    }
+}
 """
 
 _lib: Optional[ctypes.CDLL] = None
@@ -167,10 +218,14 @@ def _check_private(path: str) -> None:
 def _build(cache_dir: str) -> ctypes.CDLL:
     import numpy.random._generator as numpy_generator
 
-    # Resolved first: a numpy without the sampler fails the whole build.
-    std_exponential = ctypes.CDLL(numpy_generator.__file__).random_standard_exponential
+    # Resolved first: a numpy without either sampler fails the whole build.
+    numpy_samplers = ctypes.CDLL(numpy_generator.__file__)
+    std_exponential = numpy_samplers.random_standard_exponential
     std_exponential.argtypes = [ctypes.c_void_p]
     std_exponential.restype = ctypes.c_double
+    bounded_uint64 = numpy_samplers.random_bounded_uint64
+    bounded_uint64.argtypes = [ctypes.c_void_p] + [ctypes.c_uint64] * 3 + [ctypes.c_bool]
+    bounded_uint64.restype = ctypes.c_uint64
 
     digest = hashlib.sha256(_C_SOURCE.encode("utf-8")).hexdigest()[:16]
     os.makedirs(cache_dir, mode=0o700, exist_ok=True)
@@ -218,8 +273,21 @@ def _build(cache_dir: str) -> ctypes.CDLL:
         ctypes.c_void_p,
     ]
     lib.lru_flags.restype = None
-    # Passed as disk_services' std_exp; kept here so it lives with the library.
+    lib.distinct_choices.argtypes = [
+        ctypes.c_void_p,
+        ctypes.c_void_p,
+        ctypes.c_int64,
+        ctypes.c_int64,
+        ctypes.c_int64,
+        ctypes.c_void_p,
+        ctypes.c_uint64,
+        ctypes.c_void_p,
+    ]
+    lib.distinct_choices.restype = None
+    # Passed as disk_services' std_exp and distinct_choices' bounded; kept
+    # here so they live with the library.
     lib.std_exponential = std_exponential
+    lib.bounded_uint64 = bounded_uint64
     return lib
 
 

@@ -31,6 +31,10 @@ The engine has two passes:
   - events are processed in ``(time, kind, seq)`` order with a fixed kind
     priority (station completion < win < background job < backup launch <
     arrival), so runs are deterministic for a given seed;
+  - the heap holds only station-completion, win, background and backup
+    events.  Arrivals, which must be non-decreasing, are a stream merged
+    with it: the next arrival runs once the heap's head is strictly later,
+    since heap events at an equal time have a lower kind;
   - a copy *in service* always runs to completion, matching the paper's
     observation that cancellation saves queueing, not work already under
     way;
@@ -51,17 +55,32 @@ releases feedback once *some* copy's finish is known (a copy entered
 service): if a copy that was still queued then finishes first, the policy is
 fed the slower copy's latency.  So ``hedge:p95`` and ``hedge:p95:nocancel``
 differ in their feedback, not only in cancellation.
+
+Both passes skip what cannot change a run.  A policy whose
+``record_latency`` is the base class's no-op is fed nothing
+(:attr:`PolicyDriver.wants_feedback`), and a static one of those is planned
+once per run instead of once per request (:meth:`PolicyDriver.fixed_delays`).
+A static policy that overrides ``record_latency`` keeps a plan and its
+feedback per request.  Per-request state lives in Python lists, turned into
+the returned arrays once at the end.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
+import math
 from collections import deque
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Hashable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.policy import PolicyDriver, ReplicationPolicy, simulate_hedged_arrivals
+from repro.core.policy import (
+    PolicyDriver,
+    ReplicationPolicy,
+    arrival_list,
+    simulate_hedged_arrivals,
+)
 
 __all__ = ["simulate_cancelling_arrivals"]
 
@@ -69,7 +88,8 @@ __all__ = ["simulate_cancelling_arrivals"]
 #: slot between wins and backup launches so that, at equal timestamps, they
 #: join their station before any foreground dispatch — matching the "flush
 #: due migration work, then serve" order of the known-completion pass.
-_POP, _WIN, _BG, _BACKUP, _ARRIVAL = 0, 1, 2, 3, 4
+#: Arrivals, which are not on the heap, rank after every kind.
+_POP, _WIN, _BG, _BACKUP = 0, 1, 2, 3
 
 #: Queue-entry states.
 _QUEUED, _IN_SERVICE, _CANCELLED = 0, 1, 2
@@ -132,6 +152,10 @@ def simulate_cancelling_arrivals(
         arrays: earliest absolute completion, dispatched copies, and copies
         cancelled while still queued — ``copies_cancelled`` is ``None`` when
         the policy never cancels.
+
+    Raises:
+        ValueError: If ``arrival_times`` decrease anywhere, or
+            ``background_jobs`` is given without ``begin_background``.
     """
     if not policy.cancel_on_win:
         finish_at, launched = simulate_hedged_arrivals(
@@ -145,23 +169,24 @@ def simulate_cancelling_arrivals(
             begin_background,
         )
         return finish_at, launched, None
-    num_requests = len(arrival_times)
+    arrivals = arrival_list(arrival_times)
+    num_requests = len(arrivals)
     driver = PolicyDriver(policy)
-    finish_at = np.full(num_requests, np.inf)
-    launched = np.zeros(num_requests, dtype=np.int64)
-    cancelled = np.zeros(num_requests, dtype=np.int64)
-    outstanding = np.zeros(num_requests, dtype=np.int64)
-    won = np.zeros(num_requests, dtype=bool)
-    fed_back = np.zeros(num_requests, dtype=bool)
+    wants_feedback = driver.wants_feedback
+    fixed_delays = driver.fixed_delays(max_copies)
+    finish_at = [math.inf] * num_requests
+    launched = [0] * num_requests
+    cancelled = [0] * num_requests
+    outstanding = [0] * num_requests
+    won = [False] * num_requests
+    fed_back = [False] * num_requests
     queued_entries: Dict[int, List[list]] = {}
-    servers: Dict[int, _Server] = {}
+    servers: Dict[Hashable, _Server] = {}
+    # Events are (time, kind, seq, a, b); seq is unique, so comparisons
+    # never reach the payload.
     heap: List[tuple] = []
-    seq = 0
-
-    def push(at: float, kind: int, payload: tuple) -> None:
-        nonlocal seq
-        heapq.heappush(heap, (at, kind, seq, payload))
-        seq += 1
+    order = itertools.count()
+    push = heapq.heappush
 
     def feedback(request: int) -> None:
         # Release adaptive feedback once no backup decision is pending and
@@ -169,18 +194,16 @@ def simulate_cancelling_arrivals(
         # first; the policy is then fed the slower latency (module docstring).
         if fed_back[request] or outstanding[request] != 0:
             return
-        if not np.isfinite(finish_at[request]):
+        finish = finish_at[request]
+        if not math.isfinite(finish):
             return
         fed_back[request] = True
-        driver.complete(
-            float(finish_at[request]),
-            float(finish_at[request] - arrival_times[request]),
-        )
+        driver.complete(finish, finish - arrivals[request])
 
     def complete(request: int, at: float) -> None:
         if at < finish_at[request]:
             finish_at[request] = at
-            push(at, _WIN, (request,))
+            push(heap, (at, _WIN, next(order), request, None))
 
     def enter_service(station: _Server, entry: list, at: float) -> None:
         request, copy, service, tail = entry[0], entry[1], entry[2], entry[3]
@@ -191,11 +214,13 @@ def simulate_cancelling_arrivals(
             if on_copy_resolved is not None:
                 on_copy_resolved(request, copy, "finished", service, finish + tail)
             complete(request, finish + tail)
-        push(finish, _POP, (station,))
+        push(heap, (finish, _POP, next(order), station, None))
 
-    def join(station_id, entry: list, at: float) -> bool:
+    def join(station_id: Hashable, entry: list, at: float) -> bool:
         # Start the job if its station is idle; True if it had to queue.
-        station = servers.setdefault(station_id, _Server())
+        station = servers.get(station_id)
+        if station is None:
+            station = servers[station_id] = _Server()
         if station.busy:
             station.queue.append(entry)
             return True
@@ -214,56 +239,67 @@ def simulate_cancelling_arrivals(
         if join(server_of(request, copy), entry, at):
             queued_entries.setdefault(request, []).append(entry)
 
-    for request in range(num_requests):
-        push(float(arrival_times[request]), _ARRIVAL, (request,))
     if background_jobs:
         if begin_background is None:
             raise ValueError("background_jobs requires begin_background")
         for when, station_id, job in background_jobs:
-            push(float(when), _BG, (station_id, job))
+            push(heap, (float(when), _BG, next(order), station_id, job))
 
-    while heap:
-        at, kind, _seq, payload = heapq.heappop(heap)
-        if kind == _ARRIVAL:
-            (request,) = payload
-            plan = driver.plan_for(at)
-            delays = plan.launch_delays[:max_copies]
-            dispatch(request, 0, at)
-            for copy, delay in enumerate(delays[1:], start=1):
-                push(at + delay, _BACKUP, (request, copy))
-                outstanding[request] += 1
+    pop = heapq.heappop
+    next_request = 0
+    while True:
+        # Heap events at an arrival's time have a lower kind, so they go first.
+        if heap and (next_request == num_requests or heap[0][0] <= arrivals[next_request]):
+            at, kind, _seq, a, b = pop(heap)
+            if kind == _POP:  # station a finished its in-service job
+                a.busy = False
+                queue = a.queue
+                while queue:
+                    entry = queue.popleft()
+                    if entry[4] == _QUEUED:
+                        enter_service(a, entry, at)
+                        break
+            elif kind == _WIN:  # request a's earliest known finish is now
+                if won[a] or finish_at[a] != at:
+                    continue  # a faster copy already claimed the win
+                won[a] = True
+                for entry in queued_entries.pop(a, ()):
+                    if entry[4] == _QUEUED:
+                        entry[4] = _CANCELLED
+                        cancelled[a] += 1
+                        if on_copy_resolved is not None:
+                            on_copy_resolved(a, entry[1], "cancelled", 0.0, at)
+                if wants_feedback:
+                    feedback(a)
+            elif kind == _BG:  # background job b joins station a
+                result = begin_background(b, at)
+                if result[0] != "done":
+                    join(a, [-1, b, result[1], result[2], _QUEUED], at)
+            else:  # _BACKUP: copy b of request a is due
+                if finish_at[a] > at:  # still pending: the hedge fires
+                    dispatch(a, b, at)
+                if wants_feedback:
+                    outstanding[a] -= 1
+                    feedback(a)
+            continue
+        if next_request == num_requests:
+            break
+        request = next_request
+        next_request += 1
+        at = arrivals[request]
+        if fixed_delays is None:
+            delays = driver.plan_for(at).launch_delays[:max_copies]
+        else:
+            delays = fixed_delays
+        dispatch(request, 0, at)
+        for copy in range(1, len(delays)):
+            push(heap, (at + delays[copy], _BACKUP, next(order), request, copy))
+        if wants_feedback:
+            outstanding[request] = len(delays) - 1
             feedback(request)
-        elif kind == _BG:
-            station_id, job = payload
-            result = begin_background(job, at)
-            if result[0] != "done":
-                join(station_id, [-1, job, result[1], result[2], _QUEUED], at)
-        elif kind == _BACKUP:
-            request, copy = payload
-            outstanding[request] -= 1
-            if finish_at[request] > at:  # still pending: the hedge fires
-                dispatch(request, copy, at)
-            feedback(request)
-        elif kind == _WIN:
-            (request,) = payload
-            if won[request] or finish_at[request] != at:
-                continue  # a faster copy already claimed the win
-            won[request] = True
-            for entry in queued_entries.pop(request, ()):
-                if entry[4] == _QUEUED:
-                    entry[4] = _CANCELLED
-                    cancelled[request] += 1
-                    if on_copy_resolved is not None:
-                        on_copy_resolved(request, entry[1], "cancelled", 0.0, at)
-            feedback(request)
-        else:  # _POP: a station finished its in-service job
-            (station,) = payload
-            station.busy = False
-            queue = station.queue
-            while queue:
-                entry = queue.popleft()
-                if entry[4] == _QUEUED:
-                    enter_service(station, entry, at)
-                    break
 
-    return finish_at, launched, cancelled
+    return (
+        np.array(finish_at, dtype=float),
+        np.array(launched, dtype=np.int64),
+        np.array(cancelled, dtype=np.int64),
+    )

@@ -127,8 +127,8 @@ class ReplicationPolicy(abc.ABC):
     def plan(self) -> RequestPlan:
         """The per-request plan: launch schedule plus cancellation semantics.
 
-        Adaptive policies return a fresh plan per call (the schedule tracks
-        observed latencies); static policies return an equal plan every time.
+        Adaptive policies return a plan that tracks the latencies recorded
+        so far; static policies return an equal plan every time.
         """
         return RequestPlan(tuple(self.launch_delays()), cancel_on_win=self.cancel_on_win)
 
@@ -251,6 +251,8 @@ class HedgeOnPercentile(ReplicationPolicy):
         # Incrementally sorted window: percentile queries on the hot path
         # (one per request issued) are O(1) instead of an O(n log n) re-sort.
         self._window = SlidingWindow(self.window)
+        # The plan only changes when the window does.
+        self._plan: Optional[RequestPlan] = None
 
     @property
     def _latencies(self) -> List[float]:
@@ -262,6 +264,7 @@ class HedgeOnPercentile(ReplicationPolicy):
         if latency < 0:
             raise ConfigurationError(f"latency must be >= 0, got {latency!r}")
         self._window.record(float(latency))
+        self._plan = None
 
     def current_delay(self) -> float:
         """The hedge delay that would be used for the next request.
@@ -280,6 +283,16 @@ class HedgeOnPercentile(ReplicationPolicy):
         """``[0, d, 2d, ...]`` where ``d`` is the current percentile delay."""
         delay = self.current_delay()
         return [0.0] + [delay * (i + 1) for i in range(self.extra_copies)]
+
+    def plan(self) -> RequestPlan:
+        """The plan for the current window: one object until the next :meth:`record_latency`.
+
+        Requests that arrive together, with no latency recorded between
+        them, share the plan instead of each building an equal one.
+        """
+        if self._plan is None:
+            self._plan = super().plan()
+        return self._plan
 
 
 # --------------------------------------------------------------------------- #
@@ -566,6 +579,23 @@ class PolicyDriver:
         self.policy = policy
         self._pending: List[Tuple[float, int, float]] = []
         self._seq = 0
+        #: ``False`` when the policy's ``record_latency`` is the base class's
+        #: no-op: feedback would change nothing, so engines skip
+        #: :meth:`complete` for it.
+        self.wants_feedback = (
+            type(policy).record_latency is not ReplicationPolicy.record_latency
+        )
+
+    def fixed_delays(self, max_copies: int) -> Optional[Tuple[float, ...]]:
+        """The launch delays of every request, or ``None`` if they need :meth:`plan_for`.
+
+        A static policy that takes no feedback plans every request alike,
+        and :meth:`plan_for` would have no feedback to release first, so one
+        plan, truncated to ``max_copies`` copies, serves the whole run.
+        """
+        if self.policy.is_static and not self.wants_feedback:
+            return self.policy.plan().launch_delays[:max_copies]
+        return None
 
     def plan_for(self, now: float) -> RequestPlan:
         """The plan for a request arriving at ``now`` (releases due feedback first)."""
@@ -584,6 +614,18 @@ class PolicyDriver:
         while self._pending:
             _, _, latency = heapq.heappop(self._pending)
             self.policy.record_latency(latency)
+
+
+def arrival_list(arrival_times) -> List[float]:
+    """``arrival_times`` as a list of floats, checked to be non-decreasing.
+
+    Raises:
+        ValueError: If any arrival precedes the one before it.
+    """
+    arrivals = np.asarray(arrival_times, dtype=float)
+    if arrivals.size > 1 and bool(np.any(arrivals[1:] < arrivals[:-1])):
+        raise ValueError("arrival_times must be non-decreasing")
+    return arrivals.tolist()
 
 
 def simulate_hedged_arrivals(
@@ -616,7 +658,8 @@ def simulate_hedged_arrivals(
     queued just before it; jobs due after the last dispatch are never run.
     Latency feedback for adaptive policies is released via
     :class:`PolicyDriver` once a request's plan is fully resolved, with the
-    request's true earliest finish.
+    request's true earliest finish.  A policy that ignores feedback is fed
+    none, and a static one of those is planned once per run.
 
     Args:
         policy: The replication policy (shared state across requests).
@@ -636,10 +679,16 @@ def simulate_hedged_arrivals(
     Returns:
         ``(finish_at, copies_launched)`` — per-request earliest absolute
         completion times and dispatched-copy counts.
+
+    Raises:
+        ValueError: If ``arrival_times`` decrease anywhere, or
+            ``background_jobs`` is given without ``begin_background``.
     """
-    arrivals = np.asarray(arrival_times, dtype=float).tolist()
+    arrivals = arrival_list(arrival_times)
     num_requests = len(arrivals)
     driver = PolicyDriver(policy)
+    wants_feedback = driver.wants_feedback
+    fixed_delays = driver.fixed_delays(max_copies)
     finish_at = [math.inf] * num_requests
     launched = [0] * num_requests
     outstanding = [0] * num_requests
@@ -686,18 +735,20 @@ def simulate_hedged_arrivals(
             outstanding[request] -= 1
             if finish_at[request] > at:  # still pending: the hedge fires
                 launch(request, copy, at)
-            if outstanding[request] == 0:
+            if wants_feedback and outstanding[request] == 0:
                 driver.complete(finish_at[request], finish_at[request] - arrivals[request])
             continue
         arrival = arrivals[next_request]
-        plan = driver.plan_for(arrival)
-        delays = plan.launch_delays[:max_copies]
+        if fixed_delays is None:
+            delays = driver.plan_for(arrival).launch_delays[:max_copies]
+        else:
+            delays = fixed_delays
         launch(next_request, 0, arrival)
         for copy, delay in enumerate(delays[1:], start=1):
             heapq.heappush(backups, (arrival + delay, seq, next_request, copy))
             seq += 1
             outstanding[next_request] += 1
-        if outstanding[next_request] == 0:
+        if wants_feedback and outstanding[next_request] == 0:
             driver.complete(finish_at[next_request], finish_at[next_request] - arrival)
         next_request += 1
 

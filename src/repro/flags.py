@@ -134,8 +134,9 @@ CKERNELS = declare(
     choices=("0", "1"),
     help=(
         "Whether the optional compiled C kernels (FIFO busy-period recursion, "
-        "per-miss disk draws, LRU cache) may be used: '0' forces the numpy "
-        "and Python paths.  The two paths are bitwise identical; "
+        "per-miss disk draws, LRU cache, pipeline placement draws) may be "
+        "used: '0' forces the numpy and Python paths.  The two paths are "
+        "bitwise identical; "
         "consumed by repro.cluster._ckernels.load()."
     ),
 )

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.cluster import _ckernels
 from repro.exceptions import ConfigurationError
 
 __all__ = ["WorkerPool", "service_times", "attempt_service", "draw_placements"]
@@ -31,6 +32,10 @@ __all__ = ["WorkerPool", "service_times", "attempt_service", "draw_placements"]
 #: far beyond any quantile a run can reach, but it keeps a single 2^-53-edge
 #: uniform from producing a physically meaningless service time.
 STRAGGLER_TAIL_CAP = 1e6
+
+#: ``Generator.choice(n, k, replace=False)`` always runs Floyd's algorithm
+#: for pools up to this size; above it, large samples take a different path.
+_FLOYD_MAX_POOL = 10_000
 
 
 @dataclass(frozen=True)
@@ -126,7 +131,15 @@ def draw_placements(
 
     Drawn up front (before any simulation event) so placement is identical
     under the event-driven and fast paths, which consume it in different
-    orders.
+    orders.  Row ``i`` is the ``i``-th of ``num_chunks`` successive
+    ``rng.choice(num_workers, size=copies, replace=False)`` draws.  When the
+    compiled kernels load (:mod:`repro.cluster._ckernels`) and the pool has
+    at most 10,000 workers, one C call makes every draw, as a port of
+    numpy's own algorithm for such pools (Floyd's algorithm, then a shuffle)
+    drawing through numpy's bounded-integer sampler, so the rows and the
+    generator's state afterwards are identical.  Larger pools, where numpy
+    may switch algorithms, and ``REPRO_CKERNELS=0`` call ``rng.choice`` per
+    chunk.
 
     Args:
         num_chunks: Number of chunks in the stage.
@@ -143,6 +156,26 @@ def draw_placements(
             "the policy's copy count exceeds the pool size"
         )
     placements = np.empty((num_chunks, copies), dtype=np.int64)
+    # Anything but an integer pool size is left to rng.choice to reject.
+    integral = isinstance(num_workers, (int, np.integer))
+    lib = _ckernels.load() if integral and num_workers <= _FLOYD_MAX_POOL else None
+    if lib is not None:
+        # numpy's hash set: the smallest power of two above int(1.2 * copies).
+        hash_set = np.empty(1 << int(1.2 * copies).bit_length(), dtype=np.uint64)
+        bit_generator = rng.bit_generator
+        # ctypes releases the GIL: hold the generator's lock, as numpy does.
+        with bit_generator.lock:
+            lib.distinct_choices(
+                bit_generator.ctypes.bit_generator,
+                lib.bounded_uint64,
+                num_workers,
+                copies,
+                num_chunks,
+                hash_set.ctypes.data,
+                hash_set.size - 1,
+                placements.ctypes.data,
+            )
+        return placements
     for chunk in range(num_chunks):
         placements[chunk] = rng.choice(num_workers, size=copies, replace=False)
     return placements

@@ -46,8 +46,15 @@ class Simulator:
     _PURGE_MIN_CANCELLED = 64
 
     def __init__(self, start_time: float = 0.0) -> None:
-        """Create a simulator whose clock starts at ``start_time`` seconds."""
-        self._now = float(start_time)
+        """Create a simulator whose clock starts at ``start_time`` seconds.
+
+        Raises:
+            SimulationError: If ``start_time`` is not a finite number.
+        """
+        start = float(start_time)
+        if not math.isfinite(start):
+            raise SimulationError(f"start_time must be finite, got {start_time!r}")
+        self._now = start
         self._heap: list[tuple] = []
         self._sequence = 0
         self._running = False
@@ -195,7 +202,8 @@ class Simulator:
 
         Args:
             max_events: Optional safety cap on the number of events to
-                process; ``None`` means run to completion.
+                process; ``None`` means run to completion, and ``0`` fires
+                nothing.
 
         Returns:
             The number of events processed by this call.
@@ -261,8 +269,9 @@ class Simulator:
         pop = heapq.heappop
         cancelled = EventState.CANCELLED
         fired = EventState.FIRED
+        limit = math.inf if max_events is None else max_events
         processed = 0
-        while heap and heap[0][0] <= until:
+        while heap and heap[0][0] <= until and processed < limit:
             time, _, _, event = pop(heap)
             if event.state is cancelled:
                 self._cancelled_in_heap -= 1
@@ -273,8 +282,6 @@ class Simulator:
             self._events_processed += 1
             processed += 1
             if self._stopped:
-                break
-            if max_events is not None and processed >= max_events:
                 break
         return processed
 

@@ -180,6 +180,12 @@ def test_percentile_policy_adapts_its_plan():
     for value in (0.1,) * 20:
         policy.record_latency(value)
     assert policy.plan().launch_delays[1] == pytest.approx(0.1)
+    # The plan follows every recorded latency and is shared until the next.
+    for value in (0.3, 0.7, 0.2, 0.9):
+        policy.record_latency(value)
+        plan = policy.plan()
+        assert plan.launch_delays == tuple(policy.launch_delays())
+        assert policy.plan() is plan
 
 
 @pytest.mark.parametrize("policy", EVERY_POLICY, ids=policy_to_spec)

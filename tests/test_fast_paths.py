@@ -31,6 +31,7 @@ from repro.exceptions import ConfigurationError
 from repro.network.fattree_sim import FatTreeExperiment, FatTreeExperimentConfig
 from repro.network.flow_fidelity import uncontended_fct
 from repro.network.tcp import TcpConfig
+from repro.pipeline.workers import draw_placements
 from repro.sim.rng import substream
 
 
@@ -434,6 +435,91 @@ class TestCompiledLruKernel:
             assert np.array_equal(with_c, reference_lru_flags(keys, capacity))
 
 
+def reference_placements(num_chunks, copies, num_workers, rng):
+    """The per-chunk ``rng.choice`` loop that the compiled placement replaced."""
+    placements = np.empty((num_chunks, copies), dtype=np.int64)
+    for chunk in range(num_chunks):
+        placements[chunk] = rng.choice(num_workers, size=copies, replace=False)
+    return placements
+
+
+BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64]
+
+
+def same_state(a, b):
+    """Bit generator states are equal (nested dicts, some values arrays)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[key], b[key]) for key in a)
+    return np.array_equal(a, b)
+
+
+def assert_same_placements(num_chunks, copies, num_workers, bit_generator, seed):
+    """``draw_placements`` equals the loop, and both leave the generator alike."""
+    got_rng = np.random.Generator(bit_generator(seed))
+    want_rng = np.random.Generator(bit_generator(seed))
+    got = draw_placements(num_chunks, copies, num_workers, got_rng)
+    want = reference_placements(num_chunks, copies, num_workers, want_rng)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    # The state includes any buffered half of a 64-bit word; the next
+    # bounded and double draws must agree too.
+    assert same_state(got_rng.bit_generator.state, want_rng.bit_generator.state)
+    assert got_rng.integers(0, 7, size=9).tolist() == want_rng.integers(0, 7, size=9).tolist()
+    assert got_rng.random() == want_rng.random()
+
+
+class TestDrawPlacements:
+    """Compiled placement against ``Generator.choice``, draw for draw."""
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda bg: bg.__name__)
+    @pytest.mark.parametrize(
+        "num_workers,copies",
+        [(1, 1), (2, 1), (2, 2), (3, 2), (5, 5), (7, 3), (16, 4), (100, 5), (257, 2),
+         (1000, 5), (4096, 3), (9999, 1), (10_000, 5), (10_000, 10_000)],
+    )
+    def test_matches_choice_loop(self, kernel_path, bit_generator, num_workers, copies):
+        assert_same_placements(6, copies, num_workers, bit_generator, 29)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=10_000),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=12),
+        st.sampled_from(BIT_GENERATORS),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_choice_loop_property(
+        self, num_workers, copies, num_chunks, bit_generator, seed
+    ):
+        if _ckernels.load() is None:
+            pytest.skip("no C compiler available")
+        # copies 6 stands for a whole pool: every worker gets a copy.
+        copies = num_workers if copies == 6 else min(copies, num_workers)
+        assert_same_placements(num_chunks, copies, num_workers, bit_generator, seed)
+
+    @pytest.mark.parametrize("num_workers,copies", [(10_001, 300), (20_000, 500), (20_000, 3)])
+    def test_pools_above_ten_thousand_take_the_choice_loop(self, num_workers, copies):
+        # numpy shuffles the pool's tail instead of running Floyd's algorithm
+        # when the sample is large for a pool this size (the first two
+        # cases), so only the choice loop reproduces its draws.
+        if _ckernels.load() is None:
+            pytest.skip("no C compiler available")
+        assert_same_placements(3, copies, num_workers, np.random.PCG64, 4)
+
+    def test_more_copies_than_workers_raise(self, kernel_path):
+        with pytest.raises(ConfigurationError, match="distinct copies"):
+            draw_placements(4, 3, 2, np.random.default_rng(0))
+
+    def test_non_integer_pool_fails_as_choice_does(self, kernel_path):
+        with pytest.raises(ValueError, match="must be a sequence or an integer"):
+            draw_placements(2, 2, 5.0, np.random.default_rng(0))
+
+    def test_no_chunks_draw_nothing(self, kernel_path):
+        rng = np.random.default_rng(3)
+        assert draw_placements(0, 2, 5, rng).shape == (0, 2)
+        assert same_state(rng.bit_generator.state, np.random.default_rng(3).bit_generator.state)
+
+
 class TestKernelCache:
     """The compiled library is built and loaded only from a private cache."""
 
@@ -580,6 +666,55 @@ class TestBatchedDrawsByteIdentity:
         batched = MemcachedExperiment(cfg).run(0.3, copies=2, num_requests=2000)
         reference = reference_memcached_eager(cfg, 0.3, 2, 2000)
         assert np.array_equal(batched.response_times, reference)
+
+
+def servers_reading_oldest_warm_key_first(config, load, copies, num_requests):
+    """Servers that read their oldest surviving warm key before their first miss.
+
+    An equal-size cache of ``C`` items ends warm-up holding the last ``C``
+    candidates of its warm order.  Until a server's first miss its cache
+    holds exactly those, so the oldest of them is a hit only if the whole
+    ``C`` were warmed; warming ``C - 1`` would make this read a miss.
+    """
+    experiment = DatabaseClusterExperiment(config)
+    file_ids = substream(config.seed, "keys", load).integers(0, config.num_files, size=num_requests)
+    primaries = experiment._primaries[file_ids]
+    capacity = equal_item_capacity(config.cache_bytes_per_server, float(config.mean_file_bytes))
+    found = []
+    for server in range(config.num_servers):
+        candidates = experiment._warm_orders(copies)[server]
+        if candidates.size <= capacity:
+            continue
+        oldest = int(candidates[candidates.size - capacity])
+        warm = set(candidates[-capacity:].tolist())
+        for i, file_id in enumerate(file_ids.tolist()):
+            if all((primaries[i] + c) % config.num_servers != server for c in range(copies)):
+                continue
+            if file_id == oldest:
+                found.append(server)
+            if file_id == oldest or file_id not in warm:
+                break
+    return found
+
+
+class TestWarmPrefix:
+    """The eager path's warm prefix keeps every surviving warm key."""
+
+    @pytest.mark.parametrize(
+        "num_files,cache_ratio,seed,copies", [(200, 0.8, 2, 1), (40, 0.5, 2, 2)]
+    )
+    def test_oldest_surviving_warm_key_is_a_hit(
+        self, kernel_path, num_files, cache_ratio, seed, copies
+    ):
+        config = DatabaseClusterConfig(
+            num_files=num_files, cache_to_data_ratio=cache_ratio, seed=seed
+        )
+        # The case this test exists for must occur in the run.
+        assert servers_reading_oldest_warm_key_first(config, 0.3, copies, 200)
+        batched = DatabaseClusterExperiment(config).run(0.3, copies=copies, num_requests=200)
+        response, hit_ratio = reference_database_eager(config, 0.3, copies, 200)
+        assert np.array_equal(batched.response_times, response)
+        assert batched.cache_hit_ratio == hit_ratio
 
 
 class TestFlowFidelity:

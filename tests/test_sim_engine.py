@@ -15,6 +15,13 @@ class TestScheduling:
     def test_clock_can_start_elsewhere(self):
         assert Simulator(start_time=5.0).now == 5.0
 
+    @pytest.mark.parametrize("start_time", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_start_time_rejected(self, start_time):
+        # Rejected where it is given, naming it, rather than at the first
+        # schedule() as a bad event time.
+        with pytest.raises(SimulationError, match="start_time"):
+            Simulator(start_time=start_time)
+
     def test_schedule_and_run_single_event(self):
         sim = Simulator()
         fired = []
@@ -184,6 +191,15 @@ class TestRunControl:
         processed = sim.run(max_events=4)
         assert processed == 4
         assert sim.pending_events == 6
+
+    def test_max_events_zero_fires_nothing(self):
+        sim = Simulator()
+        fired = []
+        for i in range(3):
+            sim.schedule(float(i + 1), fired.append, i)
+        assert sim.run(max_events=0) == 0
+        assert fired == [] and sim.now == 0.0 and sim.pending_events == 3
+        assert sim.events_processed == 0
 
     def test_reentrant_run_rejected(self):
         sim = Simulator()
