@@ -5,8 +5,8 @@ evaluation depends on:
 
 ``repro.core``
     The paper's primary contribution: replication/hedging policies, an
-    asyncio hedged-request client, backend selection strategies, threshold-load
-    computation and cost-benefit analysis.
+    asyncio hedged-request client, threshold-load computation and
+    cost-benefit analysis.
 
 ``repro.sim``
     The discrete-event engine of the fat-tree packet simulator (event heap,
@@ -17,11 +17,13 @@ evaluation depends on:
     Service-time and size distributions used throughout the evaluation.
 
 ``repro.workloads``
-    Arrival processes, key popularity models and file-set construction.
+    Poisson arrival processes and file sets.
 
 ``repro.queueing``
     The Section 2.1 queueing model: N servers, Poisson arrivals, k-copy
-    replication, analytic results and threshold-load search.
+    replication and threshold-load search, plus the section's analytic
+    results (M/M/1, M/G/1, heavy tails), kept as library code that the tests
+    check.
 
 ``repro.cluster``
     The Section 2.2/2.3 storage substrates: disk-backed database cluster and
@@ -37,8 +39,8 @@ evaluation depends on:
 
 ``repro.metrics``
     The unified streaming metrics layer every substrate records through:
-    counters, bounded-memory percentile histograms, sliding windows,
-    reservoirs and the :class:`~repro.metrics.LatencyRecorder` facade.
+    counters, bounded-memory percentile histograms, sliding windows and the
+    :class:`~repro.metrics.LatencyRecorder` facade.
 
 ``repro.analysis``
     Latency statistics, CDFs and result tables.
@@ -61,7 +63,6 @@ from repro.metrics import (
     Histogram,
     LatencyRecorder,
     MetricsRegistry,
-    Reservoir,
     SlidingWindow,
 )
 from repro.core.policy import (
@@ -83,7 +84,6 @@ __all__ = [
     "Counter",
     "Histogram",
     "SlidingWindow",
-    "Reservoir",
     "LatencyRecorder",
     "MetricsRegistry",
     "ReplicationPolicy",

@@ -771,31 +771,6 @@ class DatabaseClusterExperiment:
         best = elapsed.min(axis=1)
         return best, hits_total, n * k - hits_total
 
-    def sweep(
-        self,
-        loads: Sequence[float],
-        copies_list: Sequence[int] = (1, 2),
-        num_requests: int = 40_000,
-    ) -> Dict[int, List[DatabaseRunResult]]:
-        """Run a load sweep for each copy count (skipping saturated points).
-
-        Returns:
-            Mapping from copy count to the list of results, one per feasible
-            load in ``loads`` (loads that would saturate the replicated system
-            are skipped, mirroring how the paper's 2-copy curves stop short of
-            full load).
-        """
-        results: Dict[int, List[DatabaseRunResult]] = {}
-        for k in copies_list:
-            per_copy: List[DatabaseRunResult] = []
-            for load in loads:
-                try:
-                    per_copy.append(self.run(load, copies=k, num_requests=num_requests))
-                except CapacityError:
-                    continue
-            results[int(k)] = per_copy
-        return results
-
     def threshold_load(
         self,
         loads: Sequence[float],

@@ -18,7 +18,7 @@ here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -538,24 +538,6 @@ class MemcachedExperiment:
             return rng.integers(0, self.config.num_servers, size=(num_requests, 1))
         scores = rng.random((num_requests, self.config.num_servers))
         return np.argpartition(scores, copies - 1, axis=1)[:, :copies]
-
-    def sweep(
-        self,
-        loads: Sequence[float],
-        copies_list: Sequence[int] = (1, 2),
-        num_requests: int = 50_000,
-    ) -> Dict[int, List[MemcachedRunResult]]:
-        """Load sweep per copy count, skipping saturated points (Figure 12)."""
-        results: Dict[int, List[MemcachedRunResult]] = {}
-        for k in copies_list:
-            per_copy: List[MemcachedRunResult] = []
-            for load in loads:
-                try:
-                    per_copy.append(self.run(load, copies=k, num_requests=num_requests))
-                except CapacityError:
-                    continue
-            results[int(k)] = per_copy
-        return results
 
     def stub_comparison(
         self, load: float = 0.001, num_requests: int = 50_000

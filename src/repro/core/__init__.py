@@ -9,12 +9,12 @@ use directly:
   ("initiate an operation multiple times ... use the first result which
   completes"), shared by the serving proxy in :mod:`repro.serve`, and the
   asyncio client that runs it against real awaitables.
-* :mod:`repro.core.selection` — which backends the copies go to.
+* :mod:`repro.core.selection` — which backends the asyncio client's copies
+  go to.
 * :mod:`repro.core.thresholds` — when system-wide replication helps (the
   threshold-load results of Section 2.1).
 * :mod:`repro.core.costbenefit` — whether the latency saved is worth the bytes
   added (the Section 3 benchmark of 16 ms per KB).
-* :mod:`repro.core.advisor` — a decision helper combining all of the above.
 """
 
 from repro.core.policy import (
@@ -36,13 +36,7 @@ from repro.core.hedging import (
     first_completed,
     hedged_call,
 )
-from repro.core.selection import (
-    PowerOfTwoChoices,
-    PrimarySecondary,
-    RankedBest,
-    SelectionStrategy,
-    UniformRandom,
-)
+from repro.core.selection import SelectionStrategy, UniformRandom
 from repro.core.thresholds import (
     CONJECTURED_LOWER_BOUND,
     THRESHOLD_UPPER_BOUND,
@@ -54,7 +48,6 @@ from repro.core.costbenefit import (
     CostBenefitAnalysis,
     marginal_cost_benefit,
 )
-from repro.core.advisor import ReplicationAdvice, advise_replication
 
 __all__ = [
     "ReplicationPolicy",
@@ -74,9 +67,6 @@ __all__ = [
     "RedundantClient",
     "SelectionStrategy",
     "UniformRandom",
-    "RankedBest",
-    "PrimarySecondary",
-    "PowerOfTwoChoices",
     "exponential_threshold_load",
     "threshold_load_simulated",
     "CONJECTURED_LOWER_BOUND",
@@ -84,6 +74,4 @@ __all__ = [
     "CostBenefitAnalysis",
     "DEFAULT_BREAK_EVEN_MS_PER_KB",
     "marginal_cost_benefit",
-    "ReplicationAdvice",
-    "advise_replication",
 ]

@@ -488,9 +488,8 @@ class RedundantClient(Generic[T]):
 
         Args:
             *args: Positional arguments forwarded to each backend call.
-            key: Optional request key.  It is used by key-aware selection
-                strategies (e.g. consistent-hash primary/secondary placement)
-                and, when provided, is passed to the backend as its first
+            key: Optional request key.  It is passed to the selection
+                strategy and, when provided, to the backend as its first
                 positional argument.
             **kwargs: Keyword arguments forwarded to each backend call.
 

@@ -26,8 +26,7 @@ Policies are consumed by every executor in the repository:
   run hedged plans through one FIFO hedging engine,
   :func:`repro.core.cancellation.simulate_cancelling_arrivals`; its fast
   case for plans that never cancel is :func:`simulate_hedged_arrivals`;
-* the threshold search and advisor (:mod:`repro.core.thresholds`,
-  :mod:`repro.core.advisor`);
+* the threshold search (:mod:`repro.core.thresholds`);
 * the scenario-sweep subsystem (:mod:`repro.experiments`), where policies
   appear as **spec strings** on a ``policy`` axis.
 

@@ -1,34 +1,21 @@
-"""Backend selection strategies: where the redundant copies go.
+"""Backend selection for :class:`~repro.core.hedging.RedundantClient`.
 
-The paper uses three placements, all represented here:
-
-* Section 2.1 (queueing model): ``k`` distinct servers *uniformly at random*
-  (:class:`UniformRandom`).
-* Section 2.2 (storage cluster): the primary replica by consistent hashing and
-  the secondary on the next server (:class:`PrimarySecondary`).
-* Section 3.2 (DNS): the ``k`` *best-ranked* servers by measured mean latency
-  (:class:`RankedBest`).
-
-:class:`PowerOfTwoChoices` is included as a commonly-used alternative for
-ablation: instead of replicating, sample two servers and send a single copy to
-the less-loaded one (requires a load probe).
+The client asks a :class:`SelectionStrategy` which backends receive each
+request's copies.  The default, :class:`UniformRandom`, is the Section 2.1
+placement: ``k`` distinct servers chosen uniformly at random.  The substrates
+place copies themselves: the storage cluster by consistent hashing
+(:mod:`repro.cluster.consistent_hash`) and the DNS experiment by measured
+server ranking (:mod:`repro.wan.dns`).
 """
 
 from __future__ import annotations
 
 import abc
-import hashlib
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-
-
-def _stable_hash(key: object) -> int:
-    """A process-stable 64-bit hash (Python's ``hash`` is salted per process)."""
-    digest = hashlib.blake2b(repr(key).encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
 
 
 class SelectionStrategy(abc.ABC):
@@ -63,75 +50,3 @@ class UniformRandom(SelectionStrategy):
     def choose(self, num_backends: int, copies: int, key: Optional[object] = None) -> List[int]:
         self._validate(num_backends, copies)
         return [int(i) for i in self._rng.choice(num_backends, size=copies, replace=False)]
-
-
-class RankedBest(SelectionStrategy):
-    """The ``copies`` best backends according to a fixed ranking (Section 3.2).
-
-    The DNS experiment first ranks servers by mean response time, then sends
-    ``k`` copies to the top ``k`` servers of that ranking.
-    """
-
-    def __init__(self, ranking: Sequence[int]) -> None:
-        """Create the strategy from a ranking (best backend first).
-
-        Raises:
-            ConfigurationError: If the ranking has duplicates.
-        """
-        if len(set(ranking)) != len(ranking):
-            raise ConfigurationError(f"ranking contains duplicates: {ranking!r}")
-        self.ranking = [int(i) for i in ranking]
-
-    def choose(self, num_backends: int, copies: int, key: Optional[object] = None) -> List[int]:
-        self._validate(num_backends, copies)
-        eligible = [i for i in self.ranking if i < num_backends]
-        if len(eligible) < copies:
-            raise ConfigurationError(
-                f"ranking only covers {len(eligible)} of {num_backends} backends; "
-                f"cannot choose {copies}"
-            )
-        return eligible[:copies]
-
-
-class PrimarySecondary(SelectionStrategy):
-    """Consistent-hash placement: primary at ``hash(key) % n``, replicas on successors.
-
-    This is the Section 2.2 storage-cluster placement: "if the primary is
-    stored on server n, the (replicated) secondary goes to server n + 1".
-    """
-
-    def choose(self, num_backends: int, copies: int, key: Optional[object] = None) -> List[int]:
-        self._validate(num_backends, copies)
-        if key is None:
-            raise ConfigurationError("PrimarySecondary needs a request key")
-        primary = _stable_hash(key) % num_backends
-        return [(primary + offset) % num_backends for offset in range(copies)]
-
-
-class PowerOfTwoChoices(SelectionStrategy):
-    """Send a *single* copy to the less-loaded of two random backends.
-
-    Not a replication scheme but the classic load-balancing alternative; it is
-    included so benchmarks can compare "redundancy" against "better placement
-    of a single copy".  Requires a ``load_probe`` callable returning the
-    current load of a backend index.
-    """
-
-    def __init__(self, load_probe: Callable[[int], float], seed: Optional[int] = None) -> None:
-        """Create the strategy with a load probe and an optional seed."""
-        self.load_probe = load_probe
-        self._rng = np.random.default_rng(seed)
-
-    def choose(self, num_backends: int, copies: int, key: Optional[object] = None) -> List[int]:
-        self._validate(num_backends, copies)
-        if copies != 1:
-            raise ConfigurationError(
-                "PowerOfTwoChoices sends a single copy; use copies=1 "
-                "(it is the non-redundant baseline)"
-            )
-        if num_backends == 1:
-            return [0]
-        first, second = (
-            int(i) for i in self._rng.choice(num_backends, size=2, replace=False)
-        )
-        return [first if self.load_probe(first) <= self.load_probe(second) else second]

@@ -18,10 +18,7 @@ from repro.distributions.standard import (
     Erlang,
     Exponential,
     HyperExponential,
-    LogNormal,
     Pareto,
-    BoundedPareto,
-    Uniform,
     Weibull,
 )
 from repro.distributions.discrete import (
@@ -29,7 +26,6 @@ from repro.distributions.discrete import (
     TwoPoint,
     random_unit_mean_discrete,
 )
-from repro.distributions.empirical import Empirical
 from repro.distributions.families import (
     pareto_family,
     two_point_family,
@@ -42,17 +38,13 @@ __all__ = [
     "ScaledDistribution",
     "Deterministic",
     "Exponential",
-    "Uniform",
-    "LogNormal",
     "Pareto",
-    "BoundedPareto",
     "Weibull",
     "Erlang",
     "HyperExponential",
     "DiscreteDistribution",
     "TwoPoint",
     "random_unit_mean_discrete",
-    "Empirical",
     "weibull_family",
     "pareto_family",
     "two_point_family",

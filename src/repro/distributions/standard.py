@@ -63,60 +63,6 @@ class Exponential(Distribution):
         return self._mean**2
 
 
-class Uniform(Distribution):
-    """Uniform distribution on ``[low, high]`` with ``0 <= low < high``."""
-
-    def __init__(self, low: float, high: float) -> None:
-        """Create a uniform distribution on ``[low, high]``."""
-        if low < 0 or high <= low:
-            raise DistributionError(f"need 0 <= low < high, got low={low!r}, high={high!r}")
-        self.low = float(low)
-        self.high = float(high)
-
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None) -> ArrayOrFloat:
-        return rng.uniform(self.low, self.high, size)
-
-    def mean(self) -> float:
-        return (self.low + self.high) / 2.0
-
-    def variance(self) -> float:
-        return (self.high - self.low) ** 2 / 12.0
-
-
-class LogNormal(Distribution):
-    """Log-normal distribution parameterised by the underlying normal's mu/sigma.
-
-    ``X = exp(N(mu, sigma^2))``.  Used by the wide-area DNS model, where
-    per-server response times are well described by a log-normal body plus a
-    loss/timeout tail.
-    """
-
-    def __init__(self, mu: float, sigma: float) -> None:
-        """Create ``exp(N(mu, sigma^2))``; ``sigma`` must be non-negative."""
-        if sigma < 0:
-            raise DistributionError(f"sigma must be >= 0, got {sigma!r}")
-        self.mu = float(mu)
-        self.sigma = float(sigma)
-
-    @classmethod
-    def from_mean_cv(cls, mean: float, cv: float) -> "LogNormal":
-        """Construct from a target mean and coefficient of variation."""
-        if mean <= 0 or cv < 0:
-            raise DistributionError(f"need mean > 0 and cv >= 0, got {mean!r}, {cv!r}")
-        sigma2 = math.log(1.0 + cv**2)
-        mu = math.log(mean) - sigma2 / 2.0
-        return cls(mu, math.sqrt(sigma2))
-
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None) -> ArrayOrFloat:
-        return rng.lognormal(self.mu, self.sigma, size)
-
-    def mean(self) -> float:
-        return math.exp(self.mu + self.sigma**2 / 2.0)
-
-    def variance(self) -> float:
-        return (math.exp(self.sigma**2) - 1.0) * math.exp(2 * self.mu + self.sigma**2)
-
-
 class Pareto(Distribution):
     """Pareto (Type I) distribution with tail index ``alpha`` and scale ``xm``.
 
@@ -169,48 +115,6 @@ class Pareto(Distribution):
     def tail_index(self) -> float:
         """The regular-variation tail index (used by the heavy-tail analytics)."""
         return self.alpha
-
-
-class BoundedPareto(Distribution):
-    """Pareto distribution truncated to ``[low, high]``.
-
-    Used for file-size and flow-size models where physically impossible
-    multi-gigabyte samples must be excluded while keeping a heavy-tailed body.
-    """
-
-    def __init__(self, alpha: float, low: float, high: float) -> None:
-        """Create a Pareto(alpha) truncated to ``[low, high]`` with ``0 < low < high``."""
-        if alpha <= 0:
-            raise DistributionError(f"alpha must be positive, got {alpha!r}")
-        if not 0 < low < high:
-            raise DistributionError(f"need 0 < low < high, got {low!r}, {high!r}")
-        self.alpha = float(alpha)
-        self.low = float(low)
-        self.high = float(high)
-
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None) -> ArrayOrFloat:
-        u = rng.uniform(0.0, 1.0, size)
-        a, lo, hi = self.alpha, self.low, self.high
-        # Inverse-CDF: F(x) = (1 - (lo/x)^a) / (1 - (lo/hi)^a) for lo <= x <= hi.
-        return lo * (1.0 - u * (1.0 - (lo / hi) ** a)) ** (-1.0 / a)
-
-    def mean(self) -> float:
-        a, lo, hi = self.alpha, self.low, self.high
-        if a == 1.0:
-            return (math.log(hi / lo) * lo * hi) / (hi - lo)
-        return (lo**a / (1.0 - (lo / hi) ** a)) * (a / (a - 1.0)) * (
-            1.0 / lo ** (a - 1.0) - 1.0 / hi ** (a - 1.0)
-        )
-
-    def variance(self) -> float:
-        a, lo, hi = self.alpha, self.low, self.high
-        if a == 2.0:
-            second = (lo**a / (1.0 - (lo / hi) ** a)) * 2.0 * math.log(hi / lo)
-        else:
-            second = (lo**a / (1.0 - (lo / hi) ** a)) * (a / (a - 2.0)) * (
-                1.0 / lo ** (a - 2.0) - 1.0 / hi ** (a - 2.0)
-            )
-        return second - self.mean() ** 2
 
 
 class Weibull(Distribution):

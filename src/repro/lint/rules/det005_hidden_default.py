@@ -36,7 +36,6 @@ _CONSTRUCTORS = frozenset(
         "numpy.random.SeedSequence",
         "numpy.random.RandomState",
         "repro.sim.rng.substream",
-        "repro.sim.rng.RandomStreams",
     }
 )
 

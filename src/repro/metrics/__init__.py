@@ -11,7 +11,6 @@ cache hits, dropped packets) are collected:
   any stream length.
 * :class:`SlidingWindow` — exact percentiles over the last N samples with an
   incrementally maintained sorted view (the adaptive-hedging hot path).
-* :class:`Reservoir` — bounded uniform random sample of an unbounded stream.
 * :class:`LatencyRecorder` — the facade substrates record through; produces
   :class:`~repro.analysis.stats.LatencySummary` objects in either exact or
   streaming mode, so result tables cannot tell the difference.
@@ -26,14 +25,12 @@ from repro.metrics.histogram import (
 )
 from repro.metrics.recorder import LatencyRecorder
 from repro.metrics.registry import MetricsRegistry
-from repro.metrics.reservoir import Reservoir
 from repro.metrics.window import SlidingWindow
 
 __all__ = [
     "Counter",
     "Histogram",
     "SlidingWindow",
-    "Reservoir",
     "LatencyRecorder",
     "MetricsRegistry",
     "DEFAULT_BINS_PER_DECADE",

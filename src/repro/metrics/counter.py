@@ -53,11 +53,6 @@ class Counter:
         self._value += int(amount)
         self._increments += 1
 
-    def reset(self) -> None:
-        """Reset the counter to zero (e.g. between experiment runs)."""
-        self._value = 0
-        self._increments = 0
-
     def __int__(self) -> int:
         return self._value
 

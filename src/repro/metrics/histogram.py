@@ -368,50 +368,6 @@ class Histogram:
                 above += bin_count * (high_edge - threshold) / (high_edge - low_edge)
         return above / self._count
 
-    # ------------------------------------------------------------------ #
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram's samples into this one.
-
-        Raises:
-            ConfigurationError: If the bin resolutions differ.
-        """
-        if other.bins_per_decade != self.bins_per_decade:
-            raise ConfigurationError(
-                "cannot merge histograms with different bins_per_decade "
-                f"({self.bins_per_decade} vs {other.bins_per_decade})"
-            )
-        if other._count == 0:
-            return
-        if other._exact is not None:
-            self.record_many(np.asarray(other._exact, dtype=float))
-            return
-        if self._exact is not None:
-            self._spill_exact()
-        self._combine_moments(other._count, other._mean, other._m2)
-        self._sum += other._sum
-        self._min = min(self._min, other._min)
-        self._max = max(self._max, other._max)
-        self._zero_count += other._zero_count
-        for key, bin_count in other._bins.items():
-            if key not in self._bins:
-                self._bin_keys_cache = None
-            self._bins[key] = self._bins.get(key, 0) + bin_count
-
-    def reset(self) -> None:
-        """Forget every sample (e.g. between experiment runs)."""
-        self._count = 0
-        self._sum = 0.0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self._min = math.inf
-        self._max = -math.inf
-        self._exact = []
-        self._sorted_cache = None
-        self._bins = {}
-        self._zero_count = 0
-        self._bin_keys_cache = None
-
     def __len__(self) -> int:
         return self._count
 

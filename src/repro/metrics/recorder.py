@@ -126,8 +126,7 @@ class LatencyRecorder:
 
         Raises:
             ConfigurationError: In streaming mode, which does not retain
-                samples (use :meth:`summary`/:meth:`percentile` instead, or a
-                :class:`~repro.metrics.reservoir.Reservoir` alongside).
+                samples (use :meth:`summary`/:meth:`percentile` instead).
         """
         if self.mode != "exact":
             raise ConfigurationError("streaming recorders do not retain raw samples")
@@ -183,15 +182,6 @@ class LatencyRecorder:
                 raise ConfigurationError("no samples recorded yet")
             return float(np.mean(data > threshold))
         return self._histogram.fraction_greater_than(threshold)
-
-    def reset(self) -> None:
-        """Forget every sample."""
-        self._chunks = []
-        self._pending = []
-        self._count = 0
-        self._summary_cache = None
-        if self._histogram is not None:
-            self._histogram.reset()
 
     def __len__(self) -> int:
         return self.count

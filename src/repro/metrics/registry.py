@@ -15,13 +15,12 @@ from repro.exceptions import ConfigurationError
 from repro.metrics.counter import Counter
 from repro.metrics.histogram import Histogram
 from repro.metrics.recorder import LatencyRecorder
-from repro.metrics.reservoir import Reservoir
 
-Metric = Union[Counter, Histogram, LatencyRecorder, Reservoir]
+Metric = Union[Counter, Histogram, LatencyRecorder]
 
 
 class MetricsRegistry:
-    """Named counters, histograms, recorders and reservoirs.
+    """Named counters, histograms and latency recorders.
 
     Accessors are get-or-create: the first call for a name creates the metric,
     later calls return the same object; asking for an existing name as a
@@ -83,10 +82,6 @@ class MetricsRegistry:
             )
         return recorder
 
-    def reservoir(self, name: str, **kwargs) -> Reservoir:
-        """The reservoir called ``name`` (created on first use with ``kwargs``)."""
-        return self._get_or_create(name, Reservoir, lambda: Reservoir(name, **kwargs))
-
     # ------------------------------------------------------------------ #
 
     def get(self, name: str) -> Optional[Metric]:
@@ -102,25 +97,17 @@ class MetricsRegistry:
     def __len__(self) -> int:
         return len(self._metrics)
 
-    def reset(self) -> None:
-        """Reset every metric in place (names and objects are kept)."""
-        for metric in self._metrics.values():
-            metric.reset()
-
     def snapshot(self) -> Dict[str, object]:
         """A plain-dict view of every metric, for tables and logging.
 
         Counters become their integer value; histograms and recorders become
-        their summary row (or ``None`` when empty); reservoirs become their
-        retained sample count.
+        their summary row (or ``None`` when empty).
         """
         out: Dict[str, object] = {}
         for name in self:
             metric = self._metrics[name]
             if isinstance(metric, Counter):
                 out[name] = metric.value
-            elif isinstance(metric, Reservoir):
-                out[name] = {"seen": metric.seen, "retained": len(metric)}
             elif isinstance(metric, (Histogram, LatencyRecorder)):
                 out[name] = metric.summary().as_row() if metric.count else None
         return out

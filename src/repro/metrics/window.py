@@ -60,29 +60,6 @@ class SlidingWindow:
         """The retained samples in arrival order (oldest first)."""
         return list(self._order)
 
-    def mean(self) -> float:
-        """Mean of the retained samples.
-
-        Recomputed from the retained window per call (mean is an off-path
-        query here), so no floating-point drift accumulates over long runs
-        the way an add/subtract running sum would.
-
-        Raises:
-            ConfigurationError: If the window is empty.
-        """
-        self._require_samples()
-        return sum(self._sorted) / len(self._sorted)
-
-    def min(self) -> float:
-        """Smallest retained sample."""
-        self._require_samples()
-        return self._sorted[0]
-
-    def max(self) -> float:
-        """Largest retained sample."""
-        self._require_samples()
-        return self._sorted[-1]
-
     def percentile(self, q: float) -> float:
         """The ``q``-th percentile (0-100) with linear interpolation.
 

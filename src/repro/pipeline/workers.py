@@ -61,7 +61,12 @@ class WorkerPool:
     restart_s: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.num_workers < 1 or int(self.num_workers) != self.num_workers:
+        workers = self.num_workers
+        if (
+            isinstance(workers, bool)
+            or not isinstance(workers, (int, np.integer))
+            or workers < 1
+        ):
             raise ConfigurationError(
                 f"num_workers must be a positive integer, got {self.num_workers!r}"
             )

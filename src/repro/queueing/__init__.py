@@ -27,11 +27,7 @@ from repro.queueing.heavy_tail import (
     heavy_tail_threshold_lower_bound,
     heavy_tail_wait_survival,
 )
-from repro.queueing.replication_model import (
-    QueueingResults,
-    ReplicatedQueueingModel,
-    simulate_replicated_mm1_system,
-)
+from repro.queueing.replication_model import QueueingResults, ReplicatedQueueingModel
 from repro.queueing.threshold import (
     DETERMINISTIC_THRESHOLD_ESTIMATE,
     threshold_load,
@@ -51,7 +47,6 @@ __all__ = [
     "heavy_tail_wait_survival",
     "ReplicatedQueueingModel",
     "QueueingResults",
-    "simulate_replicated_mm1_system",
     "threshold_load",
     "threshold_load_approximation",
     "DETERMINISTIC_THRESHOLD_ESTIMATE",

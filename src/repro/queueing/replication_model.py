@@ -364,27 +364,3 @@ class ReplicatedQueueingModel:
             raise ConfigurationError(
                 f"warmup_fraction must be in [0, 1), got {warmup_fraction!r}"
             )
-
-
-def simulate_replicated_mm1_system(
-    load: float,
-    copies: int,
-    num_servers: int = 10,
-    num_requests: int = 50_000,
-    seed: int = 0,
-) -> QueueingResults:
-    """Convenience wrapper: the exponential-service case used to check Theorem 1.
-
-    Args:
-        load: Base per-server utilisation.
-        copies: Replication factor.
-        num_servers: Number of servers.
-        num_requests: Requests to simulate.
-        seed: Seed for reproducibility.
-    """
-    from repro.distributions.standard import Exponential
-
-    model = ReplicatedQueueingModel(
-        Exponential(1.0), num_servers=num_servers, copies=copies, seed=seed
-    )
-    return model.run_fast(load, num_requests=num_requests)

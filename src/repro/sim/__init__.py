@@ -15,13 +15,12 @@ the experiment driver schedule plain callables.
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, EventState
 from repro.sim.resources import PriorityQueueResource
-from repro.sim.rng import RandomStreams, substream
+from repro.sim.rng import substream
 
 __all__ = [
     "Simulator",
     "Event",
     "EventState",
     "PriorityQueueResource",
-    "RandomStreams",
     "substream",
 ]

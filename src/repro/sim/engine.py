@@ -25,8 +25,7 @@ class Simulator:
 
     The simulator owns the clock (:attr:`now`) and an event queue.  Work is
     scheduled with :meth:`schedule` (relative delay) or :meth:`schedule_at`
-    (absolute time) and executed by :meth:`run`, :meth:`run_until` or
-    :meth:`step`.
+    (absolute time) and executed by :meth:`run` or :meth:`run_until`.
 
     Args:
         start_time: Initial value of the simulated clock, in seconds.
@@ -58,7 +57,6 @@ class Simulator:
         self._heap: list[tuple] = []
         self._sequence = 0
         self._running = False
-        self._stopped = False
         self._events_processed = 0
         self._cancelled_in_heap = 0
 
@@ -188,15 +186,6 @@ class Simulator:
     # Execution
     # ------------------------------------------------------------------
 
-    def step(self) -> bool:
-        """Execute the next pending event, advancing the clock to its time.
-
-        Returns:
-            ``True`` if an event was executed, ``False`` if the queue is
-            empty (the clock is left unchanged in that case).
-        """
-        return self._drain(1, math.inf) == 1
-
     def run(self, max_events: Optional[int] = None) -> int:
         """Run until the event queue is exhausted (or ``max_events`` fired).
 
@@ -215,7 +204,6 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run() called re-entrantly from a callback")
         self._running = True
-        self._stopped = False
         try:
             return self._drain(max_events, math.inf)
         finally:
@@ -249,21 +237,19 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run_until() called re-entrantly from a callback")
         self._running = True
-        self._stopped = False
         try:
             processed = self._drain(None, until)
         finally:
             self._running = False
-        if not self._stopped:
-            self._now = max(self._now, until)
+        self._now = max(self._now, until)
         return processed
 
     def _drain(self, max_events: Optional[int], until: float) -> int:
         """Fire events in queue order up to time ``until``; return how many fired.
 
-        Returns early when ``max_events`` have fired or a callback calls
-        :meth:`stop`.  ``heap`` stays the live queue: callbacks push onto it,
-        and :meth:`_purge_cancelled` and :meth:`clear` change it in place.
+        Returns early when ``max_events`` have fired.  ``heap`` stays the live
+        queue: callbacks push onto it, and :meth:`_purge_cancelled` and
+        :meth:`clear` change it in place.
         """
         heap = self._heap
         pop = heapq.heappop
@@ -281,17 +267,7 @@ class Simulator:
             event.callback(*event.args)
             self._events_processed += 1
             processed += 1
-            if self._stopped:
-                break
         return processed
-
-    def stop(self) -> None:
-        """Request that the current :meth:`run`/:meth:`run_until` call return.
-
-        Safe to call from inside an event callback; the event currently being
-        processed completes, and no further events fire.
-        """
-        self._stopped = True
 
     def clear(self) -> None:
         """Drop all pending events without firing them.  The clock is kept.

@@ -13,7 +13,7 @@ replaying the same workload.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -53,39 +53,3 @@ def substream(seed: Optional[int], *key: object) -> np.random.Generator:
     if seed is None and not material:
         return np.random.default_rng()
     return np.random.default_rng(np.random.SeedSequence(material))
-
-
-class RandomStreams:
-    """A named collection of independent random streams sharing one base seed.
-
-    Example:
-        >>> streams = RandomStreams(seed=42)
-        >>> arrivals = streams.get("arrivals")
-        >>> service = streams.get("service")
-        >>> arrivals is streams.get("arrivals")
-        True
-    """
-
-    def __init__(self, seed: Optional[int] = None) -> None:
-        """Create a stream factory rooted at ``seed``."""
-        self.seed = seed
-        self._streams: Dict[str, np.random.Generator] = {}
-
-    def get(self, name: str) -> np.random.Generator:
-        """Return the (cached) generator for stream ``name``."""
-        if name not in self._streams:
-            self._streams[name] = substream(self.seed, name)
-        return self._streams[name]
-
-    def fork(self, name: str) -> "RandomStreams":
-        """Return a child :class:`RandomStreams` rooted at a derived seed.
-
-        Useful when an experiment spawns per-server or per-client components
-        that each need their own families of streams.
-        """
-        derived = substream(self.seed, "fork", name).integers(0, 2**31 - 1)
-        return RandomStreams(int(derived))
-
-    def names(self) -> Iterable[str]:
-        """Names of the streams created so far (mainly for debugging)."""
-        return tuple(self._streams)

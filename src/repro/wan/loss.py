@@ -1,4 +1,4 @@
-"""Packet-loss channels for the wide-area models.
+"""Measured packet-loss rates for the wide-area models.
 
 Section 3.1 relies on the loss-pair measurements of Chan et al. [IMC 2010]:
 between PlanetLab hosts the probability of losing a single packet was
@@ -8,83 +8,8 @@ pair was ≈ 0.0007 — far higher than the ≈ 2.3e-5 expected under independen
 Those two constants are exposed here and used by the handshake model.
 """
 
-from __future__ import annotations
-
-from typing import Optional
-
-import numpy as np
-
-from repro.exceptions import ConfigurationError
-
 #: Measured probability that a single packet is lost (Chan et al., cited in §3.1).
 SINGLE_LOSS_PROBABILITY: float = 0.0048
 
 #: Measured probability that *both* packets of a back-to-back pair are lost.
 PAIR_LOSS_PROBABILITY: float = 0.0007
-
-
-class CorrelatedLossChannel:
-    """A lossy channel with explicit single- and pair-loss probabilities.
-
-    The channel answers one question per transmission attempt: was the packet
-    (or the duplicated pair) lost?  It does not model delay — the handshake
-    model adds RTT/2 per delivered packet itself.
-    """
-
-    def __init__(
-        self,
-        single_loss: float = SINGLE_LOSS_PROBABILITY,
-        pair_loss: float = PAIR_LOSS_PROBABILITY,
-        rng: Optional[np.random.Generator] = None,
-        seed: int = 0,
-    ) -> None:
-        """Create a channel.
-
-        Args:
-            single_loss: Probability a lone packet is lost.
-            pair_loss: Probability both packets of a duplicated pair are lost
-                (must not exceed ``single_loss``; correlation cannot make a
-                pair *more* likely to vanish than a single packet).
-            rng: Random generator for Monte-Carlo use; omitted, a generator
-                seeded with ``seed`` is constructed (library entry points
-                never construct unseeded generators implicitly — the repo's
-                determinism contract, lint rule DET001).
-            seed: Seed of the fallback generator when ``rng`` is omitted.
-
-        Raises:
-            ConfigurationError: On probabilities outside [0, 1] or
-                ``pair_loss > single_loss``.
-        """
-        if not 0.0 <= single_loss <= 1.0 or not 0.0 <= pair_loss <= 1.0:
-            raise ConfigurationError("loss probabilities must be in [0, 1]")
-        if pair_loss > single_loss:
-            raise ConfigurationError(
-                f"pair_loss ({pair_loss}) cannot exceed single_loss ({single_loss})"
-            )
-        self.single_loss = float(single_loss)
-        self.pair_loss = float(pair_loss)
-        self._rng = rng if rng is not None else np.random.default_rng(seed)
-
-    def loss_probability(self, copies: int) -> float:
-        """Probability that *all* ``copies`` transmissions of a packet are lost.
-
-        ``copies = 1`` returns the single-packet loss rate and ``copies = 2``
-        the measured pair-loss rate; beyond 2 the measured correlation is
-        extrapolated geometrically (each extra copy multiplies the loss
-        probability by the same pair/single ratio), which is conservative
-        relative to independence.
-        """
-        if copies < 1:
-            raise ConfigurationError(f"copies must be >= 1, got {copies!r}")
-        if copies == 1:
-            return self.single_loss
-        ratio = self.pair_loss / self.single_loss if self.single_loss > 0 else 0.0
-        return self.single_loss * ratio ** (copies - 1)
-
-    def is_lost(self, copies: int = 1) -> bool:
-        """Monte-Carlo draw: were all ``copies`` transmissions lost?"""
-        return bool(self._rng.random() < self.loss_probability(copies))
-
-    def independence_pair_loss(self) -> float:
-        """The pair-loss probability losses *would* have if they were independent."""
-        return self.single_loss**2

@@ -1,32 +1,19 @@
-"""Workload generation: arrival processes, key popularity and file sets.
+"""Workload generation: arrival processes and file sets.
 
 This layer sits beside :mod:`repro.distributions` in the architecture stack
 (see the README's Architecture section): the substrates draw *when* requests
-arrive from :mod:`repro.workloads.arrivals` (Poisson and renewal processes,
-merged across clients), *which* keys they touch from
-:mod:`repro.workloads.keys` (uniform and Zipf popularity), and *what* is
-stored from :mod:`repro.workloads.filesets` (file collections built to hit a
-target cache:data ratio, the knob Figures 5-11 turn).  Everything is seeded
-through :mod:`repro.sim.rng`, so a scenario sweep regenerates identical
-workloads at every grid point regardless of worker count.
+arrive from :mod:`repro.workloads.arrivals` (Poisson processes) and hold
+*what* is stored in a :class:`~repro.workloads.filesets.FileSet` (the file
+collection whose size sets the cache:data ratio, the knob Figures 5-11
+turn).  Everything is seeded through :mod:`repro.sim.rng`, so a scenario
+sweep regenerates identical workloads at every grid point regardless of
+worker count.
 """
 
-from repro.workloads.arrivals import (
-    PoissonArrivals,
-    RenewalArrivals,
-    merge_arrival_times,
-    thin_arrivals,
-)
-from repro.workloads.keys import UniformKeys, ZipfKeys
-from repro.workloads.filesets import FileSet, build_fileset_for_cache_ratio
+from repro.workloads.arrivals import PoissonArrivals
+from repro.workloads.filesets import FileSet
 
 __all__ = [
     "PoissonArrivals",
-    "RenewalArrivals",
-    "merge_arrival_times",
-    "thin_arrivals",
-    "UniformKeys",
-    "ZipfKeys",
     "FileSet",
-    "build_fileset_for_cache_ratio",
 ]

@@ -4,25 +4,23 @@ All of the paper's experiments use open-loop Poisson arrivals ("requests
 arrive in the system according to a Poisson process", Section 2.1; "a set of
 client nodes generate requests according to identical Poisson processes",
 Section 2.2; "flow arrivals are Poisson", Section 2.4).  This module provides
-Poisson arrivals plus a general renewal process (for sensitivity studies where
-the inter-arrival distribution is varied).
+them as arrays of absolute arrival times.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional
+from typing import List
 
 import numpy as np
 
-from repro.distributions.base import Distribution
 from repro.exceptions import ConfigurationError
 
 
 class PoissonArrivals:
     """A homogeneous Poisson arrival process with the given rate.
 
-    Instances are iterable generators of absolute arrival times and can also
-    produce fixed-count or fixed-horizon arrays for the vectorised simulators.
+    It produces fixed-count or fixed-horizon arrays of absolute arrival times
+    for the vectorised simulators.
     """
 
     def __init__(self, rate: float, rng: np.random.Generator, start: float = 0.0) -> None:
@@ -38,16 +36,6 @@ class PoissonArrivals:
         self.rate = float(rate)
         self._rng = rng
         self.start = float(start)
-
-    def __iter__(self) -> Iterator[float]:
-        t = self.start
-        while True:
-            t += self._rng.exponential(1.0 / self.rate)
-            yield t
-
-    def next_after(self, t: float) -> float:
-        """Return one arrival time strictly after ``t`` (memoryless property)."""
-        return t + float(self._rng.exponential(1.0 / self.rate))
 
     def times_count(self, count: int) -> np.ndarray:
         """Return the first ``count`` arrival times as an array."""
@@ -74,82 +62,3 @@ class PoissonArrivals:
             t = float(block[-1])
         all_times = np.concatenate(times)
         return all_times[all_times <= horizon]
-
-
-class RenewalArrivals:
-    """A renewal arrival process with i.i.d. inter-arrival times.
-
-    Used by sensitivity studies that replace Poisson arrivals with lower- or
-    higher-variability inter-arrival distributions.
-    """
-
-    def __init__(
-        self,
-        interarrival: Distribution,
-        rng: np.random.Generator,
-        start: float = 0.0,
-    ) -> None:
-        """Create a renewal process with the given inter-arrival distribution."""
-        self.interarrival = interarrival
-        self._rng = rng
-        self.start = float(start)
-
-    def __iter__(self) -> Iterator[float]:
-        t = self.start
-        while True:
-            t += float(self.interarrival.sample(self._rng))
-            yield t
-
-    def times_count(self, count: int) -> np.ndarray:
-        """Return the first ``count`` arrival times as an array."""
-        if count < 0:
-            raise ConfigurationError(f"count must be >= 0, got {count!r}")
-        gaps = np.asarray(self.interarrival.sample(self._rng, count), dtype=float)
-        return self.start + np.cumsum(gaps)
-
-    def rate(self) -> float:
-        """Long-run arrival rate (1 / mean inter-arrival time)."""
-        return 1.0 / self.interarrival.mean()
-
-
-def thin_arrivals(
-    times: np.ndarray, keep_probability: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Independently keep each arrival with probability ``keep_probability``.
-
-    Thinning a Poisson process of rate ``λ`` with keep probability ``p``
-    yields a Poisson process of rate ``p·λ`` — the standard construction for
-    splitting one aggregate stream into per-server substreams, and the dual
-    of :func:`merge_arrival_times`.  One uniform is drawn per arrival (in
-    order), so the result is a pure function of ``(times, rng state)``.
-
-    Args:
-        times: Sorted arrival times.
-        keep_probability: Probability in ``[0, 1]`` of keeping each arrival.
-        rng: Random generator supplying one uniform per arrival.
-
-    Returns:
-        The kept arrival times, in their original order.
-    """
-    if not 0.0 <= keep_probability <= 1.0:
-        raise ConfigurationError(
-            f"keep_probability must be in [0, 1], got {keep_probability!r}"
-        )
-    values = np.asarray(times, dtype=float)
-    return values[rng.random(values.size) < keep_probability]
-
-
-def merge_arrival_times(streams: Iterable[np.ndarray]) -> np.ndarray:
-    """Merge several sorted arrival-time arrays into one sorted array.
-
-    Used to combine the per-client Poisson processes of the cluster
-    experiments into the aggregate arrival stream seen by the servers (the
-    superposition of Poisson processes is Poisson, but the merge is also
-    correct for arbitrary streams).
-    """
-    arrays = [np.asarray(s, dtype=float) for s in streams if len(s)]
-    if not arrays:
-        return np.empty(0, dtype=float)
-    merged = np.concatenate(arrays)
-    merged.sort(kind="mergesort")
-    return merged

@@ -2,20 +2,15 @@
 
 Section 2.2 populates the servers "with a collection of files whose total size
 is chosen to achieve a preset target cache-to-disk ratio".  A
-:class:`FileSet` captures that collection (file ids and sizes), and
-:func:`build_fileset_for_cache_ratio` derives the number of files required to
-hit a target cache:data ratio given the per-server cache capacity.
+:class:`FileSet` captures that collection (file ids and sizes).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from repro.distributions.base import Distribution
-from repro.distributions.standard import Deterministic
 from repro.exceptions import ConfigurationError
 
 
@@ -58,55 +53,3 @@ class FileSet:
         if not 0 <= file_id < self.num_files:
             raise ConfigurationError(f"file_id {file_id!r} outside [0, {self.num_files})")
         return float(self.sizes_bytes[file_id])
-
-
-def build_fileset_for_cache_ratio(
-    cache_bytes_per_server: float,
-    num_servers: int,
-    cache_to_data_ratio: float,
-    mean_file_bytes: float,
-    size_distribution: Optional[Distribution] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> FileSet:
-    """Build a file set so that total cache / total data = ``cache_to_data_ratio``.
-
-    Args:
-        cache_bytes_per_server: Page-cache capacity of each server in bytes.
-        num_servers: Number of storage servers.
-        cache_to_data_ratio: Target ratio of aggregate cache to aggregate data
-            (0.1 in the paper's base configuration; 2 in Figure 11 where the
-            whole data set fits in memory).
-        mean_file_bytes: Target mean file size in bytes (4 KB base config).
-        size_distribution: Distribution of file sizes; ``None`` means all files
-            have exactly ``mean_file_bytes`` (the paper's deterministic base
-            case).  When provided, it is rescaled to ``mean_file_bytes``.
-        rng: Random generator (required when ``size_distribution`` is given).
-
-    Returns:
-        A :class:`FileSet` whose total size is ``num_servers *
-        cache_bytes_per_server / cache_to_data_ratio`` (to within one file).
-
-    Raises:
-        ConfigurationError: On non-positive parameters or a missing ``rng``.
-    """
-    if cache_bytes_per_server <= 0 or num_servers <= 0:
-        raise ConfigurationError("cache size and server count must be positive")
-    if cache_to_data_ratio <= 0:
-        raise ConfigurationError(
-            f"cache_to_data_ratio must be positive, got {cache_to_data_ratio!r}"
-        )
-    if mean_file_bytes <= 0:
-        raise ConfigurationError(f"mean_file_bytes must be positive, got {mean_file_bytes!r}")
-
-    total_data_bytes = num_servers * cache_bytes_per_server / cache_to_data_ratio
-    num_files = max(1, int(round(total_data_bytes / mean_file_bytes)))
-
-    if size_distribution is None:
-        sizes = np.full(num_files, float(mean_file_bytes))
-    else:
-        if rng is None:
-            raise ConfigurationError("rng is required when size_distribution is given")
-        scaled = size_distribution.scaled_to_mean(mean_file_bytes)
-        sizes = np.asarray(scaled.sample(rng, num_files), dtype=float)
-        sizes = np.maximum(sizes, 1.0)
-    return FileSet(sizes_bytes=sizes)

@@ -83,11 +83,6 @@ class TestDatabaseExperiment:
         with pytest.raises(CapacityError):
             base_experiment.run(0.6, copies=2, num_requests=REQUESTS)
 
-    def test_sweep_skips_saturated_points(self, base_experiment):
-        results = base_experiment.sweep([0.1, 0.6], copies_list=(1, 2), num_requests=6_000)
-        assert len(results[1]) == 2
-        assert len(results[2]) == 1  # load 0.6 with 2 copies is infeasible
-
     def test_all_cached_config_removes_benefit(self):
         experiment = DatabaseClusterExperiment(DatabaseClusterConfig.all_cached(**SMALL))
         baseline = experiment.run(0.2, copies=1, num_requests=REQUESTS)
@@ -144,11 +139,6 @@ class TestMemcachedExperiment:
     def test_saturation_rejected(self):
         with pytest.raises(CapacityError):
             MemcachedExperiment().run(0.6, copies=2, num_requests=1_000)
-
-    def test_sweep_structure(self):
-        results = MemcachedExperiment().sweep([0.1, 0.3], num_requests=8_000)
-        assert set(results) == {1, 2}
-        assert len(results[1]) == 2
 
     def test_invalid_config(self):
         with pytest.raises(ConfigurationError):

@@ -1,4 +1,4 @@
-"""Tests for the cost-benefit analysis, threshold API and the advisor."""
+"""Tests for the cost-benefit analysis and the threshold API."""
 
 import pytest
 
@@ -7,13 +7,12 @@ from repro.core import (
     DEFAULT_BREAK_EVEN_MS_PER_KB,
     THRESHOLD_UPPER_BOUND,
     CostBenefitAnalysis,
-    advise_replication,
     exponential_threshold_load,
     marginal_cost_benefit,
     threshold_load_simulated,
 )
 from repro.core.thresholds import threshold_band
-from repro.distributions import Deterministic, Exponential
+from repro.distributions import Exponential
 from repro.exceptions import ConfigurationError
 
 
@@ -84,59 +83,3 @@ class TestThresholdApi:
             Exponential(1.0), num_requests=20_000, tolerance=0.02, seed=1
         )
         assert 0.25 <= threshold <= 0.45
-
-
-class TestAdvisor:
-    def test_recommends_replication_below_threshold(self):
-        advice = advise_replication(
-            Exponential(1.0), load=0.15, threshold=1.0 / 3.0
-        )
-        assert advice.replicate_for_mean
-        assert advice.replicate_for_tail
-        assert advice.reasons
-
-    def test_rejects_replication_above_threshold(self):
-        advice = advise_replication(Exponential(1.0), load=0.45, threshold=1.0 / 3.0)
-        assert not advice.replicate_for_mean
-
-    def test_memcached_style_overhead_blocks_tail_benefit(self):
-        advice = advise_replication(
-            Deterministic(0.00018),
-            load=0.3,
-            client_overhead=0.0002,  # larger than the mean service time
-            threshold=0.05,
-        )
-        assert not advice.replicate_for_mean
-        assert not advice.replicate_for_tail
-
-    def test_saturating_load_short_circuits(self):
-        advice = advise_replication(Exponential(1.0), load=0.6, copies=2)
-        assert advice.threshold_load == 0.0
-        assert not advice.replicate_for_mean
-
-    def test_cost_effectiveness_included_when_bytes_given(self):
-        advice = advise_replication(
-            Exponential(1.0),
-            load=0.1,
-            threshold=1.0 / 3.0,
-            extra_bytes_per_request=500.0,
-            expected_latency_saving_ms=30.0,
-        )
-        assert advice.cost_effective is True
-
-    def test_bytes_without_savings_rejected(self):
-        with pytest.raises(ConfigurationError):
-            advise_replication(
-                Exponential(1.0), load=0.1, threshold=0.3, extra_bytes_per_request=100.0
-            )
-
-    def test_invalid_load_rejected(self):
-        with pytest.raises(ConfigurationError):
-            advise_replication(Exponential(1.0), load=1.2)
-
-    def test_simulated_threshold_used_when_not_supplied(self):
-        advice = advise_replication(
-            Exponential(1.0), load=0.1, num_requests=15_000, seed=2
-        )
-        assert 0.2 <= advice.threshold_load <= 0.45
-        assert advice.replicate_for_mean

@@ -1,10 +1,10 @@
-"""Tests for backend selection strategies."""
+"""Tests for the asyncio client's default backend selection."""
 
 import collections
 
 import pytest
 
-from repro.core import PowerOfTwoChoices, PrimarySecondary, RankedBest, UniformRandom
+from repro.core import UniformRandom
 from repro.exceptions import ConfigurationError
 
 
@@ -36,60 +36,3 @@ class TestUniformRandom:
             UniformRandom(seed=0).choose(3, 4)
         with pytest.raises(ConfigurationError):
             UniformRandom(seed=0).choose(3, 0)
-
-
-class TestRankedBest:
-    def test_returns_top_of_ranking(self):
-        strategy = RankedBest(ranking=[4, 2, 0, 1, 3])
-        assert strategy.choose(5, 3) == [4, 2, 0]
-
-    def test_ignores_out_of_range_entries(self):
-        strategy = RankedBest(ranking=[7, 1, 0])
-        assert strategy.choose(2, 2) == [1, 0]
-
-    def test_duplicate_ranking_rejected(self):
-        with pytest.raises(ConfigurationError):
-            RankedBest(ranking=[1, 1, 2])
-
-    def test_insufficient_ranking_rejected(self):
-        with pytest.raises(ConfigurationError):
-            RankedBest(ranking=[0]).choose(5, 2)
-
-
-class TestPrimarySecondary:
-    def test_secondary_is_successor_of_primary(self):
-        strategy = PrimarySecondary()
-        chosen = strategy.choose(4, 2, key="file-123")
-        assert chosen[1] == (chosen[0] + 1) % 4
-
-    def test_same_key_same_placement(self):
-        strategy = PrimarySecondary()
-        assert strategy.choose(8, 2, key="k") == strategy.choose(8, 2, key="k")
-
-    def test_different_keys_spread_over_servers(self):
-        strategy = PrimarySecondary()
-        primaries = {strategy.choose(4, 1, key=f"key-{i}")[0] for i in range(200)}
-        assert primaries == set(range(4))
-
-    def test_key_required(self):
-        with pytest.raises(ConfigurationError):
-            PrimarySecondary().choose(4, 2)
-
-
-class TestPowerOfTwoChoices:
-    def test_prefers_less_loaded_backend(self):
-        loads = {0: 10.0, 1: 1.0, 2: 5.0, 3: 7.0}
-        strategy = PowerOfTwoChoices(load_probe=loads.__getitem__, seed=0)
-        counts = collections.Counter()
-        for _ in range(500):
-            counts.update(strategy.choose(4, 1))
-        assert counts[1] > counts[0]
-
-    def test_single_backend(self):
-        strategy = PowerOfTwoChoices(load_probe=lambda i: 0.0, seed=0)
-        assert strategy.choose(1, 1) == [0]
-
-    def test_multiple_copies_rejected(self):
-        strategy = PowerOfTwoChoices(load_probe=lambda i: 0.0, seed=0)
-        with pytest.raises(ConfigurationError):
-            strategy.choose(4, 2)

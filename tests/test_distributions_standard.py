@@ -6,14 +6,11 @@ import numpy as np
 import pytest
 
 from repro.distributions import (
-    BoundedPareto,
     Deterministic,
     Erlang,
     Exponential,
     HyperExponential,
-    LogNormal,
     Pareto,
-    Uniform,
     Weibull,
 )
 from repro.exceptions import DistributionError
@@ -56,36 +53,6 @@ class TestExponential:
             Exponential(-1.0)
 
 
-class TestUniform:
-    def test_moments(self):
-        dist = Uniform(1.0, 3.0)
-        assert dist.mean() == 2.0
-        assert dist.variance() == pytest.approx(4.0 / 12.0)
-
-    def test_samples_within_bounds(self, rng):
-        samples = Uniform(1.0, 3.0).sample(rng, 1000)
-        assert samples.min() >= 1.0 and samples.max() <= 3.0
-
-    def test_invalid_bounds(self):
-        with pytest.raises(DistributionError):
-            Uniform(3.0, 1.0)
-
-
-class TestLogNormal:
-    def test_from_mean_cv_reproduces_mean(self, rng):
-        dist = LogNormal.from_mean_cv(mean=2.0, cv=0.8)
-        assert dist.mean() == pytest.approx(2.0)
-        assert sample_mean(dist, rng) == pytest.approx(2.0, rel=0.03)
-
-    def test_cv_relationship(self):
-        dist = LogNormal.from_mean_cv(mean=1.0, cv=0.5)
-        assert math.sqrt(dist.cv2()) == pytest.approx(0.5, rel=1e-6)
-
-    def test_invalid_sigma(self):
-        with pytest.raises(DistributionError):
-            LogNormal(0.0, -1.0)
-
-
 class TestPareto:
     def test_mean_parameterisation(self):
         dist = Pareto(alpha=2.1, mean=1.0)
@@ -118,22 +85,6 @@ class TestPareto:
             Pareto(alpha=2.0, xm=1.0, mean=1.0)
         with pytest.raises(DistributionError):
             Pareto(alpha=2.0)
-
-
-class TestBoundedPareto:
-    def test_samples_within_bounds(self, rng):
-        dist = BoundedPareto(alpha=1.2, low=1000.0, high=3_000_000.0)
-        samples = dist.sample(rng, 20_000)
-        assert samples.min() >= 1000.0
-        assert samples.max() <= 3_000_000.0
-
-    def test_analytic_mean_matches_samples(self, rng):
-        dist = BoundedPareto(alpha=1.2, low=1.0, high=100.0)
-        assert sample_mean(dist, rng) == pytest.approx(dist.mean(), rel=0.02)
-
-    def test_invalid_bounds(self):
-        with pytest.raises(DistributionError):
-            BoundedPareto(alpha=1.0, low=10.0, high=5.0)
 
 
 class TestWeibull:

@@ -6,35 +6,22 @@ import numpy as np
 import pytest
 
 from repro.analysis import EmpiricalCDF, comparison_table, summarize
-from repro.core import (
-    KCopies,
-    RedundantClient,
-    advise_replication,
-    exponential_threshold_load,
-)
-from repro.core.selection import RankedBest
-from repro.distributions import Empirical, Exponential, Pareto
+from repro.core import KCopies, RedundantClient
+from repro.core.selection import SelectionStrategy
+from repro.distributions import Exponential, Pareto
 from repro.queueing import ReplicatedQueueingModel
 from repro.wan import DnsExperiment, DnsExperimentConfig
 
 
+class InOrder(SelectionStrategy):
+    """Sends a request's copies to the first backends, in list order."""
+
+    def choose(self, num_backends, copies, key=None):
+        return list(range(copies))
+
+
 class TestQueueingToAdvisorPipeline:
-    """Measure a service, fit an empirical distribution, ask the advisor."""
-
-    def test_measured_latencies_feed_the_advisor(self):
-        # Step 1: measure a backend (here: simulate one at a known load).
-        model = ReplicatedQueueingModel(Pareto(alpha=2.1, mean=1.0), copies=1, seed=11)
-        measured = model.run_fast(0.15, num_requests=20_000)
-
-        # Step 2: fit an empirical service-time-ish distribution from samples.
-        empirical = Empirical(measured.response_times)
-
-        # Step 3: ask the advisor whether to replicate at the current load.
-        advice = advise_replication(
-            empirical, load=0.15, threshold=exponential_threshold_load()
-        )
-        assert advice.replicate_for_mean
-        assert advice.replicate_for_tail
+    """A simulated latency distribution read through the analysis layer."""
 
     def test_simulation_summary_matches_cdf_view(self):
         model = ReplicatedQueueingModel(Exponential(1.0), copies=2, seed=4)
@@ -62,7 +49,7 @@ class TestHedgingAgainstSimulatedBackends:
         client = RedundantClient(
             [make_backend(0), make_backend(97)],
             policy=KCopies(2),
-            selection=RankedBest([0, 1]),
+            selection=InOrder(),
         )
 
         async def run_requests():

@@ -12,7 +12,6 @@ from repro.metrics import (
     Histogram,
     LatencyRecorder,
     MetricsRegistry,
-    Reservoir,
     SlidingWindow,
 )
 
@@ -32,12 +31,6 @@ class TestCounter:
         assert counter.increments == 2
         assert int(counter) == 5
 
-    def test_reset(self):
-        counter = Counter()
-        counter.increment(7)
-        counter.reset()
-        assert counter.value == 0
-
     def test_negative_increment_rejected(self):
         with pytest.raises(ConfigurationError):
             Counter().increment(-1)
@@ -55,9 +48,6 @@ class TestSlidingWindow:
             window.record(float(value))
         for q in (0, 10, 50, 90, 95, 99, 100):
             assert window.percentile(q) == pytest.approx(np.percentile(data, q))
-        assert window.mean() == pytest.approx(data.mean())
-        assert window.min() == pytest.approx(data.min())
-        assert window.max() == pytest.approx(data.max())
 
     def test_eviction_keeps_only_recent(self, rng):
         window = SlidingWindow(100)
@@ -69,7 +59,6 @@ class TestSlidingWindow:
         assert window.values() == pytest.approx(list(recent))
         for q in (0, 50, 100):
             assert window.percentile(q) == pytest.approx(np.percentile(recent, q))
-        assert window.mean() == pytest.approx(recent.mean())
 
     def test_eviction_with_duplicate_values(self):
         window = SlidingWindow(3)
@@ -84,8 +73,6 @@ class TestSlidingWindow:
         window = SlidingWindow(5)
         with pytest.raises(ConfigurationError):
             window.percentile(50)
-        with pytest.raises(ConfigurationError):
-            window.mean()
         window.record(1.0)
         with pytest.raises(ConfigurationError):
             window.percentile(101)
@@ -245,24 +232,6 @@ class TestHistogramStreaming:
         assert histogram.fraction_greater_than(5.0) == 0.0
         assert histogram.fraction_greater_than(4.99) == 1.0
 
-    def test_merge(self, rng):
-        left, right = rng.lognormal(0, 1, 20_000), rng.lognormal(0.5, 1, 20_000)
-        merged = Histogram(exact_threshold=64)
-        merged.record_many(left)
-        other = Histogram(exact_threshold=64)
-        other.record_many(right)
-        merged.merge(other)
-        combined = np.concatenate([left, right])
-        assert merged.count == combined.size
-        assert merged.mean() == pytest.approx(combined.mean())
-        assert merged.percentile(95) == pytest.approx(
-            np.percentile(combined, 95), rel=1.25 * merged.relative_error_bound()
-        )
-
-    def test_merge_resolution_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Histogram(bins_per_decade=64).merge(Histogram(bins_per_decade=128))
-
     def test_summary_from_histogram(self, rng):
         data = rng.lognormal(0.0, 1.0, 40_000)
         histogram = Histogram(exact_threshold=100)
@@ -276,39 +245,6 @@ class TestHistogramStreaming:
         tolerance = 1.25 * histogram.relative_error_bound()
         for attr in ("p50", "p90", "p95", "p99", "p999"):
             assert getattr(streaming, attr) == pytest.approx(getattr(exact, attr), rel=tolerance)
-
-
-class TestReservoir:
-    def test_fills_then_stays_bounded(self):
-        reservoir = Reservoir(capacity=100, seed=0)
-        reservoir.record_many(np.arange(1000, dtype=float))
-        assert reservoir.seen == 1000
-        assert len(reservoir) == 100
-        assert len(reservoir.values()) == 100
-
-    def test_uniformity_roughly_preserves_mean(self, rng):
-        data = rng.exponential(1.0, 50_000)
-        reservoir = Reservoir(capacity=2_000, seed=7)
-        reservoir.record_many(data)
-        assert reservoir.values().mean() == pytest.approx(data.mean(), rel=0.15)
-
-    def test_small_stream_kept_verbatim(self):
-        reservoir = Reservoir(capacity=10, seed=0)
-        reservoir.record_many([1.0, 2.0, 3.0])
-        assert sorted(reservoir.values()) == [1.0, 2.0, 3.0]
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ConfigurationError):
-            Reservoir(capacity=0)
-
-    def test_invalid_samples_rejected(self):
-        reservoir = Reservoir(capacity=10)
-        with pytest.raises(ConfigurationError):
-            reservoir.record(float("nan"))
-        with pytest.raises(ConfigurationError):
-            reservoir.record(-1.0)
-        with pytest.raises(ConfigurationError):
-            reservoir.record_many([1.0, float("inf")])
 
 
 class TestLatencyRecorder:
@@ -353,8 +289,6 @@ class TestLatencyRecorder:
         recorder.record(4.0)
         assert recorder.count == 5
         assert recorder.summary().count == 5
-        recorder.reset()
-        assert recorder.count == 0
 
     def test_invalid_mode_and_samples(self):
         with pytest.raises(ConfigurationError):
@@ -371,8 +305,7 @@ class TestMetricsRegistry:
         assert registry.counter("a") is registry.counter("a")
         assert registry.histogram("h") is registry.histogram("h")
         assert registry.recorder("r") is registry.recorder("r")
-        assert registry.reservoir("s") is registry.reservoir("s")
-        assert len(registry) == 4
+        assert len(registry) == 3
         assert "a" in registry and "missing" not in registry
 
     def test_kind_mismatch_rejected(self):
@@ -394,17 +327,7 @@ class TestMetricsRegistry:
         registry.counter("hits").increment(3)
         registry.recorder("latency").record_many([0.1, 0.2, 0.3])
         registry.histogram("empty")
-        registry.reservoir("sample").record(1.0)
         snapshot = registry.snapshot()
         assert snapshot["hits"] == 3
         assert snapshot["latency"]["count"] == 3
         assert snapshot["empty"] is None
-        assert snapshot["sample"] == {"seen": 1, "retained": 1}
-
-    def test_reset_resets_everything(self):
-        registry = MetricsRegistry()
-        registry.counter("c").increment(5)
-        registry.recorder("r").record(1.0)
-        registry.reset()
-        assert registry.counter("c").value == 0
-        assert registry.recorder("r").count == 0

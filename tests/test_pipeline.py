@@ -141,6 +141,19 @@ class TestPolicies:
         assert mitigator.spec == "hedge:p95"
 
 
+class TestWorkerPoolValidation:
+    @pytest.mark.parametrize("num_workers", [5.0, 2.5, "4", True, 0, -3])
+    def test_num_workers_must_be_a_positive_integer(self, num_workers):
+        # A whole float used to pass the check and then fail every run in
+        # draw_placements with numpy's "a must be a sequence or an integer".
+        with pytest.raises(ConfigurationError, match="positive integer"):
+            WorkerPool(num_workers=num_workers, seconds_per_unit=0.05)
+
+    def test_numpy_integer_worker_count_runs_like_int(self):
+        pool = WorkerPool(num_workers=np.int64(6), seconds_per_unit=0.05, straggler_alpha=1.6)
+        assert_results_identical(run("k2", pool=pool), run("k2"))
+
+
 class TestDagStructure:
     def test_stage_makespans_sum_to_job_completion(self):
         result = run("none")

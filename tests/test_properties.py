@@ -10,7 +10,7 @@ from repro.analysis import EmpiricalCDF, summarize
 from repro.cluster import ConsistentHashRing, LRUByteCache
 from repro.core.costbenefit import CostBenefitAnalysis
 from repro.core.policy import HedgeAfterDelay, KCopies
-from repro.core.selection import PrimarySecondary, UniformRandom
+from repro.core.selection import UniformRandom
 from repro.distributions import DiscreteDistribution, TwoPoint
 from repro.queueing.mm1 import mm1_replicated_mean_response, mm1_threshold_load
 from repro.sim import PriorityQueueResource, Simulator
@@ -135,16 +135,6 @@ def test_uniform_selection_distinct(num_backends, copies):
         return
     chosen = UniformRandom(seed=0).choose(num_backends, copies)
     assert len(set(chosen)) == copies
-
-
-@DEFAULT_SETTINGS
-@given(st.text(min_size=1, max_size=20), st.integers(min_value=2, max_value=12))
-def test_primary_secondary_deterministic(key, num_backends):
-    strategy = PrimarySecondary()
-    first = strategy.choose(num_backends, 2, key=key)
-    second = strategy.choose(num_backends, 2, key=key)
-    assert first == second
-    assert first[1] == (first[0] + 1) % num_backends
 
 
 @DEFAULT_SETTINGS

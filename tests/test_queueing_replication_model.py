@@ -5,7 +5,7 @@ import pytest
 
 from repro.distributions import Deterministic, Exponential, Pareto
 from repro.exceptions import CapacityError, ConfigurationError
-from repro.queueing import ReplicatedQueueingModel, simulate_replicated_mm1_system
+from repro.queueing import ReplicatedQueueingModel
 
 
 class TestModelValidation:
@@ -50,21 +50,29 @@ class TestModelValidation:
 
 class TestAgainstTheory:
     def test_single_copy_matches_mm1_mean(self):
-        result = simulate_replicated_mm1_system(load=0.3, copies=1, num_requests=60_000, seed=1)
+        model = ReplicatedQueueingModel(Exponential(1.0), num_servers=10, copies=1, seed=1)
+        result = model.run_fast(0.3, num_requests=60_000)
         assert result.mean == pytest.approx(1.0 / 0.7, rel=0.05)
 
     def test_two_copies_match_mm1_replicated_mean(self):
-        result = simulate_replicated_mm1_system(load=0.2, copies=2, num_requests=60_000, seed=1)
+        model = ReplicatedQueueingModel(Exponential(1.0), num_servers=10, copies=2, seed=1)
+        result = model.run_fast(0.2, num_requests=60_000)
         assert result.mean == pytest.approx(1.0 / (2 * 0.6), rel=0.05)
 
     def test_replication_helps_exponential_below_third(self):
-        baseline = simulate_replicated_mm1_system(0.25, 1, num_requests=50_000, seed=2)
-        replicated = simulate_replicated_mm1_system(0.25, 2, num_requests=50_000, seed=2)
+        baseline, replicated = (
+            ReplicatedQueueingModel(Exponential(1.0), num_servers=10, copies=k, seed=2)
+            .run_fast(0.25, num_requests=50_000)
+            for k in (1, 2)
+        )
         assert replicated.mean < baseline.mean
 
     def test_replication_hurts_exponential_above_third(self):
-        baseline = simulate_replicated_mm1_system(0.42, 1, num_requests=50_000, seed=2)
-        replicated = simulate_replicated_mm1_system(0.42, 2, num_requests=50_000, seed=2)
+        baseline, replicated = (
+            ReplicatedQueueingModel(Exponential(1.0), num_servers=10, copies=k, seed=2)
+            .run_fast(0.42, num_requests=50_000)
+            for k in (1, 2)
+        )
         assert replicated.mean > baseline.mean
 
     def test_deterministic_low_load_mean_close_to_service(self):
@@ -140,6 +148,7 @@ class TestMechanics:
         assert fast.copies_launched == event.copies_launched
 
     def test_results_summary_consistency(self):
-        result = simulate_replicated_mm1_system(0.2, 2, num_requests=5_000, seed=0)
+        model = ReplicatedQueueingModel(Exponential(1.0), num_servers=10, copies=2, seed=0)
+        result = model.run_fast(0.2, num_requests=5_000)
         assert result.summary.count == len(result.response_times)
         assert result.fraction_later_than(result.summary.p99) == pytest.approx(0.01, abs=0.005)

@@ -175,15 +175,6 @@ class TestRunControl:
         sim.run()
         assert fired == [1, 2] and sim.now == 2.0
 
-    def test_stop_from_callback(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, fired.append, 1)
-        sim.schedule(2.0, sim.stop)
-        sim.schedule(3.0, fired.append, 3)
-        sim.run()
-        assert fired == [1]
-
     def test_max_events_cap(self):
         sim = Simulator()
         for i in range(10):
@@ -223,9 +214,6 @@ class TestRunControl:
         sim.run()
         assert fired == []
 
-    def test_step_on_empty_heap_returns_false(self):
-        assert Simulator().step() is False
-
 
 class TestPendingEventsExcludeCancelled:
     def test_cancelled_events_not_counted(self):
@@ -251,7 +239,7 @@ class TestPendingEventsExcludeCancelled:
         doomed = sim.schedule(1.0, fired.append, "doomed")
         doomed.cancel()
         assert sim.pending_events == 1
-        sim.step()  # skips the cancelled event and fires "keep"
+        sim.run(max_events=1)  # skips the cancelled event and fires "keep"
         assert fired == ["keep"]
         assert sim.pending_events == 0
         assert keep.state is EventState.FIRED

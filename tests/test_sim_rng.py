@@ -1,6 +1,6 @@
 """Tests for reproducible random streams."""
 
-from repro.sim import RandomStreams, substream
+from repro.sim import substream
 
 
 class TestSubstream:
@@ -23,27 +23,3 @@ class TestSubstream:
         a = substream(3, "server", 0).random(3)
         b = substream(3, "server", 1).random(3)
         assert not (a == b).all()
-
-
-class TestRandomStreams:
-    def test_get_caches_stream(self):
-        streams = RandomStreams(seed=42)
-        assert streams.get("arrivals") is streams.get("arrivals")
-
-    def test_streams_are_reproducible_across_instances(self):
-        a = RandomStreams(seed=42).get("x").random(4)
-        b = RandomStreams(seed=42).get("x").random(4)
-        assert (a == b).all()
-
-    def test_fork_produces_deterministic_children(self):
-        a = RandomStreams(seed=42).fork("client-1").get("x").random(4)
-        b = RandomStreams(seed=42).fork("client-1").get("x").random(4)
-        c = RandomStreams(seed=42).fork("client-2").get("x").random(4)
-        assert (a == b).all()
-        assert not (a == c).all()
-
-    def test_names_lists_created_streams(self):
-        streams = RandomStreams(seed=1)
-        streams.get("a")
-        streams.get("b")
-        assert set(streams.names()) == {"a", "b"}

@@ -7,7 +7,6 @@ from repro.exceptions import ConfigurationError
 from repro.wan import (
     PAIR_LOSS_PROBABILITY,
     SINGLE_LOSS_PROBABILITY,
-    CorrelatedLossChannel,
     DnsExperiment,
     DnsExperimentConfig,
     DnsServerModel,
@@ -21,29 +20,6 @@ class TestLossChannel:
     def test_measured_constants(self):
         assert SINGLE_LOSS_PROBABILITY == pytest.approx(0.0048)
         assert PAIR_LOSS_PROBABILITY == pytest.approx(0.0007)
-
-    def test_loss_probability_by_copies(self):
-        channel = CorrelatedLossChannel()
-        assert channel.loss_probability(1) == pytest.approx(0.0048)
-        assert channel.loss_probability(2) == pytest.approx(0.0007)
-        assert channel.loss_probability(3) < channel.loss_probability(2)
-
-    def test_correlation_worse_than_independence(self):
-        channel = CorrelatedLossChannel()
-        assert channel.loss_probability(2) > channel.independence_pair_loss()
-
-    def test_monte_carlo_rate(self):
-        channel = CorrelatedLossChannel(rng=np.random.default_rng(0))
-        losses = sum(channel.is_lost(1) for _ in range(50_000))
-        assert losses / 50_000 == pytest.approx(0.0048, abs=0.002)
-
-    def test_invalid_probabilities(self):
-        with pytest.raises(ConfigurationError):
-            CorrelatedLossChannel(single_loss=0.001, pair_loss=0.01)
-        with pytest.raises(ConfigurationError):
-            CorrelatedLossChannel(single_loss=1.5)
-        with pytest.raises(ConfigurationError):
-            CorrelatedLossChannel().loss_probability(0)
 
 
 class TestHandshakeModel:

@@ -1,19 +1,10 @@
-"""Tests for workload generation: arrivals, key popularity and file sets."""
+"""Tests for workload generation: Poisson arrivals and file sets."""
 
 import numpy as np
 import pytest
 
-from repro.distributions import Deterministic, Exponential, Pareto
 from repro.exceptions import ConfigurationError
-from repro.workloads import (
-    FileSet,
-    PoissonArrivals,
-    RenewalArrivals,
-    UniformKeys,
-    ZipfKeys,
-    build_fileset_for_cache_ratio,
-    merge_arrival_times,
-)
+from repro.workloads import FileSet, PoissonArrivals
 
 
 class TestPoissonArrivals:
@@ -33,13 +24,6 @@ class TestPoissonArrivals:
         times = PoissonArrivals(rate=4.0, rng=rng).times_count(100_000)
         assert float(np.mean(np.diff(times))) == pytest.approx(0.25, rel=0.03)
 
-    def test_iterator_protocol(self, rng):
-        process = PoissonArrivals(rate=1.0, rng=rng)
-        iterator = iter(process)
-        first = next(iterator)
-        second = next(iterator)
-        assert 0 < first < second
-
     def test_invalid_rate(self, rng):
         with pytest.raises(ConfigurationError):
             PoissonArrivals(rate=0.0, rng=rng)
@@ -48,59 +32,6 @@ class TestPoissonArrivals:
         process = PoissonArrivals(rate=1.0, rng=rng, start=10.0)
         with pytest.raises(ConfigurationError):
             process.times_until(5.0)
-
-
-class TestRenewalArrivals:
-    def test_deterministic_interarrivals(self, rng):
-        process = RenewalArrivals(Deterministic(2.0), rng)
-        times = process.times_count(5)
-        assert np.allclose(times, [2.0, 4.0, 6.0, 8.0, 10.0])
-
-    def test_rate_is_inverse_mean(self, rng):
-        assert RenewalArrivals(Exponential(0.5), rng).rate() == pytest.approx(2.0)
-
-    def test_iterator(self, rng):
-        iterator = iter(RenewalArrivals(Deterministic(1.0), rng))
-        assert next(iterator) == pytest.approx(1.0)
-        assert next(iterator) == pytest.approx(2.0)
-
-
-class TestMergeArrivals:
-    def test_merge_sorted(self):
-        merged = merge_arrival_times([np.array([1.0, 3.0]), np.array([2.0, 4.0])])
-        assert list(merged) == [1.0, 2.0, 3.0, 4.0]
-
-    def test_merge_empty(self):
-        assert len(merge_arrival_times([])) == 0
-        assert len(merge_arrival_times([np.array([])])) == 0
-
-
-class TestKeyPopularity:
-    def test_uniform_keys_cover_space(self, rng):
-        keys = UniformKeys(10, rng)
-        samples = keys.sample(20_000)
-        assert set(np.unique(samples)) == set(range(10))
-
-    def test_uniform_probability(self, rng):
-        assert UniformKeys(4, rng).probability_of(2) == pytest.approx(0.25)
-
-    def test_zipf_skew_prefers_low_keys(self, rng):
-        keys = ZipfKeys(num_keys=1000, skew=1.0, rng=rng)
-        samples = keys.sample(50_000)
-        top_fraction = float(np.mean(samples < 10))
-        assert top_fraction > 0.3  # the head is heavily preferred
-
-    def test_zipf_zero_skew_is_uniform(self, rng):
-        keys = ZipfKeys(num_keys=100, skew=0.0, rng=rng)
-        assert keys.probability_of(0) == pytest.approx(keys.probability_of(99))
-
-    def test_zipf_probabilities_sum_to_one(self, rng):
-        keys = ZipfKeys(num_keys=50, skew=0.8, rng=rng)
-        assert sum(keys.probability_of(i) for i in range(50)) == pytest.approx(1.0)
-
-    def test_invalid_key_rejected(self, rng):
-        with pytest.raises(ConfigurationError):
-            UniformKeys(5, rng).probability_of(7)
 
 
 class TestFileSets:
@@ -121,32 +52,3 @@ class TestFileSets:
         files = FileSet(sizes_bytes=np.array([1.0]))
         with pytest.raises(ConfigurationError):
             files.size_of(5)
-
-    def test_build_for_cache_ratio_deterministic_sizes(self):
-        files = build_fileset_for_cache_ratio(
-            cache_bytes_per_server=1_000_000.0,
-            num_servers=4,
-            cache_to_data_ratio=0.1,
-            mean_file_bytes=4_000.0,
-        )
-        assert files.total_bytes == pytest.approx(4 * 1_000_000.0 / 0.1, rel=0.01)
-        assert files.mean_file_bytes == pytest.approx(4_000.0)
-
-    def test_build_for_cache_ratio_with_distribution(self, rng):
-        files = build_fileset_for_cache_ratio(
-            cache_bytes_per_server=100_000.0,
-            num_servers=2,
-            cache_to_data_ratio=0.5,
-            mean_file_bytes=1_000.0,
-            size_distribution=Pareto(alpha=2.5, mean=1.0),
-            rng=rng,
-        )
-        assert files.mean_file_bytes == pytest.approx(1_000.0, rel=0.2)
-
-    def test_build_requires_rng_with_distribution(self):
-        with pytest.raises(ConfigurationError):
-            build_fileset_for_cache_ratio(1000.0, 2, 0.1, 100.0, size_distribution=Exponential(1.0))
-
-    def test_build_rejects_bad_ratio(self):
-        with pytest.raises(ConfigurationError):
-            build_fileset_for_cache_ratio(1000.0, 2, 0.0, 100.0)
