@@ -23,7 +23,7 @@ The entry points, by group:
 * ``lint`` — ``python -m repro.lint src/ --baseline lint-baseline.json``;
 * ``examples`` — every ``examples/*.py``;
 * ``plot`` — ``scripts/plot_ablation.py`` in its default, ``--pareto``,
-  ``--group-hedges`` and ``--spike`` views (needs ``scenarios``' artifacts);
+  ``--group-hedges`` and ``--spike`` views of ``scenarios``' artifacts;
 * ``benchmarks`` — the figure benchmarks (``benchmarks/bench_*.py``) with
   ``--benchmark-disable``;
 * ``ledger`` — the five ledger workloads of ``benchmarks/ledger`` in quick
@@ -37,11 +37,11 @@ fault.  The experiments CLI's ``profile`` command swaps in its own profiler
 for the profiled point, so that point's calls are recorded by the other
 groups, not by ``cli``.
 
-Usage, from the repository root (the whole audit takes about 4-5 minutes on
-2 vCPUs; entry-point output goes to ``<out>.log``)::
+Every group runs, in the order above: a function counts as unreached only if
+no entry point reaches it.  Usage, from the repository root (the audit takes
+about 4-5 minutes on 2 vCPUs; entry-point output goes to ``<out>.log``)::
 
-    python3 scripts/reach_audit.py --out reach.json
-    python3 scripts/reach_audit.py --only lint,examples --out reach.json
+    python3 scripts/reach_audit.py --out /tmp/reach.json
 """
 
 from __future__ import annotations
@@ -356,17 +356,17 @@ GROUPS: Dict[str, Callable[[str], List[Step]]] = {
 # --------------------------------------------------------------------------- #
 
 
-def audit(groups: List[str], log_path: str) -> Dict[str, object]:
+def audit(log_path: str) -> Dict[str, object]:
     recorder = Recorder()
     failures: List[Dict[str, str]] = []
     seconds: Dict[str, float] = {}
     with tempfile.TemporaryDirectory(prefix="reach-audit-") as work:
-        for group in groups:
+        for group, make_steps in GROUPS.items():
             start = time.perf_counter()
             # Building a group's steps imports its modules; under the hook,
             # so that what they run at import time counts as reached.
             with recorder.installed():
-                steps = GROUPS[group](work)
+                steps = make_steps(work)
             for label, call in steps:
                 with redirected(log_path), recorder.installed():
                     # A failing entry point is a finding to report; the audit goes on.
@@ -385,7 +385,6 @@ def audit(groups: List[str], log_path: str) -> Dict[str, object]:
         entry["reached"] = (entry["file"], entry["line"]) in reached
     unreached = [entry for entry in functions if not entry["reached"]]
     return {
-        "groups": groups,
         "seconds": seconds,
         "failures": failures,
         "totals": {
@@ -401,22 +400,14 @@ def audit(groups: List[str], log_path: str) -> Dict[str, object]:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="path of the JSON report")
-    parser.add_argument(
-        "--only", default=",".join(GROUPS),
-        help=f"comma-separated entry-point groups to run (default: all of {','.join(GROUPS)})",
-    )
     args = parser.parse_args(argv)
-    groups = [group for group in args.only.split(",") if group]
-    unknown = sorted(set(groups) - set(GROUPS))
-    if unknown:
-        parser.error(f"unknown group(s) {unknown}; choose from {sorted(GROUPS)}")
 
     out = os.path.abspath(args.out)
     os.chdir(REPO_ROOT)
     sys.path.insert(0, SRC)
     log_path = out + ".log"
     open(log_path, "w", encoding="utf-8").close()
-    report = audit(groups, log_path)
+    report = audit(log_path)
     with open(out, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=1, sort_keys=True)
         handle.write("\n")

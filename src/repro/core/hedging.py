@@ -488,9 +488,8 @@ class RedundantClient(Generic[T]):
 
         Args:
             *args: Positional arguments forwarded to each backend call.
-            key: Optional request key.  It is passed to the selection
-                strategy and, when provided, to the backend as its first
-                positional argument.
+            key: Optional request key.  When provided, it is passed to the
+                backend as its first positional argument.
             **kwargs: Keyword arguments forwarded to each backend call.
 
         Returns:
@@ -498,7 +497,7 @@ class RedundantClient(Generic[T]):
         """
         plan = self.policy.plan()
         copies = min(plan.copies, len(self.backends))
-        chosen = self.selection.choose(len(self.backends), copies, key=key)
+        chosen = self.selection.choose(len(self.backends), copies)
         call = (args if key is None else (key, *args), kwargs)
         self._requests.increment()
         try:

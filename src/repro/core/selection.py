@@ -22,22 +22,13 @@ class SelectionStrategy(abc.ABC):
     """Chooses which of ``num_backends`` backends receive the request copies."""
 
     @abc.abstractmethod
-    def choose(self, num_backends: int, copies: int, key: Optional[object] = None) -> List[int]:
+    def choose(self, num_backends: int, copies: int) -> List[int]:
         """Return ``copies`` distinct backend indices for one request.
 
         Args:
             num_backends: Total number of available backends.
             copies: Number of copies to place (``1 <= copies <= num_backends``).
-            key: Optional request key (used by key-aware strategies).
         """
-
-    def _validate(self, num_backends: int, copies: int) -> None:
-        if num_backends < 1:
-            raise ConfigurationError(f"num_backends must be >= 1, got {num_backends!r}")
-        if not 1 <= copies <= num_backends:
-            raise ConfigurationError(
-                f"copies must be in [1, {num_backends}], got {copies!r}"
-            )
 
 
 class UniformRandom(SelectionStrategy):
@@ -47,6 +38,11 @@ class UniformRandom(SelectionStrategy):
         """Create the strategy with an optional seed for reproducibility."""
         self._rng = np.random.default_rng(seed)
 
-    def choose(self, num_backends: int, copies: int, key: Optional[object] = None) -> List[int]:
-        self._validate(num_backends, copies)
+    def choose(self, num_backends: int, copies: int) -> List[int]:
+        if num_backends < 1:
+            raise ConfigurationError(f"num_backends must be >= 1, got {num_backends!r}")
+        if not 1 <= copies <= num_backends:
+            raise ConfigurationError(
+                f"copies must be in [1, {num_backends}], got {copies!r}"
+            )
         return [int(i) for i in self._rng.choice(num_backends, size=copies, replace=False)]

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core.selection import SelectionStrategy
+
 
 @pytest.fixture
 def rng() -> np.random.Generator:
@@ -18,3 +20,16 @@ def rng_factory():
         return np.random.default_rng(seed)
 
     return make
+
+
+class _InOrder(SelectionStrategy):
+    """Sends a request's copies to the first backends, in list order."""
+
+    def choose(self, num_backends, copies):
+        return list(range(copies))
+
+
+@pytest.fixture
+def in_order() -> SelectionStrategy:
+    """A selection strategy that places copies on backends 0, 1, ... in order."""
+    return _InOrder()

@@ -12,16 +12,8 @@ from repro.core import (
     first_completed,
     hedged_call,
 )
-from repro.core.selection import SelectionStrategy
 from repro.exceptions import ConfigurationError
 from repro.serve.clock import RealClock
-
-
-class InOrder(SelectionStrategy):
-    """Sends a request's copies to the first backends, in list order."""
-
-    def choose(self, num_backends, copies, key=None):
-        return list(range(copies))
 
 
 def run(coro):
@@ -225,7 +217,7 @@ class TestHedgedCall:
 
 
 class TestRedundantClient:
-    def test_request_returns_fastest_backend(self):
+    def test_request_returns_fastest_backend(self, in_order):
         async def fast(key):
             return ("fast", key)
 
@@ -233,7 +225,7 @@ class TestRedundantClient:
             await asyncio.sleep(0.05)
             return ("slow", key)
 
-        client = RedundantClient([slow, fast], policy=KCopies(2), selection=InOrder())
+        client = RedundantClient([slow, fast], policy=KCopies(2), selection=in_order)
         result = run(client.request(key="name"))
         assert result.value == ("fast", "name")
 
@@ -275,7 +267,7 @@ class TestRedundantClient:
     @pytest.mark.parametrize(
         "policy", [HedgeAfterDelay(0.01, cancel_on_win=False), KCopies(2)]
     )
-    def test_loser_runs_to_completion_when_the_plan_does_not_cancel(self, policy):
+    def test_loser_runs_to_completion_when_the_plan_does_not_cancel(self, policy, in_order):
         async def scenario():
             finished = asyncio.Event()
 
@@ -288,7 +280,7 @@ class TestRedundantClient:
                 await asyncio.sleep(0.02)
                 return ("fast", key)
 
-            client = RedundantClient([slow, fast], policy=policy, selection=InOrder())
+            client = RedundantClient([slow, fast], policy=policy, selection=in_order)
             result = await client.request(key="k")
             await asyncio.wait_for(finished.wait(), timeout=5.0)
             return result, client
@@ -299,7 +291,7 @@ class TestRedundantClient:
         assert client.metrics.counter("copies_cancelled").value == 0
 
     @pytest.mark.parametrize("cancel_on_win", [True, False])
-    def test_timeout_withdraws_launched_copies_and_parked_hedges(self, cancel_on_win):
+    def test_timeout_withdraws_launched_copies_and_parked_hedges(self, cancel_on_win, in_order):
         async def scenario():
             cancelled, hedged = [], []
 
@@ -316,7 +308,7 @@ class TestRedundantClient:
             client = RedundantClient(
                 [primary, backup],
                 policy=HedgeAfterDelay(0.05, cancel_on_win=cancel_on_win),
-                selection=InOrder(),
+                selection=in_order,
             )
             with pytest.raises(asyncio.TimeoutError):
                 await asyncio.wait_for(client.request(key="k"), timeout=0.01)

@@ -7,17 +7,9 @@ import pytest
 
 from repro.analysis import EmpiricalCDF, comparison_table, summarize
 from repro.core import KCopies, RedundantClient
-from repro.core.selection import SelectionStrategy
 from repro.distributions import Exponential, Pareto
 from repro.queueing import ReplicatedQueueingModel
 from repro.wan import DnsExperiment, DnsExperimentConfig
-
-
-class InOrder(SelectionStrategy):
-    """Sends a request's copies to the first backends, in list order."""
-
-    def choose(self, num_backends, copies, key=None):
-        return list(range(copies))
 
 
 class TestQueueingToAdvisorPipeline:
@@ -34,7 +26,7 @@ class TestQueueingToAdvisorPipeline:
 class TestHedgingAgainstSimulatedBackends:
     """The asyncio client driving backends whose latencies come from the models."""
 
-    def test_hedged_client_races_two_simulated_backends(self):
+    def test_hedged_client_races_two_simulated_backends(self, in_order):
         rng = np.random.default_rng(0)
         latencies = Pareto(alpha=2.1, mean=0.002).sample(rng, 400)
 
@@ -49,7 +41,7 @@ class TestHedgingAgainstSimulatedBackends:
         client = RedundantClient(
             [make_backend(0), make_backend(97)],
             policy=KCopies(2),
-            selection=InOrder(),
+            selection=in_order,
         )
 
         async def run_requests():
