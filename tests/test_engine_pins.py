@@ -16,6 +16,9 @@ the ledger digests see those runs; this module pins them directly:
   whose cache sizes and warm-up shapes the ``base`` pins do not reach;
 * the queueing model's ``run_event_driven`` under eager, cancelling and
   nocancel policies;
+* the serve proxy's batch path: a virtual-clock ``run_load`` whose arrivals
+  go through ``submit_batch`` at a 1 ms resolution, through a crash and a
+  re-add (the serve golden runs at resolution 0 and never batches);
 * the checked-in golden artifacts (``tests/data/golden-*.json``), which CI
   also re-derives through the CLI.  They cover the engine's scenario
   consumers, and also the substrates that never reach the engine: the eager
@@ -42,6 +45,7 @@ from repro.cluster import (
 from repro.distributions.standard import Exponential
 from repro.experiments import SweepRunner, get_scenario
 from repro.queueing.replication_model import ReplicatedQueueingModel
+from repro.serve import LoadGenConfig, RedundancyProxy, SimBackend, VirtualClock, run_load
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -124,6 +128,27 @@ QUEUEING_PINS = {
     "hedge:500ms:nocancel": ("4cbdbbeda512c8ae", 2699, None, None),
 }
 
+def serve_batch_report(seed):
+    """``k2`` over 8 backends at 100k req/s, batched per 1 ms, crash and re-add."""
+    clock = VirtualClock()
+    pool = [SimBackend(i, clock, seed=seed, service=Exponential(20e-6)) for i in range(8)]
+    proxy = RedundancyProxy(pool, clock, policy="k2")
+    config = LoadGenConfig(
+        rate=100_000.0,
+        num_requests=20_000,
+        seed=seed,
+        resolution=0.001,
+        events=[(0.08, "crash", 1), (0.1334, "add", 1)],
+    )
+    return clock.run(run_load(proxy, clock, config))
+
+
+#: sha256 of each seed's ``RunReport.to_json()``.
+SERVE_BATCH_PINS = {
+    0: "23a05c51093c1972b758c2bf173c24f2c0aa0b94227783dc8a851714478077ae",
+    1: "6987063efee820137d8fbe00fc0b00212ba22e4d6562d6c41246f3f8a1371f95",
+}
+
 #: Golden artifacts and the ``--set`` overrides CI re-derives them with.
 GOLDENS = {
     "standard-db-hedging": {"num_requests": 2_000, "num_files": 4_000},
@@ -162,6 +187,12 @@ def test_memcached_runs_keep_their_bytes(policy, churn):
 @pytest.mark.parametrize("policy", sorted(QUEUEING_PINS))
 def test_queueing_event_driven_runs_keep_their_bytes(policy):
     assert fingerprint(queueing_run(policy)) == QUEUEING_PINS[policy]
+
+
+@pytest.mark.parametrize("seed", sorted(SERVE_BATCH_PINS))
+def test_serve_batch_runs_keep_their_bytes(seed):
+    text = serve_batch_report(seed).to_json()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SERVE_BATCH_PINS[seed]
 
 
 def test_runs_without_cancellation_report_no_cancelled_count():
