@@ -12,7 +12,7 @@ sweep — ``python -m repro.experiments diff a.json b.json``) as paired
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.exceptions import ConfigurationError
 
@@ -58,11 +58,6 @@ class ResultTable:
         if unknown:
             raise ConfigurationError(f"unknown columns {sorted(unknown)}; table has {self.columns}")
         self.rows.append(dict(cells))
-
-    def add_rows(self, rows: Iterable[Mapping[str, Cell]]) -> None:
-        """Append many rows (each a mapping from column name to value)."""
-        for row in rows:
-            self.add_row(**dict(row))
 
     def column(self, name: str) -> List[Cell]:
         """All values of one column, in row order (``None`` where missing)."""

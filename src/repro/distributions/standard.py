@@ -112,10 +112,6 @@ class Pareto(Distribution):
         a = self.alpha
         return self.xm**2 * a / ((a - 1.0) ** 2 * (a - 2.0))
 
-    def tail_index(self) -> float:
-        """The regular-variation tail index (used by the heavy-tail analytics)."""
-        return self.alpha
-
 
 class Weibull(Distribution):
     """Weibull distribution with shape ``k`` and scale ``lam``.

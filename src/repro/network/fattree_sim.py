@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.stats import LatencySummary
 from repro.distributions.datacenter import DataCenterFlowSizes
 from repro.exceptions import ConfigurationError, RoutingError, SimulationError
 from repro.metrics import LatencyRecorder, MetricsRegistry
@@ -168,14 +167,6 @@ class FatTreeRunResult:
         if fcts.size == 0:
             raise SimulationError("run produced no completed short flows")
         return LatencyRecorder.from_samples(fcts, name="short_flow_fct")
-
-    def short_flow_summary(self) -> LatencySummary:
-        """Latency summary of short-flow completion times.
-
-        Raises:
-            SimulationError: If no short flows completed.
-        """
-        return self.short_flow_recorder().summary()
 
 
 class _PacketNetwork:

@@ -126,8 +126,3 @@ class Link:
         if self.deliver is None:
             raise ConfigurationError(f"link {self.name} has no deliver callback")
         self.deliver(packet, self._sim.now)
-
-    @property
-    def queue_occupancy_bytes(self) -> float:
-        """Bytes currently waiting in the output queue."""
-        return self.queue.occupancy_bytes
