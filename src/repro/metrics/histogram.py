@@ -28,7 +28,7 @@ sort-per-query of the ad-hoc sample lists this class replaces.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,6 +41,43 @@ DEFAULT_BINS_PER_DECADE = 128
 
 #: Samples kept verbatim before switching to binned mode.
 DEFAULT_EXACT_THRESHOLD = 1024
+
+#: Batches recorded together are binned in numpy passes of about this many
+#: samples, which bounds the temporaries of a many-batch call.
+_BIN_BLOCK = 8192
+
+
+def as_samples(values: Iterable[float]) -> np.ndarray:
+    """``values`` as a flat float array; a flat float array is not copied."""
+    data = np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=float)
+    return data if data.ndim == 1 else data.ravel()
+
+
+def sample_range(data: np.ndarray) -> Tuple[float, float]:
+    """``(min, max)`` of a non-empty sample array.
+
+    Raises:
+        ConfigurationError: If a sample is negative or not finite (a NaN
+            makes both extremes NaN, which fails the checks).
+    """
+    low, high = float(data.min()), float(data.max())
+    if not (low >= 0.0 and high < math.inf):
+        raise ConfigurationError("samples must be finite and >= 0")
+    return low, high
+
+
+def _blocks(batches: List[np.ndarray]) -> Iterator[List[np.ndarray]]:
+    """Runs of consecutive batches, each closed once it holds ``_BIN_BLOCK`` samples."""
+    block: List[np.ndarray] = []
+    size = 0
+    for batch in batches:
+        block.append(batch)
+        size += batch.size
+        if size >= _BIN_BLOCK:
+            yield block
+            block, size = [], 0
+    if block:
+        yield block
 
 
 class Histogram:
@@ -131,26 +168,48 @@ class Histogram:
 
     def record_many(self, values: Iterable[float]) -> None:
         """Add a batch of samples (vectorised for numpy arrays)."""
-        data = np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=float)
-        if data.size == 0:
+        self.record_batches([values])
+
+    def record_batches(self, batches: Iterable[Iterable[float]]) -> None:
+        """Add several batches of samples, as one :meth:`record_many` per batch would.
+
+        Every batch is checked before any is recorded, so one invalid sample
+        records nothing.  Each batch's count, mean, M2 and sum are folded in
+        turn, which keeps the moments bit-equal to the per-batch calls.  The
+        samples are binned a block of batches at a time; the bins, and the
+        order in which new ones enter ``_bins``, match the per-batch calls.
+
+        Raises:
+            ConfigurationError: If any sample is negative or not finite.
+        """
+        arrays = [data for data in map(as_samples, batches) if data.size]
+        if not arrays:
             return
-        if not np.all(np.isfinite(data)) or np.any(data < 0):
-            raise ConfigurationError("samples must be finite and >= 0")
-        batch_mean = float(data.mean())
-        batch_m2 = float(np.square(data - batch_mean).sum())
-        self._combine_moments(int(data.size), batch_mean, batch_m2)
-        self._sum += float(data.sum())
-        self._min = min(self._min, float(data.min()))
-        self._max = max(self._max, float(data.max()))
-        if self._exact is not None and self._count <= self.exact_threshold:
-            self._exact.extend(data.tolist())
-            self._sorted_cache = None
-            return
+        ranges = [
+            sample_range(block[0] if len(block) == 1 else np.concatenate(block))
+            for block in _blocks(arrays)
+        ]
+        spill = None
+        for index, data in enumerate(arrays):
+            # sum / size is numpy's own mean, bit for bit.
+            total = float(data.sum())
+            batch_mean = total / data.size
+            batch_m2 = float(np.square(data - batch_mean).sum())
+            self._combine_moments(int(data.size), batch_mean, batch_m2)
+            self._sum += total
+            if spill is None and self._count > self.exact_threshold:
+                spill = index
+        self._min = min(self._min, min(low for low, _high in ranges))
+        self._max = max(self._max, max(high for _low, high in ranges))
         if self._exact is not None:
-            self._exact.extend(data.tolist())
+            kept = len(arrays) if spill is None else spill + 1
+            self._exact.extend(np.concatenate(arrays[:kept]).tolist())
+            self._sorted_cache = None
+            if spill is None:
+                return
             self._spill_exact()
-            return
-        self._bin_array(data)
+            arrays = arrays[kept:]
+        self._bin_batches(arrays)
 
     def _combine_moments(self, batch_count: int, batch_mean: float, batch_m2: float) -> None:
         """Fold a batch's (count, mean, M2) into the running moments (Chan et al.)."""
@@ -168,7 +227,7 @@ class Histogram:
         samples = np.asarray(self._exact, dtype=float)
         self._exact = None
         self._sorted_cache = None
-        self._bin_array(samples)
+        self._bin_batches([samples])
 
     def _key(self, value: float) -> int:
         """Log-bin index of a positive value."""
@@ -183,18 +242,34 @@ class Histogram:
             self._bin_keys_cache = None
         self._bins[key] = self._bins.get(key, 0) + 1
 
-    def _bin_array(self, data: np.ndarray) -> None:
-        zeros = int(np.count_nonzero(data == 0.0))
-        self._zero_count += zeros
-        positive = data[data > 0.0]
-        if positive.size == 0:
-            return
-        keys = np.floor(self.bins_per_decade * np.log10(positive)).astype(np.int64)
-        unique, counts = np.unique(keys, return_counts=True)
-        for key, count in zip(unique.tolist(), counts.tolist()):
-            if key not in self._bins:
-                self._bin_keys_cache = None
-            self._bins[key] = self._bins.get(key, 0) + int(count)
+    def _bin_batches(self, batches: List[np.ndarray]) -> None:
+        """Bin each batch as if alone, a block of batches per numpy pass.
+
+        A batch alone adds its new bins to ``_bins`` in key order, and
+        :meth:`fraction_greater_than` sums the bins in that dict order.  So
+        a block adds its new bins ordered by the batch each first occurs
+        in, then by key.
+        """
+        for block in _blocks(batches):
+            data = block[0] if len(block) == 1 else np.concatenate(block)
+            self._zero_count += int(np.count_nonzero(data == 0.0))
+            positive = data > 0.0
+            keys = np.floor(self.bins_per_decade * np.log10(data[positive])).astype(np.int64)
+            if keys.size == 0:
+                continue
+            if len(block) == 1:
+                unique, counts = np.unique(keys, return_counts=True)
+            else:
+                unique, first, counts = np.unique(keys, return_index=True, return_counts=True)
+                ends = np.cumsum([batch.size for batch in block])
+                batch = np.searchsorted(ends, np.flatnonzero(positive)[first], side="right")
+                order = np.lexsort((unique, batch))
+                unique, counts = unique[order], counts[order]
+            bins = self._bins
+            for key, count in zip(unique.tolist(), counts.tolist()):
+                if key not in bins:
+                    self._bin_keys_cache = None
+                bins[key] = bins.get(key, 0) + count
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.analysis.stats import LatencySummary, summarize
 from repro.exceptions import ConfigurationError
-from repro.metrics.histogram import Histogram
+from repro.metrics.histogram import Histogram, as_samples, sample_range
 
 #: Recording modes accepted by :class:`LatencyRecorder`.
 MODES = ("exact", "streaming")
@@ -100,18 +100,27 @@ class LatencyRecorder:
         A float numpy array is stored as-is (no copy) — the recorder takes
         ownership of it; do not mutate it afterwards.
         """
+        self.record_batches([values])
+
+    def record_batches(self, batches: Iterable[Iterable[float]]) -> None:
+        """Record several batches in one call, as one :meth:`record_many` per
+        batch would.
+
+        Every batch is checked before any is recorded, so one invalid sample
+        records nothing.  Float arrays are taken over as in
+        :meth:`record_many`.
+        """
         self._summary_cache = None
-        data = np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=float)
-        if data.size == 0:
+        if self.mode == "streaming":
+            self._histogram.record_batches(batches)
             return
-        if self.mode == "exact":
-            if not np.all(np.isfinite(data)) or np.any(data < 0):
-                raise ConfigurationError("samples must be finite and >= 0")
+        arrays = [data for data in map(as_samples, batches) if data.size]
+        for data in arrays:
+            sample_range(data)
+        if arrays:
             self._flush_pending()
-            self._chunks.append(data.ravel())
-            self._count += int(data.size)
-        else:
-            self._histogram.record_many(data)
+            self._chunks.extend(arrays)
+            self._count += sum(data.size for data in arrays)
 
     def _flush_pending(self) -> None:
         """Move singly-recorded samples into the chunk list, keeping order."""

@@ -18,8 +18,8 @@ Cancellation is conservative: a cancelled copy gives back only the *tail*
 of its reservation, and only when nothing was queued behind it —
 cancellation saves queueing, not work already under way.
 
-Three call surfaces share that one ``busy_until`` state through one
-reservation routine:
+Four call surfaces share that one ``busy_until`` state.  The first three
+reserve one copy each through one reservation routine:
 
 * ``start(key, done)`` — used by the proxy's race path (the race of
   :class:`repro.core.hedging.Racer`): reserves, schedules the finish as a
@@ -33,6 +33,10 @@ reservation routine:
 * ``async handle(key)`` — the coroutine contract of every
   :class:`Backend`: on :class:`SimBackend` a thin wrapper that awaits
   ``start``.
+* :func:`reserve_copies` — the proxy's batch path: reserves a whole batch
+  of copies across the pool in one pass, grouped by backend, with the same
+  recurrence in closed form (one row per backend).
+  :meth:`SimBackend.submit_many` is its one-backend case.
 
 Because every path drives the same reservation, a policy hot-swap mid-run
 never leaves the pool with two disagreeing pictures of its queues.
@@ -53,7 +57,7 @@ from __future__ import annotations
 import abc
 import asyncio
 import functools
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -177,6 +181,8 @@ class SimBackend(Backend):
             parts.append(self._block[self._cursor : self._cursor + take])
             self._cursor += take
             remaining -= take
+        if not parts:
+            return np.empty(0)
         return parts[0].copy() if len(parts) == 1 else np.concatenate(parts)
 
     def _reserve(self, now: float) -> Tuple[float, float, float, float]:
@@ -212,25 +218,11 @@ class SimBackend(Backend):
     def submit_many(self, arrivals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorised :meth:`submit` for a batch of copies.
 
-        ``arrivals`` must be ascending (the load generator issues arrivals
-        in time order).  Returns ``(finishes, services)``.  The FIFO
-        recurrence ``finish_i = max(arrival_i, finish_{i-1}) + service_i``
-        is evaluated in closed form: with ``C = cumsum(services)``,
-        ``finish_i = max(busy, max_{j<=i}(arrival_j - C_{j-1})) + C_i``.
+        ``arrivals`` must be ascending.  Returns ``(finishes, services)``;
+        the one-backend case of :func:`reserve_copies`.
         """
-        if self._failed:
-            raise BackendError(f"backend {self.index} is marked failed")
-        services = self.draw_many(len(arrivals))
-        if self._queueing:
-            csum = np.cumsum(services)
-            slack = np.maximum.accumulate(arrivals - (csum - services))
-            finishes = np.maximum(slack, self._busy_until) + csum
-            self._busy_until = float(finishes[-1])
-        else:
-            finishes = arrivals + services
-        self.completed += len(arrivals)
-        self.consumed_s += float(services.sum())
-        return finishes, services
+        targets = np.zeros(len(arrivals), dtype=np.intp)
+        return reserve_copies([self], targets, np.asarray(arrivals, dtype=float))
 
     def start(self, key: int, done: CopyDone) -> "_SimCopy":
         """Reserve ``key`` now and finish it on a clock timer.
@@ -274,6 +266,65 @@ class SimBackend(Backend):
         except asyncio.CancelledError:
             copy.cancel()
             raise
+
+
+def reserve_copies(
+    pool: Sequence[SimBackend], targets: np.ndarray, arrivals: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Reserve a batch of copies across a pool; return ``(finishes, services)``.
+
+    Copy ``i`` goes to ``pool[targets[i]]`` at ``arrivals[i]``; each
+    backend's copies must arrive in ascending order, and each backend serves
+    them in that order, as :meth:`SimBackend.submit` calls in copy order
+    would.  Raises :class:`BackendError`, before any backend changes, if one
+    that receives a copy is marked failed.
+
+    One stable argsort groups the copies by backend.  Each backend takes its
+    services from its own draw stream (:meth:`SimBackend.draw_many`), and
+    the FIFO recurrence ``finish_i = max(arrival_i, finish_{i-1}) +
+    service_i`` runs in closed form on one row per backend: with ``C`` the
+    row's cumulative service, ``finish_i = max(busy, max_{j<=i}(arrival_j -
+    C_{j-1})) + C_i``.  Cumulative sums and maxima accumulate along each row
+    in order, so a row rounds exactly as that backend's own 1-D pass would.
+    """
+    if len(targets) == 0:
+        return np.empty(0), np.empty(0)
+    order = np.argsort(targets, kind="stable")
+    counts = np.bincount(targets, minlength=len(pool))
+    used = counts.nonzero()[0]
+    backends = [pool[index] for index in used.tolist()]
+    for backend in backends:
+        if backend.failed:
+            raise BackendError(f"backend {backend.index} is marked failed")
+    widths = counts[used]
+    parts = [backend.draw_many(width) for backend, width in zip(backends, widths.tolist())]
+    drawn = np.concatenate(parts)
+    # One row per receiving backend, padded past its copies: the padding
+    # trails every real entry, so it never reaches a prefix sum or maximum.
+    filled = np.arange(max(len(part) for part in parts)) < widths[:, None]
+    arrival = np.zeros(filled.shape)
+    arrival[filled] = arrivals[order]
+    service = np.zeros(filled.shape)
+    service[filled] = drawn
+    csum = np.cumsum(service, axis=1)
+    slack = np.maximum.accumulate(arrival - (csum - service), axis=1)
+    busy = np.array([backend._busy_until for backend in backends])
+    finish = np.maximum(slack, busy[:, None]) + csum
+    queueing = [backend._queueing for backend in backends]
+    if not all(queueing):
+        # Infinite-server rows: every copy starts at its arrival.
+        rows = ~np.array(queueing)
+        finish[rows] = arrival[rows] + service[rows]
+    for row, (backend, part) in enumerate(zip(backends, parts)):
+        if backend._queueing:
+            backend._busy_until = float(finish[row, len(part) - 1])
+        backend.completed += len(part)
+        backend.consumed_s += float(part.sum())
+    finishes = np.empty(len(targets))
+    finishes[order] = finish[filled]
+    services = np.empty(len(targets))
+    services[order] = drawn
+    return finishes, services
 
 
 def _resolve(future: "asyncio.Future[float]", service: Optional[float]) -> None:

@@ -68,7 +68,7 @@ from repro.core.policy import (
     policy_to_spec,
 )
 from repro.metrics.recorder import LatencyRecorder
-from repro.serve.backends import Backend, BackendError
+from repro.serve.backends import Backend, BackendError, SimBackend, reserve_copies
 from repro.serve.clock import Clock
 
 __all__ = ["RedundancyProxy"]
@@ -281,13 +281,13 @@ class RedundancyProxy(Racer):
     def submit_batch(self, keys: np.ndarray, arrivals: np.ndarray) -> bool:
         """Vectorised :meth:`submit_nowait` for a block of due arrivals.
 
-        ``arrivals`` are absolute, ascending timestamps.  Copies are grouped
-        per backend (in arrival order, preserving each backend's FIFO and
-        draw order) and reserved with one :meth:`SimBackend.submit_many`
-        call each — the dispatch path the ``bench`` throughput target
-        measures.  Falls back to ``False`` (caller loops scalar) when the
-        plan is not fast-path eligible, a backend is down, or a backend
-        lacks vectorised submission.
+        ``arrivals`` are absolute, ascending timestamps.  The whole batch is
+        reserved in one :func:`~repro.serve.backends.reserve_copies` pass,
+        which groups the copies by backend in arrival order (preserving each
+        backend's FIFO and draw order) — the dispatch path the ``bench``
+        throughput target measures.  Falls back to ``False`` (caller loops
+        scalar) when the plan is not fast-path eligible, a live backend is
+        down, or a live backend is not a :class:`SimBackend`.
         """
         plan = self._fast_plan
         if plan is None or self._replica_table is None:
@@ -295,7 +295,7 @@ class RedundancyProxy(Racer):
         # Only the *live* members receive batch copies — a crashed backend
         # off the ring must not refuse the batch for everyone else.
         if any(
-            self.backends[i].failed or not hasattr(self.backends[i], "submit_many")
+            self.backends[i].failed or not isinstance(self.backends[i], SimBackend)
             for i in self.ring.servers
         ):
             return False
@@ -307,15 +307,11 @@ class RedundancyProxy(Racer):
             # dispatch, which recomputes replicas off-table.
             return False
         replicas = self._replica_table[keys, :copies]
-        finishes = np.empty((count, copies))
-        services = np.empty((count, copies))
-        for index, backend in enumerate(self.backends):
-            rows, cols = np.nonzero(replicas == index)
-            if len(rows) == 0:
-                continue
-            finishes[rows, cols], services[rows, cols] = backend.submit_many(
-                arrivals[rows]
-            )
+        finishes, services = reserve_copies(
+            self.backends, replicas.ravel(), np.repeat(arrivals, copies)
+        )
+        finishes = finishes.reshape(count, copies)
+        services = services.reshape(count, copies)
         winner = np.argmin(finishes, axis=1)
         lanes = np.arange(count)
         win_finish = finishes[lanes, winner]
@@ -330,12 +326,14 @@ class RedundancyProxy(Racer):
         return True
 
     def finalize(self) -> None:
-        """Flush deferred fast-path latencies into the recorder."""
+        """Flush deferred fast-path latencies into the recorder, in one call:
+        the scalar path's latencies first, then each batch's chunk."""
+        batches = self._pending_chunks
         if self._pending_latencies:
-            self.recorder.record_many(self._pending_latencies)
-            self._pending_latencies = []
-        for chunk in self._pending_chunks:
-            self.recorder.record_many(chunk)
+            batches = [self._pending_latencies] + batches
+        if batches:
+            self.recorder.record_batches(batches)
+        self._pending_latencies = []
         self._pending_chunks = []
 
     @property
