@@ -44,7 +44,7 @@ DEFAULT_EXACT_THRESHOLD = 1024
 
 #: Batches recorded together are binned in numpy passes of about this many
 #: samples, which bounds the temporaries of a many-batch call.
-_BIN_BLOCK = 8192
+_BIN_BLOCK = 4096
 
 
 def as_samples(values: Iterable[float]) -> np.ndarray:
@@ -197,7 +197,7 @@ class Histogram:
             batch_m2 = float(np.square(data - batch_mean).sum())
             self._combine_moments(int(data.size), batch_mean, batch_m2)
             self._sum += total
-            if spill is None and self._count > self.exact_threshold:
+            if spill is None and self._exact is not None and self._count > self.exact_threshold:
                 spill = index
         self._min = min(self._min, min(low for low, _high in ranges))
         self._max = max(self._max, max(high for _low, high in ranges))
@@ -250,6 +250,7 @@ class Histogram:
         a block adds its new bins ordered by the batch each first occurs
         in, then by key.
         """
+        bins = self._bins
         for block in _blocks(batches):
             data = block[0] if len(block) == 1 else np.concatenate(block)
             self._zero_count += int(np.count_nonzero(data == 0.0))
@@ -257,19 +258,23 @@ class Histogram:
             keys = np.floor(self.bins_per_decade * np.log10(data[positive])).astype(np.int64)
             if keys.size == 0:
                 continue
-            if len(block) == 1:
-                unique, counts = np.unique(keys, return_counts=True)
-            else:
-                unique, first, counts = np.unique(keys, return_index=True, return_counts=True)
+            unique, counts = np.unique(keys, return_counts=True)
+            new = [key for key in unique.tolist() if key not in bins]
+            if len(block) > 1 and len(new) > 1:
                 ends = np.cumsum([batch.size for batch in block])
-                batch = np.searchsorted(ends, np.flatnonzero(positive)[first], side="right")
-                order = np.lexsort((unique, batch))
-                unique, counts = unique[order], counts[order]
-            bins = self._bins
+                where = np.flatnonzero(positive)
+
+                def first_batch(key: int) -> Tuple[int, int]:
+                    first = where[np.argmax(keys == key)]
+                    return int(np.searchsorted(ends, first, side="right")), key
+
+                new.sort(key=first_batch)
+            if new:
+                self._bin_keys_cache = None
+            for key in new:
+                bins[key] = 0
             for key, count in zip(unique.tolist(), counts.tolist()):
-                if key not in bins:
-                    self._bin_keys_cache = None
-                bins[key] = bins.get(key, 0) + count
+                bins[key] += count
 
     # ------------------------------------------------------------------ #
     # Introspection
