@@ -203,7 +203,8 @@ class Histogram:
         self._max = max(self._max, max(high for _low, high in ranges))
         if self._exact is not None:
             kept = len(arrays) if spill is None else spill + 1
-            self._exact.extend(np.concatenate(arrays[:kept]).tolist())
+            for data in arrays[:kept]:
+                self._exact.extend(data.tolist())
             self._sorted_cache = None
             if spill is None:
                 return
