@@ -281,15 +281,15 @@ def reserve_copies(
 
     One stable argsort groups the copies by backend.  Each backend takes its
     services from its own draw stream (:meth:`SimBackend.draw_many`), and
-    the FIFO recurrence ``finish_i = max(arrival_i, finish_{i-1}) +
-    service_i`` runs in closed form on one row per backend: with ``C`` the
-    row's cumulative service, ``finish_i = max(busy, max_{j<=i}(arrival_j -
-    C_{j-1})) + C_i``.  Cumulative sums and maxima accumulate along each row
-    in order, so a row rounds exactly as that backend's own 1-D pass would.
+    the FIFO recurrence runs in closed form on one row per backend
+    (:func:`_fifo_finishes`), so each row rounds exactly as that backend's
+    own 1-D pass would.
     """
     if len(targets) == 0:
         return np.empty(0), np.empty(0)
-    order = np.argsort(targets, kind="stable")
+    # The narrowest integer type that holds every target: numpy sorts 8- and
+    # 16-bit integers stably with a linear-time radix sort.
+    order = np.argsort(targets.astype(np.min_scalar_type(len(pool))), kind="stable")
     counts = np.bincount(targets, minlength=len(pool))
     used = counts.nonzero()[0]
     backends = [pool[index] for index in used.tolist()]
@@ -306,15 +306,17 @@ def reserve_copies(
     arrival[filled] = arrivals[order]
     service = np.zeros(filled.shape)
     service[filled] = drawn
-    csum = np.cumsum(service, axis=1)
-    slack = np.maximum.accumulate(arrival - (csum - service), axis=1)
     busy = np.array([backend._busy_until for backend in backends])
-    finish = np.maximum(slack, busy[:, None]) + csum
-    queueing = [backend._queueing for backend in backends]
-    if not all(queueing):
+    queueing = np.array([backend._queueing for backend in backends])
+    if queueing.all():
+        finish = _fifo_finishes(arrival, service, busy)
+    else:
         # Infinite-server rows: every copy starts at its arrival.
-        rows = ~np.array(queueing)
-        finish[rows] = arrival[rows] + service[rows]
+        finish = arrival + service
+        if queueing.any():
+            finish[queueing] = _fifo_finishes(
+                arrival[queueing], service[queueing], busy[queueing]
+            )
     for row, (backend, part) in enumerate(zip(backends, parts)):
         if backend._queueing:
             backend._busy_until = float(finish[row, len(part) - 1])
@@ -325,6 +327,19 @@ def reserve_copies(
     services = np.empty(len(targets))
     services[order] = drawn
     return finishes, services
+
+
+def _fifo_finishes(arrival: np.ndarray, service: np.ndarray, busy: np.ndarray) -> np.ndarray:
+    """Row-wise closed form of ``finish_i = max(arrival_i, finish_{i-1}) + service_i``.
+
+    Each row is one FIFO server, free from ``busy[row]``; with ``C`` the
+    row's cumulative service, ``finish_i = max(busy, max_{j<=i}(arrival_j -
+    C_{j-1})) + C_i``.  Cumulative sums and maxima accumulate along each row
+    in order, so a row rounds exactly as a 1-D pass over it would.
+    """
+    csum = np.cumsum(service, axis=1)
+    slack = np.maximum.accumulate(arrival - (csum - service), axis=1)
+    return np.maximum(slack, busy[:, None]) + csum
 
 
 def _resolve(future: "asyncio.Future[float]", service: Optional[float]) -> None:
