@@ -9,13 +9,14 @@ the ledger digests see those runs; this module pins them directly:
 
 * substrate runs, fingerprinted as the sha256 of the response-time bytes plus
   the exact ``copies_launched`` / ``copies_cancelled`` / ``cache_hit_ratio``
-  values, under fixed-delay and adaptive nocancel hedges, static and with
-  churn (a join and a removal);
+  values, under fixed-delay and adaptive nocancel hedges and under the eager
+  ``none`` and ``k2``, static and with churn (a join and a removal);
 * hedged database runs on the Figure 6, 7, 10 and 11 variants (40-byte
   files, Pareto sizes, 400 KB files, a cache that holds every candidate),
   whose cache sizes and warm-up shapes the ``base`` pins do not reach;
 * the queueing model's ``run_event_driven`` under eager, cancelling and
-  nocancel policies;
+  nocancel policies, and its eager ``run_fast`` with one, two and three
+  copies on exponential, Pareto and deterministic service;
 * the serve proxy's batch path: a virtual-clock ``run_load`` whose arrivals
   go through ``submit_batch`` at a 1 ms resolution, through a crash and a
   re-add (the serve golden runs at resolution 0 and never batches);
@@ -42,7 +43,7 @@ from repro.cluster import (
     MemcachedConfig,
     MemcachedExperiment,
 )
-from repro.distributions.standard import Exponential
+from repro.distributions.standard import Deterministic, Exponential, Pareto
 from repro.experiments import SweepRunner, get_scenario
 from repro.queueing.replication_model import ReplicatedQueueingModel
 from repro.serve import LoadGenConfig, RedundancyProxy, SimBackend, VirtualClock, run_load
@@ -90,6 +91,12 @@ DATABASE_PINS = {
     ("hedge:p95:nocancel", "remove:2@0.4"): ("8405d7e05549c1ab", 1805, None, 0.04158718046547119),
     ("hedge:20ms", None): ("3341b9c762017f9b", 1583, 34, 0.08591282375236892),
     ("hedge:20ms", "add:4@0.4"): ("fa96e2478f5c8942", 1629, 56, 0.06764841233317993),
+    ("none", None): ("ebe0dadb4eb5f294", 1500, None, 0.10533333333333333),
+    ("none", "add:4@0.4"): ("0c5d4e41ad7fc107", 1500, None, 0.07925636007827788),
+    ("none", "remove:2@0.4"): ("20c47f2420dc7cd5", 1500, None, 0.055267702936096716),
+    ("k2", None): ("c1c73538926d6c9d", 3000, None, 0.04733333333333333),
+    ("k2", "add:4@0.4"): ("283ee06a32ea354f", 3000, None, 0.04740406320541761),
+    ("k2", "remove:2@0.4"): ("7a69174dd0345893", 3000, None, 0.03563941299790356),
 }
 
 DATABASE_VARIANT_PINS = {
@@ -120,12 +127,44 @@ MEMCACHED_PINS = {
     ("hedge:p95:nocancel", "remove:2@0.4"): ("d7971dab93b4300e", 4834, None, None),
     ("hedge:400us", None): ("0d08daacd273ada2", 3309, 102, None),
     ("hedge:400us", "remove:2@0.4"): ("7a587586de337c4a", 4929, 1326, None),
+    ("none", None): ("18a4fd427591929c", 3000, None, None),
+    ("none", "add:4@0.4"): ("64b48103784f481c", 3000, None, None),
+    ("none", "remove:2@0.4"): ("7ffb9e6b1566e51a", 3000, None, None),
+    ("k2", None): ("5e2c61e049d16860", 6000, None, None),
+    ("k2", "add:4@0.4"): ("254858350b792267", 6000, None, None),
+    ("k2", "remove:2@0.4"): ("758bfe43aa02f4b6", 6000, None, None),
 }
 
 QUEUEING_PINS = {
     "k2": ("04917fcf70f9c8c9", 3000, None, None),
     "hedge:1s": ("00688f531fe83047", 2039, None, None),
     "hedge:500ms:nocancel": ("4cbdbbeda512c8ae", 2699, None, None),
+}
+
+QUEUEING_SERVICES = {
+    "exponential": Exponential(1.0),
+    "pareto": Pareto(alpha=2.1, mean=1.0),
+    "deterministic": Deterministic(1.0),
+}
+
+
+def queueing_fast_run(service, copies):
+    model = ReplicatedQueueingModel(
+        QUEUEING_SERVICES[service], copies=copies, client_overhead=0.05, seed=3
+    )
+    return model.run_fast(0.25, num_requests=1_500)
+
+
+QUEUEING_FAST_PINS = {
+    ("exponential", 1): ("f47cbb0ebd2c66e1", 1500, None, None),
+    ("exponential", 2): ("6decb82c4a1dc4fb", 3000, None, None),
+    ("exponential", 3): ("62dfc1c9914babf6", 4500, None, None),
+    ("pareto", 1): ("b482e0a4517f0912", 1500, None, None),
+    ("pareto", 2): ("8d431214035ae687", 3000, None, None),
+    ("pareto", 3): ("1aa4ba55abfcb66d", 4500, None, None),
+    ("deterministic", 1): ("cbdf2331497aa39d", 1500, None, None),
+    ("deterministic", 2): ("4a6fd0b52daabca3", 3000, None, None),
+    ("deterministic", 3): ("153944816fad135b", 4500, None, None),
 }
 
 def serve_batch_report(seed):
@@ -154,6 +193,7 @@ GOLDENS = {
     "standard-db-hedging": {"num_requests": 2_000, "num_files": 4_000},
     "standard-memcached-hedging": {"num_requests": 2_000},
     "standard-db-rebalance": {"num_requests": 600, "num_files": 4_000},
+    "standard-memcached-failover": {"num_requests": 600},
     "standard-pipeline-dag": {"num_jobs": 12},
     "database-ec2": {"num_requests": 2_000, "num_files": 4_000},
     "standard-fattree-policy": {"num_flows": 60},
@@ -187,6 +227,11 @@ def test_memcached_runs_keep_their_bytes(policy, churn):
 @pytest.mark.parametrize("policy", sorted(QUEUEING_PINS))
 def test_queueing_event_driven_runs_keep_their_bytes(policy):
     assert fingerprint(queueing_run(policy)) == QUEUEING_PINS[policy]
+
+
+@pytest.mark.parametrize("service,copies", sorted(QUEUEING_FAST_PINS))
+def test_queueing_fast_runs_keep_their_bytes(service, copies):
+    assert fingerprint(queueing_fast_run(service, copies)) == QUEUEING_FAST_PINS[(service, copies)]
 
 
 @pytest.mark.parametrize("seed", sorted(SERVE_BATCH_PINS))
