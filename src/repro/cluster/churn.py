@@ -19,6 +19,10 @@ This module holds the substrate-independent pieces:
   ``crash`` plans exactly the same migrations as a planned ``remove`` —
   survivors re-replicate from the remaining copy — which is what makes
   crash-at-t byte-identical to remove-at-t in the offline substrates.
+* :func:`epoch_replica_table` — each request's replica set on the ring live
+  at its arrival.
+* :func:`merge_jobs` — one per-server access stream of the foreground copies
+  and the migration jobs, in the order the servers see them.
 * :func:`spike_metrics` — before/during/after p99 quantification of the
   rebalance/failover latency spike, pure numpy over the retained samples.
 
@@ -43,6 +47,9 @@ __all__ = [
     "parse_churn",
     "canonical_churn_spec",
     "plan_migrations",
+    "migration_schedule",
+    "epoch_replica_table",
+    "merge_jobs",
     "spike_metrics",
 ]
 
@@ -275,6 +282,72 @@ def migration_schedule(
     f = np.array(files, dtype=np.int64)
     order = np.lexsort((f, s, t))
     return t[order], s[order], f[order]
+
+
+def epoch_replica_table(
+    rings: Sequence[ConsistentHashRing],
+    event_times: np.ndarray,
+    arrival_times: np.ndarray,
+    keys: np.ndarray,
+    copies: int,
+) -> np.ndarray:
+    """Replica set of every request on the ring live at its arrival.
+
+    ``rings[e]`` is the ring after the first ``e`` events
+    (:meth:`ChurnTimeline.epoch_rings`); a request arriving exactly at an
+    event time sees the ring after that event.
+
+    Returns:
+        A ``(len(keys), copies)`` array of server ids.
+    """
+    epoch_of = np.searchsorted(event_times, arrival_times, side="right")
+    table = np.empty((len(keys), copies), dtype=np.int64)
+    for epoch, ring in enumerate(rings):
+        pos = np.flatnonzero(epoch_of == epoch)
+        if pos.size:
+            table[pos] = ring.replica_table(keys[pos].tolist(), copies)
+    return table
+
+
+def merge_jobs(
+    arrival_times: np.ndarray,
+    copies: int,
+    job_times: np.ndarray,
+    copy_columns: Sequence[np.ndarray],
+    job_columns: Sequence[np.ndarray],
+) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """Merge migration jobs into a run's copies, in the order servers see them.
+
+    The copies come in ``(request, copy)`` order and the jobs in time order.
+    A job at time ``t`` goes after every copy of a request that arrived
+    before ``t`` and before every copy of one that arrives at ``t`` or later.
+    Grouped by server, the merged stream is each server's access order.
+
+    Args:
+        arrival_times: Request arrival times, non-decreasing.
+        copies: Copies per request.
+        job_times: Job times, non-decreasing.
+        copy_columns: Per-copy arrays of length ``len(arrival_times) * copies``.
+        job_columns: The matching per-job arrays, one per copy column.
+
+    Returns:
+        ``(copy_at, merged)``: ``copy_at[i]`` is the stream position of flat
+        copy ``i``, and ``merged`` holds each column merged into one stream.
+    """
+    num_requests = len(arrival_times)
+    requests_before = np.searchsorted(arrival_times, job_times, side="left")
+    job_at = requests_before * copies + np.arange(len(job_times))
+    jobs_before = np.searchsorted(requests_before, np.arange(num_requests), side="right")
+    copy_at = np.arange(num_requests * copies) + np.repeat(jobs_before, copies)
+    merged = []
+    for copy_values, job_values in zip(copy_columns, job_columns):
+        column = np.empty(
+            len(copy_at) + len(job_at), dtype=np.result_type(copy_values, job_values)
+        )
+        column[copy_at] = copy_values
+        column[job_at] = job_values
+        merged.append(column)
+    return copy_at, merged
 
 
 def spike_metrics(

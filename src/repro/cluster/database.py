@@ -30,6 +30,8 @@ from repro.analysis.stats import LatencySummary
 from repro.cluster.cache import LRUByteCache
 from repro.cluster.churn import (
     ChurnTimeline,
+    epoch_replica_table,
+    merge_jobs,
     migration_schedule,
     parse_churn,
     spike_metrics,
@@ -293,23 +295,6 @@ class DatabaseClusterExperiment:
             _PRIMARIES_CACHE[key] = cached
         return cached
 
-    def _build_servers(self, run_seed: Tuple[int, ...]) -> List[StorageServerModel]:
-        config = self.config
-        servers = []
-        for server_id in range(config.num_servers):
-            servers.append(
-                StorageServerModel(
-                    server_id=server_id,
-                    cache_bytes=config.cache_bytes_per_server,
-                    disk=config.disk,
-                    memory_service_s=config.memory_service_s,
-                    noise_probability=config.noise_probability,
-                    noise_multiplier_mean=config.noise_multiplier_mean,
-                    rng=substream(config.seed, "server", server_id, *run_seed),
-                )
-            )
-        return servers
-
     def _warm_orders(self, copies: int) -> Tuple[np.ndarray, ...]:
         """Per-server file ids to warm each cache with, in insertion order.
 
@@ -376,13 +361,14 @@ class DatabaseClusterExperiment:
             warmup_fraction: Leading fraction of requests discarded.
             policy: A :class:`~repro.core.policy.ReplicationPolicy` or spec
                 string (``"none"``, ``"k2"``, ``"hedge:10ms"``,
-                ``"hedge:p95"``).  Eager policies route through the original
-                ``copies`` code path byte-for-byte, with their randomness
-                pre-drawn in batches per server; hedging policies defer the
-                secondary read and suppress it when the primary answered
-                first, charging client overhead only for responses actually
-                processed, and draw per request (backup launches depend on
-                earlier completions).
+                ``"hedge:p95"``).  Eager policies, with or without churn,
+                run batched per server (:meth:`_eager_batched`): each server's
+                cache, disk draws and disk FIFO over its whole access stream
+                at once, byte-identical to serving the copies one at a time.
+                Hedging policies defer the secondary read and suppress it
+                when the primary answered first, charging client overhead
+                only for responses actually processed, and draw per request
+                (backup launches depend on earlier completions).
             churn: A membership-event timeline — a
                 :class:`~repro.cluster.churn.ChurnTimeline` or spec string
                 like ``"remove:2@0.4"`` (times are fractions of the arrival
@@ -390,8 +376,11 @@ class DatabaseClusterExperiment:
                 migration reads compete with foreground requests on the
                 gaining servers' disks (and warm their LRU caches), and
                 servers added mid-run start cold.  Remove and crash are
-                identical here (fail-stop, no drain).  An empty timeline is
-                exactly the static run.
+                identical here (fail-stop, no drain).  A run without churn
+                uses the static layout (each file on its primary and the
+                next server ids) and has no migration reads; an empty
+                timeline is exactly that run.  Only churn runs report
+                ``migration_jobs`` and a ``spike``.
             migration_rate: Migration reads per second per gaining server.
 
         Returns:
@@ -424,92 +413,13 @@ class DatabaseClusterExperiment:
 
         timeline = parse_churn(churn)
         if timeline:
-            return self._run_churn(
-                load, hedged, k, num_requests, warmup_fraction, timeline, migration_rate
-            )
-
-        arrivals_rng = substream(config.seed, "arrivals", load)
-        keys_rng = substream(config.seed, "keys", load)
-
-        mean_service = config.expected_service_time(1)
-        total_rate = config.num_servers * load / mean_service
-        gaps = arrivals_rng.exponential(1.0 / total_rate, num_requests)
-        arrival_times = np.cumsum(gaps)
-        file_ids = keys_rng.integers(0, config.num_files, size=num_requests)
-        sizes = self._fileset.sizes_bytes[file_ids]
-        primaries = self._primaries[file_ids]
-
-        run_seed = (k, hash(round(load, 6)) & 0xFFFF)
-        total_cancelled: Optional[int] = None
-        if hedged is None:
-            best, hits, misses = self._eager_batched(
-                k, arrival_times, file_ids, sizes, primaries, run_seed
-            )
-            response = best + config.client_overhead_per_extra_copy() * (k - 1)
-            total_launched = num_requests * k
-        else:
-            servers = self._build_servers(run_seed=run_seed)
-            self._warm_caches(servers, k)
-            replicas = (primaries[:, None] + np.arange(k)) % config.num_servers
-            response, total_launched, total_cancelled = self._run_hedged(
-                hedged, k, arrival_times, file_ids, sizes, replicas, servers
-            )
-            hits = sum(s.cache.hits for s in servers)
-            misses = sum(s.cache.misses for s in servers)
-
-        start = int(num_requests * warmup_fraction)
-        retained = response[start:]
-        registry = MetricsRegistry("database")
-        registry.counter("requests").increment(num_requests)
-        registry.counter("copies_launched").increment(total_launched)
-        registry.counter("cache_hits").increment(hits)
-        registry.counter("cache_misses").increment(misses)
-        recorder = registry.recorder("latency")
-        recorder.record_many(retained)
-        accesses = hits + misses
-        return DatabaseRunResult(
-            load=float(load),
-            copies=k,
-            response_times=retained,
-            summary=recorder.summary(),
-            cache_hit_ratio=hits / accesses if accesses else 0.0,
-            metrics=registry.snapshot(),
-            policy_spec=run_policy_spec(hedged, k),
-            copies_launched=total_launched,
-            copies_cancelled=total_cancelled,
-        )
-
-    def _run_churn(
-        self,
-        load: float,
-        hedged,
-        k: int,
-        num_requests: int,
-        warmup_fraction: float,
-        timeline: ChurnTimeline,
-        migration_rate: float,
-    ) -> DatabaseRunResult:
-        """One run under a membership-event timeline.
-
-        Requests are placed on the ring that is live at their arrival time
-        (epoch-wise); each membership change triggers migration reads on the
-        gaining servers — paced at ``migration_rate`` per server — which
-        compete with foreground traffic in the same disk FIFOs and warm the
-        new owners' caches file by file.  Servers added mid-run start with a
-        cold cache; removed and crashed servers simply leave the ring
-        (fail-stop, no drain), which is what makes crash-at-t byte-identical
-        to remove-at-t.  All randomness comes from the same seeded substreams
-        as the static path, so churn artifacts stay byte-identical at any
-        worker count.
-        """
-        config = self.config
-        rings = timeline.epoch_rings(config.num_servers, self._ring.virtual_nodes)
-        min_live = min(ring.num_servers for ring in rings)
-        if k > min_live:
-            raise ConfigurationError(
-                f"copies={k} exceeds the {min_live} servers live in the "
-                f"smallest epoch of churn {timeline.spec()!r}"
-            )
+            rings = timeline.epoch_rings(config.num_servers, self._ring.virtual_nodes)
+            min_live = min(ring.num_servers for ring in rings)
+            if k > min_live:
+                raise ConfigurationError(
+                    f"copies={k} exceeds the {min_live} servers live in the "
+                    f"smallest epoch of churn {timeline.spec()!r}"
+                )
 
         arrivals_rng = substream(config.seed, "arrivals", load)
         keys_rng = substream(config.seed, "keys", load)
@@ -519,83 +429,64 @@ class DatabaseClusterExperiment:
         file_ids = keys_rng.integers(0, config.num_files, size=num_requests)
         sizes = self._fileset.sizes_bytes[file_ids]
 
-        horizon = float(arrival_times[-1])
-        event_times = timeline.event_times(horizon)
-        epoch_of = np.searchsorted(event_times, arrival_times, side="right")
-        replica_lists = np.empty((num_requests, k), dtype=np.int64)
-        for epoch, ring in enumerate(rings):
-            pos = np.flatnonzero(epoch_of == epoch)
-            if pos.size:
-                replica_lists[pos] = ring.replica_table(file_ids[pos].tolist(), k)
+        migrations = None
+        if timeline:
+            # Requests go to the ring live at their arrival, and each
+            # membership change queues migration reads on the gaining servers.
+            horizon = float(arrival_times[-1])
+            event_times = timeline.event_times(horizon)
+            replicas = epoch_replica_table(rings, event_times, arrival_times, file_ids, k)
+            migrations = migration_schedule(
+                rings, event_times, config.num_files, migration_rate, horizon
+            )
+            server_ids = timeline.all_servers(config.num_servers)
+        else:
+            replicas = (self._primaries[file_ids][:, None] + np.arange(k)) % config.num_servers
+            server_ids = range(config.num_servers)
 
         run_seed = (k, hash(round(load, 6)) & 0xFFFF)
-        servers_by_id: Dict[int, StorageServerModel] = {}
-        for server_id in timeline.all_servers(config.num_servers):
-            servers_by_id[server_id] = StorageServerModel(
-                server_id=server_id,
-                cache_bytes=config.cache_bytes_per_server,
-                disk=config.disk,
-                memory_service_s=config.memory_service_s,
-                noise_probability=config.noise_probability,
-                noise_multiplier_mean=config.noise_multiplier_mean,
-                rng=substream(config.seed, "server", server_id, *run_seed),
-            )
-        # Only the initial pool is warm; a server added mid-run earns its
-        # cache through migration reads and foreground misses.
-        self._warm_caches(
-            [servers_by_id[s] for s in range(config.num_servers)], k
-        )
-
-        mig_times, mig_servers, mig_files = migration_schedule(
-            rings, event_times, config.num_files, migration_rate, horizon
-        )
-        mig_sizes = self._fileset.sizes_bytes[mig_files]
-        num_migrations = len(mig_times)
-
+        total_cancelled: Optional[int] = None
         if hedged is None:
-            overhead = config.client_overhead_per_extra_copy() * (k - 1)
-            total_cancelled = None
-            response = np.empty(num_requests)
-            m = 0
-            for i in range(num_requests):
-                arrival = float(arrival_times[i])
-                while m < num_migrations and mig_times[m] <= arrival:
-                    servers_by_id[int(mig_servers[m])].serve(
-                        float(mig_times[m]), int(mig_files[m]), float(mig_sizes[m])
-                    )
-                    m += 1
-                best = np.inf
-                for copy in range(k):
-                    server = servers_by_id[int(replica_lists[i, copy])]
-                    completion, _hit = server.serve(arrival, int(file_ids[i]), float(sizes[i]))
-                    elapsed = completion - arrival
-                    if elapsed < best:
-                        best = elapsed
-                response[i] = best + overhead
+            best, hits, misses = self._eager_batched(
+                k, arrival_times, file_ids, sizes, replicas, server_ids, run_seed, migrations
+            )
+            response = best + config.client_overhead_per_extra_copy() * (k - 1)
             total_launched = num_requests * k
         else:
+            servers = {
+                server_id: StorageServerModel(
+                    server_id=server_id,
+                    cache_bytes=config.cache_bytes_per_server,
+                    disk=config.disk,
+                    memory_service_s=config.memory_service_s,
+                    noise_probability=config.noise_probability,
+                    noise_multiplier_mean=config.noise_multiplier_mean,
+                    rng=substream(config.seed, "server", server_id, *run_seed),
+                )
+                for server_id in server_ids
+            }
+            # Only the initial pool is warm; a server added mid-run earns its
+            # cache through migration reads and foreground misses.
+            self._warm_caches([servers[s] for s in range(config.num_servers)], k)
+            if migrations is not None:
+                migrations = (*migrations, self._fileset.sizes_bytes[migrations[2]])
             response, total_launched, total_cancelled = self._run_hedged(
-                hedged,
-                k,
-                arrival_times,
-                file_ids,
-                sizes,
-                replica_lists,
-                servers_by_id,
-                (mig_times, mig_servers, mig_files, mig_sizes),
+                hedged, k, arrival_times, file_ids, sizes, replicas, servers, migrations
             )
+            hits = sum(s.cache.hits for s in servers.values())
+            misses = sum(s.cache.misses for s in servers.values())
 
-        hits = sum(s.cache.hits for s in servers_by_id.values())
-        misses = sum(s.cache.misses for s in servers_by_id.values())
         start = int(num_requests * warmup_fraction)
         retained = response[start:]
-        spike = spike_metrics(arrival_times[start:], retained, event_times)
         registry = MetricsRegistry("database")
         registry.counter("requests").increment(num_requests)
         registry.counter("copies_launched").increment(total_launched)
         registry.counter("cache_hits").increment(hits)
         registry.counter("cache_misses").increment(misses)
-        registry.counter("migration_jobs").increment(num_migrations)
+        spike = None
+        if timeline:
+            registry.counter("migration_jobs").increment(len(migrations[0]))
+            spike = spike_metrics(arrival_times[start:], retained, event_times)
         recorder = registry.recorder("latency")
         recorder.record_many(retained)
         accesses = hits + misses
@@ -682,18 +573,23 @@ class DatabaseClusterExperiment:
         arrival_times: np.ndarray,
         file_ids: np.ndarray,
         sizes: np.ndarray,
-        primaries: np.ndarray,
+        replicas: np.ndarray,
+        server_ids: Sequence[int],
         run_seed: Tuple[int, ...],
+        migrations: Optional[Tuple[np.ndarray, ...]] = None,
     ) -> Tuple[np.ndarray, int, int]:
         """Vectorised eager-replication run, byte-identical to the scalar loop.
 
         The scalar loop (``reference_database_eager`` in
         ``tests/test_fast_paths.py``) serves copies in global ``(request,
-        copy)`` order, but each access touches exactly one server, and servers
-        share no state — the cache, the FIFO disk queue, and the service-time
-        rng are all per server.  Grouping accesses by server therefore
-        preserves every per-server stream exactly, which lets each server be
-        processed with three batched kernels:
+        copy)`` order, with a churn run's migration reads
+        (``migrations`` as ``(times, servers, files)``) served before the
+        first request that arrives at or after them.  Each access touches
+        exactly one server, and servers share no state — the cache, the
+        FIFO disk queue, and the service-time rng are all per server.
+        Grouping accesses by server therefore preserves every per-server
+        stream exactly, which lets each server in ``server_ids`` be processed
+        with three batched kernels:
 
         * cache warming plus hit/miss classification via
           :func:`~repro.cluster.lru_kernel.lru_hit_flags` (warm inserts are
@@ -702,16 +598,20 @@ class DatabaseClusterExperiment:
           cache of ``C`` items ends warm-up holding exactly the last ``C``
           candidates, in order, and only those are prepended), falling back
           to :meth:`~repro.cluster.cache.LRUByteCache.access_many` when file
-          sizes are not all equal;
+          sizes are not all equal.  Only the initial pool is warmed: a
+          server added mid-run starts cold;
         * disk service times for the misses via
           :func:`~repro.cluster.draws.exact_disk_services`, consuming the
           server substream in the scalar order;
         * the FIFO disk queue via
           :func:`~repro.cluster.draws.sequential_finish_times`.
 
-        When the compiled kernels load (:mod:`repro.cluster._ckernels`) all
-        three run as C ports of the scalar loops; otherwise their numpy and
-        Python paths run, with identical results.
+        Migration reads are accesses like any other: they warm the cache,
+        count in the hit totals and queue on the disk, but complete no
+        request.  When the compiled kernels load
+        (:mod:`repro.cluster._ckernels`) all three kernels run as C ports of
+        the scalar loops; otherwise their numpy and Python paths run, with
+        identical results.
 
         Returns:
             ``(best_elapsed, cache_hits, cache_misses)`` where ``best_elapsed``
@@ -720,15 +620,25 @@ class DatabaseClusterExperiment:
         """
         config = self.config
         n = len(arrival_times)
-        num_servers = config.num_servers
-        srv_flat = ((primaries[:, None] + np.arange(k, dtype=np.int64)) % num_servers).ravel()
+        all_sizes = self._fileset.sizes_bytes
+        srv_flat = replicas.ravel()
         file_flat = np.repeat(file_ids, k)
         size_flat = np.repeat(sizes, k)
         arr_flat = np.repeat(arrival_times, k)
-        completion_flat = np.empty(n * k)
+        copy_at = None
+        if migrations is not None and len(migrations[0]):
+            mig_times, mig_servers, mig_files = migrations
+            copy_at, (srv_flat, file_flat, size_flat, arr_flat) = merge_jobs(
+                arrival_times,
+                k,
+                mig_times,
+                (srv_flat, file_flat, size_flat, arr_flat),
+                (mig_servers, mig_files, all_sizes[mig_files], mig_times),
+            )
+        completion_flat = np.empty(len(srv_flat))
 
         warm_orders = self._warm_orders(k)
-        all_sizes = self._fileset.sizes_bytes
+        cold = np.empty(0, dtype=np.int64)
         capacity = config.cache_bytes_per_server
         item_capacity = (
             equal_item_capacity(capacity, float(config.mean_file_bytes))
@@ -736,8 +646,8 @@ class DatabaseClusterExperiment:
             else None
         )
         hits_total = 0
-        for server_id in range(num_servers):
-            candidates = warm_orders[server_id]
+        for server_id in server_ids:
+            candidates = warm_orders[server_id] if server_id < config.num_servers else cold
             pos = np.flatnonzero(srv_flat == server_id)
             keys = file_flat[pos]
             if item_capacity is not None:
@@ -767,9 +677,11 @@ class DatabaseClusterExperiment:
             completion[flags] = arr[flags] + config.memory_service_s
             completion_flat[pos] = completion
 
+        if copy_at is not None:
+            completion_flat = completion_flat[copy_at]
         elapsed = completion_flat.reshape(n, k) - arrival_times[:, None]
         best = elapsed.min(axis=1)
-        return best, hits_total, n * k - hits_total
+        return best, hits_total, len(srv_flat) - hits_total
 
     def threshold_load(
         self,

@@ -95,15 +95,3 @@ class DiskModel:
         if self.slow_access_probability > 0 and rng.random() < self.slow_access_probability:
             service += rng.exponential(self.slow_access_mean_s)
         return float(service)
-
-    def sample_service_times(self, sizes_bytes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Vectorised version of :meth:`sample_service_time`."""
-        sizes = np.asarray(sizes_bytes, dtype=float)
-        if np.any(sizes < 0):
-            raise ConfigurationError("sizes must be >= 0")
-        positioning = rng.uniform(self.min_positioning_s, self.max_positioning_s, sizes.shape)
-        service = positioning + sizes / self.transfer_bytes_per_sec
-        if self.slow_access_probability > 0:
-            slow = rng.random(sizes.shape) < self.slow_access_probability
-            service = service + rng.exponential(self.slow_access_mean_s, sizes.shape) * slow
-        return service

@@ -35,9 +35,11 @@ numpy path therefore needs a bit generator with ``advance`` (``PCG64``, the
 default, or ``Philox``); ``MT19937`` and ``SFC64`` lack it and raise
 ``AttributeError`` there, while the compiled path runs on any of them.
 
-Eager database and memcached runs always take these batched paths.  The
-per-request scalar loops they replaced live on in ``tests/test_fast_paths.py``
-as references that both paths are checked against bit for bit.
+Eager database and memcached runs, with or without churn, always take these
+batched paths, and every eager FIFO in the queueing, cluster and pipeline
+substrates runs through :func:`grouped_finish_times`.  The per-request
+scalar loops they replaced live on in ``tests/test_fast_paths.py`` as
+references that both paths are checked against bit for bit.
 """
 
 from __future__ import annotations
@@ -79,10 +81,11 @@ def exact_disk_services(
 ) -> np.ndarray:
     """Disk service times for a miss stream, bit-identical to the scalar path.
 
-    Reproduces, for each miss, exactly what
-    :meth:`repro.cluster.storage_server.StorageServerModel.serve` draws on a
-    cache miss: ``disk.sample_service_time`` (a positioning uniform, then the
-    slow-access coin flip and exponential penalty) followed by the
+    Reproduces, for each miss, exactly what the per-copy scalar server
+    (``reference_serve`` in ``tests/test_fast_paths.py``, and
+    :meth:`repro.cluster.storage_server.StorageServerModel.probe`) draws on
+    a cache miss: ``disk.sample_service_time`` (a positioning uniform, then
+    the slow-access coin flip and exponential penalty) followed by the
     noisy-neighbour coin flip and exponential multiplier.  The generator is
     left in exactly the state the scalar path would leave it.
 
@@ -282,3 +285,35 @@ def sequential_finish_times(arrivals: np.ndarray, services: np.ndarray) -> np.nd
         free = free + service
         append(free)
     return np.asarray(finish)
+
+
+def grouped_finish_times(
+    stations: np.ndarray, arrivals: np.ndarray, services: np.ndarray
+) -> np.ndarray:
+    """FIFO finish time of every copy when each station serves in input order.
+
+    Copy ``i`` joins the queue of station ``stations[i]`` (a non-negative
+    id) at ``arrivals[i]`` and needs ``services[i]``.  Stations share no
+    state, so one stable sort by station groups the copies without
+    reordering any station's queue, and :func:`sequential_finish_times`
+    runs once per group.  The result equals a loop over the copies in input
+    order with one "free at" clock per station, bit for bit.
+    """
+    stations = np.asarray(stations)
+    finish = np.empty(len(stations))
+    if len(stations) == 0:
+        return finish
+    # The narrowest integer type that holds every id: numpy sorts 8- and
+    # 16-bit integers stably with a linear-time radix sort.
+    order = np.argsort(
+        stations.astype(np.min_scalar_type(stations.max())), kind="stable"
+    )
+    grouped = stations[order]
+    arrivals = np.asarray(arrivals, dtype=float)[order]
+    services = np.asarray(services, dtype=float)[order]
+    bounds = [0, *(np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist(), len(order)]
+    for low, high in zip(bounds[:-1], bounds[1:]):
+        finish[order[low:high]] = sequential_finish_times(
+            arrivals[low:high], services[low:high]
+        )
+    return finish

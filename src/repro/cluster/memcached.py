@@ -18,23 +18,25 @@ here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.analysis.stats import LatencySummary
 from repro.cluster.churn import (
     ChurnTimeline,
+    epoch_replica_table,
+    merge_jobs,
     migration_schedule,
     parse_churn,
     spike_metrics,
 )
-from repro.cluster.draws import sequential_finish_times
+from repro.cluster.draws import grouped_finish_times
 from repro.core.cancellation import simulate_cancelling_arrivals
 from repro.core.policy import PolicyDriver, PolicyLike, resolve_run_policy, run_policy_spec
 from repro.exceptions import CapacityError, ConfigurationError
 from repro.metrics import MetricsRegistry
-from repro.sim.rng import substream
+from repro.sim.rng import choose_distinct, substream
 
 
 @dataclass(frozen=True)
@@ -190,13 +192,15 @@ class MemcachedExperiment:
             num_requests: Requests to simulate.
             warmup_fraction: Leading fraction of requests discarded.
             policy: A :class:`~repro.core.policy.ReplicationPolicy` or spec
-                string.  Eager policies take the original ``copies`` path
-                byte-for-byte.  Under hedging, a backup GET launches only if
-                the first response is still outstanding after the hedge delay
-                — in the stub build the call returns in tens of microseconds,
-                so hedged backups are almost always suppressed and the run
-                isolates how little of the stub overhead a hedging client
-                would actually pay.
+                string.  Eager policies, with or without churn, run every
+                server's FIFO over its whole access stream at once
+                (:meth:`_eager_elapsed`), byte-identical to queueing the
+                copies one at a time.  Under hedging, a backup GET launches
+                only if the first response is still outstanding after the
+                hedge delay — in the stub build the call returns in tens of
+                microseconds, so hedged backups are almost always suppressed
+                and the run isolates how little of the stub overhead a
+                hedging client would actually pay.
             churn: A membership-event timeline — a
                 :class:`~repro.cluster.churn.ChurnTimeline` or spec string
                 like ``"crash:1@0.4"`` (times are fractions of the arrival
@@ -208,6 +212,7 @@ class MemcachedExperiment:
                 before its key's migration SET is scheduled pays
                 ``cold_penalty_s`` (fetch-through from a surviving replica).
                 Remove and crash are identical here (fail-stop, no drain).
+                Only churn runs report ``migration_jobs`` and a ``spike``.
             migration_rate: Migration SETs per second per gaining server.
             num_keys: Keyspace size of churn runs.
             cold_penalty_s: Server-side cost of a pre-migration cold read.
@@ -233,21 +238,22 @@ class MemcachedExperiment:
         if timeline:
             if stub:
                 raise ConfigurationError("churn is not meaningful in the stub build")
-            return self._run_churn(
-                load,
-                hedged,
-                k,
-                num_requests,
-                warmup_fraction,
-                timeline,
-                migration_rate,
-                num_keys,
-                cold_penalty_s,
-            )
+            rings = timeline.epoch_rings(config.num_servers)
+            min_live = min(ring.num_servers for ring in rings)
+            if k > min_live:
+                raise ConfigurationError(
+                    f"copies={k} exceeds the {min_live} servers live in the "
+                    f"smallest epoch of churn {timeline.spec()!r}"
+                )
+            if num_keys < 1:
+                raise ConfigurationError(f"num_keys must be >= 1, got {num_keys!r}")
+            if cold_penalty_s < 0:
+                raise ConfigurationError(
+                    f"cold_penalty_s must be >= 0, got {cold_penalty_s!r}"
+                )
 
         arrivals_rng = substream(config.seed, "arrivals", load, k, stub)
         service_rng = substream(config.seed, "service", load, k, stub)
-        placement_rng = substream(config.seed, "placement", load, k, stub)
 
         mean_service = config.expected_service_s()
         total_rate = config.num_servers * load / mean_service
@@ -258,6 +264,7 @@ class MemcachedExperiment:
         client_time = config.client_base_s + (stub_extra_s if stub else real_extra_s) * (k - 1)
 
         total_cancelled: Optional[int] = None
+        migrations = None
         if stub:
             # Stub build: the memcached call is a no-op, so the response time
             # is client processing only (plus its own small jitter).
@@ -278,41 +285,62 @@ class MemcachedExperiment:
                     response[i] = value
                     total_launched += 1 + extras
                     driver.complete(arrival_times[i] + value, value)
-        elif hedged is None:
-            service_times = self._sample_service(service_rng, num_requests * k).reshape(
-                num_requests, k
-            )
-            placements = self._choose_servers(placement_rng, num_requests, k)
-            # Copies are served in flat (request, copy) order and each
-            # touches exactly one server's FIFO queue, so the per-server
-            # busy-period recursion over the grouped accesses reproduces the
-            # per-request loop (``reference_memcached_eager`` in
-            # ``tests/test_fast_paths.py``) bit for bit.
-            srv_flat = placements.ravel()
-            svc_flat = service_times.ravel()
-            arr_flat = np.repeat(arrival_times, k)
-            finish_flat = np.empty(num_requests * k)
-            for server in range(config.num_servers):
-                pos = np.flatnonzero(srv_flat == server)
-                if pos.size:
-                    finish_flat[pos] = sequential_finish_times(arr_flat[pos], svc_flat[pos])
-            elapsed = finish_flat.reshape(num_requests, k) - arrival_times[:, None]
-            response = elapsed.min(axis=1) + client_time
-            total_launched = num_requests * k
         else:
             service_times = self._sample_service(service_rng, num_requests * k).reshape(
                 num_requests, k
             )
-            placements = self._choose_servers(placement_rng, num_requests, k)
-            response, total_launched, total_cancelled = self._run_hedged(
-                hedged, k, arrival_times, service_times, placements
-            )
+            warm_from = None
+            if timeline:
+                key_ids = substream(config.seed, "keys", load, k).integers(
+                    0, num_keys, size=num_requests
+                )
+                horizon = float(arrival_times[-1])
+                event_times = timeline.event_times(horizon)
+                replicas = epoch_replica_table(rings, event_times, arrival_times, key_ids, k)
+                mig_times, mig_servers, mig_keys = migration_schedule(
+                    rings, event_times, num_keys, migration_rate, horizon
+                )
+                mig_services = self._sample_service(
+                    substream(config.seed, "migration", load, k), len(mig_times)
+                )
+                migrations = (mig_times, mig_servers, mig_services)
+                warm_from = self._warm_from(
+                    replicas, key_ids, num_keys, mig_times, mig_servers, mig_keys
+                )
+            else:
+                replicas = choose_distinct(
+                    substream(config.seed, "placement", load, k, stub),
+                    config.num_servers,
+                    num_requests,
+                    k,
+                )
+            if hedged is None:
+                elapsed = self._eager_elapsed(
+                    arrival_times, service_times, replicas, migrations, warm_from, cold_penalty_s
+                )
+                response = elapsed.min(axis=1) + client_time
+                total_launched = num_requests * k
+            else:
+                response, total_launched, total_cancelled = self._run_hedged(
+                    hedged,
+                    k,
+                    arrival_times,
+                    service_times,
+                    replicas,
+                    warm_from,
+                    cold_penalty_s,
+                    migrations,
+                )
 
         start = int(num_requests * warmup_fraction)
         retained = response[start:]
         registry = MetricsRegistry("memcached")
         registry.counter("requests").increment(num_requests)
         registry.counter("copies_launched").increment(total_launched)
+        spike = None
+        if timeline:
+            registry.counter("migration_jobs").increment(len(migrations[0]))
+            spike = spike_metrics(arrival_times[start:], retained, event_times)
         recorder = registry.recorder("latency")
         recorder.record_many(retained)
         return MemcachedRunResult(
@@ -325,149 +353,82 @@ class MemcachedExperiment:
             policy_spec=run_policy_spec(hedged, k),
             copies_launched=total_launched,
             copies_cancelled=total_cancelled,
-        )
-
-    def _run_churn(
-        self,
-        load: float,
-        hedged,
-        k: int,
-        num_requests: int,
-        warmup_fraction: float,
-        timeline: ChurnTimeline,
-        migration_rate: float,
-        num_keys: int,
-        cold_penalty_s: float,
-    ) -> MemcachedRunResult:
-        """One run under a membership-event timeline (ring-placed keys).
-
-        GETs go to the replica set the live ring names for their key; each
-        membership change schedules migration SETs on the gaining servers —
-        paced at ``migration_rate`` per server — which occupy the same FIFOs
-        as foreground traffic, and a GET that reaches a gaining server before
-        its key's migration SET is scheduled pays ``cold_penalty_s`` on top
-        of its drawn service time (the fetch-through from a surviving
-        replica).  Remove and crash plan identical migrations (fail-stop, no
-        drain), so crash-at-t is byte-identical to remove-at-t.
-        """
-        config = self.config
-        rings = timeline.epoch_rings(config.num_servers)
-        min_live = min(ring.num_servers for ring in rings)
-        if k > min_live:
-            raise ConfigurationError(
-                f"copies={k} exceeds the {min_live} servers live in the "
-                f"smallest epoch of churn {timeline.spec()!r}"
-            )
-        if num_keys < 1:
-            raise ConfigurationError(f"num_keys must be >= 1, got {num_keys!r}")
-        if cold_penalty_s < 0:
-            raise ConfigurationError(
-                f"cold_penalty_s must be >= 0, got {cold_penalty_s!r}"
-            )
-
-        arrivals_rng = substream(config.seed, "arrivals", load, k, False)
-        service_rng = substream(config.seed, "service", load, k, False)
-        keys_rng = substream(config.seed, "keys", load, k)
-        migration_rng = substream(config.seed, "migration", load, k)
-
-        mean_service = config.expected_service_s()
-        total_rate = config.num_servers * load / mean_service
-        arrival_times = np.cumsum(arrivals_rng.exponential(1.0 / total_rate, num_requests))
-        service_times = self._sample_service(service_rng, num_requests * k).reshape(
-            num_requests, k
-        )
-        key_ids = keys_rng.integers(0, num_keys, size=num_requests)
-
-        horizon = float(arrival_times[-1])
-        event_times = timeline.event_times(horizon)
-        epoch_of = np.searchsorted(event_times, arrival_times, side="right")
-        replica_lists = np.empty((num_requests, k), dtype=np.int64)
-        for epoch, ring in enumerate(rings):
-            pos = np.flatnonzero(epoch_of == epoch)
-            if pos.size:
-                replica_lists[pos] = ring.replica_table(key_ids[pos].tolist(), k)
-
-        mig_times, mig_servers, mig_keys = migration_schedule(
-            rings, event_times, num_keys, migration_rate, horizon
-        )
-        num_migrations = len(mig_times)
-        mig_services = self._sample_service(migration_rng, num_migrations)
-        # A (server, key) pair is cold from the event until its migration SET
-        # is scheduled; earliest schedule wins if several events move it.
-        migrated_at: Dict[tuple, float] = {}
-        for j in range(num_migrations):
-            pair = (int(mig_servers[j]), int(mig_keys[j]))
-            if pair not in migrated_at:
-                migrated_at[pair] = float(mig_times[j])
-
-        def cold_tail(request: int, copy: int, at: float) -> float:
-            # The fetch-through from a surviving replica is time the *client*
-            # waits, not time the gaining server is busy: it adds to this
-            # copy's completion but does not occupy the FIFO (so a failover
-            # cannot saturate the pool through the penalty alone).
-            pair = (int(replica_lists[request, copy]), int(key_ids[request]))
-            when = migrated_at.get(pair)
-            if when is not None and at < when:
-                return cold_penalty_s
-            return 0.0
-
-        if hedged is None:
-            free_at = {sid: 0.0 for sid in timeline.all_servers(config.num_servers)}
-            real_extra_s = config.client_extra_copy_s + config.unmeasured_extra_copy_s
-            client_time = config.client_base_s + real_extra_s * (k - 1)
-            total_cancelled = None
-            response = np.empty(num_requests)
-            m = 0
-            for i in range(num_requests):
-                arrival = float(arrival_times[i])
-                while m < num_migrations and mig_times[m] <= arrival:
-                    g = int(mig_servers[m])
-                    start = free_at[g] if free_at[g] > mig_times[m] else float(mig_times[m])
-                    free_at[g] = start + float(mig_services[m])
-                    m += 1
-                best = np.inf
-                for copy in range(k):
-                    server = int(replica_lists[i, copy])
-                    start = free_at[server] if free_at[server] > arrival else arrival
-                    finish = start + float(service_times[i, copy])
-                    free_at[server] = finish
-                    elapsed = finish - arrival + cold_tail(i, copy, arrival)
-                    if elapsed < best:
-                        best = elapsed
-                response[i] = best + client_time
-            total_launched = num_requests * k
-        else:
-            response, total_launched, total_cancelled = self._run_hedged(
-                hedged,
-                k,
-                arrival_times,
-                service_times,
-                replica_lists,
-                cold_tail,
-                (mig_times, mig_servers, mig_services),
-            )
-
-        start_index = int(num_requests * warmup_fraction)
-        retained = response[start_index:]
-        spike = spike_metrics(arrival_times[start_index:], retained, event_times)
-        registry = MetricsRegistry("memcached")
-        registry.counter("requests").increment(num_requests)
-        registry.counter("copies_launched").increment(total_launched)
-        registry.counter("migration_jobs").increment(num_migrations)
-        recorder = registry.recorder("latency")
-        recorder.record_many(retained)
-        return MemcachedRunResult(
-            load=float(load),
-            copies=k,
-            stub=False,
-            response_times=retained,
-            summary=recorder.summary(),
-            metrics=registry.snapshot(),
-            policy_spec=run_policy_spec(hedged, k),
-            copies_launched=total_launched,
-            copies_cancelled=total_cancelled,
             spike=spike,
         )
+
+    @staticmethod
+    def _eager_elapsed(
+        arrival_times: np.ndarray,
+        service_times: np.ndarray,
+        replicas: np.ndarray,
+        migrations: Optional[Tuple[np.ndarray, ...]] = None,
+        warm_from: Optional[np.ndarray] = None,
+        cold_penalty_s: float = 0.0,
+    ) -> np.ndarray:
+        """Per-copy response time of an eager run, before client time.
+
+        Copies are served in flat ``(request, copy)`` order, with a churn
+        run's migration SETs (``migrations`` as ``(times, servers,
+        services)``) merged in by time
+        (:func:`~repro.cluster.churn.merge_jobs`), and each copy touches
+        exactly one server's FIFO queue.  So the per-server busy-period
+        recursion over the grouped accesses
+        (:func:`~repro.cluster.draws.grouped_finish_times`) reproduces the
+        per-request loops (``reference_memcached_eager`` and
+        ``reference_memcached_churn`` in ``tests/test_fast_paths.py``) bit
+        for bit.  A copy arriving before ``warm_from`` (see
+        :meth:`_warm_from`) adds ``cold_penalty_s`` after its FIFO finish:
+        the fetch-through is time the client waits, not time the server is
+        busy.
+
+        Returns:
+            A ``replicas``-shaped array of finish (plus any cold penalty)
+            minus arrival times.
+        """
+        num_requests, k = replicas.shape
+        columns = (replicas.ravel(), np.repeat(arrival_times, k), service_times.ravel())
+        copy_at = None
+        if migrations is not None and len(migrations[0]):
+            mig_times, mig_servers, mig_services = migrations
+            copy_at, columns = merge_jobs(
+                arrival_times, k, mig_times, columns, (mig_servers, mig_times, mig_services)
+            )
+        finish = grouped_finish_times(*columns)
+        if copy_at is not None:
+            finish = finish[copy_at]
+        elapsed = finish.reshape(num_requests, k) - arrival_times[:, None]
+        if warm_from is not None:
+            cold = arrival_times[:, None] < warm_from
+            elapsed = elapsed + np.where(cold, cold_penalty_s, 0.0)
+        return elapsed
+
+    @staticmethod
+    def _warm_from(
+        replicas: np.ndarray,
+        key_ids: np.ndarray,
+        num_keys: int,
+        mig_times: np.ndarray,
+        mig_servers: np.ndarray,
+        mig_keys: np.ndarray,
+    ) -> np.ndarray:
+        """When each copy's server starts to hold the copy's key.
+
+        A GET reaching a server before the key's migration SET to that
+        server is scheduled is a cold read; if several events move the same
+        key to the same server, the earliest SET counts.  A pair that never
+        migrates was held from the start (``-inf``).
+
+        Returns:
+            A ``replicas``-shaped array of times.
+        """
+        pairs, first = np.unique(mig_servers * num_keys + mig_keys, return_index=True)
+        warm_from = np.full(replicas.shape, -np.inf)
+        if pairs.size:
+            wanted = replicas * num_keys + key_ids[:, None]
+            slot = np.minimum(np.searchsorted(pairs, wanted), pairs.size - 1)
+            found = pairs[slot] == wanted
+            warm_from[found] = mig_times[first][slot[found]]
+        return warm_from
 
     def _run_hedged(
         self,
@@ -476,15 +437,17 @@ class MemcachedExperiment:
         arrival_times: np.ndarray,
         service_times: np.ndarray,
         replicas: np.ndarray,
-        cold_tail: Optional[Callable[[int, int, float], float]] = None,
+        warm_from: Optional[np.ndarray] = None,
+        cold_penalty_s: float = 0.0,
         migrations: Optional[Tuple[np.ndarray, ...]] = None,
     ) -> Tuple[np.ndarray, int, Optional[int]]:
         """One hedged run through the FIFO hedging engine.
 
         Copy ``c`` of request ``r`` queues at server ``replicas[r, c]`` for
-        its pre-drawn ``service_times[r, c]``, plus the queue-free
-        ``cold_tail(r, c, at)`` seconds of a churn run.  ``migrations`` are
-        the churn migration SETs as ``(times, servers, services)`` arrays.
+        its pre-drawn ``service_times[r, c]``.  In a churn run, a copy
+        dispatched before ``warm_from[r, c]`` (see :meth:`_warm_from`) also
+        waits a queue-free ``cold_penalty_s``, and ``migrations`` are the
+        migration SETs as ``(times, servers, services)`` arrays.
 
         Returns:
             ``(response_times, copies_launched, copies_cancelled)``, with
@@ -494,8 +457,14 @@ class MemcachedExperiment:
         def server_of(request: int, copy: int) -> int:
             return int(replicas[request, copy])
 
+        warm_rows = None if warm_from is None else warm_from.tolist()
+
         def begin(request: int, copy: int, at: float):
-            tail = 0.0 if cold_tail is None else cold_tail(request, copy, at)
+            # A cold read's fetch-through stays out of the FIFO, as in
+            # _eager_elapsed.
+            tail = 0.0
+            if warm_rows is not None and at < warm_rows[request][copy]:
+                tail = cold_penalty_s
             return ("service", float(service_times[request, copy]), tail)
 
         background = begin_background = None
@@ -530,14 +499,6 @@ class MemcachedExperiment:
             int(launched.sum()),
             None if cancelled is None else int(cancelled.sum()),
         )
-
-    def _choose_servers(
-        self, rng: np.random.Generator, num_requests: int, copies: int
-    ) -> np.ndarray:
-        if copies == 1:
-            return rng.integers(0, self.config.num_servers, size=(num_requests, 1))
-        scores = rng.random((num_requests, self.config.num_servers))
-        return np.argpartition(scores, copies - 1, axis=1)[:, :copies]
 
     def stub_comparison(
         self, load: float = 0.001, num_requests: int = 50_000

@@ -18,7 +18,7 @@ heavier service-time tail than dedicated hardware.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -28,11 +28,13 @@ from repro.exceptions import ConfigurationError
 
 
 class StorageServerModel:
-    """State of one storage server in the fast (arrival-ordered) simulation.
+    """Cache and service-time draws of one storage server in a hedged run.
 
-    The experiment driver processes requests in global arrival order; for each
-    copy it calls :meth:`serve`, which returns the completion time of that copy
-    on this server, updating the cache and the disk queue as side effects.
+    The FIFO hedging engine (:mod:`repro.core.cancellation`) owns the disk
+    queue and calls :meth:`probe` as it dispatches each copy, in dispatch
+    order.  Eager runs do not build servers: they run each server's cache,
+    draws and disk FIFO as batched kernels
+    (:meth:`repro.cluster.database.DatabaseClusterExperiment._eager_batched`).
     """
 
     def __init__(
@@ -81,64 +83,26 @@ class StorageServerModel:
         self.noise_probability = float(noise_probability)
         self.noise_multiplier_mean = float(noise_multiplier_mean)
         self._rng = rng if rng is not None else np.random.default_rng(server_id)
-        self.disk_free_at = 0.0
-        self.requests_served = 0
-        self.disk_requests = 0
-
-    def serve(self, arrival_time: float, file_id: object, size_bytes: float) -> Tuple[float, bool]:
-        """Serve one copy of a read request arriving at ``arrival_time``.
-
-        Args:
-            arrival_time: Absolute time the copy reaches the server.
-            file_id: Identity of the requested file (cache key).
-            size_bytes: Size of the requested file.
-
-        Returns:
-            ``(completion_time, was_cache_hit)``.
-        """
-        self.requests_served += 1
-        hit = self.cache.access(file_id, size_bytes)
-        if hit:
-            return arrival_time + self.memory_service_s, True
-
-        self.disk_requests += 1
-        service = self.disk.sample_service_time(size_bytes, self._rng)
-        if self.noise_probability > 0 and self._rng.random() < self.noise_probability:
-            service *= 1.0 + self._rng.exponential(self.noise_multiplier_mean)
-        start = self.disk_free_at if self.disk_free_at > arrival_time else arrival_time
-        finish = start + service
-        self.disk_free_at = finish
-        return finish + self.memory_service_s, False
 
     def probe(self, arrival_time: float, file_id: object, size_bytes: float):
         """Dispatch-time work for the FIFO hedging engine (hedged runs).
 
-        Performs exactly the per-copy work :meth:`serve` does at dispatch —
-        the cache access and (on a miss) the service-time draw, in the same
-        order and from the same generator — but leaves the disk queue to the
-        caller: the engine (:mod:`repro.core.cancellation`) owns the FIFO.
+        Performs the per-copy work of a read at dispatch — the cache access
+        and, on a miss, the service-time draw
+        (:meth:`~repro.cluster.disk.DiskModel.sample_service_time`, then the
+        noisy-neighbour coin flip and multiplier) — but leaves the disk queue
+        to the caller: the engine (:mod:`repro.core.cancellation`) owns the
+        FIFO.
 
         Returns:
             ``("done", completion_time)`` for a cache hit (memory service,
             no queueing), or ``("service", disk_service_s, memory_service_s)``
             for a miss the caller must run through its FIFO.
         """
-        self.requests_served += 1
         hit = self.cache.access(file_id, size_bytes)
         if hit:
             return ("done", arrival_time + self.memory_service_s)
-        self.disk_requests += 1
         service = self.disk.sample_service_time(size_bytes, self._rng)
         if self.noise_probability > 0 and self._rng.random() < self.noise_probability:
             service *= 1.0 + self._rng.exponential(self.noise_multiplier_mean)
         return ("service", service, self.memory_service_s)
-
-    def expected_miss_service_time(self, mean_file_bytes: float) -> float:
-        """Expected disk service time for a miss of the given mean size.
-
-        Includes the expected noise inflation so that load calibration stays
-        correct for the EC2 configuration.
-        """
-        base = self.disk.mean_service_time(mean_file_bytes)
-        inflation = 1.0 + self.noise_probability * self.noise_multiplier_mean
-        return base * inflation

@@ -7,9 +7,10 @@ worker's queue content — and hence, by the FIFO busy-period recursion, every
 copy's completion — is known without an event loop.  This path batches the
 whole stage's straggler uniforms in one draw (bit-identical to the event
 path's per-dispatch scalar draws from the same substream) and runs the
-pinned :func:`repro.cluster.draws.sequential_finish_times` recursion per
-worker, so its :class:`~repro.pipeline.result.StageOutcome` matches the
-event executor's bit for bit.  ``tests/test_pipeline.py`` holds the two
+pinned FIFO recursion per worker
+(:func:`repro.cluster.draws.grouped_finish_times`), so its
+:class:`~repro.pipeline.result.StageOutcome` matches the event executor's
+bit for bit.  ``tests/test_pipeline.py`` holds the two
 paths to identical results by forcing eligible plans onto the event engine.
 """
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.draws import sequential_finish_times
+from repro.cluster.draws import grouped_finish_times
 from repro.pipeline.result import StageOutcome
 from repro.pipeline.workers import WorkerPool, service_times
 
@@ -49,13 +50,9 @@ def run_stage_fast(
         service_times(np.repeat(sizes, copies), uniforms, pool), dtype=float
     )
     stations = placements.reshape(-1)
-    finish_flat = np.empty(num_chunks * copies)
-    arrival = float(start_at)
-    for worker in np.unique(stations):
-        queued = np.flatnonzero(stations == worker)
-        finish_flat[queued] = sequential_finish_times(
-            np.full(queued.size, arrival), services[queued]
-        )
+    finish_flat = grouped_finish_times(
+        stations, np.full(stations.size, float(start_at)), services
+    )
     copy_finish = finish_flat.reshape(num_chunks, copies)
     return StageOutcome(
         finish_at=np.min(copy_finish, axis=1),

@@ -7,7 +7,8 @@ minimum across copies.  The package provides:
 * :mod:`repro.queueing.replication_model` — simulation of the model, both an
   event-driven version (on the shared FIFO hedging engine,
   :func:`repro.core.cancellation.simulate_cancelling_arrivals`) and a fast
-  vectorised Lindley-recursion version, cross-validated in the tests.
+  version that runs eager copies through the per-server FIFO pass the
+  cluster and pipeline substrates share, cross-validated in the tests.
 * :mod:`repro.queueing.mm1` — exact M/M/1 results, including Theorem 1 (the
   threshold load is 1/3 with exponential service).
 * :mod:`repro.queueing.mg1` — M/G/1 results (Pollaczek–Khinchine) and the

@@ -8,11 +8,12 @@ copies).
 
 Two run methods share one set of draws and are cross-validated in the tests:
 
-* :meth:`ReplicatedQueueingModel.run_fast` — a Lindley-recursion pass.
-  Because each server is FIFO and copies arrive in global arrival order, a
-  single pass over copies in arrival order with a "server free at" vector
-  reproduces the exact sample path; this is the implementation the
-  threshold search and the benchmarks use.
+* :meth:`ReplicatedQueueingModel.run_fast` — the implementation the
+  threshold search and the benchmarks use.  Each server is FIFO and copies
+  arrive in global arrival order, so for eager policies it groups the copies
+  by server and runs the FIFO recursion once per server
+  (:func:`repro.cluster.draws.grouped_finish_times`, the pass the cluster
+  and pipeline substrates use too), which reproduces the exact sample path.
 * :meth:`ReplicatedQueueingModel.run_event_driven` — the same model run
   through the FIFO hedging engine every offline substrate shares
   (:func:`repro.core.cancellation.simulate_cancelling_arrivals`), which
@@ -26,14 +27,14 @@ is ``k * load``, so the model refuses ``k * load >= 1``.
 Replication is described by a :class:`~repro.core.policy.ReplicationPolicy`
 (``policy=``, accepting a policy object or a spec string such as ``"k2"`` or
 ``"hedge:p95"``); ``copies=k`` remains supported as sugar for the eager
-``k``-copies policy and routes through the original vectorised pass, so its
+``k``-copies policy and routes through the same grouped pass, so its
 results are byte-identical to the historical integer-``copies`` API.
 Non-eager (hedging) policies take a generalised pass: each backup copy's
 arrival at its server is offset by the policy's launch delay and is
 *suppressed* when the request already completed before the delay expired —
 the defining property of the hedged request.  The fast path never cancels a
-launched copy (its Lindley bookkeeping cannot retract queued work), so it
-runs the engine's known-completion pass
+launched copy (its known-completion bookkeeping cannot retract queued
+work), so it runs the engine's known-completion pass
 (:func:`repro.core.policy.simulate_hedged_arrivals`) directly;
 :meth:`ReplicatedQueueingModel.run_event_driven` additionally honours
 ``cancel_on_win`` by withdrawing still-queued losing copies when the first
@@ -60,7 +61,7 @@ from repro.core.policy import (
 from repro.distributions.base import Distribution
 from repro.exceptions import CapacityError, ConfigurationError
 from repro.metrics import LatencyRecorder
-from repro.sim.rng import substream
+from repro.sim.rng import choose_distinct, substream
 
 
 @dataclass(frozen=True)
@@ -176,7 +177,11 @@ class ReplicatedQueueingModel:
         warmup_fraction: float = 0.1,
         arrival_stream: str = "arrivals",
     ) -> QueueingResults:
-        """Simulate ``num_requests`` requests with the Lindley fast path.
+        """Simulate ``num_requests`` requests on the fast path.
+
+        Eager policies run the per-server FIFO recursion over copies grouped
+        by server; other policies run the known-completion pass of the
+        hedging engine, which never cancels a copy.
 
         Args:
             load: Base per-server utilisation in ``[0, 1/copies)``.
@@ -194,7 +199,14 @@ class ReplicatedQueueingModel:
         self._validate_run(load, num_requests, warmup_fraction)
         arrival_times, servers, service_times = self._draw(load, num_requests, arrival_stream)
         if self._eager_k is not None:
-            response = self._lindley_pass(arrival_times, servers, service_times)
+            # Imported here: ``import repro`` loads this module, and
+            # importing repro.cluster would add its whole package to that.
+            from repro.cluster.draws import grouped_finish_times
+
+            finish = grouped_finish_times(
+                servers.ravel(), np.repeat(arrival_times, self.copies), service_times.ravel()
+            )
+            response = (finish.reshape(servers.shape) - arrival_times[:, None]).min(axis=1)
             launched = np.full(num_requests, self.copies)
             return self._results(response, launched, load, warmup_fraction)
         # The hedged pass never cancels: backups are suppressed, not withdrawn.
@@ -220,7 +232,7 @@ class ReplicatedQueueingModel:
         if total_rate <= 0:
             raise ConfigurationError("load must be positive for a simulation run")
         arrival_times = np.cumsum(arrivals_rng.exponential(1.0 / total_rate, num_requests))
-        servers = self._choose_servers(placement_rng, num_requests)
+        servers = choose_distinct(placement_rng, self.num_servers, num_requests, self.copies)
         service_times = np.asarray(
             self.service.sample(service_rng, num_requests * self.copies), dtype=float
         ).reshape(num_requests, self.copies)
@@ -260,43 +272,6 @@ class ReplicatedQueueingModel:
             policy_spec=self.policy_spec,
             copies_launched=int(launched.sum()),
         )
-
-    def _choose_servers(self, rng: np.random.Generator, num_requests: int) -> np.ndarray:
-        """Choose ``copies`` distinct servers per request, uniformly at random."""
-        if self.copies == 1:
-            return rng.integers(0, self.num_servers, size=(num_requests, 1))
-        # Rank a uniform matrix per row: the first `copies` ranks are a uniform
-        # random subset (and ordering) of distinct servers.
-        scores = rng.random((num_requests, self.num_servers))
-        return np.argpartition(scores, self.copies - 1, axis=1)[:, : self.copies]
-
-    def _lindley_pass(
-        self,
-        arrival_times: np.ndarray,
-        servers: np.ndarray,
-        service_times: np.ndarray,
-    ) -> np.ndarray:
-        """Single pass in arrival order computing min-of-copies response times.
-
-        Each server is FIFO, so processing copies in global arrival order with
-        a per-server "free at" clock reproduces the exact queueing dynamics.
-        """
-        num_requests, copies = servers.shape
-        free_at = np.zeros(self.num_servers)
-        response = np.empty(num_requests)
-        for i in range(num_requests):
-            arrival = arrival_times[i]
-            best = np.inf
-            for j in range(copies):
-                server = servers[i, j]
-                start = free_at[server] if free_at[server] > arrival else arrival
-                finish = start + service_times[i, j]
-                free_at[server] = finish
-                elapsed = finish - arrival
-                if elapsed < best:
-                    best = elapsed
-            response[i] = best
-        return response
 
     # ------------------------------------------------------------------ #
     # Event-driven implementation (the shared FIFO hedging engine)

@@ -4,9 +4,9 @@ The *threshold load* is the paper's central metric (Section 2.1): the largest
 per-server utilisation below which replicating every request reduces the mean
 response time.  Three ways of computing it are provided:
 
-* :func:`threshold_load` — simulation-based search using the fast
-  Lindley-recursion model with common random numbers across the replicated
-  and unreplicated runs.
+* :func:`threshold_load` — simulation-based search using the model's fast
+  path (``run_fast``) with common random numbers across the replicated and
+  unreplicated runs.
 * :func:`threshold_load_approximation` — the two-moment (Myers–Vernon-style)
   response-time approximation of :mod:`repro.queueing.mg1`, suitable for
   light-tailed service times.

@@ -53,3 +53,21 @@ def substream(seed: Optional[int], *key: object) -> np.random.Generator:
     if seed is None and not material:
         return np.random.default_rng()
     return np.random.default_rng(np.random.SeedSequence(material))
+
+
+def choose_distinct(
+    rng: np.random.Generator, pool_size: int, rows: int, copies: int
+) -> np.ndarray:
+    """``copies`` distinct members of ``range(pool_size)`` per row, at random.
+
+    With one copy this is one ``integers`` draw per row.  Otherwise each row
+    ranks a row of uniforms: the indices of its ``copies`` smallest scores
+    are a uniform random subset of the pool.
+
+    Returns:
+        A ``(rows, copies)`` integer array.
+    """
+    if copies == 1:
+        return rng.integers(0, pool_size, size=(rows, 1))
+    scores = rng.random((rows, pool_size))
+    return np.argpartition(scores, copies - 1, axis=1)[:, :copies]

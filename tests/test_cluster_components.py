@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.cluster import ConsistentHashRing, DiskModel, LRUByteCache, StorageServerModel
+from repro.cluster import (
+    ConsistentHashRing,
+    DatabaseClusterConfig,
+    DiskModel,
+    LRUByteCache,
+    StorageServerModel,
+)
+from repro.cluster.draws import exact_disk_services
 from repro.exceptions import ConfigurationError
 
 
@@ -104,7 +111,7 @@ class TestDiskModel:
     def test_sample_mean_matches_analytic(self, rng):
         disk = DiskModel()
         sizes = np.full(200_000, 4000.0)
-        samples = disk.sample_service_times(sizes, rng)
+        samples = exact_disk_services(disk, sizes, rng, 0.0, 8.0)
         assert float(samples.mean()) == pytest.approx(disk.mean_service_time(4000.0), rel=0.03)
 
     def test_larger_files_take_longer(self, rng):
@@ -135,28 +142,38 @@ class TestStorageServerModel:
 
     def test_cache_hit_is_fast_and_does_not_touch_disk(self):
         server = self._server()
-        server.serve(0.0, "f", 4000.0)  # miss populates the cache
-        completion, hit = server.serve(10.0, "f", 4000.0)
-        assert hit
-        assert completion == pytest.approx(10.0 + 0.0002)
-        assert server.disk_requests == 1
+        assert server.probe(0.0, "f", 4000.0)[0] == "service"  # miss populates the cache
+        state = server._rng.bit_generator.state
+        assert server.probe(10.0, "f", 4000.0) == ("done", 10.0 + 0.0002)
+        assert server._rng.bit_generator.state == state  # no disk draw
 
     def test_cache_miss_pays_disk_service(self):
         server = self._server()
-        completion, hit = server.serve(0.0, "f", 4000.0)
-        assert not hit
-        assert completion >= 0.003  # at least the minimum positioning time
+        kind, service, memory = server.probe(0.0, "f", 4000.0)
+        assert kind == "service" and memory == 0.0002
+        assert service >= 0.003  # at least the minimum positioning time
 
-    def test_misses_queue_fifo_behind_each_other(self):
+    def test_misses_leave_queueing_to_the_caller(self):
+        # The hedging engine owns the disk FIFO: two misses at the same
+        # instant each report their own service time, with no wait added.
         server = self._server()
-        first, _ = server.serve(0.0, "a", 4000.0)
-        second, _ = server.serve(0.0, "b", 4000.0)
-        assert second > first
+        disk = server.disk
+        most = disk.max_positioning_s + 4000.0 / disk.transfer_bytes_per_sec
+        for file_id in ("a", "b"):
+            _, service, _ = server.probe(0.0, file_id, 4000.0)
+            assert 0.003 <= service <= most
 
     def test_noise_inflates_expected_service(self):
-        noisy = self._server(noise_probability=0.5, noise_multiplier_mean=4.0)
+        # The load calibration's expected service time charges the mean
+        # noise multiplier on every miss.
+        noisy = DatabaseClusterConfig(noise_probability=0.5, noise_multiplier_mean=4.0)
+        clean = DatabaseClusterConfig()
+        assert noisy.expected_service_time(1) > clean.expected_service_time(1)
+
+    def test_noise_inflates_miss_service(self):
+        noisy = self._server(noise_probability=1.0, noise_multiplier_mean=4.0)
         clean = self._server()
-        assert noisy.expected_miss_service_time(4000.0) > clean.expected_miss_service_time(4000.0)
+        assert noisy.probe(0.0, "f", 4000.0)[1] > clean.probe(0.0, "f", 4000.0)[1]
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):

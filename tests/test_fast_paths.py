@@ -18,21 +18,29 @@ from hypothesis import strategies as st
 
 from repro.cluster import _ckernels
 from repro.cluster.cache import LRUByteCache
+from repro.cluster.churn import merge_jobs, migration_schedule, parse_churn, spike_metrics
 from repro.cluster.database import DatabaseClusterConfig, DatabaseClusterExperiment
 from repro.cluster.disk import DiskModel
-from repro.cluster.draws import exact_disk_services, sequential_finish_times
+from repro.cluster.draws import (
+    exact_disk_services,
+    grouped_finish_times,
+    sequential_finish_times,
+)
 from repro.cluster.lru_kernel import (
     equal_item_capacity,
     lru_hit_flags,
     previous_and_next_occurrence,
 )
 from repro.cluster.memcached import MemcachedConfig, MemcachedExperiment
+from repro.cluster.storage_server import StorageServerModel
+from repro.distributions.standard import Deterministic, Exponential, Pareto
 from repro.exceptions import ConfigurationError
 from repro.network.fattree_sim import FatTreeExperiment, FatTreeExperimentConfig
 from repro.network.flow_fidelity import uncontended_fct
 from repro.network.tcp import TcpConfig
 from repro.pipeline.workers import draw_placements
-from repro.sim.rng import substream
+from repro.queueing.replication_model import ReplicatedQueueingModel
+from repro.sim.rng import choose_distinct, substream
 
 
 def reference_lru_flags(keys, capacity_items):
@@ -303,7 +311,7 @@ class TestWarmWithClosedForm:
 
 
 def scalar_disk_services(disk, sizes, rng, noise_probability, noise_multiplier_mean):
-    """The per-miss draw sequence of ``StorageServerModel.serve``, verbatim."""
+    """The per-miss draw sequence of ``ReferenceServer.serve``, verbatim."""
     out = []
     for size in sizes:
         service = disk.sample_service_time(size, rng)
@@ -417,6 +425,97 @@ class TestSequentialFinishTimes:
         assert _ckernels.load() is None
         without_c = sequential_finish_times(arrivals, services)
         assert np.array_equal(with_c, without_c)
+
+
+def reference_free_at_loop(stations, arrivals, services):
+    """Every copy's finish, in input order, with one "free at" clock per station.
+
+    The flat loop of the queueing model's per-request pass that
+    ``grouped_finish_times`` replaced.
+    """
+    free_at = {}
+    finish = np.empty(len(stations))
+    for i, station in enumerate(stations):
+        free = free_at.get(station, 0.0)
+        start = free if free > arrivals[i] else arrivals[i]
+        finish[i] = free_at[station] = start + services[i]
+    return finish
+
+
+def reference_lindley_pass(num_servers, arrival_times, servers, service_times):
+    """The queueing model's eager pass before the grouped one, verbatim.
+
+    Copies in ``(request, copy)`` order against a per-server "free at"
+    vector; each request keeps its fastest copy.
+    """
+    num_requests, copies = servers.shape
+    free_at = np.zeros(num_servers)
+    response = np.empty(num_requests)
+    for i in range(num_requests):
+        arrival = arrival_times[i]
+        best = np.inf
+        for j in range(copies):
+            server = servers[i, j]
+            start = free_at[server] if free_at[server] > arrival else arrival
+            finish = start + service_times[i, j]
+            free_at[server] = finish
+            elapsed = finish - arrival
+            if elapsed < best:
+                best = elapsed
+        response[i] = best
+    return response
+
+
+@st.composite
+def fifo_streams(draw):
+    """``(stations, arrivals, services)`` over 1-12 stations.
+
+    Arrivals are non-decreasing with repeated values; services include
+    zeros; station ids are spread out by a stride so some exceed 255.
+    """
+    num_stations = draw(st.integers(min_value=1, max_value=12))
+    stride = draw(st.sampled_from([1, 7, 1000]))
+    n = draw(st.integers(min_value=0, max_value=60))
+    stations = draw(st.lists(st.integers(0, num_stations - 1), min_size=n, max_size=n))
+    value = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(min_value=0.0, max_value=4.0)
+    gaps = draw(st.lists(value, min_size=n, max_size=n))
+    services = draw(st.lists(value, min_size=n, max_size=n))
+    return (
+        np.array(stations, dtype=np.int64) * stride,
+        np.cumsum(np.array(gaps, dtype=float)),
+        np.array(services, dtype=float),
+    )
+
+
+class TestGroupedFinishTimes:
+    """``grouped_finish_times`` against the flat "free at" loop, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(stream=fifo_streams())
+    def test_matches_free_at_loop(self, stream):
+        stations, arrivals, services = stream
+        expected = reference_free_at_loop(stations.tolist(), arrivals.tolist(), services.tolist())
+        for path in ("compiled", "numpy"):
+            with pytest.MonkeyPatch.context() as patch:
+                if path == "numpy":
+                    patch.setenv(_ckernels.CKERNELS_ENV_VAR, "0")
+                elif _ckernels.load() is None:
+                    continue
+                got = grouped_finish_times(stations, arrivals, services)
+            assert got.tobytes() == expected.tobytes(), path
+
+    @pytest.mark.parametrize("copies", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "service", [Exponential(1.0), Pareto(alpha=2.1, mean=1.0), Deterministic(1.0)]
+    )
+    def test_run_fast_equals_the_per_request_pass(self, kernel_path, service, copies):
+        model = ReplicatedQueueingModel(service, copies=copies, client_overhead=0.05, seed=11)
+        arrival_times, servers, service_times = model._draw(0.3, 4_000, "arrivals")
+        response = reference_lindley_pass(10, arrival_times, servers, service_times)
+        response = response + 0.05 * (copies - 1)
+        got = model.run_fast(0.3, num_requests=4_000, warmup_fraction=0.1)
+        assert got.response_times.tobytes() == response[400:].tobytes()
+        assert got.copies_launched == 4_000 * copies
 
 
 class TestCompiledLruKernel:
@@ -565,6 +664,62 @@ class TestKernelCache:
             _ckernels._build(str(cache))
 
 
+class ReferenceServer(StorageServerModel):
+    """A storage server that serves one copy at a time, FIFO clock included.
+
+    ``serve`` is the per-copy scalar path the batched eager database runs
+    replaced: the cache access, then on a miss the disk draws
+    (``scalar_disk_services``' order) and the FIFO disk queue.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.disk_free_at = 0.0
+
+    def serve(self, arrival_time, file_id, size_bytes):
+        """``(completion_time, was_cache_hit)`` of one copy."""
+        hit = self.cache.access(file_id, size_bytes)
+        if hit:
+            return arrival_time + self.memory_service_s, True
+        service = self.disk.sample_service_time(size_bytes, self._rng)
+        if self.noise_probability > 0 and self._rng.random() < self.noise_probability:
+            service *= 1.0 + self._rng.exponential(self.noise_multiplier_mean)
+        start = self.disk_free_at if self.disk_free_at > arrival_time else arrival_time
+        finish = start + service
+        self.disk_free_at = finish
+        return finish + self.memory_service_s, False
+
+
+def reference_servers(experiment, server_ids, copies, load):
+    """``ReferenceServer``s on the run's substreams; the initial pool warmed."""
+    config = experiment.config
+    run_seed = (copies, hash(round(load, 6)) & 0xFFFF)
+    servers = {
+        server_id: ReferenceServer(
+            server_id=server_id,
+            cache_bytes=config.cache_bytes_per_server,
+            disk=config.disk,
+            memory_service_s=config.memory_service_s,
+            noise_probability=config.noise_probability,
+            noise_multiplier_mean=config.noise_multiplier_mean,
+            rng=substream(config.seed, "server", server_id, *run_seed),
+        )
+        for server_id in server_ids
+    }
+    experiment._warm_caches([servers[s] for s in range(config.num_servers)], copies)
+    return servers
+
+
+def database_arrivals(experiment, load, num_requests):
+    """``(arrival_times, file_ids, sizes)`` from the run's substreams."""
+    config = experiment.config
+    total_rate = config.num_servers * load / config.expected_service_time(1)
+    arrivals_rng = substream(config.seed, "arrivals", load)
+    arrival_times = np.cumsum(arrivals_rng.exponential(1.0 / total_rate, num_requests))
+    file_ids = substream(config.seed, "keys", load).integers(0, config.num_files, size=num_requests)
+    return arrival_times, file_ids, experiment._fileset.sizes_bytes[file_ids]
+
+
 def reference_database_eager(config, load, copies, num_requests, warmup_fraction=0.2):
     """The per-request scalar loop the batched eager database path replaced.
 
@@ -578,14 +733,8 @@ def reference_database_eager(config, load, copies, num_requests, warmup_fraction
         ``(response_times, cache_hit_ratio)`` with the warm-up removed.
     """
     experiment = DatabaseClusterExperiment(config)
-    total_rate = config.num_servers * load / config.expected_service_time(1)
-    arrivals_rng = substream(config.seed, "arrivals", load)
-    arrival_times = np.cumsum(arrivals_rng.exponential(1.0 / total_rate, num_requests))
-    keys_rng = substream(config.seed, "keys", load)
-    file_ids = keys_rng.integers(0, config.num_files, size=num_requests)
-    sizes = experiment._fileset.sizes_bytes[file_ids]
-    servers = experiment._build_servers(run_seed=(copies, hash(round(load, 6)) & 0xFFFF))
-    experiment._warm_caches(servers, copies)
+    arrival_times, file_ids, sizes = database_arrivals(experiment, load, num_requests)
+    servers = reference_servers(experiment, range(config.num_servers), copies, load)
     overhead = config.client_overhead_per_extra_copy() * (copies - 1)
     response = np.empty(num_requests)
     for i in range(num_requests):
@@ -598,9 +747,73 @@ def reference_database_eager(config, load, copies, num_requests, warmup_fraction
             completion, _hit = server.serve(arrival, file_id, float(sizes[i]))
             best = min(best, completion - arrival)
         response[i] = best + overhead
-    hits = sum(server.cache.hits for server in servers)
-    misses = sum(server.cache.misses for server in servers)
+    hits = sum(server.cache.hits for server in servers.values())
+    misses = sum(server.cache.misses for server in servers.values())
     return response[int(num_requests * warmup_fraction) :], hits / (hits + misses)
+
+
+def reference_database_churn(
+    config, load, copies, num_requests, churn, migration_rate, warmup_fraction=0.2
+):
+    """The per-request loop eager database churn runs took before batching.
+
+    Requests read from the replica set of the ring live at their arrival;
+    each migration read is served, through the same ``ReferenceServer``s,
+    before the first request that arrives at or after it.
+
+    Returns:
+        ``(response_times, cache_hit_ratio, migration_jobs, spike)`` with
+        the warm-up removed.
+    """
+    experiment = DatabaseClusterExperiment(config)
+    timeline = parse_churn(churn)
+    rings = timeline.epoch_rings(config.num_servers, experiment._ring.virtual_nodes)
+    arrival_times, file_ids, sizes = database_arrivals(experiment, load, num_requests)
+    horizon = float(arrival_times[-1])
+    event_times = timeline.event_times(horizon)
+    epoch_of = np.searchsorted(event_times, arrival_times, side="right")
+    servers = reference_servers(
+        experiment, timeline.all_servers(config.num_servers), copies, load
+    )
+    mig_times, mig_servers, mig_files = migration_schedule(
+        rings, event_times, config.num_files, migration_rate, horizon
+    )
+    mig_sizes = experiment._fileset.sizes_bytes[mig_files]
+    overhead = config.client_overhead_per_extra_copy() * (copies - 1)
+    response = np.empty(num_requests)
+    m = 0
+    for i in range(num_requests):
+        arrival = float(arrival_times[i])
+        while m < len(mig_times) and mig_times[m] <= arrival:
+            servers[int(mig_servers[m])].serve(
+                float(mig_times[m]), int(mig_files[m]), float(mig_sizes[m])
+            )
+            m += 1
+        replicas = rings[epoch_of[i]].replicas_for(int(file_ids[i]), copies)
+        best = np.inf
+        for server_id in replicas:
+            completion, _hit = servers[server_id].serve(arrival, int(file_ids[i]), float(sizes[i]))
+            elapsed = completion - arrival
+            if elapsed < best:
+                best = elapsed
+        response[i] = best + overhead
+    hits = sum(server.cache.hits for server in servers.values())
+    misses = sum(server.cache.misses for server in servers.values())
+    start = int(num_requests * warmup_fraction)
+    spike = spike_metrics(arrival_times[start:], response[start:], event_times)
+    return response[start:], hits / (hits + misses), len(mig_times), spike
+
+
+def memcached_arrivals(config, load, copies, num_requests):
+    """``(arrival_times, service_times)`` from the run's substreams."""
+    total_rate = config.num_servers * load / config.expected_service_s()
+    arrivals_rng = substream(config.seed, "arrivals", load, copies, False)
+    arrival_times = np.cumsum(arrivals_rng.exponential(1.0 / total_rate, num_requests))
+    service_rng = substream(config.seed, "service", load, copies, False)
+    service_times = MemcachedExperiment(config)._sample_service(
+        service_rng, num_requests * copies
+    )
+    return arrival_times, service_times.reshape(num_requests, copies)
 
 
 def reference_memcached_eager(config, load, copies, num_requests, warmup_fraction=0.1):
@@ -613,15 +826,9 @@ def reference_memcached_eager(config, load, copies, num_requests, warmup_fractio
     Returns:
         The response times with the warm-up removed.
     """
-    experiment = MemcachedExperiment(config)
-    total_rate = config.num_servers * load / config.expected_service_s()
-    arrivals_rng = substream(config.seed, "arrivals", load, copies, False)
-    arrival_times = np.cumsum(arrivals_rng.exponential(1.0 / total_rate, num_requests))
-    service_rng = substream(config.seed, "service", load, copies, False)
-    service_times = experiment._sample_service(service_rng, num_requests * copies)
-    service_times = service_times.reshape(num_requests, copies)
+    arrival_times, service_times = memcached_arrivals(config, load, copies, num_requests)
     placement_rng = substream(config.seed, "placement", load, copies, False)
-    placements = experiment._choose_servers(placement_rng, num_requests, copies)
+    placements = choose_distinct(placement_rng, config.num_servers, num_requests, copies)
     extra_copy_s = config.client_extra_copy_s + config.unmeasured_extra_copy_s
     client_time = config.client_base_s + extra_copy_s * (copies - 1)
     free_at = np.zeros(config.num_servers)
@@ -636,6 +843,72 @@ def reference_memcached_eager(config, load, copies, num_requests, warmup_fractio
             best = min(best, free_at[server] - arrival)
         response[i] = best + client_time
     return response[int(num_requests * warmup_fraction) :]
+
+
+def reference_memcached_churn(
+    config,
+    load,
+    copies,
+    num_requests,
+    churn,
+    migration_rate,
+    num_keys=20_000,
+    cold_penalty_s=0.002,
+    warmup_fraction=0.1,
+):
+    """The per-request loop eager memcached churn runs took before batching.
+
+    GETs queue at the replica set of the ring live at their arrival; each
+    migration SET queues before the first request that arrives at or after
+    it, and a GET that reaches a server before its key's first migration
+    SET there pays ``cold_penalty_s`` outside the queue.
+
+    Returns:
+        ``(response_times, migration_jobs, spike)`` with the warm-up removed.
+    """
+    timeline = parse_churn(churn)
+    rings = timeline.epoch_rings(config.num_servers)
+    arrival_times, service_times = memcached_arrivals(config, load, copies, num_requests)
+    key_ids = substream(config.seed, "keys", load, copies).integers(0, num_keys, size=num_requests)
+    horizon = float(arrival_times[-1])
+    event_times = timeline.event_times(horizon)
+    epoch_of = np.searchsorted(event_times, arrival_times, side="right")
+    mig_times, mig_servers, mig_keys = migration_schedule(
+        rings, event_times, num_keys, migration_rate, horizon
+    )
+    mig_services = MemcachedExperiment(config)._sample_service(
+        substream(config.seed, "migration", load, copies), len(mig_times)
+    )
+    migrated_at = {}
+    for j in range(len(mig_times)):
+        migrated_at.setdefault((int(mig_servers[j]), int(mig_keys[j])), float(mig_times[j]))
+    free_at = {server: 0.0 for server in timeline.all_servers(config.num_servers)}
+    extra_copy_s = config.client_extra_copy_s + config.unmeasured_extra_copy_s
+    client_time = config.client_base_s + extra_copy_s * (copies - 1)
+    response = np.empty(num_requests)
+    m = 0
+    for i in range(num_requests):
+        arrival = float(arrival_times[i])
+        while m < len(mig_times) and mig_times[m] <= arrival:
+            g = int(mig_servers[m])
+            start = free_at[g] if free_at[g] > mig_times[m] else float(mig_times[m])
+            free_at[g] = start + float(mig_services[m])
+            m += 1
+        replicas = rings[epoch_of[i]].replicas_for(int(key_ids[i]), copies)
+        best = np.inf
+        for copy, server in enumerate(replicas):
+            start = free_at[server] if free_at[server] > arrival else arrival
+            finish = start + float(service_times[i, copy])
+            free_at[server] = finish
+            when = migrated_at.get((server, int(key_ids[i])))
+            cold = cold_penalty_s if when is not None and arrival < when else 0.0
+            elapsed = finish - arrival + cold
+            if elapsed < best:
+                best = elapsed
+        response[i] = best + client_time
+    start = int(num_requests * warmup_fraction)
+    spike = spike_metrics(arrival_times[start:], response[start:], event_times)
+    return response[start:], len(mig_times), spike
 
 
 class TestBatchedDrawsByteIdentity:
@@ -666,6 +939,105 @@ class TestBatchedDrawsByteIdentity:
         batched = MemcachedExperiment(cfg).run(0.3, copies=2, num_requests=2000)
         reference = reference_memcached_eager(cfg, 0.3, 2, 2000)
         assert np.array_equal(batched.response_times, reference)
+
+
+class TestMergeJobs:
+    """Where migration jobs fall among a run's copies."""
+
+    def test_a_job_goes_before_copies_that_arrive_at_its_time(self):
+        arrivals = np.array([1.0, 2.0, 2.0, 3.0])
+        jobs = np.array([0.5, 2.0, 2.0, 2.5])
+        copies = [f"c{i}" for i in range(8)]  # two copies per request
+        copy_at, (stream,) = merge_jobs(
+            arrivals, 2, jobs, [np.array(copies)], [np.array(["j0", "j1", "j2", "j3"])]
+        )
+        assert stream.tolist() == [
+            "j0", "c0", "c1", "j1", "j2", "c2", "c3", "c4", "c5", "j3", "c6", "c7"
+        ]
+        assert stream[copy_at].tolist() == copies
+
+    def test_without_jobs_the_stream_is_the_copies(self):
+        copy_at, (stream,) = merge_jobs(
+            np.array([1.0, 2.0]), 3, np.empty(0), [np.arange(6)], [np.empty(0, dtype=np.int64)]
+        )
+        assert copy_at.tolist() == list(range(6))
+        assert stream.tolist() == list(range(6))
+
+    def test_a_tied_migration_queues_ahead_of_the_copy(self, kernel_path):
+        # One server: a migration SET and a GET both at t = 1.  The SET is
+        # served first, so the GET finishes after both services, and the
+        # GET is not a cold read: its key arrived with that SET.  A GET at
+        # t = 3 that precedes its key's SET pays the cold penalty.
+        elapsed = MemcachedExperiment._eager_elapsed(
+            np.array([1.0, 3.0]),
+            np.array([[0.25], [0.25]]),
+            np.array([[0], [0]]),
+            (np.array([1.0]), np.array([0]), np.array([0.5])),
+            warm_from=np.array([[1.0], [4.0]]),
+            cold_penalty_s=2.0,
+        )
+        assert elapsed.tolist() == [[0.75], [2.25]]
+
+
+#: Churn timelines the eager churn runs are checked on: a join, a removal,
+#: a crash followed by a re-add of the same id, two joins, and a joiner
+#: that leaves and comes back (so it gains the same keys twice).
+CHURNS = [
+    "add:4@0.4",
+    "remove:2@0.4",
+    "crash:1@0.3,add:1@0.6",
+    "add:5@0.2,add:4@0.5",
+    "add:4@0.2,remove:4@0.5,add:4@0.8",
+]
+
+
+class TestEagerChurnByteIdentity:
+    """Eager churn runs equal the per-request loops they replaced, bit for bit.
+
+    Response bytes, copies launched, hit ratio, migration jobs and the spike
+    metrics must all agree, with the compiled kernels and without.
+    """
+
+    @pytest.mark.parametrize("churn", CHURNS)
+    @pytest.mark.parametrize(
+        "variant,copies", [("base", 1), ("base", 2), ("pareto_files", 2), ("ec2", 2)]
+    )
+    def test_database(self, kernel_path, variant, copies, churn):
+        config = getattr(DatabaseClusterConfig, variant)(num_files=3_000, seed=13)
+        load = 0.3 if copies == 1 else 0.25
+        got = DatabaseClusterExperiment(config).run(
+            load, copies=copies, num_requests=1_500, churn=churn, migration_rate=100.0
+        )
+        response, hit_ratio, jobs, spike = reference_database_churn(
+            config, load, copies, 1_500, churn, 100.0
+        )
+        assert got.response_times.tobytes() == response.tobytes()
+        assert got.copies_launched == 1_500 * copies
+        assert got.cache_hit_ratio == hit_ratio
+        assert got.metrics["migration_jobs"] == jobs > 0
+        assert got.spike == spike
+
+    @pytest.mark.parametrize("churn", CHURNS[:3] + CHURNS[4:])
+    @pytest.mark.parametrize("copies,rate", [(1, 500.0), (2, 500.0), (2, 4000.0)])
+    def test_memcached(self, kernel_path, copies, rate, churn):
+        config = MemcachedConfig(seed=13)
+        got = MemcachedExperiment(config).run(
+            0.3, copies=copies, num_requests=4_000, churn=churn, migration_rate=rate
+        )
+        response, jobs, spike = reference_memcached_churn(config, 0.3, copies, 4_000, churn, rate)
+        assert got.response_times.tobytes() == response.tobytes()
+        assert got.copies_launched == 4_000 * copies
+        assert got.metrics["migration_jobs"] == jobs > 0
+        assert got.spike == spike
+
+    def test_static_runs_report_no_churn_outputs(self):
+        database = DatabaseClusterExperiment(DatabaseClusterConfig(num_files=3_000)).run(
+            0.2, copies=2, num_requests=500
+        )
+        memcached = MemcachedExperiment().run(0.2, copies=2, num_requests=500)
+        for result in (database, memcached):
+            assert result.spike is None
+            assert "migration_jobs" not in result.metrics
 
 
 def servers_reading_oldest_warm_key_first(config, load, copies, num_requests):

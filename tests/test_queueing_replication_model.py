@@ -6,6 +6,7 @@ import pytest
 from repro.distributions import Deterministic, Exponential, Pareto
 from repro.exceptions import CapacityError, ConfigurationError
 from repro.queueing import ReplicatedQueueingModel
+from repro.sim.rng import choose_distinct
 
 
 class TestModelValidation:
@@ -121,8 +122,7 @@ class TestMechanics:
         assert not np.array_equal(a.response_times, b.response_times)
 
     def test_copies_placed_on_distinct_servers(self, rng):
-        model = ReplicatedQueueingModel(Exponential(1.0), num_servers=5, copies=3, seed=0)
-        servers = model._choose_servers(rng, 500)
+        servers = choose_distinct(rng, 5, 500, 3)
         assert servers.shape == (500, 3)
         for row in servers:
             assert len(set(row.tolist())) == 3
