@@ -83,8 +83,8 @@ typedef struct bitgen {
     uint64_t (*next_raw)(void *st);
 } bitgen_t;
 
-/* Per-miss disk service draws of the scalar server (reference_serve in
- * tests/test_fast_paths.py, and StorageServerModel.probe), in its order:
+/* Per-miss disk service draws of the scalar server (ReferenceServer.serve
+ * in tests/test_fast_paths.py, and StorageServerModel.probe), in its order:
  * rng.uniform(lo, hi) is lo + span * next_double; rng.random() is
  * next_double; rng.exponential(scale) is scale * std_exp(bg). */
 void disk_services(bitgen_t *bg, double (*std_exp)(bitgen_t *),

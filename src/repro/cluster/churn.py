@@ -47,7 +47,6 @@ __all__ = [
     "parse_churn",
     "canonical_churn_spec",
     "plan_migrations",
-    "migration_schedule",
     "epoch_replica_table",
     "merge_jobs",
     "spike_metrics",

@@ -431,8 +431,6 @@ class DatabaseClusterExperiment:
 
         migrations = None
         if timeline:
-            # Requests go to the ring live at their arrival, and each
-            # membership change queues migration reads on the gaining servers.
             horizon = float(arrival_times[-1])
             event_times = timeline.event_times(horizon)
             replicas = epoch_replica_table(rings, event_times, arrival_times, file_ids, k)
@@ -468,8 +466,6 @@ class DatabaseClusterExperiment:
             # Only the initial pool is warm; a server added mid-run earns its
             # cache through migration reads and foreground misses.
             self._warm_caches([servers[s] for s in range(config.num_servers)], k)
-            if migrations is not None:
-                migrations = (*migrations, self._fileset.sizes_bytes[migrations[2]])
             response, total_launched, total_cancelled = self._run_hedged(
                 hedged, k, arrival_times, file_ids, sizes, replicas, servers, migrations
             )
@@ -520,7 +516,7 @@ class DatabaseClusterExperiment:
         ``servers`` maps server ids to their models, which do the
         dispatch-time cache and draw work (:meth:`StorageServerModel.probe`)
         while the engine owns the disk FIFOs.  ``migrations`` are the churn
-        migration reads as ``(times, servers, files, sizes)`` arrays.
+        migration reads as ``(times, servers, files)`` arrays.
 
         Returns:
             ``(response_times, copies_launched, copies_cancelled)``, with
@@ -537,7 +533,8 @@ class DatabaseClusterExperiment:
 
         background = begin_background = None
         if migrations is not None:
-            mig_times, mig_servers, mig_files, mig_sizes = migrations
+            mig_times, mig_servers, mig_files = migrations
+            mig_sizes = self._fileset.sizes_bytes[mig_files]
 
             def begin_background(job: int, at: float):
                 return servers[int(mig_servers[job])].probe(

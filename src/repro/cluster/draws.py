@@ -82,7 +82,7 @@ def exact_disk_services(
     """Disk service times for a miss stream, bit-identical to the scalar path.
 
     Reproduces, for each miss, exactly what the per-copy scalar server
-    (``reference_serve`` in ``tests/test_fast_paths.py``, and
+    (``ReferenceServer.serve`` in ``tests/test_fast_paths.py``, and
     :meth:`repro.cluster.storage_server.StorageServerModel.probe`) draws on
     a cache miss: ``disk.sample_service_time`` (a positioning uniform, then
     the slow-access coin flip and exponential penalty) followed by the

@@ -10,8 +10,8 @@ path's per-dispatch scalar draws from the same substream) and runs the
 pinned FIFO recursion per worker
 (:func:`repro.cluster.draws.grouped_finish_times`), so its
 :class:`~repro.pipeline.result.StageOutcome` matches the event executor's
-bit for bit.  ``tests/test_pipeline.py`` holds the two
-paths to identical results by forcing eligible plans onto the event engine.
+bit for bit.  ``tests/test_pipeline.py`` holds the two paths to identical
+results by forcing eligible plans onto the event engine.
 """
 
 from __future__ import annotations
