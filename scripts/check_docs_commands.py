@@ -11,18 +11,15 @@ each one:
 * ``run`` commands are shrunk to smoke size — ``--workers 1``, ``--quiet``,
   artifact paths redirected into a temp directory, and per-entry-point tiny
   overrides (``num_requests=300`` etc.) appended for any base parameter the
-  documented command does not set itself; ``--shard I/N`` is preserved, and a
-  ``.jsonl`` out registers its ``.timing.jsonl`` sidecar too;
+  documented command does not set itself; ``--shard I/N`` is preserved, and
+  every ``--out`` registers its ``.timing.jsonl`` sidecar too;
 * ``diff`` / ``merge`` / ``timing-report`` commands have their artifact (and
   sidecar) arguments resolved against (a) real repository files (the
   checked-in golden artifact) and (b) the redirected artifacts produced by
   earlier documented ``run``/``merge`` commands — so a documented command
   only works if the docs also document producing its inputs;
 * ``repro.lint`` commands run as written against the repository (so the
-  documented lint invocation really exits 0 on the shipped tree), except
-  that an ``--update-baseline`` example has its ``--baseline`` path
-  redirected into the temp directory so docs checking never rewrites the
-  checked-in baseline;
+  documented lint invocation really exits 0 on the shipped tree);
 * ``repro.serve`` commands are shrunk to smoke size — request counts and
   durations capped, ``--json`` redirected into the temp directory, and the
   documented ``--assert-floor`` (a measured dev-machine number) lowered
@@ -101,7 +98,7 @@ def split_args(command: str) -> Tuple[str, List[str]]:
 
 #: Flags of the experiments CLI that consume a value token.
 VALUE_FLAGS = {
-    "--workers", "--chunk-size", "--out", "--csv", "--seed", "--set",
+    "--workers", "--out", "--csv", "--seed", "--set",
     "--columns", "--keys", "--labels", "--tier", "--fail-threshold",
     "--shard", "--top",
 }
@@ -144,15 +141,15 @@ def rewrite_run(args: List[str], tmpdir: str, produced: Dict[str, str]) -> List[
         if skip:
             skip = False
             continue
-        if token in ("--workers", "--chunk-size"):
+        if token == "--workers":
             skip = True
             continue
         if token in ("--out", "--csv"):
             original = args[index + 1]
             redirected = os.path.join(tmpdir, os.path.basename(original))
             produced[os.path.basename(original)] = redirected
-            if token == "--out" and original.endswith(".jsonl"):
-                # A streamed run also writes its wall-clock timing sidecar;
+            if token == "--out":
+                # Every --out run also writes its wall-clock timing sidecar;
                 # documented `timing-report` commands resolve against it.
                 produced[os.path.basename(original) + ".timing.jsonl"] = (
                     redirected + ".timing.jsonl"
@@ -211,17 +208,6 @@ def rewrite_timing_report(args: List[str], produced: Dict[str, str]) -> List[str
     out = list(args)
     for index in positionals(args):
         out[index] = _resolve_input(out[index], produced, "timing-report")
-    return out
-
-
-def rewrite_lint(args: List[str], tmpdir: str) -> List[str]:
-    """A documented lint command, with ``--update-baseline`` made side-effect
-    free by redirecting its ``--baseline`` path into the temp directory."""
-    out = list(args)
-    if "--update-baseline" in out and "--baseline" in out:
-        index = out.index("--baseline") + 1
-        if index < len(out):
-            out[index] = os.path.join(tmpdir, os.path.basename(out[index]))
     return out
 
 
@@ -291,7 +277,7 @@ def main() -> int:
             for command in extract_commands(path):
                 module, args = split_args(command)
                 if module == "repro.lint":
-                    argv = rewrite_lint(args, tmpdir)
+                    argv = args
                 elif module == "repro.serve":
                     argv = rewrite_serve(args, tmpdir)
                 elif args[0] == "run":

@@ -12,17 +12,18 @@ achieves the lowest latency, and by how much.
 Usage (from the repository root)::
 
     PYTHONPATH=src python -m repro.experiments run standard-db-hedging \\
-        --workers 4 --out db-hedging.json
-    PYTHONPATH=src python scripts/plot_ablation.py db-hedging.json \\
+        --workers 4 --out db-hedging.jsonl
+    PYTHONPATH=src python scripts/plot_ablation.py db-hedging.jsonl \\
         [more artifacts ...] [--metric mean] [--metric2 p99] [--png frontier.png]
 
 Output is text-first (a per-artifact table with the frontier policy starred,
 plus one ``frontier@`` summary line per load) so it needs nothing beyond the
 repository's own dependencies; ``--png`` renders the same series with
 matplotlib *if it is installed* and fails with a clear message otherwise.
-Artifacts may be whole-file ``.json``, streamed ``.jsonl``, or the
-byte-identical output of ``python -m repro.experiments merge`` — all load the
-same way.  See the "Hedging ablations" section of ``EXPERIMENTS.md``.
+Artifacts are what ``run --out`` streams, or the byte-identical output of
+``python -m repro.experiments merge``; both load with
+:meth:`SweepResult.from_jsonl`.  See the "Hedging ablations" section of
+``EXPERIMENTS.md``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from repro.analysis.tables import ResultTable  # noqa: E402
 from repro.core.policy import HedgeAfterDelay, parse_policy  # noqa: E402
 from repro.exceptions import ReproError  # noqa: E402
 from repro.experiments.cli import _axis_value  # noqa: E402
-from repro.experiments.results import PointResult, SweepResult, load_sweep_artifact  # noqa: E402
+from repro.experiments.results import PointResult, SweepResult  # noqa: E402
 
 #: Axes (in preference order) that serve as the x-axis of the frontier.
 X_AXES = ("load", "rtt", "copies")
@@ -455,7 +456,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     loaded = []
     for path in args.artifacts:
         try:
-            loaded.append((path, load_sweep_artifact(path)))
+            loaded.append((path, SweepResult.from_jsonl(path)))
         except (ReproError, OSError, ValueError) as exc:
             raise SystemExit(f"cannot load {path!r}: {exc}")
     metrics = [args.metric]

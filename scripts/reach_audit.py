@@ -20,7 +20,7 @@ The entry points, by group:
 * ``serve`` — ``python -m repro.serve run`` under six policies with
   ``--swap`` and ``--event``, on the virtual and the real clock and on the
   echo backend, plus ``repro.serve bench``;
-* ``lint`` — ``python -m repro.lint src/ --baseline lint-baseline.json``;
+* ``lint`` — ``python -m repro.lint src/``;
 * ``examples`` — every ``examples/*.py``;
 * ``plot`` — ``scripts/plot_ablation.py`` in its default, ``--pareto``,
   ``--group-hedges`` and ``--spike`` views of ``scenarios``' artifacts;
@@ -194,7 +194,7 @@ def scenario_steps(work: str) -> List[Step]:
     steps = []
     for scenario in all_scenarios():
         argv = ["run", scenario.name, "--workers", "1", "--quiet",
-                "--out", os.path.join(work, scenario.name + ".json")]
+                "--out", os.path.join(work, scenario.name + ".jsonl")]
         for key, value in sorted(SCENARIO_OVERRIDES.get(scenario.name, {}).items()):
             argv += ["--set", f"{key}={value}"]
         steps.append(_cli(argv))
@@ -211,11 +211,10 @@ def cli_steps(work: str) -> List[Step]:
         # Without --quiet: the progress line and the result table.
         _cli(["run", *loud, "--out", path("smoke.jsonl"), "--csv", path("smoke.csv")]),
         _cli(["run", *small, "--out", path("smoke.jsonl"), "--resume"]),
-        _cli(["run", *small, "--out", path("smoke.json")]),
         _cli(["run", *small, "--shard", "1/2", "--out", path("shard1.jsonl")]),
         _cli(["run", *small, "--shard", "2/2", "--out", path("shard2.jsonl")]),
         _cli(["merge", path("merged.jsonl"), path("shard2.jsonl"), path("shard1.jsonl")]),
-        _cli(["diff", path("smoke.json"), path("merged.jsonl"), "--fail-threshold", "0"]),
+        _cli(["diff", path("smoke.jsonl"), path("merged.jsonl"), "--fail-threshold", "0"]),
         _cli(["timing-report", path("shard1.jsonl.timing.jsonl"),
               path("shard2.jsonl.timing.jsonl")]),
         _cli(["profile", "queueing-smoke", "--point", "1", "--top", "5",
@@ -256,9 +255,9 @@ def lint_steps(_work: str) -> List[Step]:
     def call() -> object:
         from repro.lint.cli import main
 
-        return main(["src/", "--baseline", "lint-baseline.json"])
+        return main(["src/"])
 
-    return [("repro.lint src/ --baseline lint-baseline.json", call)]
+    return [("repro.lint src/", call)]
 
 
 def _script(path: str, argv: List[str]) -> Step:
@@ -282,7 +281,7 @@ def example_steps(_work: str) -> List[Step]:
 
 def plot_steps(work: str) -> List[Step]:
     script = os.path.join(REPO_ROOT, "scripts", "plot_ablation.py")
-    return [_script(script, [os.path.join(work, name + ".json"), *view]) for name, view in PLOT_VIEWS]
+    return [_script(script, [os.path.join(work, name + ".jsonl"), *view]) for name, view in PLOT_VIEWS]
 
 
 class _Failures:

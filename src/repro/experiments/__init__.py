@@ -10,11 +10,12 @@ ad-hoc loops:
 * :class:`SweepRunner` — expands the grid, derives a per-point seed via
   :func:`repro.sim.rng.substream`, executes points in bounded chunks on a
   ``ProcessPoolExecutor``, and (given an output path) streams each completed
-  point to a JSONL artifact that a killed run can ``resume`` from — the
-  finished artifact is byte-identical for any worker count, chunk size or
-  resume history;
-* :class:`SweepResult` / :class:`PointResult` — the shared JSON/JSONL/CSV
-  artifact format, feeding :mod:`repro.analysis.tables`;
+  point to the JSONL artifact, the one on-disk form of a sweep, which a
+  killed run can ``resume`` from — the finished artifact is byte-identical
+  for any worker count or resume history;
+* :class:`SweepResult` / :class:`PointResult` — the shared result type,
+  loaded back from an artifact with :meth:`SweepResult.from_jsonl`, flattened
+  to CSV, and feeding :mod:`repro.analysis.tables`;
 * :meth:`SweepResult.diff` / :class:`SweepDiff` — pair two artifacts of the
   same grid point-by-point and render "paper vs measured" columns
   (``python -m repro.experiments diff``);
@@ -45,13 +46,8 @@ from repro.experiments.grid import ParameterGrid
 from repro.experiments.scenario import TIERS, Scenario, point_key, point_seed
 from repro.experiments.adapters import ADAPTERS, resolve_adapter
 from repro.experiments.artifact import JSONL_SCHEMA, load_partial
-from repro.experiments.results import (
-    PointResult,
-    SweepDiff,
-    SweepResult,
-    load_sweep_artifact,
-)
-from repro.experiments.runner import DEFAULT_CHUNK_SIZE, SweepRunner, run_scenario
+from repro.experiments.results import PointResult, SweepDiff, SweepResult
+from repro.experiments.runner import DEFAULT_CHUNK_SIZE, SweepRunner
 from repro.experiments.sharding import merge_artifacts, parse_shard, shard_of
 from repro.experiments.timing import (
     TIMING_SCHEMA,
@@ -80,7 +76,6 @@ __all__ = [
     "all_scenarios",
     "get_scenario",
     "load_partial",
-    "load_sweep_artifact",
     "load_timing",
     "merge_artifacts",
     "parse_shard",
@@ -88,7 +83,6 @@ __all__ = [
     "point_seed",
     "register_scenario",
     "resolve_adapter",
-    "run_scenario",
     "scenario_names",
     "shard_of",
     "timing_sidecar_path",

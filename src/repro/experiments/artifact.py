@@ -1,11 +1,11 @@
-"""Streaming JSONL sweep artifacts: append-as-you-go, resume-from-partial.
+"""Streamed JSONL sweep artifacts: append-as-you-go, resume-from-partial.
 
-The canonical JSON artifact (:meth:`~repro.experiments.results.SweepResult.to_json`)
-is written once, at the end of a sweep.  That is the wrong shape for
-paper-scale grids: a run killed at point 180 of 200 leaves nothing behind, and
-a grid too large for one ``ProcessPoolExecutor.map`` call has nowhere to put
-completed points while the rest execute.  This module provides the streaming
-counterpart the :class:`~repro.experiments.runner.SweepRunner` writes through:
+This is the one on-disk form of a sweep.  The
+:class:`~repro.experiments.runner.SweepRunner` writes it point by point
+rather than once at the end: a run killed at point 180 of 200 leaves its
+completed prefix behind, and a grid too large for one
+``ProcessPoolExecutor.map`` call has somewhere to put completed points while
+the rest execute.  The layout:
 
 * line 1 is a **header record** identifying the sweep (scenario name, entry
   point, seed, base params, axes, point count);
@@ -14,11 +14,11 @@ counterpart the :class:`~repro.experiments.runner.SweepRunner` writes through:
 
 Every line is canonical JSON (sorted keys, compact separators), so the bytes
 of a finished artifact are a pure function of the scenario — independent of
-worker count, chunk size, or how many times the run was killed and resumed.
-:func:`load_partial` reads a possibly-truncated artifact back (a kill mid-write
-can leave half a line; the trailing fragment is discarded), returning the
-completed points keyed by their derived seed so a resumed run executes only
-the missing points.
+worker count, chunk boundaries, or how many times the run was killed and
+resumed.  :func:`load_partial` reads a possibly-truncated artifact back (a
+kill mid-write can leave half a line; the trailing fragment is discarded),
+returning the completed points keyed by their derived seed so a resumed run
+executes only the missing points.
 
 Two invariants keep the bytes pure even across a fleet of machines:
 
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict
 from typing import IO, Any, Dict, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
@@ -116,44 +115,47 @@ def canonicalize(value: Any) -> Any:
     return json.loads(json.dumps(value, sort_keys=True))
 
 
-class ArtifactWriter:
-    """Appends header + point records to a JSONL artifact, flushing each line.
+class JsonlWriter:
+    """Writes canonical JSON lines to a new file, flushing each line.
 
-    The writer always starts the file from scratch (mode ``"w"``): on resume
-    the runner re-emits the cached points it loaded, which costs a rewrite of
-    the completed prefix but guarantees the finished file is canonical no
-    matter what state the partial file was in (truncated trailing line, stale
-    ordering, ...).  Each line is flushed as written so a kill loses at most
-    the line in flight.
+    The file always starts from scratch (mode ``"w"``) with its header
+    record, and each line is flushed as written, so a kill loses at most the
+    line in flight.  :class:`ArtifactWriter` and the timing sidecar's
+    :class:`~repro.experiments.timing.TimingWriter` both write through it.
     """
 
     def __init__(self, path: str, header: Dict[str, Any]) -> None:
         """Open ``path`` for writing and emit the header line."""
         self.path = path
         self._handle: Optional[IO[str]] = open(path, "w", encoding="utf-8")
-        self._write(header)
+        self.write(header)
 
-    def _write(self, record: Dict[str, Any]) -> None:
+    def write(self, record: Dict[str, Any]) -> None:
+        """Append ``record`` as one canonical JSON line and flush it."""
         if self._handle is None:
-            raise ConfigurationError(f"artifact writer for {self.path!r} is closed")
+            raise ConfigurationError(f"writer for {self.path!r} is closed")
         self._handle.write(canonical_json(record))
         self._handle.flush()
 
-    def append_point(self, point: Dict[str, Any]) -> None:
-        """Append one completed point record."""
-        self._write(point_record(point))
-
     def close(self) -> None:
-        """Flush and close the artifact (idempotent)."""
+        """Flush and close the file (idempotent)."""
         if self._handle is not None:
             self._handle.close()
             self._handle = None
 
-    def __enter__(self) -> "ArtifactWriter":
-        return self
 
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
+class ArtifactWriter(JsonlWriter):
+    """Appends the point records of a sweep artifact after its header.
+
+    On resume the runner re-emits the cached points it loaded, which costs a
+    rewrite of the completed prefix but guarantees the finished file is
+    canonical no matter what state the partial file was in (truncated
+    trailing line, stale ordering, ...).
+    """
+
+    def append_point(self, point: Dict[str, Any]) -> None:
+        """Append one completed point record."""
+        self.write(point_record(point))
 
 
 def iter_complete_records(text: str, path: str) -> "list[Tuple[int, Dict[str, Any]]]":
@@ -261,20 +263,3 @@ def validate_header(header: Dict[str, Any], expected: Dict[str, Any], path: str)
                 f"--resume (or into a fresh --out) to start over"
             )
 
-
-def sweep_result_records(result: Any) -> Tuple[Dict[str, Any], list]:
-    """Decompose a :class:`~repro.experiments.results.SweepResult` into records.
-
-    Returns the header record and the list of point records, i.e. exactly the
-    lines :meth:`SweepResult.to_jsonl` writes and the runner streams.
-    """
-    header = header_record(
-        scenario=result.scenario,
-        entry_point=result.entry_point,
-        description=result.description,
-        seed=result.seed,
-        base_params=result.base_params,
-        axes=result.axes,
-        num_points=len(result.points),
-    )
-    return header, [point_record(asdict(point)) for point in result.points]

@@ -8,23 +8,23 @@
     python -m repro.experiments run <scenario> --shard 2/3 --out shard2.jsonl
     python -m repro.experiments merge merged.jsonl shard1.jsonl shard2.jsonl shard3.jsonl
     python -m repro.experiments timing-report shard1.jsonl.timing.jsonl [...]
-    python -m repro.experiments diff golden.json fresh.jsonl
+    python -m repro.experiments diff golden.jsonl fresh.jsonl
 
-``run`` prints a compact result table and optionally writes artifacts: a
-``--out`` path ending in ``.jsonl`` streams each completed point to disk as
-the sweep runs (resumable after a kill with ``--resume``); ``.json`` writes
-the canonical whole-file artifact at the end.  Because per-point seeds depend
-only on the scenario and the point parameters, the written artifacts are
-byte-identical for any ``--workers``/``--chunk-size`` value and any resume
-history.  ``--shard I/N`` extends the same contract across machines: N hosts
-each run one shard of the grid (a deterministic seed-based partition, no
-coordination) and ``merge`` recombines the shard artifacts into a file
-byte-identical to the single-machine run.  Every streamed run also writes a
-wall-clock **timing sidecar** (``<out>.timing.jsonl``) that ``timing-report``
-tabulates — slowest points, per-shard totals — while the canonical artifact
-itself stays timing-free.  ``diff`` loads two artifacts (either layout) and
-prints the paper-vs-measured comparison table.  ``EXPERIMENTS.md`` maps every
-paper figure to its scenario and exact command.
+``run`` prints a compact result table and optionally writes artifacts:
+``--out`` streams each completed point to a JSONL artifact as the sweep runs
+(resumable after a kill with ``--resume``), whatever the path ends in; it is
+the one on-disk form of a sweep.  Because per-point seeds depend only on the
+scenario and the point parameters, the artifact is byte-identical for any
+``--workers`` value and any resume history.  ``--shard I/N`` extends the
+same contract across machines: N hosts each run one shard of the grid (a
+deterministic seed-based partition, no coordination) and ``merge``
+recombines the shard artifacts into a file byte-identical to the
+single-machine run.  Every ``--out`` run also writes a wall-clock **timing
+sidecar** (``<out>.timing.jsonl``) that ``timing-report`` tabulates —
+slowest points, per-shard totals — while the canonical artifact itself stays
+timing-free.  ``diff`` loads two artifacts and prints the paper-vs-measured
+comparison table.  ``EXPERIMENTS.md`` maps every paper figure to its
+scenario and exact command.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from repro.analysis.tables import ResultTable
 from repro.exceptions import ConfigurationError, ReproError
 from repro.flags import reject_unknown_flags
 from repro.experiments.registry import all_scenarios, get_scenario
-from repro.experiments.results import SweepResult, load_sweep_artifact
+from repro.experiments.results import SweepResult
 from repro.experiments.runner import SweepRunner
 from repro.experiments.scenario import TIERS
 from repro.experiments.sharding import merge_artifacts, parse_shard
@@ -186,27 +186,14 @@ def _make_progress(stream=None) -> Callable[[int, int], None]:
 
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = get_scenario(args.scenario)
-    streaming = bool(args.out and args.out.endswith(".jsonl"))
-    if args.resume and not streaming:
-        raise ConfigurationError(
-            "--resume needs a streaming artifact: pass --out <path>.jsonl "
-            "(the whole-file .json artifact is only written when a run finishes, "
-            "so there is nothing to resume from)"
-        )
     shard = parse_shard(args.shard) if args.shard else None
-    if shard is not None and args.out and not streaming:
-        raise ConfigurationError(
-            "--shard artifacts must stream to a .jsonl --out path: shards are "
-            "partial by construction and `merge` recombines the streaming "
-            "layout (got --out " + repr(args.out) + ")"
-        )
-    runner = SweepRunner(workers=args.workers, chunk_size=args.chunk_size)
+    runner = SweepRunner(workers=args.workers)
     progress = None if args.quiet else _make_progress()
     result = runner.run(
         scenario,
         overrides=_overrides(args.set),
         seed=args.seed,
-        out=args.out if streaming else None,
+        out=args.out,
         resume=args.resume,
         progress=progress,
         shard=shard,
@@ -221,14 +208,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         infeasible = [p for p in result.points if not p.ok]
         if infeasible:
             print(f"({len(infeasible)} point(s) infeasible — saturated, skipped)")
-    if args.out:
-        if not streaming:
-            result.to_json(args.out)
-        if not args.quiet:
-            kind = "JSONL (streamed)" if streaming else "JSON"
-            print(f"wrote {kind} artifact: {args.out}")
-            if streaming:
-                print(f"wrote timing sidecar: {timing_sidecar_path(args.out)}")
+    if args.out and not args.quiet:
+        print(f"wrote JSONL artifact: {args.out}")
+        print(f"wrote timing sidecar: {timing_sidecar_path(args.out)}")
     if args.csv:
         result.to_csv(args.csv)
         if not args.quiet:
@@ -368,8 +350,8 @@ def cmd_diff(args: argparse.Namespace) -> int:
         raise ConfigurationError(
             f"--fail-threshold must be >= 0, got {args.fail_threshold!r}"
         )
-    base = load_sweep_artifact(args.artifact_a)
-    other = load_sweep_artifact(args.artifact_b)
+    base = SweepResult.from_jsonl(args.artifact_a)
+    other = SweepResult.from_jsonl(args.artifact_b)
     diff = base.diff(other, labels=(labels[0], labels[1]))
     columns = _comma_list(args.columns)
     table = diff.to_table(columns=columns, key_columns=_comma_list(args.keys))
@@ -488,8 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
             "  # instead of the base parameters' eager copies\n"
             "  python -m repro.experiments run queueing-threshold --set policy=hedge:p95\n"
             "\n"
-            "a .jsonl --out also writes <out>.timing.jsonl — per-point wall-clock\n"
-            "timing for `timing-report`; the canonical artifact stays timing-free.\n"
+            "--out also writes <out>.timing.jsonl — per-point wall-clock timing\n"
+            "for `timing-report`; the canonical artifact stays timing-free.\n"
         ),
     )
     run.add_argument("scenario")
@@ -498,27 +480,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (1 = inline; results identical either way)",
     )
     run.add_argument(
-        "--chunk-size", type=int, default=None,
-        help="points submitted to the pool per batch; affects only pacing and "
-             "how much work a kill can lose, never the results",
-    )
-    run.add_argument(
         "--out",
-        help="write an artifact here: a .jsonl path streams points as they "
-             "complete (resumable), any other path gets canonical JSON at the end",
+        help="stream the JSONL artifact here, one line per point as it "
+             "completes (resumable)",
     )
     run.add_argument(
         "--resume", action="store_true",
-        help="reuse completed points from an existing --out .jsonl artifact "
-             "and execute only the missing ones (final bytes identical to an "
+        help="reuse completed points from an existing --out artifact and "
+             "execute only the missing ones (final bytes identical to an "
              "uninterrupted run)",
     )
     run.add_argument(
         "--shard", metavar="I/N", default=None,
         help="execute only shard I of N (1-based) — a deterministic, "
              "seed-derived partition of the grid, so N machines can split one "
-             "sweep with no coordination; requires a .jsonl --out (or none), "
-             "and `merge` recombines the shard artifacts byte-identically; "
+             "sweep with no coordination; `merge` recombines the shard "
+             "artifacts byte-identically; "
              "1/1 means no sharding",
     )
     run.add_argument("--csv", help="write a flattened CSV artifact to this path")
@@ -571,17 +548,17 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "examples:\n"
             "  # golden (paper) artifact vs a fresh measured run\n"
-            "  python -m repro.experiments diff golden.json fresh.jsonl\n"
+            "  python -m repro.experiments diff golden.jsonl fresh.jsonl\n"
             "  # pick the compared columns and the identifying key columns\n"
-            "  python -m repro.experiments diff a.json b.json \\\n"
+            "  python -m repro.experiments diff a.jsonl b.jsonl \\\n"
             "      --columns mean,p99,benefit --keys load,copies\n"
             "  # CI gate: fail (exit 1) on any >2% regression in the numbers\n"
-            "  python -m repro.experiments diff golden.json fresh.json \\\n"
+            "  python -m repro.experiments diff golden.jsonl fresh.jsonl \\\n"
             "      --fail-threshold 2\n"
         ),
     )
-    diff.add_argument("artifact_a", help="reference artifact (.json or .jsonl)")
-    diff.add_argument("artifact_b", help="artifact compared against it (.json or .jsonl)")
+    diff.add_argument("artifact_a", help="reference artifact (a run --out or merge output)")
+    diff.add_argument("artifact_b", help="artifact compared against it")
     diff.add_argument(
         "--columns", default=None,
         help="comma-separated value columns to compare (default: mean,p99)",
@@ -627,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
             "  cmp dns-matrix.jsonl dns-matrix-single-machine.jsonl   # identical\n"
         ),
     )
-    merge.add_argument("out", help="path of the merged .jsonl artifact to write")
+    merge.add_argument("out", help="path of the merged artifact to write")
     merge.add_argument(
         "shards", nargs="+",
         help="shard artifacts to combine (any order; overlaps deduplicated; "

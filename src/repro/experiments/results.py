@@ -1,12 +1,11 @@
-"""Sweep result artifacts: JSON/JSONL/CSV serialisation, tables, and diffs.
+"""Sweep results: the streamed artifact's loader, tables, CSV and diffs.
 
 A :class:`SweepResult` is the collected output of one scenario sweep — one
-:class:`PointResult` per grid point, in grid order.  It is the shared artifact
-format of the repository: benchmarks and examples print it through
-:class:`repro.analysis.tables.ResultTable`, the CLI writes it to JSON (whole
-artifact at the end), JSONL (streamed point-by-point, resumable — see
-:mod:`repro.experiments.artifact`) or CSV, and later analysis reloads it with
-:func:`load_sweep_artifact` / :meth:`SweepResult.from_json` /
+:class:`PointResult` per grid point, in grid order.  It is the shared result
+type of the repository: benchmarks and examples print it through
+:class:`repro.analysis.tables.ResultTable`, the CLI streams it to a JSONL
+artifact point by point (:mod:`repro.experiments.artifact`, resumable after a
+kill) and can flatten it to CSV, and later analysis reloads the artifact with
 :meth:`SweepResult.from_jsonl`.
 
 Two artifacts of the same scenario compare through :meth:`SweepResult.diff`,
@@ -14,14 +13,14 @@ which pairs points by their parameters and renders "paper vs measured"
 columns via :func:`repro.analysis.tables.diff_table` — the workflow behind
 every paper-vs-measured table in ``EXPERIMENTS.md``.
 
-Serialisation is deliberately canonical (points in grid order, keys sorted,
-no wall-clock timestamps) so that two sweeps of the same scenario produce
-byte-identical JSON/JSONL regardless of worker count, chunk size, resume
-history — or how the grid was sharded across machines: a merged shard set
-(:mod:`repro.experiments.sharding`) reloads here exactly like the
+The artifact is deliberately canonical (points in grid order, keys sorted,
+no wall-clock timestamps), so two sweeps of the same scenario produce
+byte-identical files regardless of worker count, resume history — or how
+the grid was sharded across machines: a merged shard set
+(:mod:`repro.experiments.sharding`) loads here exactly like the
 single-machine artifact it is byte-identical to.  Wall-clock timing lives in
 the ``.timing.jsonl`` sidecar (:mod:`repro.experiments.timing`), never in
-these artifacts — the determinism contract the tests pin down.
+the artifact — the determinism contract the tests pin down.
 """
 
 from __future__ import annotations
@@ -29,20 +28,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.tables import ResultTable, diff_table
 from repro.exceptions import ConfigurationError
-from repro.experiments.artifact import (
-    canonical_json,
-    canonicalize,
-    load_partial,
-    sweep_result_records,
-)
-
-#: Version tag of the JSON artifact layout.
-SCHEMA = "repro.experiments.sweep/1"
+from repro.experiments.artifact import canonicalize, load_partial
 
 #: Point executed successfully.
 STATUS_OK = "ok"
@@ -137,73 +128,9 @@ class SweepResult:
 
     # ---------------------------- serialisation ------------------------ #
 
-    def to_dict(self) -> Dict[str, Any]:
-        """The full artifact as plain JSON-serialisable data."""
-        return {
-            "schema": SCHEMA,
-            "scenario": self.scenario,
-            "entry_point": self.entry_point,
-            "description": self.description,
-            "seed": self.seed,
-            "base_params": self.base_params,
-            "axes": self.axes,
-            "points": [asdict(point) for point in self.points],
-        }
-
-    def to_json(self, path: Optional[str] = None, indent: int = 2) -> str:
-        """Serialise to canonical JSON (sorted keys), optionally writing ``path``."""
-        text = json.dumps(self.to_dict(), indent=indent, sort_keys=True) + "\n"
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        return text
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SweepResult":
-        """Rebuild a :class:`SweepResult` from :meth:`to_dict` data."""
-        if data.get("schema") != SCHEMA:
-            raise ConfigurationError(
-                f"unsupported sweep artifact schema {data.get('schema')!r}; "
-                f"expected {SCHEMA!r}"
-            )
-        points = [PointResult(**point) for point in data["points"]]
-        return cls(
-            scenario=data["scenario"],
-            entry_point=data["entry_point"],
-            description=data.get("description", ""),
-            seed=int(data["seed"]),
-            base_params=dict(data.get("base_params", {})),
-            axes={name: list(values) for name, values in data.get("axes", {}).items()},
-            points=points,
-        )
-
-    @classmethod
-    def from_json(cls, source: str) -> "SweepResult":
-        """Load from a JSON string or a path to a JSON file."""
-        text = source
-        if "\n" not in source and source.endswith(".json"):
-            with open(source, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        return cls.from_dict(json.loads(text))
-
-    def to_jsonl(self, path: Optional[str] = None) -> str:
-        """Serialise to the streaming JSONL artifact layout.
-
-        One header line plus one canonical-JSON line per point, in grid order
-        — exactly the bytes :class:`~repro.experiments.runner.SweepRunner`
-        streams when given an output path, so converting a finished sweep and
-        streaming it produce identical files.
-        """
-        header, records = sweep_result_records(self)
-        text = canonical_json(header) + "".join(canonical_json(r) for r in records)
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        return text
-
     @classmethod
     def from_jsonl(cls, path: str) -> "SweepResult":
-        """Load a *complete* streaming (JSONL) artifact.
+        """Load a *complete* sweep artifact, as ``run --out`` streams it.
 
         A **merged** artifact (``python -m repro.experiments merge``) is
         byte-identical to a single-machine run's and loads here like any
@@ -449,16 +376,3 @@ class SweepDiff:
             rows.append((key_values, a_values, b_values))
         return diff_table(title, keys, rows, value_columns, labels=self.labels)
 
-
-def load_sweep_artifact(path: str) -> SweepResult:
-    """Load a sweep artifact, dispatching on its extension.
-
-    ``.jsonl`` loads the streaming layout (:meth:`SweepResult.from_jsonl`);
-    anything else is treated as the canonical whole-file JSON layout.  This is
-    what the CLI's ``diff`` subcommand uses, so golden ``.json`` artifacts and
-    streamed ``.jsonl`` runs compare interchangeably.
-    """
-    if path.endswith(".jsonl"):
-        return SweepResult.from_jsonl(path)
-    with open(path, "r", encoding="utf-8") as handle:
-        return SweepResult.from_dict(json.load(handle))

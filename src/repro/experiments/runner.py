@@ -7,16 +7,16 @@ scenario seed, name and point parameters — see
 either inline (``workers=1``) or on a ``ProcessPoolExecutor``.
 
 Execution is *chunked*: points are submitted to the pool in bounded batches
-(``chunk_size``) rather than one grid-sized ``map`` call, and when an output
-path is given every completed point is appended to a streaming JSONL artifact
-(:mod:`repro.experiments.artifact`) in grid order.  That is what makes
-paper-scale grids practical — a killed run leaves the completed prefix on
-disk, and ``resume=True`` (CLI ``--resume``) reloads it and executes only the
-missing points, keyed by the substream-derived point seed.  Because per-point
-seeds and the artifact encoding are both canonical, the finished artifact is
-**byte-identical for any worker count, chunk size or resume history**; the
-resume tests pin this down by diffing killed-and-resumed runs against
-uninterrupted ones.
+(:data:`DEFAULT_CHUNK_SIZE`) rather than one grid-sized ``map`` call, and
+when an output path is given every completed point is appended to the
+streamed JSONL artifact (:mod:`repro.experiments.artifact`) in grid order.
+That is what makes paper-scale grids practical — a killed run leaves the
+completed prefix on disk, and ``resume=True`` (CLI ``--resume``) reloads it
+and executes only the missing points, keyed by the substream-derived point
+seed.  Because per-point seeds and the artifact encoding are both canonical,
+the finished artifact is **byte-identical for any worker count, chunk
+boundary or resume history**; the resume tests pin this down by diffing
+killed-and-resumed runs against uninterrupted ones.
 
 Two companions extend this to fleets of machines.  ``shard=(i, n)`` restricts
 a run to the points whose derived seed lands in shard ``i`` of ``n``
@@ -58,9 +58,11 @@ from repro.experiments.scenario import Scenario, point_seed
 from repro.experiments.sharding import normalize_shard, shard_of, shard_stanza
 from repro.experiments.timing import TimingWriter, timing_header, timing_sidecar_path
 
-#: Default number of points submitted to the pool per batch.  Small enough
-#: that a kill loses at most one chunk of work, large enough that a pool of
-#: typical width stays busy between batch boundaries.
+#: Points submitted to the pool per batch (floored at the worker count, so no
+#: batch leaves workers idle by construction).  Small enough that a kill
+#: loses at most one chunk of work, large enough that a pool of typical width
+#: stays busy between batch boundaries.  It affects only pacing, never the
+#: results.
 DEFAULT_CHUNK_SIZE = 32
 
 #: A unit of work shipped to a pool worker: (entry_point, params, seed, index).
@@ -112,27 +114,17 @@ def _chunks(items: List[_WorkItem], size: int) -> List[List[_WorkItem]]:
 class SweepRunner:
     """Expands a scenario and executes its points — parallel, chunked, resumable."""
 
-    def __init__(self, workers: int = 1, chunk_size: Optional[int] = None) -> None:
+    def __init__(self, workers: int = 1) -> None:
         """Create a runner.
 
         Args:
             workers: Number of worker processes; ``1`` runs every point inline
                 in the calling process (no pool, easiest to debug).  Results
                 are identical either way.
-            chunk_size: Points submitted per pool batch (default
-                :data:`DEFAULT_CHUNK_SIZE`, floored at ``workers`` so no batch
-                leaves workers idle by construction).  Only affects pacing and
-                how much work a kill can lose — never the results.
         """
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers!r}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size!r}")
         self.workers = int(workers)
-        self.chunk_size = max(
-            int(chunk_size) if chunk_size is not None else DEFAULT_CHUNK_SIZE,
-            self.workers,
-        )
 
     # ------------------------------------------------------------------ #
 
@@ -154,12 +146,12 @@ class SweepRunner:
                 ``num_requests`` for a smoke run).  Grid axes still win over
                 overrides, matching :meth:`Scenario.points`.
             seed: Optional replacement for the scenario's base seed.
-            out: Optional path of a streaming JSONL artifact.  Every completed
-                point is appended (in grid order) as the sweep runs, so a
-                killed run leaves its completed prefix behind.  A sidecar at
-                ``out + ".timing.jsonl"`` additionally records each executed
-                point's wall-clock seconds — timing never enters the
-                canonical artifact itself.
+            out: Optional path of the streamed JSONL artifact (any file
+                name).  Every completed point is appended (in grid order) as
+                the sweep runs, so a killed run leaves its completed prefix
+                behind.  A sidecar at ``out + ".timing.jsonl"`` additionally
+                records each executed point's wall-clock seconds — timing
+                never enters the canonical artifact itself.
             resume: Reuse the completed points of an existing artifact at
                 ``out`` (keyed by point seed) and execute only the rest.  The
                 artifact is rewritten canonically, so the finished file is
@@ -286,7 +278,7 @@ class SweepRunner:
             done = flush()
             if progress is not None:
                 progress(done, len(work))
-            for chunk in _chunks(pending, self.chunk_size):
+            for chunk in _chunks(pending, max(DEFAULT_CHUNK_SIZE, self.workers)):
                 # Executor.map preserves submission order, so records land in
                 # grid order no matter which worker finishes first.
                 executed = (
@@ -358,17 +350,3 @@ class SweepRunner:
             by_seed[item_seed] = record
         return by_seed
 
-
-def run_scenario(
-    scenario: Scenario,
-    workers: int = 1,
-    overrides: Optional[Mapping[str, Any]] = None,
-    seed: Optional[int] = None,
-    out: Optional[str] = None,
-    resume: bool = False,
-    shard: Optional[Tuple[int, int]] = None,
-) -> SweepResult:
-    """Convenience wrapper: ``SweepRunner(workers).run(scenario, ...)``."""
-    return SweepRunner(workers=workers).run(
-        scenario, overrides=overrides, seed=seed, out=out, resume=resume, shard=shard
-    )

@@ -1,10 +1,10 @@
-"""Per-point wall-clock timing sidecars (``x.jsonl.timing.jsonl``).
+"""Per-point wall-clock timing sidecars (``<out>.timing.jsonl``).
 
 The canonical sweep artifact is a pure function of the scenario — that is
 what makes resume, worker-count determinism and shard merging byte-exact —
 so wall-clock timing, which varies run to run, can never live inside it.
-This module is the out-of-band home for it: whenever the runner streams a
-``.jsonl`` artifact, it also writes a **sidecar** next to it at
+This module is the out-of-band home for it: whenever the runner streams an
+artifact, it also writes a **sidecar** next to it at
 :func:`timing_sidecar_path` recording, for every point *executed by that
 invocation*, the wall-clock seconds the substrate adapter took.
 
@@ -27,10 +27,10 @@ the same way :func:`repro.experiments.artifact.load_partial` does.
 from __future__ import annotations
 
 import os
-from typing import IO, Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
-from repro.experiments.artifact import canonical_json, iter_complete_records
+from repro.experiments.artifact import JsonlWriter, iter_complete_records
 
 #: Version tag of the timing-sidecar layout.
 TIMING_SCHEMA = "repro.experiments.sweep-timing/1"
@@ -69,30 +69,17 @@ def timing_header(
     return record
 
 
-class TimingWriter:
-    """Appends timing records next to a streaming artifact, one per executed point.
+class TimingWriter(JsonlWriter):
+    """Appends timing records next to a streamed artifact, one per executed point.
 
-    Opened fresh (mode ``"w"``) by every invocation: the sidecar answers
-    "what did *this run* spend, where", so cached points reused by
-    ``--resume`` do not reappear in it.  Each line is flushed as written,
-    like the artifact itself.
+    Opened fresh by every invocation: the sidecar answers "what did *this
+    run* spend, where", so cached points reused by ``--resume`` do not
+    reappear in it.
     """
-
-    def __init__(self, path: str, header: Dict[str, Any]) -> None:
-        """Open ``path`` and emit the header line."""
-        self.path = path
-        self._handle: Optional[IO[str]] = open(path, "w", encoding="utf-8")
-        self._write(header)
-
-    def _write(self, record: Dict[str, Any]) -> None:
-        if self._handle is None:
-            raise ConfigurationError(f"timing writer for {self.path!r} is closed")
-        self._handle.write(canonical_json(record))
-        self._handle.flush()
 
     def append(self, point: Dict[str, Any], elapsed_s: float) -> None:
         """Record that ``point`` (an executed point record) took ``elapsed_s``."""
-        self._write(
+        self.write(
             {
                 "kind": KIND_TIMING,
                 "index": point["index"],
@@ -102,18 +89,6 @@ class TimingWriter:
                 "elapsed_s": float(elapsed_s),
             }
         )
-
-    def close(self) -> None:
-        """Flush and close the sidecar (idempotent)."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "TimingWriter":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
 
 
 def load_timing(path: str) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:

@@ -15,12 +15,10 @@ lines are silenced with a justified pragma::
 
     t0 = time.perf_counter()  # repro: allow[DET003] timing sidecar only
 
-and historical findings are grandfathered via a checked-in baseline file
-(see :mod:`repro.lint.baseline`).
+The shipped tree has no findings, and CI fails on the first one.
 """
 
 from repro.lint.api import LintResult, lint_file, lint_paths, lint_source
-from repro.lint.baseline import load_baseline, save_baseline, split_by_baseline
 from repro.lint.findings import Finding
 from repro.lint.pragmas import META_RULE, parse_pragmas
 from repro.lint.rules import ALL_RULES, RULE_IDS
@@ -34,8 +32,5 @@ __all__ = [
     "lint_file",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "parse_pragmas",
-    "save_baseline",
-    "split_by_baseline",
 ]

@@ -1,8 +1,8 @@
 """The lint engine: run every rule over sources, apply pragmas.
 
 This is the programmatic surface (`tests/test_lint.py` drives it directly);
-the CLI in :mod:`repro.lint.cli` adds file collection, baseline handling
-and output formatting on top.
+the CLI in :mod:`repro.lint.cli` adds file collection and output
+formatting on top.
 """
 
 from __future__ import annotations

@@ -2,16 +2,11 @@
 
 ::
 
-    python -m repro.lint [paths ...]
-        [--baseline lint-baseline.json] [--update-baseline]
-        [--format text|json] [--rules]
+    python -m repro.lint [paths ...] [--format text|json] [--rules]
 
 Paths default to ``src/``.  Exit codes: ``0`` — clean (every finding
-suppressed by pragma or grandfathered by the baseline), ``1`` — at least
-one non-baselined finding, ``2`` — usage error (bad path, malformed
-baseline).  ``--update-baseline`` rewrites the baseline to exactly the
-current findings (dropping stale entries) and exits 0; the diff of the
-baseline file is then reviewed like any other code change.
+suppressed by a justified pragma), ``1`` — at least one finding, ``2`` —
+usage error (bad path, undeclared ``REPRO_*`` variable).
 """
 
 from __future__ import annotations
@@ -25,7 +20,6 @@ from typing import List, Optional
 from repro.exceptions import ReproError
 from repro.flags import reject_unknown_flags
 from repro.lint.api import LintResult, lint_paths
-from repro.lint.baseline import load_baseline, save_baseline, split_by_baseline
 from repro.lint.rules import ALL_RULES
 
 
@@ -42,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         epilog=(
             "examples:\n"
-            "  python -m repro.lint src/ --baseline lint-baseline.json\n"
+            "  python -m repro.lint src/\n"
             "  python -m repro.lint src/repro/wan/ --format json\n"
             "  python -m repro.lint --rules\n"
             "suppress a single line with a justified pragma:\n"
@@ -53,15 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "paths", nargs="*", default=None,
         help="files or directories to lint (default: src/)",
-    )
-    parser.add_argument(
-        "--baseline", metavar="FILE", default=None,
-        help="baseline of grandfathered findings; findings in it do not fail "
-             "the build (a missing file is an empty baseline)",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite --baseline to exactly the current findings and exit 0",
     )
     parser.add_argument(
         "--format", choices=("text", "json"), default="text",
@@ -83,41 +68,25 @@ def _print_rules() -> None:
             print(f"        {summary}")
 
 
-def _report_text(
-    result: LintResult, new, baselined, stale, baseline_path: Optional[str]
-) -> None:
-    for finding in new:
+def _report_text(result: LintResult) -> None:
+    for finding in result.findings:
         print(finding.render())
-    for entry in stale:
-        print(
-            f"warning: stale baseline entry (fixed? run --update-baseline): "
-            f"{entry['module']}: {entry['rule']} {entry['code']!r}"
-        )
-    bits = [f"{len(new)} finding(s)"]
-    if baselined:
-        bits.append(f"{len(baselined)} baselined")
+    bits = [f"{len(result.findings)} finding(s)"]
     if result.suppressed:
         bits.append(f"{len(result.suppressed)} suppressed by pragma")
-    if stale:
-        bits.append(f"{len(stale)} stale baseline entr(y/ies)")
     print(f"{', '.join(bits)} across {result.files} file(s)")
-    if new and baseline_path is None:
-        print(
-            "(fix the findings, add a justified '# repro: allow[...]' pragma, "
-            "or grandfather them with --baseline FILE --update-baseline)"
-        )
+    if result.findings:
+        print("(fix the findings or add a justified '# repro: allow[...]' pragma)")
 
 
-def _report_json(result: LintResult, new, baselined, stale) -> None:
+def _report_json(result: LintResult) -> None:
     payload = {
         "files": result.files,
-        "findings": [finding.to_dict() for finding in new],
-        "baselined": [finding.to_dict() for finding in baselined],
+        "findings": [finding.to_dict() for finding in result.findings],
         "suppressed": [
             {**finding.to_dict(), "reason": reason}
             for finding, reason in result.suppressed
         ],
-        "stale_baseline_entries": stale,
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
 
@@ -129,8 +98,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.rules:
         _print_rules()
         return 0
-    if args.update_baseline and not args.baseline:
-        parser.error("--update-baseline requires --baseline FILE")
 
     paths = args.paths or ["src"]
     missing = [path for path in paths if not os.path.exists(path)]
@@ -141,23 +108,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         reject_unknown_flags()
         result = lint_paths(paths)
-        if args.update_baseline:
-            save_baseline(args.baseline, result.findings)
-            print(
-                f"wrote {args.baseline}: {len(result.findings)} grandfathered "
-                f"finding(s) across {result.files} file(s)"
-            )
-            return 0
-        baseline = load_baseline(args.baseline) if args.baseline else None
-        new, baselined, stale = split_by_baseline(
-            result.findings, baseline if baseline is not None else {}
-        )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     if args.format == "json":
-        _report_json(result, new, baselined, stale)
+        _report_json(result)
     else:
-        _report_text(result, new, baselined, stale, args.baseline)
-    return 1 if new else 0
+        _report_text(result)
+    return 1 if result.findings else 0

@@ -14,8 +14,8 @@ constantly needs and ``ast`` does not give you:
   :meth:`ModuleContext.qualname` for allowlist matching.
 * **Normalized module identity** — :func:`normalize_module_path` maps any
   on-disk location of a file to its package-relative path
-  (``repro/wan/loss.py``), so baselines and allowlists are stable across
-  checkouts, ``src/`` prefixes, and CI's copied trees.
+  (``repro/wan/loss.py``), so allowlists are stable across checkouts,
+  ``src/`` prefixes, and CI's copied trees.
 """
 
 from __future__ import annotations

@@ -1,15 +1,9 @@
-"""The :class:`Finding` record every lint rule emits.
-
-A finding is identified for baseline purposes by ``(module, rule, code)`` —
-the *content* of the offending line rather than its line number — so a
-grandfathered finding survives unrelated edits above it but is re-reported
-the moment the offending line itself changes.
-"""
+"""The :class:`Finding` record every lint rule emits."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict
 
 
 @dataclass(frozen=True, order=True)
@@ -24,7 +18,7 @@ class Finding:
         rule: Rule identifier (``DET001`` ... ``DET007``, ``DET000`` for
             lint-usage errors such as malformed pragmas).
         message: Human explanation, including the remediation hint.
-        code: The offending source line, stripped — the baseline fingerprint.
+        code: The offending source line, stripped.
     """
 
     module: str
@@ -33,10 +27,6 @@ class Finding:
     rule: str
     message: str = field(compare=False)
     code: str = ""
-
-    def key(self) -> Tuple[str, str, str]:
-        """The baseline-matching key: line content, not line number."""
-        return (self.module, self.rule, self.code)
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready representation (used by ``--format json``)."""

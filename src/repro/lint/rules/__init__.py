@@ -34,5 +34,5 @@ ALL_RULES: Tuple[Rule, ...] = (
 
 #: Valid rule identifiers (for pragma validation); DET000 marks lint-usage
 #: errors (malformed pragmas, unparsable files) and is intentionally NOT
-#: suppressible, but baselines may carry it.
+#: suppressible.
 RULE_IDS: FrozenSet[str] = frozenset(rule.rule_id for rule in ALL_RULES) | {META_RULE}

@@ -17,7 +17,7 @@ class Rule:
     stateless — one instance is shared across every linted module.
     """
 
-    #: ``DET0XX`` identifier used in reports, pragmas and baselines.
+    #: ``DET0XX`` identifier used in reports and pragmas.
     rule_id: str = ""
 
     #: One-line statement of the invariant the rule enforces.

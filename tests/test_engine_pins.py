@@ -20,12 +20,13 @@ the ledger digests see those runs; this module pins them directly:
 * the serve proxy's batch path: a virtual-clock ``run_load`` whose arrivals
   go through ``submit_batch`` at a 1 ms resolution, through a crash and a
   re-add (the serve golden runs at resolution 0 and never batches);
-* the checked-in golden artifacts (``tests/data/golden-*.json``), which CI
-  also re-derives through the CLI.  They cover the engine's scenario
-  consumers, and also the substrates that never reach the engine: the eager
-  database sweep on batched draws (``database-ec2``), the fat-tree packet
-  simulator (``standard-fattree-policy``) and the WAN DNS and handshake
-  models (``paper-dns-hedged``, ``standard-handshake-hedging``).
+* the checked-in golden artifacts (``tests/data/golden-*.jsonl``), streamed
+  here through the runner's artifact writer, as the CLI and the ledger
+  stream them, and also re-derived by CI through the CLI.  They cover the
+  engine's scenario consumers, and also the substrates that never reach the
+  engine: the eager database sweep on batched draws (``database-ec2``), the
+  fat-tree packet simulator (``standard-fattree-policy``) and the WAN DNS
+  and handshake models (``paper-dns-hedged``, ``standard-handshake-hedging``).
 
 The values are literals, not re-derived from a reference, so any change to
 these runs that moves a single byte fails here.
@@ -246,7 +247,8 @@ def test_runs_without_cancellation_report_no_cancelled_count():
 
 
 @pytest.mark.parametrize("name", sorted(GOLDENS))
-def test_golden_artifact_rederives_byte_for_byte(name):
-    fresh = SweepRunner(workers=1).run(get_scenario(name), overrides=GOLDENS[name])
-    with open(os.path.join(DATA, f"golden-{name}.json")) as handle:
-        assert fresh.to_json() == handle.read()
+def test_golden_artifact_rederives_byte_for_byte(name, tmp_path):
+    out = tmp_path / f"{name}.jsonl"
+    SweepRunner(workers=1).run(get_scenario(name), overrides=GOLDENS[name], out=str(out))
+    with open(os.path.join(DATA, f"golden-{name}.jsonl"), "rb") as handle:
+        assert out.read_bytes() == handle.read()

@@ -1,7 +1,5 @@
 """Tests for the scenario-sweep subsystem (`repro.experiments`)."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -17,7 +15,6 @@ from repro.experiments import (
     point_seed,
     register_scenario,
     resolve_adapter,
-    run_scenario,
     scenario_names,
 )
 from repro.experiments.cli import main as cli_main
@@ -147,7 +144,7 @@ class TestSweepRunner:
         scenario = tiny_scenario()
         serial = SweepRunner(workers=1).run(scenario)
         parallel = SweepRunner(workers=4).run(scenario)
-        assert serial.to_json() == parallel.to_json()
+        assert serial == parallel
 
     def test_infeasible_points_are_recorded_not_fatal(self):
         scenario = Scenario(
@@ -156,7 +153,7 @@ class TestSweepRunner:
             base_params={"num_requests": 200},
             grid=ParameterGrid({"load": [0.1, 0.6], "copies": [2]}),
         )
-        result = run_scenario(scenario)
+        result = SweepRunner(workers=1).run(scenario)
         assert [p.status for p in result.points] == ["ok", "infeasible"]
         assert "CapacityError" in result.points[1].error
         assert result.ok_points() == [result.points[0]]
@@ -191,17 +188,6 @@ class TestSweepResult:
     def result(self):
         return SweepRunner(workers=1).run(tiny_scenario())
 
-    def test_json_roundtrip(self, result):
-        text = result.to_json()
-        loaded = SweepResult.from_json(text)
-        assert loaded == result
-        assert loaded.to_json() == text
-
-    def test_json_is_canonical(self, result):
-        payload = json.loads(result.to_json())
-        assert payload["schema"] == "repro.experiments.sweep/1"
-        assert [p["index"] for p in payload["points"]] == [0, 1]
-
     def test_csv_has_one_row_per_point(self, result):
         lines = result.to_csv().strip().splitlines()
         assert len(lines) == 1 + len(result.points)
@@ -224,9 +210,9 @@ class TestSweepResult:
             result.points[0].value("nonexistent")
 
     def test_file_roundtrip(self, result, tmp_path):
-        path = str(tmp_path / "sweep.json")
-        result.to_json(path)
-        assert SweepResult.from_json(path) == result
+        path = str(tmp_path / "sweep.jsonl")
+        SweepRunner(workers=1).run(tiny_scenario(), out=path)
+        assert SweepResult.from_jsonl(path) == result
         csv_path = str(tmp_path / "sweep.csv")
         result.to_csv(csv_path)
         assert open(csv_path).readline().startswith("index,")
@@ -310,13 +296,13 @@ class TestDeterminismAcrossWorkerCounts:
         overrides = {"num_requests": 400}
         one = SweepRunner(workers=1).run(get_scenario("queueing-smoke"), overrides=overrides)
         four = SweepRunner(workers=4).run(get_scenario("queueing-smoke"), overrides=overrides)
-        assert one.to_json() == four.to_json()
+        assert one == four
         assert one.to_csv() == four.to_csv()
 
     def test_cli_run_writes_identical_artifacts(self, tmp_path, capsys):
         paths = []
         for workers in (1, 2):
-            path = str(tmp_path / f"w{workers}.json")
+            path = str(tmp_path / f"w{workers}.jsonl")
             code = cli_main([
                 "run", "queueing-smoke",
                 "--workers", str(workers),

@@ -1,10 +1,10 @@
 """Artifact diffing: ``SweepResult.diff``, ``diff_table`` and the CLI ``diff``.
 
 Covers the "paper vs measured" path: two artifacts of the same grid (possibly
-different seeds, possibly different layouts — .json vs .jsonl) pair
-point-by-point on their parameters and render side-by-side columns with
-relative deltas.  Also pins the checked-in golden artifact
-(``tests/data/golden-queueing-smoke.json``) that CI diffs against a fresh run.
+different seeds) pair point-by-point on their parameters and render
+side-by-side columns with relative deltas.  Also pins the checked-in golden
+artifact (``tests/data/golden-queueing-smoke.jsonl``) that CI diffs against a
+fresh run.
 """
 
 import os
@@ -16,13 +16,13 @@ from repro.exceptions import ConfigurationError
 from repro.experiments import (
     ParameterGrid,
     Scenario,
+    SweepResult,
     SweepRunner,
     get_scenario,
-    load_sweep_artifact,
 )
 from repro.experiments.cli import main as cli_main
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden-queueing-smoke.json")
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden-queueing-smoke.jsonl")
 
 
 def tiny_scenario(loads, seed=7) -> Scenario:
@@ -107,43 +107,45 @@ class TestDiffTable:
 class TestGoldenArtifact:
     """The checked-in golden artifact stays loadable and reproducible."""
 
-    def test_golden_loads_and_matches_a_fresh_run(self):
-        golden = load_sweep_artifact(GOLDEN)
+    def test_golden_loads_and_matches_a_fresh_run(self, tmp_path):
+        golden = SweepResult.from_jsonl(GOLDEN)
         assert golden.scenario == "queueing-smoke"
+        out = tmp_path / "fresh.jsonl"
         fresh = SweepRunner(workers=1).run(
-            get_scenario("queueing-smoke"), overrides={"num_requests": 400}
+            get_scenario("queueing-smoke"), overrides={"num_requests": 400}, out=str(out)
         )
         # Same seed, same params -> byte-identical artifact; this is the
-        # determinism contract the golden file pins across PRs.
-        assert fresh.to_json() == open(GOLDEN).read()
+        # determinism contract the golden file pins across changes.
+        assert fresh == golden
+        assert out.read_bytes() == open(GOLDEN, "rb").read()
 
     def test_golden_diffs_against_a_reseeded_run(self, tmp_path):
         fresh = SweepRunner(workers=1).run(
             get_scenario("queueing-smoke"), overrides={"num_requests": 400}, seed=9
         )
-        diff = load_sweep_artifact(GOLDEN).diff(fresh, labels=("paper", "measured"))
+        diff = SweepResult.from_jsonl(GOLDEN).diff(fresh, labels=("paper", "measured"))
         assert len(diff.pairs) == 2
         assert "mean Δ%" in diff.to_table().to_text()
 
 
 class TestDiffCli:
     def _write_artifacts(self, tmp_path):
-        json_path = str(tmp_path / "a.json")
-        jsonl_path = str(tmp_path / "b.jsonl")
-        SweepRunner().run(tiny_scenario([0.1, 0.2], seed=1)).to_json(json_path)
-        SweepRunner().run(tiny_scenario([0.1, 0.2], seed=2), out=jsonl_path)
-        return json_path, jsonl_path
+        a = str(tmp_path / "a.jsonl")
+        b = str(tmp_path / "b.jsonl")
+        SweepRunner().run(tiny_scenario([0.1, 0.2], seed=1), out=a)
+        SweepRunner().run(tiny_scenario([0.1, 0.2], seed=2), out=b)
+        return a, b
 
-    def test_diff_mixes_json_and_jsonl(self, tmp_path, capsys):
-        json_path, jsonl_path = self._write_artifacts(tmp_path)
-        assert cli_main(["diff", json_path, jsonl_path]) == 0
+    def test_diff_renders_both_sides(self, tmp_path, capsys):
+        a, b = self._write_artifacts(tmp_path)
+        assert cli_main(["diff", a, b]) == 0
         out = capsys.readouterr().out
         assert "mean [paper]" in out and "mean [measured]" in out
 
     def test_diff_custom_columns_keys_labels(self, tmp_path, capsys):
-        json_path, jsonl_path = self._write_artifacts(tmp_path)
+        a, b = self._write_artifacts(tmp_path)
         code = cli_main([
-            "diff", json_path, jsonl_path,
+            "diff", a, b,
             "--columns", "benefit,p99", "--keys", "load", "--labels", "old,new",
         ])
         assert code == 0
@@ -151,25 +153,25 @@ class TestDiffCli:
         assert "benefit [old]" in out and "p99 [new]" in out
 
     def test_diff_reports_unmatched_counts(self, tmp_path, capsys):
-        a = str(tmp_path / "a.json")
-        b = str(tmp_path / "b.json")
-        SweepRunner().run(tiny_scenario([0.1, 0.2])).to_json(a)
-        SweepRunner().run(tiny_scenario([0.2, 0.3])).to_json(b)
+        a = str(tmp_path / "a.jsonl")
+        b = str(tmp_path / "b.jsonl")
+        SweepRunner().run(tiny_scenario([0.1, 0.2]), out=a)
+        SweepRunner().run(tiny_scenario([0.2, 0.3]), out=b)
         assert cli_main(["diff", a, b]) == 0
         assert "unmatched points: 1 only in paper, 1 only in measured" in capsys.readouterr().out
 
     def test_diff_bad_labels_rejected(self, tmp_path, capsys):
-        json_path, jsonl_path = self._write_artifacts(tmp_path)
-        assert cli_main(["diff", json_path, jsonl_path, "--labels", "solo"]) == 2
+        a, b = self._write_artifacts(tmp_path)
+        assert cli_main(["diff", a, b, "--labels", "solo"]) == 2
         assert "--labels" in capsys.readouterr().err
 
     def test_diff_incomplete_jsonl_rejected(self, tmp_path, capsys):
-        json_path, jsonl_path = self._write_artifacts(tmp_path)
-        with open(jsonl_path) as handle:
+        a, b = self._write_artifacts(tmp_path)
+        with open(b) as handle:
             lines = handle.read().splitlines(keepends=True)
-        with open(jsonl_path, "w") as handle:
+        with open(b, "w") as handle:
             handle.writelines(lines[:-1])
-        assert cli_main(["diff", json_path, jsonl_path]) == 2
+        assert cli_main(["diff", a, b]) == 2
         assert "incomplete" in capsys.readouterr().err
 
 
@@ -177,10 +179,10 @@ class TestFailThreshold:
     """``diff --fail-threshold`` turns the comparison into a CI gate."""
 
     def _write_artifacts(self, tmp_path, seed_b=1):
-        a = str(tmp_path / "a.json")
-        b = str(tmp_path / "b.json")
-        SweepRunner().run(tiny_scenario([0.1, 0.2], seed=1)).to_json(a)
-        SweepRunner().run(tiny_scenario([0.1, 0.2], seed=seed_b)).to_json(b)
+        a = str(tmp_path / "a.jsonl")
+        b = str(tmp_path / "b.jsonl")
+        SweepRunner().run(tiny_scenario([0.1, 0.2], seed=1), out=a)
+        SweepRunner().run(tiny_scenario([0.1, 0.2], seed=seed_b), out=b)
         return a, b
 
     def test_identical_artifacts_pass_zero_threshold(self, tmp_path, capsys):
@@ -208,10 +210,10 @@ class TestFailThreshold:
         assert cli_main(["diff", a, b, "--fail-threshold", "1000"]) == 0
 
     def test_unmatched_points_fail_the_gate(self, tmp_path, capsys):
-        a = str(tmp_path / "a.json")
-        b = str(tmp_path / "b.json")
-        SweepRunner().run(tiny_scenario([0.1, 0.2])).to_json(a)
-        SweepRunner().run(tiny_scenario([0.2, 0.3])).to_json(b)
+        a = str(tmp_path / "a.jsonl")
+        b = str(tmp_path / "b.jsonl")
+        SweepRunner().run(tiny_scenario([0.1, 0.2]), out=a)
+        SweepRunner().run(tiny_scenario([0.2, 0.3]), out=b)
         assert cli_main(["diff", a, b, "--fail-threshold", "1000"]) == 1
         assert "unmatched point(s)" in capsys.readouterr().err
 
@@ -222,6 +224,6 @@ class TestFailThreshold:
 
     def test_max_relative_delta_api(self, tmp_path):
         a, b = self._write_artifacts(tmp_path, seed_b=2)
-        diff = load_sweep_artifact(a).diff(load_sweep_artifact(b))
+        diff = SweepResult.from_jsonl(a).diff(SweepResult.from_jsonl(b))
         assert diff.max_relative_delta() > 0.0
-        assert load_sweep_artifact(a).diff(load_sweep_artifact(a)).max_relative_delta() == 0.0
+        assert SweepResult.from_jsonl(a).diff(SweepResult.from_jsonl(a)).max_relative_delta() == 0.0

@@ -1,13 +1,13 @@
-"""Resume semantics of the streaming (JSONL) sweep artifact.
+"""Resume semantics of the streamed (JSONL) sweep artifact.
 
-The contract under test: a sweep streamed to ``--out x.jsonl``, killed at any
-byte, and finished with ``--resume`` — possibly with a different worker count
-or chunk size — produces an artifact **byte-identical** to an uninterrupted
+The contract under test: a sweep streamed to ``--out``, killed at any byte,
+and finished with ``--resume`` — possibly with a different worker count or
+chunk size — produces an artifact **byte-identical** to an uninterrupted
 run, and re-executes only the points the partial artifact was missing.
 """
 
+import dataclasses
 import json
-import os
 
 import pytest
 
@@ -19,6 +19,7 @@ from repro.experiments import (
     SweepResult,
     SweepRunner,
     load_partial,
+    register_scenario,
 )
 from repro.experiments.cli import main as cli_main
 
@@ -57,28 +58,24 @@ class TestStreaming:
         indices = [json.loads(line)["index"] for line in lines[1:]]
         assert indices == list(range(len(LOADS)))
 
-    def test_from_jsonl_round_trips_to_jsonl(self, full_artifact):
-        path, data = full_artifact
+    def test_from_jsonl_loads_what_the_run_returned(self, full_artifact):
+        path, _data = full_artifact
         result = SweepResult.from_jsonl(path)
-        assert result.to_jsonl().encode() == data
+        assert result == SweepRunner(workers=1).run(tiny_scenario())
         assert [p.params["load"] for p in result.points] == LOADS
 
-    def test_streamed_bytes_equal_converted_sweep(self, tmp_path):
-        scenario = tiny_scenario()
-        streamed = str(tmp_path / "streamed.jsonl")
-        result = SweepRunner(workers=1).run(scenario, out=streamed)
-        assert result.to_jsonl() == open(streamed).read()
-
-    def test_chunk_size_never_changes_bytes(self, tmp_path, full_artifact):
+    def test_chunk_size_never_changes_bytes(self, tmp_path, full_artifact, monkeypatch):
         _path, data = full_artifact
         for chunk_size in (1, 3):
+            monkeypatch.setattr(runner_module, "DEFAULT_CHUNK_SIZE", chunk_size)
             path = str(tmp_path / f"chunk{chunk_size}.jsonl")
-            SweepRunner(workers=1, chunk_size=chunk_size).run(tiny_scenario(), out=path)
+            SweepRunner(workers=1).run(tiny_scenario(), out=path)
             assert open(path, "rb").read() == data
 
-    def test_progress_reports_cached_prefix_then_chunks(self, tmp_path):
+    def test_progress_reports_cached_prefix_then_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(runner_module, "DEFAULT_CHUNK_SIZE", 2)
         calls = []
-        SweepRunner(workers=1, chunk_size=2).run(
+        SweepRunner(workers=1).run(
             tiny_scenario(),
             out=str(tmp_path / "p.jsonl"),
             progress=lambda done, total: calls.append((done, total)),
@@ -187,15 +184,16 @@ class TestResume:
 
 
 class TestResumeCli:
-    def test_cli_kill_and_resume_round_trip(self, tmp_path):
-        args = ["run", "resume-cli", "--set", "num_requests=400"]
-        # Register the tiny scenario under a CLI-visible name.
-        from repro.experiments import register_scenario
-        import dataclasses
-
+    @staticmethod
+    def _register():
+        """Register the tiny scenario under a CLI-visible name."""
         register_scenario(
             dataclasses.replace(tiny_scenario(), name="resume-cli"), replace=True
         )
+
+    def test_cli_kill_and_resume_round_trip(self, tmp_path):
+        args = ["run", "resume-cli", "--set", "num_requests=400"]
+        self._register()
         full = str(tmp_path / "full.jsonl")
         assert cli_main(args + ["--out", full, "--quiet"]) == 0
         reference = open(full, "rb").read()
@@ -206,13 +204,26 @@ class TestResumeCli:
         assert cli_main(args + ["--out", resumed, "--resume", "--workers", "2", "--quiet"]) == 0
         assert open(resumed, "rb").read() == reference
 
-    def test_cli_resume_requires_jsonl_out(self, tmp_path, capsys):
-        code = cli_main([
-            "run", "queueing-smoke", "--resume",
-            "--out", str(tmp_path / "x.json"), "--quiet",
-        ])
-        assert code == 2
-        assert "--resume" in capsys.readouterr().err
+    def test_cli_streams_resumes_and_shards_any_out_path(self, tmp_path):
+        # --out streams the JSONL artifact whatever the path ends in, so
+        # --resume and --shard/merge work on a .json name too.
+        args = ["run", "resume-cli", "--set", "num_requests=400", "--quiet"]
+        self._register()
+        full = str(tmp_path / "full.json")
+        assert cli_main(args + ["--out", full]) == 0
+        reference = open(full, "rb").read()
+        header = json.loads(reference.splitlines()[0])
+        assert header["schema"] == "repro.experiments.sweep-stream/1"
 
-    def test_cli_rejects_bad_chunk_size(self, capsys):
-        assert cli_main(["run", "queueing-smoke", "--chunk-size", "0", "--quiet"]) == 2
+        resumed = str(tmp_path / "resumed.json")
+        with open(resumed, "wb") as handle:
+            handle.write(reference[: len(reference) // 2])
+        assert cli_main(args + ["--out", resumed, "--resume"]) == 0
+        assert open(resumed, "rb").read() == reference
+
+        shards = [str(tmp_path / f"shard{index}.json") for index in (1, 2)]
+        for index, path in enumerate(shards, start=1):
+            assert cli_main(args + ["--out", path, "--shard", f"{index}/2"]) == 0
+        merged = str(tmp_path / "merged.json")
+        assert cli_main(["merge", merged] + shards[::-1]) == 0
+        assert open(merged, "rb").read() == reference

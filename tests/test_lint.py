@@ -9,17 +9,12 @@ from pathlib import Path
 import pytest
 
 from repro import flags
-from repro.exceptions import ConfigurationError
 from repro.lint import (
     META_RULE,
     RULE_IDS,
-    Finding,
     lint_paths,
     lint_source,
-    load_baseline,
     parse_pragmas,
-    save_baseline,
-    split_by_baseline,
 )
 from repro.lint.api import collect_files
 from repro.lint.cli import main
@@ -424,75 +419,6 @@ class TestPragmas:
 
 
 # --------------------------------------------------------------------------- #
-# Baseline round-trip
-# --------------------------------------------------------------------------- #
-
-
-def _finding(module=PLAIN, rule="DET006", code="x = json.dumps(d)", line=3):
-    return Finding(
-        module=module, line=line, col=0, rule=rule, message="msg", code=code
-    )
-
-
-class TestBaseline:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        findings = [_finding(), _finding(rule="DET003", code="t = time.time()")]
-        save_baseline(str(path), findings)
-        loaded = load_baseline(str(path))
-        new, baselined, stale = split_by_baseline(findings, loaded)
-        assert new == []
-        assert len(baselined) == 2
-        assert stale == []
-
-    def test_save_is_byte_stable(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        findings = [_finding(), _finding(rule="DET003")]
-        save_baseline(str(a), findings)
-        save_baseline(str(b), list(reversed(findings)))
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert load_baseline(str(tmp_path / "absent.json")) == {}
-
-    def test_malformed_json_raises(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigurationError, match="not valid JSON"):
-            load_baseline(str(path))
-
-    def test_wrong_version_raises(self, tmp_path):
-        path = tmp_path / "v9.json"
-        path.write_text(json.dumps({"version": 9, "entries": []}))
-        with pytest.raises(ConfigurationError, match="version"):
-            load_baseline(str(path))
-
-    def test_new_finding_not_covered(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        save_baseline(str(path), [_finding()])
-        other = _finding(rule="DET001", code="rng = np.random.default_rng()")
-        new, baselined, stale = split_by_baseline([other], load_baseline(str(path)))
-        assert new == [other]
-        assert baselined == []
-        assert [entry["rule"] for entry in stale] == ["DET006"]
-
-    def test_line_number_drift_keeps_match(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        save_baseline(str(path), [_finding(line=3)])
-        drifted = _finding(line=57)
-        new, baselined, _stale = split_by_baseline([drifted], load_baseline(str(path)))
-        assert new == []
-        assert baselined == [drifted]
-
-    def test_edited_line_resurfaces(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        save_baseline(str(path), [_finding(code="x = json.dumps(d)")])
-        edited = _finding(code="x = json.dumps(d, indent=2)")
-        new, _baselined, _stale = split_by_baseline([edited], load_baseline(str(path)))
-        assert new == [edited]
-
-
-# --------------------------------------------------------------------------- #
 # File collection & module normalization
 # --------------------------------------------------------------------------- #
 
@@ -541,23 +467,6 @@ class TestCli:
         assert main([str(tmp_path)]) == 1
         assert "DET006" in capsys.readouterr().out
 
-    def test_update_baseline_then_clean(self, tmp_path, capsys):
-        (tmp_path / "mod.py").write_text(DIRTY_SOURCE)
-        baseline = tmp_path / "baseline.json"
-        assert main([str(tmp_path), "--baseline", str(baseline), "--update-baseline"]) == 0
-        assert baseline.exists()
-        assert main([str(tmp_path), "--baseline", str(baseline)]) == 0
-        out = capsys.readouterr().out
-        assert "1 baselined" in out
-
-    def test_stale_baseline_entry_warns(self, tmp_path, capsys):
-        (tmp_path / "mod.py").write_text(DIRTY_SOURCE)
-        baseline = tmp_path / "baseline.json"
-        main([str(tmp_path), "--baseline", str(baseline), "--update-baseline"])
-        (tmp_path / "mod.py").write_text(CLEAN_SOURCE)
-        assert main([str(tmp_path), "--baseline", str(baseline)]) == 0
-        assert "stale baseline entry" in capsys.readouterr().out
-
     def test_json_format(self, tmp_path, capsys):
         (tmp_path / "mod.py").write_text(DIRTY_SOURCE)
         assert main([str(tmp_path), "--format", "json"]) == 1
@@ -568,13 +477,6 @@ class TestCli:
     def test_missing_path_exits_two(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope")]) == 2
         assert "no such path" in capsys.readouterr().err
-
-    def test_malformed_baseline_exits_two(self, tmp_path, capsys):
-        (tmp_path / "mod.py").write_text(CLEAN_SOURCE)
-        bad = tmp_path / "bad.json"
-        bad.write_text("{broken")
-        assert main([str(tmp_path), "--baseline", str(bad)]) == 2
-        assert "error:" in capsys.readouterr().err
 
     def test_unknown_repro_flag_exits_two(self, tmp_path, capsys, monkeypatch):
         (tmp_path / "mod.py").write_text(CLEAN_SOURCE)
@@ -607,18 +509,11 @@ class TestCli:
 
 
 # --------------------------------------------------------------------------- #
-# Self-check: the shipped tree is clean against the shipped baseline
+# Self-check: the shipped tree is clean
 # --------------------------------------------------------------------------- #
 
 
 class TestSelfCheck:
-    def test_src_is_clean_against_shipped_baseline(self):
+    def test_src_is_clean(self):
         result = lint_paths([str(REPO_ROOT / "src")])
-        baseline = load_baseline(str(REPO_ROOT / "lint-baseline.json"))
-        new, _baselined, stale = split_by_baseline(result.findings, baseline)
-        assert new == [], "\n".join(f.render() for f in new)
-        assert stale == [], f"stale baseline entries: {stale}"
-
-    def test_shipped_baseline_is_empty(self):
-        baseline = load_baseline(str(REPO_ROOT / "lint-baseline.json"))
-        assert sum(baseline.values()) == 0
+        assert result.findings == [], "\n".join(f.render() for f in result.findings)

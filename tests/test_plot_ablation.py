@@ -29,11 +29,12 @@ def run_script(*argv):
 
 @pytest.fixture(scope="module")
 def ablation_artifact(tmp_path_factory):
-    path = str(tmp_path_factory.mktemp("ablation") / "ablation.json")
+    path = str(tmp_path_factory.mktemp("ablation") / "ablation.jsonl")
     SweepRunner(workers=1).run(
         get_scenario("standard-queueing-policy-ablation"),
         overrides={"num_requests": 500},
-    ).to_json(path)
+        out=path,
+    )
     return path
 
 

@@ -22,9 +22,8 @@ from repro.cluster import (
 )
 from repro.distributions.standard import Exponential
 from repro.exceptions import ConfigurationError
-from repro.experiments import ParameterGrid, Scenario
+from repro.experiments import ParameterGrid, Scenario, SweepRunner
 from repro.experiments.adapters import normalize_point_params
-from repro.experiments.runner import run_scenario
 from repro.network.replication import ReplicationConfig
 from repro.queueing.replication_model import ReplicatedQueueingModel
 from repro.wan import DnsExperiment, DnsExperimentConfig, HandshakeModel
@@ -123,8 +122,8 @@ def test_registry_scenario_policy_axis_matches_copies_axis():
         base_params=dict(base),
         grid=ParameterGrid({"load": [0.2], "policy": ["none", "k2"]}),
     )
-    a = run_scenario(legacy)
-    b = run_scenario(policied)
+    a = SweepRunner(workers=1).run(legacy)
+    b = SweepRunner(workers=1).run(policied)
     assert _point_records(a) == _point_records(b)
     # Same point params => same substream-derived seeds: the strongest form
     # of "policy='k2' reproduces the seed copies=2 artifact".
@@ -239,4 +238,4 @@ def test_policy_ablation_scenario_deterministic_across_workers():
     scenario = get_scenario("standard-queueing-policy-ablation")
     inline = SweepRunner(workers=1).run(scenario, overrides={"num_requests": 300})
     pooled = SweepRunner(workers=2).run(scenario, overrides={"num_requests": 300})
-    assert inline.to_json() == pooled.to_json()
+    assert inline == pooled
