@@ -1,11 +1,14 @@
 """Tests for the scenario-sweep subsystem (`repro.experiments`)."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.experiments import (
     ADAPTERS,
+    JSONL_SCHEMA,
     ParameterGrid,
     Scenario,
     SweepResult,
@@ -17,6 +20,7 @@ from repro.experiments import (
     resolve_adapter,
     scenario_names,
 )
+from repro.experiments.artifact import canonical_json
 from repro.experiments.cli import main as cli_main
 
 
@@ -187,6 +191,24 @@ class TestSweepResult:
     @pytest.fixture(scope="class")
     def result(self):
         return SweepRunner(workers=1).run(tiny_scenario())
+
+    def test_json_roundtrip(self, result, tmp_path):
+        path = str(tmp_path / "sweep.jsonl")
+        SweepRunner(workers=1).run(tiny_scenario(), out=path)
+        text = open(path).read()
+        # Every line re-encodes to itself, so loading and re-writing a
+        # record can never move a byte of the artifact.
+        for line in text.splitlines(keepends=True):
+            assert canonical_json(json.loads(line)) == line
+        assert SweepResult.from_jsonl(path) == result
+
+    def test_json_is_canonical(self, result, tmp_path):
+        path = str(tmp_path / "sweep.jsonl")
+        SweepRunner(workers=1).run(tiny_scenario(), out=path)
+        header, *points = [json.loads(line) for line in open(path)]
+        assert header["schema"] == JSONL_SCHEMA == "repro.experiments.sweep-stream/1"
+        assert header["num_points"] == len(result.points)
+        assert [p["index"] for p in points] == [0, 1]
 
     def test_csv_has_one_row_per_point(self, result):
         lines = result.to_csv().strip().splitlines()

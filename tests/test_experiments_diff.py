@@ -4,9 +4,12 @@ Covers the "paper vs measured" path: two artifacts of the same grid (possibly
 different seeds) pair point-by-point on their parameters and render
 side-by-side columns with relative deltas.  Also pins the checked-in golden
 artifact (``tests/data/golden-queueing-smoke.jsonl``) that CI diffs against a
-fresh run.
+fresh run, and checks that every sweep golden is a complete canonical
+artifact that ``diff`` reads.
 """
 
+import glob
+import json
 import os
 
 import pytest
@@ -14,15 +17,20 @@ import pytest
 from repro.analysis.tables import diff_table
 from repro.exceptions import ConfigurationError
 from repro.experiments import (
+    JSONL_SCHEMA,
     ParameterGrid,
     Scenario,
     SweepResult,
     SweepRunner,
     get_scenario,
 )
+from repro.experiments.artifact import canonical_json
 from repro.experiments.cli import main as cli_main
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden-queueing-smoke.jsonl")
+DATA = os.path.join(os.path.dirname(__file__), "data")
+GOLDEN = os.path.join(DATA, "golden-queueing-smoke.jsonl")
+#: Every checked-in sweep golden (the serve report golden is a ``.json``).
+SWEEP_GOLDENS = sorted(glob.glob(os.path.join(DATA, "golden-*.jsonl")))
 
 
 def tiny_scenario(loads, seed=7) -> Scenario:
@@ -127,6 +135,22 @@ class TestGoldenArtifact:
         assert len(diff.pairs) == 2
         assert "mean Δ%" in diff.to_table().to_text()
 
+    @pytest.mark.parametrize("path", SWEEP_GOLDENS, ids=os.path.basename)
+    def test_golden_is_a_complete_canonical_artifact(self, path, capsys):
+        with open(path) as handle:
+            lines = handle.read().splitlines(keepends=True)
+        header, *points = [json.loads(line) for line in lines]
+        assert header["kind"] == "header" and header["schema"] == JSONL_SCHEMA
+        assert "shard" not in header
+        assert [p["kind"] for p in points] == ["point"] * header["num_points"]
+        assert [p["index"] for p in points] == list(range(header["num_points"]))
+        for line in lines:
+            assert canonical_json(json.loads(line)) == line
+        assert SweepResult.from_jsonl(path).scenario == header["scenario"]
+        # The golden-diff CI smoke's zero-threshold gate, on every substrate's
+        # default diff columns.
+        assert cli_main(["diff", path, path, "--fail-threshold", "0"]) == 0
+
 
 class TestDiffCli:
     def _write_artifacts(self, tmp_path):
@@ -141,6 +165,17 @@ class TestDiffCli:
         assert cli_main(["diff", a, b]) == 0
         out = capsys.readouterr().out
         assert "mean [paper]" in out and "mean [measured]" in out
+
+    def test_diff_mixes_json_and_jsonl(self, tmp_path, capsys):
+        # --out streams one layout whatever the name ends in, so a .json and
+        # a .jsonl run of the same sweep hold the same bytes and diff clean.
+        a = str(tmp_path / "a.json")
+        b = str(tmp_path / "b.jsonl")
+        SweepRunner().run(tiny_scenario([0.1, 0.2], seed=1), out=a)
+        SweepRunner().run(tiny_scenario([0.1, 0.2], seed=1), out=b)
+        assert open(a, "rb").read() == open(b, "rb").read()
+        assert cli_main(["diff", a, b, "--fail-threshold", "0"]) == 0
+        assert "mean [paper]" in capsys.readouterr().out
 
     def test_diff_custom_columns_keys_labels(self, tmp_path, capsys):
         a, b = self._write_artifacts(tmp_path)

@@ -14,14 +14,19 @@ import pytest
 import repro.experiments.runner as runner_module
 from repro.exceptions import ConfigurationError
 from repro.experiments import (
+    JSONL_SCHEMA,
     ParameterGrid,
     Scenario,
     SweepResult,
     SweepRunner,
     load_partial,
+    load_timing,
     register_scenario,
+    timing_sidecar_path,
 )
+from repro.experiments.artifact import ArtifactWriter, JsonlWriter
 from repro.experiments.cli import main as cli_main
+from repro.experiments.timing import TimingWriter
 
 LOADS = [0.05, 0.1, 0.15, 0.2]
 
@@ -81,6 +86,62 @@ class TestStreaming:
             progress=lambda done, total: calls.append((done, total)),
         )
         assert calls == [(0, 4), (2, 4), (4, 4)]
+
+    def test_chunk_size_is_floored_at_the_worker_count(self, tmp_path, full_artifact, monkeypatch):
+        _path, data = full_artifact
+        monkeypatch.setattr(runner_module, "DEFAULT_CHUNK_SIZE", 1)
+        calls = []
+        path = str(tmp_path / "w2.jsonl")
+        SweepRunner(workers=2).run(
+            tiny_scenario(),
+            out=path,
+            progress=lambda done, total: calls.append((done, total)),
+        )
+        # Chunks of max(1, workers) = 2 points: no chunk leaves a worker idle.
+        assert calls == [(0, 4), (2, 4), (4, 4)]
+        assert open(path, "rb").read() == data
+
+
+class TestJsonlWriter:
+    """The one line writer under the artifact and its timing sidecar."""
+
+    def test_header_then_one_flushed_line_per_write(self, tmp_path):
+        path = str(tmp_path / "lines.jsonl")
+        writer = JsonlWriter(path, {"kind": "header", "n": 1})
+        # Readable before close: a kill loses at most the line in flight.
+        assert open(path).read() == '{"kind":"header","n":1}\n'
+        writer.write({"b": [1, 2], "a": 0.5})
+        assert open(path).read().splitlines()[1] == '{"a":0.5,"b":[1,2]}'
+        writer.close()
+
+    def test_opening_replaces_an_existing_file(self, tmp_path):
+        path = tmp_path / "lines.jsonl"
+        path.write_text("stale\nlines\n")
+        JsonlWriter(str(path), {"kind": "header"}).close()
+        assert path.read_text() == '{"kind":"header"}\n'
+
+    def test_close_is_idempotent_and_write_after_close_raises(self, tmp_path):
+        writer = JsonlWriter(str(tmp_path / "lines.jsonl"), {"kind": "header"})
+        writer.close()
+        writer.close()
+        with pytest.raises(ConfigurationError, match="closed"):
+            writer.write({"kind": "point"})
+
+    def test_artifact_and_timing_writers_write_through_it(self, tmp_path):
+        artifact = str(tmp_path / "a.jsonl")
+        point = {"index": 0, "seed": 5, "params": {"load": 0.1}, "status": "ok"}
+        writer = ArtifactWriter(artifact, {"kind": "header", "schema": JSONL_SCHEMA})
+        writer.append_point(point)
+        timing = TimingWriter(timing_sidecar_path(artifact), {"kind": "timing-header"})
+        timing.append(point, 0.25)
+        lines = [json.loads(line) for line in open(artifact)]
+        assert lines[1] == dict(point, kind="point")
+        assert json.loads(open(timing_sidecar_path(artifact)).read().splitlines()[1]) == {
+            "kind": "timing", "index": 0, "seed": 5, "params": {"load": 0.1},
+            "status": "ok", "elapsed_s": 0.25,
+        }
+        writer.close()
+        timing.close()
 
 
 class TestResume:
@@ -203,6 +264,18 @@ class TestResumeCli:
             handle.write(reference[: len(reference) // 2])
         assert cli_main(args + ["--out", resumed, "--resume", "--workers", "2", "--quiet"]) == 0
         assert open(resumed, "rb").read() == reference
+
+    @pytest.mark.parametrize("name", ["run", "run.json", "run.out", "run.jsonl"])
+    def test_cli_out_streams_artifact_and_sidecar_whatever_the_suffix(self, tmp_path, name):
+        self._register()
+        out = str(tmp_path / name)
+        assert cli_main(["run", "resume-cli", "--out", out, "--quiet"]) == 0
+        assert SweepResult.from_jsonl(out) == SweepRunner(workers=1).run(
+            dataclasses.replace(tiny_scenario(), name="resume-cli")
+        )
+        header, records = load_timing(timing_sidecar_path(out))
+        assert header["artifact"] == name
+        assert [r["index"] for r in records] == list(range(len(LOADS)))
 
     def test_cli_streams_resumes_and_shards_any_out_path(self, tmp_path):
         # --out streams the JSONL artifact whatever the path ends in, so

@@ -454,6 +454,10 @@ class TestCollection:
 
 CLEAN_SOURCE = "import json\n\n\ndef dump(d):\n    return json.dumps(d, sort_keys=True)\n"
 DIRTY_SOURCE = "import json\n\n\ndef dump(d):\n    return json.dumps(d)\n"
+SUPPRESSED_SOURCE = (
+    "import json\n\n\ndef show(d):\n"
+    "    return json.dumps(d, indent=2)  # repro: allow[DET006] terminal display only\n"
+)
 
 
 class TestCli:
@@ -473,6 +477,20 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert [f["rule"] for f in payload["findings"]] == ["DET006"]
         assert payload["files"] == 1
+
+    def test_json_report_has_findings_and_suppressions_only(self, tmp_path, capsys):
+        (tmp_path / "a.py").write_text(DIRTY_SOURCE)
+        (tmp_path / "b.py").write_text(SUPPRESSED_SOURCE)
+        assert main([str(tmp_path), "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert sorted(payload) == ["files", "findings", "suppressed"]
+        assert [f["rule"] for f in payload["suppressed"]] == ["DET006"]
+        assert payload["suppressed"][0]["reason"] == "terminal display only"
+
+    def test_pragma_suppressed_finding_exits_zero(self, tmp_path, capsys):
+        (tmp_path / "mod.py").write_text(SUPPRESSED_SOURCE)
+        assert main([str(tmp_path)]) == 0
+        assert "0 finding(s), 1 suppressed by pragma" in capsys.readouterr().out
 
     def test_missing_path_exits_two(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope")]) == 2
@@ -517,3 +535,18 @@ class TestSelfCheck:
     def test_src_is_clean(self):
         result = lint_paths([str(REPO_ROOT / "src")])
         assert result.findings == [], "\n".join(f.render() for f in result.findings)
+
+    def test_injected_wall_clock_read_fails_with_det003_only(self, tmp_path, capsys):
+        # CI's must-fail step in miniature: a wall-clock read added to an
+        # artifact-emitting module fails the gate with exactly one rule.
+        module = tmp_path / "repro" / "experiments" / "results.py"
+        module.parent.mkdir(parents=True)
+        source = (REPO_ROOT / "src" / "repro" / "experiments" / "results.py").read_text()
+        module.write_text(
+            source
+            + '\n\ndef stamp(record):\n    import time\n'
+            + '    record["wrote_at"] = time.time()\n    return record\n'
+        )
+        assert main([str(tmp_path), "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert {f["rule"] for f in payload["findings"]} == {"DET003"}
