@@ -1,18 +1,24 @@
-"""Optional C fast paths for four Python-level inner loops, via ``ctypes``.
+"""Optional C fast paths for five Python-level inner loops, via ``ctypes``.
 
-Four hot loops in the batched substrate kernels resist numpy vectorisation
-because each step depends on the previous one: the FIFO busy-period
-recursion, the per-miss disk draws (the ziggurat exponential consumes a
-variable number of generator words), the LRU cache state and the pipeline's
-per-chunk placement draws (``Generator.choice`` without replacement, one
-Python call per chunk).  All four are plain loops over contiguous C arrays,
-so when a system C compiler is present they are compiled once per source
-digest into a small shared library and called through ``ctypes`` — no
-third-party packages, no Python headers, no build step in the repo.
+Five hot loops resist numpy vectorisation, because each step depends on the
+previous one or because numpy would spend a call per small group: the FIFO
+busy-period recursion, the per-miss disk draws (the ziggurat exponential
+consumes a variable number of generator words), the LRU cache state, the
+pipeline's per-chunk placement draws (``Generator.choice`` without
+replacement, one Python call per chunk) and the serving proxy's batch
+reservation (``reserve_batch``: one FIFO row per backend, then each
+request's winner, which numpy runs as some forty calls per batch).  All
+five are plain loops over contiguous C arrays, so when a system C compiler
+is present they are compiled once per source digest into a small shared
+library and called through ``ctypes`` — no third-party packages, no Python
+headers, no build step in the repo.
 
 Byte-identity: each C routine is a literal port of the loop it replaces and
 performs exactly the same IEEE-754 double operations and generator draws in
-the same order.  The build omits ``-ffast-math``, so the compiler cannot
+the same order; ``reserve_batch`` also ports numpy's pairwise summation,
+which ``ndarray.sum()`` runs on a contiguous array (``array_sum``; a test
+pins it against ``.sum()``, so a numpy that sums differently fails loudly).
+The build omits ``-ffast-math``, so the compiler cannot
 reassociate, and passes ``-ffp-contract=off``, so it cannot fuse a multiply
 and an add into one FMA (aarch64 has FMA in its baseline).  The draws run on
 the generator's own numpy ``bitgen_t`` state through numpy's own samplers:
@@ -55,8 +61,11 @@ Declared (with its choices) in :mod:`repro.flags`.
 """
 
 _C_SOURCE = r"""
+#include <math.h>
 #include <stdbool.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 /* FIFO busy-period recursion: finish[i] = max(finish[i-1], a[i]) + s[i].
  * Identical IEEE double ops, in identical order, to the scalar Python loop. */
@@ -194,7 +203,212 @@ void distinct_choices(bitgen_t *bg, bounded_fn bounded, int64_t n, int64_t k,
         }
     }
 }
+
+/* numpy's pairwise summation (pairwise_sum_DOUBLE): plain adds below 8
+ * elements, 8 accumulators up to 128, above that a split at half the
+ * length rounded down to a multiple of 8. */
+static double pairwise_sum(const double *a, int64_t n) {
+    int64_t i, k;
+    if (n < 8) {
+        double res = -0.0;
+        for (i = 0; i < n; i++) {
+            res += a[i];
+        }
+        return res;
+    }
+    if (n <= 128) {
+        double r[8], res;
+        for (k = 0; k < 8; k++) {
+            r[k] = a[k];
+        }
+        for (i = 8; i < n - (n % 8); i += 8) {
+            for (k = 0; k < 8; k++) {
+                r[k] += a[i + k];
+            }
+        }
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++) {
+            res += a[i];
+        }
+        return res;
+    }
+    {
+        int64_t half = n / 2;
+        half -= half % 8;
+        return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
+    }
+}
+
+/* ndarray.sum() of a contiguous double array: the reduction's 0.0 identity
+ * plus the pairwise sum of all n elements. */
+double array_sum(const double *a, int64_t n) {
+    return 0.0 + pairwise_sum(a, n);
+}
+
+/* np.maximum on doubles: the first operand unless it is less (NaN wins). */
+#define NP_MAX(a, b) (((a) >= (b) || (a) != (a)) ? (a) : (b))
+
+/* The serving proxy's pool, as BatchPool in Python mirrors it.  Per-slot
+ * arrays are indexed by pool index; the table holds pool indices. */
+typedef struct {
+    const int64_t *table;    /* rows x width replica table */
+    int64_t rows;
+    int64_t width;
+    int64_t slots;
+    const uint8_t *queueing; /* 1: single-server FIFO, 0: infinite-server */
+    const double **blocks;   /* each slot's draw block */
+    const int64_t *lengths;  /* its length */
+    const double **refills;  /* the block drawn after it, or NULL */
+    int64_t *cursors;        /* in: next unread draw; out: after the batch */
+    double *busy;            /* in: busy_until; out: after the batch */
+    int64_t *taken;          /* out: copies the slot received */
+    double *consumed;        /* out: ndarray.sum() of their services */
+    double useful;           /* out: ndarray.sum() of the winners' services */
+    double last;             /* out: the latest winning finish */
+} batch_pool_t;
+
+/* One batch of RedundancyProxy.submit_batch, as reserve_copies and the
+ * winner pick after it compute it in numpy.  Request r sends copy j to slot
+ * table[keys[r] * width + j] at arrivals[r].  Each slot serves its copies in
+ * copy order, with the services at its cursor, read on into its refill
+ * block past the end of its block.  A FIFO slot runs _fifo_finishes' closed
+ * form from the busy_until it entered with: prefix sum c, slack
+ * m = max(m, a - (c - s)), finish = max(m, busy) + c; an infinite-server
+ * slot finishes at a + s.  A request's winner is its first copy with the
+ * least finish, a NaN counting as least (np.argmin); latencies[r] is the
+ * winning finish minus arrivals[r].
+ *
+ * Returns 0 when done.  Before it changes anything but `taken`, it returns
+ * -1 if a key is outside the table or copies exceeds its width, -2 if
+ * scratch memory runs out, or the number of receiving slots that need more
+ * draws than their block holds and have no refill block.  A refill block
+ * must hold at least taken - (length - cursor) draws. */
+int64_t reserve_batch(batch_pool_t *pool, const int64_t *keys,
+                      const double *arrivals, int64_t count, int64_t copies,
+                      double *latencies) {
+    const int64_t slots = pool->slots;
+    int64_t *taken = pool->taken;
+    int64_t *cursors = pool->cursors;
+    int64_t r, j, s, most = count, missing = 0;
+    double *prefix, *slack, *last, *scratch, latest = 0.0;
+    if (copies > pool->width) {
+        return -1;
+    }
+    for (s = 0; s < slots; s++) {
+        taken[s] = 0;
+    }
+    for (r = 0; r < count; r++) {
+        const int64_t *row;
+        if (keys[r] < 0 || keys[r] >= pool->rows) {
+            return -1;
+        }
+        row = pool->table + keys[r] * pool->width;
+        for (j = 0; j < copies; j++) {
+            taken[row[j]]++;
+        }
+    }
+    for (s = 0; s < slots; s++) {
+        if (taken[s] > most) {
+            most = taken[s];
+        }
+        if (taken[s] > pool->lengths[s] - cursors[s] && pool->refills[s] == NULL) {
+            missing++;
+        }
+    }
+    if (missing) {
+        return missing;
+    }
+    /* Per slot: prefix sum, slack and last finish; then room for the
+     * winners' services, or for one slot's services across its refill. */
+    prefix = malloc(sizeof(double) * (size_t)(3 * slots + most));
+    if (prefix == NULL) {
+        return -2;
+    }
+    slack = prefix + slots;
+    last = slack + slots;
+    scratch = last + slots;
+    for (s = 0; s < slots; s++) {
+        prefix[s] = -0.0; /* -0.0 + s is s, so c starts at the first service */
+        slack[s] = -INFINITY;
+    }
+    for (r = 0; r < count; r++) {
+        const int64_t *row = pool->table + keys[r] * pool->width;
+        const double arrival = arrivals[r];
+        double best = 0.0, won = 0.0;
+        for (j = 0; j < copies; j++) {
+            int64_t at;
+            double service, finish;
+            s = row[j];
+            at = cursors[s]++;
+            service = at < pool->lengths[s] ? pool->blocks[s][at]
+                                            : pool->refills[s][at - pool->lengths[s]];
+            if (pool->queueing[s]) {
+                double c = prefix[s] + service;
+                double m = NP_MAX(slack[s], arrival - (c - service));
+                prefix[s] = c;
+                slack[s] = m;
+                finish = NP_MAX(m, pool->busy[s]) + c;
+                last[s] = finish;
+            } else {
+                finish = arrival + service;
+            }
+            if (j == 0 || (best == best && !(finish >= best))) {
+                best = finish;
+                won = service;
+            }
+        }
+        latencies[r] = best - arrival;
+        scratch[r] = won;
+        latest = r == 0 ? best : NP_MAX(latest, best);
+    }
+    pool->useful = array_sum(scratch, count);
+    pool->last = latest;
+    for (s = 0; s < slots; s++) {
+        const int64_t n = taken[s], end = cursors[s], length = pool->lengths[s];
+        if (n == 0) {
+            continue;
+        }
+        if (end <= length) {
+            pool->consumed[s] = array_sum(pool->blocks[s] + end - n, n);
+        } else {
+            const int64_t tail = length - (end - n);
+            memcpy(scratch, pool->blocks[s] + end - n, sizeof(double) * (size_t)tail);
+            memcpy(scratch + tail, pool->refills[s], sizeof(double) * (size_t)(n - tail));
+            pool->consumed[s] = array_sum(scratch, n);
+            cursors[s] = end - length;
+        }
+        if (pool->queueing[s]) {
+            pool->busy[s] = last[s];
+        }
+    }
+    free(prefix);
+    return 0;
+}
 """
+
+
+class BatchPool(ctypes.Structure):
+    """``batch_pool_t``, field for field: what ``reserve_batch`` reads and
+    writes of one pool.  Pointer fields hold the addresses of arrays the
+    caller keeps alive."""
+
+    _fields_ = [
+        ("table", ctypes.c_void_p),
+        ("rows", ctypes.c_int64),
+        ("width", ctypes.c_int64),
+        ("slots", ctypes.c_int64),
+        ("queueing", ctypes.c_void_p),
+        ("blocks", ctypes.c_void_p),
+        ("lengths", ctypes.c_void_p),
+        ("refills", ctypes.c_void_p),
+        ("cursors", ctypes.c_void_p),
+        ("busy", ctypes.c_void_p),
+        ("taken", ctypes.c_void_p),
+        ("consumed", ctypes.c_void_p),
+        ("useful", ctypes.c_double),
+        ("last", ctypes.c_double),
+    ]
+
 
 _lib: Optional[ctypes.CDLL] = None
 _tried = False
@@ -285,6 +499,17 @@ def _build(cache_dir: str) -> ctypes.CDLL:
         ctypes.c_void_p,
     ]
     lib.distinct_choices.restype = None
+    lib.array_sum.argtypes = [ctypes.c_void_p, ctypes.c_int64]
+    lib.array_sum.restype = ctypes.c_double
+    lib.reserve_batch.argtypes = [
+        ctypes.c_void_p,
+        ctypes.c_void_p,
+        ctypes.c_void_p,
+        ctypes.c_int64,
+        ctypes.c_int64,
+        ctypes.c_void_p,
+    ]
+    lib.reserve_batch.restype = ctypes.c_int64
     # Passed as disk_services' std_exp and distinct_choices' bounded; kept
     # here so they live with the library.
     lib.std_exponential = std_exponential

@@ -191,13 +191,28 @@ def iter_complete_records(text: str, path: str) -> "list[Tuple[int, Dict[str, An
 def _parse_lines(text: str, path: str) -> Tuple[Optional[Dict[str, Any]], Dict[int, Dict[str, Any]]]:
     header: Optional[Dict[str, Any]] = None
     points: Dict[int, Dict[str, Any]] = {}
-    for number, record in iter_complete_records(text, path):
+    try:
+        records = iter_complete_records(text, path)
+    except ConfigurationError as damaged:
+        # A whole JSON document (a serve report, a pre-stream sweep file)
+        # is not a damaged artifact: say what it is instead.
+        try:
+            document = json.loads(text)
+        except json.JSONDecodeError:
+            raise damaged from None
+        schema = document.get("schema") if isinstance(document, dict) else None
+        found = "" if schema is None else f" with schema {schema!r}"
+        raise ConfigurationError(
+            f"{path!r} is a JSON document{found}, not a {JSONL_SCHEMA} "
+            f"artifact (a header line, then one line per point)"
+        ) from None
+    for number, record in records:
         kind = record.get("kind")
         if number == 1:
             if kind != KIND_HEADER:
                 raise ConfigurationError(
-                    f"artifact {path!r} does not start with a header record "
-                    f"(got kind={kind!r}); is this a sweep-stream JSONL artifact?"
+                    f"{path!r} is not a {JSONL_SCHEMA} artifact: its first "
+                    f"record is not a header (kind={kind!r})"
                 )
             if record.get("schema") != JSONL_SCHEMA:
                 raise ConfigurationError(

@@ -185,6 +185,10 @@ def _make_progress(stream=None) -> Callable[[int, int], None]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.resume and not args.out:
+        raise ConfigurationError(
+            "--resume needs --out PATH: it finishes the artifact streamed there"
+        )
     scenario = get_scenario(args.scenario)
     shard = parse_shard(args.shard) if args.shard else None
     runner = SweepRunner(workers=args.workers)

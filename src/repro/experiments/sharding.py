@@ -36,12 +36,7 @@ import re
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
-from repro.experiments.artifact import (
-    canonical_json,
-    canonicalize,
-    load_partial,
-    point_record,
-)
+from repro.experiments.artifact import ArtifactWriter, canonicalize, load_partial
 from repro.experiments.timing import sidecar_label
 
 #: Header fields that identify a sweep; every merged input must agree on all
@@ -144,7 +139,9 @@ def merge_artifacts(out: str, shard_paths: Sequence[str]) -> Dict[str, Any]:
     overlap (identical duplicate records are deduplicated) and may themselves
     be unsharded artifacts (merging one complete artifact is an exact
     rewrite).  Truncated final lines — shards killed mid-write — are
-    discarded exactly as ``--resume`` would discard them.
+    discarded exactly as ``--resume`` would discard them.  The merged file
+    is written through the runner's :class:`ArtifactWriter`, one flushed
+    line per record.
 
     Args:
         out: Path of the merged ``.jsonl`` artifact to write.
@@ -231,10 +228,12 @@ def merge_artifacts(out: str, shard_paths: Sequence[str]) -> Dict[str, Any]:
     # the shard stanza distinguishes it from the single-run header.
     merged_header = _strip_shard(reference_header)
     ordered = [by_seed[by_index[index]][0] for index in range(num_points)]
-    with open(out, "w", encoding="utf-8") as handle:
-        handle.write(canonical_json(merged_header))
+    writer = ArtifactWriter(out, merged_header)
+    try:
         for record in ordered:
-            handle.write(canonical_json(point_record(record)))
+            writer.append_point(record)
+    finally:
+        writer.close()
     return {
         "inputs": len(list(shard_paths)),
         "points": num_points,

@@ -33,10 +33,15 @@ reserve one copy each through one reservation routine:
 * ``async handle(key)`` — the coroutine contract of every
   :class:`Backend`: on :class:`SimBackend` a thin wrapper that awaits
   ``start``.
-* :func:`reserve_copies` — the proxy's batch path: reserves a whole batch
-  of copies across the pool in one pass, grouped by backend, with the same
-  recurrence in closed form (one row per backend).
-  :meth:`SimBackend.submit_many` is its one-backend case.
+* :class:`BatchReserver` — the proxy's batch path: reserves a whole batch
+  of copies across the live pool and picks each request's winner.  With
+  the C kernels that is one compiled ``reserve_batch`` pass, which reads
+  each backend's draw block in place and refills it as
+  :meth:`SimBackend.draw_many` would.  Without them :func:`reserve_copies`
+  groups the copies by backend and runs the same recurrence in closed form,
+  one numpy row per backend.  Both give the same bytes.
+  :meth:`SimBackend.submit_many` is the one-backend case of
+  :func:`reserve_copies`.
 
 Because every path drives the same reservation, a policy hot-swap mid-run
 never leaves the pool with two disagreeing pictures of its queues.
@@ -56,11 +61,13 @@ from __future__ import annotations
 
 import abc
 import asyncio
+import ctypes
 import functools
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.cluster import _ckernels
 from repro.core.hedging import CopyDone, CopyHandle, _TaskCopy
 from repro.distributions import Distribution, Exponential
 from repro.serve.clock import Clock, Timer
@@ -148,12 +155,14 @@ class SimBackend(Backend):
         """Mark the backend down (``handle``/``submit`` raise) or back up."""
         self._failed = bool(failed)
 
+    def _sample_block(self, size: int) -> np.ndarray:
+        """The next ``size`` seeded service times, as a contiguous float block."""
+        return np.ascontiguousarray(self._service.sample(self._rng, size=size), dtype=float)
+
     def draw_service(self) -> float:
         """Next seeded service time (block-buffered for throughput)."""
         if self._cursor >= len(self._block):
-            self._block = np.asarray(
-                self._service.sample(self._rng, size=_DRAW_BLOCK), dtype=float
-            )
+            self._block = self._sample_block(_DRAW_BLOCK)
             self._cursor = 0
         value = float(self._block[self._cursor])
         self._cursor += 1
@@ -171,10 +180,7 @@ class SimBackend(Backend):
         while remaining > 0:
             available = len(self._block) - self._cursor
             if available == 0:
-                self._block = np.asarray(
-                    self._service.sample(self._rng, size=max(_DRAW_BLOCK, remaining)),
-                    dtype=float,
-                )
+                self._block = self._sample_block(max(_DRAW_BLOCK, remaining))
                 self._cursor = 0
                 continue
             take = min(available, remaining)
@@ -340,6 +346,181 @@ def _fifo_finishes(arrival: np.ndarray, service: np.ndarray, busy: np.ndarray) -
     csum = np.cumsum(service, axis=1)
     slack = np.maximum.accumulate(arrival - (csum - service), axis=1)
     return np.maximum(slack, busy[:, None]) + csum
+
+
+class BatchReserver:
+    """The proxy's batch path over one ring membership of a pool.
+
+    ``live`` are the pool indices on the ring, each a :class:`SimBackend`,
+    and ``table`` is the replica table built against them: one row of pool
+    indices per key.  :meth:`reserve` reserves a batch of requests, each
+    with the first ``copies`` backends of its key's row, and picks each
+    request's winner.
+
+    With the compiled kernels (:mod:`repro.cluster._ckernels`, looked up
+    once, when the reserver is built) one ``reserve_batch`` call does all of
+    it.  Each batch copies every live backend's draw block, cursor and
+    ``busy_until`` into the kernel's per-slot arrays, and the receiving
+    backends' new state back out.  A backend whose block runs out is
+    refilled as :meth:`SimBackend.draw_many` refills it.  Without them, and
+    for keys or arrivals the kernel cannot read in place, the numpy path
+    runs: :func:`reserve_copies`, then ``np.argmin``.  Both give the same
+    bytes.
+    """
+
+    def __init__(
+        self, pool: Sequence[SimBackend], live: Sequence[int], table: np.ndarray
+    ) -> None:
+        self._pool = pool
+        self._live = [(slot, pool[slot]) for slot in live]
+        self._table = table
+        self._lib = _ckernels.load()
+        if self._lib is None:
+            return
+        self._table = table = np.ascontiguousarray(table, dtype=np.int64)
+        slots = len(pool)
+        self._queueing = np.zeros(slots, dtype=np.uint8)
+        for slot, backend in self._live:
+            self._queueing[slot] = backend._queueing
+        # Each block as its address was taken: a backend's block changes
+        # only when it is refilled, and an address costs a microsecond.
+        self._held: List[Optional[np.ndarray]] = [None] * slots
+        self._blocks, blocks = _slot_array(slots, np.uintp)
+        self._lengths, lengths = _slot_array(slots, np.int64)
+        self._refills, refills = _slot_array(slots, np.uintp)
+        self._cursors, cursors = _slot_array(slots, np.int64)
+        self._busy, busy = _slot_array(slots, np.float64)
+        self._taken, taken = _slot_array(slots, np.int64)
+        self._consumed, consumed = _slot_array(slots, np.float64)
+        self._frame = _ckernels.BatchPool(
+            table=table.ctypes.data,
+            rows=table.shape[0],
+            width=table.shape[1],
+            slots=slots,
+            queueing=self._queueing.ctypes.data,
+            blocks=blocks,
+            lengths=lengths,
+            refills=refills,
+            cursors=cursors,
+            busy=busy,
+            taken=taken,
+            consumed=consumed,
+        )
+        self._frame_at = ctypes.addressof(self._frame)
+
+    def reserve(
+        self, keys: np.ndarray, arrivals: np.ndarray, copies: int
+    ) -> Optional[Tuple[np.ndarray, float, float]]:
+        """Reserve ``copies`` copies of request ``i`` (key ``keys[i]``) at
+        ``arrivals[i]``; return ``(latencies, useful_s, last_finish)``.
+
+        ``latencies`` holds each request's winning finish minus its
+        arrival, ``useful_s`` is the sum of the winners' services and
+        ``last_finish`` the latest winning finish.  Returns ``None``,
+        changing nothing, when a live backend is marked failed.
+        """
+        if self._lib is None:
+            return self._reserve_numpy(keys, arrivals, copies)
+        key_at = _address(keys, np.int64)
+        arrival_at = _address(arrivals, np.float64)
+        count = len(keys)
+        if key_at is None or arrival_at is None or len(arrivals) != count:
+            return self._reserve_numpy(keys, arrivals, copies)
+        cursors, busy, held = self._cursors, self._busy, self._held
+        for slot, backend in self._live:
+            if backend._failed:
+                return None
+            if backend._block is not held[slot]:
+                self._hold(slot, backend._block)
+            cursors[slot] = backend._cursor
+            busy[slot] = backend._busy_until
+        latencies = np.empty(count)
+        args = (self._frame_at, key_at, arrival_at, count, copies, _address(latencies, np.float64))
+        status = self._lib.reserve_batch(*args)
+        if status == -1:  # a key outside the table: numpy indexes (or raises) as before
+            return self._reserve_numpy(keys, arrivals, copies)
+        refilled = []
+        if status > 0:
+            refilled = self._draw_refills()
+            status = self._lib.reserve_batch(*args)
+            for slot, _backend, _block in refilled:
+                self._refills[slot] = 0
+        if status != 0:  # -2: the kernel could not allocate its scratch
+            raise MemoryError("reserve_batch could not allocate its scratch")
+        taken, consumed = self._taken, self._consumed
+        for slot, backend in self._live:
+            received = taken[slot]
+            if received:
+                backend.completed += received
+                backend.consumed_s += consumed[slot]
+                backend._cursor = cursors[slot]
+                backend._busy_until = busy[slot]
+        for slot, backend, block in refilled:
+            backend._block = block
+            self._hold(slot, block)
+        return latencies, self._frame.useful, self._frame.last
+
+    def _hold(self, slot: int, block: np.ndarray) -> None:
+        """Point ``slot`` at ``block``, a contiguous float block."""
+        self._held[slot] = block
+        self._blocks[slot] = block.ctypes.data
+        self._lengths[slot] = len(block)
+
+    def _draw_refills(self) -> List[Tuple[int, SimBackend, np.ndarray]]:
+        """Draw the block after each block the batch runs past, as
+        :meth:`SimBackend.draw_many` would: ``max(4096, short)`` draws."""
+        refilled = []
+        for slot, backend in self._live:
+            short = self._taken[slot] - (self._lengths[slot] - self._cursors[slot])
+            if short > 0:
+                block = backend._sample_block(max(_DRAW_BLOCK, short))
+                self._refills[slot] = block.ctypes.data
+                refilled.append((slot, backend, block))
+        return refilled
+
+    def _reserve_numpy(
+        self, keys: np.ndarray, arrivals: np.ndarray, copies: int
+    ) -> Optional[Tuple[np.ndarray, float, float]]:
+        """:meth:`reserve` in numpy: :func:`reserve_copies`, then each
+        request's first least finish."""
+        for _slot, backend in self._live:
+            if backend._failed:
+                return None
+        count = len(keys)
+        finishes, services = reserve_copies(
+            self._pool, self._table[keys, :copies].ravel(), np.repeat(arrivals, copies)
+        )
+        finishes = finishes.reshape(count, copies)
+        services = services.reshape(count, copies)
+        winner = np.argmin(finishes, axis=1)
+        lanes = np.arange(count)
+        win_finish = finishes[lanes, winner]
+        return (
+            win_finish - arrivals,
+            float(services[lanes, winner].sum()),
+            float(win_finish.max()),
+        )
+
+
+def _slot_array(slots: int, dtype: type) -> Tuple[memoryview, int]:
+    """A zeroed per-slot array, as a view (which keeps it alive) and its address."""
+    array = np.zeros(slots, dtype=dtype)
+    return memoryview(array), array.ctypes.data
+
+
+def _address(array: np.ndarray, dtype: type) -> Optional[int]:
+    """Where a 1-D, writable, C-contiguous, non-empty ``dtype`` array's data
+    starts, or ``None`` for any other array.
+
+    Several times cheaper than ``array.ctypes.data``, which builds a helper
+    object per call.
+    """
+    if not isinstance(array, np.ndarray) or array.dtype != dtype or array.ndim != 1:
+        return None
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(array))
+    except (TypeError, ValueError):  # read-only, strided or empty
+        return None
 
 
 def _resolve(future: "asyncio.Future[float]", service: Optional[float]) -> None:

@@ -48,7 +48,10 @@ Two dispatch paths, one accounting surface:
   :meth:`submit_batch`) covers eager plans without cancel-on-win: every
   copy's finish time is known at dispatch from the reservation math, so
   the proxy computes the winner and its latency synchronously — no timer
-  at all.  This is what makes ``bench`` sustain >100k req/s.
+  at all.  A batch is reserved, and its winners picked, in one call of a
+  :class:`~repro.serve.backends.BatchReserver` built for the live ring at
+  each membership event: one compiled pass when the C kernels load.  This
+  is what makes ``bench`` sustain >100k req/s.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ from repro.core.policy import (
     policy_to_spec,
 )
 from repro.metrics.recorder import LatencyRecorder
-from repro.serve.backends import Backend, BackendError, SimBackend, reserve_copies
+from repro.serve.backends import Backend, BackendError, BatchReserver, SimBackend
 from repro.serve.clock import Clock
 
 __all__ = ["RedundancyProxy"]
@@ -105,6 +108,8 @@ class RedundancyProxy(Racer):
         self.membership_events: List[Dict[str, Union[float, int, str]]] = []
         self._replica_table: Optional[np.ndarray] = None
         self._table_copies = 0
+        # The batch path for the live ring, while every member is a SimBackend.
+        self._batch: Optional[BatchReserver] = None
         self._keyspace: Optional[int] = None
         self._keyspace_copies = 0
         self._fast_plan: Optional[RequestPlan] = None
@@ -226,6 +231,11 @@ class RedundancyProxy(Racer):
         copies = min(self._keyspace_copies, self.ring.num_servers)
         self._replica_table = self.ring.replica_table(range(self._keyspace), copies)
         self._table_copies = copies
+        live = self.ring.servers
+        if all(isinstance(self.backends[index], SimBackend) for index in live):
+            self._batch = BatchReserver(self.backends, live, self._replica_table)
+        else:
+            self._batch = None
 
     def replicas(self, key: int, copies: int) -> List[int]:
         """The ``copies`` distinct live backend indices serving ``key``."""
@@ -282,44 +292,35 @@ class RedundancyProxy(Racer):
         """Vectorised :meth:`submit_nowait` for a block of due arrivals.
 
         ``arrivals`` are absolute, ascending timestamps.  The whole batch is
-        reserved in one :func:`~repro.serve.backends.reserve_copies` pass,
-        which groups the copies by backend in arrival order (preserving each
-        backend's FIFO and draw order) — the dispatch path the ``bench``
-        throughput target measures.  Falls back to ``False`` (caller loops
-        scalar) when the plan is not fast-path eligible, a live backend is
-        down, or a live backend is not a :class:`SimBackend`.
+        reserved, and each request's winner picked, in one
+        :meth:`~repro.serve.backends.BatchReserver.reserve` call: one
+        compiled pass when the C kernels load, else the numpy grouping of
+        :func:`~repro.serve.backends.reserve_copies`; either keeps each
+        backend's FIFO and draw order.  This is the dispatch path the
+        ``bench`` throughput target measures.  Falls back to ``False``
+        (caller loops scalar) when the plan is not fast-path eligible, a
+        live backend is down, or a live backend is not a
+        :class:`SimBackend` (decided at each membership change).
         """
         plan = self._fast_plan
-        if plan is None or self._replica_table is None:
+        if plan is None or self._batch is None:
             return False
-        # Only the *live* members receive batch copies — a crashed backend
-        # off the ring must not refuse the batch for everyone else.
-        if any(
-            self.backends[i].failed or not isinstance(self.backends[i], SimBackend)
-            for i in self.ring.servers
-        ):
-            return False
-        count = len(keys)
         copies = min(plan.copies, self.ring.num_servers)
         if copies > self._table_copies:
             # A narrower table than the plan would leave the tail columns of
             # the finish/service arrays unfilled — fall back to scalar
             # dispatch, which recomputes replicas off-table.
             return False
-        replicas = self._replica_table[keys, :copies]
-        finishes, services = reserve_copies(
-            self.backends, replicas.ravel(), np.repeat(arrivals, copies)
-        )
-        finishes = finishes.reshape(count, copies)
-        services = services.reshape(count, copies)
-        winner = np.argmin(finishes, axis=1)
-        lanes = np.arange(count)
-        win_finish = finishes[lanes, winner]
-        latencies = win_finish - arrivals
+        reserved = self._batch.reserve(keys, arrivals, copies)
+        if reserved is None:
+            # A live backend is down.  Only the ring's members are checked:
+            # a crashed backend off the ring must not refuse every batch.
+            return False
+        latencies, useful_s, last = reserved
+        count = len(keys)
         self.requests += count
         self.copies_launched += count * copies
-        self.useful_service_s += float(services[lanes, winner].sum())
-        last = float(win_finish.max())
+        self.useful_service_s += useful_s
         if last > self._last_finish:
             self._last_finish = last
         self._pending_chunks.append(latencies)

@@ -209,6 +209,27 @@ class TestDiffCli:
         assert cli_main(["diff", a, b]) == 2
         assert "incomplete" in capsys.readouterr().err
 
+    def test_diff_names_a_json_document_of_another_layout(self, tmp_path, capsys):
+        """A serve report is valid JSON, not a damaged artifact."""
+        a, _b = self._write_artifacts(tmp_path)
+        report = os.path.join(DATA, "golden-serve-race.json")
+        assert cli_main(["diff", a, report]) == 2
+        err = capsys.readouterr().err
+        assert "not a repro.experiments.sweep-stream/1 artifact" in err
+        assert "corrupted" not in err
+
+    def test_from_jsonl_names_a_whole_file_sweep_artifact(self, tmp_path):
+        """The pre-stream whole-file layout: one indented JSON document."""
+        path = str(tmp_path / "sweep.json")
+        with open(path, "w") as handle:
+            json.dump({"schema": "repro.experiments.sweep/1", "points": []}, handle, indent=2)
+        with pytest.raises(ConfigurationError) as excinfo:
+            SweepResult.from_jsonl(path)
+        message = str(excinfo.value)
+        assert "schema 'repro.experiments.sweep/1'" in message
+        assert "not a repro.experiments.sweep-stream/1 artifact" in message
+        assert "corrupted" not in message
+
 
 class TestFailThreshold:
     """``diff --fail-threshold`` turns the comparison into a CI gate."""

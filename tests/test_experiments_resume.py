@@ -201,6 +201,12 @@ class TestResume:
         with pytest.raises(ConfigurationError, match="resume"):
             SweepRunner(workers=1).run(tiny_scenario(), resume=True)
 
+    def test_cli_resume_without_out_is_a_usage_error(self, capsys):
+        assert cli_main(["run", "queueing-smoke", "--resume", "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "--resume" in err and "--out" in err
+        assert "out=..." not in err
+
     def test_resume_rejects_an_artifact_of_a_different_sweep(self, tmp_path):
         path = str(tmp_path / "seed1.jsonl")
         SweepRunner(workers=1).run(tiny_scenario(seed=1), out=path)

@@ -1,22 +1,47 @@
-"""The batch path's grouped reservation against the per-backend loop it replaced.
+"""The batch path's reservations against the per-backend loop they replaced.
 
 :func:`repro.serve.backends.reserve_copies` reserves a whole batch of copies
-across the pool in one pass.  The reference below is the loop it replaced,
-kept here verbatim: one ``np.nonzero`` scan per backend and one 1-D
-closed-form pass per backend.  The two must agree bit for bit on every
-finish, service, winner and latency, and leave every backend in the same
-state (``busy_until``, ``completed``, ``consumed_s`` and draw position).
+across the pool in one numpy pass, and :class:`repro.serve.backends.
+BatchReserver` reserves it and picks each request's winner in one compiled
+``reserve_batch`` call (``reserve_copies`` and ``np.argmin`` under
+``REPRO_CKERNELS=0``).  The reference below is the loop they replaced, kept
+here verbatim: one ``np.nonzero`` scan per backend and one 1-D closed-form
+pass per backend.  All must agree bit for bit on every finish, service,
+winner and latency, on the winners' service sum and the latest winning
+finish, and leave every backend in the same state (``busy_until``,
+``completed``, ``consumed_s``, draw position and generator state).
 """
+
+import contextlib
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import _ckernels
 from repro.cluster.consistent_hash import ConsistentHashRing
-from repro.distributions import Exponential
-from repro.serve import BackendError, SimBackend, VirtualClock
-from repro.serve.backends import reserve_copies
+from repro.distributions import DiscreteDistribution, Exponential
+from repro.serve import BackendError, RedundancyProxy, SimBackend, VirtualClock
+from repro.serve.backends import BatchReserver, reserve_copies
+
+#: Keys of the hypothesis batches; the reserver's table has one row each.
+KEYSPACE = 500
+
+PATHS = ["compiled", "numpy"]
+
+
+@contextlib.contextmanager
+def kernel_path(path):
+    """Build reservers on the compiled kernel (skipping without a C
+    compiler) or, with ``REPRO_CKERNELS=0``, on the numpy path."""
+    if path == "compiled" and _ckernels.load() is None:
+        pytest.skip("no C compiler available")
+    value = "1" if path == "compiled" else "0"
+    with mock.patch.dict(os.environ, {_ckernels.CKERNELS_ENV_VAR: value}):
+        yield
 
 
 def reference_submit_many(backend, arrivals):
@@ -58,10 +83,16 @@ def grouped_reserve(pool, replicas, arrivals):
     return finishes.reshape(count, copies), services.reshape(count, copies)
 
 
-def make_pool(size, seed, queueing):
+#: Services on a power-of-two grid: with arrivals on one too, finishes sum
+#: exactly, so copies of one request often tie and the first must win.
+DYADIC = DiscreteDistribution([2.0**-12, 2.0**-10, 2.0**-9], [0.5, 0.25, 0.25])
+
+
+def make_pool(size, seed, queueing, service=None):
     clock = VirtualClock()
+    service = service if service is not None else Exponential(mean=0.001)
     return [
-        SimBackend(i, clock, seed=seed, service=Exponential(mean=0.001), queueing=q)
+        SimBackend(i, clock, seed=seed, service=service, queueing=q)
         for i, q in zip(range(size), queueing)
     ]
 
@@ -77,9 +108,16 @@ def backend_state(backend):
     )
 
 
-def check_batches(size, copies, off_ring, queueing, prefix, batches, seed):
-    """Reserve each batch on twin pools, one per method, and compare."""
-    pools = [make_pool(size, seed, queueing) for _ in range(2)]
+def make_reserver(pool, ring, copies, path):
+    with kernel_path(path):
+        reserver = BatchReserver(pool, ring.servers, ring.replica_table(range(KEYSPACE), copies))
+    assert (reserver._lib is not None) == (path == "compiled")
+    return reserver
+
+
+def check_batches(size, copies, off_ring, queueing, prefix, batches, seed, path, service=None):
+    """Reserve each batch on three twin pools, one per method, and compare."""
+    pools = [make_pool(size, seed, queueing, service) for _ in range(3)]
     ring = ConsistentHashRing(size)
     for index in off_ring:
         ring.remove_server(index)
@@ -88,6 +126,7 @@ def check_batches(size, copies, off_ring, queueing, prefix, batches, seed):
             pool[index].set_failed(True)  # crashed: never receives a copy
         for backend, count in zip(pool, prefix):
             backend.draw_many(count)  # park the cursor inside the block
+    reserver = make_reserver(pools[2], ring, copies, path)
     for keys, arrivals in batches:
         replicas = ring.replica_table(keys.tolist(), copies)
         expected = reference_reserve(pools[0], replicas, arrivals)
@@ -97,13 +136,18 @@ def check_batches(size, copies, off_ring, queueing, prefix, batches, seed):
         win = np.argmin(expected[0], axis=1)
         np.testing.assert_array_equal(np.argmin(actual[0], axis=1), win)
         lanes = np.arange(len(keys))
+        win_finish = expected[0][lanes, win]
         np.testing.assert_array_equal(
-            actual[0][lanes, win] - arrivals, expected[0][lanes, win] - arrivals
+            actual[0][lanes, win] - arrivals, win_finish - arrivals
         )
-        for want, got in zip(*pools):
-            assert backend_state(got) == backend_state(want)
-    for want, got in zip(*pools):
-        assert got.draw_service() == want.draw_service()
+        latencies, useful_s, last = reserver.reserve(keys, arrivals, copies)
+        np.testing.assert_array_equal(latencies, win_finish - arrivals)
+        assert useful_s == float(expected[1][lanes, win].sum())
+        assert last == float(win_finish.max())
+        for want, *got in zip(*pools):
+            assert [backend_state(backend) for backend in got] == [backend_state(want)] * 2
+    for want, *got in zip(*pools):
+        assert [backend.draw_service() for backend in got] == [want.draw_service()] * 2
 
 
 @st.composite
@@ -116,31 +160,51 @@ def batch_cases(draw):
     queueing = draw(st.lists(st.booleans(), min_size=size, max_size=size))
     prefix = draw(st.lists(st.integers(0, 4096), min_size=size, max_size=size))
     seed = draw(st.integers(0, 2**16))
+    service = draw(st.sampled_from([None, DYADIC]))
     rng = np.random.default_rng(seed)
     batches = []
     start = 0.0
     for _ in range(draw(st.integers(1, 3))):
         count = draw(st.integers(1, 300))
-        # Arrivals on a coarse grid, so many of them tie.
+        # Arrivals on a coarse power-of-two grid, so many of them tie.
         ticks = np.sort(rng.integers(0, max(1, count // 3), size=count))
-        arrivals = start + ticks * 1e-4
-        start = float(arrivals[-1]) + draw(st.sampled_from([0.0, 1e-4, 0.01]))
-        batches.append((rng.integers(0, 500, size=count), arrivals))
-    return size, copies, off_ring, queueing, prefix, batches, seed
+        arrivals = start + ticks * 2.0**-13
+        start = float(arrivals[-1]) + draw(st.sampled_from([0.0, 2.0**-13, 2.0**-7]))
+        batches.append((rng.integers(0, KEYSPACE, size=count), arrivals))
+    return size, copies, off_ring, queueing, prefix, batches, seed, service
 
 
+@pytest.mark.parametrize("path", PATHS)
 @settings(max_examples=60, deadline=None)
 @given(case=batch_cases())
-def test_grouped_reservation_equals_per_backend_loop(case):
-    check_batches(*case)
+def test_grouped_reservation_equals_per_backend_loop(path, case):
+    *args, service = case
+    check_batches(*args, path, service)
 
 
-def test_draws_that_cross_a_block_boundary():
+@pytest.mark.parametrize("path", PATHS)
+def test_draws_that_cross_a_block_boundary(path):
     """Every backend starts a few draws short of its 4,096-sample block."""
     rng = np.random.default_rng(7)
     arrivals = np.sort(rng.uniform(0.0, 0.05, 300))
-    batches = [(rng.integers(0, 500, size=300), arrivals)]
-    check_batches(4, 2, [], [True, False, True, True], [4090] * 4, batches, seed=3)
+    batches = [(rng.integers(0, KEYSPACE, size=300), arrivals)]
+    check_batches(4, 2, [], [True, False, True, True], [4090] * 4, batches, 3, path)
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("prefix", [0, 100])
+def test_batches_larger_than_a_block_per_backend(path, prefix):
+    """Each backend receives over 4,096 copies in one batch: from an empty
+    block (one refill of more than 4,096 draws), then from a cursor inside
+    the block; FIFO and infinite-server backends both."""
+    rng = np.random.default_rng(prefix)
+    batches = []
+    start = 0.0
+    for count in (5_000, 10_000):
+        arrivals = start + np.sort(rng.uniform(0.0, 0.05, count))
+        start = float(arrivals[-1])
+        batches.append((rng.integers(0, KEYSPACE, size=count), arrivals))
+    check_batches(3, 2, [], [True, False, True], [prefix] * 3, batches, 5, path)
 
 
 def test_failed_receiving_backend_refuses_before_any_change():
@@ -179,3 +243,63 @@ def test_submit_many_empty_returns_empty_and_leaves_the_backend():
     finishes, services = backend.submit_many(np.array([]))
     assert finishes.shape == services.shape == (0,)
     assert backend_state(backend) == before
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_failed_live_backend_refuses_the_batch(path):
+    """A backend marked failed while still on the ring makes submit_batch
+    return False before anything changes; once revived, the batch runs."""
+    pool = make_pool(4, 0, [True] * 4)
+    proxy = RedundancyProxy(pool, VirtualClock(), policy="k2")
+    with kernel_path(path):
+        proxy.prepare_keyspace(100, 4)
+    keys = np.arange(10)
+    arrivals = np.linspace(0.0, 0.001, 10)
+    pool[2].set_failed(True)
+    before = [backend_state(backend) for backend in pool]
+    assert proxy.submit_batch(keys, arrivals) is False
+    assert proxy.requests == 0
+    assert [backend_state(backend) for backend in pool] == before
+    pool[2].set_failed(False)
+    assert proxy.submit_batch(keys, arrivals) is True
+    assert proxy.requests == 10
+
+
+def test_inputs_the_kernel_cannot_read_in_place_take_the_numpy_path():
+    """Narrow keys, strided or read-only arrivals and keys outside the
+    table go to the numpy path: the same bytes, or numpy's IndexError."""
+    ring = ConsistentHashRing(4)
+    rng = np.random.default_rng(11)
+    keys = rng.integers(0, KEYSPACE, size=400)
+    arrivals = np.sort(rng.uniform(0.0, 0.02, 400))
+    frozen = arrivals.copy()
+    frozen.flags.writeable = False
+    variants = [
+        (keys.astype(np.int32), arrivals),
+        (keys, np.repeat(arrivals, 2)[::2]),
+        (keys, frozen),
+    ]
+    want_pool = make_pool(4, 2, [True] * 4)
+    want = make_reserver(want_pool, ring, 2, "numpy")
+    got_pool = make_pool(4, 2, [True] * 4)
+    got = make_reserver(got_pool, ring, 2, "compiled")
+    for batch_keys, batch_arrivals in variants:
+        expected = want.reserve(batch_keys, batch_arrivals, 2)
+        actual = got.reserve(batch_keys, batch_arrivals, 2)
+        np.testing.assert_array_equal(actual[0], expected[0])
+        assert actual[1:] == expected[1:]
+        assert [backend_state(b) for b in got_pool] == [backend_state(b) for b in want_pool]
+    with pytest.raises(IndexError):
+        got.reserve(np.array([0, KEYSPACE]), np.array([0.0, 0.1]), 2)
+
+
+def test_array_sum_is_ndarray_sum():
+    """The kernel's port of numpy's pairwise summation, bit for bit: a numpy
+    that sums differently fails here rather than in a digest."""
+    lib = _ckernels.load()
+    if lib is None:
+        pytest.skip("no C compiler available")
+    rng = np.random.default_rng(0)
+    for size in list(range(601)) + [8_191, 8_192, 8_193, 10_000, 65_537, 200_001]:
+        values = rng.standard_normal(size) * np.exp(rng.uniform(-30.0, 30.0, size))
+        assert lib.array_sum(values.ctypes.data, size) == values.sum(), size
