@@ -1,17 +1,20 @@
-"""Optional C fast paths for five Python-level inner loops, via ``ctypes``.
+"""Optional C fast paths for Python-level inner loops, via ``ctypes``.
 
-Five hot loops resist numpy vectorisation, because each step depends on the
+Five hot paths resist numpy vectorisation, because each step depends on the
 previous one or because numpy would spend a call per small group: the FIFO
-busy-period recursion, the per-miss disk draws (the ziggurat exponential
-consumes a variable number of generator words), the LRU cache state, the
-pipeline's per-chunk placement draws (``Generator.choice`` without
-replacement, one Python call per chunk) and the serving proxy's batch
-reservation (``reserve_batch``: one FIFO row per backend, then each
-request's winner, which numpy runs as some forty calls per batch).  All
-five are plain loops over contiguous C arrays, so when a system C compiler
-is present they are compiled once per source digest into a small shared
-library and called through ``ctypes`` — no third-party packages, no Python
-headers, no build step in the repo.
+busy-period recursion (``seq_finish``), the per-miss disk draws
+(``disk_services``: the ziggurat exponential consumes a variable number of
+generator words), the eager database run (``eager_reads``: every read in
+``(request, copy)`` order through its server's LRU cache, disk draws and
+disk FIFO, which numpy would split into per-server scans, gathers and
+scatters), the pipeline's per-chunk placement draws (``distinct_choices``:
+``Generator.choice`` without replacement, one Python call per chunk) and the
+serving proxy's batch reservation (``reserve_batch``: one FIFO row per
+backend, then each request's winner, which numpy runs as some forty calls
+per batch).  All five are plain loops over contiguous C arrays, so when a
+system C compiler is present they are compiled once per source digest into
+a small shared library and called through ``ctypes`` — no third-party
+packages, no Python headers, no build step in the repo.
 
 Byte-identity: each C routine is a literal port of the loop it replaces and
 performs exactly the same IEEE-754 double operations and generator draws in
@@ -22,8 +25,8 @@ The build omits ``-ffast-math``, so the compiler cannot
 reassociate, and passes ``-ffp-contract=off``, so it cannot fuse a multiply
 and an add into one FMA (aarch64 has FMA in its baseline).  The draws run on
 the generator's own numpy ``bitgen_t`` state through numpy's own samplers:
-``disk_services`` calls ``random_standard_exponential``, the routine
-``Generator.exponential`` runs, and ``distinct_choices`` ports
+``disk_services`` and ``eager_reads`` call ``random_standard_exponential``,
+the routine ``Generator.exponential`` runs, and ``distinct_choices`` ports
 ``Generator.choice(n, size=k, replace=False)`` for pools of up to 10,000
 (Floyd's algorithm, then a shuffle of the picks) and calls
 ``random_bounded_uint64`` as it does.  Both symbols are looked up in numpy's
@@ -92,71 +95,247 @@ typedef struct bitgen {
     uint64_t (*next_raw)(void *st);
 } bitgen_t;
 
-/* Per-miss disk service draws of the scalar server (ReferenceServer.serve
- * in tests/test_fast_paths.py, and StorageServerModel.probe), in its order:
- * rng.uniform(lo, hi) is lo + span * next_double; rng.random() is
- * next_double; rng.exponential(scale) is scale * std_exp(bg). */
-void disk_services(bitgen_t *bg, double (*std_exp)(bitgen_t *),
-                   const double *xfer, int64_t n, double lo, double span,
-                   double slow_p, double slow_mean, double noise_p,
-                   double noise_mean, double *out) {
+typedef double (*std_exp_fn)(bitgen_t *);
+
+/* The disk: a service is lo + span * uniform + xfer, plus slow_mean * an
+ * exponential with probability slow_p, then times 1 + noise_mean * an
+ * exponential with probability noise_p. */
+typedef struct {
+    double lo;
+    double span;
+    double slow_p;
+    double slow_mean;
+    double noise_p;
+    double noise_mean;
+} disk_t;
+
+/* One miss's disk service, drawn as the scalar server draws it
+ * (ReferenceServer.serve in tests/test_fast_paths.py, and
+ * StorageServerModel.probe): rng.uniform(lo, hi) is lo + span *
+ * next_double; rng.random() is next_double; rng.exponential(scale) is
+ * scale * std_exp(bg). */
+static double disk_service(bitgen_t *bg, std_exp_fn std_exp, const disk_t *disk,
+                           double xfer) {
+    double s = disk->lo + disk->span * bg->next_double(bg->state);
+    s = s + xfer;
+    if (disk->slow_p > 0 && bg->next_double(bg->state) < disk->slow_p) {
+        s = s + disk->slow_mean * std_exp(bg);
+    }
+    if (disk->noise_p > 0 && bg->next_double(bg->state) < disk->noise_p) {
+        s = s * (1.0 + disk->noise_mean * std_exp(bg));
+    }
+    return s;
+}
+
+/* Per-miss disk service draws of n misses, in order. */
+void disk_services(bitgen_t *bg, std_exp_fn std_exp, const double *xfer, int64_t n,
+                   double lo, double span, double slow_p, double slow_mean,
+                   double noise_p, double noise_mean, double *out) {
+    const disk_t disk = {lo, span, slow_p, slow_mean, noise_p, noise_mean};
     int64_t i;
     for (i = 0; i < n; i++) {
-        double s = lo + span * bg->next_double(bg->state);
-        s = s + xfer[i];
-        if (slow_p > 0 && bg->next_double(bg->state) < slow_p) {
-            s = s + slow_mean * std_exp(bg);
-        }
-        if (noise_p > 0 && bg->next_double(bg->state) < noise_p) {
-            s = s * (1.0 + noise_mean * std_exp(bg));
-        }
-        out[i] = s;
+        out[i] = disk_service(bg, std_exp, &disk, xfer[i]);
     }
 }
 
-/* LRU cache of `capacity` (>= 1) items over keys 0 .. max key: a doubly
- * linked list, most recent at the head, with newer/older links and the
- * cached mark indexed by key.  A hit moves its key to the head; a miss
- * inserts it there and evicts the tail once the size exceeds capacity. */
-void lru_flags(const int64_t *keys, int64_t n, int64_t capacity,
-               int64_t *newer, int64_t *older, uint8_t *cached,
-               uint8_t *hit) {
-    int64_t head = -1, tail = -1, size = 0, t;
-    for (t = 0; t < n; t++) {
-        int64_t key = keys[t];
-        if (cached[key]) {
-            hit[t] = 1;
-            if (key == head) {
-                continue;
-            }
-            older[newer[key]] = older[key];
-            if (key == tail) {
-                tail = newer[key];
-            } else {
-                newer[older[key]] = newer[key];
-            }
+/* np.minimum on doubles: the first operand unless it is greater (NaN wins). */
+#define NP_MIN(a, b) (((a) <= (b) || (a) != (a)) ? (a) : (b))
+
+/* One key slot of a server's LRU list: its newer and older neighbours. */
+typedef struct {
+    int32_t newer;
+    int32_t older;
+} node_t;
+
+/* One storage server of eager_reads.  Its LRU cache is a doubly linked list
+ * over the key slots, most recent at the head, with the links and the
+ * cached mark indexed by key (each server has its own, so the state grows
+ * with the servers in the run, not with their largest id); its disk draws
+ * on its own generator and serves misses FIFO, free again at free_at. */
+typedef struct {
+    node_t *nodes;
+    uint8_t *cached;
+    int64_t head;
+    int64_t tail;
+    int64_t size;
+    bitgen_t *bg;
+    double free_at;
+} server_t;
+
+/* An LRU access of `capacity` (>= 1) items: a hit moves the key to the
+ * head; a miss inserts it there and evicts the tail once the size exceeds
+ * capacity.  Returns whether it hit. */
+static int lru_access(server_t *srv, int64_t key, int64_t capacity) {
+    node_t *nodes = srv->nodes, *node = &nodes[key];
+    const int hit = srv->cached[key];
+    if (hit) {
+        if (key == srv->head) {
+            return 1;
+        }
+        nodes[node->newer].older = node->older;
+        if (key == srv->tail) {
+            srv->tail = node->newer;
         } else {
-            hit[t] = 0;
-            cached[key] = 1;
-            if (head < 0) {
-                tail = key;
+            nodes[node->older].newer = node->newer;
+        }
+    } else {
+        srv->cached[key] = 1;
+        if (srv->head < 0) {
+            srv->tail = key;
+        }
+        srv->size++;
+    }
+    node->newer = -1;
+    node->older = srv->head;
+    if (srv->head >= 0) {
+        nodes[srv->head].newer = key;
+    }
+    srv->head = key;
+    if (srv->size > capacity) {
+        const int64_t victim = srv->tail;
+        srv->tail = nodes[victim].newer;
+        nodes[srv->tail].older = -1;
+        srv->cached[victim] = 0;
+        srv->size--;
+    }
+    return hit;
+}
+
+/* One eager database run, as DatabaseClusterExperiment._eager_batched
+ * passes it.  Copy j of request r reads files[r] from server
+ * replicas[r * copies + j] at arrivals[r]; migration read m reads
+ * job_files[m] from server job_servers[m] at job_times[m]. */
+typedef struct {
+    const double *arrivals;     /* requests, non-decreasing */
+    const int64_t *files;
+    const int64_t *replicas;    /* requests x copies server ids */
+    int64_t requests;
+    int64_t copies;
+    const double *job_times;    /* migration reads, non-decreasing */
+    const int64_t *job_servers;
+    const int64_t *job_files;
+    int64_t jobs;
+    bitgen_t **gens;            /* server id's generator; NULL: no such server */
+    int64_t slots;              /* server ids 0 .. slots - 1 */
+    int64_t keys;               /* files 0 .. keys - 1 (keys >= 1) */
+    int64_t capacity;           /* LRU items per server; <= 0: every read misses */
+    const int64_t *warm;        /* warm keys of servers 0 .. warmed - 1, in turn */
+    const int64_t *warm_ends;   /* where server s's warm keys end in warm */
+    int64_t warmed;
+    std_exp_fn std_exp;
+    disk_t disk;
+    double xfer;                /* every read's transfer time */
+    double memory_s;            /* every read's memory service time */
+    double *best;               /* out: each request's least copy elapsed time */
+} eager_run_t;
+
+/* One read of `key` on server s at `at`.  A hit completes at at +
+ * memory_s; a miss draws its service and queues FIFO on the disk
+ * (seq_finish's recursion), completing memory_s after the disk frees.
+ * Returns 0 with the completion time in *done, or -2 if the run has no
+ * server s or no key `key`. */
+static int serve_read(const eager_run_t *run, server_t *servers, int64_t s,
+                      int64_t key, double at, int64_t *hits, double *done) {
+    server_t *srv;
+    double service;
+    if (s < 0 || s >= run->slots || servers[s].bg == NULL || key < 0 || key >= run->keys) {
+        return -2;
+    }
+    srv = &servers[s];
+    if (run->capacity > 0 && lru_access(srv, key, run->capacity)) {
+        ++*hits;
+        *done = at + run->memory_s;
+        return 0;
+    }
+    service = disk_service(srv->bg, run->std_exp, &run->disk, run->xfer);
+    if (srv->free_at <= at) {
+        srv->free_at = at;
+    }
+    srv->free_at = srv->free_at + service;
+    *done = srv->free_at + run->memory_s;
+    return 0;
+}
+
+/* The scalar loop of the eager run (reference_database_eager and
+ * reference_database_churn in tests/test_fast_paths.py): every read in
+ * (request, copy) order, each migration read served before the first
+ * request that arrives at or after it, the servers warmed first with their
+ * warm keys (distinct, at most capacity of them).  Writes each request's
+ * least copy elapsed time to best and returns the cache hits, migration
+ * reads included.  Returns -1, before drawing anything, if memory runs out
+ * or keys exceeds INT32_MAX; and -2, at once, if a read names a server
+ * without a generator or a key outside 0 .. keys - 1, or a warm key does. */
+int64_t eager_reads(const eager_run_t *run) {
+    const int64_t slots = run->slots, keys = run->keys, copies = run->copies;
+    int64_t s, r, j, m = 0, hits = 0;
+    server_t *servers;
+    double done;
+    if (keys > INT32_MAX || (uint64_t)keys > SIZE_MAX / sizeof(node_t)) {
+        return -1;
+    }
+    /* Zeroed: a server id without a generator keeps a NULL bg. */
+    servers = calloc((size_t)slots, sizeof(server_t));
+    if (servers == NULL) {
+        return -1;
+    }
+    for (s = 0; s < slots; s++) {
+        server_t *srv = &servers[s];
+        if (run->gens[s] == NULL) {
+            continue;
+        }
+        srv->nodes = malloc(sizeof(node_t) * (size_t)keys);
+        srv->cached = calloc((size_t)keys, 1);
+        if (srv->nodes == NULL || srv->cached == NULL) {
+            hits = -1;
+            goto out;
+        }
+        srv->head = srv->tail = -1;
+        srv->bg = run->gens[s];
+    }
+    for (s = 0; s < run->warmed && run->capacity > 0; s++) {
+        for (j = s ? run->warm_ends[s - 1] : 0; j < run->warm_ends[s]; j++) {
+            if (s >= slots || servers[s].bg == NULL || run->warm[j] < 0 || run->warm[j] >= keys) {
+                goto invalid;
             }
-            size++;
-        }
-        newer[key] = -1;
-        older[key] = head;
-        if (head >= 0) {
-            newer[head] = key;
-        }
-        head = key;
-        if (size > capacity) {
-            int64_t victim = tail;
-            tail = newer[victim];
-            older[tail] = -1;
-            cached[victim] = 0;
-            size--;
+            lru_access(&servers[s], run->warm[j], run->capacity);
         }
     }
+    for (r = 0; r < run->requests; r++) {
+        const double arrival = run->arrivals[r];
+        double best = 0.0;
+        for (; m < run->jobs && run->job_times[m] <= arrival; m++) {
+            if (serve_read(run, servers, run->job_servers[m], run->job_files[m],
+                           run->job_times[m], &hits, &done)) {
+                goto invalid;
+            }
+        }
+        for (j = 0; j < copies; j++) {
+            if (serve_read(run, servers, run->replicas[r * copies + j], run->files[r],
+                           arrival, &hits, &done)) {
+                goto invalid;
+            }
+            best = j == 0 ? done - arrival : NP_MIN(best, done - arrival);
+        }
+        run->best[r] = best;
+    }
+    for (; m < run->jobs; m++) { /* after the last arrival */
+        if (serve_read(run, servers, run->job_servers[m], run->job_files[m],
+                       run->job_times[m], &hits, &done)) {
+            goto invalid;
+        }
+    }
+    goto out;
+invalid:
+    hits = -2;
+out:
+    for (s = 0; s < slots; s++) {
+        if (run->gens[s] != NULL) {
+            free(servers[s].nodes);
+            free(servers[s].cached);
+        }
+    }
+    free(servers);
+    return hits;
 }
 
 /* numpy's random_bounded_uint64: a uniform integer in [off, off + rng]. */
@@ -410,6 +589,45 @@ class BatchPool(ctypes.Structure):
     ]
 
 
+class Disk(ctypes.Structure):
+    """``disk_t``: the disk parameters ``disk_service`` draws a miss with."""
+
+    _fields_ = [
+        (name, ctypes.c_double)
+        for name in ("lo", "span", "slow_p", "slow_mean", "noise_p", "noise_mean")
+    ]
+
+
+class EagerRun(ctypes.Structure):
+    """``eager_run_t``, field for field: one eager database run as
+    ``eager_reads`` reads it.  Pointer fields hold the addresses of arrays
+    the caller keeps alive."""
+
+    _fields_ = [
+        ("arrivals", ctypes.c_void_p),
+        ("files", ctypes.c_void_p),
+        ("replicas", ctypes.c_void_p),
+        ("requests", ctypes.c_int64),
+        ("copies", ctypes.c_int64),
+        ("job_times", ctypes.c_void_p),
+        ("job_servers", ctypes.c_void_p),
+        ("job_files", ctypes.c_void_p),
+        ("jobs", ctypes.c_int64),
+        ("gens", ctypes.c_void_p),
+        ("slots", ctypes.c_int64),
+        ("keys", ctypes.c_int64),
+        ("capacity", ctypes.c_int64),
+        ("warm", ctypes.c_void_p),
+        ("warm_ends", ctypes.c_void_p),
+        ("warmed", ctypes.c_int64),
+        ("std_exp", ctypes.c_void_p),
+        ("disk", Disk),
+        ("xfer", ctypes.c_double),
+        ("memory_s", ctypes.c_double),
+        ("best", ctypes.c_void_p),
+    ]
+
+
 _lib: Optional[ctypes.CDLL] = None
 _tried = False
 
@@ -478,16 +696,8 @@ def _build(cache_dir: str) -> ctypes.CDLL:
         ctypes.c_int64,
     ] + [ctypes.c_double] * 6 + [ctypes.c_void_p]
     lib.disk_services.restype = None
-    lib.lru_flags.argtypes = [
-        ctypes.c_void_p,
-        ctypes.c_int64,
-        ctypes.c_int64,
-        ctypes.c_void_p,
-        ctypes.c_void_p,
-        ctypes.c_void_p,
-        ctypes.c_void_p,
-    ]
-    lib.lru_flags.restype = None
+    lib.eager_reads.argtypes = [ctypes.POINTER(EagerRun)]
+    lib.eager_reads.restype = ctypes.c_int64
     lib.distinct_choices.argtypes = [
         ctypes.c_void_p,
         ctypes.c_void_p,
@@ -510,8 +720,8 @@ def _build(cache_dir: str) -> ctypes.CDLL:
         ctypes.c_void_p,
     ]
     lib.reserve_batch.restype = ctypes.c_int64
-    # Passed as disk_services' std_exp and distinct_choices' bounded; kept
-    # here so they live with the library.
+    # Passed as disk_services' and eager_reads' std_exp and as
+    # distinct_choices' bounded; kept here so they live with the library.
     lib.std_exponential = std_exponential
     lib.bounded_uint64 = bounded_uint64
     return lib

@@ -21,12 +21,15 @@ code path byte-for-byte.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.analysis.stats import LatencySummary
+from repro.cluster import _ckernels
 from repro.cluster.cache import LRUByteCache
 from repro.cluster.churn import (
     ChurnTimeline,
@@ -575,40 +578,40 @@ class DatabaseClusterExperiment:
         run_seed: Tuple[int, ...],
         migrations: Optional[Tuple[np.ndarray, ...]] = None,
     ) -> Tuple[np.ndarray, int, int]:
-        """Vectorised eager-replication run, byte-identical to the scalar loop.
+        """Eager-replication run, byte-identical to the scalar loop.
 
         The scalar loop (``reference_database_eager`` in
         ``tests/test_fast_paths.py``) serves copies in global ``(request,
         copy)`` order, with a churn run's migration reads
         (``migrations`` as ``(times, servers, files)``) served before the
-        first request that arrives at or after them.  Each access touches
-        exactly one server, and servers share no state — the cache, the
-        FIFO disk queue, and the service-time rng are all per server.
-        Grouping accesses by server therefore preserves every per-server
-        stream exactly, which lets each server in ``server_ids`` be processed
-        with three batched kernels:
+        first request that arrives at or after them.  Migration reads are
+        accesses like any other: they warm the cache, count in the hit
+        totals and queue on the disk, but complete no request.  Only the
+        initial pool is warmed (each cache with the files its warm order
+        leaves in it); a server added mid-run starts cold.
+
+        When the compiled kernels load (:mod:`repro.cluster._ckernels`) and
+        every file has the same size, so each cache holds a fixed number of
+        items, that loop runs as it is in C: one ``eager_reads`` call per run
+        (:meth:`_eager_compiled`).  Otherwise each access touches exactly one
+        server, and servers share no state — the cache, the FIFO disk queue
+        and the service-time rng are all per server — so grouping accesses
+        by server preserves every per-server stream exactly, and each server
+        in ``server_ids`` runs three batched kernels:
 
         * cache warming plus hit/miss classification via
           :func:`~repro.cluster.lru_kernel.lru_hit_flags` (warm inserts are
           prepended to the access stream as virtual accesses — ``warm_with``
           has precisely LRU-insert semantics for distinct keys, so an empty
           cache of ``C`` items ends warm-up holding exactly the last ``C``
-          candidates, in order, and only those are prepended), falling back
-          to :meth:`~repro.cluster.cache.LRUByteCache.access_many` when file
-          sizes are not all equal.  Only the initial pool is warmed: a
-          server added mid-run starts cold;
+          candidates, in order, and only those are prepended), or
+          :meth:`~repro.cluster.cache.LRUByteCache.access_many` when file
+          sizes are not all equal;
         * disk service times for the misses via
           :func:`~repro.cluster.draws.exact_disk_services`, consuming the
           server substream in the scalar order;
         * the FIFO disk queue via
           :func:`~repro.cluster.draws.sequential_finish_times`.
-
-        Migration reads are accesses like any other: they warm the cache,
-        count in the hit totals and queue on the disk, but complete no
-        request.  When the compiled kernels load
-        (:mod:`repro.cluster._ckernels`) all three kernels run as C ports of
-        the scalar loops; otherwise their numpy and Python paths run, with
-        identical results.
 
         Returns:
             ``(best_elapsed, cache_hits, cache_misses)`` where ``best_elapsed``
@@ -616,6 +619,18 @@ class DatabaseClusterExperiment:
             overhead.
         """
         config = self.config
+        capacity = config.cache_bytes_per_server
+        item_capacity = (
+            equal_item_capacity(capacity, float(config.mean_file_bytes))
+            if config.file_size_distribution is None
+            else None
+        )
+        lib = _ckernels.load()
+        if lib is not None and item_capacity is not None:
+            return self._eager_compiled(
+                lib, k, arrival_times, file_ids, replicas, server_ids, run_seed,
+                migrations, item_capacity,
+            )
         n = len(arrival_times)
         all_sizes = self._fileset.sizes_bytes
         srv_flat = replicas.ravel()
@@ -636,12 +651,6 @@ class DatabaseClusterExperiment:
 
         warm_orders = self._warm_orders(k)
         cold = np.empty(0, dtype=np.int64)
-        capacity = config.cache_bytes_per_server
-        item_capacity = (
-            equal_item_capacity(capacity, float(config.mean_file_bytes))
-            if config.file_size_distribution is None
-            else None
-        )
         hits_total = 0
         for server_id in server_ids:
             candidates = warm_orders[server_id] if server_id < config.num_servers else cold
@@ -679,6 +688,86 @@ class DatabaseClusterExperiment:
         elapsed = completion_flat.reshape(n, k) - arrival_times[:, None]
         best = elapsed.min(axis=1)
         return best, hits_total, len(srv_flat) - hits_total
+
+    def _eager_compiled(
+        self,
+        lib,
+        k: int,
+        arrival_times: np.ndarray,
+        file_ids: np.ndarray,
+        replicas: np.ndarray,
+        server_ids: Sequence[int],
+        run_seed: Tuple[int, ...],
+        migrations: Optional[Tuple[np.ndarray, ...]],
+        capacity: int,
+    ) -> Tuple[np.ndarray, int, int]:
+        """:meth:`_eager_batched` as one compiled ``eager_reads`` call.
+
+        Every file is ``mean_file_bytes`` long, so each cache holds
+        ``capacity`` items and every read transfers for the same time.
+        Each server id in ``server_ids`` gets its substream, created up front
+        (creating one draws nothing); the initial pool's caches start with
+        the last ``capacity`` files of their warm orders.
+        """
+        config = self.config
+        disk = config.disk
+        if migrations is None:
+            migrations = (np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        job_times, job_servers, job_files = (
+            np.ascontiguousarray(column, dtype=dtype)
+            for column, dtype in zip(migrations, (np.float64, np.int64, np.int64))
+        )
+        arrivals = np.ascontiguousarray(arrival_times, dtype=np.float64)
+        files = np.ascontiguousarray(file_ids, dtype=np.int64)
+        replicas = np.ascontiguousarray(replicas, dtype=np.int64)
+        warm = [order[max(0, order.size - capacity) :] for order in self._warm_orders(k)]
+        warm_keys = np.ascontiguousarray(np.concatenate(warm), dtype=np.int64)
+        warm_ends = np.cumsum([order.size for order in warm], dtype=np.int64)
+        rngs = [substream(config.seed, "server", server_id, *run_seed) for server_id in server_ids]
+        gens = (ctypes.c_void_p * (max(server_ids) + 1))()
+        for server_id, rng in zip(server_ids, rngs):
+            gens[server_id] = rng.bit_generator.ctypes.bit_generator.value
+        best = np.empty(len(arrivals))
+        run = _ckernels.EagerRun(
+            arrivals=arrivals.ctypes.data,
+            files=files.ctypes.data,
+            replicas=replicas.ctypes.data,
+            requests=len(arrivals),
+            copies=k,
+            job_times=job_times.ctypes.data,
+            job_servers=job_servers.ctypes.data,
+            job_files=job_files.ctypes.data,
+            jobs=len(job_times),
+            gens=ctypes.addressof(gens),
+            slots=len(gens),
+            keys=config.num_files,
+            capacity=capacity,
+            warm=warm_keys.ctypes.data,
+            warm_ends=warm_ends.ctypes.data,
+            warmed=len(warm),
+            std_exp=ctypes.cast(lib.std_exponential, ctypes.c_void_p).value,
+            disk=_ckernels.Disk(
+                disk.min_positioning_s,
+                disk.max_positioning_s - disk.min_positioning_s,
+                disk.slow_access_probability,
+                disk.slow_access_mean_s,
+                config.noise_probability,
+                config.noise_multiplier_mean,
+            ),
+            xfer=float(config.mean_file_bytes) / disk.transfer_bytes_per_sec,
+            memory_s=config.memory_service_s,
+            best=best.ctypes.data,
+        )
+        with contextlib.ExitStack() as locks:
+            # ctypes releases the GIL: hold every generator's lock, as numpy does.
+            for rng in rngs:
+                locks.enter_context(rng.bit_generator.lock)
+            hits = lib.eager_reads(ctypes.byref(run))
+        if hits == -1:
+            raise MemoryError("eager_reads could not allocate its server state")
+        if hits < 0:
+            raise ValueError("eager_reads got a server id or file id outside the run")
+        return best, hits, len(arrivals) * k + len(job_times) - hits
 
     def threshold_load(
         self,

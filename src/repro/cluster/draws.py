@@ -35,11 +35,15 @@ numpy path therefore needs a bit generator with ``advance`` (``PCG64``, the
 default, or ``Philox``); ``MT19937`` and ``SFC64`` lack it and raise
 ``AttributeError`` there, while the compiled path runs on any of them.
 
-Eager database and memcached runs, with or without churn, always take these
-batched paths, and every eager FIFO in the queueing, cluster and pipeline
-substrates runs through :func:`grouped_finish_times`.  The per-request
-scalar loops they replaced live on in ``tests/test_fast_paths.py`` as
-references that both paths are checked against bit for bit.
+Eager database runs, with or without churn, take :func:`exact_disk_services`
+and :func:`sequential_finish_times` per server when the compiled kernels are
+off or missing, or when file sizes differ; with the kernels and equal-sized
+files they draw and queue inside one compiled pass instead (``eager_reads``
+in :mod:`repro.cluster._ckernels`).  Every other eager FIFO in the
+queueing, cluster and pipeline substrates, memcached's included, runs
+through :func:`grouped_finish_times`.  The per-request scalar loops these
+replaced live on in ``tests/test_fast_paths.py`` as references that every
+path is checked against bit for bit.
 """
 
 from __future__ import annotations

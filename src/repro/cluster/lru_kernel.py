@@ -4,11 +4,11 @@
 paper scale the database substrate pushes ~100k accesses per grid point
 through it, and the Python-level dict walk dominates the point cost.  When
 every item has the same size the cache holds a fixed number of items ``C``,
-so :func:`lru_hit_flags` can classify a whole access stream at once.
-
-When the compiled kernels load (:mod:`repro.cluster._ckernels`) it replays
-the stream through a plain linked-list LRU of ``C`` items in C.  Without them
-it takes a numpy path built on a closed-form batch formulation:
+so :func:`lru_hit_flags` can classify a whole access stream at once.  It is
+the database's LRU when the compiled kernels are off or missing; with them,
+the eager run keeps its caches inside one compiled pass
+(``eager_reads`` in :mod:`repro.cluster._ckernels`).  It is built on a
+closed-form batch formulation:
 
 * ``prev[t]`` — the previous access of the same key — is computable for the
   whole stream with one sort.
@@ -19,13 +19,13 @@ it takes a numpy path built on a closed-form batch formulation:
   position and retires at most one older one, so the C-th largest "last
   occurrence" position can only move forward.
 
-Monotonicity is the lever: the numpy path computes ``b`` exactly only at
-chunk boundaries (cheap, vectorised per boundary), brackets every access's
+Monotonicity is the lever: the kernel computes ``b`` exactly only at chunk
+boundaries (cheap, vectorised per boundary), brackets every access's
 ``b(t)`` between the surrounding boundary values, classifies almost all
 accesses with two global comparisons, and resolves the handful of ambiguous
 accesses — those whose ``prev`` lands inside the bracket — with an exact
-distinct count over the ``next``-occurrence array.  Both paths are bit-equal
-to replaying the stream through ``LRUByteCache`` (pinned by tests against the
+distinct count over the ``next``-occurrence array.  It is bit-equal to
+replaying the stream through ``LRUByteCache`` (pinned by tests against the
 reference implementation) at a small fraction of the cost.
 """
 
@@ -34,8 +34,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-
-from repro.cluster import _ckernels
 
 _MAX_EXACT_FLOAT = float(2**53)
 
@@ -99,19 +97,17 @@ def lru_hit_flags(keys: np.ndarray, capacity_items: int, chunk: int = 256) -> np
 
     Equivalent to feeding ``keys`` through ``LRUByteCache`` with equal item
     sizes: ``flags[t]`` is ``True`` iff access ``t`` is a cache hit.  Keys
-    must be non-negative integers; the compiled path sizes its per-key
-    scratch arrays by the largest key.
+    must be non-negative integers.
 
     Args:
         keys: Access stream (any integer dtype).
         capacity_items: Number of items the cache holds (``<= 0`` = all miss).
-        chunk: Boundary sampling interval of the numpy path; affects speed
-            only, not results.  The compiled path ignores it.
+        chunk: Boundary sampling interval; affects speed only, not results.
 
     Raises:
         ValueError: A key is negative.
     """
-    keys = np.ascontiguousarray(keys, dtype=np.int64)
+    keys = np.asarray(keys, dtype=np.int64)
     n = len(keys)
     if n == 0:
         return np.zeros(0, dtype=bool)
@@ -120,23 +116,6 @@ def lru_hit_flags(keys: np.ndarray, capacity_items: int, chunk: int = 256) -> np
     if capacity_items <= 0:
         return np.zeros(n, dtype=bool)
     C = int(capacity_items)
-    lib = _ckernels.load()
-    if lib is not None:
-        slots = int(keys.max()) + 1
-        newer = np.empty(slots, dtype=np.int64)
-        older = np.empty(slots, dtype=np.int64)
-        cached = np.zeros(slots, dtype=np.uint8)
-        hits = np.empty(n, dtype=bool)
-        lib.lru_flags(
-            keys.ctypes.data,
-            n,
-            C,
-            newer.ctypes.data,
-            older.ctypes.data,
-            cached.ctypes.data,
-            hits.ctypes.data,
-        )
-        return hits
     prev, nxt = previous_and_next_occurrence(keys)
 
     num_chunks = (n + chunk - 1) // chunk

@@ -27,6 +27,7 @@ import asyncio
 import sys
 from typing import List, Optional, Sequence, Tuple
 
+from repro.cluster import _ckernels
 from repro.core.policy import canonical_policy_spec
 from repro.distributions import Exponential
 from repro.serve.backends import SimBackend
@@ -188,6 +189,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     from repro.core.policy import parse_policy
 
     policies = [spec.strip() for spec in args.policies.split(",") if spec.strip()]
+    # Load (or build) the kernel library untimed, so the first row does not
+    # pay for the dlopen and the sampler lookups.
+    _ckernels.load()
     wall = RealClock()
     rows: List[Tuple[str, float, int, str]] = []
     for spec in policies:

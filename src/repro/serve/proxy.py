@@ -300,7 +300,8 @@ class RedundancyProxy(Racer):
         ``bench`` throughput target measures.  Falls back to ``False``
         (caller loops scalar) when the plan is not fast-path eligible, a
         live backend is down, or a live backend is not a
-        :class:`SimBackend` (decided at each membership change).
+        :class:`SimBackend` (decided at each membership change).  An empty
+        batch on an eligible plan is a no-op that returns ``True``.
         """
         plan = self._fast_plan
         if plan is None or self._batch is None:
@@ -311,6 +312,8 @@ class RedundancyProxy(Racer):
             # the finish/service arrays unfilled — fall back to scalar
             # dispatch, which recomputes replicas off-table.
             return False
+        if len(keys) == 0:
+            return True
         reserved = self._batch.reserve(keys, arrivals, copies)
         if reserved is None:
             # A live backend is down.  Only the ring's members are checked:

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import _ckernels
+from repro.cluster import database as database_module
 from repro.cluster.cache import LRUByteCache
 from repro.cluster.churn import merge_jobs, migration_schedule, parse_churn, spike_metrics
 from repro.cluster.database import DatabaseClusterConfig, DatabaseClusterExperiment
@@ -70,7 +71,7 @@ def kernel_path(request, monkeypatch):
 
 
 class TestLruKernel:
-    def test_matches_reference_cache_across_regimes(self, kernel_path):
+    def test_matches_reference_cache_across_regimes(self):
         rng = np.random.default_rng(7)
         for case in range(12):
             n = int(rng.integers(1, 4000))
@@ -84,18 +85,15 @@ class TestLruKernel:
             got = lru_hit_flags(keys, capacity)
             assert np.array_equal(got, expected), (case, n, num_keys, capacity)
 
-    def test_chunk_size_does_not_change_results(self, monkeypatch):
-        use_kernel_path(monkeypatch, "numpy")  # the compiled path ignores chunk
+    def test_chunk_size_does_not_change_results(self):
         rng = np.random.default_rng(11)
         keys = rng.integers(0, 200, size=3000)
         expected = reference_lru_flags(keys, 64)
         for chunk in (1, 16, 37, 256, 4096):
             assert np.array_equal(lru_hit_flags(keys, 64, chunk=chunk), expected)
 
-    def test_large_stream_triggers_chunk_cap(self, monkeypatch):
-        # > 1024 default chunks: exercises the numpy path's boundary-matrix
-        # footprint cap.
-        use_kernel_path(monkeypatch, "numpy")
+    def test_large_stream_triggers_chunk_cap(self):
+        # > 1024 default chunks: exercises the boundary-matrix footprint cap.
         rng = np.random.default_rng(13)
         keys = rng.integers(0, 900, size=300_000)
         got = lru_hit_flags(keys, 500)
@@ -108,9 +106,7 @@ class TestLruKernel:
             lru_hit_flags(np.array([5, 5, 5]), 1), np.array([False, True, True])
         )
 
-    def test_negative_key_rejected(self, kernel_path):
-        # The compiled path indexes per-key arrays by key, so a negative key
-        # must be refused before it reaches C.
+    def test_negative_key_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             lru_hit_flags(np.array([3, -1, 2]), 2)
 
@@ -518,22 +514,6 @@ class TestGroupedFinishTimes:
         assert got.copies_launched == 4_000 * copies
 
 
-class TestCompiledLruKernel:
-    def test_compiled_and_python_paths_identical(self, monkeypatch):
-        if _ckernels.load() is None:
-            pytest.skip("no C compiler available")
-        rng = np.random.default_rng(21)
-        for _ in range(6):
-            keys = (rng.zipf(1.4, size=5000) - 1) % 400
-            capacity = int(rng.integers(2, 300))
-            with_c = lru_hit_flags(keys, capacity)
-            monkeypatch.setenv(_ckernels.CKERNELS_ENV_VAR, "0")
-            without_c = lru_hit_flags(keys, capacity)
-            monkeypatch.delenv(_ckernels.CKERNELS_ENV_VAR)
-            assert np.array_equal(with_c, without_c)
-            assert np.array_equal(with_c, reference_lru_flags(keys, capacity))
-
-
 def reference_placements(num_chunks, copies, num_workers, rng):
     """The per-chunk ``rng.choice`` loop that the compiled placement replaced."""
     placements = np.empty((num_chunks, copies), dtype=np.int64)
@@ -915,14 +895,14 @@ class TestBatchedDrawsByteIdentity:
     """End-to-end: the batched eager runs equal the scalar loops above."""
 
     @pytest.mark.parametrize("copies", [1, 2])
-    def test_database_response_times_identical(self, copies):
+    def test_database_response_times_identical(self, kernel_path, copies):
         cfg = DatabaseClusterConfig(num_files=4000, seed=321)
         batched = DatabaseClusterExperiment(cfg).run(0.3, copies=copies, num_requests=2000)
         response, hit_ratio = reference_database_eager(cfg, 0.3, copies, 2000)
         assert np.array_equal(batched.response_times, response)
         assert batched.cache_hit_ratio == hit_ratio
 
-    def test_database_noisy_variant_identical(self):
+    def test_database_noisy_variant_identical(self, kernel_path):
         cfg = DatabaseClusterConfig(num_files=4000, seed=55)
         cfg = dataclasses.replace(
             cfg,
@@ -1038,6 +1018,163 @@ class TestEagerChurnByteIdentity:
         for result in (database, memcached):
             assert result.spike is None
             assert "migration_jobs" not in result.metrics
+
+
+@st.composite
+def eager_database_runs(draw):
+    """``(config, load, copies, num_requests, churn)`` of a small eager run.
+
+    2-6 servers (3-4 under churn, so every timeline in ``CHURNS`` applies)
+    and 1 to all of them as copies (one fewer under churn, so a removal
+    leaves enough).  A few files and caches of 1-3 items, so hits land at
+    the head, in the middle and at the tail of a cache's list and evictions
+    occur; or a cache of 0 items (every read misses), or one that holds
+    every file.  Noise and slow accesses on or off.
+    """
+    churn = draw(st.none() | st.sampled_from(CHURNS))
+    num_servers = draw(st.integers(3, 4) if churn else st.integers(2, 6))
+    copies = draw(st.integers(1, num_servers - 1 if churn else num_servers))
+    num_files = draw(st.integers(4, 40))
+    items = draw(st.sampled_from([0, 1, 2, 3, None]))
+    config = DatabaseClusterConfig(
+        num_servers=num_servers,
+        num_files=num_files,
+        # items + 0.5 items' worth of bytes per server holds exactly items.
+        cache_to_data_ratio=2.0 if items is None else (items + 0.5) * num_servers / num_files,
+        noise_probability=draw(st.sampled_from([0.0, 0.3])),
+        disk=DiskModel(slow_access_probability=draw(st.sampled_from([0.0, 0.2]))),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    # The load whose estimated bottleneck utilisation is 0.1 or 0.4.
+    load = draw(st.sampled_from([0.1, 0.4])) * config.expected_service_time(1) / (
+        copies * config.expected_service_time(copies)
+    )
+    return config, load, copies, draw(st.integers(100, 300)), churn
+
+
+def spike_hex(spike):
+    """A spike dict with its floats as hex strings (NaN compares equal)."""
+    return None if spike is None else {key: float(value).hex() for key, value in spike.items()}
+
+
+class TestEagerDatabaseProperty:
+    """Eager database runs equal the scalar loops bit for bit, on both paths."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(run=eager_database_runs())
+    def test_run_equals_the_scalar_loop(self, run):
+        config, load, copies, num_requests, churn = run
+        if churn is None:
+            response, hit_ratio = reference_database_eager(config, load, copies, num_requests)
+            jobs = spike = None
+        else:
+            response, hit_ratio, jobs, spike = reference_database_churn(
+                config, load, copies, num_requests, churn, 100.0
+            )
+        for path in ("compiled", "numpy"):
+            with pytest.MonkeyPatch.context() as patch:
+                if path == "numpy":
+                    patch.setenv(_ckernels.CKERNELS_ENV_VAR, "0")
+                elif _ckernels.load() is None:
+                    continue
+                got = DatabaseClusterExperiment(config).run(
+                    load,
+                    copies=copies,
+                    num_requests=num_requests,
+                    churn=churn,
+                    migration_rate=100.0,
+                )
+            assert got.response_times.tobytes() == response.tobytes(), path
+            assert got.cache_hit_ratio == hit_ratio, path
+            assert got.metrics.get("migration_jobs") == jobs, path
+            assert spike_hex(got.spike) == spike_hex(spike), path
+
+
+class TestEagerCompiledPass:
+    """With the kernels loaded, equal-sized files take ``eager_reads``."""
+
+    @pytest.fixture(autouse=True)
+    def _compiled(self, monkeypatch):
+        use_kernel_path(monkeypatch, "compiled")
+
+    @pytest.mark.parametrize("churn", [None, "add:4@0.4"])
+    def test_equal_sizes_skip_the_per_server_kernels(self, monkeypatch, churn):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the per-server path ran")
+
+        monkeypatch.setattr(database_module, "lru_hit_flags", refuse)
+        monkeypatch.setattr(database_module, "exact_disk_services", refuse)
+        result = DatabaseClusterExperiment(DatabaseClusterConfig(num_files=2_000)).run(
+            0.25, copies=2, num_requests=500, churn=churn
+        )
+        assert 0.0 < result.cache_hit_ratio < 1.0
+
+    def test_pareto_files_take_the_per_server_path(self, monkeypatch):
+        calls = []
+        draw = database_module.exact_disk_services
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(database_module, "exact_disk_services", counted)
+        DatabaseClusterExperiment(DatabaseClusterConfig.pareto_files(num_files=2_000)).run(
+            0.25, copies=2, num_requests=500
+        )
+        assert calls
+
+    def test_a_tied_migration_read_queues_ahead_of_the_copy(self, monkeypatch):
+        # A cache of 0 items: every read misses and queues on its disk.
+        # Server 0 serves the migration read at t = 1 before request 0's
+        # copy at t = 1, as merge_jobs orders them on the per-server path;
+        # the read at t = 2.5 comes after the last arrival.
+        config = DatabaseClusterConfig(num_files=10, cache_to_data_ratio=0.01)
+        experiment = DatabaseClusterExperiment(config)
+        file_ids = np.array([3, 4])
+        migrations = (np.array([0.5, 1.0, 2.5]), np.array([1, 0, 1]), np.array([5, 6, 7]))
+        args = (
+            2, np.array([1.0, 2.0]), file_ids, experiment._fileset.sizes_bytes[file_ids],
+            np.array([[0, 1], [1, 0]]), range(4), (2, 0), migrations,
+        )
+        best, hits, misses = experiment._eager_batched(*args)
+        assert (hits, misses) == (0, 7)
+        monkeypatch.setenv(_ckernels.CKERNELS_ENV_VAR, "0")
+        per_server_best, *counts = experiment._eager_batched(*args)
+        assert best.tobytes() == per_server_best.tobytes()
+        assert counts == [0, 7]
+
+    def test_a_server_with_a_large_id_joins(self):
+        # Cache state is allocated per server in the run, not per id up to
+        # the largest one (a million ids of 2,000 key slots would not fit).
+        config = DatabaseClusterConfig(num_files=2_000, seed=3)
+        churn = "add:1000000@0.4"
+        got = DatabaseClusterExperiment(config).run(
+            0.25, copies=2, num_requests=500, churn=churn, migration_rate=100.0
+        )
+        response, hit_ratio, jobs, spike = reference_database_churn(
+            config, 0.25, 2, 500, churn, 100.0
+        )
+        assert got.response_times.tobytes() == response.tobytes()
+        assert got.cache_hit_ratio == hit_ratio
+        assert got.metrics["migration_jobs"] == jobs > 0
+        assert spike_hex(got.spike) == spike_hex(spike)
+
+    @pytest.mark.parametrize("bad", ["server", "file"])
+    def test_a_read_outside_the_run_is_refused(self, bad):
+        config = DatabaseClusterConfig(num_files=200)
+        experiment = DatabaseClusterExperiment(config)
+        arrivals = np.arange(1.0, 11.0)
+        files = np.arange(10)
+        replicas = (files[:, None] + np.arange(2)) % config.num_servers
+        if bad == "server":
+            replicas[7, 1] = config.num_servers  # no generator for that id
+        else:
+            files[7] = config.num_files
+        with pytest.raises(ValueError, match="outside the run"):
+            experiment._eager_compiled(
+                _ckernels.load(), 2, arrivals, files, replicas,
+                range(config.num_servers), (2, 0), None, 3,
+            )
 
 
 def servers_reading_oldest_warm_key_first(config, load, copies, num_requests):

@@ -446,3 +446,18 @@ class TestBenchCommand:
         from repro.serve.cli import main
 
         assert main(["bench", "--policies", "hedge:1ms", "--requests", "500", "--quiet"]) == 0
+
+    def test_kernels_load_before_the_first_timed_run(self, monkeypatch):
+        from repro.cluster import _ckernels
+        from repro.serve import cli
+
+        events = []
+        load = _ckernels.load
+        monkeypatch.setattr(_ckernels, "load", lambda: events.append("load") or load())
+
+        async def run_load(proxy, clock, config):
+            events.append("run_load")
+
+        monkeypatch.setattr(cli, "run_load", run_load)
+        assert cli.main(["bench", "--policies", "none,k2", "--requests", "100", "--quiet"]) == 0
+        assert events[0] == "load" and events.count("run_load") == 2

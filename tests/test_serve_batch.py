@@ -265,6 +265,32 @@ def test_failed_live_backend_refuses_the_batch(path):
     assert proxy.requests == 10
 
 
+@pytest.mark.parametrize("path", PATHS)
+def test_empty_batch_is_a_no_op(path):
+    """An empty batch on an eligible plan returns True and changes no
+    counter, backend state or pending latency chunk."""
+    pool = make_pool(4, 0, [True] * 4)
+    proxy = RedundancyProxy(pool, VirtualClock(), policy="k2")
+    with kernel_path(path):
+        proxy.prepare_keyspace(100, 4)
+    assert (proxy._batch._lib is not None) == (path == "compiled")
+    assert proxy.submit_batch(np.arange(10), np.linspace(0.0, 0.001, 10)) is True
+
+    def snapshot():
+        return (
+            proxy.requests,
+            proxy.copies_launched,
+            proxy.useful_service_s,
+            proxy.last_finish_at,
+            [chunk.tobytes() for chunk in proxy._pending_chunks],
+            [backend_state(backend) for backend in pool],
+        )
+
+    before = snapshot()
+    assert proxy.submit_batch(np.array([], dtype=np.int64), np.array([])) is True
+    assert snapshot() == before
+
+
 def test_inputs_the_kernel_cannot_read_in_place_take_the_numpy_path():
     """Narrow keys, strided or read-only arrivals and keys outside the
     table go to the numpy path: the same bytes, or numpy's IndexError."""
