@@ -1,6 +1,6 @@
 """Optional C fast paths for Python-level inner loops, via ``ctypes``.
 
-Five hot paths resist numpy vectorisation, because each step depends on the
+Six hot paths resist numpy vectorisation, because each step depends on the
 previous one or because numpy would spend a call per small group: the FIFO
 busy-period recursion (``seq_finish``), the per-miss disk draws
 (``disk_services``: the ziggurat exponential consumes a variable number of
@@ -8,22 +8,30 @@ generator words), the eager database run (``eager_reads``: every read in
 ``(request, copy)`` order through its server's LRU cache, disk draws and
 disk FIFO, which numpy would split into per-server scans, gathers and
 scatters), the pipeline's per-chunk placement draws (``distinct_choices``:
-``Generator.choice`` without replacement, one Python call per chunk) and the
+``Generator.choice`` without replacement, one Python call per chunk), the
 serving proxy's batch reservation (``reserve_batch``: one FIFO row per
 backend, then each request's winner, which numpy runs as some forty calls
-per batch).  All five are plain loops over contiguous C arrays, so when a
-system C compiler is present they are compiled once per source digest into
-a small shared library and called through ``ctypes`` — no third-party
-packages, no Python headers, no build step in the repo.
+per batch) and the streaming histogram's recording of many batches
+(``fold_moments``: each batch's sum, mean and M2 folded into the running
+moments in turn, which numpy runs as four calls per batch; ``bin_counts``:
+a block's bin keys counted, with the batch each first occurs in, where
+numpy sorts the block).  All six are plain loops over contiguous C arrays,
+so when a system C compiler is present they are compiled once per source
+digest into a small shared library and called through ``ctypes`` — no
+third-party packages, no Python headers, no build step in the repo.
 
 Byte-identity: each C routine is a literal port of the loop it replaces and
 performs exactly the same IEEE-754 double operations and generator draws in
-the same order; ``reserve_batch`` also ports numpy's pairwise summation,
-which ``ndarray.sum()`` runs on a contiguous array (``array_sum``; a test
-pins it against ``.sum()``, so a numpy that sums differently fails loudly).
-The build omits ``-ffast-math``, so the compiler cannot
-reassociate, and passes ``-ffp-contract=off``, so it cannot fuse a multiply
-and an add into one FMA (aarch64 has FMA in its baseline).  The draws run on
+the same order; ``reserve_batch`` and ``fold_moments`` also port numpy's
+pairwise summation, which ``ndarray.sum()`` runs on a contiguous array
+(``array_sum``; a test pins it against ``.sum()``, so a numpy that sums
+differently fails loudly).  ``bin_counts`` takes the floors of
+``bins_per_decade * np.log10`` as numpy computed them and never calls
+libm's ``log10``, which can differ from numpy's in the last ulp and so move
+a sample at a bin edge into the neighbouring bin.  The build omits
+``-ffast-math``, so the compiler cannot reassociate, and passes
+``-ffp-contract=off``, so it cannot fuse a multiply and an add into one FMA
+(aarch64 has FMA in its baseline).  The draws run on
 the generator's own numpy ``bitgen_t`` state through numpy's own samplers:
 ``disk_services`` and ``eager_reads`` call ``random_standard_exponential``,
 the routine ``Generator.exponential`` runs, and ``distinct_choices`` ports
@@ -563,6 +571,105 @@ int64_t reserve_batch(batch_pool_t *pool, const int64_t *keys,
     free(prefix);
     return 0;
 }
+
+/* A Histogram's running moments: count, mean, M2 (Chan et al.) and sum. */
+typedef struct {
+    int64_t count;
+    double mean;
+    double m2;
+    double sum;
+} moments_t;
+
+/* The moment fold of Histogram.record_batches over `batches` batches, the
+ * b-th the next sizes[b] (>= 1) samples of data, in batch order: a batch's
+ * sum is ndarray.sum(), its mean that over its size and its M2
+ * np.square(batch - mean).sum() (the squares are summed in scratch, which
+ * holds the largest batch); then _combine_moments' update, evaluated as
+ * Python evaluates it, and the sum. */
+void fold_moments(moments_t *m, const double *data, const int64_t *sizes,
+                  int64_t batches, double *scratch) {
+    int64_t b, i;
+    for (b = 0; b < batches; b++) {
+        const int64_t n = sizes[b], count = m->count + n;
+        const double total = array_sum(data, n), mean = total / (double)n;
+        double delta, batch_m2;
+        for (i = 0; i < n; i++) {
+            const double deviation = data[i] - mean;
+            scratch[i] = deviation * deviation;
+        }
+        batch_m2 = array_sum(scratch, n);
+        delta = mean - m->mean;
+        m->mean = m->mean + delta * (double)n / (double)count;
+        m->m2 = m->m2 + (batch_m2 + delta * delta * (double)m->count * (double)n / (double)count);
+        m->count = count;
+        m->sum = m->sum + total;
+        data += n;
+    }
+}
+
+/* A Histogram's bins in the making: each key's count and the batch its
+ * first sample is in, for the keys lo .. lo + size - 1. */
+typedef struct {
+    int64_t lo;
+    int64_t size;
+    int64_t *counts;
+    int64_t *first;
+    int64_t zeros;  /* zero samples */
+    int64_t least;  /* out, when a key falls outside: the least key */
+    int64_t most;   /* and the greatest */
+} bin_table_t;
+
+/* np.floor of a double inside +-2**62, as an integer. */
+static int64_t floor_key(double x) {
+    const int64_t k = (int64_t)x;
+    return (double)k > x ? k - 1 : k;
+}
+
+/* The bin counts of `batches` batches, the b-th the next sizes[b] values of
+ * scaled, as batch number base + b.  Each value is bins_per_decade *
+ * np.log10(sample): a zero sample's is -inf and counts in zeros, any
+ * other's bin key is its floor.  Returns 0 when counted.  Before counting
+ * anything, it returns 1, with the least and greatest key in least and
+ * most, when a key falls outside the table, and -1 when one lies beyond
+ * +-2**62. */
+int64_t bin_counts(bin_table_t *table, const double *scaled, const int64_t *sizes,
+                   int64_t batches, int64_t base) {
+    double least = INFINITY, most = -INFINITY;
+    int64_t b, i, n = 0;
+    for (b = 0; b < batches; b++) {
+        n += sizes[b];
+    }
+    for (i = 0; i < n; i++) {
+        if (scaled[i] != -INFINITY) {
+            least = scaled[i] < least ? scaled[i] : least;
+            most = scaled[i] > most ? scaled[i] : most;
+        }
+    }
+    if (least <= most) {
+        if (!(least > -0x1p62 && most < 0x1p62)) {
+            return -1;
+        }
+        table->least = floor_key(least);
+        table->most = floor_key(most);
+        if (table->least < table->lo || table->most >= table->lo + table->size) {
+            return 1;
+        }
+    }
+    for (b = 0; b < batches; b++) {
+        for (i = 0; i < sizes[b]; i++, scaled++) {
+            int64_t slot;
+            if (*scaled == -INFINITY) {
+                table->zeros++;
+                continue;
+            }
+            slot = floor_key(*scaled) - table->lo;
+            if (table->counts[slot]++ == 0) {
+                table->first[slot] = base + b;
+            }
+        }
+    }
+    return 0;
+}
 """
 
 
@@ -586,6 +693,32 @@ class BatchPool(ctypes.Structure):
         ("consumed", ctypes.c_void_p),
         ("useful", ctypes.c_double),
         ("last", ctypes.c_double),
+    ]
+
+
+class Moments(ctypes.Structure):
+    """``moments_t``: the running moments ``fold_moments`` folds batches into."""
+
+    _fields_ = [
+        ("count", ctypes.c_int64),
+        ("mean", ctypes.c_double),
+        ("m2", ctypes.c_double),
+        ("sum", ctypes.c_double),
+    ]
+
+
+class BinTable(ctypes.Structure):
+    """``bin_table_t``, field for field: the bins ``bin_counts`` counts into.
+    Pointer fields hold the addresses of arrays the caller keeps alive."""
+
+    _fields_ = [
+        ("lo", ctypes.c_int64),
+        ("size", ctypes.c_int64),
+        ("counts", ctypes.c_void_p),
+        ("first", ctypes.c_void_p),
+        ("zeros", ctypes.c_int64),
+        ("least", ctypes.c_int64),
+        ("most", ctypes.c_int64),
     ]
 
 
@@ -720,6 +853,15 @@ def _build(cache_dir: str) -> ctypes.CDLL:
         ctypes.c_void_p,
     ]
     lib.reserve_batch.restype = ctypes.c_int64
+    lib.fold_moments.argtypes = [ctypes.POINTER(Moments)] + [ctypes.c_void_p] * 2 + [
+        ctypes.c_int64,
+        ctypes.c_void_p,
+    ]
+    lib.fold_moments.restype = None
+    lib.bin_counts.argtypes = [ctypes.POINTER(BinTable)] + [ctypes.c_void_p] * 2 + [
+        ctypes.c_int64
+    ] * 2
+    lib.bin_counts.restype = ctypes.c_int64
     # Passed as disk_services' and eager_reads' std_exp and as
     # distinct_choices' bounded; kept here so they live with the library.
     lib.std_exponential = std_exponential

@@ -28,7 +28,7 @@ sort-per-query of the ad-hoc sample lists this class replaces.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,9 +42,23 @@ DEFAULT_BINS_PER_DECADE = 128
 #: Samples kept verbatim before switching to binned mode.
 DEFAULT_EXACT_THRESHOLD = 1024
 
-#: Batches recorded together are binned in numpy passes of about this many
-#: samples, which bounds the temporaries of a many-batch call.
+#: Batches recorded together are checked and binned a block of about this
+#: many samples at a time (one numpy pass each, or one ``fold_moments`` and
+#: one ``bin_counts`` call with the compiled kernels), which bounds the
+#: temporaries of a many-batch call.
 _BIN_BLOCK = 4096
+
+#: A single sample's bin key is recomputed with numpy's ``log10`` when
+#: ``bins_per_decade * math.log10(sample)`` lies within this many times
+#: ``bins_per_decade`` of an integer.  Since ``|log10(x)| < 324`` for every
+#: positive double, that is at least 1e-12 of the scaled value: far more
+#: than the two ulps by which ``math.log10`` and numpy's differ, and so
+#: narrow that almost no sample needs numpy.
+_EDGE_MARGIN = 324e-12
+
+#: The widest range of bin keys the compiled path counts in its dense table
+#: (two 64-bit words a key); a call whose keys span more runs in numpy.
+_MAX_BIN_SPAN = 1 << 16
 
 
 def as_samples(values: Iterable[float]) -> np.ndarray:
@@ -78,6 +92,67 @@ def _blocks(batches: List[np.ndarray]) -> Iterator[List[np.ndarray]]:
             block, size = [], 0
     if block:
         yield block
+
+
+class _KeyTable:
+    """The compiled path's bin table (``bin_table_t``) over one
+    :meth:`Histogram.record_batches` call, widened as keys arrive:
+    :meth:`count` counts batches into it, and :meth:`merge_into` adds the
+    counts to a histogram's bins.
+    """
+
+    def __init__(self, lib: Any) -> None:
+        from repro.cluster._ckernels import BinTable
+
+        self._lib = lib
+        self._table = BinTable()
+        self._counts = self._first = np.zeros(0, np.int64)
+
+    def count(self, scaled_at: int, sizes_at: int, start: int, batches: int) -> bool:
+        """Count the call's batches ``start`` to ``start + batches - 1``,
+        whose sizes are at address ``sizes_at`` and their samples'
+        ``bins_per_decade * np.log10`` at ``scaled_at``; ``False``, counting
+        nothing, if the call's keys would span more than ``_MAX_BIN_SPAN``
+        bins or one is beyond +-2**62."""
+        table = self._table
+        args = (table, scaled_at, sizes_at, batches, start)
+        status = self._lib.bin_counts(*args)
+        if status == 1:
+            lo, hi = table.least, table.most
+            if table.size:
+                lo, hi = min(lo, table.lo), max(hi, table.lo + table.size - 1)
+            if hi - lo >= _MAX_BIN_SPAN:
+                return False
+            self._counts, self._first = (
+                _widen(array, table.lo - lo, hi - lo + 1) for array in (self._counts, self._first)
+            )
+            table.lo, table.size = lo, hi - lo + 1
+            table.counts, table.first = self._counts.ctypes.data, self._first.ctypes.data
+            status = self._lib.bin_counts(*args)
+        return status == 0
+
+    def merge_into(self, histogram: "Histogram") -> None:
+        """Add the counts to ``histogram``'s bins and zero bucket, its new
+        bins ordered by the batch each first occurs in, then by key."""
+        histogram._zero_count += self._table.zeros
+        occupied = np.flatnonzero(self._counts)
+        keys = (occupied + self._table.lo).tolist()
+        bins = histogram._bins
+        firsts = self._first[occupied].tolist()
+        new = sorted((first, key) for first, key in zip(firsts, keys) if key not in bins)
+        if new:
+            histogram._bin_keys_cache = None
+        for _first, key in new:
+            bins[key] = 0
+        for key, count in zip(keys, self._counts[occupied].tolist()):
+            bins[key] += count
+
+
+def _widen(array: np.ndarray, shift: int, size: int) -> np.ndarray:
+    """``array`` moved ``shift`` places into ``size`` zeros."""
+    wide = np.zeros(size, np.int64)
+    wide[shift : shift + array.size] = array
+    return wide
 
 
 class Histogram:
@@ -135,6 +210,7 @@ class Histogram:
         self._bins: Dict[int, int] = {}
         self._zero_count = 0
         self._bin_keys_cache: Optional[List[int]] = None
+        self._edge = _EDGE_MARGIN * self.bins_per_decade
 
     # ------------------------------------------------------------------ #
     # Recording
@@ -163,8 +239,19 @@ class Histogram:
             self._sorted_cache = None
             if len(self._exact) > self.exact_threshold:
                 self._spill_exact()
+        elif value == 0.0:
+            self._zero_count += 1
         else:
-            self._bin_one(value)
+            scaled = self.bins_per_decade * math.log10(value)
+            key = math.floor(scaled)
+            if not self._edge < scaled - key < 1.0 - self._edge:
+                # math.log10 and numpy's log10, which bins every batch, can
+                # differ in the last ulp, and at a bin edge that picks the
+                # neighbouring bin: there, the key is numpy's.
+                key = math.floor(self.bins_per_decade * np.log10(value))
+            if key not in self._bins:
+                self._bin_keys_cache = None
+            self._bins[key] = self._bins.get(key, 0) + 1
 
     def record_many(self, values: Iterable[float]) -> None:
         """Add a batch of samples (vectorised for numpy arrays)."""
@@ -179,12 +266,91 @@ class Histogram:
         samples are binned a block of batches at a time; the bins, and the
         order in which new ones enter ``_bins``, match the per-batch calls.
 
+        When the compiled kernels load (:mod:`repro.cluster._ckernels`),
+        each block is one ``fold_moments`` and one ``bin_counts`` call, on
+        the block's ``bins_per_decade * np.log10`` computed by numpy, into a
+        bin table that is merged into ``_bins`` once the last block has
+        passed its check.  Without them, and when the keys would span more
+        than ``_MAX_BIN_SPAN`` bins, the numpy loop runs.  Both give the
+        same state.
+
         Raises:
             ConfigurationError: If any sample is negative or not finite.
         """
         arrays = [data for data in map(as_samples, batches) if data.size]
         if not arrays:
             return
+        # Imported here: ``import repro`` loads this module, and importing
+        # repro.cluster would add its whole package to that.
+        from repro.cluster import _ckernels
+
+        lib = _ckernels.load()
+        if lib is None or not self._record_compiled(lib, arrays):
+            self._record_numpy(arrays)
+
+    def _record_compiled(self, lib: Any, arrays: List[np.ndarray]) -> bool:
+        """:meth:`record_batches` of non-empty ``arrays`` on the compiled
+        kernels; ``False``, recording nothing, if the keys span too many bins.
+
+        Everything is computed into locals, which are committed once the
+        last block has passed :func:`sample_range`.  In exact mode the
+        batches up to the spill are kept exactly, and :meth:`_spill_exact`
+        bins them before the table's bins, which hold the batches after it.
+        """
+        from repro.cluster._ckernels import Moments
+
+        sizes = np.fromiter((data.size for data in arrays), np.int64, len(arrays))
+        sizes_at = sizes.ctypes.data
+        ends = np.zeros(len(arrays) + 1, np.int64)  # ends[i]: the samples before batch i
+        np.cumsum(sizes, out=ends[1:])
+        # The batches before `binned` are kept exactly: in exact mode, those
+        # up to the one after which the count first exceeds the threshold
+        # (every batch, if none does).
+        binned = 0
+        if self._exact is not None:
+            spill = int(ends[1:].searchsorted(self.exact_threshold - self._count, "right"))
+            binned = min(spill + 1, len(arrays))
+        moments = Moments(self._count, self._mean, self._m2, self._sum)
+        table = _KeyTable(lib)
+        low, high = self._min, self._max
+        # A block's samples are joined in `joined`; `scratch` holds their
+        # squared deviations, then their scaled logs.
+        joined = scratch = np.empty(0)
+        start = 0
+        with np.errstate(divide="ignore"):  # np.log10(0.0) is -inf, a zero sample
+            for block in _blocks(arrays):
+                stop = start + len(block)
+                size = int(ends[stop] - ends[start])
+                if scratch.size < size:
+                    joined, scratch = np.empty(size), np.empty(size)
+                    joined_at, scratch_at = joined.ctypes.data, scratch.ctypes.data
+                data = np.concatenate(block, out=joined[:size])
+                block_low, block_high = sample_range(data)
+                low, high = min(low, block_low), max(high, block_high)
+                lib.fold_moments(moments, joined_at, sizes_at + 8 * start, len(block), scratch_at)
+                first = max(binned, start)
+                if first < stop:
+                    scaled = scratch[: int(ends[stop] - ends[first])]
+                    np.log10(data[int(ends[first] - ends[start]) :], out=scaled)
+                    np.multiply(scaled, self.bins_per_decade, out=scaled)
+                    if not table.count(scratch_at, sizes_at + 8 * first, first, stop - first):
+                        return False
+                start = stop
+        self._count, self._mean, self._m2 = moments.count, moments.mean, moments.m2
+        self._sum = moments.sum
+        self._min, self._max = low, high
+        if self._exact is not None:
+            for data in arrays[:binned]:
+                self._exact.extend(data.tolist())
+            self._sorted_cache = None
+            if self._count <= self.exact_threshold:
+                return True
+            self._spill_exact()
+        table.merge_into(self)
+        return True
+
+    def _record_numpy(self, arrays: List[np.ndarray]) -> None:
+        """:meth:`record_batches` of non-empty ``arrays`` in numpy passes."""
         ranges = [
             sample_range(block[0] if len(block) == 1 else np.concatenate(block))
             for block in _blocks(arrays)
@@ -229,19 +395,6 @@ class Histogram:
         self._exact = None
         self._sorted_cache = None
         self._bin_batches([samples])
-
-    def _key(self, value: float) -> int:
-        """Log-bin index of a positive value."""
-        return math.floor(self.bins_per_decade * math.log10(value))
-
-    def _bin_one(self, value: float) -> None:
-        if value == 0.0:
-            self._zero_count += 1
-            return
-        key = self._key(value)
-        if key not in self._bins:
-            self._bin_keys_cache = None
-        self._bins[key] = self._bins.get(key, 0) + 1
 
     def _bin_batches(self, batches: List[np.ndarray]) -> None:
         """Bin each batch as if alone, a block of batches per numpy pass.

@@ -128,13 +128,20 @@ async def run_load(
     races: List[asyncio.Future] = []
     total = len(offsets)
 
+    def boundary() -> int:
+        """The first arrival at or after the next control (arrivals at
+        exactly a control's time run after it), or ``total``."""
+        return int(offsets.searchsorted(controls[0][0], "left")) if controls else total
+
     def issue() -> Iterator[float]:
         """The issuing loop; it yields each wait instead of sleeping."""
         index = 0
+        control_index = boundary()
         while index < total:
             due = float(offsets[index])
             while controls and controls[0][0] <= due:
                 control_at, kind, payload = controls.pop(0)
+                control_index = boundary()
                 delay = (start + control_at) - clock.now()
                 if delay > 0:
                     yield delay
@@ -147,9 +154,7 @@ async def run_load(
             # control time run under the new policy/membership, matching the
             # scalar path).
             horizon = (clock.now() - start) + config.resolution
-            end = int(np.searchsorted(offsets, horizon, side="right"))
-            if controls:
-                end = min(end, int(np.searchsorted(offsets, controls[0][0], side="left")))
+            end = min(int(offsets.searchsorted(horizon, "right")), control_index)
             end = max(end, index + 1)
             if end - index > 1 and proxy.submit_batch(
                 keys[index:end], start + offsets[index:end]

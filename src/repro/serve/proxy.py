@@ -331,7 +331,13 @@ class RedundancyProxy(Racer):
 
     def finalize(self) -> None:
         """Flush deferred fast-path latencies into the recorder, in one call:
-        the scalar path's latencies first, then each batch's chunk."""
+        the scalar path's latencies first, then each batch's chunk.
+
+        That one :meth:`~repro.metrics.recorder.LatencyRecorder.record_batches`
+        call folds and bins the whole run a block of about 4,096 samples at
+        a time, in one ``fold_moments`` and one ``bin_counts`` call each
+        when the compiled kernels load (:mod:`repro.cluster._ckernels`).
+        """
         batches = self._pending_chunks
         if self._pending_latencies:
             batches = [self._pending_latencies] + batches

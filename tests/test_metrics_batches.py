@@ -7,17 +7,34 @@ which :meth:`Histogram.fraction_greater_than` sums in), the zero bucket and,
 in exact mode, the retained samples.  ``reference_record_many`` is the
 per-batch ``Histogram.record_many`` that the batch routine replaced, kept
 here verbatim so the one-batch case is checked against it as well.
+
+Every test runs twice: on the compiled ``fold_moments`` and ``bin_counts``
+kernels, and with ``REPRO_CKERNELS=0`` on the numpy loop.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import _ckernels
 from repro.exceptions import ConfigurationError
 from repro.metrics import Histogram, LatencyRecorder
+from repro.metrics.histogram import _BIN_BLOCK
+
+
+@pytest.fixture(autouse=True, params=["compiled", "numpy"])
+def kernel_path(request, monkeypatch):
+    """Record on the compiled kernels (skipping without a C compiler), then
+    with ``REPRO_CKERNELS=0`` on the numpy loop."""
+    if request.param == "numpy":
+        monkeypatch.setenv(_ckernels.CKERNELS_ENV_VAR, "0")
+    elif _ckernels.load() is None:
+        pytest.skip("no C compiler available")
+    return request.param
 
 
 def reference_bin_array(histogram, data):
@@ -176,3 +193,146 @@ def test_no_batches_record_nothing():
     histogram.record_batches([])
     histogram.record_batches([[], np.empty(0)])
     assert state(histogram) == state(Histogram())
+
+
+def lognormal_batches(rng, count):
+    """``count`` batches of 1 to 199 latency-like samples."""
+    return [rng.lognormal(-9.0, 1.2, int(size)) for size in rng.integers(1, 200, count)]
+
+
+@pytest.mark.parametrize("exact_threshold", [0, 1024, 20 * _BIN_BLOCK + 777])
+def test_thirty_blocks_with_the_spill_in_a_later_block(exact_threshold):
+    """Over 30 blocks of batches with zeros; the largest threshold spills
+    inside about the twenty-first block, after every batch before it was
+    kept exactly."""
+    rng = np.random.default_rng(21)
+    batches = lognormal_batches(rng, 1_300)
+    for batch in batches[::17]:
+        batch[: batch.size // 9] = 0.0
+    assert sum(batch.size for batch in batches) > 30 * _BIN_BLOCK
+    reference, one_by_one, batched = three_ways(batches, exact_threshold=exact_threshold)
+    assert one_by_one == reference
+    assert batched == reference
+
+
+def test_new_bins_enter_by_first_batch_then_key():
+    """New keys arrive out of key order within a batch, in a block after the
+    first and in the last block; ``_bins`` takes them ordered by the batch
+    each first occurs in, then by key, as one call per batch adds them."""
+    rng = np.random.default_rng(4)
+    late = [np.array([5.0, 2e-7, 0.0, 3e-2, 5.0]), np.array([3e-8, 7.0, 2e-7])]
+    batches = [rng.uniform(1e-3, 2e-3, 100) for _ in range(60)] + late
+    batches += [rng.uniform(1e-3, 2e-3, 100) for _ in range(50)] + [np.array([20.0, 2e-9])]
+    reference, _one_by_one, batched = three_ways(batches, exact_threshold=0)
+    assert batched == reference
+    histogram = Histogram(exact_threshold=0)
+    histogram.record_batches(batches)
+    expected = [2e-7, 3e-2, 5.0, 3e-8, 7.0, 2e-9, 20.0]
+    assert list(histogram._bins)[-7:] == [int(np.floor(128 * np.log10(v))) for v in expected]
+
+
+@pytest.mark.parametrize("exact_threshold", [0, 1024, 1_000_000])
+@pytest.mark.parametrize("bad", [math.nan, -1e-9, math.inf])
+def test_an_invalid_sample_in_the_last_block_records_nothing(exact_threshold, bad):
+    rng = np.random.default_rng(8)
+    batches = lognormal_batches(rng, 1_300)
+    batches[-1] = np.append(batches[-1], bad)
+    histogram = Histogram(exact_threshold=exact_threshold)
+    histogram.record_many([1e-4, 0.0])
+    before = state(histogram)
+    with pytest.raises(ConfigurationError):
+        histogram.record_batches(batches)
+    assert state(histogram) == before
+
+
+@pytest.mark.parametrize("kernel_path", ["compiled"], indirect=True)
+def test_fold_moments_is_combine_moments():
+    """The compiled fold against ``_combine_moments``, batch by batch and in
+    one call, for sizes on each side of the pairwise sum's 8- and
+    128-sample steps and past 8,192 samples."""
+    lib = _ckernels.load()
+    rng = np.random.default_rng(6)
+    sizes = [1, 2, 3, 4, 5, 6, 7, 8, 128, 129, 8_193, 20_000]
+    batches = [1e6 + rng.standard_normal(n) * np.exp(rng.uniform(-3.0, 3.0, n)) for n in sizes]
+    reference = Histogram()
+    each = _ckernels.Moments(0, 0.0, 0.0, 0.0)
+    scratch = np.empty(max(sizes))
+    for batch in batches:
+        total = float(batch.sum())
+        mean = total / batch.size
+        reference._combine_moments(batch.size, mean, float(np.square(batch - mean).sum()))
+        reference._sum += total
+        size = np.array([batch.size], np.int64)
+        lib.fold_moments(each, batch.ctypes.data, size.ctypes.data, 1, scratch.ctypes.data)
+        expected = (reference._count, reference._mean, reference._m2, reference._sum)
+        assert (each.count, each.mean, each.m2, each.sum) == expected, batch.size
+    at_once = _ckernels.Moments(0, 0.0, 0.0, 0.0)
+    data, all_sizes = np.concatenate(batches), np.array(sizes, np.int64)
+    args = (data.ctypes.data, all_sizes.ctypes.data, len(sizes), scratch.ctypes.data)
+    lib.fold_moments(at_once, *args)
+    assert (at_once.count, at_once.mean, at_once.m2, at_once.sum) == expected
+
+
+def test_keys_wider_than_the_table_record_as_numpy_does(kernel_path, monkeypatch):
+    """A resolution whose keys span more than the compiled table's
+    ``_MAX_BIN_SPAN`` takes the numpy loop; otherwise it runs only with
+    ``REPRO_CKERNELS=0``."""
+    calls = []
+    numpy_loop = Histogram._record_numpy
+
+    def spy(self, arrays):
+        calls.append(self)
+        numpy_loop(self, arrays)
+
+    monkeypatch.setattr(Histogram, "_record_numpy", spy)
+    batches = [np.array([1e-3, 1.0]), np.array([1e3, 0.0, 2e-3])]
+    reference, _one_by_one, batched = three_ways(batches, exact_threshold=0, bins_per_decade=10**6)
+    assert batched == reference
+    calls.clear()
+    Histogram(exact_threshold=0).record_batches(batches)
+    assert len(calls) == (kernel_path == "numpy")
+
+
+def test_record_batches_allocates_little_beyond_its_inputs():
+    """About 4,000 batches of about 100 samples, as a serve run's finalize
+    passes them (3.2 MB): the call itself allocates under 1 MB at its peak."""
+    rng = np.random.default_rng(12)
+    batches = [rng.exponential(2e-5, int(size)) for size in rng.integers(50, 150, 4_000)]
+    histogram = Histogram()
+    tracemalloc.start()
+    try:
+        histogram.record_batches(batches)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert histogram.count == sum(batch.size for batch in batches)
+    assert peak < 1 << 20
+
+
+def edge_values(bins_per_decade, ulps=2):
+    """The doubles within ``ulps`` ulps of each bin edge
+    ``10 ** (k / bins_per_decade)`` from 1e-12 up to 1e7."""
+    edges = 10.0 ** (np.arange(-12 * bins_per_decade, 7 * bins_per_decade) / bins_per_decade)
+    up, down, values = edges, edges, [edges]
+    for _ in range(ulps):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+        values += [up, down]
+    return np.unique(np.concatenate(values)).tolist()
+
+
+@pytest.mark.parametrize("bins_per_decade", [4, 128])
+def test_a_sample_at_a_bin_edge_bins_alike_alone_and_in_a_batch(bins_per_decade):
+    """``record`` keys a sample with ``math.log10`` and a batch is keyed with
+    numpy's ``log10``; the two can differ in the last ulp, which moves a
+    sample at a bin edge into the neighbouring bin (with numpy 2.4.6 on
+    AVX-512 the scan finds 6 such values at 4 bins per decade and 99 at
+    128).  Here 1.0181517217181797e-09 is one: -8.9921875 by ``math.log10``,
+    -8.992187500000002 by numpy's."""
+    for value in edge_values(bins_per_decade) + [1.0181517217181797e-09]:
+        alone = Histogram(exact_threshold=0, bins_per_decade=bins_per_decade)
+        batch = Histogram(exact_threshold=0, bins_per_decade=bins_per_decade)
+        for histogram in (alone, batch):
+            histogram.record(1.0)
+        alone.record(value)
+        batch.record_many([value])
+        assert list(alone._bins.items()) == list(batch._bins.items()), value
