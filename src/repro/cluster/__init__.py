@@ -10,32 +10,42 @@ take the first response.
 The memcached model (:mod:`repro.cluster.memcached`) is the in-memory
 counterpart where the per-copy client-side overhead is a significant fraction
 of the (tiny) service time, reproducing the Section 2.3 negative result.
+
+Both load only when first asked for: this package's names resolve on first
+access (PEP 562), so importing one submodule, such as the compiled kernels
+(:mod:`repro.cluster._ckernels`) that the serving layer and the streaming
+histogram call, does not import every substrate.
 """
 
-from repro.cluster.consistent_hash import ConsistentHashRing
-from repro.cluster.cache import LRUByteCache
-from repro.cluster.disk import DiskModel
-from repro.cluster.storage_server import StorageServerModel
-from repro.cluster.database import (
-    DatabaseClusterConfig,
-    DatabaseClusterExperiment,
-    DatabaseRunResult,
-)
-from repro.cluster.memcached import (
-    MemcachedConfig,
-    MemcachedExperiment,
-    MemcachedRunResult,
-)
+import importlib
+from typing import Any, Dict, List
 
-__all__ = [
-    "ConsistentHashRing",
-    "LRUByteCache",
-    "DiskModel",
-    "StorageServerModel",
-    "DatabaseClusterConfig",
-    "DatabaseClusterExperiment",
-    "DatabaseRunResult",
-    "MemcachedConfig",
-    "MemcachedExperiment",
-    "MemcachedRunResult",
-]
+#: Each public name, and the submodule that defines it.
+_EXPORTS: Dict[str, str] = {
+    "ConsistentHashRing": "repro.cluster.consistent_hash",
+    "LRUByteCache": "repro.cluster.cache",
+    "DiskModel": "repro.cluster.disk",
+    "StorageServerModel": "repro.cluster.storage_server",
+    "DatabaseClusterConfig": "repro.cluster.database",
+    "DatabaseClusterExperiment": "repro.cluster.database",
+    "DatabaseRunResult": "repro.cluster.database",
+    "MemcachedConfig": "repro.cluster.memcached",
+    "MemcachedExperiment": "repro.cluster.memcached",
+    "MemcachedRunResult": "repro.cluster.memcached",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    """Import the submodule that defines ``name`` and keep the name here."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

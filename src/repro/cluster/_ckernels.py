@@ -1,6 +1,6 @@
 """Optional C fast paths for Python-level inner loops, via ``ctypes``.
 
-Six hot paths resist numpy vectorisation, because each step depends on the
+Seven hot paths resist numpy vectorisation, because each step depends on the
 previous one or because numpy would spend a call per small group: the FIFO
 busy-period recursion (``seq_finish``), the per-miss disk draws
 (``disk_services``: the ziggurat exponential consumes a variable number of
@@ -11,21 +11,32 @@ scatters), the pipeline's per-chunk placement draws (``distinct_choices``:
 ``Generator.choice`` without replacement, one Python call per chunk), the
 serving proxy's batch reservation (``reserve_batch``: one FIFO row per
 backend, then each request's winner, which numpy runs as some forty calls
-per batch) and the streaming histogram's recording of many batches
-(``fold_moments``: each batch's sum, mean and M2 folded into the running
-moments in turn, which numpy runs as four calls per batch; ``bin_counts``:
-a block's bin keys counted, with the batch each first occurs in, where
-numpy sorts the block).  All six are plain loops over contiguous C arrays,
-so when a system C compiler is present they are compiled once per source
-digest into a small shared library and called through ``ctypes`` — no
-third-party packages, no Python headers, no build step in the repo.
+per batch), a virtual-clock load run's quiet stretch (``reserve_stretch``:
+the load generator's wakes, each a batch through the routine
+``reserve_batch`` runs or one lone arrival, which Python runs as a clock
+timer and a proxy call per wake) and the streaming histogram's recording
+of many batches (``fold_moments``: each batch's sum, mean and M2 folded
+into the running moments in turn, which numpy runs as four calls per
+batch; ``bin_counts``: a block's bin keys counted, with the batch each
+first occurs in, where numpy sorts the block).  All seven are plain loops
+over contiguous C arrays, so when a system C compiler is present they are
+compiled once per source digest into a small shared library and called
+through ``ctypes`` — no third-party packages, no Python headers, no build
+step in the repo.
 
 Byte-identity: each C routine is a literal port of the loop it replaces and
 performs exactly the same IEEE-754 double operations and generator draws in
 the same order; ``reserve_batch`` and ``fold_moments`` also port numpy's
 pairwise summation, which ``ndarray.sum()`` runs on a contiguous array
 (``array_sum``; a test pins it against ``.sum()``, so a numpy that sums
-differently fails loudly).  ``bin_counts`` takes the floors of
+differently fails loudly).  ``reserve_stretch`` has no closed form of its
+own: a batch runs the one ``reserve_batch`` runs, on ``start + offset``
+added as numpy adds it, and a lone arrival the scalar
+``SimBackend.submit`` reservation.  Each wake is ``now + ((start + due) -
+now)``, where the clock's timer would fall, each horizon is compared as
+``np.searchsorted`` compares, and the proxy's and each backend's running
+totals are added in arrival order, as the per-wake calls add them.
+``bin_counts`` takes the floors of
 ``bins_per_decade * np.log10`` as numpy computed them and never calls
 libm's ``log10``, which can differ from numpy's in the last ulp and so move
 a sample at a bin edge into the neighbouring bin.  The build omits
@@ -436,16 +447,21 @@ double array_sum(const double *a, int64_t n) {
 #define NP_MAX(a, b) (((a) >= (b) || (a) != (a)) ? (a) : (b))
 
 /* The serving proxy's pool, as BatchPool in Python mirrors it.  Per-slot
- * arrays are indexed by pool index; the table holds pool indices. */
+ * arrays are indexed by pool index; the table holds pool indices.  A slot
+ * reads its draws from its block, then from its refill block, which then
+ * becomes its block. */
 typedef struct {
     const int64_t *table;    /* rows x width replica table */
     int64_t rows;
     int64_t width;
     int64_t slots;
+    int64_t block;           /* the draws of a refill block, at least */
     const uint8_t *queueing; /* 1: single-server FIFO, 0: infinite-server */
     const double **blocks;   /* each slot's draw block */
-    const int64_t *lengths;  /* its length */
+    int64_t *lengths;        /* its length */
     const double **refills;  /* the block drawn after it, or NULL */
+    int64_t *refill_lengths; /* its length; with a status > 0, the length a
+                                slot without one needs (0: none needed) */
     int64_t *cursors;        /* in: next unread draw; out: after the batch */
     double *busy;            /* in: busy_until; out: after the batch */
     int64_t *taken;          /* out: copies the slot received */
@@ -454,31 +470,49 @@ typedef struct {
     double last;             /* out: the latest winning finish */
 } batch_pool_t;
 
+/* Slot s moves on to its refill block. */
+static void next_block(batch_pool_t *pool, int64_t s) {
+    pool->blocks[s] = pool->refills[s];
+    pool->lengths[s] = pool->refill_lengths[s];
+    pool->refills[s] = NULL;
+    pool->refill_lengths[s] = 0;
+}
+
+/* Scratch the batches of one call share: per slot a prefix sum, a slack and
+ * a last finish, then room for a batch's winners' services, or for one
+ * slot's services across its refill. */
+typedef struct {
+    double *data;
+    int64_t room;
+} scratch_t;
+
 /* One batch of RedundancyProxy.submit_batch, as reserve_copies and the
- * winner pick after it compute it in numpy.  Request r sends copy j to slot
- * table[keys[r] * width + j] at arrivals[r].  Each slot serves its copies in
- * copy order, with the services at its cursor, read on into its refill
- * block past the end of its block.  A FIFO slot runs _fifo_finishes' closed
- * form from the busy_until it entered with: prefix sum c, slack
- * m = max(m, a - (c - s)), finish = max(m, busy) + c; an infinite-server
- * slot finishes at a + s.  A request's winner is its first copy with the
- * least finish, a NaN counting as least (np.argmin); latencies[r] is the
- * winning finish minus arrivals[r].
+ * winner pick after it compute it in numpy.  Request r arrives at start +
+ * offsets[r] (the double add numpy does; a start of -0.0 leaves each offset
+ * as it is) and sends copy j to slot table[keys[r] * width + j].  Each slot
+ * serves its copies in copy order, with the services at its cursor, read on
+ * into its refill block past the end of its block.  A FIFO slot runs
+ * _fifo_finishes' closed form from the busy_until it entered with: prefix
+ * sum c, slack m = max(m, a - (c - s)), finish = max(m, busy) + c; an
+ * infinite-server slot finishes at a + s.  A request's winner is its first
+ * copy with the least finish, a NaN counting as least (np.argmin);
+ * latencies[r] is the winning finish minus its arrival.
  *
- * Returns 0 when done.  Before it changes anything but `taken`, it returns
- * -1 if a key is outside the table or copies exceeds its width, -2 if
- * scratch memory runs out, or the number of receiving slots that need more
- * draws than their block holds and have no refill block.  A refill block
- * must hold at least taken - (length - cursor) draws. */
-int64_t reserve_batch(batch_pool_t *pool, const int64_t *keys,
-                      const double *arrivals, int64_t count, int64_t copies,
-                      double *latencies) {
+ * Returns 0 when done.  Before it changes anything but `taken` and
+ * `refill_lengths`, it returns -1 if a key is outside the table or copies
+ * exceeds its width, -2 if scratch memory runs out, or the number of
+ * receiving slots that need more draws than their block holds and have no
+ * refill block; each such slot's refill_lengths is then the length its
+ * refill must have, draw_many's max(block, short). */
+static int64_t reserve_requests(batch_pool_t *pool, const int64_t *keys,
+                                const double *offsets, double start, int64_t count,
+                                int64_t copies, double *latencies, scratch_t *work) {
     const int64_t slots = pool->slots;
     int64_t *taken = pool->taken;
     int64_t *cursors = pool->cursors;
     int64_t r, j, s, most = count, missing = 0;
     double *prefix, *slack, *last, *scratch, latest = 0.0;
-    if (copies > pool->width) {
+    if (copies < 1 || copies > pool->width) {
         return -1;
     }
     for (s = 0; s < slots; s++) {
@@ -495,22 +529,27 @@ int64_t reserve_batch(batch_pool_t *pool, const int64_t *keys,
         }
     }
     for (s = 0; s < slots; s++) {
+        const int64_t short_by = taken[s] - (pool->lengths[s] - cursors[s]);
         if (taken[s] > most) {
             most = taken[s];
         }
-        if (taken[s] > pool->lengths[s] - cursors[s] && pool->refills[s] == NULL) {
+        if (short_by > 0 && pool->refills[s] == NULL) {
+            pool->refill_lengths[s] = short_by > pool->block ? short_by : pool->block;
             missing++;
         }
     }
     if (missing) {
         return missing;
     }
-    /* Per slot: prefix sum, slack and last finish; then room for the
-     * winners' services, or for one slot's services across its refill. */
-    prefix = malloc(sizeof(double) * (size_t)(3 * slots + most));
-    if (prefix == NULL) {
-        return -2;
+    if (most > work->room) {
+        free(work->data);
+        work->data = malloc(sizeof(double) * (size_t)(3 * slots + most));
+        work->room = work->data == NULL ? 0 : most;
+        if (work->data == NULL) {
+            return -2;
+        }
     }
+    prefix = work->data;
     slack = prefix + slots;
     last = slack + slots;
     scratch = last + slots;
@@ -520,7 +559,7 @@ int64_t reserve_batch(batch_pool_t *pool, const int64_t *keys,
     }
     for (r = 0; r < count; r++) {
         const int64_t *row = pool->table + keys[r] * pool->width;
-        const double arrival = arrivals[r];
+        const double arrival = start + offsets[r];
         double best = 0.0, won = 0.0;
         for (j = 0; j < copies; j++) {
             int64_t at;
@@ -563,13 +602,178 @@ int64_t reserve_batch(batch_pool_t *pool, const int64_t *keys,
             memcpy(scratch + tail, pool->refills[s], sizeof(double) * (size_t)(n - tail));
             pool->consumed[s] = array_sum(scratch, n);
             cursors[s] = end - length;
+            next_block(pool, s);
         }
         if (pool->queueing[s]) {
             pool->busy[s] = last[s];
         }
     }
-    free(prefix);
     return 0;
+}
+
+/* One batch of RedundancyProxy.submit_batch at absolute arrivals:
+ * reserve_requests, with its scratch for this call alone.  A slot that reads
+ * into its refill block moves on to it. */
+int64_t reserve_batch(batch_pool_t *pool, const int64_t *keys,
+                      const double *arrivals, int64_t count, int64_t copies,
+                      double *latencies) {
+    scratch_t work = {NULL, 0};
+    const int64_t status =
+        reserve_requests(pool, keys, arrivals, -0.0, count, copies, latencies, &work);
+    free(work.data);
+    return status;
+}
+
+/* A quiet stretch of RedundancyProxy.submit_stretch: arrivals index .. stop
+ * - 1 of a run, issued as run_load's per-wake loop issues them. */
+typedef struct {
+    const int64_t *keys;     /* the run's keys */
+    const double *offsets;   /* its arrival offsets, ascending */
+    double start;            /* arrival i is due at start + offsets[i] */
+    double resolution;
+    int64_t copies;
+    int64_t stop;
+    int64_t index;           /* in/out: the next arrival */
+    double now;              /* in/out: the clock, at the last wake */
+    double *latencies;       /* size of them: batches' from the front, lone
+                                arrivals' from the back, last first */
+    int64_t size;
+    int64_t batched;         /* in/out: latencies at the front */
+    int64_t lone;            /* in/out: latencies at the back */
+    int64_t *ends;           /* out: where each batch's latencies end */
+    int64_t batches;         /* in/out: batches in ends */
+    double useful;           /* in/out: the proxy's useful_service_s */
+    double last;             /* in/out: its latest winning finish */
+    int64_t *completed;      /* in/out, per slot: copies received */
+    double *consumed;        /* in/out, per slot: consumed_s */
+} stretch_t;
+
+/* numpy's < on doubles, as np.searchsorted compares: NaN sorts last. */
+#define NP_LESS(a, b) ((a) < (b) || ((b) != (b) && (a) == (a)))
+
+/* One lone arrival at `now`, as RedundancyProxy.submit_nowait reserves it
+ * through SimBackend.submit: copy j draws slot row[j]'s next service (a
+ * spent block gives way to its refill, `block` draws, as draw_service
+ * refills); a FIFO slot finishes at max(now, busy) + s, an infinite-server
+ * slot at now + s.  The winner is the first copy with the strictly least
+ * finish.  Returns as reserve_requests does. */
+static int64_t reserve_lone(batch_pool_t *pool, stretch_t *run, int64_t key, double now) {
+    const int64_t copies = run->copies;
+    const int64_t *row;
+    int64_t j, s, missing = 0;
+    double best = 0.0, won = 0.0;
+    if (key < 0 || key >= pool->rows || copies < 1 || copies > pool->width) {
+        return -1;
+    }
+    row = pool->table + key * pool->width;
+    for (j = 0; j < copies; j++) {
+        pool->taken[row[j]] = 0;
+    }
+    for (j = 0; j < copies; j++) {
+        pool->taken[row[j]]++;
+    }
+    for (j = 0; j < copies; j++) {
+        s = row[j];
+        if (pool->taken[s] > pool->lengths[s] - pool->cursors[s] && pool->refills[s] == NULL) {
+            if (pool->taken[s] - (pool->lengths[s] - pool->cursors[s]) > pool->block) {
+                return -1;
+            }
+            pool->refill_lengths[s] = pool->block;
+            pool->taken[s] = 0; /* flagged once */
+            missing++;
+        }
+    }
+    if (missing) {
+        return missing;
+    }
+    for (j = 0; j < copies; j++) {
+        double service, finish;
+        s = row[j];
+        if (pool->cursors[s] >= pool->lengths[s]) {
+            next_block(pool, s);
+            pool->cursors[s] = 0;
+        }
+        service = pool->blocks[s][pool->cursors[s]++];
+        if (pool->queueing[s]) {
+            const double busy = pool->busy[s];
+            finish = (busy > now ? busy : now) + service;
+            pool->busy[s] = finish;
+        } else {
+            finish = now + service;
+        }
+        run->completed[s]++;
+        run->consumed[s] = run->consumed[s] + service;
+        if (j == 0 || finish < best) {
+            best = finish;
+            won = service;
+        }
+    }
+    run->useful = run->useful + won;
+    if (best > run->last) {
+        run->last = best;
+    }
+    run->latencies[run->size - 1 - run->lone++] = best - now;
+    return 0;
+}
+
+/* The per-wake loop of run_load over a stretch in which the clock runs
+ * nothing else.  A wake moves the clock to now + ((start + due) - now), as
+ * a timer due there would, and only when that delay exceeds the resolution;
+ * it then issues every arrival up to the horizon (now - start) + resolution
+ * (np.searchsorted's right side, at least one, never past stop): two or
+ * more as one reserve_requests batch, one alone as reserve_lone.  The
+ * proxy's useful service and each slot's consumed service accumulate in
+ * arrival order.
+ *
+ * Returns 0 once index reaches stop.  Otherwise index and now stop before
+ * the wake that needs Python: a status > 0 asks for refill blocks (see
+ * reserve_requests), -1 meets a key or copy count the table cannot serve,
+ * -2 ran out of memory. */
+int64_t reserve_stretch(batch_pool_t *pool, stretch_t *run) {
+    scratch_t work = {NULL, 0};
+    int64_t status = 0;
+    while (run->index < run->stop) {
+        const int64_t index = run->index;
+        const double *offsets = run->offsets;
+        const double delay = (run->start + offsets[index]) - run->now;
+        double now = run->now, horizon;
+        int64_t end, s;
+        if (delay > run->resolution && now + delay > now) {
+            now = now + delay;
+        }
+        horizon = (now - run->start) + run->resolution;
+        for (end = index + 1; end < run->stop && !NP_LESS(horizon, offsets[end]); end++) {
+        }
+        if (end - index == 1) {
+            status = reserve_lone(pool, run, run->keys[index], now);
+            if (status != 0) {
+                break;
+            }
+        } else {
+            status = reserve_requests(pool, run->keys + index, offsets + index, run->start,
+                                      end - index, run->copies,
+                                      run->latencies + run->batched, &work);
+            if (status != 0) {
+                break;
+            }
+            run->batched += end - index;
+            run->ends[run->batches++] = run->batched;
+            run->useful = run->useful + pool->useful;
+            if (pool->last > run->last) {
+                run->last = pool->last;
+            }
+            for (s = 0; s < pool->slots; s++) {
+                if (pool->taken[s]) {
+                    run->completed[s] += pool->taken[s];
+                    run->consumed[s] = run->consumed[s] + pool->consumed[s];
+                }
+            }
+        }
+        run->index = end;
+        run->now = now;
+    }
+    free(work.data);
+    return status;
 }
 
 /* A Histogram's running moments: count, mean, M2 (Chan et al.) and sum. */
@@ -674,25 +878,54 @@ int64_t bin_counts(bin_table_t *table, const double *scaled, const int64_t *size
 
 
 class BatchPool(ctypes.Structure):
-    """``batch_pool_t``, field for field: what ``reserve_batch`` reads and
-    writes of one pool.  Pointer fields hold the addresses of arrays the
-    caller keeps alive."""
+    """``batch_pool_t``, field for field: what ``reserve_batch`` and
+    ``reserve_stretch`` read and write of one pool.  Pointer fields hold the
+    addresses of arrays the caller keeps alive."""
 
     _fields_ = [
         ("table", ctypes.c_void_p),
         ("rows", ctypes.c_int64),
         ("width", ctypes.c_int64),
         ("slots", ctypes.c_int64),
+        ("block", ctypes.c_int64),
         ("queueing", ctypes.c_void_p),
         ("blocks", ctypes.c_void_p),
         ("lengths", ctypes.c_void_p),
         ("refills", ctypes.c_void_p),
+        ("refill_lengths", ctypes.c_void_p),
         ("cursors", ctypes.c_void_p),
         ("busy", ctypes.c_void_p),
         ("taken", ctypes.c_void_p),
         ("consumed", ctypes.c_void_p),
         ("useful", ctypes.c_double),
         ("last", ctypes.c_double),
+    ]
+
+
+class Stretch(ctypes.Structure):
+    """``stretch_t``, field for field: one quiet stretch of a load run as
+    ``reserve_stretch`` issues it.  Pointer fields hold the addresses of
+    arrays the caller keeps alive."""
+
+    _fields_ = [
+        ("keys", ctypes.c_void_p),
+        ("offsets", ctypes.c_void_p),
+        ("start", ctypes.c_double),
+        ("resolution", ctypes.c_double),
+        ("copies", ctypes.c_int64),
+        ("stop", ctypes.c_int64),
+        ("index", ctypes.c_int64),
+        ("now", ctypes.c_double),
+        ("latencies", ctypes.c_void_p),
+        ("size", ctypes.c_int64),
+        ("batched", ctypes.c_int64),
+        ("lone", ctypes.c_int64),
+        ("ends", ctypes.c_void_p),
+        ("batches", ctypes.c_int64),
+        ("useful", ctypes.c_double),
+        ("last", ctypes.c_double),
+        ("completed", ctypes.c_void_p),
+        ("consumed", ctypes.c_void_p),
     ]
 
 
@@ -853,6 +1086,8 @@ def _build(cache_dir: str) -> ctypes.CDLL:
         ctypes.c_void_p,
     ]
     lib.reserve_batch.restype = ctypes.c_int64
+    lib.reserve_stretch.argtypes = [ctypes.c_void_p, ctypes.c_void_p]
+    lib.reserve_stretch.restype = ctypes.c_int64
     lib.fold_moments.argtypes = [ctypes.POINTER(Moments)] + [ctypes.c_void_p] * 2 + [
         ctypes.c_int64,
         ctypes.c_void_p,

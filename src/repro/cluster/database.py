@@ -253,6 +253,11 @@ class DatabaseRunResult:
 # (num_servers, virtual_nodes, num_files).  Entries are read-only.
 _PRIMARIES_CACHE: Dict[Tuple[int, int, int], np.ndarray] = {}
 
+# Each server's cache-warm candidates before their seeded shuffle, ascending,
+# keyed by the placement's key plus ``copies >= 2``.  Entries are read-only:
+# each experiment shuffles its own copy.
+_WARM_CANDIDATES_CACHE: Dict[Tuple[int, int, int, bool], Tuple[np.ndarray, ...]] = {}
+
 
 class DatabaseClusterExperiment:
     """Drives the disk-backed database model across loads and copy counts."""
@@ -308,19 +313,36 @@ class DatabaseClusterExperiment:
         replicated = copies >= 2
         orders = self._warm_order_memo.get(replicated)
         if orders is None:
-            num_servers = self.config.num_servers
             rng = substream(self.config.seed, "cache-warm")
             built = []
-            for server_id in range(num_servers):
-                mask = self._primaries == server_id
-                if replicated:
-                    mask |= (self._primaries + 1) % num_servers == server_id
-                candidates = np.flatnonzero(mask)
+            for candidates in self._warm_candidates(replicated):
+                candidates = candidates.copy()
                 if candidates.size:
                     rng.shuffle(candidates)
                 built.append(candidates)
             orders = self._warm_order_memo[replicated] = tuple(built)
         return orders
+
+    def _warm_candidates(self, replicated: bool) -> Tuple[np.ndarray, ...]:
+        """Every file each server stores, ascending, servers in id order:
+        its primaries, plus its predecessor's when ``replicated``.
+
+        They depend only on the placement, so every experiment with the same
+        one shares them (``_WARM_CANDIDATES_CACHE``); callers must copy an
+        entry before changing it.
+        """
+        num_servers = self.config.num_servers
+        key = (num_servers, self._ring.virtual_nodes, self.config.num_files, replicated)
+        cached = _WARM_CANDIDATES_CACHE.get(key)
+        if cached is None:
+            built = []
+            for server_id in range(num_servers):
+                mask = self._primaries == server_id
+                if replicated:
+                    mask |= (self._primaries + 1) % num_servers == server_id
+                built.append(np.flatnonzero(mask))
+            cached = _WARM_CANDIDATES_CACHE[key] = tuple(built)
+        return cached
 
     def _warm_caches(self, servers: List[StorageServerModel], copies: int) -> None:
         """Pre-fill each cache with a random sample of the files it serves.

@@ -41,7 +41,12 @@ reserve one copy each through one reservation routine:
   groups the copies by backend and runs the same recurrence in closed form,
   one numpy row per backend.  Both give the same bytes.
   :meth:`SimBackend.submit_many` is the one-backend case of
-  :func:`reserve_copies`.
+  :func:`reserve_copies`.  With the kernels it also issues a load run's
+  whole quiet stretch in one ``reserve_stretch`` pass
+  (:meth:`BatchReserver.reserve_stretch`): each batch through the same
+  compiled routine as ``reserve_batch``, each lone arrival as
+  :meth:`SimBackend.submit` reserves it, with each backend's state copied
+  in and out once per stretch rather than once per batch.
 
 Because every path drives the same reservation, a policy hot-swap mid-run
 never leaves the pool with two disagreeing pictures of its queues.
@@ -355,17 +360,20 @@ class BatchReserver:
     and ``table`` is the replica table built against them: one row of pool
     indices per key.  :meth:`reserve` reserves a batch of requests, each
     with the first ``copies`` backends of its key's row, and picks each
-    request's winner.
+    request's winner; :meth:`reserve_stretch` issues a whole quiet stretch
+    of a load run, batches and lone arrivals both.
 
     With the compiled kernels (:mod:`repro.cluster._ckernels`, looked up
-    once, when the reserver is built) one ``reserve_batch`` call does all of
-    it.  Each batch copies every live backend's draw block, cursor and
-    ``busy_until`` into the kernel's per-slot arrays, and the receiving
-    backends' new state back out.  A backend whose block runs out is
-    refilled as :meth:`SimBackend.draw_many` refills it.  Without them, and
-    for keys or arrivals the kernel cannot read in place, the numpy path
-    runs: :func:`reserve_copies`, then ``np.argmin``.  Both give the same
-    bytes.
+    once, when the reserver is built) one ``reserve_batch`` call does a
+    batch, and one ``reserve_stretch`` call a stretch.  Each call copies
+    every live backend's draw block, cursor and ``busy_until`` into the
+    kernel's per-slot arrays, and the receiving backends' new state back
+    out.  A backend whose block runs out is refilled as
+    :meth:`SimBackend.draw_service` (one arrival) or
+    :meth:`SimBackend.draw_many` (a batch) would refill it.  Without them,
+    and for keys or arrivals the kernel cannot read in place, the numpy path
+    runs: :func:`reserve_copies`, then ``np.argmin``; a stretch then
+    declines.  Both give the same bytes.
     """
 
     def __init__(
@@ -388,6 +396,7 @@ class BatchReserver:
         self._blocks, blocks = _slot_array(slots, np.uintp)
         self._lengths, lengths = _slot_array(slots, np.int64)
         self._refills, refills = _slot_array(slots, np.uintp)
+        self._refill_lengths, refill_lengths = _slot_array(slots, np.int64)
         self._cursors, cursors = _slot_array(slots, np.int64)
         self._busy, busy = _slot_array(slots, np.float64)
         self._taken, taken = _slot_array(slots, np.int64)
@@ -397,16 +406,36 @@ class BatchReserver:
             rows=table.shape[0],
             width=table.shape[1],
             slots=slots,
+            block=_DRAW_BLOCK,
             queueing=self._queueing.ctypes.data,
             blocks=blocks,
             lengths=lengths,
             refills=refills,
+            refill_lengths=refill_lengths,
             cursors=cursors,
             busy=busy,
             taken=taken,
             consumed=consumed,
         )
         self._frame_at = ctypes.addressof(self._frame)
+        # A stretch's running totals per slot: copies received, consumed_s.
+        self._completed, completed = _slot_array(slots, np.int64)
+        self._consumed_s, consumed_s = _slot_array(slots, np.float64)
+        self._stretch = _ckernels.Stretch(completed=completed, consumed=consumed_s)
+        self._stretch_at = ctypes.addressof(self._stretch)
+
+    def _copy_in(self) -> bool:
+        """Copy every live backend's block, cursor and ``busy_until`` into
+        the kernel's slots; ``False`` if a live backend is marked failed."""
+        cursors, busy, held = self._cursors, self._busy, self._held
+        for slot, backend in self._live:
+            if backend._failed:
+                return False
+            if backend._block is not held[slot]:
+                self._hold(slot, backend._block)
+            cursors[slot] = backend._cursor
+            busy[slot] = backend._busy_until
+        return True
 
     def reserve(
         self, keys: np.ndarray, arrivals: np.ndarray, copies: int
@@ -426,14 +455,8 @@ class BatchReserver:
         count = len(keys)
         if key_at is None or arrival_at is None or len(arrivals) != count:
             return self._reserve_numpy(keys, arrivals, copies)
-        cursors, busy, held = self._cursors, self._busy, self._held
-        for slot, backend in self._live:
-            if backend._failed:
-                return None
-            if backend._block is not held[slot]:
-                self._hold(slot, backend._block)
-            cursors[slot] = backend._cursor
-            busy[slot] = backend._busy_until
+        if not self._copy_in():
+            return None
         latencies = np.empty(count)
         args = (self._frame_at, key_at, arrival_at, count, copies, _address(latencies, np.float64))
         status = self._lib.reserve_batch(*args)
@@ -443,11 +466,9 @@ class BatchReserver:
         if status > 0:
             refilled = self._draw_refills()
             status = self._lib.reserve_batch(*args)
-            for slot, _backend, _block in refilled:
-                self._refills[slot] = 0
         if status != 0:  # -2: the kernel could not allocate its scratch
             raise MemoryError("reserve_batch could not allocate its scratch")
-        taken, consumed = self._taken, self._consumed
+        cursors, busy, taken, consumed = self._cursors, self._busy, self._taken, self._consumed
         for slot, backend in self._live:
             received = taken[slot]
             if received:
@@ -455,10 +476,84 @@ class BatchReserver:
                 backend.consumed_s += consumed[slot]
                 backend._cursor = cursors[slot]
                 backend._busy_until = busy[slot]
-        for slot, backend, block in refilled:
-            backend._block = block
-            self._hold(slot, block)
+        self._move_on(refilled)
         return latencies, self._frame.useful, self._frame.last
+
+    def reserve_stretch(
+        self,
+        keys: np.ndarray,
+        offsets: np.ndarray,
+        start: float,
+        index: int,
+        stop: int,
+        now: float,
+        resolution: float,
+        copies: int,
+        useful: float,
+        last: float,
+    ) -> Optional[Tuple[int, float, List[np.ndarray], List[float], float, float]]:
+        """Issue arrivals ``index`` to ``stop - 1`` (key ``keys[i]``, due at
+        ``start + offsets[i]``) from the clock time ``now``, as
+        :func:`~repro.serve.loadgen.run_load`'s per-wake loop would on a
+        clock with nothing else to run, in one ``reserve_stretch`` call.
+
+        ``useful`` and ``last`` are the proxy's useful service and latest
+        winning finish so far.  Returns ``(reached, wake, chunks, lone,
+        useful, last)``: the next arrival and the last wake emulated, each
+        batch's latencies (views of one buffer), the lone arrivals'
+        latencies, and the two totals after them.  The call stops early only
+        at a key or copy count the table cannot serve.  Returns ``None``,
+        changing nothing, without the compiled kernels, when a live backend
+        is marked failed, or when not even the first wake can be issued.
+
+        Raises:
+            ValueError: If ``index`` and ``stop`` do not satisfy ``0 <=
+                index <= stop <= min(len(keys), len(offsets))``.
+        """
+        if not 0 <= index <= stop <= min(len(keys), len(offsets)):
+            raise ValueError(
+                f"need 0 <= index <= stop <= {min(len(keys), len(offsets))}, "
+                f"got index {index!r} and stop {stop!r}"
+            )
+        if self._lib is None:
+            return None
+        key_at = _address(keys, np.int64)
+        offset_at = _address(offsets, np.float64)
+        if key_at is None or offset_at is None or not self._copy_in():
+            return None
+        size = stop - index
+        latencies = np.empty(size)
+        ends = np.empty(size // 2 + 1, dtype=np.int64)  # a batch holds 2+ arrivals
+        completed, consumed_s = self._completed, self._consumed_s
+        for slot, backend in self._live:
+            completed[slot] = 0
+            consumed_s[slot] = backend.consumed_s
+        run = self._stretch
+        run.keys, run.offsets, run.start, run.resolution = key_at, offset_at, start, resolution
+        run.copies, run.stop, run.index, run.now = copies, stop, index, now
+        run.latencies, run.size, run.batched, run.lone = latencies.ctypes.data, size, 0, 0
+        run.ends, run.batches, run.useful, run.last = ends.ctypes.data, 0, useful, last
+        status = self._lib.reserve_stretch(self._frame_at, self._stretch_at)
+        while status > 0:
+            refilled = self._draw_refills()
+            status = self._lib.reserve_stretch(self._frame_at, self._stretch_at)
+            self._move_on(refilled)
+        cursors, busy = self._cursors, self._busy
+        for slot, backend in self._live:
+            received = completed[slot]
+            if received:
+                backend.completed += received
+                backend.consumed_s = consumed_s[slot]
+                backend._cursor = cursors[slot]
+                backend._busy_until = busy[slot]
+        if status == -2:
+            raise MemoryError("reserve_stretch could not allocate its scratch")
+        if run.index == index:  # -1 at the first wake
+            return None
+        bounds = ends[: run.batches].tolist()
+        chunks = [latencies[low:high] for low, high in zip([0] + bounds, bounds)]
+        lone = latencies[size - run.lone :][::-1].tolist()
+        return run.index, run.now, chunks, lone, run.useful, run.last
 
     def _hold(self, slot: int, block: np.ndarray) -> None:
         """Point ``slot`` at ``block``, a contiguous float block."""
@@ -467,16 +562,28 @@ class BatchReserver:
         self._lengths[slot] = len(block)
 
     def _draw_refills(self) -> List[Tuple[int, SimBackend, np.ndarray]]:
-        """Draw the block after each block the batch runs past, as
-        :meth:`SimBackend.draw_many` would: ``max(4096, short)`` draws."""
+        """Draw the refill block each slot the kernel asked for needs, of
+        the length it asked for."""
         refilled = []
+        wants, refills = self._refill_lengths, self._refills
         for slot, backend in self._live:
-            short = self._taken[slot] - (self._lengths[slot] - self._cursors[slot])
-            if short > 0:
-                block = backend._sample_block(max(_DRAW_BLOCK, short))
-                self._refills[slot] = block.ctypes.data
+            if wants[slot] and not refills[slot]:
+                block = backend._sample_block(wants[slot])
+                refills[slot] = block.ctypes.data
                 refilled.append((slot, backend, block))
         return refilled
+
+    def _move_on(self, refilled: List[Tuple[int, SimBackend, np.ndarray]]) -> None:
+        """Hand each refill block the kernel moved on to to its backend, and
+        withdraw any it never reached (a call that failed first), so no slot
+        keeps the address of a block nothing holds."""
+        refills, wants = self._refills, self._refill_lengths
+        for slot, backend, block in refilled:
+            if refills[slot]:
+                refills[slot] = wants[slot] = 0
+            else:
+                backend._block = block
+                self._held[slot] = block
 
     def _reserve_numpy(
         self, keys: np.ndarray, arrivals: np.ndarray, copies: int

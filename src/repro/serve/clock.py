@@ -92,6 +92,17 @@ class Clock(abc.ABC):
         """A future bound to the running loop."""
         return asyncio.get_running_loop().create_future()
 
+    def quiet(self) -> bool:
+        """Whether the loop has nothing to run but its caller: no ready
+        callback and no timer that has not been cancelled.
+
+        On a quiet clock, time moves only where the caller's next timer
+        falls, so the caller may compute what its own timers would do
+        ahead of time.  This base answers ``False``: a clock whose time
+        moves by itself is never quiet.
+        """
+        return False
+
 
 class RealClock(Clock):
     """Wall-clock time on a normal asyncio event loop.
@@ -163,6 +174,17 @@ class VirtualClock(Clock):
 
     def create_future(self) -> "asyncio.Future[Any]":
         return self._running().create_future()
+
+    def quiet(self) -> bool:
+        loop = self._loop
+        if loop is None or loop._ready:
+            return False
+        timers = loop._timers
+        # A cancelled timer never runs and never moves the clock, so it is
+        # dropped here as the loop would drop it.
+        while timers and timers[0][2]._cancelled:
+            heapq.heappop(timers)
+        return not timers
 
     def run(self, main: Awaitable[T]) -> T:
         """Run ``main`` to completion under virtual time and return its result."""

@@ -9,20 +9,35 @@ model of the paper's analysis (Section 2) and of the offline substrates'
   ``("serve-keys")``) — identical seeds therefore mean identical traffic,
   which is what makes virtual-clock runs byte-reproducible;
 * walks the timeline on a chain of clock timers: the issuing loop is a
-  generator that yields each wait, and each timer's callback runs it to
-  its next wait and schedules the following timer, so no task sleeps once
+  generator that yields the time of each wake (a wake ``delay`` ahead as
+  ``now + delay``, exactly where ``clock.call_later(delay)`` would fall
+  due), and each timer's callback runs it to its next wake and schedules
+  the following timer there with ``clock.call_at``, so no task sleeps once
   per arrival.  Each request is dispatched the moment its arrival time is
   due — through the proxy's synchronous fast path when the current plan
   allows it, else as a race of copies on clock timers
   (:meth:`RedundancyProxy.race`);
+* on a clock with nothing else to run (:meth:`Clock.quiet`, which only a
+  :class:`~repro.serve.clock.VirtualClock` can be) and a fast-path plan,
+  hands the proxy a whole *quiet stretch* instead: every arrival up to the
+  next control or the end of traffic, in one
+  :meth:`RedundancyProxy.submit_stretch` call that emulates the wakes below
+  bit for bit; one timer then moves the clock onto the last of them.  Real
+  clocks, race plans, a clock with a timer or callback pending and
+  ``REPRO_CKERNELS=0`` run the per-wake loop;
 * optionally hot-swaps the proxy policy and applies membership events
   (backend add / graceful remove / crash) at scheduled times mid-run;
 * drains the proxy and assembles the :class:`~repro.serve.report.RunReport`.
 
 The ``resolution`` knob batches arrivals closer together than one sleep
-granule into a single wakeup: under a virtual clock it should be 0 (every
-arrival gets its exact timestamp); under a real clock ~1 ms keeps the issue
-loop from being scheduler-bound at six-figure request rates.
+granule into a single wakeup: a wake falls on the first arrival due more
+than one ``resolution`` ahead, and issues every arrival due up to one
+``resolution`` past it (two or more as one :meth:`RedundancyProxy.
+submit_batch`, one alone through :meth:`RedundancyProxy.submit_nowait` at
+the wake).  Under a virtual clock it should be 0: every arrival gets its
+exact timestamp, and a quiet stretch issues them all in one compiled pass.
+Under a real clock ~1 ms keeps the issue loop from being scheduler-bound at
+six-figure request rates.
 """
 
 from __future__ import annotations
@@ -134,7 +149,9 @@ async def run_load(
         return int(offsets.searchsorted(controls[0][0], "left")) if controls else total
 
     def issue() -> Iterator[float]:
-        """The issuing loop; it yields each wait instead of sleeping."""
+        """The issuing loop; it yields the time of each wake instead of
+        sleeping.  A wake ``delay`` ahead is yielded as ``now + delay``,
+        exactly where ``clock.call_later(delay)`` would fall due."""
         index = 0
         control_index = boundary()
         while index < total:
@@ -142,13 +159,26 @@ async def run_load(
             while controls and controls[0][0] <= due:
                 control_at, kind, payload = controls.pop(0)
                 control_index = boundary()
-                delay = (start + control_at) - clock.now()
+                now = clock.now()
+                delay = (start + control_at) - now
                 if delay > 0:
-                    yield delay
+                    yield now + delay
                 apply_control(kind, payload)
-            delay = (start + due) - clock.now()
+            # On a quiet clock the proxy may issue every arrival up to the
+            # next control in one pass, as the wakes below would; one timer
+            # then moves the clock onto the last wake it emulated.
+            stretch = proxy.submit_stretch(
+                keys, offsets, start, index, control_index, config.resolution
+            )
+            if stretch is not None:
+                index, wake = stretch
+                if wake > clock.now():
+                    yield wake
+                continue
+            now = clock.now()
+            delay = (start + due) - now
             if delay > config.resolution:
-                yield delay
+                yield now + delay
             # Issue every arrival due within the current granule in one wakeup,
             # never crossing a scheduled control point (arrivals at exactly the
             # control time run under the new policy/membership, matching the
@@ -167,13 +197,14 @@ async def run_load(
                     races.append(proxy.race(key))
                 index += 1
         for control_at, kind, payload in controls:
-            delay = (start + control_at) - clock.now()
+            now = clock.now()
+            delay = (start + control_at) - now
             if delay > 0:
-                yield delay
+                yield now + delay
             apply_control(kind, payload)
 
     # A chain of clock timers walks the timeline: each step runs the issuing
-    # loop up to its next wait and schedules the following step after it.
+    # loop up to its next wake and schedules the following step there.
     issuing = issue()
     issued = clock.create_future()
 
@@ -182,13 +213,13 @@ async def run_load(
             issuing.close()
             return
         try:
-            delay = next(issuing)
+            wake = next(issuing)
         except StopIteration:
             issued.set_result(None)
         except Exception as exc:  # a failing control fails run_load
             issued.set_exception(exc)
         else:
-            clock.call_later(delay, step)
+            clock.call_at(wake, step)
 
     step()
     await issued

@@ -51,7 +51,11 @@ Two dispatch paths, one accounting surface:
   at all.  A batch is reserved, and its winners picked, in one call of a
   :class:`~repro.serve.backends.BatchReserver` built for the live ring at
   each membership event: one compiled pass when the C kernels load.  This
-  is what makes ``bench`` sustain >100k req/s.
+  is what makes ``bench`` sustain >100k req/s.  On a quiet virtual clock
+  :meth:`submit_stretch` goes further: it issues every arrival of a load
+  run up to its next control, batches and lone arrivals as the load
+  generator's wakes would issue them, in one compiled pass, and writes the
+  proxy's and the backends' state back once for the whole stretch.
 """
 
 from __future__ import annotations
@@ -328,6 +332,60 @@ class RedundancyProxy(Racer):
             self._last_finish = last
         self._pending_chunks.append(latencies)
         return True
+
+    def submit_stretch(
+        self,
+        keys: np.ndarray,
+        offsets: np.ndarray,
+        start: float,
+        index: int,
+        stop: int,
+        resolution: float,
+    ) -> Optional[Tuple[int, float]]:
+        """Issue a quiet stretch of a load run in one compiled pass.
+
+        Arrival ``i`` has key ``keys[i]`` and is due at ``start +
+        offsets[i]``.  Arrivals ``index`` to ``stop - 1`` are issued exactly
+        as :func:`~repro.serve.loadgen.run_load`'s per-wake loop would issue
+        them from now at this ``resolution``: the same wakes, each batch
+        through :meth:`submit_batch` and each lone arrival through
+        :meth:`submit_nowait` at its wake, the same bytes.  That holds only
+        while nothing else runs on the clock, so the stretch is taken only
+        when the clock is quiet, the plan is fast-path eligible with a
+        table wide enough for it, no live backend is failed, the policy
+        ignores feedback (its ``record_latency`` is the base no-op), and the
+        compiled kernels load (:meth:`BatchReserver.reserve_stretch`).
+
+        Returns ``(reached, wake)``: the next arrival to issue and the last
+        wake, where the caller's clock must move before it goes on; or
+        ``None``, having issued nothing, when the stretch is not taken.
+
+        Raises:
+            ValueError: If the stretch is taken and ``index`` and ``stop``
+                do not lie within both arrays.
+        """
+        plan = self._fast_plan
+        if (
+            plan is None
+            or self._batch is None
+            or type(self.policy).record_latency is not ReplicationPolicy.record_latency
+        ):
+            return None
+        copies = min(plan.copies, self.ring.num_servers)
+        if copies > self._table_copies or not self.clock.quiet():
+            return None
+        stretch = self._batch.reserve_stretch(
+            keys, offsets, start, index, stop, self.clock.now(), resolution,
+            copies, self.useful_service_s, self._last_finish,
+        )
+        if stretch is None:
+            return None
+        reached, wake, chunks, lone, self.useful_service_s, self._last_finish = stretch
+        self.requests += reached - index
+        self.copies_launched += (reached - index) * copies
+        self._pending_latencies.extend(lone)
+        self._pending_chunks.extend(chunks)
+        return reached, wake
 
     def finalize(self) -> None:
         """Flush deferred fast-path latencies into the recorder, in one call:

@@ -17,9 +17,12 @@ the ledger digests see those runs; this module pins them directly:
 * the queueing model's ``run_event_driven`` under eager, cancelling and
   nocancel policies, and its eager ``run_fast`` with one, two and three
   copies on exponential, Pareto and deterministic service;
-* the serve proxy's batch path: a virtual-clock ``run_load`` whose arrivals
-  go through ``submit_batch`` at a 1 ms resolution, through a crash and a
-  re-add (the serve golden runs at resolution 0 and never batches);
+* the serve proxy's batch path: a virtual-clock ``run_load`` that batches
+  its arrivals at a 1 ms resolution, through a crash and a re-add (the
+  serve golden runs at resolution 0 and never batches).  With the compiled
+  kernels each stretch between controls is one ``submit_stretch`` call;
+  under ``REPRO_CKERNELS=0`` every wake is its own ``submit_batch`` or
+  ``submit_nowait`` call; both must give the pinned bytes;
 * the checked-in golden artifacts (``tests/data/golden-*.jsonl``), streamed
   here through the runner's artifact writer, as the CLI and the ledger
   stream them, and also re-derived by CI through the CLI.  They cover the
@@ -34,10 +37,12 @@ these runs that moves a single byte fails here.
 
 import hashlib
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.cluster import _ckernels
 from repro.cluster import (
     DatabaseClusterConfig,
     DatabaseClusterExperiment,
@@ -235,9 +240,14 @@ def test_queueing_fast_runs_keep_their_bytes(service, copies):
     assert fingerprint(queueing_fast_run(service, copies)) == QUEUEING_FAST_PINS[(service, copies)]
 
 
+@pytest.mark.parametrize("path", ["compiled", "numpy"])
 @pytest.mark.parametrize("seed", sorted(SERVE_BATCH_PINS))
-def test_serve_batch_runs_keep_their_bytes(seed):
-    text = serve_batch_report(seed).to_json()
+def test_serve_batch_runs_keep_their_bytes(seed, path):
+    if path == "compiled" and _ckernels.load() is None:
+        pytest.skip("no C compiler available")
+    value = "1" if path == "compiled" else "0"
+    with mock.patch.dict(os.environ, {_ckernels.CKERNELS_ENV_VAR: value}):
+        text = serve_batch_report(seed).to_json()
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SERVE_BATCH_PINS[seed]
 
 
