@@ -11,14 +11,7 @@ fractions); :class:`EmpiricalCDF` backs the figure-style CDF tables; and
 and the comparison tables of ``EXPERIMENTS.md``.
 """
 
-from repro.analysis.stats import (
-    LatencySummary,
-    fraction_later_than,
-    improvement_factor,
-    mean_confidence_interval,
-    percent_reduction,
-    summarize,
-)
+from repro.analysis.stats import LatencySummary, summarize
 from repro.analysis.cdf import EmpiricalCDF
 from repro.analysis.tables import ResultTable, comparison_table, diff_table
 
@@ -26,10 +19,6 @@ __all__ = [
     "diff_table",
     "LatencySummary",
     "summarize",
-    "improvement_factor",
-    "percent_reduction",
-    "fraction_later_than",
-    "mean_confidence_interval",
     "EmpiricalCDF",
     "ResultTable",
     "comparison_table",

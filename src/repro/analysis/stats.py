@@ -1,14 +1,12 @@
 """Latency statistics used to report every experiment.
 
-The paper reports means, medians, high percentiles (95th/99th/99.9th), the
-fraction of responses later than a threshold, and improvement factors between
-the unreplicated and replicated configurations.  This module computes all of
-those from raw response-time samples.
+The paper reports means, medians and high percentiles (95th/99th/99.9th) of
+the unreplicated and replicated configurations.  This module summarises raw
+response-time samples, or a streaming histogram, into those figures.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -77,21 +75,6 @@ class LatencySummary:
             p999=float(p999),
         )
 
-    def percentile(self, q: float) -> float:
-        """Return one of the precomputed percentiles by its ``q`` value.
-
-        Raises:
-            ConfigurationError: If ``q`` is not one of the standard
-                percentiles (use :func:`numpy.percentile` on the raw samples
-                for arbitrary quantiles).
-        """
-        lookup = {50.0: self.p50, 90.0: self.p90, 95.0: self.p95, 99.0: self.p99, 99.9: self.p999}
-        if q not in lookup:
-            raise ConfigurationError(
-                f"percentile {q!r} not precomputed; available: {sorted(lookup)}"
-            )
-        return lookup[q]
-
     def as_row(self) -> dict:
         """The summary as a flat dict, convenient for result tables."""
         return {
@@ -131,72 +114,3 @@ def summarize(samples: Sequence[float]) -> LatencySummary:
         p99=float(percentiles[3]),
         p999=float(percentiles[4]),
     )
-
-
-def improvement_factor(baseline: float, improved: float) -> float:
-    """How many times smaller ``improved`` is than ``baseline`` (e.g. "2.2x").
-
-    Returns ``inf`` when ``improved`` is zero and ``baseline`` is positive.
-
-    Raises:
-        ConfigurationError: If either value is negative.
-    """
-    if baseline < 0 or improved < 0:
-        raise ConfigurationError("latencies must be non-negative")
-    if improved == 0:
-        return math.inf if baseline > 0 else 1.0
-    return baseline / improved
-
-
-def percent_reduction(baseline: float, improved: float) -> float:
-    """Percentage reduction from ``baseline`` to ``improved`` (positive = better).
-
-    Raises:
-        ConfigurationError: If ``baseline`` is not positive or ``improved`` is
-            negative.
-    """
-    if baseline <= 0:
-        raise ConfigurationError(f"baseline must be positive, got {baseline!r}")
-    if improved < 0:
-        raise ConfigurationError(f"improved must be non-negative, got {improved!r}")
-    return 100.0 * (baseline - improved) / baseline
-
-
-def fraction_later_than(samples: Sequence[float], threshold: float) -> float:
-    """Fraction of samples strictly greater than ``threshold``.
-
-    This is the paper's tail metric ("the fraction of responses later than
-    500 ms is reduced by 6.5x").
-    """
-    data = np.asarray(samples, dtype=float)
-    if data.size == 0:
-        raise ConfigurationError("cannot compute a tail fraction of an empty sample set")
-    return float(np.mean(data > threshold))
-
-
-def mean_confidence_interval(
-    samples: Sequence[float], confidence: float = 0.95
-) -> Tuple[float, float, float]:
-    """Mean and normal-approximation confidence interval ``(mean, low, high)``.
-
-    Uses the central limit theorem (adequate for the sample counts used in the
-    benchmarks); for a single sample the interval collapses to the point.
-
-    Raises:
-        ConfigurationError: If ``samples`` is empty or ``confidence`` is not in
-            ``(0, 1)``.
-    """
-    if not 0.0 < confidence < 1.0:
-        raise ConfigurationError(f"confidence must be in (0, 1), got {confidence!r}")
-    data = np.asarray(samples, dtype=float)
-    if data.size == 0:
-        raise ConfigurationError("cannot compute a confidence interval of an empty sample set")
-    mean = float(data.mean())
-    if data.size == 1:
-        return mean, mean, mean
-    # Two-sided normal quantile via the inverse error function.
-    from scipy.special import erfinv
-
-    z = math.sqrt(2.0) * float(erfinv(confidence))
-    half_width = z * float(data.std(ddof=1)) / math.sqrt(data.size)
-    return mean, mean - half_width, mean + half_width

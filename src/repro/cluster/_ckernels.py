@@ -1,6 +1,6 @@
 """Optional C fast paths for Python-level inner loops, via ``ctypes``.
 
-Seven hot paths resist numpy vectorisation, because each step depends on the
+Six hot paths resist numpy vectorisation, because each step depends on the
 previous one or because numpy would spend a call per small group: the FIFO
 busy-period recursion (``seq_finish``), the per-miss disk draws
 (``disk_services``: the ziggurat exponential consumes a variable number of
@@ -9,33 +9,34 @@ generator words), the eager database run (``eager_reads``: every read in
 disk FIFO, which numpy would split into per-server scans, gathers and
 scatters), the pipeline's per-chunk placement draws (``distinct_choices``:
 ``Generator.choice`` without replacement, one Python call per chunk), the
-serving proxy's batch reservation (``reserve_batch``: one FIFO row per
-backend, then each request's winner, which numpy runs as some forty calls
-per batch), a virtual-clock load run's quiet stretch (``reserve_stretch``:
-the load generator's wakes, each a batch through the routine
-``reserve_batch`` runs or one lone arrival, which Python runs as a clock
-timer and a proxy call per wake) and the streaming histogram's recording
-of many batches (``fold_moments``: each batch's sum, mean and M2 folded
-into the running moments in turn, which numpy runs as four calls per
-batch; ``bin_counts``: a block's bin keys counted, with the batch each
-first occurs in, where numpy sorts the block).  All seven are plain loops
-over contiguous C arrays, so when a system C compiler is present they are
-compiled once per source digest into a small shared library and called
-through ``ctypes`` — no third-party packages, no Python headers, no build
-step in the repo.
+serving proxy's reservations (``reserve_stretch``: a virtual-clock load
+run's quiet stretch, wake by wake, which Python runs as a clock timer and a
+proxy call per wake; each wake's arrivals are one batch, one FIFO row per
+backend and then each request's winner, which numpy runs as some forty
+calls per batch; a ``submit_batch`` batch is a stretch of one wake) and the
+streaming histogram's recording of many batches (``fold_moments``: each
+batch's sum, mean and M2 folded into the running moments in turn, which
+numpy runs as four calls per batch; ``bin_counts``: a block's bin keys
+counted, with the batch each first occurs in, where numpy sorts the
+block).  All six are plain loops over contiguous C arrays, so when a system
+C compiler is present they are compiled once per source digest into a
+small shared library and called through ``ctypes`` — no third-party
+packages, no Python headers, no build step in the repo.
 
 Byte-identity: each C routine is a literal port of the loop it replaces and
 performs exactly the same IEEE-754 double operations and generator draws in
-the same order; ``reserve_batch`` and ``fold_moments`` also port numpy's
+the same order; ``reserve_stretch`` and ``fold_moments`` also port numpy's
 pairwise summation, which ``ndarray.sum()`` runs on a contiguous array
 (``array_sum``; a test pins it against ``.sum()``, so a numpy that sums
-differently fails loudly).  ``reserve_stretch`` has no closed form of its
-own: a batch runs the one ``reserve_batch`` runs, on ``start + offset``
-added as numpy adds it, and a lone arrival the scalar
-``SimBackend.submit`` reservation.  Each wake is ``now + ((start + due) -
-now)``, where the clock's timer would fall, each horizon is compared as
-``np.searchsorted`` compares, and the proxy's and each backend's running
-totals are added in arrival order, as the per-wake calls add them.
+differently fails loudly).  ``reserve_stretch`` reserves each batch with
+the closed form ``reserve_copies`` runs in numpy, on ``start + offset``
+added as numpy adds it.  A lone arrival is a batch of one at its wake,
+which for finite services is the scalar ``SimBackend.submit`` reservation
+(``max(now, busy) + service``, the first least finish, sums of one
+element).  Each wake is ``now + ((start + due) - now)``, where the clock's
+timer would fall, each horizon is compared as ``np.searchsorted``
+compares, and the proxy's and each backend's running totals are added in
+arrival order, as the per-wake calls add them.
 ``bin_counts`` takes the floors of
 ``bins_per_decade * np.log10`` as numpy computed them and never calls
 libm's ``log10``, which can differ from numpy's in the last ulp and so move
@@ -402,18 +403,11 @@ void distinct_choices(bitgen_t *bg, bounded_fn bounded, int64_t n, int64_t k,
     }
 }
 
-/* numpy's pairwise summation (pairwise_sum_DOUBLE): plain adds below 8
- * elements, 8 accumulators up to 128, above that a split at half the
- * length rounded down to a multiple of 8. */
+/* numpy's pairwise summation (pairwise_sum_DOUBLE) of n >= 8 elements
+ * (ndarray_sum does fewer): 8 accumulators up to 128, above that a split at
+ * half the length rounded down to a multiple of 8, so never below 64. */
 static double pairwise_sum(const double *a, int64_t n) {
     int64_t i, k;
-    if (n < 8) {
-        double res = -0.0;
-        for (i = 0; i < n; i++) {
-            res += a[i];
-        }
-        return res;
-    }
     if (n <= 128) {
         double r[8], res;
         for (k = 0; k < 8; k++) {
@@ -438,13 +432,30 @@ static double pairwise_sum(const double *a, int64_t n) {
 }
 
 /* ndarray.sum() of a contiguous double array: the reduction's 0.0 identity
- * plus the pairwise sum of all n elements. */
-double array_sum(const double *a, int64_t n) {
+ * plus the pairwise sum of all n elements, which below 8 is plain adds from
+ * -0.0, done here without a call. */
+static double ndarray_sum(const double *a, int64_t n) {
+    if (n < 8) {
+        double res = -0.0;
+        int64_t i;
+        for (i = 0; i < n; i++) {
+            res += a[i];
+        }
+        return 0.0 + res;
+    }
     return 0.0 + pairwise_sum(a, n);
+}
+
+/* ndarray_sum, for the test that pins it against ndarray.sum(). */
+double array_sum(const double *a, int64_t n) {
+    return ndarray_sum(a, n);
 }
 
 /* np.maximum on doubles: the first operand unless it is less (NaN wins). */
 #define NP_MAX(a, b) (((a) >= (b) || (a) != (a)) ? (a) : (b))
+
+/* numpy's < on doubles, as np.searchsorted compares: NaN sorts last. */
+#define NP_LESS(a, b) ((a) < (b) || ((b) != (b) && (a) == (a)))
 
 /* The serving proxy's pool, as BatchPool in Python mirrors it.  Per-slot
  * arrays are indexed by pool index; the table holds pool indices.  A slot
@@ -462,167 +473,9 @@ typedef struct {
     const double **refills;  /* the block drawn after it, or NULL */
     int64_t *refill_lengths; /* its length; with a status > 0, the length a
                                 slot without one needs (0: none needed) */
-    int64_t *cursors;        /* in: next unread draw; out: after the batch */
-    double *busy;            /* in: busy_until; out: after the batch */
-    int64_t *taken;          /* out: copies the slot received */
-    double *consumed;        /* out: ndarray.sum() of their services */
-    double useful;           /* out: ndarray.sum() of the winners' services */
-    double last;             /* out: the latest winning finish */
+    int64_t *cursors;        /* in: next unread draw; out: after the call */
+    double *busy;            /* in: busy_until; out: after the call */
 } batch_pool_t;
-
-/* Slot s moves on to its refill block. */
-static void next_block(batch_pool_t *pool, int64_t s) {
-    pool->blocks[s] = pool->refills[s];
-    pool->lengths[s] = pool->refill_lengths[s];
-    pool->refills[s] = NULL;
-    pool->refill_lengths[s] = 0;
-}
-
-/* Scratch the batches of one call share: per slot a prefix sum, a slack and
- * a last finish, then room for a batch's winners' services, or for one
- * slot's services across its refill. */
-typedef struct {
-    double *data;
-    int64_t room;
-} scratch_t;
-
-/* One batch of RedundancyProxy.submit_batch, as reserve_copies and the
- * winner pick after it compute it in numpy.  Request r arrives at start +
- * offsets[r] (the double add numpy does; a start of -0.0 leaves each offset
- * as it is) and sends copy j to slot table[keys[r] * width + j].  Each slot
- * serves its copies in copy order, with the services at its cursor, read on
- * into its refill block past the end of its block.  A FIFO slot runs
- * _fifo_finishes' closed form from the busy_until it entered with: prefix
- * sum c, slack m = max(m, a - (c - s)), finish = max(m, busy) + c; an
- * infinite-server slot finishes at a + s.  A request's winner is its first
- * copy with the least finish, a NaN counting as least (np.argmin);
- * latencies[r] is the winning finish minus its arrival.
- *
- * Returns 0 when done.  Before it changes anything but `taken` and
- * `refill_lengths`, it returns -1 if a key is outside the table or copies
- * exceeds its width, -2 if scratch memory runs out, or the number of
- * receiving slots that need more draws than their block holds and have no
- * refill block; each such slot's refill_lengths is then the length its
- * refill must have, draw_many's max(block, short). */
-static int64_t reserve_requests(batch_pool_t *pool, const int64_t *keys,
-                                const double *offsets, double start, int64_t count,
-                                int64_t copies, double *latencies, scratch_t *work) {
-    const int64_t slots = pool->slots;
-    int64_t *taken = pool->taken;
-    int64_t *cursors = pool->cursors;
-    int64_t r, j, s, most = count, missing = 0;
-    double *prefix, *slack, *last, *scratch, latest = 0.0;
-    if (copies < 1 || copies > pool->width) {
-        return -1;
-    }
-    for (s = 0; s < slots; s++) {
-        taken[s] = 0;
-    }
-    for (r = 0; r < count; r++) {
-        const int64_t *row;
-        if (keys[r] < 0 || keys[r] >= pool->rows) {
-            return -1;
-        }
-        row = pool->table + keys[r] * pool->width;
-        for (j = 0; j < copies; j++) {
-            taken[row[j]]++;
-        }
-    }
-    for (s = 0; s < slots; s++) {
-        const int64_t short_by = taken[s] - (pool->lengths[s] - cursors[s]);
-        if (taken[s] > most) {
-            most = taken[s];
-        }
-        if (short_by > 0 && pool->refills[s] == NULL) {
-            pool->refill_lengths[s] = short_by > pool->block ? short_by : pool->block;
-            missing++;
-        }
-    }
-    if (missing) {
-        return missing;
-    }
-    if (most > work->room) {
-        free(work->data);
-        work->data = malloc(sizeof(double) * (size_t)(3 * slots + most));
-        work->room = work->data == NULL ? 0 : most;
-        if (work->data == NULL) {
-            return -2;
-        }
-    }
-    prefix = work->data;
-    slack = prefix + slots;
-    last = slack + slots;
-    scratch = last + slots;
-    for (s = 0; s < slots; s++) {
-        prefix[s] = -0.0; /* -0.0 + s is s, so c starts at the first service */
-        slack[s] = -INFINITY;
-    }
-    for (r = 0; r < count; r++) {
-        const int64_t *row = pool->table + keys[r] * pool->width;
-        const double arrival = start + offsets[r];
-        double best = 0.0, won = 0.0;
-        for (j = 0; j < copies; j++) {
-            int64_t at;
-            double service, finish;
-            s = row[j];
-            at = cursors[s]++;
-            service = at < pool->lengths[s] ? pool->blocks[s][at]
-                                            : pool->refills[s][at - pool->lengths[s]];
-            if (pool->queueing[s]) {
-                double c = prefix[s] + service;
-                double m = NP_MAX(slack[s], arrival - (c - service));
-                prefix[s] = c;
-                slack[s] = m;
-                finish = NP_MAX(m, pool->busy[s]) + c;
-                last[s] = finish;
-            } else {
-                finish = arrival + service;
-            }
-            if (j == 0 || (best == best && !(finish >= best))) {
-                best = finish;
-                won = service;
-            }
-        }
-        latencies[r] = best - arrival;
-        scratch[r] = won;
-        latest = r == 0 ? best : NP_MAX(latest, best);
-    }
-    pool->useful = array_sum(scratch, count);
-    pool->last = latest;
-    for (s = 0; s < slots; s++) {
-        const int64_t n = taken[s], end = cursors[s], length = pool->lengths[s];
-        if (n == 0) {
-            continue;
-        }
-        if (end <= length) {
-            pool->consumed[s] = array_sum(pool->blocks[s] + end - n, n);
-        } else {
-            const int64_t tail = length - (end - n);
-            memcpy(scratch, pool->blocks[s] + end - n, sizeof(double) * (size_t)tail);
-            memcpy(scratch + tail, pool->refills[s], sizeof(double) * (size_t)(n - tail));
-            pool->consumed[s] = array_sum(scratch, n);
-            cursors[s] = end - length;
-            next_block(pool, s);
-        }
-        if (pool->queueing[s]) {
-            pool->busy[s] = last[s];
-        }
-    }
-    return 0;
-}
-
-/* One batch of RedundancyProxy.submit_batch at absolute arrivals:
- * reserve_requests, with its scratch for this call alone.  A slot that reads
- * into its refill block moves on to it. */
-int64_t reserve_batch(batch_pool_t *pool, const int64_t *keys,
-                      const double *arrivals, int64_t count, int64_t copies,
-                      double *latencies) {
-    scratch_t work = {NULL, 0};
-    const int64_t status =
-        reserve_requests(pool, keys, arrivals, -0.0, count, copies, latencies, &work);
-    free(work.data);
-    return status;
-}
 
 /* A quiet stretch of RedundancyProxy.submit_stretch: arrivals index .. stop
  * - 1 of a run, issued as run_load's per-wake loop issues them. */
@@ -648,71 +501,164 @@ typedef struct {
     double *consumed;        /* in/out, per slot: consumed_s */
 } stretch_t;
 
-/* numpy's < on doubles, as np.searchsorted compares: NaN sorts last. */
-#define NP_LESS(a, b) ((a) < (b) || ((b) != (b) && (a) == (a)))
+/* Slot s moves on to its refill block. */
+static void next_block(batch_pool_t *pool, int64_t s) {
+    pool->blocks[s] = pool->refills[s];
+    pool->lengths[s] = pool->refill_lengths[s];
+    pool->refills[s] = NULL;
+    pool->refill_lengths[s] = 0;
+}
 
-/* One lone arrival at `now`, as RedundancyProxy.submit_nowait reserves it
- * through SimBackend.submit: copy j draws slot row[j]'s next service (a
- * spent block gives way to its refill, `block` draws, as draw_service
- * refills); a FIFO slot finishes at max(now, busy) + s, an infinite-server
- * slot at now + s.  The winner is the first copy with the strictly least
- * finish.  Returns as reserve_requests does. */
-static int64_t reserve_lone(batch_pool_t *pool, stretch_t *run, int64_t key, double now) {
+/* Scratch of one reserve_stretch call: per slot the copies the current
+ * batch sends it (0 between batches), a prefix sum, a slack and a last
+ * finish; the slots the batch reaches, in the order it first reaches them;
+ * and room for a batch's winners' services, or one slot's services across
+ * its refill. */
+typedef struct {
+    int64_t *taken;
+    int64_t *reached;
+    double *prefix;
+    double *slack;
+    double *last;
+    double *spare;
+    int64_t room;
+} scratch_t;
+
+/* One batch of a stretch, as RedundancyProxy.submit_batch reserves it
+ * (reserve_copies, then np.argmin).  Request r arrives at start +
+ * offsets[r] (the double add numpy does; a start of -0.0 leaves each
+ * offset as it is) and sends copy j to slot table[keys[r] * width + j].
+ * Each slot serves its copies in copy order, with the services at its
+ * cursor, read on into its refill block past the end of its block.  A FIFO
+ * slot runs _fifo_finishes' closed form from the busy_until it entered
+ * with: prefix sum c, slack m = max(m, a - (c - s)), finish = max(m, busy)
+ * + c; an infinite-server slot finishes at a + s.  A request's winner is
+ * its first copy with the least finish, a NaN counting as least
+ * (np.argmin); latencies[r] is the winning finish minus its arrival.  The
+ * winners' services and each slot's are summed as ndarray.sum() sums them
+ * and added to the stretch's totals, and the latest winning finish raises
+ * its last.
+ *
+ * A batch of one at `now` is SimBackend.submit's scalar reservation, for
+ * finite services: c - s is 0, so m is now and a FIFO slot finishes at
+ * max(now, busy) + s; the first least finish wins; a sum of one element is
+ * that element.
+ *
+ * Returns 0 when done, with the scratch's per-slot counts back at 0.
+ * Before it changes anything but the scratch, which its caller then drops,
+ * and `refill_lengths`, it returns -1 if a key is outside the table, -2 if
+ * scratch memory runs out, or the number of receiving slots that need more
+ * draws than their block holds and have no refill block; each such slot's
+ * refill_lengths is then the length its refill must have, draw_many's
+ * max(block, short), which for one draw is draw_service's block. */
+static int64_t reserve_requests(batch_pool_t *pool, stretch_t *run, const int64_t *keys,
+                                const double *offsets, double start, int64_t count,
+                                double *latencies, scratch_t *work) {
     const int64_t copies = run->copies;
-    const int64_t *row;
-    int64_t j, s, missing = 0;
-    double best = 0.0, won = 0.0;
-    if (key < 0 || key >= pool->rows || copies < 1 || copies > pool->width) {
-        return -1;
-    }
-    row = pool->table + key * pool->width;
-    for (j = 0; j < copies; j++) {
-        pool->taken[row[j]] = 0;
-    }
-    for (j = 0; j < copies; j++) {
-        pool->taken[row[j]]++;
-    }
-    for (j = 0; j < copies; j++) {
-        s = row[j];
-        if (pool->taken[s] > pool->lengths[s] - pool->cursors[s] && pool->refills[s] == NULL) {
-            if (pool->taken[s] - (pool->lengths[s] - pool->cursors[s]) > pool->block) {
-                return -1;
+    int64_t *taken = work->taken, *reached = work->reached, *cursors = pool->cursors;
+    double *prefix = work->prefix, *slack = work->slack, *last = work->last;
+    int64_t r, j, s, t, slots = 0, most = count, missing = 0;
+    double latest = 0.0;
+    for (r = 0; r < count; r++) {
+        const int64_t *row;
+        if (keys[r] < 0 || keys[r] >= pool->rows) {
+            return -1;
+        }
+        row = pool->table + keys[r] * pool->width;
+        for (j = 0; j < copies; j++) {
+            if (taken[row[j]]++ == 0) {
+                reached[slots++] = row[j];
             }
-            pool->refill_lengths[s] = pool->block;
-            pool->taken[s] = 0; /* flagged once */
+        }
+    }
+    for (t = 0; t < slots; t++) {
+        int64_t short_by;
+        s = reached[t];
+        short_by = taken[s] - (pool->lengths[s] - cursors[s]);
+        if (taken[s] > most) {
+            most = taken[s];
+        }
+        if (short_by > 0 && pool->refills[s] == NULL) {
+            pool->refill_lengths[s] = short_by > pool->block ? short_by : pool->block;
             missing++;
         }
+        prefix[s] = -0.0; /* -0.0 + s is s, so c starts at the first service */
+        slack[s] = -INFINITY;
     }
     if (missing) {
         return missing;
     }
-    for (j = 0; j < copies; j++) {
-        double service, finish;
-        s = row[j];
-        if (pool->cursors[s] >= pool->lengths[s]) {
-            next_block(pool, s);
-            pool->cursors[s] = 0;
+    if (most > work->room) {
+        free(work->spare);
+        work->spare = malloc(sizeof(double) * (size_t)most);
+        work->room = work->spare == NULL ? 0 : most;
+        if (work->spare == NULL) {
+            return -2;
         }
-        service = pool->blocks[s][pool->cursors[s]++];
-        if (pool->queueing[s]) {
-            const double busy = pool->busy[s];
-            finish = (busy > now ? busy : now) + service;
-            pool->busy[s] = finish;
+    }
+    for (r = 0; r < count; r++) {
+        const int64_t *row = pool->table + keys[r] * pool->width;
+        const double arrival = start + offsets[r];
+        double best = 0.0, won = 0.0;
+        for (j = 0; j < copies; j++) {
+            int64_t at;
+            double service, finish;
+            bool nan;
+            s = row[j];
+            at = cursors[s]++;
+            service = at < pool->lengths[s] ? pool->blocks[s][at]
+                                            : pool->refills[s][at - pool->lengths[s]];
+            if (pool->queueing[s]) {
+                double c = prefix[s] + service;
+                double m = NP_MAX(slack[s], arrival - (c - service));
+                prefix[s] = c;
+                slack[s] = m;
+                finish = NP_MAX(m, pool->busy[s]) + c;
+                last[s] = finish;
+            } else {
+                finish = arrival + service;
+            }
+            /* np.argmin counts a NaN as least and keeps the first; tested
+             * apart, the plain pick compiles without a branch */
+            nan = finish != finish && best == best;
+            if (j == 0 || finish < best) {
+                best = finish;
+                won = service;
+            }
+            if (nan) {
+                best = finish;
+                won = service;
+            }
+        }
+        latencies[r] = best - arrival;
+        work->spare[r] = won;
+        latest = r == 0 ? best : NP_MAX(latest, best);
+    }
+    run->useful = run->useful + ndarray_sum(work->spare, count);
+    if (latest > run->last) {
+        run->last = latest;
+    }
+    for (t = 0; t < slots; t++) {
+        const int64_t slot = reached[t], n = taken[slot], end = cursors[slot];
+        const int64_t length = pool->lengths[slot];
+        double consumed;
+        if (end <= length) {
+            consumed = ndarray_sum(pool->blocks[slot] + end - n, n);
         } else {
-            finish = now + service;
+            const int64_t tail = length - (end - n);
+            memcpy(work->spare, pool->blocks[slot] + end - n, sizeof(double) * (size_t)tail);
+            memcpy(work->spare + tail, pool->refills[slot], sizeof(double) * (size_t)(n - tail));
+            consumed = ndarray_sum(work->spare, n);
+            cursors[slot] = end - length;
+            next_block(pool, slot);
         }
-        run->completed[s]++;
-        run->consumed[s] = run->consumed[s] + service;
-        if (j == 0 || finish < best) {
-            best = finish;
-            won = service;
+        if (pool->queueing[slot]) {
+            pool->busy[slot] = last[slot];
         }
+        run->completed[slot] += n;
+        run->consumed[slot] = run->consumed[slot] + consumed;
+        taken[slot] = 0;
     }
-    run->useful = run->useful + won;
-    if (best > run->last) {
-        run->last = best;
-    }
-    run->latencies[run->size - 1 - run->lone++] = best - now;
     return 0;
 }
 
@@ -720,24 +666,38 @@ static int64_t reserve_lone(batch_pool_t *pool, stretch_t *run, int64_t key, dou
  * nothing else.  A wake moves the clock to now + ((start + due) - now), as
  * a timer due there would, and only when that delay exceeds the resolution;
  * it then issues every arrival up to the horizon (now - start) + resolution
- * (np.searchsorted's right side, at least one, never past stop): two or
- * more as one reserve_requests batch, one alone as reserve_lone.  The
- * proxy's useful service and each slot's consumed service accumulate in
- * arrival order.
+ * (np.searchsorted's right side, at least one, never past stop) as one
+ * reserve_requests batch: two or more at start + offset, as submit_batch
+ * issues them, one alone at the wake, as submit_nowait does.
+ * RedundancyProxy.submit_batch is one wake: offsets its arrivals, start
+ * -0.0, now its first arrival and an infinite resolution.
  *
  * Returns 0 once index reaches stop.  Otherwise index and now stop before
  * the wake that needs Python: a status > 0 asks for refill blocks (see
  * reserve_requests), -1 meets a key or copy count the table cannot serve,
  * -2 ran out of memory. */
 int64_t reserve_stretch(batch_pool_t *pool, stretch_t *run) {
-    scratch_t work = {NULL, 0};
+    const int64_t slots = pool->slots;
+    scratch_t work = {NULL, NULL, NULL, NULL, NULL, NULL, 0};
     int64_t status = 0;
+    if (run->copies < 1 || run->copies > pool->width) {
+        return -1;
+    }
+    /* int64_t and double share a size, so one block holds the per-slot parts */
+    work.taken = calloc((size_t)(5 * slots), sizeof(int64_t));
+    if (work.taken == NULL) {
+        return -2;
+    }
+    work.reached = work.taken + slots;
+    work.prefix = (double *)(work.reached + slots);
+    work.slack = work.prefix + slots;
+    work.last = work.slack + slots;
     while (run->index < run->stop) {
         const int64_t index = run->index;
         const double *offsets = run->offsets;
         const double delay = (run->start + offsets[index]) - run->now;
         double now = run->now, horizon;
-        int64_t end, s;
+        int64_t end;
         if (delay > run->resolution && now + delay > now) {
             now = now + delay;
         }
@@ -745,34 +705,25 @@ int64_t reserve_stretch(batch_pool_t *pool, stretch_t *run) {
         for (end = index + 1; end < run->stop && !NP_LESS(horizon, offsets[end]); end++) {
         }
         if (end - index == 1) {
-            status = reserve_lone(pool, run, run->keys[index], now);
-            if (status != 0) {
-                break;
-            }
+            status = reserve_requests(pool, run, run->keys + index, &now, -0.0, 1,
+                                      run->latencies + run->size - 1 - run->lone, &work);
+            run->lone += status == 0;
         } else {
-            status = reserve_requests(pool, run->keys + index, offsets + index, run->start,
-                                      end - index, run->copies,
-                                      run->latencies + run->batched, &work);
-            if (status != 0) {
-                break;
+            status = reserve_requests(pool, run, run->keys + index, offsets + index, run->start,
+                                      end - index, run->latencies + run->batched, &work);
+            if (status == 0) {
+                run->batched += end - index;
+                run->ends[run->batches++] = run->batched;
             }
-            run->batched += end - index;
-            run->ends[run->batches++] = run->batched;
-            run->useful = run->useful + pool->useful;
-            if (pool->last > run->last) {
-                run->last = pool->last;
-            }
-            for (s = 0; s < pool->slots; s++) {
-                if (pool->taken[s]) {
-                    run->completed[s] += pool->taken[s];
-                    run->consumed[s] = run->consumed[s] + pool->consumed[s];
-                }
-            }
+        }
+        if (status != 0) {
+            break;
         }
         run->index = end;
         run->now = now;
     }
-    free(work.data);
+    free(work.taken);
+    free(work.spare);
     return status;
 }
 
@@ -795,13 +746,13 @@ void fold_moments(moments_t *m, const double *data, const int64_t *sizes,
     int64_t b, i;
     for (b = 0; b < batches; b++) {
         const int64_t n = sizes[b], count = m->count + n;
-        const double total = array_sum(data, n), mean = total / (double)n;
+        const double total = ndarray_sum(data, n), mean = total / (double)n;
         double delta, batch_m2;
         for (i = 0; i < n; i++) {
             const double deviation = data[i] - mean;
             scratch[i] = deviation * deviation;
         }
-        batch_m2 = array_sum(scratch, n);
+        batch_m2 = ndarray_sum(scratch, n);
         delta = mean - m->mean;
         m->mean = m->mean + delta * (double)n / (double)count;
         m->m2 = m->m2 + (batch_m2 + delta * delta * (double)m->count * (double)n / (double)count);
@@ -878,9 +829,9 @@ int64_t bin_counts(bin_table_t *table, const double *scaled, const int64_t *size
 
 
 class BatchPool(ctypes.Structure):
-    """``batch_pool_t``, field for field: what ``reserve_batch`` and
-    ``reserve_stretch`` read and write of one pool.  Pointer fields hold the
-    addresses of arrays the caller keeps alive."""
+    """``batch_pool_t``, field for field: what ``reserve_stretch`` reads and
+    writes of one pool.  Pointer fields hold the addresses of arrays the
+    caller keeps alive."""
 
     _fields_ = [
         ("table", ctypes.c_void_p),
@@ -895,10 +846,6 @@ class BatchPool(ctypes.Structure):
         ("refill_lengths", ctypes.c_void_p),
         ("cursors", ctypes.c_void_p),
         ("busy", ctypes.c_void_p),
-        ("taken", ctypes.c_void_p),
-        ("consumed", ctypes.c_void_p),
-        ("useful", ctypes.c_double),
-        ("last", ctypes.c_double),
     ]
 
 
@@ -1077,15 +1024,6 @@ def _build(cache_dir: str) -> ctypes.CDLL:
     lib.distinct_choices.restype = None
     lib.array_sum.argtypes = [ctypes.c_void_p, ctypes.c_int64]
     lib.array_sum.restype = ctypes.c_double
-    lib.reserve_batch.argtypes = [
-        ctypes.c_void_p,
-        ctypes.c_void_p,
-        ctypes.c_void_p,
-        ctypes.c_int64,
-        ctypes.c_int64,
-        ctypes.c_void_p,
-    ]
-    lib.reserve_batch.restype = ctypes.c_int64
     lib.reserve_stretch.argtypes = [ctypes.c_void_p, ctypes.c_void_p]
     lib.reserve_stretch.restype = ctypes.c_int64
     lib.fold_moments.argtypes = [ctypes.POINTER(Moments)] + [ctypes.c_void_p] * 2 + [

@@ -134,10 +134,10 @@ CKERNELS = declare(
     choices=("0", "1"),
     help=(
         "Whether the optional compiled C kernels (FIFO busy-period recursion, "
-        "per-miss disk draws, LRU cache, pipeline placement draws, serve "
-        "batch reservation) may be "
-        "used: '0' forces the numpy and Python paths.  The two paths are "
-        "bitwise identical; "
-        "consumed by repro.cluster._ckernels.load()."
+        "per-miss disk draws, the eager database run, pipeline placement "
+        "draws, the serve proxy's batch and quiet-stretch reservation, the "
+        "histogram's batch recording) may be used: '0' forces the numpy and "
+        "Python paths.  The two paths are bitwise identical; consumed by "
+        "repro.cluster._ckernels.load()."
     ),
 )

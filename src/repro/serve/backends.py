@@ -35,18 +35,17 @@ reserve one copy each through one reservation routine:
   ``start``.
 * :class:`BatchReserver` — the proxy's batch path: reserves a whole batch
   of copies across the live pool and picks each request's winner.  With
-  the C kernels that is one compiled ``reserve_batch`` pass, which reads
-  each backend's draw block in place and refills it as
+  the C kernels that is one compiled ``reserve_stretch`` pass of a single
+  wake, which reads each backend's draw block in place and refills it as
   :meth:`SimBackend.draw_many` would.  Without them :func:`reserve_copies`
   groups the copies by backend and runs the same recurrence in closed form,
   one numpy row per backend.  Both give the same bytes.
   :meth:`SimBackend.submit_many` is the one-backend case of
-  :func:`reserve_copies`.  With the kernels it also issues a load run's
-  whole quiet stretch in one ``reserve_stretch`` pass
-  (:meth:`BatchReserver.reserve_stretch`): each batch through the same
-  compiled routine as ``reserve_batch``, each lone arrival as
-  :meth:`SimBackend.submit` reserves it, with each backend's state copied
-  in and out once per stretch rather than once per batch.
+  :func:`reserve_copies`.  With the kernels the same pass also issues a
+  load run's whole quiet stretch (:meth:`BatchReserver.reserve_stretch`):
+  each batch as above, each lone arrival as a batch of one at its wake,
+  which for finite services is the reservation :meth:`SimBackend.submit`
+  makes, with each backend's state copied in and out once per stretch.
 
 Because every path drives the same reservation, a policy hot-swap mid-run
 never leaves the pool with two disagreeing pictures of its queues.
@@ -68,6 +67,7 @@ import abc
 import asyncio
 import ctypes
 import functools
+import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -364,16 +364,16 @@ class BatchReserver:
     of a load run, batches and lone arrivals both.
 
     With the compiled kernels (:mod:`repro.cluster._ckernels`, looked up
-    once, when the reserver is built) one ``reserve_batch`` call does a
-    batch, and one ``reserve_stretch`` call a stretch.  Each call copies
-    every live backend's draw block, cursor and ``busy_until`` into the
-    kernel's per-slot arrays, and the receiving backends' new state back
-    out.  A backend whose block runs out is refilled as
-    :meth:`SimBackend.draw_service` (one arrival) or
+    once, when the reserver is built) each is one ``reserve_stretch`` call,
+    made in :meth:`reserve_stretch` alone: a batch is a stretch of one
+    wake.  The call copies every live backend's draw block, cursor,
+    ``busy_until`` and totals into the kernel's per-slot arrays, and the
+    receiving backends' new state back out.  A backend whose block runs out
+    is refilled as :meth:`SimBackend.draw_service` (one arrival) or
     :meth:`SimBackend.draw_many` (a batch) would refill it.  Without them,
-    and for keys or arrivals the kernel cannot read in place, the numpy path
-    runs: :func:`reserve_copies`, then ``np.argmin``; a stretch then
-    declines.  Both give the same bytes.
+    for keys or arrivals the kernel cannot read in place and for keys
+    outside the table, a batch runs the numpy path, :func:`reserve_copies`
+    then ``np.argmin``, and a stretch declines.  Both give the same bytes.
     """
 
     def __init__(
@@ -390,17 +390,12 @@ class BatchReserver:
         self._queueing = np.zeros(slots, dtype=np.uint8)
         for slot, backend in self._live:
             self._queueing[slot] = backend._queueing
-        # Each block as its address was taken: a backend's block changes
-        # only when it is refilled, and an address costs a microsecond.
-        self._held: List[Optional[np.ndarray]] = [None] * slots
         self._blocks, blocks = _slot_array(slots, np.uintp)
         self._lengths, lengths = _slot_array(slots, np.int64)
         self._refills, refills = _slot_array(slots, np.uintp)
         self._refill_lengths, refill_lengths = _slot_array(slots, np.int64)
         self._cursors, cursors = _slot_array(slots, np.int64)
         self._busy, busy = _slot_array(slots, np.float64)
-        self._taken, taken = _slot_array(slots, np.int64)
-        self._consumed, consumed = _slot_array(slots, np.float64)
         self._frame = _ckernels.BatchPool(
             table=table.ctypes.data,
             rows=table.shape[0],
@@ -414,28 +409,13 @@ class BatchReserver:
             refill_lengths=refill_lengths,
             cursors=cursors,
             busy=busy,
-            taken=taken,
-            consumed=consumed,
         )
         self._frame_at = ctypes.addressof(self._frame)
-        # A stretch's running totals per slot: copies received, consumed_s.
+        # A call's running totals per slot: copies received, consumed_s.
         self._completed, completed = _slot_array(slots, np.int64)
         self._consumed_s, consumed_s = _slot_array(slots, np.float64)
         self._stretch = _ckernels.Stretch(completed=completed, consumed=consumed_s)
         self._stretch_at = ctypes.addressof(self._stretch)
-
-    def _copy_in(self) -> bool:
-        """Copy every live backend's block, cursor and ``busy_until`` into
-        the kernel's slots; ``False`` if a live backend is marked failed."""
-        cursors, busy, held = self._cursors, self._busy, self._held
-        for slot, backend in self._live:
-            if backend._failed:
-                return False
-            if backend._block is not held[slot]:
-                self._hold(slot, backend._block)
-            cursors[slot] = backend._cursor
-            busy[slot] = backend._busy_until
-        return True
 
     def reserve(
         self, keys: np.ndarray, arrivals: np.ndarray, copies: int
@@ -445,39 +425,26 @@ class BatchReserver:
 
         ``latencies`` holds each request's winning finish minus its
         arrival, ``useful_s`` is the sum of the winners' services and
-        ``last_finish`` the latest winning finish.  Returns ``None``,
-        changing nothing, when a live backend is marked failed.
+        ``last_finish`` the latest winning finish.  With the kernels the
+        batch is a stretch of one wake (:meth:`reserve_stretch` from its
+        first arrival with an infinite resolution, so every arrival is due
+        at once).  Returns ``None``, changing nothing, when a live backend
+        is marked failed.
+
+        Raises:
+            IndexError: If a key lies outside the table, negative keys
+                included; nothing changes.
         """
-        if self._lib is None:
+        stretch = None
+        if 0 < len(keys) == len(arrivals):
+            stretch = self.reserve_stretch(
+                keys, arrivals, -0.0, 0, len(keys), arrivals[0], math.inf, copies, 0.0, -math.inf
+            )
+        if stretch is None:
             return self._reserve_numpy(keys, arrivals, copies)
-        key_at = _address(keys, np.int64)
-        arrival_at = _address(arrivals, np.float64)
-        count = len(keys)
-        if key_at is None or arrival_at is None or len(arrivals) != count:
-            return self._reserve_numpy(keys, arrivals, copies)
-        if not self._copy_in():
-            return None
-        latencies = np.empty(count)
-        args = (self._frame_at, key_at, arrival_at, count, copies, _address(latencies, np.float64))
-        status = self._lib.reserve_batch(*args)
-        if status == -1:  # a key outside the table: numpy indexes (or raises) as before
-            return self._reserve_numpy(keys, arrivals, copies)
-        refilled = []
-        if status > 0:
-            refilled = self._draw_refills()
-            status = self._lib.reserve_batch(*args)
-        if status != 0:  # -2: the kernel could not allocate its scratch
-            raise MemoryError("reserve_batch could not allocate its scratch")
-        cursors, busy, taken, consumed = self._cursors, self._busy, self._taken, self._consumed
-        for slot, backend in self._live:
-            received = taken[slot]
-            if received:
-                backend.completed += received
-                backend.consumed_s += consumed[slot]
-                backend._cursor = cursors[slot]
-                backend._busy_until = busy[slot]
-        self._move_on(refilled)
-        return latencies, self._frame.useful, self._frame.last
+        _reached, _wake, chunks, lone, useful, last = stretch
+        # Two or more arrivals are one batch; one alone is a lone arrival.
+        return (chunks[0] if chunks else np.array(lone)), useful, last
 
     def reserve_stretch(
         self,
@@ -503,8 +470,9 @@ class BatchReserver:
         batch's latencies (views of one buffer), the lone arrivals'
         latencies, and the two totals after them.  The call stops early only
         at a key or copy count the table cannot serve.  Returns ``None``,
-        changing nothing, without the compiled kernels, when a live backend
-        is marked failed, or when not even the first wake can be issued.
+        changing nothing, without the compiled kernels, for keys or offsets
+        it cannot read in place, when a live backend is marked failed, or
+        when not even the first wake can be issued.
 
         Raises:
             ValueError: If ``index`` and ``stop`` do not satisfy ``0 <=
@@ -519,15 +487,23 @@ class BatchReserver:
             return None
         key_at = _address(keys, np.int64)
         offset_at = _address(offsets, np.float64)
-        if key_at is None or offset_at is None or not self._copy_in():
+        if key_at is None or offset_at is None:
             return None
+        blocks, lengths, cursors, busy = self._blocks, self._lengths, self._cursors, self._busy
+        completed, consumed_s = self._completed, self._consumed_s
+        for slot, backend in self._live:
+            if backend._failed:
+                return None
+            block = backend._block
+            blocks[slot] = block.ctypes.data
+            lengths[slot] = len(block)
+            cursors[slot] = backend._cursor
+            busy[slot] = backend._busy_until
+            completed[slot] = 0
+            consumed_s[slot] = backend.consumed_s
         size = stop - index
         latencies = np.empty(size)
         ends = np.empty(size // 2 + 1, dtype=np.int64)  # a batch holds 2+ arrivals
-        completed, consumed_s = self._completed, self._consumed_s
-        for slot, backend in self._live:
-            completed[slot] = 0
-            consumed_s[slot] = backend.consumed_s
         run = self._stretch
         run.keys, run.offsets, run.start, run.resolution = key_at, offset_at, start, resolution
         run.copies, run.stop, run.index, run.now = copies, stop, index, now
@@ -538,7 +514,6 @@ class BatchReserver:
             refilled = self._draw_refills()
             status = self._lib.reserve_stretch(self._frame_at, self._stretch_at)
             self._move_on(refilled)
-        cursors, busy = self._cursors, self._busy
         for slot, backend in self._live:
             received = completed[slot]
             if received:
@@ -554,12 +529,6 @@ class BatchReserver:
         chunks = [latencies[low:high] for low, high in zip([0] + bounds, bounds)]
         lone = latencies[size - run.lone :][::-1].tolist()
         return run.index, run.now, chunks, lone, run.useful, run.last
-
-    def _hold(self, slot: int, block: np.ndarray) -> None:
-        """Point ``slot`` at ``block``, a contiguous float block."""
-        self._held[slot] = block
-        self._blocks[slot] = block.ctypes.data
-        self._lengths[slot] = len(block)
 
     def _draw_refills(self) -> List[Tuple[int, SimBackend, np.ndarray]]:
         """Draw the refill block each slot the kernel asked for needs, of
@@ -583,7 +552,6 @@ class BatchReserver:
                 refills[slot] = wants[slot] = 0
             else:
                 backend._block = block
-                self._held[slot] = block
 
     def _reserve_numpy(
         self, keys: np.ndarray, arrivals: np.ndarray, copies: int
@@ -594,6 +562,8 @@ class BatchReserver:
             if backend._failed:
                 return None
         count = len(keys)
+        if count and np.min(keys) < 0:  # numpy would wrap it to a row from the end
+            raise IndexError(f"keys must lie in [0, {len(self._table)}), got {int(np.min(keys))}")
         finishes, services = reserve_copies(
             self._pool, self._table[keys, :copies].ravel(), np.repeat(arrivals, copies)
         )

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import math
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -37,6 +38,17 @@ from repro.serve.proxy import RedundancyProxy
 from repro.serve.report import RunReport
 
 __all__ = ["main"]
+
+
+def _positive_finite(text: str) -> float:
+    """A finite number above zero (``nan`` and ``inf`` parse as floats)."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
 
 
 def _parse_swap(text: str) -> Tuple[float, str]:
@@ -82,10 +94,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="one load-generation run")
     run.add_argument("--policy", default="none", help="initial PolicySpec")
-    run.add_argument("--rate", type=float, default=2000.0, help="arrivals/second")
+    run.add_argument("--rate", type=_positive_finite, default=2000.0, help="arrivals/second")
     stop = run.add_mutually_exclusive_group()
     stop.add_argument("--requests", type=int, default=None, help="stop after N arrivals")
-    stop.add_argument("--duration", type=float, default=None, help="stop after T seconds")
+    stop.add_argument(
+        "--duration", type=_positive_finite, default=None, help="stop after T seconds"
+    )
     run.add_argument("--backends", type=int, default=8, help="pool size")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--clock", choices=("virtual", "real"), default="virtual")

@@ -22,9 +22,11 @@ model of the paper's analysis (Section 2) and of the offline substrates'
   hands the proxy a whole *quiet stretch* instead: every arrival up to the
   next control or the end of traffic, in one
   :meth:`RedundancyProxy.submit_stretch` call that emulates the wakes below
-  bit for bit; one timer then moves the clock onto the last of them.  Real
-  clocks, race plans, a clock with a timer or callback pending and
-  ``REPRO_CKERNELS=0`` run the per-wake loop;
+  bit for bit (one compiled pass, the same one that reserves a
+  :meth:`RedundancyProxy.submit_batch` batch, which takes a lone arrival as
+  a batch of one at its wake); one timer then moves the clock onto the last
+  of them.  Real clocks, race plans, a clock with a timer or callback
+  pending and ``REPRO_CKERNELS=0`` run the per-wake loop;
 * optionally hot-swaps the proxy policy and applies membership events
   (backend add / graceful remove / crash) at scheduled times mid-run;
 * drains the proxy and assembles the :class:`~repro.serve.report.RunReport`.
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import math
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,15 +65,16 @@ class LoadGenConfig:
     """Parameters of one load-generation run.
 
     Attributes:
-        rate: Offered arrival rate, requests/second.
+        rate: Offered arrival rate, requests/second (finite, > 0).
         num_requests: Stop after this many arrivals (exclusive with
             ``duration_s``; exactly one must be set).
-        duration_s: Stop issuing at this horizon (open interval).
+        duration_s: Stop issuing at this horizon (open interval; finite,
+            > 0).
         seed: Run seed; arrivals and keys come from substreams of it.
         keyspace: Keys are drawn uniformly from ``range(keyspace)``.
         resolution: Sleep granule (seconds); arrivals due within the same
             granule are issued in one wakeup.  ``0`` issues each arrival at
-            its exact timestamp (virtual-clock mode).
+            its exact timestamp (virtual-clock mode).  Finite, >= 0.
         swaps: Scheduled policy hot-swaps, as ``(at_seconds, spec)`` pairs.
         events: Scheduled membership events, as ``(at_seconds, action,
             backend_index)`` triples with ``action`` one of ``"add"``,
@@ -89,8 +93,20 @@ class LoadGenConfig:
     def __post_init__(self) -> None:
         if (self.num_requests is None) == (self.duration_s is None):
             raise ValueError("set exactly one of num_requests / duration_s")
-        if self.rate <= 0:
-            raise ValueError(f"rate must be positive, got {self.rate!r}")
+        # A NaN rate would issue every arrival at once, and a NaN or
+        # infinite resolution never moves the clock.
+        if not (math.isfinite(self.rate) and self.rate > 0):
+            raise ValueError(f"rate must be finite and positive, got {self.rate!r}")
+        if not (math.isfinite(self.resolution) and self.resolution >= 0):
+            raise ValueError(
+                f"resolution must be finite and non-negative, got {self.resolution!r}"
+            )
+        if self.duration_s is not None and not (
+            math.isfinite(self.duration_s) and self.duration_s > 0
+        ):
+            raise ValueError(
+                f"duration_s must be finite and positive, got {self.duration_s!r}"
+            )
         for _at, action, _backend in self.events:
             if action not in ("add", "remove", "crash"):
                 raise ValueError(

@@ -50,12 +50,14 @@ Two dispatch paths, one accounting surface:
   the proxy computes the winner and its latency synchronously — no timer
   at all.  A batch is reserved, and its winners picked, in one call of a
   :class:`~repro.serve.backends.BatchReserver` built for the live ring at
-  each membership event: one compiled pass when the C kernels load.  This
-  is what makes ``bench`` sustain >100k req/s.  On a quiet virtual clock
-  :meth:`submit_stretch` goes further: it issues every arrival of a load
-  run up to its next control, batches and lone arrivals as the load
-  generator's wakes would issue them, in one compiled pass, and writes the
-  proxy's and the backends' state back once for the whole stretch.
+  each membership event.  This is what makes ``bench`` sustain >100k
+  req/s.  On a quiet virtual clock :meth:`submit_stretch` goes further: it
+  issues every arrival of a load run up to its next control, batches and
+  lone arrivals as the load generator's wakes would issue them, and writes
+  the proxy's and the backends' state back once for the whole stretch.
+  When the C kernels load, both are one compiled ``reserve_stretch`` pass
+  (a batch is a stretch of one wake), which reserves a lone arrival as a
+  batch of one at its wake.
 """
 
 from __future__ import annotations
@@ -243,7 +245,7 @@ class RedundancyProxy(Racer):
 
     def replicas(self, key: int, copies: int) -> List[int]:
         """The ``copies`` distinct live backend indices serving ``key``."""
-        if self._replica_table is not None and key < len(self._replica_table):
+        if self._replica_table is not None and 0 <= key < len(self._replica_table):
             if copies <= self._table_copies:
                 return [int(b) for b in self._replica_table[key, :copies]]
         return self.ring.replicas_for(key, copies)
@@ -297,8 +299,9 @@ class RedundancyProxy(Racer):
 
         ``arrivals`` are absolute, ascending timestamps.  The whole batch is
         reserved, and each request's winner picked, in one
-        :meth:`~repro.serve.backends.BatchReserver.reserve` call: one
-        compiled pass when the C kernels load, else the numpy grouping of
+        :meth:`~repro.serve.backends.BatchReserver.reserve` call: when the
+        C kernels load, one ``reserve_stretch`` pass of a single wake at the
+        first arrival, else the numpy grouping of
         :func:`~repro.serve.backends.reserve_copies`; either keeps each
         backend's FIFO and draw order.  This is the dispatch path the
         ``bench`` throughput target measures.  Falls back to ``False``
@@ -306,6 +309,10 @@ class RedundancyProxy(Racer):
         live backend is down, or a live backend is not a
         :class:`SimBackend` (decided at each membership change).  An empty
         batch on an eligible plan is a no-op that returns ``True``.
+
+        Raises:
+            IndexError: If a key lies outside the prepared keyspace,
+                negative keys included; nothing changes.
         """
         plan = self._fast_plan
         if plan is None or self._batch is None:

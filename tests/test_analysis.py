@@ -8,10 +8,6 @@ from repro.analysis import (
     LatencySummary,
     ResultTable,
     comparison_table,
-    fraction_later_than,
-    improvement_factor,
-    mean_confidence_interval,
-    percent_reduction,
     summarize,
 )
 from repro.exceptions import ConfigurationError
@@ -29,12 +25,6 @@ class TestSummarize:
         summary = summarize(rng.exponential(1.0, 10_000))
         assert summary.p50 <= summary.p90 <= summary.p95 <= summary.p99 <= summary.p999
 
-    def test_percentile_lookup(self):
-        summary = summarize(list(range(1, 1001)))
-        assert summary.percentile(50.0) == pytest.approx(500.5)
-        with pytest.raises(ConfigurationError):
-            summary.percentile(42.0)
-
     def test_as_row_keys(self):
         row = summarize([1.0, 2.0]).as_row()
         assert {"count", "mean", "p50", "p99", "p99.9", "max"} <= set(row)
@@ -50,44 +40,6 @@ class TestSummarize:
     def test_non_finite_rejected(self):
         with pytest.raises(ConfigurationError):
             summarize([1.0, float("inf")])
-
-
-class TestComparisons:
-    def test_improvement_factor(self):
-        assert improvement_factor(150.0, 75.0) == pytest.approx(2.0)
-
-    def test_improvement_factor_zero_improved(self):
-        assert improvement_factor(10.0, 0.0) == float("inf")
-
-    def test_percent_reduction(self):
-        assert percent_reduction(40.0, 30.0) == pytest.approx(25.0)
-
-    def test_percent_reduction_negative_when_worse(self):
-        assert percent_reduction(10.0, 12.0) == pytest.approx(-20.0)
-
-    def test_fraction_later_than(self):
-        assert fraction_later_than([1.0, 2.0, 3.0, 4.0], 2.5) == pytest.approx(0.5)
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ConfigurationError):
-            improvement_factor(-1.0, 1.0)
-        with pytest.raises(ConfigurationError):
-            percent_reduction(0.0, 1.0)
-
-    def test_confidence_interval_contains_mean(self, rng):
-        data = rng.normal(10.0, 2.0, 5000).clip(min=0)
-        mean, low, high = mean_confidence_interval(data)
-        assert low < mean < high
-        assert high - low < 0.5
-
-    def test_confidence_interval_single_sample(self):
-        assert mean_confidence_interval([3.0]) == (3.0, 3.0, 3.0)
-
-    def test_confidence_interval_invalid(self):
-        with pytest.raises(ConfigurationError):
-            mean_confidence_interval([], 0.95)
-        with pytest.raises(ConfigurationError):
-            mean_confidence_interval([1.0], 1.5)
 
 
 class TestEmpiricalCDF:

@@ -438,6 +438,41 @@ class TestFastPathEquivalence:
 
 
 # ---------------------------------------------------------------------------
+# Load-generator configuration
+# ---------------------------------------------------------------------------
+
+class TestLoadGenConfigBounds:
+    """A NaN rate issues every arrival at once (and writes ``NaN`` into the
+    report, which is not JSON); a NaN or infinite resolution never moves the
+    clock.  Each is refused when the config is built."""
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+    def test_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(ValueError, match="rate must be finite and positive"):
+            LoadGenConfig(rate=rate, num_requests=10)
+
+    @pytest.mark.parametrize("resolution", [float("nan"), float("inf"), -1e-3])
+    def test_resolution_must_be_finite_and_non_negative(self, resolution):
+        with pytest.raises(ValueError, match="resolution must be finite"):
+            LoadGenConfig(rate=100.0, num_requests=10, resolution=resolution)
+
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_duration_must_be_finite_and_positive(self, duration):
+        with pytest.raises(ValueError, match="duration_s must be finite and positive"):
+            LoadGenConfig(rate=100.0, duration_s=duration)
+
+    @pytest.mark.parametrize("flag", ["--rate", "--duration"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-5", "fast"])
+    def test_cli_rejects_a_bad_rate_or_duration_at_parse_time(self, flag, value, capsys):
+        from repro.serve.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", flag, value, "--quiet"])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
 # Command line
 # ---------------------------------------------------------------------------
 

@@ -3,13 +3,15 @@
 :func:`repro.serve.backends.reserve_copies` reserves a whole batch of copies
 across the pool in one numpy pass, and :class:`repro.serve.backends.
 BatchReserver` reserves it and picks each request's winner in one compiled
-``reserve_batch`` call (``reserve_copies`` and ``np.argmin`` under
-``REPRO_CKERNELS=0``).  The reference below is the loop they replaced, kept
-here verbatim: one ``np.nonzero`` scan per backend and one 1-D closed-form
-pass per backend.  All must agree bit for bit on every finish, service,
-winner and latency, on the winners' service sum and the latest winning
-finish, and leave every backend in the same state (``busy_until``,
-``completed``, ``consumed_s``, draw position and generator state).
+``reserve_stretch`` call of a single wake (``reserve_copies`` and
+``np.argmin`` under ``REPRO_CKERNELS=0``).  The reference below is the loop
+they replaced, kept here verbatim: one ``np.nonzero`` scan per backend and
+one 1-D closed-form pass per backend.  All must agree bit for bit on every
+finish, service, winner and latency, on the winners' service sum and the
+latest winning finish, and leave every backend in the same state
+(``busy_until``, ``completed``, ``consumed_s``, draw position and generator
+state).  A batch of one must also be the scalar ``submit_nowait`` at its
+arrival, since the compiled stretch reserves every lone arrival that way.
 """
 
 import contextlib
@@ -329,3 +331,137 @@ def test_array_sum_is_ndarray_sum():
     for size in list(range(601)) + [8_191, 8_192, 8_193, 10_000, 65_537, 200_001]:
         values = rng.standard_normal(size) * np.exp(rng.uniform(-30.0, 30.0, size))
         assert lib.array_sum(values.ctypes.data, size) == values.sum(), size
+
+
+# --------------------------------------------------------------------- #
+# A batch of one is submit_nowait at its arrival
+# --------------------------------------------------------------------- #
+
+
+def proxy_state(proxy):
+    pending = list(proxy._pending_latencies) + [
+        float(value) for chunk in proxy._pending_chunks for value in chunk
+    ]
+    return (
+        proxy.counters(),
+        proxy.last_finish_at,
+        pending,
+        [backend_state(backend) for backend in proxy.backends],
+    )
+
+
+def submit_one_by_one(path, size, queueing, policy, prefix, arrivals, keys, service, batch):
+    """Issue each key alone at its arrival: as a one-key ``submit_batch``,
+    or as ``submit_nowait`` with the virtual clock moved onto the arrival."""
+    clock = VirtualClock()
+    pool = [
+        SimBackend(i, clock, seed=9, service=service, queueing=q)
+        for i, q in zip(range(size), queueing)
+    ]
+    for backend, count in zip(pool, prefix):
+        backend.draw_many(count)  # park the cursor inside the block
+    proxy = RedundancyProxy(pool, clock, policy=policy)
+    with kernel_path(path):
+        proxy.prepare_keyspace(KEYSPACE, size)
+    assert (proxy._batch._lib is not None) == (path == "compiled")
+
+    async def issue():
+        for key, arrival in zip(keys, arrivals):
+            if batch:
+                assert proxy.submit_batch(np.array([key]), np.array([arrival])) is True
+            else:
+                await clock.sleep(arrival - clock.now())
+                assert clock.now() == arrival
+                assert proxy.submit_nowait(int(key)) is True
+
+    clock.run(issue())
+    return proxy_state(proxy)
+
+
+@st.composite
+def lone_cases(draw):
+    size = draw(st.integers(2, 6))
+    queueing = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    prefix = draw(st.lists(st.sampled_from([0, 7, 4095, 4096]), min_size=size, max_size=size))
+    count = draw(st.integers(1, 40))
+    # Arrivals on a power-of-two grid: with dyadic services, finishes tie.
+    ticks = np.cumsum(draw(st.lists(st.integers(0, 8), min_size=count, max_size=count)))
+    keys = draw(st.lists(st.integers(0, KEYSPACE - 1), min_size=count, max_size=count))
+    return {
+        "size": size,
+        "queueing": queueing,
+        "policy": draw(st.sampled_from(["none", "k2", "k3"])),
+        "prefix": prefix,
+        "arrivals": (ticks * 2.0**-11).tolist(),
+        "keys": keys,
+        "service": draw(st.sampled_from([Exponential(mean=0.001), DYADIC])),
+    }
+
+
+@pytest.mark.parametrize("path", PATHS)
+@settings(max_examples=40, deadline=None)
+@given(case=lone_cases())
+def test_a_batch_of_one_is_submit_nowait_at_its_arrival(path, case):
+    """``submit_batch([k], [t])`` equals ``submit_nowait(k)`` at clock time
+    ``t``: latency, counters, last finish and every backend's state, with
+    queues busy past the arrival or idle before it, blocks that run out on
+    the copy, and tied finishes."""
+    batched = submit_one_by_one(path, batch=True, **case)
+    alone = submit_one_by_one(path, batch=False, **case)
+    assert batched == alone
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_a_negative_key_raises_index_error(path):
+    """Keys index the replica table, so a negative key is as far outside it
+    as a key past its end: IndexError, and nothing changes (numpy would
+    otherwise wrap it to a row from the end)."""
+    pool = make_pool(4, 0, [True] * 4)
+    proxy = RedundancyProxy(pool, VirtualClock(), policy="k2")
+    with kernel_path(path):
+        proxy.prepare_keyspace(100, 4)
+    before = proxy_state(proxy)
+    for keys in ([0, -1], [-1, 0], [-100], [0, 100]):
+        with pytest.raises(IndexError):
+            proxy.submit_batch(np.array(keys), np.linspace(0.0, 0.001, len(keys)))
+        assert proxy_state(proxy) == before
+
+
+def test_a_negative_key_takes_the_ring_before_and_after_the_table():
+    """``replicas`` reads the prepared table only for keys inside it; a
+    negative key goes to the ring either way, never to a row from the
+    table's end."""
+    pool = make_pool(8, 0, [True] * 8)
+    proxy = RedundancyProxy(pool, VirtualClock(), policy="k2")
+    before = proxy.replicas(-1, 2)
+    assert before == proxy.ring.replicas_for(-1, 2)
+    proxy.prepare_keyspace(100, 8)
+    assert proxy.replicas(-1, 2) == before
+    assert proxy.replicas(99, 2) == proxy._replica_table[99, :2].tolist()
+
+
+def test_an_eligible_batch_is_one_reserve_stretch_call():
+    """With the kernels, submit_batch reserves through the one compiled
+    entry point, once, and never through the numpy path."""
+    lib = _ckernels.load()
+    if lib is None:
+        pytest.skip("no C compiler available")
+    pool = make_pool(4, 0, [True] * 4)
+    for backend in pool:
+        backend.draw_many(1)  # a block with room for the batch: no refill
+    proxy = RedundancyProxy(pool, VirtualClock(), policy="k2")
+    proxy.prepare_keyspace(100, 4)
+    calls = []
+    real = lib.reserve_stretch
+
+    def reserve_stretch(*args):
+        calls.append(args)
+        return real(*args)
+
+    refuse = mock.Mock(side_effect=AssertionError("numpy path"))
+    with mock.patch.object(lib, "reserve_stretch", reserve_stretch), mock.patch(
+        "repro.serve.backends.reserve_copies", refuse
+    ), mock.patch.object(BatchReserver, "_reserve_numpy", refuse):
+        assert proxy.submit_batch(np.arange(50), np.linspace(0.0, 0.01, 50)) is True
+    assert len(calls) == 1
+    assert proxy.requests == 50 and len(proxy._pending_chunks) == 1

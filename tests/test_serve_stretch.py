@@ -9,11 +9,15 @@ same load twice: once as it runs, once with ``submit_stretch`` declining, so
 the per-wake loop (``submit_batch`` per batch, ``submit_nowait`` per lone
 arrival, one clock timer per wake) issues everything.  The two must agree
 bit for bit: report bytes, proxy counters and every backend's completions,
-consumed service, queue, draw block and cursor.
+consumed service, queue, draw block and cursor.  With the kernels the
+per-wake loop's ``submit_batch`` is itself a one-wake ``reserve_stretch``
+call, so the property and the batch-heavy cases also run the per-wake loop
+under ``REPRO_CKERNELS=0``, where each batch takes numpy's closed form.
 """
 
 import asyncio
 import contextlib
+import os
 from unittest import mock
 
 import numpy as np
@@ -108,10 +112,12 @@ def run(
     service=None,
     setup=None,
     main=None,
+    ckernels=True,
 ):
     """Run one virtual-clock load; ``setup(proxy, clock)`` runs first and
     ``main(clock, load)`` may wrap the ``run_load`` coroutine.  Backends
-    serve Exp(``means[i % len(means)]``) unless a ``service`` is given."""
+    serve Exp(``means[i % len(means)]``) unless a ``service`` is given.
+    ``ckernels=False`` runs it under ``REPRO_CKERNELS=0``."""
     clock = VirtualClock()
     pool = [
         SimBackend(
@@ -134,7 +140,8 @@ def run(
         swaps=list(swaps),
         events=list(events),
     )
-    with recording(stretch) as (stretches, refills):
+    flag = {_ckernels.CKERNELS_ENV_VAR: "1" if ckernels else "0"}
+    with recording(stretch) as (stretches, refills), mock.patch.dict(os.environ, flag):
         load = run_load(proxy, clock, config)
         try:
             report = clock.run(load if main is None else main(clock, load))
@@ -143,18 +150,26 @@ def run(
     return Run(proxy, report, stretches, refills)
 
 
-def check_same(**kwargs):
-    """Run with and without the stretch; require the same bytes and state."""
+def check_same(numpy_reference=False, **kwargs):
+    """Run with and without the stretch; require the same bytes and state.
+    With ``numpy_reference`` the per-wake loop also runs without the
+    kernels, and must agree too."""
     taken = run(True, **kwargs)
     per_wake = run(False, **kwargs)
-    assert (taken.report is None) == (per_wake.report is None)
-    if taken.report is not None:
-        assert taken.report.to_json() == per_wake.report.to_json()
-    assert type(taken.error) is type(per_wake.error)
-    assert proxy_state(taken.proxy) == proxy_state(per_wake.proxy)
-    # Each backend draws on its own generator, so only each one's own
-    # sequence of blocks must agree.
-    assert sorted(taken.refills, key=by_backend) == sorted(per_wake.refills, key=by_backend)
+    references = [per_wake]
+    if numpy_reference:
+        references.append(run(False, ckernels=False, **kwargs))
+    for reference in references:
+        assert (taken.report is None) == (reference.report is None)
+        if taken.report is not None:
+            assert taken.report.to_json() == reference.report.to_json()
+        assert type(taken.error) is type(reference.error)
+        assert proxy_state(taken.proxy) == proxy_state(reference.proxy)
+        # Each backend draws on its own generator, so only each one's own
+        # sequence of blocks must agree.
+        assert sorted(taken.refills, key=by_backend) == sorted(
+            reference.refills, key=by_backend
+        )
     return taken, per_wake
 
 
@@ -217,7 +232,7 @@ def load_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(case=load_cases())
 def test_stretch_equals_the_per_wake_loop(case):
-    check_same(**case)
+    check_same(numpy_reference=True, **case)
 
 
 # --------------------------------------------------------------------- #
@@ -249,7 +264,9 @@ def test_a_lone_arrival_draws_across_a_block_end():
     """At resolution 0 every arrival is its own wake; each backend starts
     one draw short of its block, so lone copies refill 4,096 draws inside
     the stretch, as draw_service does."""
-    taken, _ = check_same(resolution=0.0, prefix=(4095,) * 4, requests=300)
+    taken, _ = check_same(
+        numpy_reference=True, resolution=0.0, prefix=(4095,) * 4, requests=300
+    )
     assert len(taken.taken) == 1
     assert sorted(taken.refills) == [(index, 4096) for index in range(4)]
     assert all(0 < backend._cursor < 4096 for backend in taken.proxy.backends)
@@ -259,6 +276,7 @@ def test_a_batch_refills_more_than_a_block_mid_stretch():
     """Batches of about 10,000 arrivals send over 4,096 copies to one
     backend, which refills max(4096, short) draws, as draw_many does."""
     taken, _ = check_same(
+        numpy_reference=True,
         queueing=(True, False),
         rate=10_000_000.0,
         requests=30_000,
@@ -286,6 +304,7 @@ def test_exact_ties_on_a_dyadic_grid(policy, resolution):
     keys = rng.integers(0, KEYSPACE, size=2_000)
     with mock.patch("repro.serve.loadgen._draw_traffic", return_value=(offsets, keys)):
         taken, _ = check_same(
+            numpy_reference=True,
             policy=policy,
             queueing=(True, True, False, True, True),
             service=DYADIC,
