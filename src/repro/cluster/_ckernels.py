@@ -51,10 +51,7 @@ the routine ``Generator.exponential`` runs, and ``distinct_choices`` ports
 (Floyd's algorithm, then a shuffle of the picks) and calls
 ``random_bounded_uint64`` as it does.  Both symbols are looked up in numpy's
 ``_generator`` extension at load time rather than linked from a static copy,
-so a numpy upgrade cannot leave a stale sampler in a cached library.  The
-numpy and Python implementations remain the no-compiler path:
-``REPRO_CKERNELS=0`` forces them, and tests pin both paths against the
-references.
+so a numpy upgrade cannot leave a stale sampler in a cached library.
 
 The library is cached in a per-user directory under the temp dir, created
 ``0o700``.  A cache directory or library that another user owns, or that
@@ -62,7 +59,15 @@ group or others may write, is refused rather than loaded.
 
 Any failure — no compiler, no numpy sampler symbol, an unsafe cache
 directory, read-only temp dir, unsupported platform — results in :func:`load`
-returning ``None`` and every caller using its fallback.
+returning ``None``, and every caller runs its no-compiler path, which
+``REPRO_CKERNELS=0`` forces and tests pin against the same references.  For
+the database that is the scalar loop itself: per server, an
+``LRUByteCache``, one Python ``DiskModel.sample_noisy_service_time`` call
+per miss and the Python FIFO loop (``eager_reads``, ``disk_services``,
+``seq_finish``).  The placements run ``Generator.choice`` per chunk
+(``distinct_choices``); the serving proxy runs a timer per wake and
+reserves each batch in numpy (``reserve_stretch``); the histogram records
+in a numpy loop per block (``fold_moments``, ``bin_counts``).
 """
 
 from __future__ import annotations

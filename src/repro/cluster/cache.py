@@ -71,9 +71,9 @@ class LRUByteCache:
         Semantically identical to calling :meth:`access` once per element
         (same recency updates, evictions, and counters) but with the loop
         overhead hoisted: attribute lookups are bound once and the byte
-        accounting runs on local floats.  Used by the batched database path
-        for file sets whose sizes are not all equal (where the closed-form
-        kernel in :mod:`repro.cluster.lru_kernel` does not apply).
+        accounting runs on local floats.  It is the cache of the eager
+        database's per-server path, which runs for unequal file sizes and
+        whenever the compiled kernels are off or missing.
 
         Args:
             keys: Iterable of object ids (converted to ``int``).

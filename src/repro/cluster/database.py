@@ -41,7 +41,7 @@ from repro.cluster.churn import (
 )
 from repro.cluster.consistent_hash import ConsistentHashRing
 from repro.cluster.draws import exact_disk_services, sequential_finish_times
-from repro.cluster.lru_kernel import equal_item_capacity, lru_hit_flags
+from repro.cluster.lru_kernel import equal_item_capacity
 from repro.core.cancellation import simulate_cancelling_arrivals
 from repro.core.policy import PolicyLike, resolve_run_policy, run_policy_spec
 from repro.metrics import MetricsRegistry
@@ -619,16 +619,13 @@ class DatabaseClusterExperiment:
         server, and servers share no state — the cache, the FIFO disk queue
         and the service-time rng are all per server — so grouping accesses
         by server preserves every per-server stream exactly, and each server
-        in ``server_ids`` runs three batched kernels:
+        in ``server_ids`` runs its whole stream in three steps, whatever the
+        file sizes:
 
-        * cache warming plus hit/miss classification via
-          :func:`~repro.cluster.lru_kernel.lru_hit_flags` (warm inserts are
-          prepended to the access stream as virtual accesses — ``warm_with``
-          has precisely LRU-insert semantics for distinct keys, so an empty
-          cache of ``C`` items ends warm-up holding exactly the last ``C``
-          candidates, in order, and only those are prepended), or
-          :meth:`~repro.cluster.cache.LRUByteCache.access_many` when file
-          sizes are not all equal;
+        * its cache, warmed with
+          :meth:`~repro.cluster.cache.LRUByteCache.warm_with`, classifies
+          every access with
+          :meth:`~repro.cluster.cache.LRUByteCache.access_many`;
         * disk service times for the misses via
           :func:`~repro.cluster.draws.exact_disk_services`, consuming the
           server substream in the scalar order;
@@ -677,15 +674,9 @@ class DatabaseClusterExperiment:
         for server_id in server_ids:
             candidates = warm_orders[server_id] if server_id < config.num_servers else cold
             pos = np.flatnonzero(srv_flat == server_id)
-            keys = file_flat[pos]
-            if item_capacity is not None:
-                survivors = candidates[max(0, candidates.size - item_capacity) :]
-                stream = np.concatenate([survivors, keys])
-                flags = lru_hit_flags(stream, item_capacity)[survivors.size :]
-            else:
-                cache = LRUByteCache(capacity)
-                cache.warm_with(candidates, all_sizes[candidates])
-                flags = cache.access_many(keys, size_flat[pos])
+            cache = LRUByteCache(capacity)
+            cache.warm_with(candidates, all_sizes[candidates])
+            flags = cache.access_many(file_flat[pos], size_flat[pos])
             hits_total += int(np.count_nonzero(flags))
             arr = arr_flat[pos]
             completion = np.empty(len(pos))

@@ -95,3 +95,24 @@ class DiskModel:
         if self.slow_access_probability > 0 and rng.random() < self.slow_access_probability:
             service += rng.exponential(self.slow_access_mean_s)
         return float(service)
+
+    def sample_noisy_service_time(
+        self,
+        size_bytes: float,
+        rng: np.random.Generator,
+        noise_probability: float,
+        noise_multiplier_mean: float,
+    ) -> float:
+        """Draw one service time under noisy-neighbour interference.
+
+        :meth:`sample_service_time`, then with probability
+        ``noise_probability`` a multiplier of ``1 +
+        Exp(noise_multiplier_mean)``.  This is a database cache miss's draw
+        on every path: per copy in
+        :meth:`~repro.cluster.storage_server.StorageServerModel.probe`, and
+        per miss stream in :func:`~repro.cluster.draws.exact_disk_services`.
+        """
+        service = self.sample_service_time(size_bytes, rng)
+        if noise_probability > 0 and rng.random() < noise_probability:
+            service *= 1.0 + rng.exponential(noise_multiplier_mean)
+        return service

@@ -33,8 +33,10 @@ class StorageServerModel:
     The FIFO hedging engine (:mod:`repro.core.cancellation`) owns the disk
     queue and calls :meth:`probe` as it dispatches each copy, in dispatch
     order.  Eager runs do not build servers: they run each server's cache,
-    draws and disk FIFO as batched kernels
-    (:meth:`repro.cluster.database.DatabaseClusterExperiment._eager_batched`).
+    draws and disk FIFO over its whole access stream at once
+    (:meth:`repro.cluster.database.DatabaseClusterExperiment._eager_batched`),
+    drawing each miss in the order of
+    :meth:`~repro.cluster.disk.DiskModel.sample_noisy_service_time`.
     """
 
     def __init__(
@@ -89,10 +91,9 @@ class StorageServerModel:
 
         Performs the per-copy work of a read at dispatch — the cache access
         and, on a miss, the service-time draw
-        (:meth:`~repro.cluster.disk.DiskModel.sample_service_time`, then the
-        noisy-neighbour coin flip and multiplier) — but leaves the disk queue
-        to the caller: the engine (:mod:`repro.core.cancellation`) owns the
-        FIFO.
+        (:meth:`~repro.cluster.disk.DiskModel.sample_noisy_service_time`) —
+        but leaves the disk queue to the caller: the engine
+        (:mod:`repro.core.cancellation`) owns the FIFO.
 
         Returns:
             ``("done", completion_time)`` for a cache hit (memory service,
@@ -102,7 +103,7 @@ class StorageServerModel:
         hit = self.cache.access(file_id, size_bytes)
         if hit:
             return ("done", arrival_time + self.memory_service_s)
-        service = self.disk.sample_service_time(size_bytes, self._rng)
-        if self.noise_probability > 0 and self._rng.random() < self.noise_probability:
-            service *= 1.0 + self._rng.exponential(self.noise_multiplier_mean)
+        service = self.disk.sample_noisy_service_time(
+            size_bytes, self._rng, self.noise_probability, self.noise_multiplier_mean
+        )
         return ("service", service, self.memory_service_s)

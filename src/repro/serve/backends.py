@@ -432,11 +432,19 @@ class BatchReserver:
         is marked failed.
 
         Raises:
+            ValueError: Unless there are as many keys as arrivals and ``1 <=
+                copies <=`` the table's width; nothing changes.
             IndexError: If a key lies outside the table, negative keys
                 included; nothing changes.
         """
+        width = self._table.shape[1]
+        if len(keys) != len(arrivals) or not 1 <= copies <= width:
+            raise ValueError(
+                f"need as many keys as arrivals and 1 <= copies <= {width}, got "
+                f"{len(keys)} keys, {len(arrivals)} arrivals and copies {copies!r}"
+            )
         stretch = None
-        if 0 < len(keys) == len(arrivals):
+        if len(keys):
             stretch = self.reserve_stretch(
                 keys, arrivals, -0.0, 0, len(keys), arrivals[0], math.inf, copies, 0.0, -math.inf
             )

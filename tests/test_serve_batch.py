@@ -427,6 +427,28 @@ def test_a_negative_key_raises_index_error(path):
         assert proxy_state(proxy) == before
 
 
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize(
+    "keys,arrivals,copies",
+    [(10, 10, 3), (10, 10, 0), (10, 9, 2), (9, 10, 2)],
+    ids=["copies-past-width", "no-copies", "fewer-arrivals", "fewer-keys"],
+)
+def test_reserve_refuses_a_malformed_batch_before_reserving(path, keys, arrivals, copies):
+    """More copies than the table has columns, no copies, or keys and
+    arrivals of different lengths raise ValueError before any backend
+    receives a copy or draws a service."""
+    pool = make_pool(4, 0, [True] * 4)
+    reserver = make_reserver(pool, ConsistentHashRing(4), 2, path)
+
+    def state():
+        return [backend_state(backend) + (backend._block.tobytes(),) for backend in pool]
+
+    before = state()
+    with pytest.raises(ValueError, match="copies"):
+        reserver.reserve(np.arange(keys), np.linspace(0.0, 0.001, arrivals), copies)
+    assert state() == before
+
+
 def test_a_negative_key_takes_the_ring_before_and_after_the_table():
     """``replicas`` reads the prepared table only for keys inside it; a
     negative key goes to the ring either way, never to a row from the
