@@ -9,13 +9,14 @@ This module holds the substrate-independent pieces:
   arrival horizon** (``0.4`` = 40% of the way through the run), so one spec
   works at every load and request count.  The spec mini-language mirrors the
   policy specs: ``"remove:2@0.4"``, ``"add:4@0.3,crash:1@0.6"``.
-* :func:`ChurnTimeline.epoch_rings` — the ring per inter-event epoch, built
-  by replaying the events on a fresh
+* :func:`ChurnTimeline.epoch_rings` — the ring per inter-event epoch, each
+  built by applying one event to a copy of the previous epoch's
   :class:`~repro.cluster.consistent_hash.ConsistentHashRing` (stable vnode
-  identity makes this exact, not approximate).
+  identity makes it equal a fresh ring with the same members).
 * :func:`plan_migrations` — the per-event migration work list: for every
   server that *gains* files under the paper's two-copy storage layout
-  (primary + ring successor), the file ids it must copy in.  A fail-stop
+  (primary + ring successor), the file ids it must copy in, found in one
+  pass over the before and after replica tables.  A fail-stop
   ``crash`` plans exactly the same migrations as a planned ``remove`` —
   survivors re-replicate from the remaining copy — which is what makes
   crash-at-t byte-identical to remove-at-t in the offline substrates.
@@ -33,6 +34,7 @@ substrates' seeded substreams).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -130,22 +132,20 @@ class ChurnTimeline:
                 it applies to (adding a live id, removing a dead one, or
                 shrinking the pool below two servers).
         """
-        rings = [ConsistentHashRing(num_servers, virtual_nodes=virtual_nodes)]
+        ring = ConsistentHashRing(num_servers, virtual_nodes=virtual_nodes)
+        rings = [ring]
         for event in self.events:
-            ring = ConsistentHashRing(num_servers, virtual_nodes=virtual_nodes)
-            for prior in self.events:
-                if prior.when > event.when:
-                    break
-                if prior.action == "add":
-                    ring.add_server(prior.server)
-                else:
-                    if ring.num_servers <= 2:
-                        raise ConfigurationError(
-                            f"event {prior.spec()!r} would leave fewer than 2 "
-                            "servers; the substrates need a primary and a "
-                            "successor"
-                        )
-                    ring.remove_server(prior.server)
+            ring = copy.copy(ring)
+            if event.action == "add":
+                ring.add_server(event.server)
+            else:
+                if ring.num_servers <= 2:
+                    raise ConfigurationError(
+                        f"event {event.spec()!r} would leave fewer than 2 "
+                        "servers; the substrates need a primary and a "
+                        "successor"
+                    )
+                ring.remove_server(event.server)
             rings.append(ring)
         return rings
 
@@ -223,13 +223,19 @@ def plan_migrations(
     keys = range(num_keys)
     before_table = before.replica_table(keys, min(storage_copies, before.num_servers))
     after_table = after.replica_table(keys, min(storage_copies, after.num_servers))
+    # Each (file, copy) entry of the after table that no copy of the file's
+    # before row matches, in file order, so each server's list is ascending.
+    gained = np.ones(after_table.shape, dtype=bool)
+    for column in range(before_table.shape[1]):
+        gained &= after_table != before_table[:, column, None]
+    entries = np.flatnonzero(gained)
+    servers = after_table.take(entries)
+    files = entries // after_table.shape[1]
     plans: Dict[int, np.ndarray] = {}
     for server in after.servers:
-        holds_after = (after_table == server).any(axis=1)
-        held_before = (before_table == server).any(axis=1)
-        gained = np.flatnonzero(holds_after & ~held_before)
-        if gained.size:
-            plans[server] = gained
+        gained_files = files[servers == server]
+        if gained_files.size:
+            plans[server] = gained_files
     return plans
 
 
@@ -257,28 +263,19 @@ def migration_schedule(
         raise ConfigurationError(
             f"migration_rate must be positive, got {migration_rate!r}"
         )
-    times: List[float] = []
-    servers: List[int] = []
-    files: List[int] = []
+    # (times, servers, files) per gaining server, after an empty piece.
+    pieces = [(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))]
     for index in range(len(event_times)):
         plans = plan_migrations(
             rings[index], rings[index + 1], num_keys, storage_copies
         )
         start = float(event_times[index])
         for server in sorted(plans):
-            for j, file_id in enumerate(plans[server]):
-                at = start + j / migration_rate
-                if at > horizon:
-                    break
-                times.append(at)
-                servers.append(int(server))
-                files.append(int(file_id))
-    if not times:
-        empty = np.array([], dtype=float)
-        return empty, np.array([], dtype=np.int64), np.array([], dtype=np.int64)
-    t = np.array(times)
-    s = np.array(servers, dtype=np.int64)
-    f = np.array(files, dtype=np.int64)
+            files = plans[server]
+            at = start + np.arange(len(files)) / migration_rate
+            jobs = np.searchsorted(at, horizon, side="right")
+            pieces.append((at[:jobs], np.full(jobs, server, dtype=np.int64), files[:jobs]))
+    t, s, f = (np.concatenate(column) for column in zip(*pieces))
     order = np.lexsort((f, s, t))
     return t[order], s[order], f[order]
 
@@ -304,7 +301,7 @@ def epoch_replica_table(
     for epoch, ring in enumerate(rings):
         pos = np.flatnonzero(epoch_of == epoch)
         if pos.size:
-            table[pos] = ring.replica_table(keys[pos].tolist(), copies)
+            table[pos] = ring.replica_table(keys[pos], copies)
     return table
 
 

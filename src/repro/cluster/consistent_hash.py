@@ -14,10 +14,14 @@ Membership is mutable: :meth:`ConsistentHashRing.add_server` and
 keeping **stable vnode identity** — a server's ring points are a pure function
 of its id (``server-{id}-vnode-{i}``), so re-adding a previously removed id
 restores the exact prior key assignment, and removing a server only remaps the
-keys it owned (~1/n of the keyspace).  :func:`analyze_membership_change`
-quantifies a transition between two rings (moved-key fraction, per-server
-deltas), which the churn timeline in :mod:`repro.cluster.churn` uses to plan
-migration traffic.
+keys it owned (~1/n of the keyspace).  Ring points and key hashes are
+memoised for the whole process (each server's points, and the hashes of ids
+``0 .. n - 1``), so a membership change merges sorted point arrays and
+re-hashes nothing.
+:func:`analyze_membership_change` quantifies a transition between two rings
+(moved-key fraction, per-server deltas); the churn timeline's migration plans
+(:func:`repro.cluster.churn.plan_migrations`) compare whole replica sets
+instead, since every stored copy moves, not only the primary.
 """
 
 from __future__ import annotations
@@ -36,32 +40,70 @@ def _hash64(data: str) -> int:
     return int.from_bytes(hashlib.blake2b(data.encode("utf-8"), digest_size=8).digest(), "big")
 
 
-# ``_hash64(repr(i))`` for ids ``0 .. len - 1``.  A key's hash never depends
+def _key_hash(key: object) -> int:
+    """``_hash64(repr(key))``, with an integer key (a Python or numpy integer,
+    not a ``bool``) spelled ``repr(int(key))``, so ``3`` and ``np.int64(3)``
+    place alike."""
+    if isinstance(key, (int, np.integer)) and not isinstance(key, bool):
+        key = int(key)
+    return _hash64(repr(key))
+
+
+# The shared id table: ``_hash64(repr(i))`` for ids ``0 .. len - 1``, those
+# hashes sorted, and each id's rank among them.  A key's hash never depends
 # on ring membership, so every ring in the process shares this one table; it
 # holds a pure function of the id, so sharing it changes no result, only how
 # long a lookup takes.  It only grows, and only from ``range(0, n)`` lookups,
 # so its size is bounded by the largest keyspace a caller enumerates.
 _INT_KEY_HASHES = np.empty(0, dtype=np.uint64)
+_SORTED_KEY_HASHES = np.empty(0, dtype=np.uint64)
+_KEY_RANKS = np.empty(0, dtype=np.intp)
+
+# Each server's vnode hashes, ascending, per ``(server id, virtual_nodes)``:
+# like the id table, a pure function of its key shared by every ring.
+_VNODE_HASHES: Dict[Tuple[int, int], np.ndarray] = {}
+
+
+def _grow_id_table(n: int) -> None:
+    """Extend the shared id table to hold ids ``0 .. n - 1``."""
+    global _INT_KEY_HASHES, _SORTED_KEY_HASHES, _KEY_RANKS
+    size = len(_INT_KEY_HASHES)
+    if n <= size:
+        return
+    grown = np.fromiter((_hash64(repr(i)) for i in range(size, n)), dtype=np.uint64, count=n - size)
+    _INT_KEY_HASHES = np.concatenate([_INT_KEY_HASHES, grown])
+    order = np.argsort(_INT_KEY_HASHES, kind="stable")
+    _SORTED_KEY_HASHES = _INT_KEY_HASHES[order]
+    _KEY_RANKS = np.empty_like(order)
+    _KEY_RANKS[order] = np.arange(n)
 
 
 def _key_hashes(keys: Sequence[object]) -> np.ndarray:
-    """``_hash64(repr(key))`` for every key, as a ``uint64`` array.
+    """``_key_hash(key)`` for every key, as a ``uint64`` array.
 
-    ``range(0, n)`` reads the shared id table, growing it to ``n`` first if
-    needed.  Every other sequence of keys is hashed one by one.
+    An integer array whose ids all lie in the shared id table reads it;
+    every other sequence of keys is hashed one by one.
     """
-    global _INT_KEY_HASHES
     table = _INT_KEY_HASHES
-    if isinstance(keys, range) and keys.start == 0 and keys.step == 1:
-        if len(keys) > len(table):
-            grown = np.fromiter(
-                (_hash64(repr(i)) for i in range(len(table), len(keys))),
+    if isinstance(keys, np.ndarray) and keys.dtype.kind in "iu":
+        if keys.size == 0 or (keys.min() >= 0 and keys.max() < len(table)):
+            return table.take(keys)
+    return np.fromiter((_key_hash(key) for key in keys), dtype=np.uint64, count=len(keys))
+
+
+def _vnode_hashes(server: int, virtual_nodes: int) -> np.ndarray:
+    """The ring points of ``server``, ascending (memoised)."""
+    points = _VNODE_HASHES.get((server, virtual_nodes))
+    if points is None:
+        points = np.sort(
+            np.fromiter(
+                (_hash64(f"server-{server}-vnode-{i}") for i in range(virtual_nodes)),
                 dtype=np.uint64,
-                count=len(keys) - len(table),
+                count=virtual_nodes,
             )
-            table = _INT_KEY_HASHES = np.concatenate([table, grown])
-        return table[: len(keys)]
-    return np.fromiter((_hash64(repr(key)) for key in keys), dtype=np.uint64, count=len(keys))
+        )
+        _VNODE_HASHES[(server, virtual_nodes)] = points
+    return points
 
 
 class ConsistentHashRing:
@@ -139,7 +181,7 @@ class ConsistentHashRing:
             raise ConfigurationError(f"server_id must be >= 0, got {server_id!r}")
         if server_id in self._member_set:
             raise ConfigurationError(f"server {server_id} is already on the ring")
-        bisect.insort(self._members, server_id)
+        self._members = sorted([*self._members, server_id])
         self._rebuild()
 
     def remove_server(self, server_id: int) -> None:
@@ -157,31 +199,55 @@ class ConsistentHashRing:
             raise ConfigurationError(f"server {server_id} is not on the ring")
         if len(self._members) == 1:
             raise ConfigurationError("cannot remove the last server from the ring")
-        self._members.remove(server_id)
+        self._members = [member for member in self._members if member != server_id]
         self._rebuild()
 
     def _rebuild(self) -> None:
-        points: List[Tuple[int, int]] = []
-        for server in self._members:
-            for replica in range(self.virtual_nodes):
-                points.append((_hash64(f"server-{server}-vnode-{replica}"), server))
-        points.sort()
-        self._ring_hashes = [p[0] for p in points]
-        self._ring_servers = [p[1] for p in points]
-        self._ring_hashes_np = np.array(self._ring_hashes, dtype=np.uint64)
-        self._ring_servers_np = np.array(self._ring_servers, dtype=np.int64)
+        """Merge the members' memoised point runs into the sorted ring.
+
+        The stable sort orders points as ``(hash, server)`` tuples would
+        (ties go to the lower id, whose run comes first), and the member
+        lists are rebound, never changed in place, so a shallow copy of a
+        ring can change membership without touching the original.
+        """
+        hashes = np.concatenate(
+            [_vnode_hashes(server, self.virtual_nodes) for server in self._members]
+        )
+        order = np.argsort(hashes, kind="stable")
+        self._points = hashes[order]
+        self._point_list = self._points.tolist()
+        # The member position owning each point, and the first point's owner
+        # again for hashes past the last point (the wrap-around).
+        positions = order // self.virtual_nodes
+        self._owners = np.append(positions, positions[0])
         self._members_np = np.array(self._members, dtype=np.int64)
         self._member_set = set(self._members)
+
+    def _position(self, key: object) -> int:
+        """The member position of ``key``'s primary: the owner of the first
+        ring point at or after its hash."""
+        return int(self._owners[bisect.bisect_left(self._point_list, _key_hash(key))])
+
+    def _positions(self, keys: Sequence[object]) -> np.ndarray:
+        """The member position of every key's primary.
+
+        For ``range(0, n)`` this is one search of the ring's points into the
+        shared table's sorted hashes: the keys between two points belong to
+        the later one, so a ``repeat`` of the owners lays them out in hash
+        order and each id's rank picks its own.
+        """
+        if isinstance(keys, range) and keys.start == 0 and keys.step == 1:
+            _grow_id_table(len(keys))
+            cuts = np.searchsorted(_SORTED_KEY_HASHES, self._points, side="right")
+            counts = np.diff(cuts, prepend=0, append=len(_SORTED_KEY_HASHES))
+            return np.repeat(self._owners, counts).take(_KEY_RANKS[: len(keys)])
+        return self._owners.take(np.searchsorted(self._points, _key_hashes(keys), side="left"))
 
     # -- lookups ----------------------------------------------------------
 
     def primary_for(self, key: object) -> int:
         """The server id owning ``key`` (first ring point at or after its hash)."""
-        key_hash = _hash64(repr(key))
-        index = bisect.bisect_left(self._ring_hashes, key_hash)
-        if index == len(self._ring_hashes):
-            index = 0
-        return self._ring_servers[index]
+        return self._members[self._position(key)]
 
     def primary_for_many(self, keys: Sequence[object]) -> "np.ndarray":
         """Primary server id of every key, via one vectorised ring lookup.
@@ -192,15 +258,14 @@ class ConsistentHashRing:
         wrap-around of hashes beyond the last ring point.
 
         Key hashes come from a table shared by every ring in the process
-        that holds the hashes of ids ``0 .. n - 1``.  A ``range(0, n)`` of
-        keys grows it to ``n`` once, so re-planning migrations or replica
-        tables after a membership change re-hashes nothing.  Any other
-        keys are hashed one by one.
+        that holds the hashes of ids ``0 .. n - 1`` in id and hash order.  A
+        ``range(0, n)`` of keys grows it to ``n`` once and then costs one
+        search of the ring's points into it, so re-planning migrations or
+        replica tables after a membership change re-hashes nothing.  An
+        integer array of ids inside the table reads it; any other keys are
+        hashed one by one.
         """
-        hashes = _key_hashes(keys)
-        index = np.searchsorted(self._ring_hashes_np, hashes, side="left")
-        index[index == len(self._ring_hashes)] = 0
-        return self._ring_servers_np[index]
+        return self._members_np.take(self._positions(keys))
 
     def replicas_for(self, key: object, copies: int = 2) -> List[int]:
         """Primary plus successors: the paper's "secondary goes to server n + 1".
@@ -224,17 +289,15 @@ class ConsistentHashRing:
             raise ConfigurationError(
                 f"copies must be in [1, {self.num_servers}], got {copies!r}"
             )
-        primary = self.primary_for(key)
-        position = bisect.bisect_left(self._members, primary)
-        n = len(self._members)
+        position, n = self._position(key), len(self._members)
         return [self._members[(position + offset) % n] for offset in range(copies)]
 
     def replica_table(self, keys: Sequence[object], copies: int = 2) -> "np.ndarray":
         """``replicas_for`` for every key at once: a ``(len(keys), copies)`` array.
 
         Row ``i`` is exactly ``replicas_for(keys[i], copies)`` (primary first),
-        computed with one vectorised ring lookup and one member-successor
-        gather instead of a per-key Python loop.
+        computed with one vectorised ring lookup and one gather from the
+        per-member successor table instead of a per-key Python loop.
 
         Raises:
             ConfigurationError: If ``copies`` exceeds the number of servers.
@@ -243,10 +306,10 @@ class ConsistentHashRing:
             raise ConfigurationError(
                 f"copies must be in [1, {self.num_servers}], got {copies!r}"
             )
-        primaries = self.primary_for_many(keys)
-        positions = np.searchsorted(self._members_np, primaries)
-        offsets = np.arange(copies, dtype=np.int64)
-        return self._members_np[(positions[:, None] + offsets[None, :]) % len(self._members)]
+        # Row ``p``: the ``copies`` members from position ``p`` on, wrapping.
+        n = len(self._members)
+        successors = self._members_np[(np.arange(n)[:, None] + np.arange(copies)) % n]
+        return successors.take(self._positions(keys), axis=0)
 
     def distribution(self, keys: Sequence[object]) -> List[int]:
         """Number of keys whose primary lands on each live server.
@@ -256,11 +319,7 @@ class ConsistentHashRing:
         ``s``'s share — identical to the historical per-key scalar loop
         (pinned bitwise in ``tests/test_fast_paths.py``).
         """
-        if not keys:
-            return [0] * self.num_servers
-        primaries = self.primary_for_many(keys)
-        positions = np.searchsorted(self._members_np, primaries)
-        return np.bincount(positions, minlength=self.num_servers).tolist()
+        return np.bincount(self._positions(keys), minlength=self.num_servers).tolist()
 
 
 def analyze_membership_change(
@@ -286,7 +345,7 @@ def analyze_membership_change(
           server that gained keys, the indices into ``keys`` it now owns but
           did not before (ascending) — the migration work list.
     """
-    if not keys:
+    if len(keys) == 0:
         servers = sorted(set(before.servers) | set(after.servers))
         return {
             "moved_keys": 0,

@@ -249,13 +249,10 @@ class DatabaseRunResult:
         return self.summary.p999
 
 
-# Consistent-hash placement memo shared across experiment instances, keyed by
-# (num_servers, virtual_nodes, num_files).  Entries are read-only.
-_PRIMARIES_CACHE: Dict[Tuple[int, int, int], np.ndarray] = {}
-
 # Each server's cache-warm candidates before their seeded shuffle, ascending,
-# keyed by the placement's key plus ``copies >= 2``.  Entries are read-only:
-# each experiment shuffles its own copy.
+# keyed by the placement (num_servers, virtual_nodes, num_files) plus
+# ``copies >= 2``.  Entries are read-only: each experiment shuffles its own
+# copy.
 _WARM_CANDIDATES_CACHE: Dict[Tuple[int, int, int, bool], Tuple[np.ndarray, ...]] = {}
 
 
@@ -267,7 +264,9 @@ class DatabaseClusterExperiment:
         self.config = config
         self._ring = ConsistentHashRing(config.num_servers)
         self._fileset = self._build_fileset()
-        self._primaries = self._assign_primaries()
+        # Primary server of every file; the ring's shared id-hash table makes
+        # this one search of the ring's points per experiment.
+        self._primaries = self._ring.primary_for_many(range(config.num_files))
         # Shuffled per-server cache-warm orders, keyed by ``copies >= 2``.
         # They depend only on the placement and the warm substream, so the
         # loads of one sweep share them; they live as long as the instance.
@@ -284,24 +283,6 @@ class DatabaseClusterExperiment:
             scaled = config.file_size_distribution.scaled_to_mean(config.mean_file_bytes)
             sizes = np.maximum(np.asarray(scaled.sample(rng, config.num_files), dtype=float), 1.0)
         return FileSet(sizes_bytes=sizes)
-
-    def _assign_primaries(self) -> np.ndarray:
-        """Primary server of every file, via the consistent-hash ring.
-
-        The placement depends only on the ring geometry and the file count, so
-        it is memoised at module level.  A sweep re-creates the experiment per
-        point; the ring's shared id-hash table already spares re-hashing the
-        file ids, but the ring search over them still costs about 2.4 ms per
-        point at 30k files on a 2-vCPU VM, and dropping the memo cut
-        ``paper-database-ec2`` sweep throughput by about 6%.
-        """
-        config = self.config
-        key = (config.num_servers, self._ring.virtual_nodes, config.num_files)
-        cached = _PRIMARIES_CACHE.get(key)
-        if cached is None:
-            cached = self._ring.primary_for_many(range(config.num_files))
-            _PRIMARIES_CACHE[key] = cached
-        return cached
 
     def _warm_orders(self, copies: int) -> Tuple[np.ndarray, ...]:
         """Per-server file ids to warm each cache with, in insertion order.

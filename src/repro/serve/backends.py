@@ -429,7 +429,8 @@ class BatchReserver:
         batch is a stretch of one wake (:meth:`reserve_stretch` from its
         first arrival with an infinite resolution, so every arrival is due
         at once).  Returns ``None``, changing nothing, when a live backend
-        is marked failed.
+        is marked failed.  An empty batch returns empty latencies, ``0.0``
+        and ``-inf`` and touches no backend.
 
         Raises:
             ValueError: Unless there are as many keys as arrivals and ``1 <=
@@ -443,11 +444,11 @@ class BatchReserver:
                 f"need as many keys as arrivals and 1 <= copies <= {width}, got "
                 f"{len(keys)} keys, {len(arrivals)} arrivals and copies {copies!r}"
             )
-        stretch = None
-        if len(keys):
-            stretch = self.reserve_stretch(
-                keys, arrivals, -0.0, 0, len(keys), arrivals[0], math.inf, copies, 0.0, -math.inf
-            )
+        if len(keys) == 0:
+            return np.empty(0), 0.0, -math.inf
+        stretch = self.reserve_stretch(
+            keys, arrivals, -0.0, 0, len(keys), arrivals[0], math.inf, copies, 0.0, -math.inf
+        )
         if stretch is None:
             return self._reserve_numpy(keys, arrivals, copies)
         _reached, _wake, chunks, lone, useful, last = stretch
@@ -570,7 +571,7 @@ class BatchReserver:
             if backend._failed:
                 return None
         count = len(keys)
-        if count and np.min(keys) < 0:  # numpy would wrap it to a row from the end
+        if np.min(keys) < 0:  # numpy would wrap it to a row from the end
             raise IndexError(f"keys must lie in [0, {len(self._table)}), got {int(np.min(keys))}")
         finishes, services = reserve_copies(
             self._pool, self._table[keys, :copies].ravel(), np.repeat(arrivals, copies)

@@ -16,8 +16,12 @@ Three contracts from the elasticity work are pinned here:
 
 import dataclasses
 
+from typing import Dict, List, Sequence, Tuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.churn import (
     ChurnTimeline,
@@ -167,6 +171,144 @@ class TestMigrations:
         rings = timeline.epoch_rings(4)
         with pytest.raises(ConfigurationError, match="migration_rate"):
             migration_schedule(rings, timeline.event_times(1.0), 100, 0.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Migration planning against the two-full-table planners it replaced
+# ---------------------------------------------------------------------------
+
+def reference_plan_migrations(
+    before: ConsistentHashRing,
+    after: ConsistentHashRing,
+    num_keys: int,
+    storage_copies: int = 2,
+) -> Dict[int, np.ndarray]:
+    """File ids each gaining server must copy in after a membership change.
+
+    The storage layout is the paper's: each file lives on its primary and the
+    ring successor (``storage_copies`` replicas).  A server's migration list
+    is the files in its *after* replica set but not its *before* set, in
+    ascending file-id order (deterministic).
+
+    Returns:
+        ``{server_id: file_ids}`` for servers that gained at least one file.
+    """
+    keys = range(num_keys)
+    before_table = before.replica_table(keys, min(storage_copies, before.num_servers))
+    after_table = after.replica_table(keys, min(storage_copies, after.num_servers))
+    plans: Dict[int, np.ndarray] = {}
+    for server in after.servers:
+        holds_after = (after_table == server).any(axis=1)
+        held_before = (before_table == server).any(axis=1)
+        gained = np.flatnonzero(holds_after & ~held_before)
+        if gained.size:
+            plans[server] = gained
+    return plans
+
+
+def reference_migration_schedule(
+    rings: Sequence[ConsistentHashRing],
+    event_times: np.ndarray,
+    num_keys: int,
+    migration_rate: float,
+    horizon: float,
+    storage_copies: int = 2,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The merged background-migration job stream across all events.
+
+    Each gaining server copies its files in ascending file-id order, paced at
+    ``migration_rate`` files per second starting at the event time (job ``j``
+    arrives at ``event_time + j / migration_rate``).  Jobs whose arrival
+    would fall past ``horizon`` are dropped — they cannot contend with any
+    foreground request.
+
+    Returns:
+        ``(times, servers, files)`` parallel arrays sorted by
+        ``(time, server, file)``.
+    """
+    if migration_rate <= 0:
+        raise ConfigurationError(
+            f"migration_rate must be positive, got {migration_rate!r}"
+        )
+    times: List[float] = []
+    servers: List[int] = []
+    files: List[int] = []
+    for index in range(len(event_times)):
+        plans = reference_plan_migrations(
+            rings[index], rings[index + 1], num_keys, storage_copies
+        )
+        start = float(event_times[index])
+        for server in sorted(plans):
+            for j, file_id in enumerate(plans[server]):
+                at = start + j / migration_rate
+                if at > horizon:
+                    break
+                times.append(at)
+                servers.append(int(server))
+                files.append(int(file_id))
+    if not times:
+        empty = np.array([], dtype=float)
+        return empty, np.array([], dtype=np.int64), np.array([], dtype=np.int64)
+    t = np.array(times)
+    s = np.array(servers, dtype=np.int64)
+    f = np.array(files, dtype=np.int64)
+    order = np.lexsort((f, s, t))
+    return t[order], s[order], f[order]
+
+
+@st.composite
+def churn_timelines(draw):
+    """A legal timeline of one to three adds, removes and crashes on a pool
+    of 2 to 12 servers, and the pool size."""
+    num_servers = draw(st.integers(min_value=2, max_value=12))
+    whens = draw(st.lists(st.integers(1, 99), min_size=1, max_size=3, unique=True))
+    live = set(range(num_servers))
+    events = []
+    for when in sorted(whens):
+        if len(live) > 2 and draw(st.booleans()):
+            server = draw(st.sampled_from(sorted(live)))
+            live.discard(server)
+            action = draw(st.sampled_from(["remove", "crash"]))
+        else:
+            server = draw(st.sampled_from(sorted(set(range(num_servers + 4)) - live)))
+            live.add(server)
+            action = "add"
+        events.append(MembershipEvent(when=when / 100, action=action, server=server))
+    return ChurnTimeline(events=tuple(events)), num_servers
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=churn_timelines(),
+    num_keys=st.sampled_from([0, 1, 300, 3_000]),
+    copies_pick=st.integers(min_value=0, max_value=4),
+    migration_rate=st.sampled_from([0.7, 25.0, 500.0]),
+    horizon=st.floats(min_value=0.5, max_value=50.0),
+)
+def test_plans_and_schedule_equal_the_two_full_table_planners(
+    case, num_keys, copies_pick, migration_rate, horizon
+):
+    """Per event and for the whole schedule, the planners give the bytes the
+    two-full-table planners gave, for storage copies from one up to past
+    the pool, the live pool's size included."""
+    timeline, num_servers = case
+    rings = timeline.epoch_rings(num_servers)
+    storage_copies = [1, 2, 3, rings[-1].num_servers, num_servers + 2][copies_pick]
+    for before, after in zip(rings, rings[1:]):
+        plans = plan_migrations(before, after, num_keys, storage_copies)
+        expected = reference_plan_migrations(before, after, num_keys, storage_copies)
+        assert list(plans) == list(expected)
+        for server, files in expected.items():
+            assert plans[server].dtype == files.dtype
+            assert np.array_equal(plans[server], files)
+    event_times = timeline.event_times(horizon)
+    got = migration_schedule(rings, event_times, num_keys, migration_rate, horizon, storage_copies)
+    want = reference_migration_schedule(
+        rings, event_times, num_keys, migration_rate, horizon, storage_copies
+    )
+    for column, expected_column in zip(got, want):
+        assert column.dtype == expected_column.dtype
+        assert column.tobytes() == expected_column.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1250,6 +1250,7 @@ class TestRingDistributionFastPath:
         ring = ConsistentHashRing(num_servers, virtual_nodes=32)
         keys = list(range(4000))
         assert ring.distribution(keys) == self.scalar_distribution(ring, keys)
+        assert ring.distribution(np.arange(4000)) == self.scalar_distribution(ring, keys)
 
     def test_bitwise_equal_after_churn(self):
         from repro.cluster.consistent_hash import ConsistentHashRing
@@ -1268,3 +1269,4 @@ class TestRingDistributionFastPath:
         from repro.cluster.consistent_hash import ConsistentHashRing
 
         assert ConsistentHashRing(4).distribution([]) == [0, 0, 0, 0]
+        assert ConsistentHashRing(4).distribution(np.arange(0)) == [0, 0, 0, 0]

@@ -449,6 +449,24 @@ def test_reserve_refuses_a_malformed_batch_before_reserving(path, keys, arrivals
     assert state() == before
 
 
+@pytest.mark.parametrize("path", PATHS)
+def test_reserve_of_an_empty_batch_is_empty_and_touches_no_backend(path):
+    """An empty batch returns empty latencies, no useful service and the
+    ``-inf`` last finish a stretch starts from, with every backend's state
+    and draw block as it was."""
+    pool = make_pool(4, 0, [True, False, True, True])
+    reserver = make_reserver(pool, ConsistentHashRing(4), 2, path)
+
+    def state():
+        return [backend_state(backend) + (backend._block.tobytes(),) for backend in pool]
+
+    before = state()
+    latencies, useful, last = reserver.reserve(np.arange(0), np.array([]), 2)
+    assert latencies.dtype == np.float64 and latencies.shape == (0,)
+    assert useful == 0.0 and last == -np.inf
+    assert state() == before
+
+
 def test_a_negative_key_takes_the_ring_before_and_after_the_table():
     """``replicas`` reads the prepared table only for keys inside it; a
     negative key goes to the ring either way, never to a row from the
