@@ -17,11 +17,11 @@ calls per batch; a ``submit_batch`` batch is a stretch of one wake) and the
 streaming histogram's recording of many batches (``fold_moments``: each
 batch's sum, mean and M2 folded into the running moments in turn, which
 numpy runs as four calls per batch; ``bin_counts``: a block's bin keys
-counted, with the batch each first occurs in, where numpy sorts the
-block).  All six are plain loops over contiguous C arrays, so when a system
-C compiler is present they are compiled once per source digest into a
-small shared library and called through ``ctypes`` — no third-party
-packages, no Python headers, no build step in the repo.
+counted in a dense table, which numpy does with a floor, a cast and a
+``bincount``).  All six are plain loops over contiguous C arrays, so when
+a system C compiler is present they are compiled once per source digest
+into a small shared library and called through ``ctypes`` — no
+third-party packages, no Python headers, no build step in the repo.
 
 Byte-identity: each C routine is a literal port of the loop it replaces and
 performs exactly the same IEEE-754 double operations and generator draws in
@@ -38,7 +38,7 @@ timer would fall, each horizon is compared as ``np.searchsorted``
 compares, and the proxy's and each backend's running totals are added in
 arrival order, as the per-wake calls add them.
 ``bin_counts`` takes the floors of
-``bins_per_decade * np.log10`` as numpy computed them and never calls
+``BINS_PER_DECADE * np.log10`` as numpy computed them and never calls
 libm's ``log10``, which can differ from numpy's in the last ulp and so move
 a sample at a bin edge into the neighbouring bin.  The build omits
 ``-ffast-math``, so the compiler cannot reassociate, and passes
@@ -66,8 +66,10 @@ the database that is the scalar loop itself: per server, an
 per miss and the Python FIFO loop (``eager_reads``, ``disk_services``,
 ``seq_finish``).  The placements run ``Generator.choice`` per chunk
 (``distinct_choices``); the serving proxy runs a timer per wake and
-reserves each batch in numpy (``reserve_stretch``); the histogram records
-in a numpy loop per block (``fold_moments``, ``bin_counts``).
+reserves each batch in numpy (``reserve_stretch``); the histogram's block
+loop folds each batch in numpy and counts the keys with ``np.floor`` and
+``np.bincount`` (``fold_moments``, ``bin_counts``).  At 128 bins per decade
+every key fits the table, so ``bin_counts`` has no fall-back of its own.
 """
 
 from __future__ import annotations
@@ -744,8 +746,8 @@ typedef struct {
  * b-th the next sizes[b] (>= 1) samples of data, in batch order: a batch's
  * sum is ndarray.sum(), its mean that over its size and its M2
  * np.square(batch - mean).sum() (the squares are summed in scratch, which
- * holds the largest batch); then _combine_moments' update, evaluated as
- * Python evaluates it, and the sum. */
+ * holds the largest batch); then Chan's update, evaluated as Python
+ * evaluates it in the numpy fold, and the sum. */
 void fold_moments(moments_t *m, const double *data, const int64_t *sizes,
                   int64_t batches, double *scratch) {
     int64_t b, i;
@@ -767,13 +769,12 @@ void fold_moments(moments_t *m, const double *data, const int64_t *sizes,
     }
 }
 
-/* A Histogram's bins in the making: each key's count and the batch its
- * first sample is in, for the keys lo .. lo + size - 1. */
+/* A Histogram's bins in the making: the count of each key from lo to
+ * lo + size - 1. */
 typedef struct {
     int64_t lo;
     int64_t size;
     int64_t *counts;
-    int64_t *first;
     int64_t zeros;  /* zero samples */
     int64_t least;  /* out, when a key falls outside: the least key */
     int64_t most;   /* and the greatest */
@@ -785,20 +786,15 @@ static int64_t floor_key(double x) {
     return (double)k > x ? k - 1 : k;
 }
 
-/* The bin counts of `batches` batches, the b-th the next sizes[b] values of
- * scaled, as batch number base + b.  Each value is bins_per_decade *
- * np.log10(sample): a zero sample's is -inf and counts in zeros, any
- * other's bin key is its floor.  Returns 0 when counted.  Before counting
- * anything, it returns 1, with the least and greatest key in least and
- * most, when a key falls outside the table, and -1 when one lies beyond
- * +-2**62. */
-int64_t bin_counts(bin_table_t *table, const double *scaled, const int64_t *sizes,
-                   int64_t batches, int64_t base) {
+/* Counts the n values of scaled into table.  Each value is
+ * BINS_PER_DECADE * np.log10(sample): a zero sample's is -inf and counts
+ * in zeros, any other's bin key is its floor.  Returns 0 when counted.
+ * Before counting anything, it returns 1, with the least and greatest key
+ * in least and most, when a key falls outside the table, and -1 when one
+ * lies beyond +-2**62. */
+int64_t bin_counts(bin_table_t *table, const double *scaled, int64_t n) {
     double least = INFINITY, most = -INFINITY;
-    int64_t b, i, n = 0;
-    for (b = 0; b < batches; b++) {
-        n += sizes[b];
-    }
+    int64_t i;
     for (i = 0; i < n; i++) {
         if (scaled[i] != -INFINITY) {
             least = scaled[i] < least ? scaled[i] : least;
@@ -815,17 +811,11 @@ int64_t bin_counts(bin_table_t *table, const double *scaled, const int64_t *size
             return 1;
         }
     }
-    for (b = 0; b < batches; b++) {
-        for (i = 0; i < sizes[b]; i++, scaled++) {
-            int64_t slot;
-            if (*scaled == -INFINITY) {
-                table->zeros++;
-                continue;
-            }
-            slot = floor_key(*scaled) - table->lo;
-            if (table->counts[slot]++ == 0) {
-                table->first[slot] = base + b;
-            }
+    for (i = 0; i < n; i++) {
+        if (scaled[i] == -INFINITY) {
+            table->zeros++;
+        } else {
+            table->counts[floor_key(scaled[i]) - table->lo]++;
         }
     }
     return 0;
@@ -900,7 +890,6 @@ class BinTable(ctypes.Structure):
         ("lo", ctypes.c_int64),
         ("size", ctypes.c_int64),
         ("counts", ctypes.c_void_p),
-        ("first", ctypes.c_void_p),
         ("zeros", ctypes.c_int64),
         ("least", ctypes.c_int64),
         ("most", ctypes.c_int64),
@@ -1036,9 +1025,7 @@ def _build(cache_dir: str) -> ctypes.CDLL:
         ctypes.c_void_p,
     ]
     lib.fold_moments.restype = None
-    lib.bin_counts.argtypes = [ctypes.POINTER(BinTable)] + [ctypes.c_void_p] * 2 + [
-        ctypes.c_int64
-    ] * 2
+    lib.bin_counts.argtypes = [ctypes.POINTER(BinTable), ctypes.c_void_p, ctypes.c_int64]
     lib.bin_counts.restype = ctypes.c_int64
     # Passed as disk_services' and eager_reads' std_exp and as
     # distinct_choices' bounded; kept here so they live with the library.

@@ -19,7 +19,7 @@ cache hits, dropped packets) are collected:
 
 from repro.metrics.counter import Counter
 from repro.metrics.histogram import (
-    DEFAULT_BINS_PER_DECADE,
+    BINS_PER_DECADE,
     DEFAULT_EXACT_THRESHOLD,
     Histogram,
 )
@@ -33,6 +33,6 @@ __all__ = [
     "SlidingWindow",
     "LatencyRecorder",
     "MetricsRegistry",
-    "DEFAULT_BINS_PER_DECADE",
+    "BINS_PER_DECADE",
     "DEFAULT_EXACT_THRESHOLD",
 ]

@@ -30,9 +30,6 @@ class LatencyRecorder:
         mode: ``"exact"`` retains every sample and summarises with numpy
             (bit-identical to the pre-metrics ad-hoc paths); ``"streaming"``
             folds samples into a bounded histogram and summarises from it.
-        histogram: Optional pre-configured histogram to stream into (its
-            ``exact_threshold``/``bins_per_decade`` are respected).  Ignored in
-            exact mode.
 
     Example:
         >>> r = LatencyRecorder("demo")
@@ -41,12 +38,7 @@ class LatencyRecorder:
         3
     """
 
-    def __init__(
-        self,
-        name: str = "latency",
-        mode: str = "exact",
-        histogram: Optional[Histogram] = None,
-    ) -> None:
+    def __init__(self, name: str = "latency", mode: str = "exact") -> None:
         if mode not in MODES:
             raise ConfigurationError(f"mode must be one of {MODES}, got {mode!r}")
         self.name = str(name)
@@ -57,9 +49,7 @@ class LatencyRecorder:
         self._summary_cache: Optional[LatencySummary] = None
         self._histogram: Optional[Histogram] = None
         if mode == "streaming":
-            self._histogram = histogram if histogram is not None else Histogram(name=f"{name}.hist")
-        elif histogram is not None:
-            raise ConfigurationError("a histogram only makes sense with mode='streaming'")
+            self._histogram = Histogram(name=f"{name}.hist")
 
     @classmethod
     def from_samples(cls, samples: Sequence[float], name: str = "latency") -> "LatencyRecorder":
@@ -157,7 +147,8 @@ class LatencyRecorder:
         """
         if self.mode == "streaming":
             # Not cached: queries are already O(occupied bins), and the
-            # backing histogram may be shared and recorded into externally.
+            # backing histogram (the ``histogram`` property) may be recorded
+            # into directly.
             return LatencySummary.from_histogram(self._histogram)
         if self._summary_cache is None:
             self._summary_cache = summarize(self.samples())

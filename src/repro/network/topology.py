@@ -57,18 +57,9 @@ class FatTreeTopology:
         """Number of hosts, ``k^3 / 4``."""
         return self.k**3 // 4
 
-    @property
-    def num_switches(self) -> int:
-        """Number of switches, ``k^2 + (k/2)^2`` ... i.e. 45 for k = 6."""
-        return self.k * self.k + self.half * self.half
-
     def hosts(self) -> List[str]:
         """All host names, sorted."""
         return sorted(n for n in self.graph.nodes if n.startswith("h_"))
-
-    def switches(self) -> List[str]:
-        """All switch names, sorted."""
-        return sorted(n for n in self.graph.nodes if not n.startswith("h_"))
 
     # ------------------------------------------------------------------ #
 
@@ -149,26 +140,3 @@ class FatTreeTopology:
                     )
         self._path_cache[key] = paths
         return paths
-
-    def verify(self) -> None:
-        """Sanity-check the construction (used by tests and on demand).
-
-        Raises:
-            ConfigurationError: If node or degree counts are wrong.
-        """
-        hosts = self.hosts()
-        if len(hosts) != self.num_hosts:
-            raise ConfigurationError(
-                f"expected {self.num_hosts} hosts, built {len(hosts)}"
-            )
-        switches = self.switches()
-        if len(switches) != self.num_switches:
-            raise ConfigurationError(
-                f"expected {self.num_switches} switches, built {len(switches)}"
-            )
-        for switch in switches:
-            degree = self.graph.degree(switch)
-            if degree != self.k:
-                raise ConfigurationError(
-                    f"switch {switch} has degree {degree}, expected {self.k}"
-                )

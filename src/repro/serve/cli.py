@@ -31,6 +31,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.cluster import _ckernels
 from repro.core.policy import canonical_policy_spec
 from repro.distributions import Exponential
+from repro.exceptions import ConfigurationError
 from repro.serve.backends import SimBackend
 from repro.serve.clock import Clock, RealClock, VirtualClock
 from repro.serve.loadgen import LoadGenConfig, run_load
@@ -51,6 +52,34 @@ def _positive_finite(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """An integer above zero."""
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _policy_spec(text: str) -> str:
+    """A PolicySpec, checked here so a bad one is a usage error."""
+    try:
+        canonical_policy_spec(text)
+    except ConfigurationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return text
+
+
+def _policy_specs(text: str) -> List[str]:
+    """Comma-separated PolicySpecs, at least one."""
+    specs = [_policy_spec(spec) for spec in map(str.strip, text.split(",")) if spec]
+    if not specs:
+        raise argparse.ArgumentTypeError(f"no policy spec in {text!r}")
+    return specs
+
+
 def _parse_swap(text: str) -> Tuple[float, str]:
     """``T:SPEC`` — seconds into the run, then a PolicySpec (may contain :)."""
     head, sep, spec = text.partition(":")
@@ -62,8 +91,7 @@ def _parse_swap(text: str) -> Tuple[float, str]:
         at = float(head)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad --swap time in {text!r}") from exc
-    canonical_policy_spec(spec)  # unknown spec -> loud failure at parse time
-    return at, spec
+    return at, _policy_spec(spec)
 
 
 def _parse_event(text: str) -> Tuple[float, str, int]:
@@ -93,22 +121,24 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="one load-generation run")
-    run.add_argument("--policy", default="none", help="initial PolicySpec")
+    run.add_argument("--policy", type=_policy_spec, default="none", help="initial PolicySpec")
     run.add_argument("--rate", type=_positive_finite, default=2000.0, help="arrivals/second")
     stop = run.add_mutually_exclusive_group()
-    stop.add_argument("--requests", type=int, default=None, help="stop after N arrivals")
+    stop.add_argument(
+        "--requests", type=_positive_int, default=None, help="stop after N arrivals"
+    )
     stop.add_argument(
         "--duration", type=_positive_finite, default=None, help="stop after T seconds"
     )
-    run.add_argument("--backends", type=int, default=8, help="pool size")
+    run.add_argument("--backends", type=_positive_int, default=8, help="pool size")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--clock", choices=("virtual", "real"), default="virtual")
     run.add_argument("--backend", choices=("sim", "echo"), default="sim")
     run.add_argument(
-        "--service-mean", type=float, default=0.001,
+        "--service-mean", type=_positive_finite, default=0.001,
         help="SimBackend mean service time, seconds",
     )
-    run.add_argument("--keyspace", type=int, default=10_000)
+    run.add_argument("--keyspace", type=_positive_int, default=10_000)
     run.add_argument(
         "--swap", action="append", type=_parse_swap, default=[],
         metavar="T:SPEC", help="hot-swap the policy T seconds into the run",
@@ -124,11 +154,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="dispatch-path throughput measurement")
     bench.add_argument(
-        "--policies", default="none,k2,hedge:1ms,hedge:p95",
+        "--policies", type=_policy_specs, default="none,k2,hedge:1ms,hedge:p95",
         help="comma-separated PolicySpecs to bench",
     )
-    bench.add_argument("--requests", type=int, default=200_000, help="per policy")
-    bench.add_argument("--backends", type=int, default=8)
+    bench.add_argument("--requests", type=_positive_int, default=200_000, help="per policy")
+    bench.add_argument("--backends", type=_positive_int, default=8)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument(
         "--assert-floor", type=float, default=None, metavar="REQ_PER_S",
@@ -202,13 +232,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     from repro.core.policy import parse_policy
 
-    policies = [spec.strip() for spec in args.policies.split(",") if spec.strip()]
     # Load (or build) the kernel library untimed, so the first row does not
     # pay for the dlopen and the sampler lookups.
     _ckernels.load()
     wall = RealClock()
     rows: List[Tuple[str, float, int, str]] = []
-    for spec in policies:
+    for spec in args.policies:
         policy = parse_policy(spec)
         plan = policy.plan() if policy.is_static else None
         fast = plan is not None and plan.is_eager and not plan.cancel_on_win

@@ -67,11 +67,11 @@ class LoadGenConfig:
     Attributes:
         rate: Offered arrival rate, requests/second (finite, > 0).
         num_requests: Stop after this many arrivals (exclusive with
-            ``duration_s``; exactly one must be set).
+            ``duration_s``; exactly one must be set; >= 1).
         duration_s: Stop issuing at this horizon (open interval; finite,
             > 0).
         seed: Run seed; arrivals and keys come from substreams of it.
-        keyspace: Keys are drawn uniformly from ``range(keyspace)``.
+        keyspace: Keys are drawn uniformly from ``range(keyspace)`` (>= 1).
         resolution: Sleep granule (seconds); arrivals due within the same
             granule are issued in one wakeup.  ``0`` issues each arrival at
             its exact timestamp (virtual-clock mode).  Finite, >= 0.
@@ -93,6 +93,10 @@ class LoadGenConfig:
     def __post_init__(self) -> None:
         if (self.num_requests is None) == (self.duration_s is None):
             raise ValueError("set exactly one of num_requests / duration_s")
+        if self.num_requests is not None and self.num_requests < 1:
+            raise ValueError(f"num_requests must be >= 1, got {self.num_requests!r}")
+        if self.keyspace < 1:
+            raise ValueError(f"keyspace must be >= 1, got {self.keyspace!r}")
         # A NaN rate would issue every arrival at once, and a NaN or
         # infinite resolution never moves the clock.
         if not (math.isfinite(self.rate) and self.rate > 0):

@@ -400,8 +400,9 @@ class RedundancyProxy(Racer):
 
         That one :meth:`~repro.metrics.recorder.LatencyRecorder.record_batches`
         call folds and bins the whole run a block of about 4,096 samples at
-        a time, in one ``fold_moments`` and one ``bin_counts`` call each
-        when the compiled kernels load (:mod:`repro.cluster._ckernels`).
+        a time: one ``fold_moments`` and one ``bin_counts`` call each when
+        the compiled kernels load (:mod:`repro.cluster._ckernels`), else a
+        numpy fold per batch and one ``np.bincount`` of the block's keys.
         """
         batches = self._pending_chunks
         if self._pending_latencies:

@@ -12,7 +12,6 @@
 from repro.wan.loss import PAIR_LOSS_PROBABILITY, SINGLE_LOSS_PROBABILITY
 from repro.wan.handshake import (
     HandshakeModel,
-    HandshakePolicyResult,
     HandshakeResult,
     handshake_cost_benefit,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "PAIR_LOSS_PROBABILITY",
     "HandshakeModel",
     "HandshakeResult",
-    "HandshakePolicyResult",
     "handshake_cost_benefit",
     "DnsServerModel",
     "VantagePoint",

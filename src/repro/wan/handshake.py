@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.costbenefit import CostBenefitAnalysis, DEFAULT_BREAK_EVEN_MS_PER_KB
-from repro.core.policy import PolicyLike, eager_copies, parse_policy, policy_to_spec
+from repro.core.policy import PolicyLike, eager_copies, parse_policy
 from repro.exceptions import ConfigurationError
 from repro.metrics import LatencyRecorder
 from repro.sim.rng import substream
@@ -54,31 +54,6 @@ class HandshakeResult:
     p99: float
     p999: float
     loss_probability: float
-
-
-@dataclass(frozen=True)
-class HandshakePolicyResult:
-    """Monte-Carlo summary of handshake completion under a replication policy.
-
-    Attributes:
-        policy_spec: Canonical spec of the policy (``None`` if inexpressible).
-        mean: Mean handshake completion time in seconds.
-        p99: 99th-percentile completion time in seconds.
-        p999: 99.9th-percentile completion time in seconds.
-        backup_packets_per_handshake: Average number of duplicate packets the
-            policy actually sent per handshake — the traffic cost.  Eager
-            duplication pays ``(copies - 1) * 3``; deferred hedging pays only
-            for packets whose response was still outstanding at the hedge
-            delay.
-        num_samples: Monte-Carlo sample count.
-    """
-
-    policy_spec: Optional[str]
-    mean: float
-    p99: float
-    p999: float
-    backup_packets_per_handshake: float
-    num_samples: int
 
 
 class HandshakeModel:
@@ -328,28 +303,6 @@ class HandshakeModel:
                 remaining = failed
             total += arrival
         return total, backups_sent
-
-    def policy_result(
-        self, policy: PolicyLike, num_samples: int = 200_000, seed: int = 0
-    ) -> HandshakePolicyResult:
-        """Monte-Carlo summary for one policy (the policy analogue of :meth:`result`)."""
-        resolved = parse_policy(policy)
-        samples, backups = self.sample_completion_times_policy(
-            resolved, num_samples, np.random.default_rng(seed)
-        )
-        summary = LatencyRecorder.from_samples(samples, name="handshake").summary()
-        try:
-            spec: Optional[str] = policy_to_spec(resolved)
-        except ConfigurationError:
-            spec = None
-        return HandshakePolicyResult(
-            policy_spec=spec,
-            mean=summary.mean,
-            p99=summary.p99,
-            p999=summary.p999,
-            backup_packets_per_handshake=backups / num_samples,
-            num_samples=num_samples,
-        )
 
 
 def handshake_cost_benefit(

@@ -2,14 +2,16 @@
 
 :meth:`Histogram.record_batches` and :meth:`LatencyRecorder.record_batches`
 must leave exactly the state that one ``record_many`` call per batch leaves:
-count, sum, mean and M2 (so std), min, max, the bins (in dict order too,
-which :meth:`Histogram.fraction_greater_than` sums in), the zero bucket and,
-in exact mode, the retained samples.  ``reference_record_many`` is the
-per-batch ``Histogram.record_many`` that the batch routine replaced, kept
-here verbatim so the one-batch case is checked against it as well.
+count, sum, mean and M2 (so std), min, max, the bins (as a key-to-count
+mapping: nothing reads the order in which keys entered ``_bins``), the zero
+bucket and, in exact mode, the retained samples.  ``reference_record_many``
+is the per-batch ``Histogram.record_many`` that the batch routine replaced,
+kept here verbatim with its moment update (``combine_moments``) so the
+one-batch case is checked against it as well.
 
 Every test runs twice: on the compiled ``fold_moments`` and ``bin_counts``
-kernels, and with ``REPRO_CKERNELS=0`` on the numpy loop.
+kernels, and with ``REPRO_CKERNELS=0`` on the numpy fold and
+``np.bincount``.
 """
 
 import math
@@ -23,13 +25,13 @@ from hypothesis import strategies as st
 from repro.cluster import _ckernels
 from repro.exceptions import ConfigurationError
 from repro.metrics import Histogram, LatencyRecorder
-from repro.metrics.histogram import _BIN_BLOCK
+from repro.metrics.histogram import _BIN_BLOCK, BINS_PER_DECADE, _KeyTable
 
 
 @pytest.fixture(autouse=True, params=["compiled", "numpy"])
 def kernel_path(request, monkeypatch):
     """Record on the compiled kernels (skipping without a C compiler), then
-    with ``REPRO_CKERNELS=0`` on the numpy loop."""
+    with ``REPRO_CKERNELS=0`` on the numpy leaves."""
     if request.param == "numpy":
         monkeypatch.setenv(_ckernels.CKERNELS_ENV_VAR, "0")
     elif _ckernels.load() is None:
@@ -43,12 +45,21 @@ def reference_bin_array(histogram, data):
     positive = data[data > 0.0]
     if positive.size == 0:
         return
-    keys = np.floor(histogram.bins_per_decade * np.log10(positive)).astype(np.int64)
+    keys = np.floor(BINS_PER_DECADE * np.log10(positive)).astype(np.int64)
     unique, counts = np.unique(keys, return_counts=True)
     for key, count in zip(unique.tolist(), counts.tolist()):
         if key not in histogram._bins:
             histogram._bin_keys_cache = None
         histogram._bins[key] = histogram._bins.get(key, 0) + int(count)
+
+
+def combine_moments(histogram, batch_count, batch_mean, batch_m2):
+    """Fold a batch's (count, mean, M2) into the running moments (Chan et al.)."""
+    total = histogram._count + batch_count
+    delta = batch_mean - histogram._mean
+    histogram._mean += delta * batch_count / total
+    histogram._m2 += batch_m2 + delta * delta * histogram._count * batch_count / total
+    histogram._count = total
 
 
 def reference_record_many(histogram, values):
@@ -60,7 +71,7 @@ def reference_record_many(histogram, values):
         raise ConfigurationError("samples must be finite and >= 0")
     batch_mean = float(data.mean())
     batch_m2 = float(np.square(data - batch_mean).sum())
-    histogram._combine_moments(int(data.size), batch_mean, batch_m2)
+    combine_moments(histogram, int(data.size), batch_mean, batch_m2)
     histogram._sum += float(data.sum())
     histogram._min = min(histogram._min, float(data.min()))
     histogram._max = max(histogram._max, float(data.max()))
@@ -86,7 +97,7 @@ def state(histogram):
         histogram._m2,
         histogram._min,
         histogram._max,
-        list(histogram._bins.items()),
+        dict(histogram._bins),
         histogram._zero_count,
         None if histogram._exact is None else list(histogram._exact),
     )
@@ -117,17 +128,14 @@ batch_lists = st.lists(st.lists(samples, max_size=40), max_size=30)
     batches=batch_lists,
     singles=st.lists(samples, max_size=5),
     exact_threshold=st.integers(0, 120),
-    bins_per_decade=st.sampled_from([4, 128]),
     as_arrays=st.booleans(),
 )
 def test_batches_record_as_successive_record_many_calls(
-    batches, singles, exact_threshold, bins_per_decade, as_arrays
+    batches, singles, exact_threshold, as_arrays
 ):
     if as_arrays:
         batches = [np.asarray(batch, dtype=float) for batch in batches]
-    reference, one_by_one, batched = three_ways(
-        batches, singles, exact_threshold=exact_threshold, bins_per_decade=bins_per_decade
-    )
+    reference, one_by_one, batched = three_ways(batches, singles, exact_threshold=exact_threshold)
     assert one_by_one == reference
     assert batched == reference
 
@@ -215,22 +223,6 @@ def test_thirty_blocks_with_the_spill_in_a_later_block(exact_threshold):
     assert batched == reference
 
 
-def test_new_bins_enter_by_first_batch_then_key():
-    """New keys arrive out of key order within a batch, in a block after the
-    first and in the last block; ``_bins`` takes them ordered by the batch
-    each first occurs in, then by key, as one call per batch adds them."""
-    rng = np.random.default_rng(4)
-    late = [np.array([5.0, 2e-7, 0.0, 3e-2, 5.0]), np.array([3e-8, 7.0, 2e-7])]
-    batches = [rng.uniform(1e-3, 2e-3, 100) for _ in range(60)] + late
-    batches += [rng.uniform(1e-3, 2e-3, 100) for _ in range(50)] + [np.array([20.0, 2e-9])]
-    reference, _one_by_one, batched = three_ways(batches, exact_threshold=0)
-    assert batched == reference
-    histogram = Histogram(exact_threshold=0)
-    histogram.record_batches(batches)
-    expected = [2e-7, 3e-2, 5.0, 3e-8, 7.0, 2e-9, 20.0]
-    assert list(histogram._bins)[-7:] == [int(np.floor(128 * np.log10(v))) for v in expected]
-
-
 @pytest.mark.parametrize("exact_threshold", [0, 1024, 1_000_000])
 @pytest.mark.parametrize("bad", [math.nan, -1e-9, math.inf])
 def test_an_invalid_sample_in_the_last_block_records_nothing(exact_threshold, bad):
@@ -247,7 +239,7 @@ def test_an_invalid_sample_in_the_last_block_records_nothing(exact_threshold, ba
 
 @pytest.mark.parametrize("kernel_path", ["compiled"], indirect=True)
 def test_fold_moments_is_combine_moments():
-    """The compiled fold against ``_combine_moments``, batch by batch and in
+    """The compiled fold against ``combine_moments``, batch by batch and in
     one call, for sizes on each side of the pairwise sum's 8- and
     128-sample steps and past 8,192 samples."""
     lib = _ckernels.load()
@@ -260,7 +252,7 @@ def test_fold_moments_is_combine_moments():
     for batch in batches:
         total = float(batch.sum())
         mean = total / batch.size
-        reference._combine_moments(batch.size, mean, float(np.square(batch - mean).sum()))
+        combine_moments(reference, batch.size, mean, float(np.square(batch - mean).sum()))
         reference._sum += total
         size = np.array([batch.size], np.int64)
         lib.fold_moments(each, batch.ctypes.data, size.ctypes.data, 1, scratch.ctypes.data)
@@ -273,24 +265,51 @@ def test_fold_moments_is_combine_moments():
     assert (at_once.count, at_once.mean, at_once.m2, at_once.sum) == expected
 
 
-def test_keys_wider_than_the_table_record_as_numpy_does(kernel_path, monkeypatch):
-    """A resolution whose keys span more than the compiled table's
-    ``_MAX_BIN_SPAN`` takes the numpy loop; otherwise it runs only with
-    ``REPRO_CKERNELS=0``."""
-    calls = []
-    numpy_loop = Histogram._record_numpy
+@pytest.mark.parametrize("kernel_path", ["compiled"], indirect=True)
+def test_keys_from_the_least_double_to_1e300_record_alike_on_both_paths(monkeypatch):
+    """5e-324, the least positive double, has the least key (-41,384) and
+    1e300 the key 38,400, so one call's table spans about 80,000 keys; both
+    kernel paths record the state of one reference call per batch."""
+    batches = [np.array([1e-3, 5e-324, 0.0]), np.array([1e300, 2.0]), np.array([7e-310, 3e299])]
+    reference, one_by_one, compiled = three_ways(batches, exact_threshold=0)
+    monkeypatch.setenv(_ckernels.CKERNELS_ENV_VAR, "0")
+    _reference, _one_by_one, numpy_leaves = three_ways(batches, exact_threshold=0)
+    assert min(compiled[6]) == -41_384 and max(compiled[6]) == 38_400
+    assert one_by_one == reference
+    assert compiled == reference
+    assert numpy_leaves == reference
 
-    def spy(self, arrays):
-        calls.append(self)
-        numpy_loop(self, arrays)
 
-    monkeypatch.setattr(Histogram, "_record_numpy", spy)
-    batches = [np.array([1e-3, 1.0]), np.array([1e3, 0.0, 2e-3])]
-    reference, _one_by_one, batched = three_ways(batches, exact_threshold=0, bins_per_decade=10**6)
-    assert batched == reference
-    calls.clear()
-    Histogram(exact_threshold=0).record_batches(batches)
-    assert len(calls) == (kernel_path == "numpy")
+@pytest.mark.parametrize("kernel_path", ["compiled"], indirect=True)
+def test_a_key_beyond_the_kernel_guard_raises_and_counts_nothing():
+    """No finite sample's key reaches +-2**62, so ``bin_counts``' guard
+    should never fire; if it does, the count raises rather than falling
+    back, before counting anything."""
+    table = _KeyTable(_ckernels.load())
+    table.count(np.array([1.0, -math.inf]))
+    with pytest.raises(RuntimeError, match="beyond"):
+        table.count(np.array([5.0, 2.0**63, -math.inf]))
+    histogram = Histogram(exact_threshold=0)
+    table.merge_into(histogram)
+    assert histogram._bins == {1: 1} and histogram._zero_count == 1
+
+
+def test_fraction_greater_than_does_not_depend_on_the_order_bins_were_filled():
+    """The same samples recorded in ascending and in descending order fill
+    equal bins in opposite orders; every threshold's fraction is bit-equal,
+    because the bins are summed in key order."""
+    rng = np.random.default_rng(9)
+    values = np.sort(rng.lognormal(-7.0, 1.0, 2_000)).tolist()
+    ascending, descending = Histogram(exact_threshold=0), Histogram(exact_threshold=0)
+    for value in values:
+        ascending.record(value)
+    for value in reversed(values):
+        descending.record(value)
+    assert ascending._bins == descending._bins
+    assert list(ascending._bins) != list(descending._bins)
+    for threshold in np.quantile(values, np.linspace(0.0, 1.0, 401)).tolist():
+        up = ascending.fraction_greater_than(threshold)
+        assert up == descending.fraction_greater_than(threshold), threshold
 
 
 def test_record_batches_allocates_little_beyond_its_inputs():
@@ -309,10 +328,10 @@ def test_record_batches_allocates_little_beyond_its_inputs():
     assert peak < 1 << 20
 
 
-def edge_values(bins_per_decade, ulps=2):
+def edge_values(ulps=2):
     """The doubles within ``ulps`` ulps of each bin edge
-    ``10 ** (k / bins_per_decade)`` from 1e-12 up to 1e7."""
-    edges = 10.0 ** (np.arange(-12 * bins_per_decade, 7 * bins_per_decade) / bins_per_decade)
+    ``10 ** (k / BINS_PER_DECADE)`` from 1e-12 up to 1e7."""
+    edges = 10.0 ** (np.arange(-12 * BINS_PER_DECADE, 7 * BINS_PER_DECADE) / BINS_PER_DECADE)
     up, down, values = edges, edges, [edges]
     for _ in range(ulps):
         up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
@@ -320,19 +339,17 @@ def edge_values(bins_per_decade, ulps=2):
     return np.unique(np.concatenate(values)).tolist()
 
 
-@pytest.mark.parametrize("bins_per_decade", [4, 128])
-def test_a_sample_at_a_bin_edge_bins_alike_alone_and_in_a_batch(bins_per_decade):
+def test_a_sample_at_a_bin_edge_bins_alike_alone_and_in_a_batch():
     """``record`` keys a sample with ``math.log10`` and a batch is keyed with
     numpy's ``log10``; the two can differ in the last ulp, which moves a
     sample at a bin edge into the neighbouring bin (with numpy 2.4.6 on
-    AVX-512 the scan finds 6 such values at 4 bins per decade and 99 at
-    128).  Here 1.0181517217181797e-09 is one: -8.9921875 by ``math.log10``,
-    -8.992187500000002 by numpy's."""
-    for value in edge_values(bins_per_decade) + [1.0181517217181797e-09]:
-        alone = Histogram(exact_threshold=0, bins_per_decade=bins_per_decade)
-        batch = Histogram(exact_threshold=0, bins_per_decade=bins_per_decade)
+    AVX-512 the scan finds 99 such values).  Here 1.0181517217181797e-09 is
+    one: -8.9921875 by ``math.log10``, -8.992187500000002 by numpy's."""
+    for value in edge_values() + [1.0181517217181797e-09]:
+        alone = Histogram(exact_threshold=0)
+        batch = Histogram(exact_threshold=0)
         for histogram in (alone, batch):
             histogram.record(1.0)
         alone.record(value)
         batch.record_many([value])
-        assert list(alone._bins.items()) == list(batch._bins.items()), value
+        assert alone._bins == batch._bins, value

@@ -209,13 +209,17 @@ def test_dns_hedging_sends_fewer_queries_for_most_of_the_benefit():
 
 def test_handshake_hedging_sends_tiny_fraction_of_duplicates():
     model = HandshakeModel()
-    eager = model.policy_result("k2", num_samples=20_000, seed=4)
-    hedged = model.policy_result("hedge:200ms", num_samples=20_000, seed=4)
-    baseline = model.policy_result("none", num_samples=20_000, seed=4)
-    assert hedged.backup_packets_per_handshake < 0.1 * eager.backup_packets_per_handshake
-    assert hedged.mean < baseline.mean
+
+    def sample(spec):
+        return model.sample_completion_times_policy(spec, 20_000, np.random.default_rng(4))
+
+    eager_times, eager_backups = sample("k2")
+    hedged_times, hedged_backups = sample("hedge:200ms")
+    baseline_times, _baseline_backups = sample("none")
+    assert hedged_backups < 0.1 * eager_backups
+    assert hedged_times.mean() < baseline_times.mean()
     with pytest.raises(ConfigurationError):
-        model.policy_result("hedge:p95")
+        sample("hedge:p95")
 
 
 def test_memcached_hedging_beats_eager_at_load():

@@ -471,6 +471,55 @@ class TestLoadGenConfigBounds:
         assert excinfo.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("requests", [0, -3])
+    def test_num_requests_must_be_positive(self, requests):
+        with pytest.raises(ValueError, match="num_requests must be >= 1"):
+            LoadGenConfig(rate=100.0, num_requests=requests)
+
+    @pytest.mark.parametrize("keyspace", [0, -1])
+    def test_keyspace_must_be_positive(self, keyspace):
+        with pytest.raises(ValueError, match="keyspace must be >= 1"):
+            LoadGenConfig(rate=100.0, num_requests=10, keyspace=keyspace)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--requests", "0"],
+            ["run", "--requests", "-3"],
+            ["run", "--keyspace", "0"],
+            ["run", "--backends", "0"],
+            ["run", "--service-mean", "0"],
+            ["run", "--service-mean", "-1"],
+            ["run", "--service-mean", "nan"],
+            ["run", "--policy", "foo"],
+            ["run", "--swap", "0.5:foo"],
+            ["bench", "--policies", ","],
+            ["bench", "--policies", "foo"],
+            ["bench", "--policies", "k2,foo"],
+            ["bench", "--requests", "0"],
+            ["bench", "--backends", "0"],
+        ],
+    )
+    def test_cli_rejects_bad_input_at_parse_time(self, argv, capsys):
+        """Each used to end in a traceback (exit 1) from deep in the run."""
+        from repro.serve.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--quiet"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[1]}" in err
+        assert "Traceback" not in err
+
+    def test_bench_policies_parse_to_a_list_of_specs(self):
+        from repro.serve.cli import _build_parser
+
+        args = _build_parser().parse_args(["bench", "--policies", " k2 , hedge:1ms ,"])
+        assert args.policies == ["k2", "hedge:1ms"]
+        assert _build_parser().parse_args(["bench"]).policies == [
+            "none", "k2", "hedge:1ms", "hedge:p95"
+        ]
+
 
 # ---------------------------------------------------------------------------
 # Command line
