@@ -9,9 +9,8 @@ evaluation depends on:
     cost-benefit analysis.
 
 ``repro.sim``
-    The discrete-event engine of the fat-tree packet simulator (event heap,
-    switch output queue) and the seeded random-number substreams every
-    substrate draws from.
+    The event heap of the fat-tree packet simulator and the seeded
+    random-number substreams every substrate draws from.
 
 ``repro.distributions``
     Service-time and size distributions used throughout the evaluation.

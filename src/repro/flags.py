@@ -7,8 +7,8 @@ modes this kills:
 
 * **Typo'd flag names.**  ``REPRO_CKERNEL=0`` used to be silently ignored
   (the read site only knew its own spelling); :func:`reject_unknown_flags`
-  — called by the CLIs on startup — now fails fast on any ``REPRO_*``
-  variable that no flag declares.
+  — called on startup by the experiments, lint and serve CLIs — now fails
+  fast on any ``REPRO_*`` variable that no flag declares.
 * **Typo'd flag values.**  Reads validate against the declared choices, so
   ``REPRO_CKERNELS=yes`` is a loud :class:`~repro.exceptions.ConfigurationError`
   instead of an accidental default.
@@ -109,9 +109,9 @@ def unknown_flags(environ: Optional[Mapping[str, str]] = None) -> List[str]:
 def reject_unknown_flags(environ: Optional[Mapping[str, str]] = None) -> None:
     """Fail fast on typo'd ``REPRO_*`` variables.
 
-    The experiments and lint CLIs call this on startup so a misspelled flag
-    (``REPRO_CKERNEL=0``) aborts the run instead of silently running the
-    default code path.
+    The experiments, lint and serve CLIs call this on startup so a
+    misspelled flag (``REPRO_CKERNEL=0``) aborts the run instead of silently
+    running the default code path.
 
     Raises:
         ConfigurationError: Naming every unknown ``REPRO_*`` variable.

@@ -191,6 +191,7 @@ class _PacketNetwork:
                     propagation_delay_s=config.per_hop_delay_s,
                     buffer_bytes=config.buffer_bytes,
                     deliver=self._on_link_arrival,
+                    drop=self._count_drop,
                 )
         self.flows: Dict[int, TcpFlow] = {}
         self.metrics = MetricsRegistry("fattree")
@@ -201,12 +202,12 @@ class _PacketNetwork:
 
     @property
     def dropped_packets(self) -> int:
-        """Primary data packets dropped at a full buffer."""
+        """Primary data packets refused at a full buffer."""
         return self._dropped_packets.value
 
     @property
     def dropped_replicas(self) -> int:
-        """Replica packets dropped at a full buffer."""
+        """Replica packets refused at a full buffer or evicted by an original."""
         return self._dropped_replicas.value
 
     def links_for_path(self, path: List[str]) -> List[Link]:
@@ -217,19 +218,15 @@ class _PacketNetwork:
             raise RoutingError(f"path {path!r} uses a link that does not exist") from exc
 
     def inject(self, packet: Packet, path_links: List[Link]) -> None:
-        """Send ``packet`` along ``path_links`` (drop accounting included)."""
+        """Send ``packet`` along ``path_links``."""
         packet.path = path_links
         packet.hop_index = 0
-        accepted = path_links[0].send(packet)
-        if not accepted:
-            self._count_drop(packet)
+        path_links[0].send(packet)
 
-    def _on_link_arrival(self, packet: Packet, _now: float) -> None:
+    def _on_link_arrival(self, packet: Packet) -> None:
         packet.hop_index += 1
         if packet.hop_index < len(packet.path):
-            accepted = packet.path[packet.hop_index].send(packet)
-            if not accepted:
-                self._count_drop(packet)
+            packet.path[packet.hop_index].send(packet)
             return
         flow = self.flows.get(packet.flow_id)
         if flow is None:

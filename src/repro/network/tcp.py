@@ -22,7 +22,6 @@ from typing import Callable, Optional, Set
 from repro.exceptions import ConfigurationError
 from repro.network.packet import PRIORITY_NORMAL, Packet
 from repro.sim.engine import Simulator
-from repro.sim.events import Event
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,7 @@ class TcpFlow:
         "snd_next",
         "dup_acks",
         "rto_interval",
-        "rto_event",
+        "_rto_token",
         "timeouts",
         "retransmissions",
         "completed",
@@ -129,7 +128,9 @@ class TcpFlow:
         self.snd_next = 0          # next new segment to transmit
         self.dup_acks = 0
         self.rto_interval = config.min_rto_s
-        self.rto_event: Optional[Event] = None
+        # The live retransmission timer's token: a timer that fires with an
+        # older one was withdrawn by a later restart or by completion.
+        self._rto_token = 0
         self.timeouts = 0
         self.retransmissions = 0
         self.completed = False
@@ -166,17 +167,14 @@ class TcpFlow:
             self.snd_next += 1
 
     def _restart_rto(self) -> None:
-        if self.rto_event is not None:
-            self.rto_event.cancel()
-            self.rto_event = None
+        self._rto_token += 1
         if self.completed or self.snd_una >= self.total_segments:
             return
-        self.rto_event = self.sim.schedule(self.rto_interval, self._on_timeout)
+        self.sim.schedule(self.rto_interval, self._on_timeout, self._rto_token)
 
-    def _on_timeout(self) -> None:
+    def _on_timeout(self, token: int) -> None:
         """Retransmission timeout: go back to the first unacked segment."""
-        self.rto_event = None
-        if self.completed:
+        if token != self._rto_token:
             return
         self.timeouts += 1
         self.retransmissions += 1
@@ -223,9 +221,7 @@ class TcpFlow:
     def _complete(self) -> None:
         self.completed = True
         self.completion_time = self.sim.now
-        if self.rto_event is not None:
-            self.rto_event.cancel()
-            self.rto_event = None
+        self._rto_token += 1
         self._on_complete(self)
 
     # ----------------------------- receiver ------------------------------ #

@@ -9,15 +9,20 @@ Two subcommands:
     emits a canonical, byte-reproducible report; ``--clock real`` paces the
     same run on the wall clock.  ``--swap T:SPEC`` hot-swaps the policy
     mid-run and ``--event T:ACTION:INDEX`` applies a membership event
-    (``add`` / ``remove`` / ``crash`` of one backend) mid-run — both
-    repeatable.  ``--backend echo`` swaps the simulated pool for real
-    loopback TCP echo servers (real clock only).
+    (``add`` / ``remove`` / ``crash`` of backend ``INDEX``, in ``[0,
+    --backends)``) mid-run — both repeatable.  ``--backend echo`` swaps the
+    simulated pool for real loopback TCP echo servers (real clock only).
 
 ``bench``
     Throughput measurement: saturates the proxy's dispatch path with
     pre-drawn traffic per policy and reports sustained requests/second.
     ``--assert-floor N`` exits non-zero unless the *best* measured policy
     sustains at least N req/s — the CI floor assertion.
+
+Bad input exits 2: a malformed argument with argparse's usage message, and
+an error the run itself raises (an event that adds a backend already on the
+ring, a ``--duration`` shorter than the first arrival, an unknown
+``REPRO_*`` variable) with ``error: ...``.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ from typing import List, Optional, Sequence, Tuple
 from repro.cluster import _ckernels
 from repro.core.policy import canonical_policy_spec
 from repro.distributions import Exponential
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ReproError
+from repro.flags import reject_unknown_flags
 from repro.serve.backends import SimBackend
 from repro.serve.clock import Clock, RealClock, VirtualClock
 from repro.serve.loadgen import LoadGenConfig, run_load
@@ -276,7 +282,22 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.command == "run":
-        return cmd_run(args)
-    return cmd_bench(args)
+        for _at, _action, index in args.event:
+            if not 0 <= index < args.backends:
+                parser.error(
+                    f"argument --event: backend index must be in "
+                    f"[0, {args.backends}), got {index}"
+                )
+    try:
+        # A typo'd REPRO_* variable (say REPRO_CKERNEL=0) would silently
+        # run the default code path; fail before any work.
+        reject_unknown_flags()
+        if args.command == "run":
+            return cmd_run(args)
+        return cmd_bench(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2

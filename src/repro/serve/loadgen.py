@@ -51,6 +51,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.exceptions import ConfigurationError
 from repro.serve.clock import Clock
 from repro.serve.proxy import RedundancyProxy
 from repro.serve.report import RunReport
@@ -134,8 +135,17 @@ def _draw_traffic(config: LoadGenConfig) -> Tuple[np.ndarray, np.ndarray]:
 async def run_load(
     proxy: RedundancyProxy, clock: Clock, config: LoadGenConfig
 ) -> RunReport:
-    """Drive ``proxy`` with open-loop Poisson traffic; return the report."""
+    """Drive ``proxy`` with open-loop Poisson traffic; return the report.
+
+    Raises:
+        ConfigurationError: If no arrival falls inside ``duration_s``.
+    """
     offsets, keys = _draw_traffic(config)
+    if not len(offsets):
+        raise ConfigurationError(
+            f"no arrival falls inside the duration_s={config.duration_s!r} "
+            f"horizon at rate {config.rate!r}"
+        )
     initial_policy = proxy.policy_spec
     # Full-width table: a plan never uses more copies than there are
     # backends, so this keeps every policy (including k>8 and hot-swaps)

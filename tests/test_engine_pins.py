@@ -202,7 +202,7 @@ GOLDENS = {
     "standard-memcached-failover": {"num_requests": 600},
     "standard-pipeline-dag": {"num_jobs": 12},
     "database-ec2": {"num_requests": 2_000, "num_files": 4_000},
-    "standard-fattree-policy": {"num_flows": 60},
+    "standard-fattree-policy": {"num_flows": 250},
     "paper-dns-hedged": {
         "num_vantage_points": 4,
         "stage1_queries": 100,

@@ -58,8 +58,6 @@ IMPORT_REPRO_MODULES = [
     "repro.queueing.threshold",
     "repro.sim",
     "repro.sim.engine",
-    "repro.sim.events",
-    "repro.sim.resources",
     "repro.sim.rng",
 ]
 
@@ -115,7 +113,7 @@ def loaded_after(statement):
 
 def test_import_repro_loads_exactly_the_pinned_modules():
     assert loaded_after("pass") == IMPORT_REPRO_MODULES
-    assert len(IMPORT_REPRO_MODULES) == 39
+    assert len(IMPORT_REPRO_MODULES) == 37
 
 
 def test_import_repro_serve_loads_one_cluster_submodule_beyond_the_kernels():

@@ -1,5 +1,7 @@
 """Integration tests for the fat-tree experiment driver (small configurations)."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,12 @@ from repro.exceptions import ConfigurationError
 from repro.network import (
     FatTreeExperiment,
     FatTreeExperimentConfig,
+    Link,
     ReplicationConfig,
 )
+from repro.network.fattree_sim import _PacketNetwork
 from repro.network.flows import elephant_flows, generate_flows, short_flows
+from repro.sim import Simulator
 
 
 class TestFlowGeneration:
@@ -129,3 +134,56 @@ class TestFatTreeExperiment:
     def test_max_sim_seconds_must_be_finite_and_positive(self, value):
         with pytest.raises(ConfigurationError, match="max_sim_seconds"):
             FatTreeExperimentConfig(max_sim_seconds=value)
+
+
+class TestPacketConservation:
+    """Every packet handed to a link reaches the far end or is counted
+    dropped exactly once: originals in ``dropped_packets``, replicas in
+    ``dropped_replicas``.  That includes a replica evicted from a full
+    buffer by an arriving original, which used to go uncounted."""
+
+    @pytest.mark.parametrize(
+        "replication",
+        [
+            ReplicationConfig(),
+            ReplicationConfig(replica_delay_s=100e-6),
+            # Replicas at normal priority share the originals' queue: they
+            # are never evicted, but still count as replicas when refused.
+            ReplicationConfig(low_priority=False),
+        ],
+        ids=["k2", "hedge", "same-priority"],
+    )
+    def test_every_packet_is_delivered_or_counted_dropped_by_kind(
+        self, monkeypatch, replication
+    ):
+        sent, delivered, pending_at_clear = Counter(), Counter(), []
+        send = Link.send
+        on_arrival = _PacketNetwork._on_link_arrival
+        clear = Simulator.clear
+
+        def counting_send(link, packet):
+            sent[packet.is_replica] += 1
+            return send(link, packet)
+
+        def counting_arrival(network, packet, *args):
+            delivered[packet.is_replica] += 1
+            return on_arrival(network, packet, *args)
+
+        def checking_clear(sim):
+            pending_at_clear.append(len(sim._heap))
+            clear(sim)
+
+        monkeypatch.setattr(Link, "send", counting_send)
+        monkeypatch.setattr(_PacketNetwork, "_on_link_arrival", counting_arrival)
+        monkeypatch.setattr(Simulator, "clear", checking_clear)
+        # A small buffer under load: originals are refused, and replicas are
+        # both refused and evicted.
+        config = FatTreeExperimentConfig(k=4, load=0.4, num_flows=100, buffer_bytes=30_000.0)
+        result = FatTreeExperiment(config).run(replication=replication)
+
+        # The run drained before its horizon, so no packet is still in flight.
+        assert pending_at_clear == [0]
+        assert all(record.fct is not None for record in result.records)
+        assert sent[False] == delivered[False] + result.dropped_packets
+        assert sent[True] == delivered[True] + result.dropped_replicas
+        assert result.dropped_packets > 0 and result.dropped_replicas > 0

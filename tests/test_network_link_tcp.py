@@ -23,12 +23,21 @@ class TestPacket:
         assert replica.uid != packet.uid
 
 
+def make_link(sim, deliver, drop=None, rate_bps=8e6, propagation_delay_s=0.0, **kwargs):
+    """A link that must not drop unless the test passes a ``drop`` callback."""
+
+    def unexpected_drop(packet):
+        raise AssertionError(f"unexpected drop of {packet!r}")
+
+    return Link(sim, "a->b", rate_bps=rate_bps, propagation_delay_s=propagation_delay_s,
+                deliver=deliver, drop=drop or unexpected_drop, **kwargs)
+
+
 class TestLink:
     def test_serialization_and_propagation_delay(self):
         sim = Simulator()
         arrivals = []
-        link = Link(sim, "a->b", rate_bps=8e6, propagation_delay_s=0.001,
-                    deliver=lambda p, t: arrivals.append(t))
+        link = make_link(sim, lambda p: arrivals.append(sim.now), propagation_delay_s=0.001)
         link.send(make_packet(size=1000.0))  # 1000 B at 1 MB/s = 1 ms
         sim.run()
         assert arrivals == [pytest.approx(0.002)]
@@ -36,8 +45,7 @@ class TestLink:
     def test_packets_queue_behind_each_other(self):
         sim = Simulator()
         arrivals = []
-        link = Link(sim, "a->b", rate_bps=8e6, propagation_delay_s=0.0,
-                    deliver=lambda p, t: arrivals.append((p.seq, t)))
+        link = make_link(sim, lambda p: arrivals.append((p.seq, sim.now)))
         link.send(make_packet(seq=0, size=1000.0))
         link.send(make_packet(seq=1, size=1000.0))
         sim.run()
@@ -47,8 +55,7 @@ class TestLink:
     def test_low_priority_waits_for_high_priority(self):
         sim = Simulator()
         arrivals = []
-        link = Link(sim, "a->b", rate_bps=8e6, propagation_delay_s=0.0,
-                    deliver=lambda p, t: arrivals.append(p.priority))
+        link = make_link(sim, lambda p: arrivals.append(p.priority))
         link.send(make_packet(seq=0))                      # starts transmitting
         link.send(make_packet(seq=1, priority=PRIORITY_REPLICA))
         link.send(make_packet(seq=2))                      # queued after the replica arrives
@@ -57,19 +64,102 @@ class TestLink:
 
     def test_buffer_overflow_drops(self):
         sim = Simulator()
-        link = Link(sim, "a->b", rate_bps=8e3, propagation_delay_s=0.0,
-                    buffer_bytes=2000.0, deliver=lambda p, t: None)
-        accepted = [link.send(make_packet(seq=i, size=1500.0)) for i in range(4)]
-        # First packet transmits immediately; the queue fits one more 1500 B
-        # packet within 2000 B, the rest are dropped.
-        assert accepted[0] and accepted[1]
-        assert not accepted[2] and not accepted[3]
-        assert link.packets_dropped == 2
+        arrivals, drops = [], []
+        link = make_link(sim, arrivals.append, drops.append, rate_bps=8e3,
+                         buffer_bytes=2000.0)
+        for i in range(4):
+            link.send(make_packet(seq=i, size=1500.0))
+        # The first packet transmits at once; the queue fits one more 1500 B
+        # packet within 2000 B, and the rest are refused.
+        sim.run()
+        assert [p.seq for p in arrivals] == [0, 1]
+        assert [p.seq for p in drops] == [2, 3]
+
+    def test_an_original_evicts_queued_replicas_newest_first(self):
+        sim = Simulator()
+        arrivals, drops = [], []
+        link = make_link(sim, arrivals.append, drops.append, buffer_bytes=300.0)
+        link.send(make_packet(seq=0, size=100.0))          # on the wire
+        for seq in (1, 2, 3):
+            link.send(make_packet(seq=seq, size=100.0, priority=PRIORITY_REPLICA))
+        link.send(make_packet(seq=4, size=200.0))
+        sim.run()
+        assert [p.seq for p in drops] == [3, 2]
+        assert [p.seq for p in arrivals] == [0, 4, 1]
+
+    def test_an_original_that_still_does_not_fit_drops_the_replicas_too(self):
+        # Eviction stops only when the replicas run out: an original too big
+        # for what is left after the originals queued ahead of it evicts
+        # every replica and is then refused as well.
+        sim = Simulator()
+        arrivals, drops = [], []
+        link = make_link(sim, arrivals.append, drops.append, buffer_bytes=300.0)
+        link.send(make_packet(seq=0, size=100.0))          # on the wire
+        link.send(make_packet(seq=1, size=200.0))
+        link.send(make_packet(seq=2, size=50.0, priority=PRIORITY_REPLICA))
+        link.send(make_packet(seq=3, size=50.0, priority=PRIORITY_REPLICA))
+        link.send(make_packet(seq=4, size=150.0))
+        sim.run()
+        assert [(p.seq, p.priority) for p in drops] == [
+            (3, PRIORITY_REPLICA), (2, PRIORITY_REPLICA), (4, PRIORITY_NORMAL)
+        ]
+        assert [p.seq for p in arrivals] == [0, 1]
+
+    def test_a_replica_never_evicts_an_original(self):
+        sim = Simulator()
+        arrivals, drops = [], []
+        link = make_link(sim, arrivals.append, drops.append, buffer_bytes=200.0)
+        link.send(make_packet(seq=0, size=100.0))
+        link.send(make_packet(seq=1, size=100.0))
+        link.send(make_packet(seq=2, size=100.0))
+        link.send(make_packet(seq=3, size=100.0, priority=PRIORITY_REPLICA))
+        sim.run()
+        assert [p.seq for p in drops] == [3]
+        assert [p.seq for p in arrivals] == [0, 1, 2]
+
+    def test_the_budget_bounds_the_queue_not_the_packet_on_the_wire(self):
+        sim = Simulator()
+        arrivals, drops = [], []
+        link = make_link(sim, arrivals.append, drops.append, buffer_bytes=1000.0)
+        link.send(make_packet(seq=0, size=1500.0))         # idle: sent at once
+        link.send(make_packet(seq=1, size=1000.0))         # fills the queue
+        link.send(make_packet(seq=2, size=1.0))
+        sim.run()
+        assert [p.seq for p in arrivals] == [0, 1]
+        assert [p.seq for p in drops] == [2]
+
+    def test_unbounded_buffer_never_drops(self):
+        sim = Simulator()
+        arrivals = []
+        link = make_link(sim, arrivals.append, buffer_bytes=None)
+        for seq in range(50):
+            link.send(make_packet(seq=seq, size=1e6))
+        sim.run()
+        assert [p.seq for p in arrivals] == list(range(50))
+
+    @pytest.mark.parametrize("priority", [-1, 2])
+    def test_queued_packet_of_unknown_priority_rejected(self, priority):
+        sim = Simulator()
+        link = make_link(sim, lambda p: None)
+        link.send(make_packet(seq=0))
+        with pytest.raises(ConfigurationError):
+            link.send(make_packet(seq=1, priority=priority))
+
+    def test_each_priority_is_served_in_arrival_order(self):
+        sim = Simulator()
+        arrivals = []
+        link = make_link(sim, arrivals.append)
+        link.send(make_packet(seq=0))                      # on the wire
+        for seq, priority in enumerate(
+            [PRIORITY_REPLICA, PRIORITY_NORMAL, PRIORITY_REPLICA, PRIORITY_NORMAL], start=1
+        ):
+            link.send(make_packet(seq=seq, priority=priority))
+        sim.run()
+        assert [p.seq for p in arrivals] == [0, 2, 4, 1, 3]
 
     def test_counters(self):
         sim = Simulator()
-        link = Link(sim, "a->b", rate_bps=1e9, propagation_delay_s=0.0,
-                    deliver=lambda p, t: None)
+        link = make_link(sim, lambda p: None, rate_bps=1e9)
         link.send(make_packet(size=500.0))
         sim.run()
         assert link.packets_sent == 1
@@ -78,9 +168,11 @@ class TestLink:
     def test_invalid_parameters(self):
         sim = Simulator()
         with pytest.raises(ConfigurationError):
-            Link(sim, "x", rate_bps=0.0, propagation_delay_s=0.0)
+            make_link(sim, lambda p: None, rate_bps=0.0)
         with pytest.raises(ConfigurationError):
-            Link(sim, "x", rate_bps=1e9, propagation_delay_s=-1.0)
+            make_link(sim, lambda p: None, propagation_delay_s=-1.0)
+        with pytest.raises(ConfigurationError):
+            make_link(sim, lambda p: None, buffer_bytes=0.0)
 
 
 class TestReplicationConfig:
@@ -189,6 +281,27 @@ class TestTcpFlow:
         assert flow.completed
         assert flow.timeouts >= 1
         assert flow.flow_completion_time >= TcpConfig().min_rto_s
+
+    def test_restarted_timers_never_fire_on_a_lossless_flow(self):
+        # Every ACK restarts the retransmission timer; the timers it replaced,
+        # and the last one withdrawn at completion, still fall due later in
+        # the run and must do nothing.
+        harness = _Harness(size_bytes=30_000.0,
+                           config=TcpConfig(min_rto_s=0.0005, max_rto_s=0.001))
+        flow = harness.run()
+        assert flow.completed
+        assert flow.timeouts == 0 and flow.retransmissions == 0
+        assert not any(retransmission for _, retransmission in harness.sent)
+        assert harness.sim.now > flow.completion_time  # stale timers fired
+
+    def test_a_single_loss_times_out_exactly_once(self):
+        harness = _Harness(size_bytes=1000.0, drop_seqs=[0])
+        flow = harness.run()
+        assert harness.sent == [(0, False), (0, True)]
+        assert flow.timeouts == 1 and flow.retransmissions == 1
+        assert flow.flow_completion_time == pytest.approx(
+            TcpConfig().min_rto_s + 2 * harness.one_way_delay
+        )
 
     def test_duplicate_data_deliveries_are_deduplicated(self):
         harness = _Harness(size_bytes=1000.0)

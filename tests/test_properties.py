@@ -13,7 +13,8 @@ from repro.core.policy import HedgeAfterDelay, KCopies
 from repro.core.selection import UniformRandom
 from repro.distributions import DiscreteDistribution, TwoPoint
 from repro.queueing.mm1 import mm1_replicated_mean_response, mm1_threshold_load
-from repro.sim import PriorityQueueResource, Simulator
+from repro.network import Link, Packet
+from repro.sim import Simulator
 from repro.sim.rng import substream
 
 # Keep hypothesis runtimes modest: these are invariant checks, not fuzzing.
@@ -72,23 +73,38 @@ def test_lru_cache_never_exceeds_capacity(accesses):
 @DEFAULT_SETTINGS
 @given(
     st.lists(
-        st.tuples(st.integers(min_value=0, max_value=1), st.floats(min_value=1.0, max_value=500.0)),
+        st.tuples(
+            st.integers(min_value=0, max_value=1),
+            st.floats(min_value=1.0, max_value=500.0),
+            st.sampled_from([0.0, 1e-4, 1e-3]),
+        ),
         min_size=1,
         max_size=100,
     )
 )
-def test_priority_queue_occupancy_invariant(pushes):
-    queue = PriorityQueueResource(capacity_bytes=2_000.0, levels=2)
-    for priority, size in pushes:
-        queue.push(object(), size, priority=priority)
-        assert queue.occupancy_bytes <= 2_000.0 + 1e-9
-        assert queue.occupancy_bytes >= -1e-9
-    popped = 0
-    while not queue.empty:
-        queue.pop()
-        popped += 1
-    assert popped <= len(pushes)
-    assert abs(queue.occupancy_bytes) < 1e-6
+def test_link_queue_budget_and_conservation(sends):
+    """Queued bytes stay within the budget, and every packet offered to the
+    link is delivered or dropped exactly once."""
+    sim = Simulator()
+    delivered, dropped = [], []
+    link = Link(sim, "a->b", rate_bps=8e6, propagation_delay_s=0.0, buffer_bytes=2_000.0,
+                deliver=delivered.append, drop=dropped.append)
+    sent = []
+
+    def offer(priority, size):
+        packet = Packet(flow_id=0, seq=len(sent), size_bytes=size, src="a", dst="b",
+                        priority=priority)
+        sent.append(packet)
+        link.send(packet)
+        assert -1e-9 <= link._queued_bytes <= 2_000.0 + 1e-9
+
+    at = 0.0
+    for priority, size, gap in sends:
+        at += gap
+        sim.schedule_at(at, offer, priority, size)
+    sim.run()
+    assert sorted(p.seq for p in delivered + dropped) == list(range(len(sends)))
+    assert abs(link._queued_bytes) < 1e-6
 
 
 @DEFAULT_SETTINGS
@@ -172,8 +188,7 @@ def test_substream_reproducibility(seed):
 def test_simulator_processes_events_in_order(events):
     sim = Simulator()
     fired = []
-    for delay, priority in events:
-        sim.schedule(delay, lambda d=delay: fired.append(d), priority=priority)
+    for delay, tag in events:
+        sim.schedule(delay, fired.append, (delay, tag))
     sim.run()
-    assert fired == sorted(fired)
-    assert sim.events_processed == len(events)
+    assert fired == sorted(events, key=lambda event: event[0])

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.policy import HedgeOnPercentile, parse_policy
 from repro.distributions import Deterministic, Exponential
+from repro.exceptions import ConfigurationError
 from repro.serve import (
     Backend,
     BackendError,
@@ -510,6 +511,58 @@ class TestLoadGenConfigBounds:
         err = capsys.readouterr().err
         assert f"argument {argv[1]}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("index", ["8", "99", "-1"])
+    def test_cli_rejects_an_event_backend_outside_the_pool_at_parse_time(self, index, capsys):
+        from repro.serve.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--event", f"0.1:crash:{index}", "--quiet"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --event" in err and "[0, 8)" in err
+        assert "Traceback" not in err
+
+    def test_cli_accepts_the_last_backend_of_the_pool(self, tmp_path):
+        from repro.serve.cli import main
+
+        out = tmp_path / "report.json"
+        argv = ["run", "--backends", "2", "--requests", "200", "--event", "0.01:crash:1",
+                "--json", str(out), "--quiet"]
+        assert main(argv) == 0
+        events = json.loads(out.read_text())["events"]
+        assert [(event["action"], event["backend"]) for event in events] == [("crash", 1)]
+
+    def test_an_empty_duration_fails_before_issuing(self):
+        clock, proxy = make_stack("k2")
+        config = LoadGenConfig(rate=2000.0, duration_s=1e-9)
+        with pytest.raises(ConfigurationError, match="duration_s=1e-09"):
+            clock.run(run_load(proxy, clock, config))
+        assert proxy.counters()["requests"] == 0
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--event", "0.1:add:1"], "already on the ring"),
+            (["run", "--duration", "1e-9"], "no arrival falls inside"),
+        ],
+    )
+    def test_cli_reports_an_error_raised_mid_run_and_exits_2(self, argv, message, capsys):
+        from repro.serve.cli import main
+
+        assert main(argv + ["--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_cli_rejects_an_unknown_repro_flag(self, monkeypatch, capsys):
+        from repro.serve import cli
+
+        ran = []
+        monkeypatch.setenv("REPRO_CKERNEL", "0")
+        monkeypatch.setattr(cli, "cmd_run", lambda args: ran.append(args) or 0)
+        assert cli.main(["run", "--quiet"]) == 2
+        assert ran == []
+        assert "REPRO_CKERNEL" in capsys.readouterr().err
 
     def test_bench_policies_parse_to_a_list_of_specs(self):
         from repro.serve.cli import _build_parser
